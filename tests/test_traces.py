@@ -18,6 +18,8 @@ from mixtrace.traces import (AMBIGUOUS, DEFINED, UNDEFINED, free_mixed_trace,
 from mixtrace.zigzag import diagram_commutes, staircase_diagram
 from mixtrace.rings import INTEGERS, RATIONALS
 
+from trace_reference import assert_solvable_orderings_agree
+
 Z0 = Model(INTEGERS, 0)
 Z1 = Model(INTEGERS, 1)
 Z2 = Model(INTEGERS, 2)
@@ -116,7 +118,8 @@ def test_free_trace_order_dependence():
     assert provisional_trace(p).status == DEFINED
     assert provisional_trace(hidden_symmetry(p, Permutation((1, 0)))).status \
         == UNDEFINED
-    res = free_mixed_trace(p, require_agreement=True)
+    res = free_mixed_trace(p)
+    assert_solvable_orderings_agree(p, res)
     assert res.status == DEFINED and res.value.entries == ((1,),)
     flipped = hidden_symmetry(p, Permutation((1, 0)))
     res2 = free_mixed_trace(flipped)
@@ -137,7 +140,8 @@ def test_order_dependence_found_by_search():
         b = provisional_trace(hidden_symmetry(p, Permutation((1, 0)))).status
         if a != b:
             found += 1
-            res = free_mixed_trace(p, require_agreement=True)
+            res = free_mixed_trace(p)
+            assert_solvable_orderings_agree(p, res)
             assert res.status == DEFINED
             if found >= 3:
                 break
@@ -148,7 +152,7 @@ def test_free_trace_permutation_agreement():
     rng = random.Random(31)
     for _ in range(150):
         p = random_loop(rng, Z2, 3, 2)
-        free_mixed_trace(p, require_agreement=True)  # must not raise
+        assert_solvable_orderings_agree(p, free_mixed_trace(p))
 
 
 def test_free_trace_perm_bound():
