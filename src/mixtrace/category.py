@@ -91,7 +91,12 @@ def _flat(multi: Sequence[int], dims: Sequence[int]) -> int:
 @dataclass(frozen=True)
 class Mor:
     """An exact matrix with declared endpoint ranks, cod.rank rows by
-    dom.rank columns, row-major."""
+    dom.rank columns, row-major.
+
+    Entries are trusted: ``mor()`` and the JSON loaders check them where
+    they enter, and every operation below maps entries of the model's ring
+    to entries of that ring.  Only the shape is checked here.
+    """
 
     model: Model
     dom: Obj
@@ -99,18 +104,13 @@ class Mor:
     entries: Tuple[Tuple[Number, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(_canon(x) for x in row) for row in self.entries)
-        object.__setattr__(self, "entries", rows)
-        if len(rows) != self.cod.rank:
+        if len(self.entries) != self.cod.rank:
             raise InputError(
-                f"expected {self.cod.rank} rows, got {len(rows)}")
-        for row in rows:
+                f"expected {self.cod.rank} rows, got {len(self.entries)}")
+        for row in self.entries:
             if len(row) != self.dom.rank:
                 raise InputError(
                     f"expected {self.dom.rank} columns, got {len(row)}")
-            for x in row:
-                if not ring_contains(self.model.ring, x):
-                    raise InputError(f"entry {x} is not in {self.model.ring}")
 
     def __str__(self):
         if not self.entries:
@@ -120,7 +120,14 @@ class Mor:
 
 
 def mor(model: Model, dom: Obj, cod: Obj, rows: Iterable[Iterable[Number]]) -> Mor:
-    return Mor(model, dom, cod, tuple(tuple(r) for r in rows))
+    """The validating constructor: each entry is normalized and checked to
+    lie in the model's ring."""
+    f = Mor(model, dom, cod, tuple(tuple(_canon(x) for x in r) for r in rows))
+    for row in f.entries:
+        for x in row:
+            if not ring_contains(model.ring, x):
+                raise InputError(f"entry {x} is not in {model.ring}")
+    return f
 
 
 def identity(model: Model, a: Obj) -> Mor:
@@ -180,12 +187,6 @@ def tensor_mor(f: Mor, g: Mor) -> Mor:
                tuple(rows))
 
 
-def par_mor(f: Mor, g: Mor) -> Mor:
-    """Cotensor of morphisms; same data as tensor_mor, only the formal
-    role of the endpoints differs in this model."""
-    return tensor_mor(f, g)
-
-
 def dual_mor(f: Mor) -> Mor:
     """The contravariant duality: transpose, with endpoints swapped."""
     rows = tuple(tuple(f.entries[i][j] for i in range(f.cod.rank))
@@ -194,8 +195,7 @@ def dual_mor(f: Mor) -> Mor:
 
 
 def mor_scale(f: Mor, c: Number) -> Mor:
-    rows = tuple(tuple(x * c if x else _canon(0 * c) for x in row)
-                 for row in f.entries)
+    rows = tuple(tuple(_canon(x * c) for x in row) for row in f.entries)
     return Mor(f.model, f.dom, f.cod, rows)
 
 

@@ -74,8 +74,7 @@ def cmd_trace(args) -> int:
         except ModelNotCompactifiableError as exc:
             _emit({"status": "error", "error": str(exc)})
             return 1
-    _emit(serialize.trace_result_to_json(result, p,
-                                         include_witness=args.witness))
+    _emit(serialize.trace_result_to_json(result, p))
     if args.expect_defined and not result.is_defined:
         return 1
     return 0
@@ -88,7 +87,7 @@ def cmd_congruent(args) -> int:
     if args.generators:
         data = load_json_file(args.generators)
         raw = data.get("loops") if isinstance(data, dict) else None
-        if raw is None:
+        if not isinstance(raw, list):
             raise FileFormatError(f"{args.generators}: expected {{\"loops\": [...]}}")
         generators = tuple(
             serialize.loop_from_json(item, f"{args.generators}.loops[{i}]")

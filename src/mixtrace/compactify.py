@@ -14,12 +14,13 @@ from fractions import Fraction
 from math import prod
 
 from .category import (Mor, Model, Obj, ValidationReport, canonical_map,
-                       compose, contract_hidden, dual_mor, identity,
-                       mor_scale, random_mor, tensor_mor)
+                       compose, dual_mor, identity, mor, mor_scale,
+                       random_mor, tensor_mor)
 from .errors import InputError, ModelNotCompactifiableError
 from .loops import Loop, loop_compose, loop_dual, loop_tensor
 from .rings import INTEGERS, RATIONALS, localized_integers
 from . import traces
+from .traces import _contract_over_mix_power
 
 
 def localized_model(model: Model) -> Model:
@@ -43,10 +44,7 @@ def loop_value(p: Loop) -> Mor:
     """The congruence-class normal form: contract the hidden indices and
     divide by m^k over the localized ring."""
     target = localized_model(p.model)
-    contracted = contract_hidden(p.carrier, p.dom, p.cod, p.hidden)
-    scale = Fraction(1) / Fraction(p.model.mix) ** p.k
-    rows = tuple(tuple(v * scale for v in row) for row in contracted.entries)
-    return Mor(target, p.dom, p.cod, rows)
+    return Mor(target, p.dom, p.cod, _contract_over_mix_power(p))
 
 
 def c_tr(f: Mor) -> Mor:
@@ -101,6 +99,8 @@ def verify_compactness(model: Model, max_rank: int, seed: int = 0,
     if model.mix == 0:
         raise ModelNotCompactifiableError(
             "a zero mix scalar admits no compactification")
+    if max_rank < 0:
+        raise InputError("max_rank must be >= 0")
     rng = random.Random(f"compactness:{seed}")
     report = ValidationReport(
         f"compactness of the localization of {model} at ranks <= {max_rank}")
@@ -182,7 +182,7 @@ def verify_compactness(model: Model, max_rank: int, seed: int = 0,
             num = random_mor(model, rng, dom, cod, bound=5)
             rows = tuple(tuple(Fraction(v, m_int ** j) for v in row)
                          for row in num.entries)
-            m_mat = Mor(target, dom, cod, rows)
+            m_mat = mor(target, dom, cod, rows)
             back = loop_value(realize(m_mat))
             if back != m_mat:
                 ok, detail = False, f"realization round trip fails at sample {i}"

@@ -5,10 +5,6 @@ class InputError(ValueError):
     """Malformed or inconsistent input data."""
 
 
-class RingMismatchError(InputError):
-    """Operands live in different rings."""
-
-
 class ResourceLimitError(RuntimeError):
     """A configured search or enumeration bound was exceeded."""
 

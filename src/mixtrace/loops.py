@@ -101,11 +101,6 @@ class Loop:
         return prod(u.rank for u in self.hidden)
 
 
-def make_loop(model: Model, dom: Obj, cod: Obj, hidden: Sequence[Obj],
-              carrier: Mor) -> Loop:
-    return Loop(model, dom, cod, tuple(hidden), carrier)
-
-
 def morphism_loop(f: Mor) -> Loop:
     """A morphism, identified as the loop with empty hidden part."""
     return Loop(f.model, f.dom, f.cod, (), f)
@@ -233,6 +228,10 @@ def hidden_symmetry(p: Loop, alpha: Permutation) -> Loop:
     return Loop(model, p.dom, p.cod, new_hidden, carrier)
 
 
+# Hidden symmetries are enumerated as all of S_k, so only up to this k.
+_SYMMETRY_SEARCH_BOUND = 6
+
+
 def _require_comparable(p: Loop, q: Loop) -> None:
     if p.model != q.model:
         raise InputError("loops belong to different models")
@@ -240,7 +239,7 @@ def _require_comparable(p: Loop, q: Loop) -> None:
         raise InputError("loops have different endpoints")
 
 
-def one_step_congruent(p: Loop, q: Loop, max_perm_size: int = 6) -> bool:
+def one_step_congruent(p: Loop, q: Loop) -> bool:
     """True iff one of the loops is a hidden trace of the other, or they
     are related by a hidden symmetry (searched over S_k for k <= 6)."""
     _require_comparable(p, q)
@@ -252,7 +251,7 @@ def one_step_congruent(p: Loop, q: Loop, max_perm_size: int = 6) -> bool:
         for tail in range(1, a.k + 1):
             if traces.hidden_trace(a, tail) == b:
                 return True
-    if p.k == q.k and p.k <= max_perm_size:
+    if p.k == q.k and p.k <= _SYMMETRY_SEARCH_BOUND:
         for alpha in all_permutations(p.k):
             if hidden_symmetry(p, alpha) == q:
                 return True
@@ -266,7 +265,7 @@ def _one_step_moves(p: Loop, generators: Sequence[Loop]) -> Iterator[Loop]:
         t = traces.hidden_trace(p, tail)
         if t is not None:
             yield t
-    if p.k <= 6:
+    if p.k <= _SYMMETRY_SEARCH_BOUND:
         for alpha in all_permutations(p.k):
             if not alpha.is_identity:
                 yield hidden_symmetry(p, alpha)

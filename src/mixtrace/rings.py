@@ -1,9 +1,10 @@
-"""Exact commutative-ring arithmetic for the matrix models.
+"""The exact rings of the matrix models: tags, membership and unit tests,
+and the textual scalar syntax.
 
 Three rings are supported: the integers, the rationals, and the integers
 localized at a fixed m >= 1 (rationals whose denominator divides a power
-of m).  Everything is arbitrary precision and every value is kept reduced
-with a positive denominator; no floats anywhere.  Trace existence below is
+of m).  Values are ints or Fractions, arbitrary precision and reduced with
+a positive denominator; no floats anywhere.  Trace existence below is
 decided by exact divisibility, so approximate arithmetic would be wrong,
 not merely imprecise.
 """
@@ -16,7 +17,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional, Union
 
-from .errors import InputError, RingMismatchError
+from .errors import InputError
 
 Number = Union[int, Fraction]
 
@@ -88,63 +89,6 @@ def is_unit(ring: RingTag, value: Number) -> bool:
     if ring.kind == "Q":
         return True
     return divides_power(v.numerator, ring.m)
-
-
-@dataclass(frozen=True)
-class Scalar:
-    """An exact element of a tagged ring.
-
-    The value is canonical (reduced, positive denominator) so equality is
-    structural; ring membership is checked at construction.
-    """
-
-    ring: RingTag
-    value: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", Fraction(self.value))
-        if not ring_contains(self.ring, self.value):
-            raise InputError(f"{self.value} is not an element of {self.ring}")
-
-    def __str__(self):
-        return format_value(self.value)
-
-
-def scalar(ring: RingTag, num: int, den: int = 1) -> Scalar:
-    return Scalar(ring, Fraction(num, den))
-
-
-def _require_same_ring(a: Scalar, b: Scalar) -> None:
-    if a.ring != b.ring:
-        raise RingMismatchError(f"ring mismatch: {a.ring} vs {b.ring}")
-
-
-def scalar_add(a: Scalar, b: Scalar) -> Scalar:
-    _require_same_ring(a, b)
-    return Scalar(a.ring, a.value + b.value)
-
-
-def scalar_mul(a: Scalar, b: Scalar) -> Scalar:
-    _require_same_ring(a, b)
-    return Scalar(a.ring, a.value * b.value)
-
-
-def scalar_exact_div(a: Scalar, b: Scalar) -> Optional[Scalar]:
-    """The c with c*b = a if one exists in the ring, else None."""
-    _require_same_ring(a, b)
-    if b.value == 0:
-        raise ZeroDivisionError("exact division by zero")
-    q = a.value / b.value
-    if ring_contains(a.ring, q):
-        return Scalar(a.ring, q)
-    return None
-
-
-def ring_embed(a: Scalar, target: RingTag) -> Optional[Scalar]:
-    """Re-tag the same value in ``target`` if it lies there, else None."""
-    if ring_contains(target, a.value):
-        return Scalar(target, a.value)
-    return None
 
 
 def parse_value(text: str) -> Fraction:

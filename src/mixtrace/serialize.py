@@ -6,13 +6,14 @@ from __future__ import annotations
 import json
 from typing import List, Optional
 
-from .category import Mor, Model, Obj
+from .category import Mor, Model, Obj, mor
 from .errors import InputError
-from .loops import Loop, Permutation
+from .loops import Loop, Permutation, hidden_symmetry
 from .rings import (INTEGERS, RATIONALS, RingTag, format_value,
                     localized_integers, parse_value, ring_contains)
 from .traces import StaircaseWitness, TraceResult
-from .zigzag import Diagram, Edge, ZigZagInstance
+from .zigzag import (Diagram, Edge, ZigZagInstance, level_ranks,
+                     staircase_diagram)
 
 
 class FileFormatError(InputError):
@@ -23,6 +24,26 @@ def _need(data: dict, key: str, where: str):
     if not isinstance(data, dict) or key not in data:
         raise FileFormatError(f"{where}: missing field {key!r}")
     return data[key]
+
+
+def _need_list(data: dict, key: str, where: str) -> list:
+    value = _need(data, key, where)
+    if not isinstance(value, list):
+        raise FileFormatError(f"{where}.{key}: expected a list")
+    return value
+
+
+def _int_field(value, where: str, least: int = 0) -> int:
+    """An integer field; JSON true/false are rejected although Python
+    counts bool as int."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise FileFormatError(f"{where}: expected an integer >= {least}")
+    return value
+
+
+def _int_list(data: dict, key: str, where: str) -> List[int]:
+    return [_int_field(r, f"{where}.{key}[{i}]")
+            for i, r in enumerate(_need_list(data, key, where))]
 
 
 def ring_to_json(ring: RingTag):
@@ -37,10 +58,7 @@ def ring_from_json(data, where: str = "ring") -> RingTag:
     if data == "Q":
         return RATIONALS
     if isinstance(data, dict) and set(data) == {"Zloc"}:
-        m = data["Zloc"]
-        if not isinstance(m, int) or m < 1:
-            raise FileFormatError(f"{where}: Zloc parameter must be an int >= 1")
-        return localized_integers(m)
+        return localized_integers(_int_field(data["Zloc"], f"{where}.Zloc", 1))
     raise FileFormatError(f"{where}: expected \"Z\", \"Q\" or {{\"Zloc\": m}}")
 
 
@@ -60,17 +78,18 @@ def model_from_json(data, where: str = "model") -> Model:
     return Model(ring, mix)
 
 
-def _entries_to_json(m: Mor):
+def _bare_matrix_to_json(m: Mor):
     return [[format_value(v) for v in row] for row in m.entries]
 
 
-def _entries_from_json(data, rows: int, cols: int, where: str):
-    if not isinstance(data, list) or len(data) != rows:
-        raise FileFormatError(f"{where}: expected {rows} rows")
-    out = []
+def _bare_matrix_from_json(data, model: Model, dom: Obj, cod: Obj,
+                           where: str) -> Mor:
+    if not isinstance(data, list) or len(data) != cod.rank:
+        raise FileFormatError(f"{where}: expected {cod.rank} rows")
+    rows = []
     for i, row in enumerate(data):
-        if not isinstance(row, list) or len(row) != cols:
-            raise FileFormatError(f"{where}[{i}]: expected {cols} entries")
+        if not isinstance(row, list) or len(row) != dom.rank:
+            raise FileFormatError(f"{where}[{i}]: expected {dom.rank} entries")
         new = []
         for j, cell in enumerate(row):
             if not isinstance(cell, str):
@@ -80,8 +99,11 @@ def _entries_from_json(data, rows: int, cols: int, where: str):
                 new.append(parse_value(cell))
             except InputError as exc:
                 raise FileFormatError(f"{where}[{i}][{j}]: {exc}") from exc
-        out.append(tuple(new))
-    return tuple(out)
+        rows.append(new)
+    try:
+        return mor(model, dom, cod, rows)
+    except InputError as exc:
+        raise FileFormatError(f"{where}: {exc}") from exc
 
 
 def mor_to_json(m: Mor):
@@ -89,7 +111,7 @@ def mor_to_json(m: Mor):
         "model": model_to_json(m.model),
         "dom": m.dom.rank,
         "cod": m.cod.rank,
-        "entries": _entries_to_json(m),
+        "entries": _bare_matrix_to_json(m),
     }
 
 
@@ -98,29 +120,10 @@ def mor_from_json(data, where: str = "morphism",
     got_model = model_from_json(_need(data, "model", where), f"{where}.model")
     if model is not None and got_model != model:
         raise FileFormatError(f"{where}: model disagrees with the enclosing file")
-    dom = _need(data, "dom", where)
-    cod = _need(data, "cod", where)
-    if not isinstance(dom, int) or not isinstance(cod, int) or dom < 0 or cod < 0:
-        raise FileFormatError(f"{where}: dom/cod must be non-negative ints")
-    entries = _entries_from_json(_need(data, "entries", where), cod, dom,
-                                 f"{where}.entries")
-    try:
-        return Mor(got_model, Obj(dom), Obj(cod), entries)
-    except InputError as exc:
-        raise FileFormatError(f"{where}: {exc}") from exc
-
-
-def _bare_matrix_to_json(m: Mor):
-    return _entries_to_json(m)
-
-
-def _bare_matrix_from_json(data, model: Model, dom: Obj, cod: Obj,
-                           where: str) -> Mor:
-    entries = _entries_from_json(data, cod.rank, dom.rank, where)
-    try:
-        return Mor(model, dom, cod, entries)
-    except InputError as exc:
-        raise FileFormatError(f"{where}: {exc}") from exc
+    dom = _int_field(_need(data, "dom", where), f"{where}.dom")
+    cod = _int_field(_need(data, "cod", where), f"{where}.cod")
+    return _bare_matrix_from_json(_need(data, "entries", where), got_model,
+                                  Obj(dom), Obj(cod), f"{where}.entries")
 
 
 def loop_to_json(p: Loop):
@@ -135,14 +138,9 @@ def loop_to_json(p: Loop):
 
 def loop_from_json(data, where: str = "loop") -> Loop:
     model = model_from_json(_need(data, "model", where), f"{where}.model")
-    a = _need(data, "A", where)
-    b = _need(data, "B", where)
-    hidden = _need(data, "hidden", where)
-    if not isinstance(a, int) or not isinstance(b, int):
-        raise FileFormatError(f"{where}: A and B must be ints")
-    if not isinstance(hidden, list) or \
-            any(not isinstance(h, int) or h < 0 for h in hidden):
-        raise FileFormatError(f"{where}.hidden: expected a list of ranks")
+    a = _int_field(_need(data, "A", where), f"{where}.A")
+    b = _int_field(_need(data, "B", where), f"{where}.B")
+    hidden = _int_list(data, "hidden", where)
     carrier = mor_from_json(_need(data, "carrier", where),
                             f"{where}.carrier", model=model)
     try:
@@ -170,52 +168,38 @@ def zigzag_to_json(inst: ZigZagInstance):
 def zigzag_from_json(data, where: str = "zigzag") -> ZigZagInstance:
     model = model_from_json(_need(data, "model", where), f"{where}.model")
 
-    def ranks(key) -> List[Obj]:
-        v = _need(data, key, where)
-        if not isinstance(v, list) or \
-                any(not isinstance(r, int) or r < 0 for r in v):
-            raise FileFormatError(f"{where}.{key}: expected a list of ranks")
-        return [Obj(r) for r in v]
-
-    upper, apex, lower = ranks("upper"), ranks("apex"), ranks("lower")
+    upper, apex, lower = ([Obj(r) for r in _int_list(data, key, where)]
+                          for key in ("upper", "apex", "lower"))
     n = len(upper)
-    alpha_raw = _need(data, "alpha", where)
+    alpha = _int_list(data, "alpha", where)
     try:
-        perm = Permutation(tuple(alpha_raw))
+        perm = Permutation(tuple(alpha))
     except InputError as exc:
         raise FileFormatError(f"{where}.alpha: {exc}") from exc
-    hub_rank = _need(data, "hub", where)
-    if not isinstance(hub_rank, int) or hub_rank < 0:
-        raise FileFormatError(f"{where}.hub: expected a rank")
-    hub = Obj(hub_rank)
+    if not len(apex) == len(lower) == perm.size == n:
+        raise FileFormatError(
+            f"{where}: upper, apex, lower and alpha differ in length")
+    hub = Obj(_int_field(_need(data, "hub", where), f"{where}.hub"))
 
-    downs_raw = _need(data, "down_maps", where)
-    ups_raw = _need(data, "up_maps", where)
-    if len(downs_raw) != n or len(ups_raw) != n:
-        raise FileFormatError(f"{where}: need one down and one up map per index")
+    def maps(key, count):
+        raw = _need_list(data, key, where)
+        if len(raw) != count:
+            raise FileFormatError(f"{where}.{key}: expected {count} matrices")
+        return raw
+
+    downs_raw, ups_raw = maps("down_maps", n), maps("up_maps", n)
     downs = tuple(
         _bare_matrix_from_json(downs_raw[i], model, upper[i], apex[i],
                                f"{where}.down_maps[{i}]") for i in range(n))
     ups = tuple(
         _bare_matrix_from_json(ups_raw[i], model, lower[i], apex[i],
                                f"{where}.up_maps[{i}]") for i in range(n))
-
-    shell = ZigZagInstance.__new__(ZigZagInstance)  # ranks only, for levels
-    object.__setattr__(shell, "model", model)
-    object.__setattr__(shell, "upper", tuple(upper))
-    object.__setattr__(shell, "apex", tuple(apex))
-    object.__setattr__(shell, "lower", tuple(lower))
-    object.__setattr__(shell, "down_maps", downs)
-    object.__setattr__(shell, "up_maps", ups)
-    object.__setattr__(shell, "perm", perm)
+    levels = level_ranks(upper, apex, lower, perm)
 
     def fillers(key, side):
-        raw = _need(data, key, where)
-        if len(raw) != n + 1:
-            raise FileFormatError(f"{where}.{key}: expected {n + 1} fillers")
+        raw = maps(key, n + 1)
         return tuple(
-            _bare_matrix_from_json(raw[k], model,
-                                   Obj(shell.level_rank(side, k)), hub,
+            _bare_matrix_from_json(raw[k], model, Obj(levels[side][1][k]), hub,
                                    f"{where}.{key}[{k}]")
             for k in range(n + 1))
 
@@ -242,22 +226,19 @@ def diagram_to_json(d: Diagram):
 
 def diagram_from_json(data, where: str = "diagram") -> Diagram:
     model = model_from_json(_need(data, "model", where), f"{where}.model")
-    objs_raw = _need(data, "objects", where)
-    if not isinstance(objs_raw, list) or \
-            any(not isinstance(r, int) or r < 0 for r in objs_raw):
-        raise FileFormatError(f"{where}.objects: expected a list of ranks")
-    objects = tuple(Obj(r) for r in objs_raw)
+    objects = tuple(Obj(r) for r in _int_list(data, "objects", where))
     edges = []
-    for i, e in enumerate(_need(data, "edges", where)):
-        src = _need(e, "src", f"{where}.edges[{i}]")
-        dst = _need(e, "dst", f"{where}.edges[{i}]")
-        if not isinstance(src, int) or not isinstance(dst, int) \
-                or not (0 <= src < len(objects)) or not (0 <= dst < len(objects)):
+    for i, e in enumerate(_need_list(data, "edges", where)):
+        src = _int_field(_need(e, "src", f"{where}.edges[{i}]"),
+                         f"{where}.edges[{i}].src")
+        dst = _int_field(_need(e, "dst", f"{where}.edges[{i}]"),
+                         f"{where}.edges[{i}].dst")
+        if src >= len(objects) or dst >= len(objects):
             raise FileFormatError(f"{where}.edges[{i}]: bad node index")
-        mor = _bare_matrix_from_json(_need(e, "entries", f"{where}.edges[{i}]"),
-                                     model, objects[src], objects[dst],
-                                     f"{where}.edges[{i}].entries")
-        edges.append(Edge(src, dst, mor, e.get("label", "")))
+        f = _bare_matrix_from_json(_need(e, "entries", f"{where}.edges[{i}]"),
+                                   model, objects[src], objects[dst],
+                                   f"{where}.edges[{i}].entries")
+        edges.append(Edge(src, dst, f, e.get("label", "")))
     try:
         return Diagram(model, objects, tuple(edges))
     except InputError as exc:
@@ -271,23 +252,17 @@ def witness_to_json(w: StaircaseWitness):
     }
 
 
-def trace_result_to_json(r: TraceResult, p: Loop,
-                         include_witness: bool = False):
+def trace_result_to_json(r: TraceResult, p: Loop):
+    """The result as JSON; a staircase witness, present only when one was
+    asked of the trace, is emitted with its diagram."""
     out = {"status": r.status}
     if r.is_defined:
         out["value"] = mor_to_json(r.value)
         if r.alpha is not None:
             out["alpha"] = list(r.alpha.images)
-    if include_witness and r.witness is not None:
-        from .zigzag import staircase_diagram
-
+    if r.witness is not None:
         out["witness"] = witness_to_json(r.witness)
-        if r.alpha is not None:
-            from .loops import hidden_symmetry
-
-            aligned = hidden_symmetry(p, r.alpha)
-        else:
-            aligned = p
+        aligned = p if r.alpha is None else hidden_symmetry(p, r.alpha)
         out["witness"]["diagram"] = diagram_to_json(
             staircase_diagram(aligned, r.witness))
     return out

@@ -30,9 +30,9 @@ from fractions import Fraction
 from math import prod
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .category import (Mor, Model, Obj, _flat, canonical_map, compose,
-                       contract_hidden, dual_mor, factor_permutation, identity,
-                       mor_scale, obj_tensor, random_mor, tensor_mor, uncurry)
+from .category import (Mor, Model, Obj, _canon, _flat, canonical_map, compose,
+                       contract_hidden, dual_mor, identity, mor_scale,
+                       obj_tensor, random_mor, tensor_mor, uncurry, zero_mor)
 from .errors import InputError, ModelNotCompactifiableError, ResourceLimitError
 from .loops import (Loop, Permutation, hidden_symmetry, loop_dual,
                     morphism_loop, morphism_tensor_loop, post_compose,
@@ -110,41 +110,6 @@ def pairing_form(p: Loop) -> Mor:
                tuple(tuple(r) for r in rows))
 
 
-def pairing_form_by_currying(p: Loop) -> Mor:
-    """The same map computed the slow way: peel the hidden factors off the
-    codomain through the closure bijection, reorder the domain so each
-    hidden object sits next to its dual with the endpoint last, and curry
-    once more.  Used to cross-check the direct reindexing."""
-    model = p.model
-    dims = [u.rank for u in p.hidden]
-    k = p.k
-    ba = p.cod.rank * p.dom.rank
-    if any(d == 0 for d in dims):
-        return Mor(model, Obj(0), Obj(ba), tuple(() for _ in range(ba)))
-    cur = p.carrier
-    cod_rank = p.carrier.cod.rank
-    for i in reversed(range(k)):
-        d = dims[i]
-        cod_rank //= d
-        cur = uncurry(cur, cur.dom, Obj(d), Obj(cod_rank))
-    # reorder (A, U1..Uk, Uk*..U1*) into pairs-first layout with A last
-    pair_dims: List[int] = []
-    for d in dims:
-        pair_dims += [d, d]
-    pair_dims.append(p.dom.rank)
-    pos_map = [2 * k]
-    for i in range(k):
-        pos_map.append(2 * i)
-    for t in range(k):
-        pos_map.append(2 * (k - 1 - t) + 1)
-    perm = factor_permutation(model, pair_dims, pos_map)
-    reordered = compose(cur, perm)
-    hh = prod(d * d for d in dims)
-    from .category import curry
-
-    return curry(reordered, Obj(hh), p.dom, p.cod)
-
-
 def _exact_div(v: Number, m: Number, ring) -> Optional[Number]:
     if isinstance(v, int) and isinstance(m, int):
         q, r = divmod(v, m)
@@ -163,11 +128,6 @@ def _value_from_column(p: Loop, column: Sequence[Sequence[Number]]) -> Mor:
     rows = tuple(tuple(column[bi * adim + ai][0] for ai in range(adim))
                  for bi in range(p.cod.rank))
     return Mor(p.model, p.dom, p.cod, rows)
-
-
-def _zero_value(p: Loop) -> Mor:
-    return Mor(p.model, p.dom, p.cod,
-               tuple((0,) * p.dom.rank for _ in range(p.cod.rank)))
 
 
 def _divide_by_mix(rows: Sequence[Sequence[Number]], m: Number,
@@ -223,7 +183,7 @@ def provisional_trace(p: Loop, want_witness: bool = False) -> TraceResult:
         if any(v for row in pf.entries for v in row):
             return undefined()
         if ba == 0 or dims[-1] == 0:
-            return defined(_zero_value(p))
+            return defined(zero_mor(p.model, p.dom, p.cod))
         return ambiguous()
 
     g_rows: Sequence[Sequence[Number]] = pf.entries
@@ -244,53 +204,6 @@ def provisional_trace(p: Loop, want_witness: bool = False) -> TraceResult:
         witness = StaircaseWitness(Mor(model, Obj(1), Obj(ba), psi_rows),
                                    tuple(fillers))
     return defined(value, witness=witness)
-
-
-def provisional_trace_dual(p: Loop) -> TraceResult:
-    """The staircase run through the dualized ladder (evaluation maps on
-    the cotensor side); must agree with provisional_trace."""
-    model = p.model
-    m = model.mix
-    dims = [u.rank for u in p.hidden]
-    k = p.k
-    pf_t = dual_mor(pairing_form(p))  # rows pair-flat, cols (b,a)-flat
-    adim = p.dom.rank
-    if k == 0:
-        rows = tuple(tuple(pf_t.entries[0][bi * adim + ai]
-                           for ai in range(adim))
-                     for bi in range(p.cod.rank))
-        return defined(Mor(model, p.dom, p.cod, rows))
-
-    ba = p.cod.rank * p.dom.rank
-    if m == 0:
-        if any(v for row in pf_t.entries for v in row):
-            return undefined()
-        if ba == 0 or dims[-1] == 0:
-            zero = Mor(model, p.dom, p.cod,
-                       tuple((0,) * adim for _ in range(p.cod.rank)))
-            return defined(zero)
-        return ambiguous()
-
-    rows_now: List[List[Number]] = [list(r) for r in pf_t.entries]
-    for i, d in enumerate(dims):
-        divided = []
-        for row in rows_now:
-            out = []
-            for v in row:
-                q = _exact_div(v, m, model.ring)
-                if q is None:
-                    return undefined()
-                out.append(q)
-            divided.append(out)
-        tail = prod(x * x for x in dims[i + 1:])
-        rows_now = [
-            [sum(divided[(u * d + u) * tail + t][col] for u in range(d))
-             for col in range(ba)]
-            for t in range(tail)]
-    final = rows_now[0] if rows_now else [0] * ba
-    rows = tuple(tuple(final[bi * adim + ai] for ai in range(adim))
-                 for bi in range(p.cod.rank))
-    return defined(Mor(model, p.dom, p.cod, rows))
 
 
 def _first_solvable_order(pf_rows: Sequence[Sequence[Number]],
@@ -366,7 +279,7 @@ def free_mixed_trace(p: Loop, perm_bound: int = 6,
                 return ambiguous()
             last = zero_rank[-1]
             order = tuple(i for i in range(p.k) if i != last) + (last,)
-        value = _zero_value(p)
+        value = zero_mor(p.model, p.dom, p.cod)
     else:
         found = _first_solvable_order(pf.entries, dims, m, p.model.ring)
         if found is None:
@@ -380,26 +293,27 @@ def free_mixed_trace(p: Loop, perm_bound: int = 6,
     return defined(value, alpha)
 
 
+def _contract_over_mix_power(p: Loop) -> Tuple[Tuple[Number, ...], ...]:
+    """The hidden indices of the carrier contracted and every entry divided
+    by m^k over the rationals (m nonzero); the caller decides which ring
+    the quotients must lie in."""
+    contracted = contract_hidden(p.carrier, p.dom, p.cod, p.hidden)
+    scale = Fraction(1) / Fraction(p.model.mix) ** p.k
+    return tuple(tuple(_canon(v * scale) for v in row)
+                 for row in contracted.entries)
+
+
 def induced_mixed_trace(p: Loop) -> TraceResult:
     """The trace induced by localizing the mix scalar: contract the hidden
     indices over the rationals, divide by m^k, and keep the result iff
     every entry lies back in the base ring."""
-    m = p.model.mix
-    if m == 0:
+    if p.model.mix == 0:
         raise ModelNotCompactifiableError(
             "the induced trace needs a nonzero mix scalar")
-    contracted = contract_hidden(p.carrier, p.dom, p.cod, p.hidden)
-    scale = Fraction(1) / Fraction(m) ** p.k
-    rows = []
-    for row in contracted.entries:
-        out = []
-        for v in row:
-            val = v * scale
-            if not ring_contains(p.model.ring, val):
-                return undefined()
-            out.append(val)
-        rows.append(tuple(out))
-    return defined(Mor(p.model, p.dom, p.cod, tuple(rows)))
+    rows = _contract_over_mix_power(p)
+    if not all(ring_contains(p.model.ring, v) for row in rows for v in row):
+        return undefined()
+    return defined(Mor(p.model, p.dom, p.cod, rows))
 
 
 def hidden_trace(p: Loop, tail_len: int) -> Optional[Loop]:
@@ -553,6 +467,8 @@ def run_axiom_suite(model: Model, seed: int = 0, cases: int = 1000,
     (the staircase is order-sensitive before the permutation search), so
     one-sided cases are tallied separately rather than failed.
     """
+    if max_rank < 0 or max_hidden < 0:
+        raise InputError("max_rank and max_hidden must be >= 0")
     report = SuiteReport(model, seed, cases, max_rank, max_hidden)
     kinds: List[Tuple[str, Callable[[Loop], TraceResult]]] = [
         ("free", free_mixed_trace)]

@@ -16,8 +16,8 @@ from math import prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .category import (Mor, Model, Obj, canonical_map, compose,
-                       factor_permutation, identity, random_mor, tensor_mor,
-                       zero_mor)
+                       factor_permutation, identity, obj_tensor, random_mor,
+                       tensor_mor, zero_mor)
 from .errors import InputError, ResourceLimitError
 from .loops import Loop, Permutation
 from .traces import StaircaseWitness
@@ -145,11 +145,11 @@ class ZigZagInstance:
                 raise InputError(f"down map {i} has the wrong shape")
             if g.dom != self.lower[i] or g.cod != self.apex[i]:
                 raise InputError(f"up map {i} has the wrong shape")
+        levels = level_ranks(self.upper, self.apex, self.lower, self.perm)
         for side, fillers in (("left", self.left_fillers),
                               ("right", self.right_fillers)):
             for k, f in enumerate(fillers):
-                want = self.level_rank(side, k)
-                if f.dom.rank != want or f.cod != self.hub:
+                if f.dom.rank != levels[side][1][k] or f.cod != self.hub:
                     raise InputError(
                         f"{side} filler {k} has the wrong shape")
 
@@ -164,19 +164,25 @@ class ZigZagInstance:
                 self.perm.apply(self.lower), self.perm.apply(self.down_maps),
                 self.perm.apply(self.up_maps))
 
-    def level_rank(self, side: str, k: int) -> int:
-        """Rank of the filler domain: the top level for k = 0, the k-th
-        apex level otherwise."""
-        upper, apex, lower, _, _ = self._side_seqs(side)
-        if k == 0:
-            return prod(u.rank for u in upper)
-        return (prod(x.rank for x in lower[:k - 1]) * apex[k - 1].rank
-                * prod(u.rank for u in upper[k:]))
 
-    def x_level_rank(self, side: str, i: int) -> int:
-        upper, _, lower, _, _ = self._side_seqs(side)
-        return (prod(x.rank for x in lower[:i])
-                * prod(u.rank for u in upper[i:]))
+def level_ranks(upper: Sequence[Obj], apex: Sequence[Obj],
+                lower: Sequence[Obj], perm: Permutation
+                ) -> Dict[str, Tuple[List[int], List[int]]]:
+    """Per side, the ranks of the X levels 0..n and of the filler domains
+    0..n of a zig-zag with these objects; the right side runs through the
+    permutation.  X level i is lower_1..lower_i (x) upper_i+1..upper_n;
+    filler 0 starts at X level 0 and filler k >= 1 at apex level k,
+    lower_1..lower_k-1 (x) apex_k (x) upper_k+1..upper_n."""
+    out = {}
+    for side, order in (("left", range(len(upper))), ("right", perm.images)):
+        up = [upper[i].rank for i in order]
+        ap = [apex[i].rank for i in order]
+        lo = [lower[i].rank for i in order]
+        x_levels = [prod(lo[:i]) * prod(up[i:]) for i in range(len(up) + 1)]
+        fillers = [x_levels[0]] + [prod(lo[:k - 1]) * ap[k - 1] * prod(up[k:])
+                                   for k in range(1, len(up) + 1)]
+        out[side] = (x_levels, fillers)
+    return out
 
 
 @dataclass(frozen=True)
@@ -188,14 +194,13 @@ class ZigZagOutcome:
 def build_zigzag_diagram(inst: ZigZagInstance, with_bottom: bool) -> Diagram:
     model = inst.model
     n = inst.n
+    levels = level_ranks(inst.upper, inst.apex, inst.lower, inst.perm)
     objects: List[Obj] = []
     # left X-levels 0..n, left apex levels 1..n, then the same on the
     # right, then the hub
     for side in ("left", "right"):
-        for i in range(n + 1):
-            objects.append(Obj(inst.x_level_rank(side, i)))
-        for k in range(1, n + 1):
-            objects.append(Obj(inst.level_rank(side, k)))
+        x_levels, fillers = levels[side]
+        objects += [Obj(r) for r in x_levels] + [Obj(r) for r in fillers[1:]]
     objects.append(inst.hub)
     hub_idx = len(objects) - 1
 
@@ -210,8 +215,8 @@ def build_zigzag_diagram(inst: ZigZagInstance, with_bottom: bool) -> Diagram:
         upper, apex, lower, downs, ups = inst._side_seqs(side)
         fillers = inst.left_fillers if side == "left" else inst.right_fillers
         for k in range(1, n + 1):
-            pre = identity(model, obj_tensor_list(lower[:k - 1]))
-            post = identity(model, obj_tensor_list(upper[k:]))
+            pre = identity(model, obj_tensor(*lower[:k - 1]))
+            post = identity(model, obj_tensor(*upper[k:]))
             down = tensor_mor(tensor_mor(pre, downs[k - 1]), post)
             up = tensor_mor(tensor_mor(pre, ups[k - 1]), post)
             edges.append(Edge(x_idx(side, k - 1), a_idx(side, k), down,
@@ -243,10 +248,6 @@ def build_zigzag_diagram(inst: ZigZagInstance, with_bottom: bool) -> Diagram:
                                              inst.perm.inverse().images),
                           "bottom-iso-inv"))
     return Diagram(model, tuple(objects), tuple(edges))
-
-
-def obj_tensor_list(objs: Sequence[Obj]) -> Obj:
-    return Obj(prod(o.rank for o in objs))
 
 
 def check_zigzag_instance(inst: ZigZagInstance) -> ZigZagOutcome:
@@ -326,6 +327,9 @@ def search_counterexample(model: Model, n: int, max_rank: int,
     (exercising the Holds branch), a zero-top collection (the family that
     violates contractibility when m = 0), and fully random fillers.
     """
+    if n < 0 or max_rank < 1 or entry_bound < 0:
+        raise InputError(
+            "n must be >= 0, max_rank >= 1 and entry_bound >= 0")
     rng = random.Random(f"zigzag:{seed}")
     stats = {"premise_fails": 0, "holds": 0, "violated": 0}
     for idx in range(budget):
@@ -340,23 +344,10 @@ def search_counterexample(model: Model, n: int, max_rank: int,
             left, right = _pullback_fillers(model, rng, bases, perm, hub,
                                             entry_bound)
         else:
-            def levels(side_upper):
-                # lower objects are all the unit, so an apex level is the
-                # k-th apex times the upper tail (apex ranks equal upper
-                # ranks in this frame)
-                out = []
-                for k in range(0, n + 1):
-                    if k == 0:
-                        r = prod(u.rank for u in side_upper)
-                    else:
-                        r = side_upper[k - 1].rank * \
-                            prod(u.rank for u in side_upper[k:])
-                    out.append(Obj(r))
-                return out
-
-            def col(level_objs):
+            def col(ranks):
                 fillers = []
-                for k, dom in enumerate(level_objs):
+                for k, r in enumerate(ranks):
+                    dom = Obj(r)
                     if strategy == 1 and k == 0:
                         fillers.append(zero_mor(model, dom, hub))
                     else:
@@ -364,8 +355,9 @@ def search_counterexample(model: Model, n: int, max_rank: int,
                                                   entry_bound))
                 return tuple(fillers)
 
-            left = col(levels(upper))
-            right = col(levels(perm.apply(upper)))
+            levels = level_ranks(upper, apex, lower, perm)
+            left = col(levels["left"][1])
+            right = col(levels["right"][1])
         inst = ZigZagInstance(model, upper, apex, lower, downs, ups, perm,
                               hub, left, right)
         outcome = check_zigzag_instance(inst)

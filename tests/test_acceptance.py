@@ -20,7 +20,7 @@ from mixtrace.compactify import loop_value, verify_compactness
 from mixtrace.errors import ModelNotCompactifiableError
 from mixtrace.loops import (Loop, Permutation, all_permutations,
                             hidden_symmetry, loop_compose, loop_dual,
-                            loop_par, loop_tensor, make_loop,
+                            loop_par, loop_tensor,
                             morphism_tensor_loop, one_step_congruent,
                             post_compose, pre_compose, yanking_loop)
 from mixtrace.rings import INTEGERS, RATIONALS
@@ -89,7 +89,7 @@ def test_criterion_3_axiom_suite():
 
 def test_criterion_4_minimality_gap():
     model = zmodel(2)
-    p = make_loop(model, Obj(1), Obj(1), (Obj(2),), identity(model, Obj(2)))
+    p = Loop(model, Obj(1), Obj(1), (Obj(2),), identity(model, Obj(2)))
     ind = induced_mixed_trace(p)
     assert ind.status == "defined" and ind.value.entries == ((1,),)
     assert free_mixed_trace(p).status == "undefined"
@@ -286,8 +286,8 @@ def test_criterion_9_cli_determinism(tmp_path):
     assert code == 1 and json.loads(out)["outcome"] == "violated"
 
     loop_file = tmp_path / "loop.json"
-    p = make_loop(zmodel(2), Obj(1), Obj(1), (Obj(2),),
-                  mor(zmodel(2), Obj(2), Obj(2), [[2, 0], [0, 4]]))
+    p = Loop(zmodel(2), Obj(1), Obj(1), (Obj(2),),
+             mor(zmodel(2), Obj(2), Obj(2), [[2, 0], [0, 4]]))
     loop_file.write_text(dumps(loop_to_json(p)))
     code, out = run_cli("trace", "--mode", "free", "--loop", str(loop_file),
                         "--witness")

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from mixtrace.category import (Model, Obj, UNIT, canonical_map, compose,
                                contract_hidden, curry, dual_mor,
                                factor_permutation, identity, mor, mor_scale,
-                               obj_tensor, par_mor, random_mor, tensor_mor,
+                               obj_tensor, random_mor, tensor_mor,
                                uncurry, validate_coherence, zero_mor)
 from mixtrace.errors import InputError
 from mixtrace.rings import INTEGERS, RATIONALS
@@ -57,7 +57,6 @@ def test_tensor_examples():
     col = mor(Z2, Obj(1), Obj(2), [[1], [0]])
     one = mor(Z2, Obj(1), Obj(1), [[1]])
     assert tensor_mor(col, one).entries == ((1,), (0,))
-    assert par_mor(col, one).entries == tensor_mor(col, one).entries
 
 
 def test_dual_examples():
@@ -140,7 +139,7 @@ def test_curry_natural_in_target(frows, prows):
     f = mor(Z2, Obj(4), Obj(2), frows)
     phi = mor(Z2, Obj(2), Obj(3), prows)
     lhs = curry(compose(phi, f), Obj(2), Obj(2), Obj(3))
-    rhs = compose(par_mor(phi, identity(Z2, Obj(2))),
+    rhs = compose(tensor_mor(phi, identity(Z2, Obj(2))),
                   curry(f, Obj(2), Obj(2), Obj(2)))
     assert lhs == rhs
 
@@ -163,7 +162,7 @@ def test_curry_note_composite():
         a, b, c = (Obj(rng.randint(0, 3)) for _ in range(3))
         f = random_mor(Z2, rng, obj_tensor(a, b), c)
         via = compose(
-            par_mor(f, identity(Z2, b)),
+            tensor_mor(f, identity(Z2, b)),
             compose(canonical_map(Z2, "distributivity", [a, b, b]),
                     tensor_mor(identity(Z2, a),
                                canonical_map(Z2, "coev", [b]))))
@@ -173,7 +172,7 @@ def test_curry_note_composite():
     ab = obj_tensor(a, b)
     flat = curry(identity(Z2, ab), a, b, ab)
     via = compose(
-        par_mor(identity(Z2, ab), identity(Z2, b)),
+        tensor_mor(identity(Z2, ab), identity(Z2, b)),
         compose(canonical_map(Z2, "distributivity", [a, b, b]),
                 tensor_mor(identity(Z2, a), canonical_map(Z2, "coev", [b]))))
     assert flat == via
@@ -186,7 +185,7 @@ def test_curry_naturality_random_ranks():
         f = random_mor(Z2, rng, obj_tensor(a, b), c)
         phi = random_mor(Z2, rng, c, c2)
         assert curry(compose(phi, f), a, b, c2) == \
-            compose(par_mor(phi, identity(Z2, b)), curry(f, a, b, c))
+            compose(tensor_mor(phi, identity(Z2, b)), curry(f, a, b, c))
         g = curry(f, a, b, c)
         psi = random_mor(Z2, rng, a2, a)
         assert uncurry(compose(g, psi), a2, b, c) == \

@@ -10,7 +10,7 @@ from mixtrace.compactify import (c_tr, comix, localized_model, loop_value,
                                  realize, verify_compactness)
 from mixtrace.errors import InputError, ModelNotCompactifiableError
 from mixtrace.loops import (Loop, hidden_symmetry, loop_compose, loop_dual,
-                            loop_par, loop_tensor, make_loop, morphism_loop,
+                            loop_par, loop_tensor, morphism_loop,
                             all_permutations)
 from mixtrace.rings import INTEGERS, RATIONALS, localized_integers
 from mixtrace.traces import free_mixed_trace, hidden_trace, random_loop
@@ -33,7 +33,7 @@ def test_localized_model():
 
 
 def test_loop_value_examples():
-    six = make_loop(Z2, r1, r1, (r1,), mor(Z2, r1, r1, [[6]]))
+    six = Loop(Z2, r1, r1, (r1,), mor(Z2, r1, r1, [[6]]))
     assert loop_value(six).entries == ((3,),)
 
     f = mor(Z2, r2, r2, [[1, 2], [3, 4]])
@@ -103,9 +103,9 @@ def test_realize_free_trace_over_localized_ring():
     target = localized_model(Z2)
     matrix = Mor(target, r1, r1, ((Fraction(3, 4),),))
     base_loop = realize(matrix)
-    loc = make_loop(target, base_loop.dom, base_loop.cod, base_loop.hidden,
-                    Mor(target, base_loop.carrier.dom, base_loop.carrier.cod,
-                        base_loop.carrier.entries))
+    loc = Loop(target, base_loop.dom, base_loop.cod, base_loop.hidden,
+               Mor(target, base_loop.carrier.dom, base_loop.carrier.cod,
+                   base_loop.carrier.entries))
     res = free_mixed_trace(loc)
     assert res.status == "defined" and res.value == matrix
     stage = hidden_trace(loc, 1)

@@ -8,7 +8,7 @@ from mixtrace.errors import InputError, ModelNotCompactifiableError
 from mixtrace.loops import (Loop, Permutation, all_permutations,
                             compose_permutations, congruent, hidden_symmetry,
                             hide, identity_permutation, loop_compose,
-                            loop_dual, loop_par, loop_tensor, make_loop,
+                            loop_dual, loop_par, loop_tensor,
                             morphism_loop, morphism_tensor_loop,
                             one_step_congruent, yanking_loop)
 from mixtrace.rings import INTEGERS, RATIONALS
@@ -26,16 +26,16 @@ def rand_loop(model, rng, dom, cod, k, max_rank=2, bound=3):
         h *= u.rank
     carrier = random_mor(model, rng, Obj(dom.rank * h), Obj(cod.rank * h),
                          bound)
-    return make_loop(model, dom, cod, hidden, carrier)
+    return Loop(model, dom, cod, hidden, carrier)
 
 
 def test_make_loop_examples():
     p = yanking_loop(Z2, r1)
     assert p.carrier.entries == ((2,),) and p.k == 1
     f = mor(Z2, r2, r2, [[1, 2], [3, 4]])
-    assert make_loop(Z2, r2, r2, (), f).k == 0
+    assert Loop(Z2, r2, r2, (), f).k == 0
     with pytest.raises(InputError):
-        make_loop(Z2, r1, r1, (r1,), mor(Z2, Obj(3), r2, [[0] * 3] * 2))
+        Loop(Z2, r1, r1, (r1,), mor(Z2, Obj(3), r2, [[0] * 3] * 2))
 
 
 def test_permutations():
@@ -55,7 +55,7 @@ def test_loop_compose_examples():
     g = mor(Z2, Obj(3), r1, [[1, 1, 1]])
     assert loop_compose(morphism_loop(g), morphism_loop(f)).carrier == \
         compose(g, f)
-    six = make_loop(Z2, r1, r1, (r1,), mor(Z2, r1, r1, [[6]]))
+    six = Loop(Z2, r1, r1, (r1,), mor(Z2, r1, r1, [[6]]))
     pre = loop_compose(six, morphism_loop(identity(Z2, r1)))
     assert pre.carrier.entries == ((6,),) and [u.rank for u in pre.hidden] == [1]
     with pytest.raises(InputError):
@@ -78,7 +78,7 @@ def test_loop_tensor_examples():
     g = mor(Z2, Obj(3), r2, [[1, 1, 0], [0, 2, 1]])
     assert loop_tensor(morphism_loop(f), morphism_loop(g)).carrier == \
         tensor_mor(f, g)
-    two = make_loop(Z2, r1, r1, (r1,), mor(Z2, r1, r1, [[2]]))
+    two = Loop(Z2, r1, r1, (r1,), mor(Z2, r1, r1, [[2]]))
     tt = loop_tensor(two, two)
     assert tt.carrier.entries == ((4,),)
     assert [u.rank for u in tt.hidden] == [1, 1]
@@ -138,8 +138,8 @@ def test_loop_par():
     g = mor(Q1, r2, r2, [[0, 1], [1, 0]])
     assert loop_par(morphism_loop(f), morphism_loop(g)).carrier == \
         tensor_mor(f, g)
-    p = make_loop(Z2, r1, r1, (r1,), mor(Z2, r1, r1, [[2]]))
-    q = make_loop(Z2, r1, r1, (r1,), mor(Z2, r1, r1, [[3]]))
+    p = Loop(Z2, r1, r1, (r1,), mor(Z2, r1, r1, [[2]]))
+    q = Loop(Z2, r1, r1, (r1,), mor(Z2, r1, r1, [[3]]))
     assert loop_par(p, q).carrier == loop_tensor(p, q).carrier
     assert loop_dual(loop_par(p, q)) == loop_tensor(loop_dual(p), loop_dual(q))
 
@@ -181,13 +181,13 @@ def test_hidden_symmetry():
 
     m_rows = [[1, 2, 3, 4], [5, 6, 7, 8], [9, 10, 11, 12], [13, 14, 15, 16]]
     carrier = mor(Z2, Obj(4), Obj(4), m_rows)
-    q = make_loop(Z2, r1, r1, (r2, r2), carrier)
+    q = Loop(Z2, r1, r1, (r2, r2), carrier)
     swapped = hidden_symmetry(q, Permutation((1, 0)))
     perm = mor(Z2, Obj(4), Obj(4),
                [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
     assert swapped.carrier == compose(perm, compose(carrier, perm))
 
-    ones = make_loop(Z2, r1, r1, (r1, r1, r1), mor(Z2, r1, r1, [[5]]))
+    ones = Loop(Z2, r1, r1, (r1, r1, r1), mor(Z2, r1, r1, [[5]]))
     assert hidden_symmetry(ones, Permutation((2, 0, 1))).carrier == ones.carrier
 
 
@@ -206,7 +206,7 @@ def test_hidden_symmetry_composition():
 
 
 def test_one_step_congruent():
-    six = make_loop(Z2, r1, r1, (r1,), mor(Z2, r1, r1, [[6]]))
+    six = Loop(Z2, r1, r1, (r1,), mor(Z2, r1, r1, [[6]]))
     three = morphism_loop(mor(Z2, r1, r1, [[3]]))
     assert one_step_congruent(six, three)
     assert one_step_congruent(three, six)
@@ -215,13 +215,13 @@ def test_one_step_congruent():
     p = rand_loop(Z2, rng, r1, r2, 2)
     assert one_step_congruent(p, hidden_symmetry(p, Permutation((1, 0))))
 
-    odd = make_loop(Z2, r1, r1, (r2,), identity(Z2, r2))
+    odd = Loop(Z2, r1, r1, (r2,), identity(Z2, r2))
     one = morphism_loop(mor(Z2, r1, r1, [[1]]))
     assert not one_step_congruent(odd, one)
 
 
 def test_congruent_semantic_and_bounded():
-    six = make_loop(Z2, r1, r1, (r1,), mor(Z2, r1, r1, [[6]]))
+    six = Loop(Z2, r1, r1, (r1,), mor(Z2, r1, r1, [[6]]))
     three = morphism_loop(mor(Z2, r1, r1, [[3]]))
     assert congruent(six, three, mode="semantic") is True
     assert congruent(six, three, mode="bounded", depth=2) is True
@@ -246,8 +246,8 @@ def test_congruent_semantic_and_bounded():
 def test_congruent_bounded_generators_and_unknown():
     three = morphism_loop(mor(Z2, r1, r1, [[3]]))
     five = morphism_loop(mor(Z2, r1, r1, [[5]]))
-    six = make_loop(Z2, r1, r1, (r1,), mor(Z2, r1, r1, [[6]]))
-    twelve = make_loop(Z2, r1, r1, (r1, r1), mor(Z2, r1, r1, [[12]]))
+    six = Loop(Z2, r1, r1, (r1,), mor(Z2, r1, r1, [[6]]))
+    twelve = Loop(Z2, r1, r1, (r1, r1), mor(Z2, r1, r1, [[12]]))
     # tracing alone connects a loop with its full trace
     assert congruent(three, twelve, mode="bounded", depth=2) is True
     # un-tracing through a generator keeps one closure open: undecided

@@ -6,7 +6,7 @@ import pytest
 
 from mixtrace.category import Model, Obj, canonical_map, mor
 from mixtrace.compactify import localized_model
-from mixtrace.loops import Permutation, make_loop, yanking_loop
+from mixtrace.loops import Loop, Permutation, yanking_loop
 from mixtrace.rings import INTEGERS, localized_integers
 from mixtrace.serialize import (FileFormatError, dumps, loop_from_json,
                                 loop_to_json, model_from_json, model_to_json,
@@ -56,7 +56,7 @@ def test_mor_roundtrip():
 
 
 def test_loop_roundtrip():
-    p = make_loop(Z2, r1, r1, (r2,), mor(Z2, r2, r2, [[2, 0], [0, 4]]))
+    p = Loop(Z2, r1, r1, (r2,), mor(Z2, r2, r2, [[2, 0], [0, 4]]))
     assert loop_from_json(loop_to_json(p)) == p
     data = loop_to_json(p)
     data["hidden"] = [3]
@@ -80,7 +80,7 @@ def test_zigzag_roundtrip():
 def test_diagram_roundtrip():
     from mixtrace.traces import provisional_trace
 
-    p = make_loop(Z2, r1, r1, (r2,), mor(Z2, r2, r2, [[2, 0], [0, 4]]))
+    p = Loop(Z2, r1, r1, (r2,), mor(Z2, r2, r2, [[2, 0], [0, 4]]))
     res = provisional_trace(p, want_witness=True)
     d = staircase_diagram(p, res.witness)
     assert diagram_from_json(diagram_to_json(d)) == d
@@ -104,7 +104,7 @@ def test_cli_trace_yanking(tmp_path):
 
 
 def test_cli_trace_witness_recheck(tmp_path):
-    p = make_loop(Z2, r1, r1, (r2,), mor(Z2, r2, r2, [[2, 0], [0, 4]]))
+    p = Loop(Z2, r1, r1, (r2,), mor(Z2, r2, r2, [[2, 0], [0, 4]]))
     path = write(tmp_path, "loop.json", loop_to_json(p))
     code, out, _ = run_cli("trace", "--mode", "free", "--loop", path,
                            "--witness")
@@ -117,7 +117,7 @@ def test_cli_trace_witness_recheck(tmp_path):
 
 
 def test_cli_trace_undefined_expectation(tmp_path):
-    p = make_loop(Z2, r1, r1, (r2,), mor(Z2, r2, r2, [[1, 0], [0, 1]]))
+    p = Loop(Z2, r1, r1, (r2,), mor(Z2, r2, r2, [[1, 0], [0, 1]]))
     path = write(tmp_path, "gap.json", loop_to_json(p))
     code, out, _ = run_cli("trace", "--mode", "free", "--loop", path)
     assert code == 0 and json.loads(out)["status"] == "undefined"
@@ -147,12 +147,19 @@ def test_cli_parse_errors(tmp_path):
     code, _, err = run_cli("trace", "--mode", "free", "--loop", zero_den)
     assert code == 2 and "denominator" in err
 
+    one = write(tmp_path, "one.json", loop_to_json(
+        Loop(Z2, r1, r1, (), mor(Z2, r1, r1, [[1]]))))
+    gens = write(tmp_path, "gens.json", {"loops": 5})
+    code, _, err = run_cli("congruent", "--mode", "bounded:1", "--left", one,
+                           "--right", one, "--generators", gens)
+    assert code == 2 and "loops" in err and "Traceback" not in err
+
 
 def test_cli_congruent(tmp_path):
     six = write(tmp_path, "six.json", loop_to_json(
-        make_loop(Z2, r1, r1, (r1,), mor(Z2, r1, r1, [[6]]))))
+        Loop(Z2, r1, r1, (r1,), mor(Z2, r1, r1, [[6]]))))
     three = write(tmp_path, "three.json", loop_to_json(
-        make_loop(Z2, r1, r1, (), mor(Z2, r1, r1, [[3]]))))
+        Loop(Z2, r1, r1, (), mor(Z2, r1, r1, [[3]]))))
     code, out, _ = run_cli("congruent", "--mode", "semantic",
                            "--left", six, "--right", three)
     assert code == 0 and json.loads(out)["congruent"] is True
@@ -160,7 +167,7 @@ def test_cli_congruent(tmp_path):
                            "--left", six, "--right", three)
     assert code == 0 and json.loads(out)["congruent"] is True
     two = write(tmp_path, "two.json", loop_to_json(
-        make_loop(Z2, r1, r1, (), mor(Z2, r1, r1, [[2]]))))
+        Loop(Z2, r1, r1, (), mor(Z2, r1, r1, [[2]]))))
     code, out, _ = run_cli("congruent", "--mode", "semantic",
                            "--left", two, "--right", three)
     assert code == 1 and json.loads(out)["congruent"] is False
@@ -224,3 +231,92 @@ def test_cli_env_seed(tmp_path, monkeypatch, capsys):
                      "--budget", "30", "--seed", "12"]) == 0
     explicit = capsys.readouterr().out
     assert with_env == explicit
+
+
+ZIGZAG2 = {"model": {"ring": "Z", "mix": "0"},
+           "upper": [1, 1], "apex": [1, 1], "lower": [1, 1],
+           "alpha": [1, 0], "hub": 1,
+           "down_maps": [[["0"]], [["0"]]], "up_maps": [[["1"]], [["1"]]],
+           "left_fillers": [[["0"]]] * 3, "right_fillers": [[["0"]]] * 3}
+DIAGRAM = {"model": {"ring": "Z", "mix": "2"}, "objects": [1, 1],
+           "edges": [{"src": 0, "dst": 1, "label": "f", "entries": [["1"]]}]}
+LOOP = {"model": {"ring": "Z", "mix": "2"}, "A": 1, "B": 1, "hidden": [1],
+        "carrier": {"model": {"ring": "Z", "mix": "2"}, "dom": 1, "cod": 1,
+                    "entries": [["2"]]}}
+MATRIX = {"model": {"ring": {"Zloc": 2}, "mix": "2"}, "dom": 1, "cod": 1,
+          "entries": [["3/4"]]}
+
+
+def changed(base, path, value):
+    data = json.loads(json.dumps(base))
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return data
+
+
+@pytest.mark.parametrize("verb,base,path,value", [
+    # non-list fields, and dicts of the right length
+    ("zigzag-check", ZIGZAG2, ("alpha",), 5),
+    ("zigzag-check", ZIGZAG2, ("alpha",), {"a": 1, "b": 0}),
+    ("zigzag-check", ZIGZAG2, ("down_maps",), 3),
+    ("zigzag-check", ZIGZAG2, ("up_maps",), {"a": [["1"]], "b": [["1"]]}),
+    ("zigzag-check", ZIGZAG2, ("left_fillers",), 4),
+    ("zigzag-check", ZIGZAG2, ("right_fillers",),
+     {"a": [["0"]], "b": [["0"]], "c": [["0"]]}),
+    ("zigzag-check", DIAGRAM, ("edges",), 7),
+    # bool in integer fields
+    ("trace", LOOP, ("A",), True),
+    ("trace", LOOP, ("B",), True),
+    ("trace", LOOP, ("hidden",), [True]),
+    ("trace", LOOP, ("carrier", "dom"), True),
+    ("trace", LOOP, ("carrier", "cod"), True),
+    ("realize", MATRIX, ("model", "ring", "Zloc"), True),
+    ("zigzag-check", ZIGZAG2, ("hub",), True),
+    ("zigzag-check", ZIGZAG2, ("upper",), [True, 1]),
+    ("zigzag-check", ZIGZAG2, ("apex",), [1, True]),
+    ("zigzag-check", ZIGZAG2, ("lower",), [True, True]),
+    ("zigzag-check", ZIGZAG2, ("alpha",), [True, 0]),
+    ("zigzag-check", DIAGRAM, ("objects",), [True, 1]),
+    ("zigzag-check", DIAGRAM, ("edges", 0, "src"), False),
+    ("zigzag-check", DIAGRAM, ("edges", 0, "dst"), True),
+    # out-of-range sizes
+    ("axioms", None, ("--max-rank",), "-1"),
+    ("axioms", None, ("--max-hidden",), "-1"),
+    ("zigzag-search", None, ("--n",), "-1"),
+    ("zigzag-search", None, ("--max-rank",), "0"),
+    ("zigzag-search", None, ("--entry-bound",), "-1"),
+    ("compactify-verify", None, ("--max-rank",), "-1"),
+])
+def test_cli_rejects_bad_input(tmp_path, verb, base, path, value):
+    if base is None:
+        argv = [verb, "--model", "zmod:2", path[0], value]
+    else:
+        target = write(tmp_path, "in.json", changed(base, path, value))
+        flag = {"trace": "--loop", "realize": "--matrix",
+                "zigzag-check": "--instance"}[verb]
+        argv = [verb, flag, target] + (["--mode", "free"]
+                                       if verb == "trace" else [])
+    code, _, err = run_cli(*argv)
+    assert code == 2 and err.startswith("input error:"), (code, err)
+    assert "Traceback" not in err
+    assert path[-1].lstrip("-").replace("-", "_") in err, err
+
+
+def test_entries_are_checked_where_they_enter(tmp_path):
+    from fractions import Fraction
+
+    from mixtrace.errors import InputError
+
+    z2 = Model(localized_integers(2), 2)
+    assert mor(z2, r1, r1, [[Fraction(3, 4)]]).entries == ((Fraction(3, 4),),)
+    assert mor(z2, r1, r1, [[Fraction(4, 2)]]).entries[0][0].__class__ is int
+    with pytest.raises(InputError):
+        mor(z2, r1, r1, [[Fraction(1, 3)]])
+    with pytest.raises(InputError):
+        mor(Z2, r1, r1, [[True]])
+    half = changed(LOOP, ("carrier", "entries"), [["1/2"]])
+    code, _, err = run_cli("trace", "--mode", "free", "--loop",
+                           write(tmp_path, "half.json", half))
+    assert code == 2 and err.startswith("input error:") and "1/2" in err

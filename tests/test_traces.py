@@ -8,17 +8,17 @@ from mixtrace.category import (Model, Obj, canonical_map, compose, curry,
                                random_mor, tensor_mor, uncurry)
 from mixtrace.errors import (InputError, ModelNotCompactifiableError,
                              ResourceLimitError)
-from mixtrace.loops import (Permutation, hidden_symmetry, make_loop,
+from mixtrace.loops import (Loop, Permutation, hidden_symmetry,
                             morphism_loop, yanking_loop)
 from mixtrace.traces import (AMBIGUOUS, DEFINED, UNDEFINED, free_mixed_trace,
                              hidden_trace, induced_mixed_trace, pairing_form,
-                             pairing_form_by_currying, provisional_trace,
-                             provisional_trace_dual, random_loop,
-                             run_axiom_suite, total_trace)
+                             provisional_trace, random_loop, run_axiom_suite,
+                             total_trace)
 from mixtrace.zigzag import diagram_commutes, staircase_diagram
 from mixtrace.rings import INTEGERS, RATIONALS
 
-from trace_reference import assert_solvable_orderings_agree
+from trace_reference import (assert_solvable_orderings_agree,
+                             pairing_form_by_currying, provisional_trace_dual)
 
 Z0 = Model(INTEGERS, 0)
 Z1 = Model(INTEGERS, 1)
@@ -38,7 +38,7 @@ def test_pairing_form_k0():
 
 def test_pairing_form_frozen_row():
     carrier = mor(Z2, r2, r2, [[1, 2], [3, 4]])
-    p = make_loop(Z2, r1, r1, (r2,), carrier)
+    p = Loop(Z2, r1, r1, (r2,), carrier)
     assert pairing_form(p).entries == ((1, 3, 2, 4),)
 
 
@@ -69,16 +69,16 @@ def test_provisional_examples():
         res = provisional_trace(yanking_loop(Z2, Obj(rk)))
         assert res.status == DEFINED and res.value == identity(Z2, Obj(rk))
 
-    p = make_loop(Z2, r1, r1, (r2,), mor(Z2, r2, r2, [[2, 0], [0, 4]]))
+    p = Loop(Z2, r1, r1, (r2,), mor(Z2, r2, r2, [[2, 0], [0, 4]]))
     res = provisional_trace(p)
     assert res.status == DEFINED and res.value.entries == ((3,),)
 
-    gap = make_loop(Z2, r1, r1, (r2,), identity(Z2, r2))
+    gap = Loop(Z2, r1, r1, (r2,), identity(Z2, r2))
     assert provisional_trace(gap).status == UNDEFINED
 
 
 def test_provisional_witness_diagram():
-    p = make_loop(Z2, r1, r1, (r2,), mor(Z2, r2, r2, [[2, 0], [0, 4]]))
+    p = Loop(Z2, r1, r1, (r2,), mor(Z2, r2, r2, [[2, 0], [0, 4]]))
     res = provisional_trace(p, want_witness=True)
     assert res.witness is not None and len(res.witness.fillers) == 1
     assert diagram_commutes(staircase_diagram(p, res.witness)) is True
@@ -114,7 +114,7 @@ def test_free_trace_order_dependence():
     rows[0][0] = 2   # ((u=0,v=0),(0,0))
     rows[2][2] = 2   # ((u=1,v=0),(1,0))
     carrier = mor(Z2, Obj(4), Obj(4), rows)
-    p = make_loop(Z2, r1, r1, (r2, r2), carrier)
+    p = Loop(Z2, r1, r1, (r2, r2), carrier)
     assert provisional_trace(p).status == DEFINED
     assert provisional_trace(hidden_symmetry(p, Permutation((1, 0)))).status \
         == UNDEFINED
@@ -135,7 +135,7 @@ def test_order_dependence_found_by_search():
     for _ in range(3000):
         rows = [[2 * rng.randint(0, 2) if rng.random() < 0.4 else 0
                  for _ in range(4)] for _ in range(4)]
-        p = make_loop(Z2, r1, r1, (r2, r2), mor(Z2, Obj(4), Obj(4), rows))
+        p = Loop(Z2, r1, r1, (r2, r2), mor(Z2, Obj(4), Obj(4), rows))
         a = provisional_trace(p).status
         b = provisional_trace(hidden_symmetry(p, Permutation((1, 0)))).status
         if a != b:
@@ -156,18 +156,18 @@ def test_free_trace_permutation_agreement():
 
 
 def test_free_trace_perm_bound():
-    big = make_loop(Z2, r1, r1, (r1,) * 7, mor(Z2, r1, r1, [[128]]))
+    big = Loop(Z2, r1, r1, (r1,) * 7, mor(Z2, r1, r1, [[128]]))
     with pytest.raises(ResourceLimitError):
         free_mixed_trace(big)
     assert free_mixed_trace(big, perm_bound=7).status == DEFINED
 
 
 def test_induced_examples():
-    p = make_loop(Z2, r1, r1, (r2,), identity(Z2, r2))
+    p = Loop(Z2, r1, r1, (r2,), identity(Z2, r2))
     res = induced_mixed_trace(p)
     assert res.status == DEFINED and res.value.entries == ((1,),)
 
-    q = make_loop(Z2, r1, r1, (r2,), mor(Z2, r2, r2, [[1, 0], [0, 2]]))
+    q = Loop(Z2, r1, r1, (r2,), mor(Z2, r2, r2, [[1, 0], [0, 2]]))
     assert induced_mixed_trace(q).status == UNDEFINED
 
     with pytest.raises(ModelNotCompactifiableError):
@@ -192,20 +192,20 @@ def test_induced_equals_total_trace_on_compact_model():
     for _ in range(100):
         a, b, u = (Obj(rng.randint(0, 3)) for _ in range(3))
         f = random_mor(Q1, rng, obj_tensor(a, u), obj_tensor(b, u))
-        p = make_loop(Q1, a, b, (u,), f)
+        p = Loop(Q1, a, b, (u,), f)
         res = induced_mixed_trace(p)
         assert res.status == DEFINED
         assert res.value == total_trace(f, a, b, u)
 
 
 def test_hidden_trace_examples():
-    p = make_loop(Z2, r1, r1, (r1, r1), mor(Z2, r1, r1, [[6]]))
+    p = Loop(Z2, r1, r1, (r1, r1), mor(Z2, r1, r1, [[6]]))
     t1 = hidden_trace(p, 1)
     assert t1.carrier.entries == ((3,),) and [u.rank for u in t1.hidden] == [1]
     assert hidden_trace(p, 0) == p
     # the full trace divides by m twice and 6/4 is not integral
     assert hidden_trace(p, 2) is None
-    ok = make_loop(Z2, r1, r1, (r1, r1), mor(Z2, r1, r1, [[12]]))
+    ok = Loop(Z2, r1, r1, (r1, r1), mor(Z2, r1, r1, [[12]]))
     assert hidden_trace(ok, 2).carrier.entries == ((3,),)
     with pytest.raises(InputError):
         hidden_trace(p, 3)
@@ -233,22 +233,22 @@ def test_total_trace():
 
 def test_m0_staircase_outcomes():
     # nonzero pairing: no solution at all
-    p = make_loop(Z0, r1, r1, (r1,), mor(Z0, r1, r1, [[1]]))
+    p = Loop(Z0, r1, r1, (r1,), mor(Z0, r1, r1, [[1]]))
     assert provisional_trace(p).status == UNDEFINED
     # zero pairing with room to move: under-determined
-    z = make_loop(Z0, r1, r1, (r1,), mor(Z0, r1, r1, [[0]]))
+    z = Loop(Z0, r1, r1, (r1,), mor(Z0, r1, r1, [[0]]))
     assert provisional_trace(z).status == AMBIGUOUS
     # yanking loop at m=0 is the canonical ambiguous instance
     assert free_mixed_trace(yanking_loop(Z0, r1)).status == AMBIGUOUS
     # degenerate shapes stay determined
-    empty = make_loop(Z0, Obj(0), r1, (r1,), mor(Z0, Obj(0), r1, [[]]))
+    empty = Loop(Z0, Obj(0), r1, (r1,), mor(Z0, Obj(0), r1, [[]]))
     assert provisional_trace(empty).status == DEFINED
-    zrank = make_loop(Z0, r1, r1, (Obj(0),), mor(Z0, Obj(0), Obj(0), []))
+    zrank = Loop(Z0, r1, r1, (Obj(0),), mor(Z0, Obj(0), Obj(0), []))
     assert provisional_trace(zrank).status == DEFINED
 
 
 def test_rank0_hidden_traces():
-    p = make_loop(Z2, r1, r1, (Obj(0),), mor(Z2, Obj(0), Obj(0), []))
+    p = Loop(Z2, r1, r1, (Obj(0),), mor(Z2, Obj(0), Obj(0), []))
     f = free_mixed_trace(p)
     assert f.status == DEFINED and f.value.entries == ((0,),)
     i = induced_mixed_trace(p)
@@ -285,15 +285,15 @@ def test_vanishing_definedness_is_genuinely_one_sided():
     rows[0][0] = 2
     rows[2][2] = 2
     carrier = mor(Z2, Obj(4), Obj(4), rows)
-    p = make_loop(Z2, r1, r1, (r2, r2), carrier)
-    q = make_loop(Z2, r2, r2, (r2,), carrier)
+    p = Loop(Z2, r1, r1, (r2, r2), carrier)
+    q = Loop(Z2, r2, r2, (r2,), carrier)
     tq = free_mixed_trace(q)
     assert tq.status == DEFINED
-    outer = make_loop(Z2, r1, r1, (r2,), tq.value)
+    outer = Loop(Z2, r1, r1, (r2,), tq.value)
     assert free_mixed_trace(outer).status == UNDEFINED
     assert free_mixed_trace(p).status == DEFINED
     # the induced trace does not show the asymmetry on this witness
     iq = induced_mixed_trace(q)
     assert induced_mixed_trace(
-        make_loop(Z2, r1, r1, (r2,), iq.value)).value == \
+        Loop(Z2, r1, r1, (r2,), iq.value)).value == \
         induced_mixed_trace(p).value
