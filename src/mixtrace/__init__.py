@@ -4,7 +4,7 @@ models of *-autonomous Mix-categories."""
 from .category import (CheckResult, Model, Mor, Obj, UNIT, ValidationReport,
                        canonical_map, compose, contract_hidden, curry,
                        dual_mor, dual_obj, factor_permutation, identity,
-                       mor, mor_scale, obj_tensor, tensor_mor,
+                       mor, mor_scale, obj_tensor, regroup, tensor_mor,
                        uncurry, validate_coherence, zero_mor)
 from .compactify import (c_tr, comix, localized_model, loop_value, realize,
                          verify_compactness)

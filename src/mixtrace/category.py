@@ -9,10 +9,13 @@ A(x)B -> A par B is m*Id, and a model is compact exactly when m is a unit
 of its ring.
 
 With the flattening fixed, both weak distributivities are identity
-reindexings, all symmetries are permutation matrices, and any composite of
-distributivities and symmetries between fixed shapes is a single canonical
-permutation; ``validate_coherence`` checks all of this by explicit matrix
-composition.
+reindexings, and the symmetries, the duality, the closure bijection and
+hidden relabelling are reindexings too: ``regroup`` applies each by moving
+entries, and ``_flat_offsets``, shared with ``factor_permutation``, is the
+one place that computes a reindexing's positions.  Only the mix scalar
+does arithmetic.  Any composite of distributivities and symmetries between
+fixed shapes is a single canonical permutation; ``validate_coherence``
+checks all of this by explicit matrix composition.
 """
 
 from __future__ import annotations
@@ -79,13 +82,6 @@ def obj_tensor(*objs: Obj) -> Obj:
 
 def dual_obj(a: Obj) -> Obj:
     return a
-
-
-def _flat(multi: Sequence[int], dims: Sequence[int]) -> int:
-    idx = 0
-    for x, d in zip(multi, dims):
-        idx = idx * d + x
-    return idx
 
 
 @dataclass(frozen=True)
@@ -187,11 +183,39 @@ def tensor_mor(f: Mor, g: Mor) -> Mor:
                tuple(rows))
 
 
+def _flat_offsets(dims: Sequence[int], slots: Sequence[int]) -> List[int]:
+    """For every index tuple over ``slots``, taken row-major in the order
+    given, its row-major position among the index tuples of all of
+    ``dims`` (the other slots held at 0)."""
+    offsets = [0]
+    for s in slots:
+        stride = prod(dims[s + 1:])
+        offsets = [o + x * stride for o in offsets for x in range(dims[s])]
+    return offsets
+
+
+def regroup(f: Mor, row_dims: Sequence[int], col_dims: Sequence[int],
+            rows: Sequence[int], cols: Sequence[int]) -> Mor:
+    """Reindex f as a tensor: its rows flatten factors of ranks
+    ``row_dims`` and its columns factors of ranks ``col_dims``, slots
+    numbered rows first.  The result's rows flatten the slots ``rows`` and
+    its columns the slots ``cols``, each in the order listed.  Symmetries,
+    duality, currying and hidden relabelling are all of this form."""
+    dims = [*row_dims, *col_dims]
+    if prod(row_dims) != f.cod.rank or prod(col_dims) != f.dom.rank:
+        raise InputError("regroup: factor ranks do not match the matrix")
+    if sorted([*rows, *cols]) != list(range(len(dims))):
+        raise InputError("regroup: rows and cols must split the slots")
+    flat = list(itertools.chain.from_iterable(f.entries))
+    col_offsets = _flat_offsets(dims, cols)
+    entries = tuple(tuple([flat[r + c] for c in col_offsets])
+                    for r in _flat_offsets(dims, rows))
+    return Mor(f.model, Obj(len(col_offsets)), Obj(len(entries)), entries)
+
+
 def dual_mor(f: Mor) -> Mor:
     """The contravariant duality: transpose, with endpoints swapped."""
-    rows = tuple(tuple(f.entries[i][j] for i in range(f.cod.rank))
-                 for j in range(f.dom.rank))
-    return Mor(f.model, dual_obj(f.cod), dual_obj(f.dom), rows)
+    return regroup(f, [f.cod.rank], [f.dom.rank], [1], [0])
 
 
 def mor_scale(f: Mor, c: Number) -> Mor:
@@ -206,16 +230,15 @@ def factor_permutation(model: Model, dims: Sequence[int],
     Target slot i carries source factor pos_map[i]; row-major flattening on
     both sides.
     """
-    src = list(dims)
-    if sorted(pos_map) != list(range(len(src))):
+    if sorted(pos_map) != list(range(len(dims))):
         raise InputError("pos_map must be a permutation of the factor slots")
-    tgt = [src[p] for p in pos_map]
-    n = prod(src)
-    rows = [[0] * n for _ in range(n)]
-    for flat_s, multi in enumerate(itertools.product(*[range(d) for d in src])):
-        t = tuple(multi[p] for p in pos_map)
-        rows[_flat(t, tgt)][flat_s] = 1
-    return Mor(model, Obj(n), Obj(n), tuple(tuple(r) for r in rows))
+    n = prod(dims)
+    rows = []
+    for s in _flat_offsets(dims, pos_map):
+        row = [0] * n
+        row[s] = 1
+        rows.append(tuple(row))
+    return Mor(model, Obj(n), Obj(n), tuple(rows))
 
 
 # Canonical structure maps.  Kinds and their parameter arities:
@@ -246,10 +269,7 @@ def canonical_map(model: Model, kind: str, params: Sequence[Obj]) -> Mor:
         return factor_permutation(model, [a.rank, b.rank], [1, 0])
     if kind == "coev":
         (a,) = params
-        n = a.rank
-        rows = tuple((1,) if i == j else (0,)
-                     for i in range(n) for j in range(n))
-        return Mor(model, UNIT, Obj(n * n), rows)
+        return regroup(identity(model, a), [a.rank], [a.rank], [0, 1], [])
     if kind == "ev":
         (a,) = params
         return dual_mor(canonical_map(model, "coev", [a]))
@@ -286,30 +306,12 @@ def curry(f: Mor, a: Obj, b: Obj, c: Obj) -> Mor:
 
     A pure reindexing: entry[(c,b), a] = f[c, (a,b)].
     """
-    if f.dom.rank != a.rank * b.rank or f.cod.rank != c.rank:
-        raise InputError("curry: declared ranks do not match the matrix")
-    br = b.rank
-    rows = []
-    for ci in range(c.rank):
-        src = f.entries[ci]
-        for bi in range(br):
-            rows.append(tuple(src[ai * br + bi] for ai in range(a.rank)))
-    return Mor(f.model, a, Obj(c.rank * br), tuple(rows))
+    return regroup(f, [c.rank], [a.rank, b.rank], [0, 2], [1])
 
 
 def uncurry(g: Mor, a: Obj, b: Obj, c: Obj) -> Mor:
     """Inverse of curry: g: A -> C par B* becomes A(x)B -> C."""
-    if g.dom.rank != a.rank or g.cod.rank != c.rank * b.rank:
-        raise InputError("uncurry: declared ranks do not match the matrix")
-    br = b.rank
-    rows = []
-    for ci in range(c.rank):
-        row = []
-        for ai in range(a.rank):
-            for bi in range(br):
-                row.append(g.entries[ci * br + bi][ai])
-        rows.append(tuple(row))
-    return Mor(g.model, obj_tensor(a, b), c, tuple(rows))
+    return regroup(g, [c.rank, b.rank], [a.rank], [0], [2, 1])
 
 
 def contract_hidden(f: Mor, a: Obj, b: Obj, hidden: Sequence[Obj]) -> Mor:

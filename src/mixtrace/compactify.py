@@ -18,7 +18,8 @@ from .category import (Mor, Model, Obj, ValidationReport, canonical_map,
                        random_mor, tensor_mor)
 from .errors import InputError, ModelNotCompactifiableError
 from .loops import Loop, loop_compose, loop_dual, loop_tensor
-from .rings import INTEGERS, RATIONALS, localized_integers
+from .rings import (INTEGERS, RATIONALS, divides_power, format_value,
+                    localized_integers)
 from . import traces
 from .traces import _contract_over_mix_power
 
@@ -65,14 +66,18 @@ def realize(m_mor: Mor) -> Loop:
     ring = m_mor.model.ring
     if ring.kind != "Zloc":
         raise InputError("realize expects a matrix over a localized ring")
-    m = int(m_mor.model.mix)
-    if m < 1:
-        raise ModelNotCompactifiableError("realize needs a mix scalar >= 1")
+    m = m_mor.model.mix
+    if not isinstance(m, int) or m < 1:
+        raise ModelNotCompactifiableError(
+            "realize needs an integer mix scalar >= 1")
     k = 0
     power = 1
     for row in m_mor.entries:
         for v in row:
             den = Fraction(v).denominator
+            if not divides_power(den, m):
+                raise InputError(f"entry {format_value(v)}: no power of the "
+                                 f"mix scalar {m} clears its denominator")
             while power % den != 0:
                 power *= m
                 k += 1
@@ -99,8 +104,8 @@ def verify_compactness(model: Model, max_rank: int, seed: int = 0,
     if model.mix == 0:
         raise ModelNotCompactifiableError(
             "a zero mix scalar admits no compactification")
-    if max_rank < 0:
-        raise InputError("max_rank must be >= 0")
+    if max_rank < 0 or samples < 0:
+        raise InputError("max_rank and samples must be >= 0")
     rng = random.Random(f"compactness:{seed}")
     report = ValidationReport(
         f"compactness of the localization of {model} at ranks <= {max_rank}")

@@ -14,8 +14,7 @@ from math import prod
 from typing import Iterator, Optional, Sequence, Tuple
 
 from .category import (Mor, Model, Obj, canonical_map, compose, dual_mor,
-                       dual_obj, factor_permutation, identity, obj_tensor,
-                       tensor_mor)
+                       dual_obj, identity, obj_tensor, regroup, tensor_mor)
 from .errors import InputError, ModelNotCompactifiableError
 
 
@@ -125,11 +124,13 @@ def loop_compose(q: Loop, p: Loop) -> Loop:
     hu = p.hidden_size
     hv = q.hidden_size
     lift_p = tensor_mor(p.carrier, identity(model, Obj(hv)))
-    rho = factor_permutation(model, [p.cod.rank, hu, hv], [0, 2, 1])
-    lift_q = tensor_mor(q.carrier, identity(model, Obj(hu)))
-    unshuffle = factor_permutation(model, [q.cod.rank, hv, hu], [0, 2, 1])
-    carrier = compose(unshuffle, compose(lift_q, compose(rho, lift_p)))
-    return Loop(model, p.dom, q.cod, p.hidden + q.hidden, carrier)
+    # q (x) Id_U: B(x)V(x)U -> C par V par U, with both sides regrouped to
+    # put U before V
+    lift_q = regroup(tensor_mor(q.carrier, identity(model, Obj(hu))),
+                     [q.cod.rank, hv, hu], [q.dom.rank, hv, hu],
+                     [0, 2, 1], [3, 5, 4])
+    return Loop(model, p.dom, q.cod, p.hidden + q.hidden,
+                compose(lift_q, lift_p))
 
 
 def loop_tensor(p: Loop, q: Loop) -> Loop:
@@ -137,15 +138,14 @@ def loop_tensor(p: Loop, q: Loop) -> Loop:
     either hidden part is empty."""
     if p.model != q.model:
         raise InputError("loops belong to different models")
-    model = p.model
     hu, hv = p.hidden_size, q.hidden_size
-    mid = factor_permutation(
-        model, [p.dom.rank, q.dom.rank, hu, hv], [0, 2, 1, 3])
-    ten = tensor_mor(p.carrier, q.carrier)
-    shuffle = canonical_map(model, "times_rule",
-                            [p.cod, Obj(hu), q.cod, Obj(hv)])
-    carrier = compose(shuffle, compose(ten, mid))
-    return Loop(model, obj_tensor(p.dom, q.dom), obj_tensor(p.cod, q.cod),
+    # the times_rule shuffle (B par U)(x)(D par V) -> (B(x)D) par U par V
+    # on the codomain, its inverse on the domain
+    carrier = regroup(tensor_mor(p.carrier, q.carrier),
+                      [p.cod.rank, hu, q.cod.rank, hv],
+                      [p.dom.rank, hu, q.dom.rank, hv],
+                      [0, 2, 1, 3], [4, 6, 5, 7])
+    return Loop(p.model, obj_tensor(p.dom, q.dom), obj_tensor(p.cod, q.cod),
                 p.hidden + q.hidden, carrier)
 
 
@@ -180,14 +180,12 @@ def post_compose(g: Mor, p: Loop) -> Loop:
 
 def morphism_tensor_loop(f: Mor, p: Loop) -> Loop:
     """Multiplication by a morphism: the loop with carrier
-    distributivity . (f (x) carrier) and the same hidden part."""
+    distributivity . (f (x) carrier) and the same hidden part.  The
+    distributivity is the identity reindexing of the flattening."""
     if f.model != p.model:
         raise InputError("morphism_tensor_loop: model mismatch")
-    model = p.model
-    delta = canonical_map(model, "distributivity",
-                          [f.cod, p.cod, Obj(p.hidden_size)])
-    return Loop(model, obj_tensor(f.dom, p.dom), obj_tensor(f.cod, p.cod),
-                p.hidden, compose(delta, tensor_mor(f, p.carrier)))
+    return Loop(p.model, obj_tensor(f.dom, p.dom), obj_tensor(f.cod, p.cod),
+                p.hidden, tensor_mor(f, p.carrier))
 
 
 def hide(p: Loop, new_dom: Obj, v: Obj) -> Loop:
@@ -208,24 +206,19 @@ def hide(p: Loop, new_dom: Obj, v: Obj) -> Loop:
 
 
 def hidden_symmetry(p: Loop, alpha: Permutation) -> Loop:
-    """Relabel the hidden part by a permutation, conjugating the carrier by
-    the corresponding block permutation matrices."""
+    """Relabel the hidden part by a permutation: hidden slot i of the
+    result is slot ``alpha.images[i]`` of p, on both sides of the
+    carrier."""
     if alpha.size != p.k:
         raise InputError("permutation size does not match the hidden part")
     if alpha.is_identity:
         return p
-    model = p.model
     dims = [u.rank for u in p.hidden]
-    new_hidden = alpha.apply(p.hidden)
-    inv = alpha.inverse()
-    dom_perm = factor_permutation(
-        model, [p.dom.rank] + [dims[i] for i in alpha.images],
-        [0] + [1 + inv.images[j] for j in range(p.k)])
-    cod_perm = factor_permutation(
-        model, [p.cod.rank] + dims,
-        [0] + [1 + alpha.images[i] for i in range(p.k)])
-    carrier = compose(cod_perm, compose(p.carrier, dom_perm))
-    return Loop(model, p.dom, p.cod, new_hidden, carrier)
+    k = p.k
+    carrier = regroup(p.carrier, [p.cod.rank] + dims, [p.dom.rank] + dims,
+                      [0] + [1 + i for i in alpha.images],
+                      [k + 1] + [k + 2 + i for i in alpha.images])
+    return Loop(p.model, p.dom, p.cod, alpha.apply(p.hidden), carrier)
 
 
 # Hidden symmetries are enumerated as all of S_k, so only up to this k.

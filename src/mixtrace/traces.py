@@ -23,16 +23,16 @@ one, and strictly more often in general.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import prod
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .category import (Mor, Model, Obj, _canon, _flat, canonical_map, compose,
+from .category import (Mor, Model, Obj, _canon, canonical_map, compose,
                        contract_hidden, dual_mor, identity, mor_scale,
-                       obj_tensor, random_mor, tensor_mor, uncurry, zero_mor)
+                       obj_tensor, random_mor, regroup, tensor_mor, uncurry,
+                       zero_mor)
 from .errors import InputError, ModelNotCompactifiableError, ResourceLimitError
 from .loops import (Loop, Permutation, hidden_symmetry, loop_dual,
                     morphism_loop, morphism_tensor_loop, post_compose,
@@ -85,29 +85,11 @@ def pairing_form(p: Loop) -> Mor:
     of U_i and the second the codomain-side one, and the endpoints flatten
     with B outermost.
     """
-    bdim, adim = p.cod.rank, p.dom.rank
     dims = [u.rank for u in p.hidden]
-    h = prod(dims)
-    pair_dims: List[int] = []
-    for d in dims:
-        pair_dims += [d, d]
-    cols = h * h
-    rows = [[0] * cols for _ in range(bdim * adim)]
-    ent = p.carrier.entries
-    for multi in itertools.product(*(range(d) for d in pair_dims)):
-        us = multi[0::2]
-        ws = multi[1::2]
-        col = _flat(multi, pair_dims)
-        uflat = _flat(us, dims)
-        wflat = _flat(ws, dims)
-        for bi in range(bdim):
-            src = ent[bi * h + wflat]
-            for ai in range(adim):
-                v = src[ai * h + uflat]
-                if v:
-                    rows[bi * adim + ai][col] = v
-    return Mor(p.model, Obj(cols), Obj(bdim * adim),
-               tuple(tuple(r) for r in rows))
+    k = p.k
+    return regroup(p.carrier, [p.cod.rank] + dims, [p.dom.rank] + dims,
+                   [0, k + 1],
+                   [s for i in range(k) for s in (k + 2 + i, 1 + i)])
 
 
 def _exact_div(v: Number, m: Number, ring) -> Optional[Number]:
@@ -467,8 +449,8 @@ def run_axiom_suite(model: Model, seed: int = 0, cases: int = 1000,
     (the staircase is order-sensitive before the permutation search), so
     one-sided cases are tallied separately rather than failed.
     """
-    if max_rank < 0 or max_hidden < 0:
-        raise InputError("max_rank and max_hidden must be >= 0")
+    if max_rank < 0 or max_hidden < 0 or cases < 0:
+        raise InputError("max_rank, max_hidden and cases must be >= 0")
     report = SuiteReport(model, seed, cases, max_rank, max_hidden)
     kinds: List[Tuple[str, Callable[[Loop], TraceResult]]] = [
         ("free", free_mixed_trace)]

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from math import prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .category import (Mor, Model, Obj, canonical_map, compose,
+from .category import (Mor, Model, Obj, canonical_map, compose, dual_mor,
                        factor_permutation, identity, obj_tensor, random_mor,
-                       tensor_mor, zero_mor)
+                       regroup, tensor_mor, zero_mor)
 from .errors import InputError, ResourceLimitError
 from .loops import Loop, Permutation
 from .traces import StaircaseWitness
@@ -229,13 +229,11 @@ def build_zigzag_diagram(inst: ZigZagInstance, with_bottom: bool) -> Diagram:
             edges.append(Edge(a_idx(side, k), hub_idx, fillers[k],
                               f"{side}-filler-{k}"))
 
+    # the inverse of a permutation matrix is its transpose
     top = factor_permutation(model, [u.rank for u in inst.upper],
                              inst.perm.images)
     edges.append(Edge(x_idx("left", 0), x_idx("right", 0), top, "top-iso"))
-    edges.append(Edge(x_idx("right", 0), x_idx("left", 0),
-                      factor_permutation(model,
-                                         [u.rank for u in inst.perm.apply(inst.upper)],
-                                         inst.perm.inverse().images),
+    edges.append(Edge(x_idx("right", 0), x_idx("left", 0), dual_mor(top),
                       "top-iso-inv"))
     if with_bottom:
         bottom = factor_permutation(model, [x.rank for x in inst.lower],
@@ -243,10 +241,7 @@ def build_zigzag_diagram(inst: ZigZagInstance, with_bottom: bool) -> Diagram:
         edges.append(Edge(x_idx("left", n), x_idx("right", n), bottom,
                           "bottom-iso"))
         edges.append(Edge(x_idx("right", n), x_idx("left", n),
-                          factor_permutation(model,
-                                             [x.rank for x in inst.perm.apply(inst.lower)],
-                                             inst.perm.inverse().images),
-                          "bottom-iso-inv"))
+                          dual_mor(bottom), "bottom-iso-inv"))
     return Diagram(model, tuple(objects), tuple(edges))
 
 
@@ -293,7 +288,7 @@ def _pullback_fillers(model: Model, rng: random.Random, bases,
     apex_all = Obj(prod(b.rank * b.rank for b in bases))
     rho = random_mor(model, rng, apex_all, hub, entry_bound)
 
-    def side_fillers(side_bases, reorder: Optional[Mor]):
+    def side_fillers(side_bases, reorder: Optional[Sequence[int]]):
         fillers = []
         for k in range(0, n + 1):
             pieces = identity(model, Obj(1))
@@ -305,16 +300,14 @@ def _pullback_fillers(model: Model, rng: random.Random, bases,
                 else:
                     piece = identity(model, Obj(b.rank * b.rank))
                 pieces = tensor_mor(pieces, piece)
-            f = pieces if reorder is None else compose(reorder, pieces)
-            fillers.append(compose(rho, f))
+            if reorder is not None:  # apex factors back in ``bases`` order
+                pieces = regroup(pieces, [b.rank * b.rank for b in side_bases],
+                                 [pieces.dom.rank], reorder, [n])
+            fillers.append(compose(rho, pieces))
         return tuple(fillers)
 
     left = side_fillers(bases, None)
-    perm_bases = perm.apply(tuple(bases))
-    reorder = factor_permutation(model,
-                                 [b.rank * b.rank for b in perm_bases],
-                                 perm.inverse().images)
-    right = side_fillers(perm_bases, reorder)
+    right = side_fillers(perm.apply(tuple(bases)), perm.inverse().images)
     return left, right
 
 
@@ -327,9 +320,9 @@ def search_counterexample(model: Model, n: int, max_rank: int,
     (exercising the Holds branch), a zero-top collection (the family that
     violates contractibility when m = 0), and fully random fillers.
     """
-    if n < 0 or max_rank < 1 or entry_bound < 0:
-        raise InputError(
-            "n must be >= 0, max_rank >= 1 and entry_bound >= 0")
+    if n < 0 or max_rank < 1 or entry_bound < 0 or budget < 0:
+        raise InputError("n must be >= 0, max_rank >= 1, entry_bound >= 0 "
+                         "and budget >= 0")
     rng = random.Random(f"zigzag:{seed}")
     stats = {"premise_fails": 0, "holds": 0, "violated": 0}
     for idx in range(budget):

@@ -288,6 +288,10 @@ def changed(base, path, value):
     ("zigzag-search", None, ("--max-rank",), "0"),
     ("zigzag-search", None, ("--entry-bound",), "-1"),
     ("compactify-verify", None, ("--max-rank",), "-1"),
+    # negative counts
+    ("axioms", None, ("--cases",), "-1"),
+    ("zigzag-search", None, ("--budget",), "-3"),
+    ("compactify-verify", None, ("--samples",), "-5"),
 ])
 def test_cli_rejects_bad_input(tmp_path, verb, base, path, value):
     if base is None:
@@ -320,3 +324,20 @@ def test_entries_are_checked_where_they_enter(tmp_path):
     code, _, err = run_cli("trace", "--mode", "free", "--loop",
                            write(tmp_path, "half.json", half))
     assert code == 2 and err.startswith("input error:") and "1/2" in err
+
+
+@pytest.mark.parametrize("mix,entry,named", [
+    ("2", "1/3", "1/3"),  # no power of m clears the denominator
+    ("1", "1/2", "1/2"),
+    ("3/2", "1", "mix"),  # a fractional mix is not truncated to 1
+])
+def test_realize_rejects_what_no_power_of_mix_clears(tmp_path, mix, entry,
+                                                      named):
+    matrix = write(tmp_path, "m.json", {
+        "model": {"ring": {"Zloc": 6}, "mix": mix}, "dom": 1, "cod": 1,
+        "entries": [[entry]]})
+    proc = subprocess.run([sys.executable, "-m", "mixtrace.cli", "realize",
+                           "--matrix", matrix],
+                          capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("input error:") and named in proc.stderr

@@ -6,14 +6,24 @@ solvable one.  The library's prefix-set search must agree with it on
 status, ordering, value and witness.  ``pairing_form_by_currying`` and
 ``provisional_trace_dual`` compute the pairing form and the staircase along
 other routes than the library does.
+
+The structural maps the library computes as one ``regroup`` each are here
+as explicit index loops over multi-indices (``curry_by_loops``,
+``uncurry_by_loops``, ``pairing_form_by_loops``,
+``factor_permutation_by_product``) and, for loops, as conjugation by dense
+permutation matrices (``hidden_symmetry_by_conjugation``,
+``loop_compose_by_conjugation``, ``loop_tensor_by_conjugation``).
 """
 
+import itertools
 from dataclasses import replace
 from math import prod
 
-from mixtrace.category import (Mor, Obj, compose, curry, dual_mor,
-                               factor_permutation, uncurry, zero_mor)
-from mixtrace.loops import all_permutations, hidden_symmetry
+from mixtrace.category import (Mor, Obj, canonical_map, compose, curry,
+                               dual_mor, factor_permutation, identity,
+                               obj_tensor, tensor_mor, uncurry, zero_mor)
+from mixtrace.errors import InputError
+from mixtrace.loops import Loop, all_permutations, hidden_symmetry
 from mixtrace.traces import (AMBIGUOUS, _exact_div, ambiguous, defined,
                              pairing_form, provisional_trace, undefined)
 
@@ -116,3 +126,119 @@ def provisional_trace_dual(p):
     rows = tuple(tuple(final[bi * adim + ai] for ai in range(adim))
                  for bi in range(p.cod.rank))
     return defined(Mor(model, p.dom, p.cod, rows))
+
+
+def _flat(multi, dims):
+    idx = 0
+    for x, d in zip(multi, dims):
+        idx = idx * d + x
+    return idx
+
+
+def factor_permutation_by_product(model, dims, pos_map):
+    """Target slot i carries source factor pos_map[i]."""
+    src = list(dims)
+    if sorted(pos_map) != list(range(len(src))):
+        raise InputError("pos_map must be a permutation of the factor slots")
+    tgt = [src[p] for p in pos_map]
+    n = prod(src)
+    rows = [[0] * n for _ in range(n)]
+    for flat_s, multi in enumerate(itertools.product(*[range(d) for d in src])):
+        t = tuple(multi[p] for p in pos_map)
+        rows[_flat(t, tgt)][flat_s] = 1
+    return Mor(model, Obj(n), Obj(n), tuple(tuple(r) for r in rows))
+
+
+def curry_by_loops(f, a, b, c):
+    """entry[(c,b), a] = f[c, (a,b)]."""
+    if f.dom.rank != a.rank * b.rank or f.cod.rank != c.rank:
+        raise InputError("curry: declared ranks do not match the matrix")
+    br = b.rank
+    rows = []
+    for ci in range(c.rank):
+        src = f.entries[ci]
+        for bi in range(br):
+            rows.append(tuple(src[ai * br + bi] for ai in range(a.rank)))
+    return Mor(f.model, a, Obj(c.rank * br), tuple(rows))
+
+
+def uncurry_by_loops(g, a, b, c):
+    if g.dom.rank != a.rank or g.cod.rank != c.rank * b.rank:
+        raise InputError("uncurry: declared ranks do not match the matrix")
+    br = b.rank
+    rows = []
+    for ci in range(c.rank):
+        row = []
+        for ai in range(a.rank):
+            for bi in range(br):
+                row.append(g.entries[ci * br + bi][ai])
+        rows.append(tuple(row))
+    return Mor(g.model, obj_tensor(a, b), c, tuple(rows))
+
+
+def pairing_form_by_loops(p):
+    bdim, adim = p.cod.rank, p.dom.rank
+    dims = [u.rank for u in p.hidden]
+    h = prod(dims)
+    pair_dims = []
+    for d in dims:
+        pair_dims += [d, d]
+    cols = h * h
+    rows = [[0] * cols for _ in range(bdim * adim)]
+    ent = p.carrier.entries
+    for multi in itertools.product(*(range(d) for d in pair_dims)):
+        us = multi[0::2]
+        ws = multi[1::2]
+        col = _flat(multi, pair_dims)
+        uflat = _flat(us, dims)
+        wflat = _flat(ws, dims)
+        for bi in range(bdim):
+            src = ent[bi * h + wflat]
+            for ai in range(adim):
+                v = src[ai * h + uflat]
+                if v:
+                    rows[bi * adim + ai][col] = v
+    return Mor(p.model, Obj(cols), Obj(bdim * adim),
+               tuple(tuple(r) for r in rows))
+
+
+def hidden_symmetry_by_conjugation(p, alpha):
+    model = p.model
+    dims = [u.rank for u in p.hidden]
+    new_hidden = alpha.apply(p.hidden)
+    inv = alpha.inverse()
+    dom_perm = factor_permutation_by_product(
+        model, [p.dom.rank] + [dims[i] for i in alpha.images],
+        [0] + [1 + inv.images[j] for j in range(p.k)])
+    cod_perm = factor_permutation_by_product(
+        model, [p.cod.rank] + dims,
+        [0] + [1 + alpha.images[i] for i in range(p.k)])
+    carrier = compose(cod_perm, compose(p.carrier, dom_perm))
+    return Loop(model, p.dom, p.cod, new_hidden, carrier)
+
+
+def loop_compose_by_conjugation(q, p):
+    model = p.model
+    hu = p.hidden_size
+    hv = q.hidden_size
+    lift_p = tensor_mor(p.carrier, identity(model, Obj(hv)))
+    rho = factor_permutation_by_product(model, [p.cod.rank, hu, hv],
+                                        [0, 2, 1])
+    lift_q = tensor_mor(q.carrier, identity(model, Obj(hu)))
+    unshuffle = factor_permutation_by_product(model, [q.cod.rank, hv, hu],
+                                              [0, 2, 1])
+    carrier = compose(unshuffle, compose(lift_q, compose(rho, lift_p)))
+    return Loop(model, p.dom, q.cod, p.hidden + q.hidden, carrier)
+
+
+def loop_tensor_by_conjugation(p, q):
+    model = p.model
+    hu, hv = p.hidden_size, q.hidden_size
+    mid = factor_permutation_by_product(
+        model, [p.dom.rank, q.dom.rank, hu, hv], [0, 2, 1, 3])
+    ten = tensor_mor(p.carrier, q.carrier)
+    shuffle = canonical_map(model, "times_rule",
+                            [p.cod, Obj(hu), q.cod, Obj(hv)])
+    carrier = compose(shuffle, compose(ten, mid))
+    return Loop(model, obj_tensor(p.dom, q.dom), obj_tensor(p.cod, q.cod),
+                p.hidden + q.hidden, carrier)
