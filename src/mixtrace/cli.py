@@ -109,28 +109,28 @@ def cmd_congruent(args) -> int:
     return 0 if verdict is True else 1
 
 
+def _zigzag_report(outcome: str, counter, failed: bool) -> int:
+    payload = {"outcome": outcome}
+    if counter is not None:
+        payload.update(paths={"a": list(counter.path_a),
+                              "b": list(counter.path_b)},
+                       src=counter.src, dst=counter.dst)
+    _emit(payload)
+    return 1 if failed else 0
+
+
 def cmd_zigzag_check(args) -> int:
     data = load_json_file(args.instance)
     if isinstance(data, dict) and "edges" in data:
-        d = serialize.diagram_from_json(data, args.instance)
-        outcome = zigzag.diagram_commutes(d)
-        if outcome is True:
-            _emit({"outcome": "commutes"})
-            return 0
-        _emit({"outcome": "counterexample",
-               "paths": {"a": list(outcome.path_a), "b": list(outcome.path_b)},
-               "src": outcome.src, "dst": outcome.dst})
-        return 1
-    inst = serialize.zigzag_from_json(data, args.instance)
-    outcome = zigzag.check_zigzag_instance(inst)
-    payload = {"outcome": outcome.status}
-    if outcome.counter is not None:
-        payload["paths"] = {"a": list(outcome.counter.path_a),
-                            "b": list(outcome.counter.path_b)}
-        payload["src"] = outcome.counter.src
-        payload["dst"] = outcome.counter.dst
-    _emit(payload)
-    return 1 if outcome.status == "violated" else 0
+        result = zigzag.diagram_commutes(
+            serialize.diagram_from_json(data, args.instance))
+        if result is True:
+            return _zigzag_report("commutes", None, False)
+        return _zigzag_report("counterexample", result, True)
+    outcome = zigzag.check_zigzag_instance(
+        serialize.zigzag_from_json(data, args.instance))
+    return _zigzag_report(outcome.status, outcome.counter,
+                          outcome.status == "violated")
 
 
 def cmd_zigzag_search(args) -> int:

@@ -101,11 +101,11 @@ def verify_compactness(model: Model, max_rank: int, seed: int = 0,
     the comix loop inverts the mix map, the embedding is a faithful
     structure-preserving functor, loop values are functorial, and every
     bounded-denominator matrix is realized."""
+    if max_rank < 0 or samples < 0:
+        raise InputError("max_rank and samples must be >= 0")
     if model.mix == 0:
         raise ModelNotCompactifiableError(
             "a zero mix scalar admits no compactification")
-    if max_rank < 0 or samples < 0:
-        raise InputError("max_rank and samples must be >= 0")
     rng = random.Random(f"compactness:{seed}")
     report = ValidationReport(
         f"compactness of the localization of {model} at ranks <= {max_rank}")

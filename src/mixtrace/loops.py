@@ -293,6 +293,8 @@ def congruent(p: Loop, q: Loop, mode: str = "semantic", depth: int = 4,
         return compactify.loop_value(p) == compactify.loop_value(q)
     if mode != "bounded":
         raise InputError(f"unknown congruence mode {mode!r}")
+    if depth < 0:
+        raise InputError(f"bounded depth must be >= 0, got {depth}")
 
     seen_p, seen_q = {p}, {q}
     frontier_p, frontier_q = [p], [q]

@@ -3,9 +3,11 @@ condition, including the counterexample search for the m = 0 model.
 
 A diagram is a labelled multigraph of objects and morphisms; it commutes
 when all simple directed paths between any two nodes compose to the same
-matrix (cycles must compose to the identity, which makes isomorphism
+matrix and all simple cycles compose to the identity (so isomorphism
 edges, stored in both orientations, behave like the unoriented lines they
-stand for).
+stand for).  ``diagram_commutes`` checks every edge against one tree of
+composites per source node: O(V * E) composites, with no path limit.  A
+failure is reported as two parallel simple paths with unequal composites.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .category import (Mor, Model, Obj, canonical_map, compose, dual_mor,
                        factor_permutation, identity, obj_tensor, random_mor,
                        regroup, tensor_mor, zero_mor)
-from .errors import InputError, ResourceLimitError
+from .errors import InputError
 from .loops import Loop, Permutation
-from .traces import StaircaseWitness
+from .traces import StaircaseWitness, pairing_form
 
 
 @dataclass(frozen=True)
@@ -69,40 +71,44 @@ class CounterPath:
     value_b: Mor
 
 
-def diagram_commutes(d: Diagram, max_paths: int = 50000):
-    """True iff every pair of parallel simple paths agrees (and every
-    simple cycle composes to the identity); otherwise the first offending
-    pair of paths."""
+def diagram_commutes(d: Diagram):
+    """True iff the diagram commutes; otherwise one offending pair.
+
+    From each source a depth-first tree of composites P grows (the identity
+    at the source), and every edge e: u -> v must satisfy e . P(u) = P(v).
+    A failing edge names the tree path to v against the tree path to u
+    plus e or, when v lies inside the latter, that cycle at v against the
+    identity."""
     adjacency: Dict[int, List[Tuple[int, Edge]]] = {}
     for idx, e in enumerate(d.edges):
         adjacency.setdefault(e.src, []).append((idx, e))
-    counted = 0
     for src in range(len(d.objects)):
-        by_dst: Dict[int, List[Tuple[Mor, Tuple[int, ...]]]] = {
-            src: [(identity(d.model, d.objects[src]), ())]}
-        stack = [(src, frozenset({src}),
-                  identity(d.model, d.objects[src]), ())]
+        tree = {src: (identity(d.model, d.objects[src]), ())}
+        stack = [src]
         while stack:
-            v, visited, comp, path = stack.pop()
-            for idx, e in adjacency.get(v, []):
-                if e.dst in visited and e.dst != src:
-                    continue
-                new_comp = compose(e.mor, comp)
-                new_path = path + (idx,)
-                by_dst.setdefault(e.dst, []).append((new_comp, new_path))
-                counted += 1
-                if counted > max_paths:
-                    raise ResourceLimitError(
-                        f"more than {max_paths} simple paths")
-                if e.dst != src:
-                    stack.append((e.dst, visited | {e.dst},
-                                  new_comp, new_path))
-        for dst, entries in by_dst.items():
-            first_m, first_p = entries[0]
-            for m, pth in entries[1:]:
-                if m.entries != first_m.entries:
-                    return CounterPath(src, dst, first_p, pth, first_m, m)
+            u = stack.pop()
+            comp, path = tree[u]
+            for idx, e in adjacency.get(u, []):
+                value, via = compose(e.mor, comp), path + (idx,)
+                if e.dst not in tree:
+                    tree[e.dst] = (value, via)
+                    stack.append(e.dst)
+                elif value.entries != tree[e.dst][0].entries:
+                    return _counter_pair(d, src, tree[e.dst], via, value)
     return True
+
+
+def _counter_pair(d: Diagram, src: int, at_v, via: Tuple[int, ...],
+                  value: Mor) -> CounterPath:
+    v = d.edges[via[-1]].dst
+    inner = [d.edges[i].dst for i in via[:-1]]
+    if v == src or v not in inner:
+        return CounterPath(src, v, at_v[1], via, at_v[0], value)
+    cycle = via[inner.index(v) + 1:]
+    ident = value = identity(d.model, d.objects[v])
+    for idx in cycle:
+        value = compose(d.edges[idx].mor, value)
+    return CounterPath(v, v, (), cycle, ident, value)
 
 
 @dataclass(frozen=True)
@@ -365,8 +371,6 @@ def staircase_diagram(p: Loop, witness: StaircaseWitness) -> Diagram:
     mix and coevaluation edges with the witness fillers pointing at the
     apex object.  Commutation of this diagram is exactly the staircase
     condition."""
-    from .traces import pairing_form
-
     model = p.model
     dims = [u.rank for u in p.hidden]
     k = p.k
@@ -377,25 +381,19 @@ def staircase_diagram(p: Loop, witness: StaircaseWitness) -> Diagram:
     objects.append(Obj(ba))                                # apex
     apex_idx = len(objects) - 1
 
-    def t_idx(i: int) -> int:
-        return i
-
-    def l_idx(i: int) -> int:
-        return (k + 1) + i
-
     edges: List[Edge] = []
     for i in range(k):
-        u = p.hidden[i]
+        u, level = p.hidden[i], k + 1 + i
         rest = identity(model, Obj(suffix[i + 1]))
-        edges.append(Edge(t_idx(i), l_idx(i),
+        edges.append(Edge(i, level,
                           tensor_mor(canonical_map(model, "mix_map", [u, u]),
                                      rest),
                           f"mix-{i}"))
-        edges.append(Edge(t_idx(i + 1), l_idx(i),
+        edges.append(Edge(i + 1, level,
                           tensor_mor(canonical_map(model, "coev", [u]), rest),
                           f"coev-{i}"))
-        edges.append(Edge(l_idx(i), apex_idx, witness.fillers[i],
+        edges.append(Edge(level, apex_idx, witness.fillers[i],
                           f"filler-{i}"))
-    edges.append(Edge(t_idx(0), apex_idx, pairing_form(p), "pairing"))
-    edges.append(Edge(t_idx(k), apex_idx, witness.psi, "psi"))
+    edges.append(Edge(0, apex_idx, pairing_form(p), "pairing"))
+    edges.append(Edge(k, apex_idx, witness.psi, "psi"))
     return Diagram(model, tuple(objects), tuple(edges))

@@ -227,3 +227,8 @@ def test_verify_compactness():
         assert report.ok, failed
     with pytest.raises(ModelNotCompactifiableError):
         verify_compactness(Z0, max_rank=2)
+    # the counts are checked before the model
+    with pytest.raises(InputError):
+        verify_compactness(Z0, max_rank=2, samples=-5)
+    with pytest.raises(InputError):
+        verify_compactness(Z0, max_rank=-1)

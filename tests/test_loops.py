@@ -256,3 +256,9 @@ def test_congruent_bounded_generators_and_unknown():
                      generators=(six,)) is None
     assert congruent(three, five, mode="bounded", depth=4,
                      generators=(six,)) is False
+    # depth 0 compares the loops as given; a negative depth is an input
+    # error, not an undecided search
+    assert congruent(three, three, mode="bounded", depth=0) is True
+    assert congruent(three, five, mode="bounded", depth=0) is None
+    with pytest.raises(InputError):
+        congruent(three, five, mode="bounded", depth=-1)

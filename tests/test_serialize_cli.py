@@ -173,6 +173,30 @@ def test_cli_congruent(tmp_path):
     assert code == 1 and json.loads(out)["congruent"] is False
 
 
+@pytest.mark.parametrize("mode,code", [
+    ("bounded:-1", 2), ("bounded:x", 2), ("bounded:0", 0)])
+def test_cli_congruent_depth(tmp_path, mode, code):
+    six = write(tmp_path, "six.json", loop_to_json(
+        Loop(Z2, r1, r1, (r1,), mor(Z2, r1, r1, [[6]]))))
+    got, out, err = run_cli("congruent", "--mode", mode,
+                            "--left", six, "--right", six)
+    assert got == code, (got, err)
+    if code == 2:
+        assert err.startswith("input error:") and "depth" in err
+    else:
+        assert json.loads(out)["congruent"] is True
+
+
+@pytest.mark.parametrize("flag,value", [("--samples", "-5"),
+                                        ("--max-rank", "-1")])
+def test_cli_counts_are_checked_before_the_model(flag, value):
+    # a malformed count is an input error even where the model itself
+    # would be refused (m = 0 has no compactification)
+    code, out, err = run_cli("compactify-verify", "--model", "zmod:0",
+                             flag, value)
+    assert code == 2 and out == "" and err.startswith("input error:")
+
+
 def test_cli_zigzag_search_and_replay(tmp_path):
     code, out, _ = run_cli("zigzag-search", "--model", "zmod:0", "--n", "1",
                            "--max-rank", "2", "--seed", "5")

@@ -2,7 +2,7 @@ import pytest
 
 from mixtrace.category import (Model, Obj, canonical_map, compose, identity,
                                mor, random_mor)
-from mixtrace.errors import InputError, ResourceLimitError
+from mixtrace.errors import InputError
 from mixtrace.loops import Permutation
 from mixtrace.zigzag import (CounterPath, Diagram, Edge, ZigZagInstance,
                              build_zigzag_diagram, check_zigzag_instance,
@@ -49,8 +49,7 @@ def test_diagram_validation_and_limits():
     f = identity(Z2, r1)
     edges = tuple(Edge(0, 1, f, str(i)) for i in range(20))
     fan = Diagram(Z2, (r1, r1), edges)
-    with pytest.raises(ResourceLimitError):
-        diagram_commutes(fan, max_paths=5)
+    assert diagram_commutes(fan) is True
 
 
 def test_mix_square_as_diagram():

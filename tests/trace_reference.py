@@ -7,6 +7,11 @@ status, ordering, value and witness.  ``pairing_form_by_currying`` and
 ``provisional_trace_dual`` compute the pairing form and the staircase along
 other routes than the library does.
 
+``diagram_commutes_by_paths`` is the simple-path enumerator: it lists every
+simple path out of every node and compares the parallel ones.  The
+library's per-source tree check must reach the same verdict on every
+diagram.
+
 The structural maps the library computes as one ``regroup`` each are here
 as explicit index loops over multi-indices (``curry_by_loops``,
 ``uncurry_by_loops``, ``pairing_form_by_loops``,
@@ -18,14 +23,16 @@ permutation matrices (``hidden_symmetry_by_conjugation``,
 import itertools
 from dataclasses import replace
 from math import prod
+from typing import Dict, List, Tuple
 
 from mixtrace.category import (Mor, Obj, canonical_map, compose, curry,
                                dual_mor, factor_permutation, identity,
                                obj_tensor, tensor_mor, uncurry, zero_mor)
-from mixtrace.errors import InputError
+from mixtrace.errors import InputError, ResourceLimitError
 from mixtrace.loops import Loop, all_permutations, hidden_symmetry
 from mixtrace.traces import (AMBIGUOUS, _exact_div, ambiguous, defined,
                              pairing_form, provisional_trace, undefined)
+from mixtrace.zigzag import CounterPath, Diagram, Edge
 
 
 def free_trace_by_orderings(p, want_witness=False):
@@ -242,3 +249,39 @@ def loop_tensor_by_conjugation(p, q):
     carrier = compose(shuffle, compose(ten, mid))
     return Loop(model, obj_tensor(p.dom, q.dom), obj_tensor(p.cod, q.cod),
                 p.hidden + q.hidden, carrier)
+
+
+def diagram_commutes_by_paths(d: Diagram, max_paths: int = 50000):
+    """True iff every pair of parallel simple paths agrees (and every
+    simple cycle composes to the identity); otherwise the first offending
+    pair of paths."""
+    adjacency: Dict[int, List[Tuple[int, Edge]]] = {}
+    for idx, e in enumerate(d.edges):
+        adjacency.setdefault(e.src, []).append((idx, e))
+    counted = 0
+    for src in range(len(d.objects)):
+        by_dst: Dict[int, List[Tuple[Mor, Tuple[int, ...]]]] = {
+            src: [(identity(d.model, d.objects[src]), ())]}
+        stack = [(src, frozenset({src}),
+                  identity(d.model, d.objects[src]), ())]
+        while stack:
+            v, visited, comp, path = stack.pop()
+            for idx, e in adjacency.get(v, []):
+                if e.dst in visited and e.dst != src:
+                    continue
+                new_comp = compose(e.mor, comp)
+                new_path = path + (idx,)
+                by_dst.setdefault(e.dst, []).append((new_comp, new_path))
+                counted += 1
+                if counted > max_paths:
+                    raise ResourceLimitError(
+                        f"more than {max_paths} simple paths")
+                if e.dst != src:
+                    stack.append((e.dst, visited | {e.dst},
+                                  new_comp, new_path))
+        for dst, entries in by_dst.items():
+            first_m, first_p = entries[0]
+            for m, pth in entries[1:]:
+                if m.entries != first_m.entries:
+                    return CounterPath(src, dst, first_p, pth, first_m, m)
+    return True
