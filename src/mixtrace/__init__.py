@@ -10,12 +10,11 @@ from .compactify import (c_tr, comix, localized_model, loop_value, realize,
                          verify_compactness)
 from .errors import (InputError, ModelNotCompactifiableError,
                      ResourceLimitError)
-from .loops import (Loop, Permutation, all_permutations, congruent,
-                    compose_permutations, hidden_symmetry, hide,
-                    identity_permutation, loop_compose, loop_dual, loop_par,
-                    loop_tensor, morphism_loop,
-                    morphism_tensor_loop, one_step_congruent, post_compose,
-                    pre_compose, yanking_loop)
+from .loops import (Loop, Permutation, congruent, compose_permutations,
+                    hidden_symmetry, hide, identity_permutation,
+                    loop_compose, loop_dual, loop_par, loop_tensor,
+                    morphism_loop, morphism_tensor_loop, one_step_congruent,
+                    post_compose, pre_compose, yanking_loop)
 from .rings import (INTEGERS, RATIONALS, RingTag, localized_integers,
                     parse_value, ring_contains)
 from .traces import (StaircaseWitness, TraceResult, free_mixed_trace,

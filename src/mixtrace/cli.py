@@ -93,7 +93,7 @@ def cmd_congruent(args) -> int:
             serialize.loop_from_json(item, f"{args.generators}.loops[{i}]")
             for i, item in enumerate(raw))
     mode, _, depth_text = args.mode.partition(":")
-    if mode == "semantic":
+    if args.mode == "semantic":
         verdict = congruent(left, right, mode="semantic")
     elif mode == "bounded":
         try:

@@ -6,7 +6,7 @@ class InputError(ValueError):
 
 
 class ResourceLimitError(RuntimeError):
-    """A configured search or enumeration bound was exceeded."""
+    """A search is past its fixed bound; the message gives size and bound."""
 
 
 class ModelNotCompactifiableError(InputError):

@@ -8,14 +8,13 @@ the ordinary one in that case.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from math import prod
-from typing import Iterator, Optional, Sequence, Tuple
+from math import comb, perm, prod
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .category import (Mor, Model, Obj, canonical_map, compose, dual_mor,
                        dual_obj, identity, obj_tensor, regroup, tensor_mor)
-from .errors import InputError, ModelNotCompactifiableError
+from .errors import InputError, ModelNotCompactifiableError, ResourceLimitError
 
 
 @dataclass(frozen=True)
@@ -59,12 +58,6 @@ def compose_permutations(outer: Permutation, inner: Permutation) -> Permutation:
     == hidden_symmetry(p, compose_permutations(outer, inner)))."""
     return Permutation(tuple(inner.images[outer.images[i]]
                              for i in range(outer.size)))
-
-
-def all_permutations(k: int) -> Iterator[Permutation]:
-    """All of S_k in lexicographic order of image tuples."""
-    for images in itertools.permutations(range(k)):
-        yield Permutation(images)
 
 
 @dataclass(frozen=True)
@@ -221,8 +214,39 @@ def hidden_symmetry(p: Loop, alpha: Permutation) -> Loop:
     return Loop(p.model, p.dom, p.cod, alpha.apply(p.hidden), carrier)
 
 
-# Hidden symmetries are enumerated as all of S_k, so only up to this k.
-_SYMMETRY_SEARCH_BOUND = 6
+# The most distinct hidden relabellings a congruence step tries (6!).
+_RELABELLING_BOUND = 720
+
+
+def _distinct_choices(dims: Sequence[int], rest: Sequence[int]) -> List[int]:
+    """The positions in ``rest`` (remaining hidden slots, ascending) worth
+    taking next: every slot of rank >= 2, and the first of rank 0 and of
+    rank 1.  Hidden objects of rank <= 1 carry no data, so swapping two
+    slots of equal rank <= 1 changes nothing."""
+    first = {dims[i]: pos for pos, i in reversed(list(enumerate(rest)))}
+    return [pos for pos, i in enumerate(rest)
+            if dims[i] > 1 or first[dims[i]] == pos]
+
+
+def _relabellings(p: Loop) -> Iterator[Permutation]:
+    """The distinct hidden relabellings of p, in lexicographic order: slots
+    of equal rank <= 1 keep their order.  There are k!/(n0!*n1!), n_r slots
+    having rank r; past ``_RELABELLING_BOUND`` ResourceLimitError is raised
+    before the first."""
+    dims = [u.rank for u in p.hidden]
+    low = dims.count(0) + dims.count(1)
+    count = perm(p.k, p.k - low) * comb(low, dims.count(0))
+    if count > _RELABELLING_BOUND:
+        raise ResourceLimitError(
+            f"hidden part has {count} distinct relabellings, more than the "
+            f"bound {_RELABELLING_BOUND}")
+    stack = [((), list(range(p.k)))]
+    while stack:
+        images, rest = stack.pop()
+        if not rest:
+            yield Permutation(images)
+        for pos in reversed(_distinct_choices(dims, rest)):
+            stack.append((images + (rest[pos],), rest[:pos] + rest[pos + 1:]))
 
 
 def _require_comparable(p: Loop, q: Loop) -> None:
@@ -233,35 +257,23 @@ def _require_comparable(p: Loop, q: Loop) -> None:
 
 
 def one_step_congruent(p: Loop, q: Loop) -> bool:
-    """True iff one of the loops is a hidden trace of the other, or they
-    are related by a hidden symmetry (searched over S_k for k <= 6)."""
+    """True iff the loops are equal or one is a one-step move of the other:
+    a hidden trace or a hidden symmetry (see ``_relabellings``)."""
     _require_comparable(p, q)
-    if p == q:
-        return True
-    from . import traces  # local import: traces also builds on loops
-
-    for a, b in ((p, q), (q, p)):
-        for tail in range(1, a.k + 1):
-            if traces.hidden_trace(a, tail) == b:
-                return True
-    if p.k == q.k and p.k <= _SYMMETRY_SEARCH_BOUND:
-        for alpha in all_permutations(p.k):
-            if hidden_symmetry(p, alpha) == q:
-                return True
-    return False
+    return (p == q or q in _one_step_moves(p, ())
+            or p in _one_step_moves(q, ()))
 
 
 def _one_step_moves(p: Loop, generators: Sequence[Loop]) -> Iterator[Loop]:
-    from . import traces
+    from . import traces  # local import: traces also builds on loops
 
     for tail in range(1, p.k + 1):
         t = traces.hidden_trace(p, tail)
         if t is not None:
             yield t
-    if p.k <= _SYMMETRY_SEARCH_BOUND:
-        for alpha in all_permutations(p.k):
-            if not alpha.is_identity:
-                yield hidden_symmetry(p, alpha)
+    for alpha in _relabellings(p):
+        if not alpha.is_identity:
+            yield hidden_symmetry(p, alpha)
     for g in generators:
         if g.model != p.model or g.dom != p.dom or g.cod != p.cod:
             continue
@@ -281,7 +293,8 @@ def congruent(p: Loop, q: Loop, mode: str = "semantic", depth: int = 4,
     from the supplied generator loops) are closed breadth-first to the
     given depth from both sides; returns True when the closures meet,
     False when both closures are exhausted and disjoint, and None when the
-    search was cut off undecided.
+    search was cut off undecided.  A loop with more distinct hidden
+    relabellings than ``_RELABELLING_BOUND`` raises ResourceLimitError.
     """
     _require_comparable(p, q)
     if mode == "semantic":
@@ -296,31 +309,19 @@ def congruent(p: Loop, q: Loop, mode: str = "semantic", depth: int = 4,
     if depth < 0:
         raise InputError(f"bounded depth must be >= 0, got {depth}")
 
-    seen_p, seen_q = {p}, {q}
-    frontier_p, frontier_q = [p], [q]
-    exhausted_p = exhausted_q = False
+    # an empty frontier stays empty: that side's closure is exhausted
+    seen, frontiers = ({p}, {q}), [[p], [q]]
     for _ in range(depth):
-        if seen_p & seen_q:
-            return True
-        new_p = []
-        for x in frontier_p:
-            for y in _one_step_moves(x, generators):
-                if y not in seen_p:
-                    seen_p.add(y)
-                    new_p.append(y)
-        new_q = []
-        for x in frontier_q:
-            for y in _one_step_moves(x, generators):
-                if y not in seen_q:
-                    seen_q.add(y)
-                    new_q.append(y)
-        frontier_p, frontier_q = new_p, new_q
-        exhausted_p = exhausted_p or not new_p
-        exhausted_q = exhausted_q or not new_q
-        if exhausted_p and exhausted_q:
+        if seen[0] & seen[1] or not any(frontiers):
             break
-    if seen_p & seen_q:
+        for side in (0, 1):
+            new = []
+            for x in frontiers[side]:
+                for y in _one_step_moves(x, generators):
+                    if y not in seen[side]:
+                        seen[side].add(y)
+                        new.append(y)
+            frontiers[side] = new
+    if seen[0] & seen[1]:
         return True
-    if exhausted_p and exhausted_q:
-        return False
-    return None
+    return None if any(frontiers) else False

@@ -13,8 +13,12 @@ set S of hidden indices the matrix is C_S/m^|S|, where C_S contracts the
 pairs in S.  A hidden ordering therefore solves iff C_S/m^(|S|+1) lies in
 the ring for every proper prefix set S of the ordering, and every solvable
 ordering yields C_all/m^k.  The free mixed trace searches these prefix
-sets depth first instead of running one staircase per ordering: O(2^k)
-pair contractions on one pairing form rather than k! staircases.
+sets depth first instead of running one staircase per ordering.  Hidden
+objects of rank <= 1 carry no data, so the search takes those of equal
+rank in their given order: contracting any of them gives the same matrix,
+and any other order sorts later.  With n0, n1 and n2 hidden objects of rank
+0, 1 and >= 2 it visits at most 2^n2*(n0+1)*(n1+1) prefix sets, where 2^n2
+is at most the product of those n2 ranks.
 
 The induced trace instead contracts everything first and divides once by
 m^k over the rationals, so it is defined at least as often as the free
@@ -26,6 +30,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import partial
 from math import prod
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -33,10 +38,10 @@ from .category import (Mor, Model, Obj, _canon, canonical_map, compose,
                        contract_hidden, dual_mor, identity, mor_scale,
                        obj_tensor, random_mor, regroup, tensor_mor, uncurry,
                        zero_mor)
-from .errors import InputError, ModelNotCompactifiableError, ResourceLimitError
-from .loops import (Loop, Permutation, hidden_symmetry, loop_dual,
-                    morphism_loop, morphism_tensor_loop, post_compose,
-                    pre_compose, yanking_loop)
+from .errors import InputError, ModelNotCompactifiableError
+from .loops import (Loop, Permutation, _distinct_choices, hidden_symmetry,
+                    loop_dual, morphism_loop, morphism_tensor_loop,
+                    post_compose, pre_compose, yanking_loop)
 from .rings import Number, ring_contains
 
 DEFINED = "defined"
@@ -195,58 +200,53 @@ def _first_solvable_order(pf_rows: Sequence[Sequence[Number]],
     """Depth-first search over prefix sets of hidden indices for the
     lexicographically first solvable ordering (m nonzero).
 
-    A node is a set S, given as a bitmask with its ordering so far, and
-    carries C_S/m^|S| over the remaining pairs in index order.  It divides
-    by m once and contracts each remaining index in ascending order; sets
-    with no solvable completion are remembered and never expanded again.
-    Returns the ordering and the final one-column matrix C_all/m^k.
+    A node is a set S, given as a bitmask, and carries C_S/m^|S| over the
+    remaining pairs in index order.  It divides by m once and contracts the
+    remaining indices in ascending order, of rank 0 and of rank 1 only the
+    first (see the module docstring).  Nodes wait on an explicit stack with
+    the contraction that builds their matrix; a set popped a second time
+    had no solvable completion and is skipped.  Returns the ordering and
+    the final one-column matrix C_all/m^k.
     """
     k = len(dims)
-    dead = set()
-
-    def visit(mask, order, rows):
+    seen = set()
+    stack = [(0, (), lambda: pf_rows)]
+    while stack:
+        mask, order, contract = stack.pop()
+        if mask in seen:
+            continue
+        seen.add(mask)
+        rows = contract()
         if len(order) == k:
             return order, rows
         divided = _divide_by_mix(rows, m, ring)
-        if divided is not None:
-            rest = [i for i in range(k) if not mask >> i & 1]
-            sizes = [dims[i] * dims[i] for i in rest]
-            for pos, i in enumerate(rest):
-                child = mask | 1 << i
-                if child in dead:
-                    continue
-                found = visit(child, order + (i,),
-                              _contract_pair(divided, dims[i],
-                                             prod(sizes[:pos]),
-                                             prod(sizes[pos + 1:])))
-                if found is not None:
-                    return found
-        dead.add(mask)
-        return None
-
-    return visit(0, (), pf_rows)
+        if divided is None:
+            continue
+        rest = [i for i in range(k) if not mask >> i & 1]
+        sizes = [dims[i] * dims[i] for i in rest]
+        for pos in reversed(_distinct_choices(dims, rest)):
+            i = rest[pos]
+            stack.append((mask | 1 << i, order + (i,),
+                          partial(_contract_pair, divided, dims[i],
+                                  prod(sizes[:pos]), prod(sizes[pos + 1:]))))
+    return None
 
 
-def free_mixed_trace(p: Loop, perm_bound: int = 6,
-                     want_witness: bool = False) -> TraceResult:
+def free_mixed_trace(p: Loop, want_witness: bool = False) -> TraceResult:
     """The staircase trace in the lexicographically first solvable hidden
     ordering, reported with that ordering as ``alpha``.
 
     An ordering solves iff C_S/m^(|S|+1) lies in the ring for each of its
     proper prefix sets S (see the module docstring), so the search walks
-    subsets of the hidden indices rather than orderings: O(2^k) pair
-    contractions of a single pairing form.  Every solvable ordering gives
-    the same value C_all/m^k.  With m = 0 the outcome is read off directly:
-    a nonzero pairing form is undefined; a zero one is defined (and zero)
-    in the identity ordering when an endpoint has rank 0, else in the first
-    ordering that ends in a rank-0 hidden object, else ambiguous.  With
-    ``want_witness`` the staircase of the found ordering is run once more
-    to build its fillers.
+    subsets of the hidden indices rather than orderings, and takes hidden
+    objects of equal rank <= 1 in their given order; no bound on k is
+    needed.  Every solvable ordering gives the same value C_all/m^k.  With
+    m = 0 the outcome is read off directly: a nonzero pairing form is
+    undefined; a zero one is defined (and zero) in the identity ordering
+    when an endpoint has rank 0, else in the first ordering that ends in a
+    rank-0 hidden object, else ambiguous.  With ``want_witness`` the
+    staircase of the found ordering is run once more to build its fillers.
     """
-    if p.k > perm_bound:
-        raise ResourceLimitError(
-            f"hidden part of length {p.k} exceeds the permutation bound "
-            f"{perm_bound}")
     m = p.model.mix
     dims = [u.rank for u in p.hidden]
     pf = pairing_form(p)

@@ -18,9 +18,8 @@ from mixtrace.category import (Model, Obj, canonical_map, compose,
                                random_mor, tensor_mor, validate_coherence)
 from mixtrace.compactify import loop_value, verify_compactness
 from mixtrace.errors import ModelNotCompactifiableError
-from mixtrace.loops import (Loop, Permutation, all_permutations,
-                            hidden_symmetry, loop_compose, loop_dual,
-                            loop_par, loop_tensor,
+from mixtrace.loops import (Loop, Permutation, hidden_symmetry,
+                            loop_compose, loop_dual, loop_par, loop_tensor,
                             morphism_tensor_loop, one_step_congruent,
                             post_compose, pre_compose, yanking_loop)
 from mixtrace.rings import INTEGERS, RATIONALS
@@ -31,7 +30,8 @@ from mixtrace.traces import (free_mixed_trace, hidden_trace,
 from mixtrace.zigzag import check_zigzag_instance, search_counterexample
 from mixtrace import serialize
 
-from trace_reference import assert_solvable_orderings_agree
+from trace_reference import (all_permutations,
+                             assert_solvable_orderings_agree)
 
 Q1 = Model(RATIONALS, 1)
 

@@ -45,6 +45,13 @@ FILES = {
         "right_fillers": [[["0"] * 4], [["1", "-1", "2", "-1"]], [["1"]]]},
     "matrix.json": {"model": {"ring": {"Zloc": 6}, "mix": "6"},
                     "dom": 2, "cod": 1, "entries": [["5/36", "-1/2"]]},
+    "m128.json": {"model": {"ring": {"Zloc": 2}, "mix": "2"},
+                  "dom": 1, "cod": 1, "entries": [["1/128"]]},
+    # what `realize --matrix m128.json` prints
+    "realized.json": _loop(Z2, 1, 1, [1] * 7, [[1]]),
+    # one hidden symmetry apart: the rank-2 object first or last
+    "first7.json": _loop(Z2, 1, 1, [2] + [1] * 6, [[1, 2], [3, 4]]),
+    "last7.json": _loop(Z2, 1, 1, [1] * 6 + [2], [[1, 2], [3, 4]]),
 }
 
 CASES = [
@@ -97,6 +104,15 @@ CASES = [
     ("realize", 0,
      "realize --matrix matrix.json",
      "e997a27ec3085d18b47ee03f873f9f0c922c69c6cad436f4f67f0655c0fe5be2"),
+    ("realize-128", 0,
+     "realize --matrix m128.json",
+     "afd6afe9161e68be09af832e1f9c00442168e33545f71872150ad39bd480e545"),
+    ("trace-free-realized-128", 0,
+     "trace --mode free --loop realized.json",
+     "da06eecf5cfab8a5a01a75eae204afc00412ccec3b982ed0e0949ca4eb39daed"),
+    ("congruent-bounded-k7", 0,
+     "congruent --mode bounded:1 --left first7.json --right last7.json",
+     "73c6c9eb5ac9ad46c87f4542aa2a0f97508be607d8e1ad17146e9b2942ca9395"),
 ]
 
 

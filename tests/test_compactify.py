@@ -10,10 +10,11 @@ from mixtrace.compactify import (c_tr, comix, localized_model, loop_value,
                                  realize, verify_compactness)
 from mixtrace.errors import InputError, ModelNotCompactifiableError
 from mixtrace.loops import (Loop, hidden_symmetry, loop_compose, loop_dual,
-                            loop_par, loop_tensor, morphism_loop,
-                            all_permutations)
+                            loop_par, loop_tensor, morphism_loop)
 from mixtrace.rings import INTEGERS, RATIONALS, localized_integers
 from mixtrace.traces import free_mixed_trace, hidden_trace, random_loop
+
+from trace_reference import all_permutations
 
 Z0 = Model(INTEGERS, 0)
 Z1 = Model(INTEGERS, 1)

@@ -1,5 +1,7 @@
 """Differential test: the free mixed trace against the k! ordering
-enumerator in ``trace_reference``, on a seeded corpus of loops."""
+enumerator in ``trace_reference``, on seeded corpora of loops: a general
+one, and one of hidden parts that are mostly rank 1, where the search takes
+equal objects of rank <= 1 in their given order only."""
 
 import random
 from fractions import Fraction
@@ -34,20 +36,30 @@ def _coefficient(rng, model):
     return c
 
 
-def random_corpus_loop(rng):
+def random_corpus_loop(rng, mostly_rank_one=False):
     """A loop whose carrier entries carry powers of m: either a random
     power per entry, or m^(k-1) or m^(k-2) throughout, so the partial
     contractions fail at varying stages and some loops solve only in a
-    non-identity ordering."""
+    non-identity ordering.  With ``mostly_rank_one`` the hidden part has
+    2 to 6 objects, nearly all of rank 1 and at most two of rank 2."""
     shortfall = rng.choice((None, 1, 2))
     model = rng.choice(MODELS if shortfall is None else STAIRCASE_MODELS)
-    k = rng.randint(0, 5)
-    ranks = [0 if rng.random() < 0.05 else rng.choice((1, 2))
-             for _ in range(k)]
-    if k >= 4:  # keep the k! reference cheap: at most one rank-2 factor
-        twos = [i for i, r in enumerate(ranks) if r == 2]
-        for i in twos[1:]:
-            ranks[i] = 1
+    if mostly_rank_one:
+        k = rng.randint(2, 6)
+        ranks = rng.choices((0, 1, 2), weights=(1, 8, 4), k=k)
+        keep_twos = 1 if k == 6 else 2
+    else:
+        k = rng.randint(0, 5)
+        ranks = [0 if rng.random() < 0.05 else rng.choice((1, 2))
+                 for _ in range(k)]
+        keep_twos = 1 if k >= 4 else k
+    # keep the k! reference cheap: few rank-2 factors at large k
+    for i in [i for i, r in enumerate(ranks) if r == 2][keep_twos:]:
+        ranks[i] = 1
+    if mostly_rank_one and 2 in ranks:
+        # a rank-2 object last: at a shortfall of m, the identity ordering
+        # then fails and a later one may solve
+        ranks.append(ranks.pop(ranks.index(2)))
     hidden = tuple(Obj(r) for r in ranks)
     a, b = (Obj(0 if rng.random() < 0.05 else rng.choice((1, 1, 2)))
             for _ in range(2))
@@ -97,6 +109,20 @@ def test_free_trace_matches_ordering_enumerator():
     reordered = 0
     for case in range(1200):
         p = random_corpus_loop(rng)
+        got = _same(p, want_witness=case % 3 == 0)
+        statuses.add(got.status)
+        if got.alpha is not None and not got.alpha.is_identity:
+            reordered += 1
+    assert statuses == {"defined", "undefined", "ambiguous"}, statuses
+    assert reordered >= 15, reordered
+
+
+def test_free_trace_matches_ordering_enumerator_on_rank_one_parts():
+    rng = random.Random(1987)
+    statuses = set()
+    reordered = 0
+    for case in range(300):
+        p = random_corpus_loop(rng, mostly_rank_one=True)
         got = _same(p, want_witness=case % 3 == 0)
         statuses.add(got.status)
         if got.alpha is not None and not got.alpha.is_identity:

@@ -1,17 +1,22 @@
 import random
+from math import factorial, prod
 
 import pytest
 
 from mixtrace.category import (Model, Obj, canonical_map, compose, identity,
                                mor, obj_tensor, random_mor, tensor_mor)
-from mixtrace.errors import InputError, ModelNotCompactifiableError
-from mixtrace.loops import (Loop, Permutation, all_permutations,
-                            compose_permutations, congruent, hidden_symmetry,
-                            hide, identity_permutation, loop_compose,
-                            loop_dual, loop_par, loop_tensor,
-                            morphism_loop, morphism_tensor_loop,
-                            one_step_congruent, yanking_loop)
+from mixtrace.errors import (InputError, ModelNotCompactifiableError,
+                             ResourceLimitError)
+from mixtrace.loops import (Loop, Permutation, compose_permutations,
+                            congruent, hidden_symmetry, hide,
+                            identity_permutation, loop_compose, loop_dual,
+                            loop_par, loop_tensor, morphism_loop,
+                            morphism_tensor_loop, one_step_congruent,
+                            yanking_loop, _relabellings)
 from mixtrace.rings import INTEGERS, RATIONALS
+from mixtrace.traces import hidden_trace
+
+from trace_reference import all_permutations
 
 Z2 = Model(INTEGERS, 2)
 Z3 = Model(INTEGERS, 3)
@@ -205,6 +210,27 @@ def test_hidden_symmetry_composition():
             hidden_symmetry(p, compose_permutations(a, b))
 
 
+def test_relabellings_match_all_of_s_k():
+    # the distinct relabellings reach the same loops as all of S_k, each
+    # once, in lexicographic order, and there are k!/(n0!*n1!) of them
+    rng = random.Random(11)
+    for _ in range(150):
+        ranks = [rng.randint(0, 3) for _ in range(rng.randint(0, 5))]
+        while prod(ranks) > 24:
+            ranks[ranks.index(max(ranks))] = 1
+        hidden = tuple(Obj(r) for r in ranks)
+        h = prod(ranks)
+        p = Loop(Z2, r1, r2, hidden,
+                 random_mor(Z2, rng, Obj(h), Obj(2 * h), 3))
+        k = p.k
+        images = [a.images for a in _relabellings(p)]
+        assert images == sorted(set(images))
+        assert len(images) == factorial(k) // (
+            factorial(ranks.count(0)) * factorial(ranks.count(1)))
+        assert {hidden_symmetry(p, a) for a in _relabellings(p)} == \
+            {hidden_symmetry(p, a) for a in all_permutations(k)}
+
+
 def test_one_step_congruent():
     six = Loop(Z2, r1, r1, (r1,), mor(Z2, r1, r1, [[6]]))
     three = morphism_loop(mor(Z2, r1, r1, [[3]]))
@@ -218,6 +244,39 @@ def test_one_step_congruent():
     odd = Loop(Z2, r1, r1, (r2,), identity(Z2, r2))
     one = morphism_loop(mor(Z2, r1, r1, [[1]]))
     assert not one_step_congruent(odd, one)
+
+
+def rank_two_among_rank_ones(k):
+    """One rank-2 and k-1 rank-1 hidden objects over a 2x2 carrier, and
+    the same loop with the rank-2 object moved last."""
+    p = Loop(Z2, r1, r1, (r2,) + (r1,) * (k - 1),
+             mor(Z2, r2, r2, [[1, 2], [3, 4]]))
+    return p, hidden_symmetry(p, Permutation(tuple(range(1, k)) + (0,)))
+
+
+@pytest.mark.parametrize("k", [6, 7, 9])
+def test_one_hidden_symmetry_apart_past_six(k):
+    p, q = rank_two_among_rank_ones(k)
+    assert p != q and q.hidden[-1] == r2
+    assert one_step_congruent(p, q) and one_step_congruent(q, p)
+    assert congruent(p, q, mode="bounded", depth=1) is True
+    # only the position of the rank-2 object is free
+    assert len(list(_relabellings(p))) == k
+
+
+def test_relabelling_bound():
+    # 7!/(2!*1!) = 2520 distinct relabellings; the carrier is empty
+    ranks = (2, 2, 2, 2, 0, 0, 1)
+    z = Obj(0)
+    p = Loop(Z2, r1, r1, tuple(Obj(r) for r in ranks), mor(Z2, z, z, []))
+    q = hidden_symmetry(p, Permutation((4, 0, 1, 2, 3, 5, 6)))
+    assert p != q
+    with pytest.raises(ResourceLimitError, match="2520 .* 720"):
+        one_step_congruent(p, q)
+    with pytest.raises(ResourceLimitError, match="2520 .* 720"):
+        congruent(p, q, mode="bounded", depth=1)
+    # a hidden trace that matches is found before the relabellings
+    assert one_step_congruent(p, hidden_trace(p, 1))
 
 
 def test_congruent_semantic_and_bounded():

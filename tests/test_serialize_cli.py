@@ -187,6 +187,69 @@ def test_cli_congruent_depth(tmp_path, mode, code):
         assert json.loads(out)["congruent"] is True
 
 
+def test_cli_realize_output_has_a_free_trace(tmp_path):
+    # 1/128 over Z[1/2] realizes with seven rank-1 hidden objects
+    matrix = write(tmp_path, "m.json", {
+        "model": {"ring": {"Zloc": 2}, "mix": "2"}, "dom": 1, "cod": 1,
+        "entries": [["1/128"]]})
+    code, out, _ = run_cli("realize", "--matrix", matrix)
+    assert code == 0 and json.loads(out)["hidden"] == [1] * 7
+    loop = write(tmp_path, "loop.json", json.loads(out))
+    code, out, err = run_cli("trace", "--mode", "free", "--loop", loop)
+    assert code == 0, err
+    assert json.loads(out) == {"status": "undefined"}
+
+
+def test_cli_free_trace_of_a_long_rank_one_part(tmp_path):
+    k = 2000
+    model = {"ring": "Z", "mix": "2"}
+    loop = write(tmp_path, "long.json", {
+        "model": model, "A": 1, "B": 1, "hidden": [1] * k,
+        "carrier": {"model": model, "dom": 1, "cod": 1,
+                    "entries": [[str(3 * 2 ** k)]]}})
+    proc = subprocess.run([sys.executable, "-m", "mixtrace.cli", "trace",
+                           "--mode", "free", "--loop", loop],
+                          capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["status"] == "defined"
+    assert payload["alpha"] == list(range(k))
+
+
+def test_cli_congruent_past_six_hidden_objects(tmp_path):
+    # one rank-2 and six rank-1 hidden objects, one hidden symmetry apart
+    model = {"ring": "Z", "mix": "2"}
+    carrier = {"model": model, "dom": 2, "cod": 2,
+               "entries": [["1", "2"], ["3", "4"]]}
+    left = write(tmp_path, "left.json", {
+        "model": model, "A": 1, "B": 1, "hidden": [2] + [1] * 6,
+        "carrier": carrier})
+    right = write(tmp_path, "right.json", {
+        "model": model, "A": 1, "B": 1, "hidden": [1] * 6 + [2],
+        "carrier": carrier})
+    code, out, err = run_cli("congruent", "--mode", "bounded:1",
+                             "--left", left, "--right", right)
+    assert code == 0, err
+    assert json.loads(out)["congruent"] is True
+
+
+def test_cli_congruent_relabelling_bound(tmp_path):
+    # 7!/(2!*1!) = 2520 distinct relabellings, past the bound 720
+    model = {"ring": "Z", "mix": "2"}
+    carrier = {"model": model, "dom": 0, "cod": 0, "entries": []}
+    left = write(tmp_path, "left.json", {
+        "model": model, "A": 1, "B": 1, "hidden": [2, 2, 2, 2, 0, 0, 1],
+        "carrier": carrier})
+    right = write(tmp_path, "right.json", {
+        "model": model, "A": 1, "B": 1, "hidden": [0, 2, 2, 2, 2, 0, 1],
+        "carrier": carrier})
+    code, out, err = run_cli("congruent", "--mode", "bounded:1",
+                             "--left", left, "--right", right)
+    assert code == 1 and out == ""
+    assert err.startswith("resource limit:") and "Traceback" not in err
+    assert "2520" in err and "720" in err, err
+
+
 @pytest.mark.parametrize("flag,value", [("--samples", "-5"),
                                         ("--max-rank", "-1")])
 def test_cli_counts_are_checked_before_the_model(flag, value):
@@ -316,9 +379,14 @@ def changed(base, path, value):
     ("axioms", None, ("--cases",), "-1"),
     ("zigzag-search", None, ("--budget",), "-3"),
     ("compactify-verify", None, ("--samples",), "-5"),
+    # nothing may follow "semantic"
+    ("congruent", LOOP, ("--mode",), "semantic:junk"),
 ])
 def test_cli_rejects_bad_input(tmp_path, verb, base, path, value):
-    if base is None:
+    if verb == "congruent":
+        target = write(tmp_path, "in.json", base)
+        argv = [verb, "--left", target, "--right", target, path[0], value]
+    elif base is None:
         argv = [verb, "--model", "zmod:2", path[0], value]
     else:
         target = write(tmp_path, "in.json", changed(base, path, value))

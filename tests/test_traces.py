@@ -6,8 +6,8 @@ import pytest
 from mixtrace.category import (Model, Obj, canonical_map, compose, curry,
                                dual_mor, identity, mor, mor_scale, obj_tensor,
                                random_mor, tensor_mor, uncurry)
-from mixtrace.errors import (InputError, ModelNotCompactifiableError,
-                             ResourceLimitError)
+from mixtrace.compactify import loop_value
+from mixtrace.errors import InputError, ModelNotCompactifiableError
 from mixtrace.loops import (Loop, Permutation, hidden_symmetry,
                             morphism_loop, yanking_loop)
 from mixtrace.traces import (AMBIGUOUS, DEFINED, UNDEFINED, free_mixed_trace,
@@ -15,7 +15,7 @@ from mixtrace.traces import (AMBIGUOUS, DEFINED, UNDEFINED, free_mixed_trace,
                              provisional_trace, random_loop, run_axiom_suite,
                              total_trace)
 from mixtrace.zigzag import diagram_commutes, staircase_diagram
-from mixtrace.rings import INTEGERS, RATIONALS
+from mixtrace.rings import INTEGERS, RATIONALS, localized_integers
 
 from trace_reference import (assert_solvable_orderings_agree,
                              pairing_form_by_currying, provisional_trace_dual)
@@ -155,11 +155,42 @@ def test_free_trace_permutation_agreement():
         assert_solvable_orderings_agree(p, free_mixed_trace(p))
 
 
-def test_free_trace_perm_bound():
-    big = Loop(Z2, r1, r1, (r1,) * 7, mor(Z2, r1, r1, [[128]]))
-    with pytest.raises(ResourceLimitError):
-        free_mixed_trace(big)
-    assert free_mixed_trace(big, perm_bound=7).status == DEFINED
+def test_free_trace_has_no_bound_on_k():
+    # hidden objects of rank 1 carry no data: the search takes them in
+    # order, so a long hidden part costs one path, not 2^k sets
+    for k in (7, 300):
+        ones = (r1,) * k
+        exact = free_mixed_trace(Loop(Z2, r1, r1, ones,
+                                      mor(Z2, r1, r1, [[5 * 2 ** k]])))
+        assert exact.status == DEFINED and exact.value.entries == ((5,),)
+        assert exact.alpha.is_identity
+        short = Loop(Z2, r1, r1, ones, mor(Z2, r1, r1, [[2 ** (k - 1)]]))
+        assert free_mixed_trace(short).status == UNDEFINED
+    # the rank-2 object must come first; the rank-1 ones follow in order
+    p = Loop(Z2, r1, r1, (r1,) * 6 + (r2,),
+             mor(Z2, r2, r2, [[2, 0], [0, 2 ** 7 - 2]]))
+    res = free_mixed_trace(p, want_witness=True)
+    assert res.alpha.images == (6, 0, 1, 2, 3, 4, 5)
+    assert res.value.entries == ((1,),) and len(res.witness.fillers) == 7
+
+
+@pytest.mark.parametrize("model", [
+    Model(INTEGERS, m) for m in (1, 2, 3, -2, 6)] + [
+    Model(localized_integers(2), m) for m in (2, 3, 6)] + [
+    Model(localized_integers(3), m) for m in (2, 3)] + [
+    Model(RATIONALS, m) for m in (1, 2, Fraction(3, 2))])
+def test_free_trace_value_is_induced_and_loop_value(model):
+    rng = random.Random(f"value:{model}")
+    defined_count = 0
+    for _ in range(60):
+        p = random_loop(rng, model, 2, 3)
+        free = free_mixed_trace(p)
+        if not free.is_defined:
+            continue
+        defined_count += 1
+        assert induced_mixed_trace(p).value == free.value
+        assert loop_value(p).entries == free.value.entries
+    assert defined_count >= 20, defined_count
 
 
 def test_induced_examples():

@@ -1,8 +1,9 @@
 """Reference implementations the library is cross-checked against.
 
-``free_trace_by_orderings`` is the k! ordering enumerator: it runs one full
-staircase per hidden ordering, in lexicographic order, and keeps the first
-solvable one.  The library's prefix-set search must agree with it on
+``all_permutations`` enumerates all of S_k, the relabellings the library's
+congruence search narrows to the distinct ones.  ``free_trace_by_orderings``
+is the k! ordering enumerator: it runs one full staircase per hidden
+ordering, in lexicographic order, and keeps the first solvable one.  The library's prefix-set search must agree with it on
 status, ordering, value and witness.  ``pairing_form_by_currying`` and
 ``provisional_trace_dual`` compute the pairing form and the staircase along
 other routes than the library does.
@@ -29,10 +30,16 @@ from mixtrace.category import (Mor, Obj, canonical_map, compose, curry,
                                dual_mor, factor_permutation, identity,
                                obj_tensor, tensor_mor, uncurry, zero_mor)
 from mixtrace.errors import InputError, ResourceLimitError
-from mixtrace.loops import Loop, all_permutations, hidden_symmetry
+from mixtrace.loops import Loop, Permutation, hidden_symmetry
 from mixtrace.traces import (AMBIGUOUS, _exact_div, ambiguous, defined,
                              pairing_form, provisional_trace, undefined)
 from mixtrace.zigzag import CounterPath, Diagram, Edge
+
+
+def all_permutations(k):
+    """All of S_k in lexicographic order of image tuples."""
+    for images in itertools.permutations(range(k)):
+        yield Permutation(images)
 
 
 def free_trace_by_orderings(p, want_witness=False):
