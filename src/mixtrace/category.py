@@ -189,8 +189,9 @@ def _flat_offsets(dims: Sequence[int], slots: Sequence[int]) -> List[int]:
     ``dims`` (the other slots held at 0)."""
     offsets = [0]
     for s in slots:
-        stride = prod(dims[s + 1:])
-        offsets = [o + x * stride for o in offsets for x in range(dims[s])]
+        if dims[s] != 1:  # a rank-1 slot moves no offset
+            stride = prod(dims[s + 1:])
+            offsets = [o + x * stride for o in offsets for x in range(dims[s])]
     return offsets
 
 

@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 for a successful computation (including Holds, Undefined
-reported as data, or a finished search), 1 for a property violation or an
-unmet --expect-defined, 2 for malformed input.  All reports are canonical
+reported as data, or a finished search), 1 for a property violation, an
+unmet --expect-defined, or a hit resource limit (reported on stderr as
+``resource limit:``), 2 for malformed input.  All reports are canonical
 JSON with scalars as strings, so identical inputs and seeds produce
 byte-identical output.
 """
@@ -92,14 +93,13 @@ def cmd_congruent(args) -> int:
         generators = tuple(
             serialize.loop_from_json(item, f"{args.generators}.loops[{i}]")
             for i, item in enumerate(raw))
-    mode, _, depth_text = args.mode.partition(":")
+    mode, colon, depth_text = args.mode.partition(":")
     if args.mode == "semantic":
         verdict = congruent(left, right, mode="semantic")
     elif mode == "bounded":
-        try:
-            depth = int(depth_text) if depth_text else 4
-        except ValueError as exc:
-            raise InputError(f"bad bounded depth {depth_text!r}") from exc
+        if colon and not (depth_text.isascii() and depth_text.isdigit()):
+            raise InputError(f"bad bounded depth {depth_text!r}")
+        depth = int(depth_text) if colon else 4
         verdict = congruent(left, right, mode="bounded", depth=depth,
                             generators=generators)
     else:

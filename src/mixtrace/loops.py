@@ -9,7 +9,7 @@ the ordinary one in that case.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, perm, prod
+from math import factorial, prod
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .category import (Mor, Model, Obj, canonical_map, compose, dual_mor,
@@ -218,24 +218,30 @@ def hidden_symmetry(p: Loop, alpha: Permutation) -> Loop:
 _RELABELLING_BOUND = 720
 
 
-def _distinct_choices(dims: Sequence[int], rest: Sequence[int]) -> List[int]:
+def _distinct_choices(dims: Sequence[int], rest: Sequence[int],
+                      free_rank: int = 1) -> List[int]:
     """The positions in ``rest`` (remaining hidden slots, ascending) worth
-    taking next: every slot of rank >= 2, and the first of rank 0 and of
-    rank 1.  Hidden objects of rank <= 1 carry no data, so swapping two
-    slots of equal rank <= 1 changes nothing."""
+    taking next: every slot of rank > ``free_rank``, and the first of each
+    rank <= ``free_rank``.  Hidden objects of rank <= 1 carry no data, so
+    swapping two slots of equal rank <= 1 changes nothing."""
     first = {dims[i]: pos for pos, i in reversed(list(enumerate(rest)))}
     return [pos for pos, i in enumerate(rest)
-            if dims[i] > 1 or first[dims[i]] == pos]
+            if dims[i] > free_rank or first[dims[i]] == pos]
 
 
 def _relabellings(p: Loop) -> Iterator[Permutation]:
     """The distinct hidden relabellings of p, in lexicographic order: slots
-    of equal rank <= 1 keep their order.  There are k!/(n0!*n1!), n_r slots
-    having rank r; past ``_RELABELLING_BOUND`` ResourceLimitError is raised
-    before the first."""
+    of equal rank <= 1 keep their order, and so do slots of any equal rank
+    when the carrier has no entries (a hidden object or an endpoint of rank
+    0), since then no slot carries data.  There are k!/prod(n_r!) of them,
+    n_r slots having such a rank r; past ``_RELABELLING_BOUND``
+    ResourceLimitError is raised before the first."""
     dims = [u.rank for u in p.hidden]
-    low = dims.count(0) + dims.count(1)
-    count = perm(p.k, p.k - low) * comb(low, dims.count(0))
+    free_rank = 1
+    if p.carrier.dom.rank * p.carrier.cod.rank == 0:
+        free_rank = max(dims, default=0)
+    count = factorial(p.k) // prod(factorial(dims.count(r))
+                                   for r in set(dims) if r <= free_rank)
     if count > _RELABELLING_BOUND:
         raise ResourceLimitError(
             f"hidden part has {count} distinct relabellings, more than the "
@@ -245,7 +251,7 @@ def _relabellings(p: Loop) -> Iterator[Permutation]:
         images, rest = stack.pop()
         if not rest:
             yield Permutation(images)
-        for pos in reversed(_distinct_choices(dims, rest)):
+        for pos in reversed(_distinct_choices(dims, rest, free_rank)):
             stack.append((images + (rest[pos],), rest[:pos] + rest[pos + 1:]))
 
 

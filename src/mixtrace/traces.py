@@ -1,12 +1,11 @@
-"""Trace machinery: the total trace of compact models, the staircase
-("provisional") trace, the free and induced mixed traces, hidden traces,
-and the randomized axiom suite.
+"""Trace machinery: the total trace of compact models, the free and
+induced mixed traces, hidden traces, and the randomized axiom suite.
 
 The staircase works on the pairing form of a loop carrier: the same
 entries rearranged into a map out of the tensor of hidden evaluation pairs
 (U1(x)U1*)(x)...(x)(Uk(x)Uk*).  Each stage divides the whole matrix by the
-mix scalar and then contracts the leading pair; a stage whose division
-leaves the ring makes the trace undefined.
+mix scalar and then contracts the next pair of the hidden ordering; a stage
+whose division leaves the ring makes that ordering fail.
 
 Division is entrywise and contraction is linear, so after the stages for a
 set S of hidden indices the matrix is C_S/m^|S|, where C_S contracts the
@@ -18,7 +17,9 @@ objects of rank <= 1 carry no data, so the search takes those of equal
 rank in their given order: contracting any of them gives the same matrix,
 and any other order sorts later.  With n0, n1 and n2 hidden objects of rank
 0, 1 and >= 2 it visits at most 2^n2*(n0+1)*(n1+1) prefix sets, where 2^n2
-is at most the product of those n2 ranks.
+is at most the product of those n2 ranks.  This search is the only
+staircase here: the matrices it divides along the found ordering are the
+fillers of the trace's witness.
 
 The induced trace instead contracts everything first and divides once by
 m^k over the rationals, so it is defined at least as often as the free
@@ -28,7 +29,7 @@ one, and strictly more often in general.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from math import prod
@@ -40,8 +41,8 @@ from .category import (Mor, Model, Obj, _canon, canonical_map, compose,
                        zero_mor)
 from .errors import InputError, ModelNotCompactifiableError
 from .loops import (Loop, Permutation, _distinct_choices, hidden_symmetry,
-                    loop_dual, morphism_loop, morphism_tensor_loop,
-                    post_compose, pre_compose, yanking_loop)
+                    loop_dual, morphism_tensor_loop, post_compose,
+                    pre_compose, yanking_loop)
 from .rings import Number, ring_contains
 
 DEFINED = "defined"
@@ -110,13 +111,6 @@ def _exact_div(v: Number, m: Number, ring) -> Optional[Number]:
     return None
 
 
-def _value_from_column(p: Loop, column: Sequence[Sequence[Number]]) -> Mor:
-    adim = p.dom.rank
-    rows = tuple(tuple(column[bi * adim + ai][0] for ai in range(adim))
-                 for bi in range(p.cod.rank))
-    return Mor(p.model, p.dom, p.cod, rows)
-
-
 def _divide_by_mix(rows: Sequence[Sequence[Number]], m: Number,
                    ring) -> Optional[List[List[Number]]]:
     """The first half of a staircase stage: every entry divided exactly by
@@ -145,58 +139,11 @@ def _contract_pair(rows: Sequence[Sequence[Number]], d: int, outer: int,
             for row in rows]
 
 
-def provisional_trace(p: Loop, want_witness: bool = False) -> TraceResult:
-    """Solve the staircase for the hidden part in its given order.
-
-    Stage i requires dividing the current matrix exactly by the mix scalar
-    (the unique solution against Mix (x) Id when m is nonzero) and then
-    contracts the leading evaluation pair.  With m = 0 a stage equation
-    becomes 0 = goal: solvable only for the zero matrix and then wildly
-    under-determined, which surfaces as Ambiguous.
-    """
-    model = p.model
-    m = model.mix
-    dims = [u.rank for u in p.hidden]
-    k = p.k
-    pf = pairing_form(p)
-    if k == 0:
-        res = defined(_value_from_column(p, pf.entries))
-        if want_witness:
-            res = replace(res, witness=StaircaseWitness(pf, ()))
-        return res
-
-    ba = p.cod.rank * p.dom.rank
-    if m == 0:
-        if any(v for row in pf.entries for v in row):
-            return undefined()
-        if ba == 0 or dims[-1] == 0:
-            return defined(zero_mor(p.model, p.dom, p.cod))
-        return ambiguous()
-
-    g_rows: Sequence[Sequence[Number]] = pf.entries
-    fillers: List[Mor] = []
-    for i, d in enumerate(dims):
-        divided = _divide_by_mix(g_rows, m, model.ring)
-        if divided is None:
-            return undefined()
-        tail = prod(x * x for x in dims[i + 1:])
-        if want_witness:
-            fillers.append(Mor(model, Obj(d * d * tail), Obj(ba),
-                               tuple(tuple(r) for r in divided)))
-        g_rows = _contract_pair(divided, d, 1, tail)
-    psi_rows = tuple(tuple(r) for r in g_rows)
-    value = _value_from_column(p, psi_rows)
-    witness = None
-    if want_witness:
-        witness = StaircaseWitness(Mor(model, Obj(1), Obj(ba), psi_rows),
-                                   tuple(fillers))
-    return defined(value, witness=witness)
-
-
 def _first_solvable_order(pf_rows: Sequence[Sequence[Number]],
                           dims: Sequence[int], m: Number, ring
                           ) -> Optional[Tuple[Tuple[int, ...],
-                                              List[List[Number]]]]:
+                                              List[List[Number]],
+                                              Tuple[List[List[Number]], ...]]]:
     """Depth-first search over prefix sets of hidden indices for the
     lexicographically first solvable ordering (m nonzero).
 
@@ -204,21 +151,23 @@ def _first_solvable_order(pf_rows: Sequence[Sequence[Number]],
     remaining pairs in index order.  It divides by m once and contracts the
     remaining indices in ascending order, of rank 0 and of rank 1 only the
     first (see the module docstring).  Nodes wait on an explicit stack with
-    the contraction that builds their matrix; a set popped a second time
-    had no solvable completion and is skipped.  Returns the ordering and
-    the final one-column matrix C_all/m^k.
+    the contraction that builds their matrix and the divided matrices of
+    their path; a set popped a second time had no solvable completion and
+    is skipped.  Returns the ordering, the final one-column matrix C_all/m^k
+    and the divided matrix of each stage, its columns the pairs not yet
+    contracted in ascending index order.
     """
     k = len(dims)
     seen = set()
-    stack = [(0, (), lambda: pf_rows)]
+    stack = [(0, (), lambda: pf_rows, ())]
     while stack:
-        mask, order, contract = stack.pop()
+        mask, order, contract, path = stack.pop()
         if mask in seen:
             continue
         seen.add(mask)
         rows = contract()
         if len(order) == k:
-            return order, rows
+            return order, rows, path
         divided = _divide_by_mix(rows, m, ring)
         if divided is None:
             continue
@@ -228,7 +177,8 @@ def _first_solvable_order(pf_rows: Sequence[Sequence[Number]],
             i = rest[pos]
             stack.append((mask | 1 << i, order + (i,),
                           partial(_contract_pair, divided, dims[i],
-                                  prod(sizes[:pos]), prod(sizes[pos + 1:]))))
+                                  prod(sizes[:pos]), prod(sizes[pos + 1:])),
+                          path + (divided,)))
     return None
 
 
@@ -244,10 +194,13 @@ def free_mixed_trace(p: Loop, want_witness: bool = False) -> TraceResult:
     m = 0 the outcome is read off directly: a nonzero pairing form is
     undefined; a zero one is defined (and zero) in the identity ordering
     when an endpoint has rank 0, else in the first ordering that ends in a
-    rank-0 hidden object, else ambiguous.  With ``want_witness`` the
-    staircase of the found ordering is run once more to build its fillers.
+    rank-0 hidden object, else ambiguous, and there is no witness.  With
+    ``want_witness`` the stage matrices the search divided become the
+    fillers of the staircase in the found ordering: filler i has its pairs
+    regrouped into the order alpha[i:], and psi is the final column.
     """
-    m = p.model.mix
+    model = p.model
+    m = model.mix
     dims = [u.rank for u in p.hidden]
     pf = pairing_form(p)
     if p.k and m == 0:
@@ -261,18 +214,28 @@ def free_mixed_trace(p: Loop, want_witness: bool = False) -> TraceResult:
                 return ambiguous()
             last = zero_rank[-1]
             order = tuple(i for i in range(p.k) if i != last) + (last,)
-        value = zero_mor(p.model, p.dom, p.cod)
-    else:
-        found = _first_solvable_order(pf.entries, dims, m, p.model.ring)
-        if found is None:
-            return undefined()
-        order, column = found
-        value = _value_from_column(p, column)
-    alpha = Permutation(order)
+        return defined(zero_mor(model, p.dom, p.cod), Permutation(order))
+    found = _first_solvable_order(pf.entries, dims, m, model.ring)
+    if found is None:
+        return undefined()
+    order, column, path = found
+    ba = p.cod.rank * p.dom.rank
+    psi = Mor(model, Obj(1), Obj(ba), tuple(map(tuple, column)))
+    value = regroup(psi, [p.cod.rank, p.dom.rank], [], [0], [1])
+    witness = None
     if want_witness:
-        return replace(provisional_trace(hidden_symmetry(p, alpha),
-                                         want_witness=True), alpha=alpha)
-    return defined(value, alpha)
+        fillers = []
+        rest = list(range(p.k))
+        for i, divided in enumerate(path):
+            sizes = [dims[j] * dims[j] for j in rest]
+            slot = {j: 1 + pos for pos, j in enumerate(rest)}
+            stage = Mor(model, Obj(prod(sizes)), Obj(ba),
+                        tuple(map(tuple, divided)))
+            fillers.append(regroup(stage, [ba], sizes, [0],
+                                   [slot[j] for j in order[i:]]))
+            rest.remove(order[i])
+        witness = StaircaseWitness(psi, tuple(fillers))
+    return defined(value, Permutation(order), witness)
 
 
 def _contract_over_mix_power(p: Loop) -> Tuple[Tuple[Number, ...], ...]:

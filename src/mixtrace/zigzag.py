@@ -197,7 +197,10 @@ class ZigZagOutcome:
     counter: Optional[CounterPath] = None
 
 
-def build_zigzag_diagram(inst: ZigZagInstance, with_bottom: bool) -> Diagram:
+def build_zigzag_diagram(inst: ZigZagInstance) -> Diagram:
+    """The conclusion diagram of a zig-zag instance: both filler columns,
+    the top symmetry and, as the last two edges, the bottom symmetry.
+    Without those two it is the premise diagram."""
     model = inst.model
     n = inst.n
     levels = level_ranks(inst.upper, inst.apex, inst.lower, inst.perm)
@@ -241,23 +244,24 @@ def build_zigzag_diagram(inst: ZigZagInstance, with_bottom: bool) -> Diagram:
     edges.append(Edge(x_idx("left", 0), x_idx("right", 0), top, "top-iso"))
     edges.append(Edge(x_idx("right", 0), x_idx("left", 0), dual_mor(top),
                       "top-iso-inv"))
-    if with_bottom:
-        bottom = factor_permutation(model, [x.rank for x in inst.lower],
-                                    inst.perm.images)
-        edges.append(Edge(x_idx("left", n), x_idx("right", n), bottom,
-                          "bottom-iso"))
-        edges.append(Edge(x_idx("right", n), x_idx("left", n),
-                          dual_mor(bottom), "bottom-iso-inv"))
+    bottom = factor_permutation(model, [x.rank for x in inst.lower],
+                                inst.perm.images)
+    edges.append(Edge(x_idx("left", n), x_idx("right", n), bottom,
+                      "bottom-iso"))
+    edges.append(Edge(x_idx("right", n), x_idx("left", n), dual_mor(bottom),
+                      "bottom-iso-inv"))
     return Diagram(model, tuple(objects), tuple(edges))
 
 
 def check_zigzag_instance(inst: ZigZagInstance) -> ZigZagOutcome:
-    """Check the premise diagram; if it commutes, fill in the bottom
-    symmetry and re-check."""
-    premise = diagram_commutes(build_zigzag_diagram(inst, with_bottom=False))
+    """Check the premise diagram, the instance's diagram without the bottom
+    symmetry; if it commutes, check the whole diagram."""
+    whole = build_zigzag_diagram(inst)
+    premise = diagram_commutes(Diagram(inst.model, whole.objects,
+                                       whole.edges[:-2]))
     if premise is not True:
         return ZigZagOutcome("premise_fails", premise)
-    conclusion = diagram_commutes(build_zigzag_diagram(inst, with_bottom=True))
+    conclusion = diagram_commutes(whole)
     if conclusion is True:
         return ZigZagOutcome("holds")
     return ZigZagOutcome("violated", conclusion)

@@ -4,17 +4,19 @@ one, and one of hidden parts that are mostly rank 1, where the search takes
 equal objects of rank <= 1 in their given order only."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from math import prod
 
 import pytest
 
-from mixtrace.category import Model, Obj, mor
-from mixtrace.loops import Loop
+from mixtrace.category import Model, Mor, Obj, mor
+from mixtrace.loops import Loop, hidden_symmetry
 from mixtrace.rings import (INTEGERS, RATIONALS, is_unit,
                             localized_integers, ring_contains)
 from mixtrace.serialize import dumps, trace_result_to_json
 from mixtrace.traces import free_mixed_trace
+from mixtrace.zigzag import diagram_commutes, staircase_diagram
 
 from trace_reference import free_trace_by_orderings
 
@@ -140,3 +142,40 @@ def test_free_trace_m0_closed_form(want_witness):
     assert outcomes == [
         ("undefined", None), ("ambiguous", None),
         ("defined", (0, 1, 2, 4, 3)), ("defined", (0, 1, 2, 3, 4))] * 2
+
+
+def _nudged(f, rng):
+    """f with one entry, chosen by rng, increased by 1."""
+    rows = [list(row) for row in f.entries]
+    r = rng.randrange(f.cod.rank)
+    c = rng.randrange(f.dom.rank)
+    rows[r][c] += 1
+    return Mor(f.model, f.dom, f.cod, tuple(map(tuple, rows)))
+
+
+def test_free_trace_witness_commutes():
+    # the staircase diagram of every witness the search returns commutes,
+    # and changing one entry of a non-empty filler breaks it
+    rng = random.Random(1996)
+    checked = nudged = 0
+    for case in range(600):
+        p = random_corpus_loop(rng, mostly_rank_one=case % 2 == 1)
+        got = free_mixed_trace(p, want_witness=True)
+        if not got.is_defined or p.model.mix == 0:
+            continue
+        w = got.witness
+        assert w is not None and len(w.fillers) == p.k
+        aligned = hidden_symmetry(p, got.alpha)
+        assert diagram_commutes(staircase_diagram(aligned, w)) is True
+        checked += 1
+        full = [i for i, f in enumerate(w.fillers)
+                if f.dom.rank and f.cod.rank]
+        if full:
+            i = rng.choice(full)
+            fillers = list(w.fillers)
+            fillers[i] = _nudged(fillers[i], rng)
+            broken = replace(w, fillers=tuple(fillers))
+            assert diagram_commutes(staircase_diagram(aligned, broken)) \
+                is not True
+            nudged += 1
+    assert checked >= 300 and nudged >= 250, (checked, nudged)

@@ -4,7 +4,8 @@ from math import factorial, prod
 import pytest
 
 from mixtrace.category import (Model, Obj, canonical_map, compose, identity,
-                               mor, obj_tensor, random_mor, tensor_mor)
+                               mor, mor_scale, obj_tensor, random_mor,
+                               tensor_mor)
 from mixtrace.errors import (InputError, ModelNotCompactifiableError,
                              ResourceLimitError)
 from mixtrace.loops import (Loop, Permutation, compose_permutations,
@@ -212,7 +213,9 @@ def test_hidden_symmetry_composition():
 
 def test_relabellings_match_all_of_s_k():
     # the distinct relabellings reach the same loops as all of S_k, each
-    # once, in lexicographic order, and there are k!/(n0!*n1!) of them
+    # once, in lexicographic order, and there are k!/(n0!*n1!) of them;
+    # k!/prod(n_r!) over every rank r when a rank-0 object empties the
+    # carrier
     rng = random.Random(11)
     for _ in range(150):
         ranks = [rng.randint(0, 3) for _ in range(rng.randint(0, 5))]
@@ -225,8 +228,9 @@ def test_relabellings_match_all_of_s_k():
         k = p.k
         images = [a.images for a in _relabellings(p)]
         assert images == sorted(set(images))
-        assert len(images) == factorial(k) // (
-            factorial(ranks.count(0)) * factorial(ranks.count(1)))
+        free = set(ranks) if h == 0 else {0, 1}
+        assert len(images) == factorial(k) // prod(
+            factorial(ranks.count(r)) for r in free)
         assert {hidden_symmetry(p, a) for a in _relabellings(p)} == \
             {hidden_symmetry(p, a) for a in all_permutations(k)}
 
@@ -265,18 +269,34 @@ def test_one_hidden_symmetry_apart_past_six(k):
 
 
 def test_relabelling_bound():
-    # 7!/(2!*1!) = 2520 distinct relabellings; the carrier is empty
+    # 7!/1! = 5040 distinct relabellings of a carrier with entries
+    rng = random.Random(720)
+    p = Loop(Z2, r1, r1, (r2,) * 6 + (r1,),
+             mor_scale(random_mor(Z2, rng, Obj(64), Obj(64), 3), 2))
+    q = hidden_symmetry(p, Permutation((6, 0, 1, 2, 3, 4, 5)))
+    assert p != q
+    with pytest.raises(ResourceLimitError, match="5040 .* 720"):
+        one_step_congruent(p, q)
+    with pytest.raises(ResourceLimitError, match="5040 .* 720"):
+        congruent(p, q, mode="bounded", depth=1)
+    # a hidden trace that matches is found before the relabellings
+    assert one_step_congruent(p, hidden_trace(p, 1))
+
+
+def test_entry_less_carrier_relabels_by_rank_sequence():
+    # a rank-0 hidden object empties the carrier, so only the sequence of
+    # hidden ranks tells relabellings apart: 7!/(4!*2!*1!) = 105 of them
     ranks = (2, 2, 2, 2, 0, 0, 1)
     z = Obj(0)
     p = Loop(Z2, r1, r1, tuple(Obj(r) for r in ranks), mor(Z2, z, z, []))
     q = hidden_symmetry(p, Permutation((4, 0, 1, 2, 3, 5, 6)))
     assert p != q
-    with pytest.raises(ResourceLimitError, match="2520 .* 720"):
-        one_step_congruent(p, q)
-    with pytest.raises(ResourceLimitError, match="2520 .* 720"):
-        congruent(p, q, mode="bounded", depth=1)
-    # a hidden trace that matches is found before the relabellings
-    assert one_step_congruent(p, hidden_trace(p, 1))
+    assert len(list(_relabellings(p))) == 105
+    assert one_step_congruent(p, q)
+    assert congruent(p, q, mode="bounded", depth=1) is True
+    # an endpoint of rank 0 empties it too: 3!/(2!*1!) = 3 relabellings
+    e = Loop(Z2, z, r1, (r2, r2, Obj(3)), mor(Z2, z, Obj(12), [[]] * 12))
+    assert len(list(_relabellings(e))) == 3
 
 
 def test_congruent_semantic_and_bounded():

@@ -1,12 +1,13 @@
 import json
+import random
 import subprocess
 import sys
 
 import pytest
 
-from mixtrace.category import Model, Obj, canonical_map, mor
+from mixtrace.category import Model, Obj, canonical_map, mor, random_mor
 from mixtrace.compactify import localized_model
-from mixtrace.loops import Loop, Permutation, yanking_loop
+from mixtrace.loops import Loop, Permutation, hidden_symmetry, yanking_loop
 from mixtrace.rings import INTEGERS, localized_integers
 from mixtrace.serialize import (FileFormatError, dumps, loop_from_json,
                                 loop_to_json, model_from_json, model_to_json,
@@ -16,6 +17,8 @@ from mixtrace.serialize import (FileFormatError, dumps, loop_from_json,
 from mixtrace.zigzag import ZigZagInstance, check_zigzag_instance, \
     staircase_diagram
 from mixtrace import cli
+
+from trace_reference import provisional_trace
 
 Z0 = Model(INTEGERS, 0)
 Z2 = Model(INTEGERS, 2)
@@ -78,8 +81,6 @@ def test_zigzag_roundtrip():
 
 
 def test_diagram_roundtrip():
-    from mixtrace.traces import provisional_trace
-
     p = Loop(Z2, r1, r1, (r2,), mor(Z2, r2, r2, [[2, 0], [0, 4]]))
     res = provisional_trace(p, want_witness=True)
     d = staircase_diagram(p, res.witness)
@@ -174,7 +175,9 @@ def test_cli_congruent(tmp_path):
 
 
 @pytest.mark.parametrize("mode,code", [
-    ("bounded:-1", 2), ("bounded:x", 2), ("bounded:0", 0)])
+    ("bounded:-1", 2), ("bounded:x", 2), ("bounded:0", 0), ("bounded", 0),
+    ("bounded:", 2), ("bounded: 3", 2), ("bounded:+2", 2),
+    ("bounded:1_0", 2), ("bounded:\u0663", 2)])
 def test_cli_congruent_depth(tmp_path, mode, code):
     six = write(tmp_path, "six.json", loop_to_json(
         Loop(Z2, r1, r1, (r1,), mor(Z2, r1, r1, [[6]]))))
@@ -234,7 +237,24 @@ def test_cli_congruent_past_six_hidden_objects(tmp_path):
 
 
 def test_cli_congruent_relabelling_bound(tmp_path):
-    # 7!/(2!*1!) = 2520 distinct relabellings, past the bound 720
+    # 7!/1! = 5040 distinct relabellings of a carrier with entries, past
+    # the bound 720
+    rng = random.Random(720)
+    p = Loop(Z2, r1, r1, (r2,) * 6 + (r1,),
+             random_mor(Z2, rng, Obj(64), Obj(64), 3))
+    left = write(tmp_path, "left.json", loop_to_json(p))
+    right = write(tmp_path, "right.json", loop_to_json(
+        hidden_symmetry(p, Permutation((6, 0, 1, 2, 3, 4, 5)))))
+    code, out, err = run_cli("congruent", "--mode", "bounded:1",
+                             "--left", left, "--right", right)
+    assert code == 1 and out == ""
+    assert err.startswith("resource limit:") and "Traceback" not in err
+    assert "5040" in err and "720" in err, err
+
+
+def test_cli_congruent_entry_less_carrier(tmp_path):
+    # a rank-0 hidden object empties the carrier, so the two loops differ
+    # only in the order of their hidden ranks: 105 relabellings, one step
     model = {"ring": "Z", "mix": "2"}
     carrier = {"model": model, "dom": 0, "cod": 0, "entries": []}
     left = write(tmp_path, "left.json", {
@@ -245,9 +265,8 @@ def test_cli_congruent_relabelling_bound(tmp_path):
         "carrier": carrier})
     code, out, err = run_cli("congruent", "--mode", "bounded:1",
                              "--left", left, "--right", right)
-    assert code == 1 and out == ""
-    assert err.startswith("resource limit:") and "Traceback" not in err
-    assert "2520" in err and "720" in err, err
+    assert code == 0, err
+    assert json.loads(out) == {"congruent": True, "mode": "bounded:1"}
 
 
 @pytest.mark.parametrize("flag,value", [("--samples", "-5"),

@@ -12,13 +12,13 @@ from mixtrace.loops import (Loop, Permutation, hidden_symmetry,
                             morphism_loop, yanking_loop)
 from mixtrace.traces import (AMBIGUOUS, DEFINED, UNDEFINED, free_mixed_trace,
                              hidden_trace, induced_mixed_trace, pairing_form,
-                             provisional_trace, random_loop, run_axiom_suite,
-                             total_trace)
+                             random_loop, run_axiom_suite, total_trace)
 from mixtrace.zigzag import diagram_commutes, staircase_diagram
 from mixtrace.rings import INTEGERS, RATIONALS, localized_integers
 
 from trace_reference import (assert_solvable_orderings_agree,
-                             pairing_form_by_currying, provisional_trace_dual)
+                             pairing_form_by_currying, provisional_trace,
+                             provisional_trace_dual)
 
 Z0 = Model(INTEGERS, 0)
 Z1 = Model(INTEGERS, 1)

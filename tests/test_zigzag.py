@@ -128,7 +128,7 @@ def test_witness_is_stable_under_rebuild():
     first = check_zigzag_instance(inst)
     second = check_zigzag_instance(inst)
     assert first == second
-    d = build_zigzag_diagram(inst, with_bottom=True)
+    d = build_zigzag_diagram(inst)
     counter = diagram_commutes(d)
     assert isinstance(counter, CounterPath)
 

@@ -1,12 +1,15 @@
 """Reference implementations the library is cross-checked against.
 
 ``all_permutations`` enumerates all of S_k, the relabellings the library's
-congruence search narrows to the distinct ones.  ``free_trace_by_orderings``
-is the k! ordering enumerator: it runs one full staircase per hidden
-ordering, in lexicographic order, and keeps the first solvable one.  The library's prefix-set search must agree with it on
-status, ordering, value and witness.  ``pairing_form_by_currying`` and
-``provisional_trace_dual`` compute the pairing form and the staircase along
-other routes than the library does.
+congruence search narrows to the distinct ones.  ``provisional_trace`` is
+the staircase oracle: it solves the staircase in the given hidden order,
+one stage at a time, and builds its witness on the way.
+``free_trace_by_orderings`` is the k! ordering enumerator: it runs
+``provisional_trace`` once per hidden ordering, in lexicographic order,
+and keeps the first solvable one.  The library's prefix-set search must
+agree with it on status, ordering, value and witness.
+``pairing_form_by_currying`` and ``provisional_trace_dual`` compute the
+pairing form and the staircase along other routes than the library does.
 
 ``diagram_commutes_by_paths`` is the simple-path enumerator: it lists every
 simple path out of every node and compares the parallel ones.  The
@@ -24,15 +27,17 @@ permutation matrices (``hidden_symmetry_by_conjugation``,
 import itertools
 from dataclasses import replace
 from math import prod
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from mixtrace.category import (Mor, Obj, canonical_map, compose, curry,
                                dual_mor, factor_permutation, identity,
                                obj_tensor, tensor_mor, uncurry, zero_mor)
 from mixtrace.errors import InputError, ResourceLimitError
 from mixtrace.loops import Loop, Permutation, hidden_symmetry
-from mixtrace.traces import (AMBIGUOUS, _exact_div, ambiguous, defined,
-                             pairing_form, provisional_trace, undefined)
+from mixtrace.rings import Number
+from mixtrace.traces import (AMBIGUOUS, StaircaseWitness, TraceResult,
+                             _contract_pair, _divide_by_mix, _exact_div,
+                             ambiguous, defined, pairing_form, undefined)
 from mixtrace.zigzag import CounterPath, Diagram, Edge
 
 
@@ -40,6 +45,61 @@ def all_permutations(k):
     """All of S_k in lexicographic order of image tuples."""
     for images in itertools.permutations(range(k)):
         yield Permutation(images)
+
+
+def _value_from_column(p: Loop, column: Sequence[Sequence[Number]]) -> Mor:
+    adim = p.dom.rank
+    rows = tuple(tuple(column[bi * adim + ai][0] for ai in range(adim))
+                 for bi in range(p.cod.rank))
+    return Mor(p.model, p.dom, p.cod, rows)
+
+
+def provisional_trace(p: Loop, want_witness: bool = False) -> TraceResult:
+    """Solve the staircase for the hidden part in its given order.
+
+    Stage i requires dividing the current matrix exactly by the mix scalar
+    (the unique solution against Mix (x) Id when m is nonzero) and then
+    contracts the leading evaluation pair.  With m = 0 a stage equation
+    becomes 0 = goal: solvable only for the zero matrix and then wildly
+    under-determined, which surfaces as Ambiguous.
+    """
+    model = p.model
+    m = model.mix
+    dims = [u.rank for u in p.hidden]
+    k = p.k
+    pf = pairing_form(p)
+    if k == 0:
+        res = defined(_value_from_column(p, pf.entries))
+        if want_witness:
+            res = replace(res, witness=StaircaseWitness(pf, ()))
+        return res
+
+    ba = p.cod.rank * p.dom.rank
+    if m == 0:
+        if any(v for row in pf.entries for v in row):
+            return undefined()
+        if ba == 0 or dims[-1] == 0:
+            return defined(zero_mor(p.model, p.dom, p.cod))
+        return ambiguous()
+
+    g_rows: Sequence[Sequence[Number]] = pf.entries
+    fillers: List[Mor] = []
+    for i, d in enumerate(dims):
+        divided = _divide_by_mix(g_rows, m, model.ring)
+        if divided is None:
+            return undefined()
+        tail = prod(x * x for x in dims[i + 1:])
+        if want_witness:
+            fillers.append(Mor(model, Obj(d * d * tail), Obj(ba),
+                               tuple(tuple(r) for r in divided)))
+        g_rows = _contract_pair(divided, d, 1, tail)
+    psi_rows = tuple(tuple(r) for r in g_rows)
+    value = _value_from_column(p, psi_rows)
+    witness = None
+    if want_witness:
+        witness = StaircaseWitness(Mor(model, Obj(1), Obj(ba), psi_rows),
+                                   tuple(fillers))
+    return defined(value, witness=witness)
 
 
 def free_trace_by_orderings(p, want_witness=False):
