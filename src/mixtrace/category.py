@@ -80,10 +80,6 @@ def obj_tensor(*objs: Obj) -> Obj:
     return Obj(prod(o.rank for o in objs))
 
 
-def dual_obj(a: Obj) -> Obj:
-    return a
-
-
 @dataclass(frozen=True)
 class Mor:
     """An exact matrix with declared endpoint ranks, cod.rank rows by

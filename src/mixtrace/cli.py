@@ -17,8 +17,8 @@ from typing import List, Optional
 
 from . import compactify, serialize, traces, zigzag
 from .category import Model, validate_coherence
+from .compactify import congruent
 from .errors import InputError, ModelNotCompactifiableError, ResourceLimitError
-from .loops import congruent
 from .rings import INTEGERS, RATIONALS, localized_integers, parse_value
 from .serialize import FileFormatError, dumps, load_json_file
 
@@ -35,9 +35,11 @@ def parse_model_arg(text: str) -> Model:
         if kind == "qmod":
             return Model(RATIONALS, parse_value(rest))
         if kind == "zloc":
-            m = int(rest)
-            return Model(localized_integers(m), m)
-    except (InputError, ValueError) as exc:
+            m = parse_value(rest)
+            if m.denominator != 1 or m < 1:
+                raise InputError("localization requires an integer m >= 1")
+            return Model(localized_integers(int(m)), m)
+    except InputError as exc:
         raise InputError(f"model {text!r}: {exc}") from exc
     raise InputError(f"model {text!r}: unknown kind {kind!r}")
 
@@ -254,9 +256,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileFormatError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 1

@@ -1,26 +1,32 @@
-"""The compact envelope of a matrix model with nonzero mix scalar.
+"""The compact envelope of a matrix model with nonzero mix scalar, and
+the loop congruence it is the quotient by.
 
 Quotienting loops by the congruence is represented by its normal form:
 matrices over the base ring localized at the mix scalar (denominators
 powers of m).  ``loop_value`` computes a loop's class, ``c_tr`` embeds
 ordinary morphisms, ``realize`` sections the quotient, and ``comix`` is
-the loop inverting the mix map in the quotient.
+the loop inverting the mix map in the quotient.  The congruence itself is
+generated by one-step moves, hidden traces and hidden symmetries:
+``one_step_congruent`` tests one step, and ``congruent`` either compares
+normal forms ("semantic") or closes the moves breadth first ("bounded").
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import prod
+from math import factorial, prod
+from typing import Iterator, Optional, Sequence
 
+from . import traces
 from .category import (Mor, Model, Obj, ValidationReport, canonical_map,
                        compose, dual_mor, identity, mor, mor_scale,
                        random_mor, tensor_mor)
-from .errors import InputError, ModelNotCompactifiableError
-from .loops import Loop, loop_compose, loop_dual, loop_tensor
+from .errors import InputError, ModelNotCompactifiableError, ResourceLimitError
+from .loops import (Loop, Permutation, _distinct_choices, hidden_symmetry,
+                    loop_compose, loop_dual, loop_tensor, morphism_loop)
 from .rings import (INTEGERS, RATIONALS, divides_power, format_value,
                     localized_integers)
-from . import traces
 from .traces import _contract_over_mix_power
 
 
@@ -58,15 +64,23 @@ def c_tr(f: Mor) -> Mor:
 def realize(m_mor: Mor) -> Loop:
     """A loop of the base model whose value is the given localized matrix:
     clear denominators with the least power m^k and hide k rank-1 objects.
+    Over Q every nonzero mix is a unit, so the model is its own
+    compactification and the matrix comes back as a loop with no hidden
+    objects.
 
     The base-ring free trace of the result is undefined as soon as k >= 1
     and the matrix is non-integral (free-trace values always lie in the
     base ring); the round trip goes through loop_value.
     """
     ring = m_mor.model.ring
+    m = m_mor.model.mix
+    if ring.kind == "Q":
+        if m == 0:
+            raise ModelNotCompactifiableError(
+                "a zero mix scalar admits no compactification")
+        return morphism_loop(m_mor)
     if ring.kind != "Zloc":
         raise InputError("realize expects a matrix over a localized ring")
-    m = m_mor.model.mix
     if not isinstance(m, int) or m < 1:
         raise ModelNotCompactifiableError(
             "realize needs an integer mix scalar >= 1")
@@ -103,9 +117,6 @@ def verify_compactness(model: Model, max_rank: int, seed: int = 0,
     bounded-denominator matrix is realized."""
     if max_rank < 0 or samples < 0:
         raise InputError("max_rank and samples must be >= 0")
-    if model.mix == 0:
-        raise ModelNotCompactifiableError(
-            "a zero mix scalar admits no compactification")
     rng = random.Random(f"compactness:{seed}")
     report = ValidationReport(
         f"compactness of the localization of {model} at ranks <= {max_rank}")
@@ -209,3 +220,110 @@ def verify_compactness(model: Model, max_rank: int, seed: int = 0,
     report.record("morphism-classes-trace-back", ok, detail)
 
     return report
+
+
+# ---------------------------------------------------------------------------
+# The congruence whose classes ``loop_value`` names.
+
+# The most distinct hidden relabellings a congruence step tries (6!).
+_RELABELLING_BOUND = 720
+
+
+def _relabellings(p: Loop) -> Iterator[Permutation]:
+    """The distinct hidden relabellings of p, in lexicographic order: slots
+    of equal rank <= 1 keep their order, and so do slots of any equal rank
+    when the carrier has no entries (a hidden object or an endpoint of rank
+    0), since then no slot carries data.  There are k!/prod(n_r!) of them,
+    n_r slots having such a rank r; past ``_RELABELLING_BOUND``
+    ResourceLimitError is raised before the first."""
+    dims = [u.rank for u in p.hidden]
+    free_rank = 1
+    if p.carrier.dom.rank * p.carrier.cod.rank == 0:
+        free_rank = max(dims, default=0)
+    count = factorial(p.k) // prod(factorial(dims.count(r))
+                                   for r in set(dims) if r <= free_rank)
+    if count > _RELABELLING_BOUND:
+        raise ResourceLimitError(
+            f"hidden part has {count} distinct relabellings, more than the "
+            f"bound {_RELABELLING_BOUND}")
+    stack = [((), list(range(p.k)))]
+    while stack:
+        images, rest = stack.pop()
+        if not rest:
+            yield Permutation(images)
+        for pos in reversed(_distinct_choices(dims, rest, free_rank)):
+            stack.append((images + (rest[pos],), rest[:pos] + rest[pos + 1:]))
+
+
+def _require_comparable(p: Loop, q: Loop) -> None:
+    if p.model != q.model:
+        raise InputError("loops belong to different models")
+    if p.dom != q.dom or p.cod != q.cod:
+        raise InputError("loops have different endpoints")
+
+
+def one_step_congruent(p: Loop, q: Loop) -> bool:
+    """True iff the loops are equal or one is a one-step move of the other:
+    a hidden trace or a hidden symmetry (see ``_relabellings``)."""
+    _require_comparable(p, q)
+    return (p == q or q in _one_step_moves(p, ())
+            or p in _one_step_moves(q, ()))
+
+
+def _one_step_moves(p: Loop, generators: Sequence[Loop]) -> Iterator[Loop]:
+    for tail in range(1, p.k + 1):
+        t = traces.hidden_trace(p, tail)
+        if t is not None:
+            yield t
+    for alpha in _relabellings(p):
+        if not alpha.is_identity:
+            yield hidden_symmetry(p, alpha)
+    for g in generators:
+        if g.model != p.model or g.dom != p.dom or g.cod != p.cod:
+            continue
+        for tail in range(1, g.k + 1):
+            if traces.hidden_trace(g, tail) == p:
+                yield g
+                break
+
+
+def congruent(p: Loop, q: Loop, mode: str = "semantic", depth: int = 4,
+              generators: Sequence[Loop] = ()) -> Optional[bool]:
+    """Loop congruence.
+
+    In "semantic" mode (mix scalar nonzero only) two loops are congruent
+    iff their localized normal forms agree.  In "bounded" mode the
+    one-step moves (hidden traces, hidden symmetries, and un-tracing drawn
+    from the supplied generator loops) are closed breadth-first to the
+    given depth from both sides; returns True when the closures meet,
+    False when both closures are exhausted and disjoint, and None when the
+    search was cut off undecided.  A loop with more distinct hidden
+    relabellings than ``_RELABELLING_BOUND`` raises ResourceLimitError.
+    """
+    _require_comparable(p, q)
+    if mode == "semantic":
+        if p.model.mix == 0:
+            raise ModelNotCompactifiableError(
+                "semantic congruence needs a nonzero mix scalar")
+        return loop_value(p) == loop_value(q)
+    if mode != "bounded":
+        raise InputError(f"unknown congruence mode {mode!r}")
+    if depth < 0:
+        raise InputError(f"bounded depth must be >= 0, got {depth}")
+
+    # an empty frontier stays empty: that side's closure is exhausted
+    seen, frontiers = ({p}, {q}), [[p], [q]]
+    for _ in range(depth):
+        if seen[0] & seen[1] or not any(frontiers):
+            break
+        for side in (0, 1):
+            new = []
+            for x in frontiers[side]:
+                for y in _one_step_moves(x, generators):
+                    if y not in seen[side]:
+                        seen[side].add(y)
+                        new.append(y)
+            frontiers[side] = new
+    if seen[0] & seen[1]:
+        return True
+    return None if any(frontiers) else False

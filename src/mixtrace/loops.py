@@ -1,20 +1,23 @@
-"""Loops (morphisms with a hidden part) and the congruence they generate.
+"""Loops (morphisms with a hidden part) and their operations.
 
 A loop A -|-> B is a carrier A(x)U1(x)...(x)Uk -> B par U1 par ... par Uk
 together with the ordered list of hidden objects.  Ordinary morphisms are
 the loops with empty hidden part, and every operation below restricts to
-the ordinary one in that case.
+the ordinary one in that case.  The congruence that hidden traces and
+hidden symmetries generate lives with the quotient it defines, in
+``compactify``; ``_distinct_choices`` stays here because both the
+relabellings of a congruence step and the free-trace search use it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial, prod
-from typing import Iterator, List, Optional, Sequence, Tuple
+from math import prod
+from typing import List, Sequence, Tuple
 
 from .category import (Mor, Model, Obj, canonical_map, compose, dual_mor,
-                       dual_obj, identity, obj_tensor, regroup, tensor_mor)
-from .errors import InputError, ModelNotCompactifiableError, ResourceLimitError
+                       identity, obj_tensor, regroup, tensor_mor)
+from .errors import InputError
 
 
 @dataclass(frozen=True)
@@ -46,18 +49,6 @@ class Permutation:
         if len(seq) != self.size:
             raise InputError("permutation size mismatch")
         return tuple(seq[i] for i in self.images)
-
-
-def identity_permutation(k: int) -> Permutation:
-    return Permutation(tuple(range(k)))
-
-
-def compose_permutations(outer: Permutation, inner: Permutation) -> Permutation:
-    """The single relabeling equal to applying ``inner`` first and then
-    ``outer`` (so hidden_symmetry(hidden_symmetry(p, inner), outer)
-    == hidden_symmetry(p, compose_permutations(outer, inner)))."""
-    return Permutation(tuple(inner.images[outer.images[i]]
-                             for i in range(outer.size)))
 
 
 @dataclass(frozen=True)
@@ -143,9 +134,9 @@ def loop_tensor(p: Loop, q: Loop) -> Loop:
 
 
 def loop_dual(p: Loop) -> Loop:
-    """Involutive duality: transpose the carrier, dualize the endpoints."""
-    return Loop(p.model, dual_obj(p.cod), dual_obj(p.dom),
-                tuple(dual_obj(u) for u in p.hidden), dual_mor(p.carrier))
+    """Involutive duality: transpose the carrier and swap the endpoints;
+    every object is its own dual."""
+    return Loop(p.model, p.cod, p.dom, p.hidden, dual_mor(p.carrier))
 
 
 def loop_par(p: Loop, q: Loop) -> Loop:
@@ -214,10 +205,6 @@ def hidden_symmetry(p: Loop, alpha: Permutation) -> Loop:
     return Loop(p.model, p.dom, p.cod, alpha.apply(p.hidden), carrier)
 
 
-# The most distinct hidden relabellings a congruence step tries (6!).
-_RELABELLING_BOUND = 720
-
-
 def _distinct_choices(dims: Sequence[int], rest: Sequence[int],
                       free_rank: int = 1) -> List[int]:
     """The positions in ``rest`` (remaining hidden slots, ascending) worth
@@ -227,107 +214,3 @@ def _distinct_choices(dims: Sequence[int], rest: Sequence[int],
     first = {dims[i]: pos for pos, i in reversed(list(enumerate(rest)))}
     return [pos for pos, i in enumerate(rest)
             if dims[i] > free_rank or first[dims[i]] == pos]
-
-
-def _relabellings(p: Loop) -> Iterator[Permutation]:
-    """The distinct hidden relabellings of p, in lexicographic order: slots
-    of equal rank <= 1 keep their order, and so do slots of any equal rank
-    when the carrier has no entries (a hidden object or an endpoint of rank
-    0), since then no slot carries data.  There are k!/prod(n_r!) of them,
-    n_r slots having such a rank r; past ``_RELABELLING_BOUND``
-    ResourceLimitError is raised before the first."""
-    dims = [u.rank for u in p.hidden]
-    free_rank = 1
-    if p.carrier.dom.rank * p.carrier.cod.rank == 0:
-        free_rank = max(dims, default=0)
-    count = factorial(p.k) // prod(factorial(dims.count(r))
-                                   for r in set(dims) if r <= free_rank)
-    if count > _RELABELLING_BOUND:
-        raise ResourceLimitError(
-            f"hidden part has {count} distinct relabellings, more than the "
-            f"bound {_RELABELLING_BOUND}")
-    stack = [((), list(range(p.k)))]
-    while stack:
-        images, rest = stack.pop()
-        if not rest:
-            yield Permutation(images)
-        for pos in reversed(_distinct_choices(dims, rest, free_rank)):
-            stack.append((images + (rest[pos],), rest[:pos] + rest[pos + 1:]))
-
-
-def _require_comparable(p: Loop, q: Loop) -> None:
-    if p.model != q.model:
-        raise InputError("loops belong to different models")
-    if p.dom != q.dom or p.cod != q.cod:
-        raise InputError("loops have different endpoints")
-
-
-def one_step_congruent(p: Loop, q: Loop) -> bool:
-    """True iff the loops are equal or one is a one-step move of the other:
-    a hidden trace or a hidden symmetry (see ``_relabellings``)."""
-    _require_comparable(p, q)
-    return (p == q or q in _one_step_moves(p, ())
-            or p in _one_step_moves(q, ()))
-
-
-def _one_step_moves(p: Loop, generators: Sequence[Loop]) -> Iterator[Loop]:
-    from . import traces  # local import: traces also builds on loops
-
-    for tail in range(1, p.k + 1):
-        t = traces.hidden_trace(p, tail)
-        if t is not None:
-            yield t
-    for alpha in _relabellings(p):
-        if not alpha.is_identity:
-            yield hidden_symmetry(p, alpha)
-    for g in generators:
-        if g.model != p.model or g.dom != p.dom or g.cod != p.cod:
-            continue
-        for tail in range(1, g.k + 1):
-            if traces.hidden_trace(g, tail) == p:
-                yield g
-                break
-
-
-def congruent(p: Loop, q: Loop, mode: str = "semantic", depth: int = 4,
-              generators: Sequence[Loop] = ()) -> Optional[bool]:
-    """Loop congruence.
-
-    In "semantic" mode (mix scalar nonzero only) two loops are congruent
-    iff their localized normal forms agree.  In "bounded" mode the
-    one-step moves (hidden traces, hidden symmetries, and un-tracing drawn
-    from the supplied generator loops) are closed breadth-first to the
-    given depth from both sides; returns True when the closures meet,
-    False when both closures are exhausted and disjoint, and None when the
-    search was cut off undecided.  A loop with more distinct hidden
-    relabellings than ``_RELABELLING_BOUND`` raises ResourceLimitError.
-    """
-    _require_comparable(p, q)
-    if mode == "semantic":
-        if p.model.mix == 0:
-            raise ModelNotCompactifiableError(
-                "semantic congruence needs a nonzero mix scalar")
-        from . import compactify
-
-        return compactify.loop_value(p) == compactify.loop_value(q)
-    if mode != "bounded":
-        raise InputError(f"unknown congruence mode {mode!r}")
-    if depth < 0:
-        raise InputError(f"bounded depth must be >= 0, got {depth}")
-
-    # an empty frontier stays empty: that side's closure is exhausted
-    seen, frontiers = ({p}, {q}), [[p], [q]]
-    for _ in range(depth):
-        if seen[0] & seen[1] or not any(frontiers):
-            break
-        for side in (0, 1):
-            new = []
-            for x in frontiers[side]:
-                for y in _one_step_moves(x, generators):
-                    if y not in seen[side]:
-                        seen[side].add(y)
-                        new.append(y)
-            frontiers[side] = new
-    if seen[0] & seen[1]:
-        return True
-    return None if any(frontiers) else False

@@ -21,7 +21,7 @@ from .errors import InputError
 
 Number = Union[int, Fraction]
 
-_SCALAR_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+_SCALAR_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
 @dataclass(frozen=True)
@@ -39,6 +39,20 @@ class RingTag:
                 raise InputError("localization requires an integer m >= 1")
         elif self.m is not None:
             raise InputError(f"ring {self.kind!r} takes no parameter")
+
+    def __eq__(self, other):
+        """Rings compare as rings: Z[1/m] equals Z[1/n] when each of m and
+        n divides a power of the other (Z[1/4] is Z[1/2]).  The parameter
+        itself is kept as given."""
+        if not isinstance(other, RingTag):
+            return NotImplemented
+        return self.kind == other.kind and (
+            self.m == other.m
+            or (self.kind == "Zloc" and divides_power(self.m, other.m)
+                and divides_power(other.m, self.m)))
+
+    def __hash__(self):
+        return hash(self.kind)
 
     def __str__(self):
         if self.kind == "Zloc":
@@ -92,12 +106,12 @@ def is_unit(ring: RingTag, value: Number) -> bool:
 
 
 def parse_value(text: str) -> Fraction:
-    """Parse the textual scalar syntax: optional sign, digits, optional
-    "/" digits.  Raises InputError on anything else (including "3/0")."""
-    s = text.strip()
-    if not _SCALAR_RE.match(s):
+    """Parse the textual scalar syntax: optional sign, ASCII digits,
+    optional "/" ASCII digits, and nothing else, not even whitespace.
+    Raises InputError on anything else (including "3/0")."""
+    if not _SCALAR_RE.fullmatch(text):
         raise InputError(f"malformed scalar {text!r}")
-    num, _, den = s.partition("/")
+    num, _, den = text.partition("/")
     if den:
         d = int(den)
         if d == 0:

@@ -11,9 +11,8 @@ from .errors import InputError
 from .loops import Loop, Permutation, hidden_symmetry
 from .rings import (INTEGERS, RATIONALS, RingTag, format_value,
                     localized_integers, parse_value, ring_contains)
-from .traces import StaircaseWitness, TraceResult
-from .zigzag import (Diagram, Edge, ZigZagInstance, level_ranks,
-                     staircase_diagram)
+from .traces import StaircaseWitness, TraceResult, staircase_diagram
+from .zigzag import Diagram, Edge, ZigZagInstance, level_ranks
 
 
 class FileFormatError(InputError):
@@ -71,7 +70,10 @@ def model_from_json(data, where: str = "model") -> Model:
     mix_text = _need(data, "mix", where)
     if not isinstance(mix_text, str):
         raise FileFormatError(f"{where}.mix: scalars must be strings")
-    mix = parse_value(mix_text)
+    try:
+        mix = parse_value(mix_text)
+    except InputError as exc:
+        raise FileFormatError(f"{where}.mix: {exc}") from exc
     if not ring_contains(ring, mix):
         raise FileFormatError(
             f"{where}: mix scalar {mix_text!r} is not in ring {ring}")

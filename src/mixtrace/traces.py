@@ -1,5 +1,6 @@
-"""Trace machinery: the total trace of compact models, the free and
-induced mixed traces, hidden traces, and the randomized axiom suite.
+"""Trace machinery: the free and induced mixed traces, the staircase
+diagram of a free trace's witness, hidden traces, and the randomized axiom
+suite.
 
 The staircase works on the pairing form of a loop carrier: the same
 entries rearranged into a map out of the tensor of hidden evaluation pairs
@@ -19,7 +20,8 @@ and any other order sorts later.  With n0, n1 and n2 hidden objects of rank
 0, 1 and >= 2 it visits at most 2^n2*(n0+1)*(n1+1) prefix sets, where 2^n2
 is at most the product of those n2 ranks.  This search is the only
 staircase here: the matrices it divides along the found ordering are the
-fillers of the trace's witness.
+fillers of the trace's witness, and ``staircase_diagram`` draws that
+witness as a diagram ``zigzag`` can check.
 
 The induced trace instead contracts everything first and divides once by
 m^k over the rationals, so it is defined at least as often as the free
@@ -37,13 +39,13 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .category import (Mor, Model, Obj, _canon, canonical_map, compose,
                        contract_hidden, dual_mor, identity, mor_scale,
-                       obj_tensor, random_mor, regroup, tensor_mor, uncurry,
-                       zero_mor)
+                       obj_tensor, random_mor, regroup, tensor_mor, zero_mor)
 from .errors import InputError, ModelNotCompactifiableError
 from .loops import (Loop, Permutation, _distinct_choices, hidden_symmetry,
                     loop_dual, morphism_tensor_loop, post_compose,
                     pre_compose, yanking_loop)
 from .rings import Number, ring_contains
+from .zigzag import Diagram, Edge
 
 DEFINED = "defined"
 UNDEFINED = "undefined"
@@ -238,6 +240,41 @@ def free_mixed_trace(p: Loop, want_witness: bool = False) -> TraceResult:
     return defined(value, Permutation(order), witness)
 
 
+def staircase_diagram(p: Loop, witness: StaircaseWitness) -> Diagram:
+    """The solved staircase of a loop as a checkable diagram: the ladder of
+    mix and coevaluation edges with the witness fillers pointing at the
+    apex object.  Commutation of this diagram is exactly the staircase
+    condition."""
+    model = p.model
+    dims = [u.rank for u in p.hidden]
+    k = p.k
+    ba = p.cod.rank * p.dom.rank
+    suffix = [1] * (k + 1)
+    for i in reversed(range(k)):
+        suffix[i] = dims[i] * dims[i] * suffix[i + 1]
+    objects: List[Obj] = [Obj(s) for s in suffix]          # tensor levels
+    objects += [Obj(dims[i] ** 2 * suffix[i + 1]) for i in range(k)]
+    objects.append(Obj(ba))                                # apex
+    apex_idx = len(objects) - 1
+
+    edges: List[Edge] = []
+    for i in range(k):
+        u, level = p.hidden[i], k + 1 + i
+        rest = identity(model, Obj(suffix[i + 1]))
+        edges.append(Edge(i, level,
+                          tensor_mor(canonical_map(model, "mix_map", [u, u]),
+                                     rest),
+                          f"mix-{i}"))
+        edges.append(Edge(i + 1, level,
+                          tensor_mor(canonical_map(model, "coev", [u]), rest),
+                          f"coev-{i}"))
+        edges.append(Edge(level, apex_idx, witness.fillers[i],
+                          f"filler-{i}"))
+    edges.append(Edge(0, apex_idx, pairing_form(p), "pairing"))
+    edges.append(Edge(k, apex_idx, witness.psi, "psi"))
+    return Diagram(model, tuple(objects), tuple(edges))
+
+
 def _contract_over_mix_power(p: Loop) -> Tuple[Tuple[Number, ...], ...]:
     """The hidden indices of the carrier contracted and every entry divided
     by m^k over the rationals (m nonzero); the caller decides which ring
@@ -276,29 +313,15 @@ def hidden_trace(p: Loop, tail_len: int) -> Optional[Loop]:
     return Loop(p.model, p.dom, p.cod, head, r.value)
 
 
-def total_trace(f: Mor, a: Obj, b: Obj, u: Obj) -> Mor:
-    """The total trace of a compact model, computed as the canonical
-    composite through coevaluation and the inverse mix map; equals the
-    entrywise partial trace over U."""
-    model = f.model
-    if not model.is_compact:
-        raise InputError(
-            f"total trace needs a compact model; {model} is not")
-    if f.dom.rank != a.rank * u.rank or f.cod.rank != b.rank * u.rank:
-        raise InputError("total_trace: declared ranks do not match the matrix")
-    recast = compose(canonical_map(model, "mix_map", [b, u]), f)
-    peeled = uncurry(recast, obj_tensor(a, u), u, b)
-    mix_inv = mor_scale(identity(model, Obj(u.rank * u.rank)),
-                        Fraction(1) / Fraction(model.mix))
-    feed = compose(mix_inv, canonical_map(model, "coev", [u]))
-    return compose(peeled, tensor_mor(identity(model, a), feed))
-
-
 # ---------------------------------------------------------------------------
 # The randomized axiom suite.
 
 AXIOMS = ("naturality", "dinaturality", "strength", "vanishing",
           "adjointability", "yanking")
+
+_CARRIER_BOUND = 4
+# Failures of one axiom reported in full; later ones are reported as "...".
+_FAILURE_DETAIL_CAP = 10
 
 
 @dataclass
@@ -333,11 +356,6 @@ class SuiteReport:
         return sum(len(ax.failures) for kind in self.stats.values()
                    for ax in kind.values())
 
-    def definedness_ratio(self, kind: str) -> Fraction:
-        if self.cases == 0:
-            return Fraction(0)
-        return Fraction(self.defined_cases.get(kind, 0), self.cases)
-
     def to_dict(self):
         return {
             "model": str(self.model),
@@ -362,7 +380,7 @@ def _weighted_rank(rng: random.Random, max_rank: int) -> int:
 
 
 def random_loop(rng: random.Random, model: Model, max_rank: int,
-                max_hidden: int, bound: int = 4) -> Loop:
+                max_hidden: int) -> Loop:
     """A seeded random loop.  About half the carriers are pre-multiplied
     by m^k so the staircase divides cleanly, which keeps the defined
     branch of the trace well exercised."""
@@ -372,7 +390,8 @@ def random_loop(rng: random.Random, model: Model, max_rank: int,
     b = Obj(_weighted_rank(rng, max_rank))
     hidden = tuple(Obj(_weighted_rank(rng, max_rank)) for _ in range(k))
     h = prod(u.rank for u in hidden)
-    carrier = random_mor(model, rng, Obj(a.rank * h), Obj(b.rank * h), bound)
+    carrier = random_mor(model, rng, Obj(a.rank * h), Obj(b.rank * h),
+                         _CARRIER_BOUND)
     style = rng.random()
     if style < 0.5:
         carrier = mor_scale(carrier, model.mix ** k if k else 1)
@@ -391,13 +410,13 @@ def _side_repr(side) -> str:
 
 
 def _record_failure(st: AxiomStats, seed, case: int, detail: str,
-                    lhs=None, rhs=None, cap: int = 10) -> None:
+                    lhs=None, rhs=None) -> None:
     entry = {"seed": seed, "case": case, "detail": detail}
     if lhs is not None:
         entry["lhs"] = _side_repr(lhs)
     if rhs is not None:
         entry["rhs"] = _side_repr(rhs)
-    if len(st.failures) >= cap:
+    if len(st.failures) >= _FAILURE_DETAIL_CAP:
         entry = {"seed": seed, "case": case, "detail": "..."}
     st.failures.append(entry)
 

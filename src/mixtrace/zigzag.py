@@ -8,6 +8,9 @@ edges, stored in both orientations, behave like the unoriented lines they
 stand for).  ``diagram_commutes`` checks every edge against one tree of
 composites per source node: O(V * E) composites, with no path limit.  A
 failure is reported as two parallel simple paths with unequal composites.
+
+The module builds on ``category`` and ``loops`` only; ``traces`` draws a
+free trace's staircase witness as a diagram and checks it here.
 """
 
 from __future__ import annotations
@@ -21,8 +24,7 @@ from .category import (Mor, Model, Obj, canonical_map, compose, dual_mor,
                        factor_permutation, identity, obj_tensor, random_mor,
                        regroup, tensor_mor, zero_mor)
 from .errors import InputError
-from .loops import Loop, Permutation
-from .traces import StaircaseWitness, pairing_form
+from .loops import Permutation
 
 
 @dataclass(frozen=True)
@@ -368,36 +370,3 @@ def search_counterexample(model: Model, n: int, max_rank: int,
         if outcome.status == "violated":
             return SearchResult("violated", inst, stats, idx + 1)
     return SearchResult("none_found", None, stats, budget)
-
-
-def staircase_diagram(p: Loop, witness: StaircaseWitness) -> Diagram:
-    """The solved staircase of a loop as a checkable diagram: the ladder of
-    mix and coevaluation edges with the witness fillers pointing at the
-    apex object.  Commutation of this diagram is exactly the staircase
-    condition."""
-    model = p.model
-    dims = [u.rank for u in p.hidden]
-    k = p.k
-    ba = p.cod.rank * p.dom.rank
-    suffix = [prod(d * d for d in dims[i:]) for i in range(k + 1)]
-    objects: List[Obj] = [Obj(s) for s in suffix]          # tensor levels
-    objects += [Obj(dims[i] ** 2 * suffix[i + 1]) for i in range(k)]
-    objects.append(Obj(ba))                                # apex
-    apex_idx = len(objects) - 1
-
-    edges: List[Edge] = []
-    for i in range(k):
-        u, level = p.hidden[i], k + 1 + i
-        rest = identity(model, Obj(suffix[i + 1]))
-        edges.append(Edge(i, level,
-                          tensor_mor(canonical_map(model, "mix_map", [u, u]),
-                                     rest),
-                          f"mix-{i}"))
-        edges.append(Edge(i + 1, level,
-                          tensor_mor(canonical_map(model, "coev", [u]), rest),
-                          f"coev-{i}"))
-        edges.append(Edge(level, apex_idx, witness.fillers[i],
-                          f"filler-{i}"))
-    edges.append(Edge(0, apex_idx, pairing_form(p), "pairing"))
-    edges.append(Edge(k, apex_idx, witness.psi, "psi"))
-    return Diagram(model, tuple(objects), tuple(edges))

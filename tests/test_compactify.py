@@ -14,7 +14,7 @@ from mixtrace.loops import (Loop, hidden_symmetry, loop_compose, loop_dual,
 from mixtrace.rings import INTEGERS, RATIONALS, localized_integers
 from mixtrace.traces import free_mixed_trace, hidden_trace, random_loop
 
-from trace_reference import all_permutations
+from trace_reference import all_permutations, total_trace
 
 Z0 = Model(INTEGERS, 0)
 Z1 = Model(INTEGERS, 1)
@@ -81,6 +81,18 @@ def test_realize_examples():
 
     with pytest.raises(InputError):
         realize(mor(Z2, r1, r1, [[1]]))
+
+
+def test_realize_over_q_is_the_identity_section():
+    # every nonzero mix is a unit of Q, so the model is its own
+    # compactification: the matrix comes back with no hidden objects
+    q2 = Model(RATIONALS, 2)
+    f = mor(q2, r1, r2, [[Fraction(1, 3)], [5]])
+    loop = realize(f)
+    assert loop == Loop(q2, r1, r2, (), f)
+    assert loop_value(loop) == f
+    with pytest.raises(ModelNotCompactifiableError):
+        realize(mor(Model(RATIONALS, 0), r1, r1, [[1]]))
 
 
 def test_realize_roundtrip_random():
@@ -190,8 +202,6 @@ def test_congruence_moves_preserve_value():
 def test_localization_functor_factors_through_quotient():
     # reading a base loop inside the compact rational model and tracing
     # there lands on the quotient normal form
-    from mixtrace.traces import total_trace
-
     rng = random.Random(17)
     QM = Model(RATIONALS, 2)
     for _ in range(60):

@@ -15,8 +15,8 @@ from mixtrace.loops import Loop, hidden_symmetry
 from mixtrace.rings import (INTEGERS, RATIONALS, is_unit,
                             localized_integers, ring_contains)
 from mixtrace.serialize import dumps, trace_result_to_json
-from mixtrace.traces import free_mixed_trace
-from mixtrace.zigzag import diagram_commutes, staircase_diagram
+from mixtrace.traces import free_mixed_trace, staircase_diagram
+from mixtrace.zigzag import diagram_commutes
 
 from trace_reference import free_trace_by_orderings
 

@@ -1,0 +1,50 @@
+"""The modules of ``mixtrace`` form one chain, each importing only from
+modules below it, and every import sits at module level."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+CHAIN = ("errors", "rings", "category", "loops", "zigzag", "traces",
+         "compactify", "serialize", "cli")
+SRC = Path(__file__).resolve().parent.parent / "src" / "mixtrace"
+MODULES = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
+
+
+def _tree(name):
+    return ast.parse((SRC / f"{name}.py").read_text(encoding="utf-8"))
+
+
+def _relative_imports(tree):
+    """(line, module) for every ``from .x import ...`` and every module
+    named by ``from . import x, y``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                yield node.lineno, node.module.split(".")[0]
+            else:
+                for alias in node.names:
+                    yield node.lineno, alias.name
+
+
+def test_every_module_is_on_the_chain():
+    assert MODULES == sorted(CHAIN)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_imports_point_down_the_chain(name):
+    below = CHAIN[:CHAIN.index(name)]
+    upward = [(line, target) for line, target in _relative_imports(_tree(name))
+              if target not in below]
+    assert not upward, f"{name} imports from its level or above: {upward}"
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_import_inside_a_function(name):
+    inner = [node.lineno
+             for fn in ast.walk(_tree(name))
+             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for node in ast.walk(fn)
+             if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert not inner, f"{name} imports inside a function at lines {inner}"

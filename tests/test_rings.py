@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mixtrace.errors import InputError
-from mixtrace.rings import (INTEGERS, RATIONALS, divides_power, format_value,
-                            is_unit, localized_integers, parse_value,
-                            ring_contains)
+from mixtrace.rings import (INTEGERS, RATIONALS, RingTag, divides_power,
+                            format_value, is_unit, localized_integers,
+                            parse_value, ring_contains)
 from mixtrace.traces import _exact_div
 
 Z2 = localized_integers(2)
@@ -26,9 +26,27 @@ def test_parse_and_format():
     assert parse_value("17") == 17
     assert format_value(Fraction(-3, 4)) == "-3/4"
     assert format_value(Fraction(6, 3)) == "2"
-    for bad in ("3/0", "1.5", "x", "1/-2", ""):
+    assert parse_value("+2") == 2
+    # ASCII digits only, and nothing around them: no whitespace, no
+    # trailing newline, no underscores, no other scripts' digits
+    for bad in ("3/0", "1.5", "x", "1/-2", "", "2\n", " 3 ", "1_0",
+                "\u0663", "1/\u0662", "+ 2"):
         with pytest.raises(InputError):
             parse_value(bad)
+
+
+def test_localized_rings_compare_as_rings():
+    # Z[1/4] is Z[1/2] and Z[1/12] is Z[1/6]; the parameter is kept as given
+    four = localized_integers(4)
+    assert four == Z2 and hash(four) == hash(Z2) and str(four) == "Z[1/4]"
+    assert localized_integers(12) == localized_integers(6)
+    assert localized_integers(6) != Z2 and localized_integers(3) != Z2
+    assert localized_integers(1) != INTEGERS
+    assert INTEGERS != RATIONALS and RATIONALS == RingTag("Q")
+    # a 19-digit prime is compared without factoring
+    p = 1000000000000000003
+    assert localized_integers(p) == localized_integers(p * p)
+    assert localized_integers(p) != localized_integers(p + 2)
 
 
 def test_units():

@@ -14,8 +14,8 @@ from mixtrace.serialize import (FileFormatError, dumps, loop_from_json,
                                 mor_from_json, mor_to_json, zigzag_from_json,
                                 zigzag_to_json, diagram_from_json,
                                 diagram_to_json)
-from mixtrace.zigzag import ZigZagInstance, check_zigzag_instance, \
-    staircase_diagram
+from mixtrace.traces import staircase_diagram
+from mixtrace.zigzag import ZigZagInstance, check_zigzag_instance
 from mixtrace import cli
 
 from trace_reference import provisional_trace
@@ -318,6 +318,17 @@ def test_cli_compactify_verify_and_realize(tmp_path):
     assert payload["carrier"]["entries"] == [["3"]]
 
 
+@pytest.mark.parametrize("model", ["zloc:2", "zloc:6", "qmod:2", "zloc:+2"])
+def test_cli_compactify_verify_localize_models(model):
+    # Z[1/4] is Z[1/2], so the round trip through zloc:2 lands in its own
+    # ring; over Q the model is its own compactification
+    code, out, err = run_cli("compactify-verify", "--model", model,
+                             "--max-rank", "2", "--samples", "100")
+    assert code == 0, err
+    checks = json.loads(out)["checks"]
+    assert checks and all(c["passed"] is True for c in checks), checks
+
+
 def test_cli_determinism_in_process(capsys):
     argv = ["axioms", "--model", "zmod:2", "--cases", "30", "--seed", "8"]
     assert cli.main(argv) == 0
@@ -400,6 +411,16 @@ def changed(base, path, value):
     ("compactify-verify", None, ("--samples",), "-5"),
     # nothing may follow "semantic"
     ("congruent", LOOP, ("--mode",), "semantic:junk"),
+    # scalars are ASCII digits with nothing around them
+    ("validate", None, ("--model",), "zloc:1_0"),
+    ("validate", None, ("--model",), "zloc: 2"),
+    ("validate", None, ("--model",), "zloc:\u0663"),
+    ("validate", None, ("--model",), "zloc:1/2"),
+    ("validate", None, ("--model",), "zloc:0"),
+    ("validate", None, ("--model",), "zmod: 2"),
+    ("validate", None, ("--model",), "zmod:2\n"),
+    ("trace", LOOP, ("model", "mix"), "\u0662"),
+    ("trace", LOOP, ("carrier", "entries"), [[" 3 "]]),
 ])
 def test_cli_rejects_bad_input(tmp_path, verb, base, path, value):
     if verb == "congruent":

@@ -10,6 +10,9 @@ and keeps the first solvable one.  The library's prefix-set search must
 agree with it on status, ordering, value and witness.
 ``pairing_form_by_currying`` and ``provisional_trace_dual`` compute the
 pairing form and the staircase along other routes than the library does.
+``total_trace`` is the trace of a compact model as the canonical composite
+through coevaluation and the inverse mix map; the induced trace and the
+loop value must agree with it there.
 
 ``diagram_commutes_by_paths`` is the simple-path enumerator: it lists every
 simple path out of every node and compares the parallel ones.  The
@@ -26,12 +29,14 @@ permutation matrices (``hidden_symmetry_by_conjugation``,
 
 import itertools
 from dataclasses import replace
+from fractions import Fraction
 from math import prod
 from typing import Dict, List, Sequence, Tuple
 
 from mixtrace.category import (Mor, Obj, canonical_map, compose, curry,
                                dual_mor, factor_permutation, identity,
-                               obj_tensor, tensor_mor, uncurry, zero_mor)
+                               mor_scale, obj_tensor, tensor_mor, uncurry,
+                               zero_mor)
 from mixtrace.errors import InputError, ResourceLimitError
 from mixtrace.loops import Loop, Permutation, hidden_symmetry
 from mixtrace.rings import Number
@@ -200,6 +205,24 @@ def provisional_trace_dual(p):
     rows = tuple(tuple(final[bi * adim + ai] for ai in range(adim))
                  for bi in range(p.cod.rank))
     return defined(Mor(model, p.dom, p.cod, rows))
+
+
+def total_trace(f: Mor, a: Obj, b: Obj, u: Obj) -> Mor:
+    """The total trace of a compact model, computed as the canonical
+    composite through coevaluation and the inverse mix map; equals the
+    entrywise partial trace over U."""
+    model = f.model
+    if not model.is_compact:
+        raise InputError(
+            f"total trace needs a compact model; {model} is not")
+    if f.dom.rank != a.rank * u.rank or f.cod.rank != b.rank * u.rank:
+        raise InputError("total_trace: declared ranks do not match the matrix")
+    recast = compose(canonical_map(model, "mix_map", [b, u]), f)
+    peeled = uncurry(recast, obj_tensor(a, u), u, b)
+    mix_inv = mor_scale(identity(model, Obj(u.rank * u.rank)),
+                        Fraction(1) / Fraction(model.mix))
+    feed = compose(mix_inv, canonical_map(model, "coev", [u]))
+    return compose(peeled, tensor_mor(identity(model, a), feed))
 
 
 def _flat(multi, dims):
