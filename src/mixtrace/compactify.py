@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from math import factorial, prod
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence, Set, Tuple
 
 from . import traces
 from .category import (Mor, Model, Obj, ValidationReport, canonical_map,
@@ -64,6 +64,7 @@ def c_tr(f: Mor) -> Mor:
 def realize(m_mor: Mor) -> Loop:
     """A loop of the base model whose value is the given localized matrix:
     clear denominators with the least power m^k and hide k rank-1 objects.
+    The integer mix m may be negative; m^k then alternates in sign.
     Over Q every nonzero mix is a unit, so the model is its own
     compactification and the matrix comes back as a loop with no hidden
     objects.
@@ -81,9 +82,9 @@ def realize(m_mor: Mor) -> Loop:
         return morphism_loop(m_mor)
     if ring.kind != "Zloc":
         raise InputError("realize expects a matrix over a localized ring")
-    if not isinstance(m, int) or m < 1:
+    if not isinstance(m, int) or m == 0:
         raise ModelNotCompactifiableError(
-            "realize needs an integer mix scalar >= 1")
+            "realize needs a nonzero integer mix scalar")
     k = 0
     power = 1
     for row in m_mor.entries:
@@ -190,7 +191,7 @@ def verify_compactness(model: Model, max_rank: int, seed: int = 0,
 
     ok, detail = True, ""
     m_int = int(model.mix) if Fraction(model.mix).denominator == 1 else None
-    if m_int is not None and m_int >= 1:
+    if m_int not in (None, 0):
         for i in range(max(1, samples // 5)):
             dom = Obj(rng.randint(0, max_rank))
             cod = Obj(rng.randint(0, max_rank))
@@ -270,21 +271,24 @@ def one_step_congruent(p: Loop, q: Loop) -> bool:
             or p in _one_step_moves(q, ()))
 
 
-def _one_step_moves(p: Loop, generators: Sequence[Loop]) -> Iterator[Loop]:
+def _hidden_traces(p: Loop) -> Iterator[Loop]:
     for tail in range(1, p.k + 1):
         t = traces.hidden_trace(p, tail)
         if t is not None:
             yield t
+
+
+def _one_step_moves(p: Loop, untracings: Sequence[Tuple[Loop, Set[Loop]]]
+                    ) -> Iterator[Loop]:
+    """The hidden traces and hidden symmetries of p, then each generator
+    that one of its own hidden traces (given with it) takes to p."""
+    yield from _hidden_traces(p)
     for alpha in _relabellings(p):
         if not alpha.is_identity:
             yield hidden_symmetry(p, alpha)
-    for g in generators:
-        if g.model != p.model or g.dom != p.dom or g.cod != p.cod:
-            continue
-        for tail in range(1, g.k + 1):
-            if traces.hidden_trace(g, tail) == p:
-                yield g
-                break
+    for g, traced in untracings:
+        if p in traced:
+            yield g
 
 
 def congruent(p: Loop, q: Loop, mode: str = "semantic", depth: int = 4,
@@ -311,6 +315,10 @@ def congruent(p: Loop, q: Loop, mode: str = "semantic", depth: int = 4,
     if depth < 0:
         raise InputError(f"bounded depth must be >= 0, got {depth}")
 
+    # every move keeps the model and the endpoints, so only generators
+    # that share them can un-trace; each is traced once, here
+    untracings = [(g, set(_hidden_traces(g))) for g in generators
+                  if g.model == p.model and g.dom == p.dom and g.cod == p.cod]
     # an empty frontier stays empty: that side's closure is exhausted
     seen, frontiers = ({p}, {q}), [[p], [q]]
     for _ in range(depth):
@@ -319,7 +327,7 @@ def congruent(p: Loop, q: Loop, mode: str = "semantic", depth: int = 4,
         for side in (0, 1):
             new = []
             for x in frontiers[side]:
-                for y in _one_step_moves(x, generators):
+                for y in _one_step_moves(x, untracings):
                     if y not in seen[side]:
                         seen[side].add(y)
                         new.append(y)

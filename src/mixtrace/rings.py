@@ -121,6 +121,9 @@ def parse_value(text: str) -> Fraction:
 
 
 def format_value(v: Number) -> str:
+    """The textual scalar syntax of a value: "n" or "n/d", reduced."""
+    if type(v) is int:
+        return str(v)
     f = Fraction(v)
     if f.denominator == 1:
         return str(f.numerator)

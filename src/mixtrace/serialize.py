@@ -1,9 +1,15 @@
 """JSON schemas for models, morphisms, loops, zig-zag instances, diagrams
-and reports.  Scalars travel as strings, never floats."""
+and reports.  Scalars travel as strings, never floats.
+
+Input is read with ``json.load``.  Output is canonical JSON, written by
+``dumps`` directly: the standard encoder, asked for an indent, runs in
+pure Python, several times slower on a witness diagram's rows of
+strings.  The writer accepts only the types these schemas build."""
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _quote
 from typing import List, Optional
 
 from .category import Mor, Model, Obj, mor
@@ -271,7 +277,58 @@ def trace_result_to_json(r: TraceResult, p: Loop):
 
 
 def dumps(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """Canonical JSON: sorted keys, two-space indent, strings with ASCII
+    escapes, ``[]`` and ``{}`` when empty, and a trailing newline; the
+    standard encoder's bytes with ``sort_keys=True, indent=2``, plus the
+    newline.  Only dicts with str keys, lists, strs, ints, bools and None
+    are written; anything else raises TypeError."""
+    out = []
+    _write(payload, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(x, nl: str, out: List[str]) -> None:
+    """Append x to out; ``nl`` is the line break and indent x starts on."""
+    t = type(x)
+    if t is str:
+        out.append(_quote(x))
+    elif t is int:
+        out.append(str(x))
+    elif t is bool:
+        out.append("true" if x else "false")
+    elif x is None:
+        out.append("null")
+    elif t is list:
+        if not x:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        try:  # all strs, as in every matrix row: one join
+            out.append("[" + inner + ("," + inner).join(map(_quote, x))
+                       + nl + "]")
+        except TypeError:  # _quote refused an item that is no str
+            sep = "[" + inner
+            for v in x:
+                out.append(sep)
+                _write(v, inner, out)
+                sep = "," + inner
+            out.append(nl + "]")
+    elif t is dict:
+        if not x:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key in sorted(x):
+            if type(key) is not str:
+                raise TypeError(f"JSON keys must be str, not {key!r}")
+            out.append(sep + _quote(key) + ": ")
+            _write(x[key], inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    else:
+        raise TypeError(f"{t.__name__} is not written as JSON")
 
 
 def load_json_file(path: str):

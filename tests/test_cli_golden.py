@@ -52,6 +52,11 @@ FILES = {
     # one hidden symmetry apart: the rank-2 object first or last
     "first7.json": _loop(Z2, 1, 1, [2] + [1] * 6, [[1, 2], [3, 4]]),
     "last7.json": _loop(Z2, 1, 1, [1] * 6 + [2], [[1, 2], [3, 4]]),
+    # solves first in the ordering (0, 2, 3, 1); its witness diagram has
+    # 87,977 entries, about 1.7 MB of JSON
+    "k4.json": _loop(Z2, 1, 1, [2] * 4,
+                     [[8 * ((i + 2 * j + i * j) % 7 - 3) for j in range(16)]
+                      for i in range(16)]),
 }
 
 CASES = [
@@ -113,6 +118,9 @@ CASES = [
     ("congruent-bounded-k7", 0,
      "congruent --mode bounded:1 --left first7.json --right last7.json",
      "73c6c9eb5ac9ad46c87f4542aa2a0f97508be607d8e1ad17146e9b2942ca9395"),
+    ("trace-free-witness-k4", 0,
+     "trace --mode free --loop k4.json --witness",
+     "d6410a97e5cb5401226c031c2d3597af699d84532decfe3f90acbceaaabc85f4"),
 ]
 
 

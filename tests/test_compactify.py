@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from mixtrace import compactify
 from mixtrace.category import (Model, Mor, Obj, canonical_map, compose,
                                dual_mor, identity, mor, mor_scale, random_mor,
                                tensor_mor)
@@ -82,6 +83,13 @@ def test_realize_examples():
     with pytest.raises(InputError):
         realize(mor(Z2, r1, r1, [[1]]))
 
+    # localized at |m|, cleared by m^3 = -8
+    five_eighths = Mor(localized_model(Model(INTEGERS, -2)), r1, r1,
+                       ((Fraction(5, 8),),))
+    back = realize(five_eighths)
+    assert back.carrier.entries == ((-5,),) and back.k == 3
+    assert loop_value(back) == five_eighths
+
 
 def test_realize_over_q_is_the_identity_section():
     # every nonzero mix is a unit of Q, so the model is its own
@@ -97,7 +105,8 @@ def test_realize_over_q_is_the_identity_section():
 
 def test_realize_roundtrip_random():
     rng = random.Random(7)
-    for model in (Z2, Z3):
+    # at a negative mix the clearing power m^k alternates in sign
+    for model in (Z2, Z3, Model(INTEGERS, -2), Model(INTEGERS, -3)):
         target = localized_model(model)
         m = int(model.mix)
         for _ in range(60):
@@ -108,6 +117,19 @@ def test_realize_roundtrip_random():
                          for _ in range(cod.rank))
             matrix = Mor(target, dom, cod, rows)
             assert loop_value(realize(matrix)) == matrix
+
+
+def test_verify_compactness_runs_the_round_trip_at_negative_mix(
+        monkeypatch):
+    calls = []
+
+    def counted(m_mor):
+        calls.append(m_mor)
+        return realize(m_mor)
+
+    monkeypatch.setattr(compactify, "realize", counted)
+    report = verify_compactness(Model(INTEGERS, -2), max_rank=2, samples=50)
+    assert report.ok and len(calls) == 10
 
 
 def test_realize_free_trace_over_localized_ring():

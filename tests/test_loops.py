@@ -14,6 +14,7 @@ from mixtrace.loops import (Loop, Permutation, hidden_symmetry, hide,
                             loop_compose, loop_dual, loop_par, loop_tensor,
                             morphism_loop, morphism_tensor_loop,
                             yanking_loop)
+from mixtrace import traces
 from mixtrace.rings import INTEGERS, RATIONALS
 from mixtrace.traces import hidden_trace
 
@@ -343,3 +344,30 @@ def test_congruent_bounded_generators_and_unknown():
     assert congruent(three, five, mode="bounded", depth=0) is None
     with pytest.raises(InputError):
         congruent(three, five, mode="bounded", depth=-1)
+
+
+def test_congruent_bounded_traces_each_generator_once(monkeypatch):
+    calls = []
+    real = traces.hidden_trace
+
+    def counted(p, tail_len):
+        calls.append(tail_len)
+        return real(p, tail_len)
+
+    monkeypatch.setattr(traces, "hidden_trace", counted)
+    rng = random.Random(0)
+
+    def loop():
+        return Loop(Z2, r1, r1, (r2, r2, r1),
+                    random_mor(Z2, rng, Obj(4), Obj(4)))
+
+    p, q = loop(), loop()
+    generators = [loop() for _ in range(5)]
+    assert congruent(p, q, mode="bounded", depth=2) is False
+    assert len(calls) == 36
+    calls.clear()
+    # 36 for the two closures, then 3 tails for each of 5 generators,
+    # where tracing them for every frontier loop took 216
+    assert congruent(p, q, mode="bounded", depth=2,
+                     generators=generators) is False
+    assert len(calls) == 36 + 15

@@ -71,3 +71,17 @@ def test_div_mul_roundtrip(a, b):
         assert type(q) is int and q * b == a
     else:
         assert a % b != 0
+
+
+def _format_by_fraction(v):
+    f = Fraction(v)
+    if f.denominator == 1:
+        return str(f.numerator)
+    return f"{f.numerator}/{f.denominator}"
+
+
+@given(st.integers() | st.integers(-2 ** 200, 2 ** 200) | st.booleans()
+       | st.fractions() | st.integers().map(Fraction))
+def test_format_value_matches_the_fraction_formula(v):
+    assert format_value(v) == _format_by_fraction(v)
+

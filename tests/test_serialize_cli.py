@@ -318,6 +318,19 @@ def test_cli_compactify_verify_and_realize(tmp_path):
     assert payload["carrier"]["entries"] == [["3"]]
 
 
+def test_cli_realize_at_negative_mix(tmp_path):
+    matrix = write(tmp_path, "m.json", {
+        "model": {"ring": {"Zloc": 2}, "mix": "-2"}, "dom": 1, "cod": 2,
+        "entries": [["3/8"], ["-1/2"]]})
+    code, out, err = run_cli("realize", "--matrix", matrix)
+    assert code == 0, err
+    payload = json.loads(out)
+    # cleared by (-2)^3 = -8
+    assert payload["hidden"] == [1, 1, 1]
+    assert payload["carrier"]["entries"] == [["-3"], ["4"]]
+    assert payload["model"] == {"ring": "Z", "mix": "-2"}
+
+
 @pytest.mark.parametrize("model", ["zloc:2", "zloc:6", "qmod:2", "zloc:+2"])
 def test_cli_compactify_verify_localize_models(model):
     # Z[1/4] is Z[1/2], so the round trip through zloc:2 lands in its own
