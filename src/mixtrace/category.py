@@ -179,6 +179,26 @@ def tensor_mor(f: Mor, g: Mor) -> Mor:
                tuple(rows))
 
 
+def whisker(pre: Obj, f: Mor, post: Obj) -> Mor:
+    """Id_pre (x) f (x) Id_post, with f's nonzero entries copied into their
+    blocks: row (a, r, b) carries f's row r at the columns (a, c, b)."""
+    p, q = pre.rank, post.rank
+    fd = f.dom.rank
+    width = p * fd * q
+    nonzero = [[(c * q, v) for c, v in enumerate(row) if v]
+               for row in f.entries]
+    rows = []
+    for a in range(p):
+        base = a * fd * q
+        for entries in nonzero:
+            for b in range(base, base + q):
+                row = [0] * width
+                for c, v in entries:
+                    row[c + b] = v
+                rows.append(tuple(row))
+    return Mor(f.model, Obj(width), Obj(p * f.cod.rank * q), tuple(rows))
+
+
 def _flat_offsets(dims: Sequence[int], slots: Sequence[int]) -> List[int]:
     """For every index tuple over ``slots``, taken row-major in the order
     given, its row-major position among the index tuples of all of

@@ -81,10 +81,16 @@ def diagram_commutes(d: Diagram):
     A failing edge names the tree path to v against the tree path to u
     plus e or, when v lies inside the latter, that cycle at v against the
     identity."""
+    return _check_trees(d, range(len(d.objects)))
+
+
+def _check_trees(d: Diagram, sources):
+    """``diagram_commutes`` restricted to the trees grown from ``sources``,
+    taken in the order given."""
     adjacency: Dict[int, List[Tuple[int, Edge]]] = {}
     for idx, e in enumerate(d.edges):
         adjacency.setdefault(e.src, []).append((idx, e))
-    for src in range(len(d.objects)):
+    for src in sources:
         tree = {src: (identity(d.model, d.objects[src]), ())}
         stack = [src]
         while stack:
@@ -98,6 +104,25 @@ def diagram_commutes(d: Diagram):
                 elif value.entries != tree[e.dst][0].entries:
                     return _counter_pair(d, src, tree[e.dst], via, value)
     return True
+
+
+def _check_conclusion(whole: Diagram):
+    """``diagram_commutes(whole)`` for a diagram whose premise, all but its
+    last two edges, commutes.  A tree that never reaches an endpoint of
+    those edges is the premise's tree, so only the sources with a path to
+    one are re-grown, in ascending order: the first failure is the one the
+    full check reports."""
+    into: Dict[int, List[int]] = {}
+    for e in whole.edges:
+        into.setdefault(e.dst, []).append(e.src)
+    reach = {e.src for e in whole.edges[-2:]} | {e.dst for e in whole.edges[-2:]}
+    stack = list(reach)
+    while stack:
+        for u in into.get(stack.pop(), ()):
+            if u not in reach:
+                reach.add(u)
+                stack.append(u)
+    return _check_trees(whole, sorted(reach))
 
 
 def _counter_pair(d: Diagram, src: int, at_v, via: Tuple[int, ...],

@@ -8,7 +8,8 @@ from mixtrace.category import (Model, Obj, UNIT, canonical_map, compose,
                                contract_hidden, curry, dual_mor,
                                factor_permutation, identity, mor, mor_scale,
                                obj_tensor, random_mor, tensor_mor,
-                               uncurry, validate_coherence, zero_mor)
+                               uncurry, validate_coherence, whisker,
+                               zero_mor)
 from mixtrace.errors import InputError
 from mixtrace.rings import INTEGERS, RATIONALS
 
@@ -207,6 +208,21 @@ def test_factor_permutation_shapes():
     assert p.dom.rank == 6 and compose(p, dual_mor(p)) == identity(Z2, Obj(6))
     with pytest.raises(InputError):
         factor_permutation(Z2, [2, 3], [0, 0])
+
+
+def test_whisker_matches_tensor_with_identities():
+    # the block copy against the two Kronecker products it replaces, rank 0
+    # on every side included, over Z and with Fraction entries over Q
+    rng = random.Random("whisker")
+    for trial in range(300):
+        model = Q1 if trial % 3 == 0 else Z2
+        pre, post, dom, cod = (Obj(rng.randint(0, 3)) for _ in range(4))
+        f = random_mor(model, rng, dom, cod, 2)
+        if model is Q1:
+            f = mor_scale(f, Fraction(1, rng.randint(1, 3)))
+        expected = tensor_mor(tensor_mor(identity(model, pre), f),
+                              identity(model, post))
+        assert whisker(pre, f, post) == expected, (pre, post, dom, cod)
 
 
 def test_contract_hidden():

@@ -6,6 +6,10 @@ plus seeded random multigraphs with self-loops, parallel edges, 2-cycles
 and rank-0 nodes.  The verdicts must agree, and every counterexample must
 be a genuine pair: two simple paths from ``src`` to ``dst`` that compose to
 ``value_a`` and ``value_b``, which differ.
+
+A zig-zag conclusion is checked by re-growing only the trees that reach
+the bottom symmetry (``zigzag._check_conclusion``); on every instance the
+search samples it must name the pair the full check names.
 """
 
 import random
@@ -56,14 +60,17 @@ def assert_agrees(d):
 
 
 def _search_diagrams(monkeypatch):
+    """Every tree check the zig-zag search makes, with the sources it grows
+    trees from: all of them for a premise, those with a path to the bottom
+    symmetry for a conclusion."""
     seen = []
-    original = zigzag.diagram_commutes
+    original = zigzag._check_trees
 
-    def record(d):
-        seen.append(d)
-        return original(d)
+    def record(d, sources):
+        seen.append((d, sources))
+        return original(d, sources)
 
-    monkeypatch.setattr(zigzag, "diagram_commutes", record)
+    monkeypatch.setattr(zigzag, "_check_trees", record)
     for mix in (0, 1, 2):
         for n in (1, 2, 3):
             for seed in range(3):
@@ -74,15 +81,76 @@ def _search_diagrams(monkeypatch):
 
 
 def test_search_diagrams_agree_and_name_the_same_pair(monkeypatch):
-    diagrams = _search_diagrams(monkeypatch)
+    checks = _search_diagrams(monkeypatch)
     failing = 0
-    for d in diagrams:
+    for d, sources in checks:
         new, old = assert_agrees(d)
         # on the search's own diagrams the tree check names the pair the
         # enumerator names, so `zigzag-check` on a witness is unchanged
         assert new == old
+        # and a conclusion check, which re-grows only some of the trees,
+        # names the pair the full check names
+        assert zigzag._check_trees(d, sources) == new
         failing += new is not True
-    assert len(diagrams) > 200 and 0 < failing < len(diagrams)
+    assert len(checks) > 200 and 0 < failing < len(checks)
+
+
+def _sampled_instances(monkeypatch, mix, n, seed, budget):
+    seen = []
+    original = zigzag.check_zigzag_instance
+
+    def record(inst):
+        seen.append(inst)
+        return original(inst)
+
+    monkeypatch.setattr(zigzag, "check_zigzag_instance", record)
+    zigzag.search_counterexample(Model(INTEGERS, mix), n, max_rank=2,
+                                 seed=seed, budget=budget)
+    monkeypatch.undo()
+    return seen
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_partial_conclusion_check_matches_the_full_check(monkeypatch, n):
+    # violations are rare in the samples at n >= 2, so each commuting
+    # premise is also checked with the bottom symmetry negated, which keeps
+    # the premise and mostly breaks the conclusion
+    verdicts = {True: 0, False: 0}
+    for mix in (0, 1, 2):
+        for seed in range(3):
+            budget = 15 if n == 3 else 30
+            for inst in _sampled_instances(monkeypatch, mix, n, seed, budget):
+                whole = zigzag.build_zigzag_diagram(inst)
+                premise = whole.edges[:-2]
+                if diagram_commutes(Diagram(inst.model, whole.objects,
+                                            premise)) is not True:
+                    continue
+                negated = tuple(Edge(e.src, e.dst, mor_scale(e.mor, -1),
+                                     e.label) for e in whole.edges[-2:])
+                for d in (whole, Diagram(inst.model, whole.objects,
+                                         premise + negated)):
+                    full = diagram_commutes(d)
+                    # CounterPath equality covers src, dst, both paths and
+                    # both values
+                    assert zigzag._check_conclusion(d) == full
+                    verdicts[full is True] += 1
+    assert verdicts[True] > 0 and verdicts[False] > 0
+
+
+def test_two_cycle_through_the_source_names_the_oracle_pair():
+    # the cycle back to the source is compared with the identity there,
+    # which the counterexample then names as its first value
+    f = mor(Z2, Obj(2), Obj(2), [[0, 1], [1, 0]])
+    g = mor(Z2, Obj(2), Obj(2), [[0, 1], [2, 0]])
+    for edges in ([Edge(0, 1, f, "f"), Edge(1, 0, g, "g")],
+                  [Edge(0, 1, f, "f"), Edge(1, 0, dual_mor(f), "f-inv"),
+                   Edge(1, 0, g, "g")],
+                  [Edge(0, 0, g, "loop"), Edge(0, 1, f, "f")]):
+        d = Diagram(Z2, (Obj(2), Obj(2)), tuple(edges))
+        new, old = assert_agrees(d)
+        assert new == old
+        assert new.src == new.dst == 0
+        assert new.value_a == identity(Z2, Obj(2))
 
 
 def _signed_permutation(rng, r):
