@@ -37,9 +37,10 @@ from functools import partial
 from math import prod
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .category import (Mor, Model, Obj, _canon, canonical_map, compose,
-                       contract_hidden, dual_mor, identity, mor_scale,
-                       obj_tensor, random_mor, regroup, tensor_mor, zero_mor)
+from .category import (UNIT, Mor, Model, Obj, _canon, canonical_map,
+                       compose, contract_hidden, dual_mor, identity,
+                       mor_scale, obj_tensor, random_mor, regroup, tensor_mor,
+                       whisker, zero_mor)
 from .errors import InputError, ModelNotCompactifiableError
 from .loops import (Loop, Permutation, _distinct_choices, hidden_symmetry,
                     loop_dual, morphism_tensor_loop, post_compose,
@@ -260,13 +261,14 @@ def staircase_diagram(p: Loop, witness: StaircaseWitness) -> Diagram:
     edges: List[Edge] = []
     for i in range(k):
         u, level = p.hidden[i], k + 1 + i
-        rest = identity(model, Obj(suffix[i + 1]))
+        rest = Obj(suffix[i + 1])
         edges.append(Edge(i, level,
-                          tensor_mor(canonical_map(model, "mix_map", [u, u]),
-                                     rest),
+                          whisker(UNIT, canonical_map(model, "mix_map",
+                                                      [u, u]), rest),
                           f"mix-{i}"))
         edges.append(Edge(i + 1, level,
-                          tensor_mor(canonical_map(model, "coev", [u]), rest),
+                          whisker(UNIT, canonical_map(model, "coev", [u]),
+                                  rest),
                           f"coev-{i}"))
         edges.append(Edge(level, apex_idx, witness.fillers[i],
                           f"filler-{i}"))

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from math import prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .category import (Mor, Model, Obj, canonical_map, compose, dual_mor,
-                       factor_permutation, identity, obj_tensor, random_mor,
-                       regroup, tensor_mor, zero_mor)
+from .category import (UNIT, Mor, Model, Obj, canonical_map, compose,
+                       dual_mor, factor_permutation, identity, obj_tensor,
+                       random_mor, regroup, tensor_mor, whisker, zero_mor)
 from .errors import InputError
 from .loops import Permutation
 
@@ -86,24 +86,34 @@ def diagram_commutes(d: Diagram):
 
 def _check_trees(d: Diagram, sources):
     """``diagram_commutes`` restricted to the trees grown from ``sources``,
-    taken in the order given."""
+    taken in the order given.  The identity at a source stays implicit (an
+    out-edge's matrix is its own composite) until a counterexample names
+    it."""
     adjacency: Dict[int, List[Tuple[int, Edge]]] = {}
     for idx, e in enumerate(d.edges):
         adjacency.setdefault(e.src, []).append((idx, e))
     for src in sources:
-        tree = {src: (identity(d.model, d.objects[src]), ())}
+        tree = {src: (None, ())}
         stack = [src]
         while stack:
             u = stack.pop()
             comp, path = tree[u]
-            for idx, e in adjacency.get(u, []):
-                value, via = compose(e.mor, comp), path + (idx,)
-                if e.dst not in tree:
+            for idx, e in adjacency.get(u, ()):
+                value = e.mor if comp is None else compose(e.mor, comp)
+                via = path + (idx,)
+                at_v = tree.get(e.dst)
+                if at_v is None:
                     tree[e.dst] = (value, via)
                     stack.append(e.dst)
-                elif value.entries != tree[e.dst][0].entries:
-                    return _counter_pair(d, src, tree[e.dst], via, value)
+                elif (not _is_identity(value.entries) if at_v[0] is None
+                      else value.entries != at_v[0].entries):
+                    return _counter_pair(d, src, at_v, via, value)
     return True
+
+
+def _is_identity(entries) -> bool:
+    return all(row[i] == 1 and not any(row[:i]) and not any(row[i + 1:])
+               for i, row in enumerate(entries))
 
 
 def _check_conclusion(whole: Diagram):
@@ -130,7 +140,10 @@ def _counter_pair(d: Diagram, src: int, at_v, via: Tuple[int, ...],
     v = d.edges[via[-1]].dst
     inner = [d.edges[i].dst for i in via[:-1]]
     if v == src or v not in inner:
-        return CounterPath(src, v, at_v[1], via, at_v[0], value)
+        ref = at_v[0]
+        if ref is None:
+            ref = identity(d.model, d.objects[src])
+        return CounterPath(src, v, at_v[1], via, ref, value)
     cycle = via[inner.index(v) + 1:]
     ident = value = identity(d.model, d.objects[v])
     for idx in cycle:
@@ -251,10 +264,9 @@ def build_zigzag_diagram(inst: ZigZagInstance) -> Diagram:
         upper, apex, lower, downs, ups = inst._side_seqs(side)
         fillers = inst.left_fillers if side == "left" else inst.right_fillers
         for k in range(1, n + 1):
-            pre = identity(model, obj_tensor(*lower[:k - 1]))
-            post = identity(model, obj_tensor(*upper[k:]))
-            down = tensor_mor(tensor_mor(pre, downs[k - 1]), post)
-            up = tensor_mor(tensor_mor(pre, ups[k - 1]), post)
+            pre, post = obj_tensor(*lower[:k - 1]), obj_tensor(*upper[k:])
+            down = whisker(pre, downs[k - 1], post)
+            up = whisker(pre, ups[k - 1], post)
             edges.append(Edge(x_idx(side, k - 1), a_idx(side, k), down,
                               f"{side}-down-{k}"))
             edges.append(Edge(x_idx(side, k), a_idx(side, k), up,
@@ -288,7 +300,7 @@ def check_zigzag_instance(inst: ZigZagInstance) -> ZigZagOutcome:
                                        whole.edges[:-2]))
     if premise is not True:
         return ZigZagOutcome("premise_fails", premise)
-    conclusion = diagram_commutes(whole)
+    conclusion = _check_conclusion(whole)
     if conclusion is True:
         return ZigZagOutcome("holds")
     return ZigZagOutcome("violated", conclusion)
@@ -303,21 +315,27 @@ class SearchResult:
 
 
 def _corollary_frame(model: Model, rng: random.Random, n: int,
-                     max_rank: int):
+                     max_rank: int, structure: Dict[int, Tuple[Mor, Mor]]):
     """Objects and maps of the mix/coevaluation instance: the down maps
     are forced to mix maps of A_i with its dual and the up maps to
-    coevaluations."""
+    coevaluations.  ``structure`` holds the pair (mix map, coevaluation)
+    per base rank, built on first use."""
     bases = [Obj(rng.randint(1, max_rank)) for _ in range(n)]
+    for b in bases:
+        if b.rank not in structure:
+            structure[b.rank] = (canonical_map(model, "mix_map", [b, b]),
+                                 canonical_map(model, "coev", [b]))
     upper = tuple(Obj(b.rank * b.rank) for b in bases)
     apex = tuple(Obj(b.rank * b.rank) for b in bases)
     lower = tuple(Obj(1) for _ in range(n))
-    downs = tuple(canonical_map(model, "mix_map", [b, b]) for b in bases)
-    ups = tuple(canonical_map(model, "coev", [b]) for b in bases)
+    downs = tuple(structure[b.rank][0] for b in bases)
+    ups = tuple(structure[b.rank][1] for b in bases)
     return bases, upper, apex, lower, downs, ups
 
 
 def _pullback_fillers(model: Model, rng: random.Random, bases,
-                      perm: Permutation, hub: Obj, entry_bound: int):
+                      perm: Permutation, hub: Obj, entry_bound: int,
+                      structure: Dict[int, Tuple[Mor, Mor]]):
     """Premise-commuting fillers: one random map out of the tensor of the
     apex objects, pulled back along coevaluations (below the level) and
     mix maps (above it)."""
@@ -328,15 +346,16 @@ def _pullback_fillers(model: Model, rng: random.Random, bases,
     def side_fillers(side_bases, reorder: Optional[Sequence[int]]):
         fillers = []
         for k in range(0, n + 1):
-            pieces = identity(model, Obj(1))
+            pieces = identity(model, UNIT)
             for j, b in enumerate(side_bases):
                 if k == 0 or j + 1 > k:
-                    piece = canonical_map(model, "mix_map", [b, b])
+                    piece = structure[b.rank][0]
                 elif j + 1 < k:
-                    piece = canonical_map(model, "coev", [b])
+                    piece = structure[b.rank][1]
                 else:
-                    piece = identity(model, Obj(b.rank * b.rank))
-                pieces = tensor_mor(pieces, piece)
+                    piece = None
+                pieces = (whisker(UNIT, pieces, Obj(b.rank * b.rank))
+                          if piece is None else tensor_mor(pieces, piece))
             if reorder is not None:  # apex factors back in ``bases`` order
                 pieces = regroup(pieces, [b.rank * b.rank for b in side_bases],
                                  [pieces.dom.rank], reorder, [n])
@@ -362,9 +381,10 @@ def search_counterexample(model: Model, n: int, max_rank: int,
                          "and budget >= 0")
     rng = random.Random(f"zigzag:{seed}")
     stats = {"premise_fails": 0, "holds": 0, "violated": 0}
+    structure: Dict[int, Tuple[Mor, Mor]] = {}
     for idx in range(budget):
         bases, upper, apex, lower, downs, ups = _corollary_frame(
-            model, rng, n, max_rank)
+            model, rng, n, max_rank, structure)
         images = list(range(n))
         rng.shuffle(images)
         perm = Permutation(tuple(images))
@@ -372,7 +392,7 @@ def search_counterexample(model: Model, n: int, max_rank: int,
         strategy = idx % 3
         if strategy == 0:
             left, right = _pullback_fillers(model, rng, bases, perm, hub,
-                                            entry_bound)
+                                            entry_bound, structure)
         else:
             def col(ranks):
                 fillers = []
