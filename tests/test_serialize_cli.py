@@ -1,4 +1,5 @@
 import json
+import os
 import random
 import subprocess
 import sys
@@ -486,3 +487,51 @@ def test_realize_rejects_what_no_power_of_mix_clears(tmp_path, mix, entry,
                           capture_output=True, text=True, timeout=10)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("input error:") and named in proc.stderr
+
+
+def test_main_in_one_process_matches_each_call_alone(tmp_path, monkeypatch,
+                                                     capsys):
+    # the parser is built once per process; no option may leak from one
+    # call into the next, and bad arguments still exit 2
+    monkeypatch.delenv("MIXCAT_SEED", raising=False)
+    loop = write(tmp_path, "k3.json", {
+        "model": {"ring": "Z", "mix": "2"}, "A": 1, "B": 1,
+        "hidden": [1, 2, 2],
+        "carrier": {"model": {"ring": "Z", "mix": "2"}, "dom": 4, "cod": 4,
+                    "entries": [["2", "0", "6", "8"], ["6", "2", "2", "2"],
+                                ["6", "2", "4", "6"], ["4", "2", "8", "0"]]}})
+    axioms = ["axioms", "--model", "zmod:2", "--cases", "4", "--max-rank",
+              "2"]
+    search = ["zigzag-search", "--model", "zmod:0", "--n", "1", "--budget",
+              "6"]
+    calls = [
+        ["trace", "--mode", "free", "--loop", loop, "--witness"],
+        ["trace", "--mode", "free", "--loop", loop],
+        axioms + ["--seed", "7"],
+        axioms,
+        search + ["--seed", "3"],
+        search,
+        ["trace", "--mode", "sideways", "--loop", loop],
+        ["zigzag-search", "--n", "1"],
+        ["validate", "--model", "zmod:2", "--max-rank", "1", "--seed", "1"],
+        ["trace", "--mode", "induced", "--loop", loop],
+        ["axioms", "--model", "zmod:2", "--cases", "-1"],
+    ]
+    env = {k: v for k, v in os.environ.items() if k != "MIXCAT_SEED"}
+    alone = []
+    for argv in calls:
+        proc = subprocess.run([sys.executable, "-m", "mixtrace.cli", *argv],
+                              capture_output=True, text=True, env=env)
+        alone.append((proc.returncode, proc.stdout))
+    together = []
+    for argv in calls:
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        together.append((code, capsys.readouterr().out))
+    assert together == alone
+    assert [code for code, _ in alone] == [0, 0, 0, 0, 0, 0, 2, 2, 0, 0, 2]
+    # with and without each option the outputs differ, so a leak would show
+    for i in (0, 2, 4):
+        assert alone[i][1] != alone[i + 1][1]
