@@ -9,6 +9,13 @@ stand for).  ``diagram_commutes`` checks every edge against one tree of
 composites per source node: O(V * E) composites, with no path limit.  A
 failure is reported as two parallel simple paths with unequal composites.
 
+A zig-zag instance is one diagram whose last two edges, the bottom
+symmetry, turn the premise into the conclusion.  Once the premise
+commutes, only the trees that reach the bottom symmetry can change, so the
+conclusion check re-grows just those.  The level maps Id (x) f (x) Id are
+whiskered by block copy (``category.whisker``), and a search builds each
+base rank's mix map and coevaluation once.
+
 The module builds on ``category`` and ``loops`` only; ``traces`` draws a
 free trace's staircase witness as a diagram and checks it here.
 """
@@ -20,9 +27,9 @@ from dataclasses import dataclass
 from math import prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .category import (UNIT, Mor, Model, Obj, canonical_map, compose,
-                       dual_mor, factor_permutation, identity, obj_tensor,
-                       random_mor, regroup, tensor_mor, whisker, zero_mor)
+from .category import (Mor, Model, Obj, canonical_map, compose, dual_mor,
+                       factor_permutation, identity, obj_tensor, random_mor,
+                       regroup, tensor_mor, whisker, zero_mor)
 from .errors import InputError
 from .loops import Permutation
 
@@ -98,15 +105,17 @@ def _check_trees(d: Diagram, sources):
         while stack:
             u = stack.pop()
             comp, path = tree[u]
-            for idx, e in adjacency.get(u, ()):
+            for idx, e in adjacency.get(u, []):
                 value = e.mor if comp is None else compose(e.mor, comp)
                 via = path + (idx,)
                 at_v = tree.get(e.dst)
                 if at_v is None:
                     tree[e.dst] = (value, via)
                     stack.append(e.dst)
-                elif (not _is_identity(value.entries) if at_v[0] is None
-                      else value.entries != at_v[0].entries):
+                elif at_v[0] is None:  # back at the source
+                    if not _is_identity(value.entries):
+                        return _counter_pair(d, src, at_v, via, value)
+                elif value.entries != at_v[0].entries:
                     return _counter_pair(d, src, at_v, via, value)
     return True
 
@@ -118,14 +127,14 @@ def _is_identity(entries) -> bool:
 
 def _check_conclusion(whole: Diagram):
     """``diagram_commutes(whole)`` for a diagram whose premise, all but its
-    last two edges, commutes.  A tree that never reaches an endpoint of
-    those edges is the premise's tree, so only the sources with a path to
-    one are re-grown, in ascending order: the first failure is the one the
-    full check reports."""
+    last two edges, commutes.  A tree that never reaches the tail of one of
+    those edges never uses it and is the premise's tree, so only the
+    sources with a path to such a tail are re-grown, in ascending order:
+    the first failure is the one the full check reports."""
     into: Dict[int, List[int]] = {}
     for e in whole.edges:
         into.setdefault(e.dst, []).append(e.src)
-    reach = {e.src for e in whole.edges[-2:]} | {e.dst for e in whole.edges[-2:]}
+    reach = {e.src for e in whole.edges[-2:]}
     stack = list(reach)
     while stack:
         for u in into.get(stack.pop(), ()):
@@ -294,7 +303,9 @@ def build_zigzag_diagram(inst: ZigZagInstance) -> Diagram:
 
 def check_zigzag_instance(inst: ZigZagInstance) -> ZigZagOutcome:
     """Check the premise diagram, the instance's diagram without the bottom
-    symmetry; if it commutes, check the whole diagram."""
+    symmetry; if it commutes, check the whole diagram by re-growing only
+    the trees that reach the bottom symmetry, which report the failure,
+    if any, that a full check of the whole diagram reports."""
     whole = build_zigzag_diagram(inst)
     premise = diagram_commutes(Diagram(inst.model, whole.objects,
                                        whole.edges[:-2]))
@@ -346,16 +357,15 @@ def _pullback_fillers(model: Model, rng: random.Random, bases,
     def side_fillers(side_bases, reorder: Optional[Sequence[int]]):
         fillers = []
         for k in range(0, n + 1):
-            pieces = identity(model, UNIT)
+            pieces = identity(model, Obj(1))
             for j, b in enumerate(side_bases):
                 if k == 0 or j + 1 > k:
                     piece = structure[b.rank][0]
                 elif j + 1 < k:
                     piece = structure[b.rank][1]
                 else:
-                    piece = None
-                pieces = (whisker(UNIT, pieces, Obj(b.rank * b.rank))
-                          if piece is None else tensor_mor(pieces, piece))
+                    piece = identity(model, Obj(b.rank * b.rank))
+                pieces = tensor_mor(pieces, piece)
             if reorder is not None:  # apex factors back in ``bases`` order
                 pieces = regroup(pieces, [b.rank * b.rank for b in side_bases],
                                  [pieces.dom.rank], reorder, [n])

@@ -208,10 +208,18 @@ def _random_multigraph(rng):
 def test_random_multigraphs_agree(seed):
     rng = random.Random(f"diagram-oracle:{seed}")
     verdicts = {True: 0, False: 0}
+    partial = 0
     for _ in range(250):
-        new, _ = assert_agrees(_random_multigraph(rng))
+        d = _random_multigraph(rng)
+        new, _ = assert_agrees(d)
         verdicts[new is True] += 1
-    assert verdicts[True] > 0 and verdicts[False] > 0
+        # read the last two edges as a conclusion's: whenever the rest
+        # commutes, the partial check names the full check's pair
+        premise = Diagram(d.model, d.objects, d.edges[:-2])
+        if len(d.edges) > 2 and diagram_commutes(premise) is True:
+            assert zigzag._check_conclusion(d) == new
+            partial += 1
+    assert verdicts[True] > 0 and verdicts[False] > 0 and partial > 0
 
 
 def test_dense_dag_commutes_and_locates_a_changed_edge():
