@@ -7,11 +7,11 @@ from .category import (CheckResult, Model, Mor, Obj, UNIT, ValidationReport,
                        obj_tensor, regroup, tensor_mor, uncurry,
                        validate_coherence, zero_mor)
 from .compactify import (c_tr, comix, congruent, localized_model, loop_value,
-                         one_step_congruent, realize, verify_compactness)
+                         realize, verify_compactness)
 from .errors import (InputError, ModelNotCompactifiableError,
                      ResourceLimitError)
-from .loops import (Loop, Permutation, hidden_symmetry, hide, loop_compose,
-                    loop_dual, loop_par, loop_tensor, morphism_loop,
+from .loops import (Loop, Permutation, hidden_symmetry, loop_compose,
+                    loop_dual, loop_tensor, morphism_loop,
                     morphism_tensor_loop, post_compose, pre_compose,
                     yanking_loop)
 from .rings import (INTEGERS, RATIONALS, RingTag, localized_integers,

@@ -6,16 +6,16 @@ matrices over the base ring localized at the mix scalar (denominators
 powers of m).  ``loop_value`` computes a loop's class, ``c_tr`` embeds
 ordinary morphisms, ``realize`` sections the quotient, and ``comix`` is
 the loop inverting the mix map in the quotient.  The congruence itself is
-generated by one-step moves, hidden traces and hidden symmetries:
-``one_step_congruent`` tests one step, and ``congruent`` either compares
-normal forms ("semantic") or closes the moves breadth first ("bounded").
+generated by one-step moves, hidden traces and hidden symmetries, and
+``congruent`` either compares normal forms ("semantic") or closes the
+moves breadth first ("bounded").
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial, lcm, prod
 from typing import Iterator, Optional, Sequence, Set, Tuple
 
 from . import traces
@@ -44,7 +44,7 @@ def localized_model(model: Model) -> Model:
         raise InputError("mix scalar of an integral ring must be an integer")
     if ring.kind == "Z":
         return Model(localized_integers(scale), m)
-    return Model(localized_integers(ring.m * scale), m)
+    return Model(localized_integers(lcm(ring.m, scale)), m)
 
 
 def loop_value(p: Loop) -> Mor:
@@ -261,14 +261,6 @@ def _require_comparable(p: Loop, q: Loop) -> None:
         raise InputError("loops belong to different models")
     if p.dom != q.dom or p.cod != q.cod:
         raise InputError("loops have different endpoints")
-
-
-def one_step_congruent(p: Loop, q: Loop) -> bool:
-    """True iff the loops are equal or one is a one-step move of the other:
-    a hidden trace or a hidden symmetry (see ``_relabellings``)."""
-    _require_comparable(p, q)
-    return (p == q or q in _one_step_moves(p, ())
-            or p in _one_step_moves(q, ()))
 
 
 def _hidden_traces(p: Loop) -> Iterator[Loop]:

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from math import prod
 from typing import List, Sequence, Tuple
 
-from .category import (Mor, Model, Obj, canonical_map, compose, dual_mor,
-                       identity, obj_tensor, regroup, tensor_mor)
+from .category import (UNIT, Mor, Model, Obj, canonical_map, compose,
+                       dual_mor, obj_tensor, regroup, tensor_mor, whisker)
 from .errors import InputError
 
 
@@ -104,16 +104,15 @@ def loop_compose(q: Loop, p: Loop) -> Loop:
     if p.cod != q.dom:
         raise InputError(
             f"cannot compose loops: endpoint ranks {q.dom.rank} vs {p.cod.rank}")
-    model = p.model
     hu = p.hidden_size
     hv = q.hidden_size
-    lift_p = tensor_mor(p.carrier, identity(model, Obj(hv)))
+    lift_p = whisker(UNIT, p.carrier, Obj(hv))
     # q (x) Id_U: B(x)V(x)U -> C par V par U, with both sides regrouped to
     # put U before V
-    lift_q = regroup(tensor_mor(q.carrier, identity(model, Obj(hu))),
+    lift_q = regroup(whisker(UNIT, q.carrier, Obj(hu)),
                      [q.cod.rank, hv, hu], [q.dom.rank, hv, hu],
                      [0, 2, 1], [3, 5, 4])
-    return Loop(model, p.dom, q.cod, p.hidden + q.hidden,
+    return Loop(p.model, p.dom, q.cod, p.hidden + q.hidden,
                 compose(lift_q, lift_p))
 
 
@@ -139,27 +138,20 @@ def loop_dual(p: Loop) -> Loop:
     return Loop(p.model, p.cod, p.dom, p.hidden, dual_mor(p.carrier))
 
 
-def loop_par(p: Loop, q: Loop) -> Loop:
-    """Cotensor product, defined through duality: (p* (x) q*)*."""
-    return loop_dual(loop_tensor(loop_dual(p), loop_dual(q)))
-
-
 def pre_compose(p: Loop, f: Mor) -> Loop:
     """p . f for a morphism f into p's source endpoint."""
     if f.cod != p.dom or f.model != p.model:
         raise InputError("pre_compose: shape or model mismatch")
-    h = identity(p.model, Obj(p.hidden_size))
     return Loop(p.model, f.dom, p.cod, p.hidden,
-                compose(p.carrier, tensor_mor(f, h)))
+                compose(p.carrier, whisker(UNIT, f, Obj(p.hidden_size))))
 
 
 def post_compose(g: Mor, p: Loop) -> Loop:
     """g . p for a morphism g out of p's target endpoint."""
     if g.dom != p.cod or g.model != p.model:
         raise InputError("post_compose: shape or model mismatch")
-    h = identity(p.model, Obj(p.hidden_size))
     return Loop(p.model, p.dom, g.cod, p.hidden,
-                compose(tensor_mor(g, h), p.carrier))
+                compose(whisker(UNIT, g, Obj(p.hidden_size)), p.carrier))
 
 
 def morphism_tensor_loop(f: Mor, p: Loop) -> Loop:
@@ -170,23 +162,6 @@ def morphism_tensor_loop(f: Mor, p: Loop) -> Loop:
         raise InputError("morphism_tensor_loop: model mismatch")
     return Loop(p.model, obj_tensor(f.dom, p.dom), obj_tensor(f.cod, p.cod),
                 p.hidden, tensor_mor(f, p.carrier))
-
-
-def hide(p: Loop, new_dom: Obj, v: Obj) -> Loop:
-    """Move the declared endpoint factor V into the hidden part: a loop
-    A'(x)V -|-> B' par V becomes A' -|-> B' with V prepended to the hidden
-    list.  The factorization is caller data; rank arithmetic alone is
-    ambiguous."""
-    if v.rank == 0:
-        raise InputError("cannot hide a rank-0 factor: target ranks ambiguous")
-    if p.dom.rank != new_dom.rank * v.rank:
-        raise InputError(
-            f"hide: {p.dom.rank} does not factor as {new_dom.rank} * {v.rank}")
-    if p.cod.rank % v.rank != 0:
-        raise InputError(
-            f"hide: codomain rank {p.cod.rank} not divisible by {v.rank}")
-    new_cod = Obj(p.cod.rank // v.rank)
-    return Loop(p.model, new_dom, new_cod, (v,) + p.hidden, p.carrier)
 
 
 def hidden_symmetry(p: Loop, alpha: Permutation) -> Loop:

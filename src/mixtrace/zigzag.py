@@ -10,11 +10,13 @@ composites per source node: O(V * E) composites, with no path limit.  A
 failure is reported as two parallel simple paths with unequal composites.
 
 A zig-zag instance is one diagram whose last two edges, the bottom
-symmetry, turn the premise into the conclusion.  Once the premise
-commutes, only the trees that reach the bottom symmetry can change, so the
-conclusion check re-grows just those.  The level maps Id (x) f (x) Id are
-whiskered by block copy (``category.whisker``), and a search builds each
-base rank's mix map and coevaluation once.
+symmetry, turn the premise into the conclusion; the premise is checked as
+the edge prefix before them, with no second diagram.  Once it commutes,
+only the trees that reach the bottom symmetry can change, so the
+conclusion check re-grows just those.  An instance computes its level
+ranks once; Id (x) f (x) Id is whiskered by block copy
+(``category.whisker``), and a search builds each base rank's mix map and
+coevaluation once.
 
 The module builds on ``category`` and ``loops`` only; ``traces`` draws a
 free trace's staircase witness as a diagram and checks it here.
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from math import prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -88,16 +91,17 @@ def diagram_commutes(d: Diagram):
     A failing edge names the tree path to v against the tree path to u
     plus e or, when v lies inside the latter, that cycle at v against the
     identity."""
-    return _check_trees(d, range(len(d.objects)))
+    return _check_trees(d, d.edges, range(len(d.objects)))
 
 
-def _check_trees(d: Diagram, sources):
-    """``diagram_commutes`` restricted to the trees grown from ``sources``,
+def _check_trees(d: Diagram, edges: Sequence[Edge], sources):
+    """``diagram_commutes`` of the diagram with d's objects and ``edges``, a
+    prefix of ``d.edges``, restricted to the trees grown from ``sources``,
     taken in the order given.  The identity at a source stays implicit (an
     out-edge's matrix is its own composite) until a counterexample names
     it."""
     adjacency: Dict[int, List[Tuple[int, Edge]]] = {}
-    for idx, e in enumerate(d.edges):
+    for idx, e in enumerate(edges):
         adjacency.setdefault(e.src, []).append((idx, e))
     for src in sources:
         tree = {src: (None, ())}
@@ -141,7 +145,7 @@ def _check_conclusion(whole: Diagram):
             if u not in reach:
                 reach.add(u)
                 stack.append(u)
-    return _check_trees(whole, sorted(reach))
+    return _check_trees(whole, whole.edges, sorted(reach))
 
 
 def _counter_pair(d: Diagram, src: int, at_v, via: Tuple[int, ...],
@@ -200,13 +204,18 @@ class ZigZagInstance:
                 raise InputError(f"down map {i} has the wrong shape")
             if g.dom != self.lower[i] or g.cod != self.apex[i]:
                 raise InputError(f"up map {i} has the wrong shape")
-        levels = level_ranks(self.upper, self.apex, self.lower, self.perm)
+        levels = self.levels
         for side, fillers in (("left", self.left_fillers),
                               ("right", self.right_fillers)):
             for k, f in enumerate(fillers):
                 if f.dom.rank != levels[side][1][k] or f.cod != self.hub:
                     raise InputError(
                         f"{side} filler {k} has the wrong shape")
+
+    @cached_property
+    def levels(self) -> Dict[str, Tuple[List[int], List[int]]]:
+        """``level_ranks`` of this instance, computed once."""
+        return level_ranks(self.upper, self.apex, self.lower, self.perm)
 
     @property
     def n(self) -> int:
@@ -252,12 +261,11 @@ def build_zigzag_diagram(inst: ZigZagInstance) -> Diagram:
     Without those two it is the premise diagram."""
     model = inst.model
     n = inst.n
-    levels = level_ranks(inst.upper, inst.apex, inst.lower, inst.perm)
     objects: List[Obj] = []
     # left X-levels 0..n, left apex levels 1..n, then the same on the
     # right, then the hub
     for side in ("left", "right"):
-        x_levels, fillers = levels[side]
+        x_levels, fillers = inst.levels[side]
         objects += [Obj(r) for r in x_levels] + [Obj(r) for r in fillers[1:]]
     objects.append(inst.hub)
     hub_idx = len(objects) - 1
@@ -302,13 +310,14 @@ def build_zigzag_diagram(inst: ZigZagInstance) -> Diagram:
 
 
 def check_zigzag_instance(inst: ZigZagInstance) -> ZigZagOutcome:
-    """Check the premise diagram, the instance's diagram without the bottom
-    symmetry; if it commutes, check the whole diagram by re-growing only
-    the trees that reach the bottom symmetry, which report the failure,
-    if any, that a full check of the whole diagram reports."""
+    """Build the instance's one diagram (from the levels the instance
+    computed once) and check its premise, the edge prefix without the
+    bottom symmetry; if that commutes, check the whole diagram by
+    re-growing only the trees that reach the bottom symmetry, which report
+    the failure, if any, that a full check of the whole diagram reports."""
     whole = build_zigzag_diagram(inst)
-    premise = diagram_commutes(Diagram(inst.model, whole.objects,
-                                       whole.edges[:-2]))
+    premise = _check_trees(whole, whole.edges[:-2],
+                           range(len(whole.objects)))
     if premise is not True:
         return ZigZagOutcome("premise_fails", premise)
     conclusion = _check_conclusion(whole)

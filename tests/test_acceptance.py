@@ -16,11 +16,10 @@ import pytest
 from mixtrace.category import (Model, Obj, canonical_map, compose,
                                dual_mor, identity, mor, obj_tensor,
                                random_mor, tensor_mor, validate_coherence)
-from mixtrace.compactify import (loop_value, one_step_congruent,
-                                 verify_compactness)
+from mixtrace.compactify import loop_value, verify_compactness
 from mixtrace.errors import ModelNotCompactifiableError
 from mixtrace.loops import (Loop, Permutation, hidden_symmetry,
-                            loop_compose, loop_dual, loop_par, loop_tensor,
+                            loop_compose, loop_dual, loop_tensor,
                             morphism_tensor_loop, post_compose, pre_compose,
                             yanking_loop)
 from mixtrace.rings import INTEGERS, RATIONALS
@@ -32,7 +31,8 @@ from mixtrace.zigzag import check_zigzag_instance, search_counterexample
 from mixtrace import serialize
 
 from trace_reference import (all_permutations,
-                             assert_solvable_orderings_agree, total_trace)
+                             assert_solvable_orderings_agree, loop_par,
+                             one_step_congruent, total_trace)
 
 Q1 = Model(RATIONALS, 1)
 

@@ -11,11 +11,11 @@ from mixtrace.compactify import (c_tr, comix, localized_model, loop_value,
                                  realize, verify_compactness)
 from mixtrace.errors import InputError, ModelNotCompactifiableError
 from mixtrace.loops import (Loop, hidden_symmetry, loop_compose, loop_dual,
-                            loop_par, loop_tensor, morphism_loop)
+                            loop_tensor, morphism_loop)
 from mixtrace.rings import INTEGERS, RATIONALS, localized_integers
 from mixtrace.traces import free_mixed_trace, hidden_trace, random_loop
 
-from trace_reference import all_permutations, total_trace
+from trace_reference import all_permutations, hide, loop_par, total_trace
 
 Z0 = Model(INTEGERS, 0)
 Z1 = Model(INTEGERS, 1)
@@ -32,6 +32,14 @@ def test_localized_model():
         localized_integers(6)
     with pytest.raises(ModelNotCompactifiableError):
         localized_model(Z0)
+
+
+def test_localizing_keeps_the_zloc_parameter():
+    # Z[1/6] with mix 6 is already local at 6: the parameter is the lcm,
+    # not the product, so it prints as given and localizing is a fixpoint
+    z6 = Model(localized_integers(6), 6)
+    assert str(localized_model(z6).ring) == "Z[1/6]"
+    assert localized_model(localized_model(z6)).ring.m == 6
 
 
 def test_loop_value_examples():
@@ -172,8 +180,6 @@ def test_comix_value_examples():
 def test_comix_mix_is_tensor_of_yankings():
     # the defining composite collapses to hidden mixed symmetries on the
     # nose in this model
-    from mixtrace.loops import hide
-
     for model, (ar, br) in ((Z2, (1, 1)), (Z2, (2, 1)), (Z3, (2, 2))):
         a, b = Obj(ar), Obj(br)
         lhs = loop_compose(comix(model, a, b),

@@ -60,15 +60,18 @@ def assert_agrees(d):
 
 
 def _search_diagrams(monkeypatch):
-    """Every tree check the zig-zag search makes, with the sources it grows
-    trees from: all of them for a premise, those with a path to the bottom
-    symmetry for a conclusion."""
+    """Every tree check the zig-zag search makes, as the diagram it checks
+    and the sources it grows trees from: all of them for a premise, those
+    with a path to the bottom symmetry for a conclusion.  A premise is
+    checked as an edge prefix of the instance's diagram, so each check is
+    recorded as a diagram of the edges it walks, built here."""
     seen = []
     original = zigzag._check_trees
 
-    def record(d, sources):
-        seen.append((d, sources))
-        return original(d, sources)
+    def record(d, edges, sources):
+        assert tuple(edges) == d.edges[:len(edges)]
+        seen.append((Diagram(d.model, d.objects, edges), sources))
+        return original(d, edges, sources)
 
     monkeypatch.setattr(zigzag, "_check_trees", record)
     for mix in (0, 1, 2):
@@ -90,7 +93,7 @@ def test_search_diagrams_agree_and_name_the_same_pair(monkeypatch):
         assert new == old
         # and a conclusion check, which re-grows only some of the trees,
         # names the pair the full check names
-        assert zigzag._check_trees(d, sources) == new
+        assert zigzag._check_trees(d, d.edges, sources) == new
         failing += new is not True
         partial += len(sources) < len(d.objects)
     assert len(checks) > 200 and 0 < failing < len(checks)

@@ -48,3 +48,21 @@ def test_no_import_inside_a_function(name):
              for node in ast.walk(fn)
              if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert not inner, f"{name} imports inside a function at lines {inner}"
+
+
+def test_every_export_is_used_by_the_engine():
+    # a name the package exports that no other module loads is API only
+    # tests call; such code belongs with the oracles in tests/
+    init = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    exported = {alias.asname or alias.name
+                for node in ast.walk(init) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    loaded = set()
+    for name in MODULES:
+        for node in ast.walk(_tree(name)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                loaded.add(node.attr)
+    unused = sorted(exported - loaded)
+    assert not unused, f"exported but never used in src: {unused}"

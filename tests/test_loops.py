@@ -6,19 +6,19 @@ import pytest
 from mixtrace.category import (Model, Obj, canonical_map, compose, identity,
                                mor, mor_scale, obj_tensor, random_mor,
                                tensor_mor)
-from mixtrace.compactify import (congruent, one_step_congruent,
-                                 _relabellings)
+from mixtrace.compactify import congruent, _relabellings
 from mixtrace.errors import (InputError, ModelNotCompactifiableError,
                              ResourceLimitError)
-from mixtrace.loops import (Loop, Permutation, hidden_symmetry, hide,
-                            loop_compose, loop_dual, loop_par, loop_tensor,
+from mixtrace.loops import (Loop, Permutation, hidden_symmetry,
+                            loop_compose, loop_dual, loop_tensor,
                             morphism_loop, morphism_tensor_loop,
                             yanking_loop)
 from mixtrace import traces
 from mixtrace.rings import INTEGERS, RATIONALS
 from mixtrace.traces import hidden_trace
 
-from trace_reference import all_permutations
+from trace_reference import (all_permutations, hide, loop_par,
+                             one_step_congruent)
 
 Z2 = Model(INTEGERS, 2)
 Z3 = Model(INTEGERS, 3)

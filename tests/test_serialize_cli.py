@@ -334,8 +334,8 @@ def test_cli_realize_at_negative_mix(tmp_path):
 
 @pytest.mark.parametrize("model", ["zloc:2", "zloc:6", "qmod:2", "zloc:+2"])
 def test_cli_compactify_verify_localize_models(model):
-    # Z[1/4] is Z[1/2], so the round trip through zloc:2 lands in its own
-    # ring; over Q the model is its own compactification
+    # localizing zloc:2 at its mix keeps Z[1/2], so the round trip lands in
+    # its own ring; over Q the model is its own compactification
     code, out, err = run_cli("compactify-verify", "--model", model,
                              "--max-rank", "2", "--samples", "100")
     assert code == 0, err

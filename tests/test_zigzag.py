@@ -1,5 +1,6 @@
 import pytest
 
+from mixtrace import zigzag
 from mixtrace.category import (Model, Obj, canonical_map, compose, identity,
                                mor, random_mor)
 from mixtrace.errors import InputError
@@ -131,6 +132,29 @@ def test_witness_is_stable_under_rebuild():
     d = build_zigzag_diagram(inst)
     counter = diagram_commutes(d)
     assert isinstance(counter, CounterPath)
+
+
+def test_check_builds_one_diagram_and_reuses_the_levels(monkeypatch):
+    # the premise is a prefix of the instance's one diagram, and the level
+    # ranks are the instance's own, computed when it was built
+    instances = [frozen_instance(Z0, 1, 2), frozen_instance(Z2, 1, 2),
+                 frozen_instance(Z0, 1, 1)]
+    counts = {"diagrams": 0, "levels": 0}
+    post_init, levels = Diagram.__post_init__, zigzag.level_ranks
+
+    def count_diagram(self):
+        counts["diagrams"] += 1
+        post_init(self)
+
+    def count_levels(*args):
+        counts["levels"] += 1
+        return levels(*args)
+
+    monkeypatch.setattr(Diagram, "__post_init__", count_diagram)
+    monkeypatch.setattr(zigzag, "level_ranks", count_levels)
+    for inst, status in zip(instances, ("violated", "premise_fails", "holds")):
+        assert check_zigzag_instance(inst).status == status
+    assert counts == {"diagrams": 3, "levels": 0}
 
 
 def test_instance_validation():

@@ -14,6 +14,11 @@ pairing form and the staircase along other routes than the library does.
 through coevaluation and the inverse mix map; the induced trace and the
 loop value must agree with it there.
 
+``loop_par``, ``hide`` and ``one_step_congruent`` are loop operations
+the library itself never needs: the cotensor through duality, moving an
+endpoint factor into the hidden part, and the one-step congruence test
+built from the library's own moves.
+
 ``diagram_commutes_by_paths`` is the simple-path enumerator: it lists every
 simple path out of every node and compares the parallel ones.  The
 library's per-source tree check must reach the same verdict on every
@@ -37,8 +42,10 @@ from mixtrace.category import (Mor, Obj, canonical_map, compose, curry,
                                dual_mor, factor_permutation, identity,
                                mor_scale, obj_tensor, tensor_mor, uncurry,
                                zero_mor)
+from mixtrace.compactify import _one_step_moves, _require_comparable
 from mixtrace.errors import InputError, ResourceLimitError
-from mixtrace.loops import Loop, Permutation, hidden_symmetry
+from mixtrace.loops import (Loop, Permutation, hidden_symmetry, loop_dual,
+                            loop_tensor)
 from mixtrace.rings import Number
 from mixtrace.traces import (AMBIGUOUS, StaircaseWitness, TraceResult,
                              _contract_pair, _divide_by_mix, _exact_div,
@@ -50,6 +57,36 @@ def all_permutations(k):
     """All of S_k in lexicographic order of image tuples."""
     for images in itertools.permutations(range(k)):
         yield Permutation(images)
+
+
+def loop_par(p: Loop, q: Loop) -> Loop:
+    """Cotensor product, defined through duality: (p* (x) q*)*."""
+    return loop_dual(loop_tensor(loop_dual(p), loop_dual(q)))
+
+
+def hide(p: Loop, new_dom: Obj, v: Obj) -> Loop:
+    """Move the declared endpoint factor V into the hidden part: a loop
+    A'(x)V -|-> B' par V becomes A' -|-> B' with V prepended to the hidden
+    list.  The factorization is caller data; rank arithmetic alone is
+    ambiguous."""
+    if v.rank == 0:
+        raise InputError("cannot hide a rank-0 factor: target ranks ambiguous")
+    if p.dom.rank != new_dom.rank * v.rank:
+        raise InputError(
+            f"hide: {p.dom.rank} does not factor as {new_dom.rank} * {v.rank}")
+    if p.cod.rank % v.rank != 0:
+        raise InputError(
+            f"hide: codomain rank {p.cod.rank} not divisible by {v.rank}")
+    new_cod = Obj(p.cod.rank // v.rank)
+    return Loop(p.model, new_dom, new_cod, (v,) + p.hidden, p.carrier)
+
+
+def one_step_congruent(p: Loop, q: Loop) -> bool:
+    """True iff the loops are equal or one is a one-step move of the other:
+    a hidden trace or a hidden symmetry (see ``compactify._relabellings``)."""
+    _require_comparable(p, q)
+    return (p == q or q in _one_step_moves(p, ())
+            or p in _one_step_moves(q, ()))
 
 
 def _value_from_column(p: Loop, column: Sequence[Sequence[Number]]) -> Mor:
