@@ -14,8 +14,8 @@ from fractions import Fraction
 import pytest
 
 from mixtrace.category import (Model, Obj, canonical_map, compose,
-                               dual_mor, identity, mor, obj_tensor,
-                               random_mor, tensor_mor, validate_coherence)
+                               identity, mor, obj_tensor, random_mor,
+                               tensor_mor, validate_coherence)
 from mixtrace.compactify import loop_value, verify_compactness
 from mixtrace.errors import ModelNotCompactifiableError
 from mixtrace.loops import (Loop, Permutation, hidden_symmetry,

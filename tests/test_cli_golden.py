@@ -69,6 +69,10 @@ CASES = [
     ("axioms-qmod", 0,
      "axioms --model qmod:3/2 --cases 40 --seed 5 --max-rank 2",
      "726755558d9eca6885deae8e6cb14d6c36660c29f23e107a9f9c1f01d6129ebb"),
+    # the shape of the perfbench axioms requests, over Z[1/2]
+    ("axioms-zloc2", 0,
+     "axioms --model zloc:2 --cases 60 --seed 7 --max-rank 3 --max-hidden 2",
+     "97cac84ed0f5a09b959b0ff3931a695234536f85f3d9e092adf5c8ed717988da"),
     # at m = 0 the yanking loop has no free trace, so the suite fails
     ("axioms-zmod0", 1,
      "axioms --model zmod:0 --cases 25 --seed 4 --max-rank 2",

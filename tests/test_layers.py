@@ -1,5 +1,6 @@
 """The modules of ``mixtrace`` form one chain, each importing only from
-modules below it, and every import sits at module level."""
+modules below it, and every import sits at module level; no test module
+imports a name it never uses."""
 
 import ast
 from pathlib import Path
@@ -8,8 +9,10 @@ import pytest
 
 CHAIN = ("errors", "rings", "category", "loops", "zigzag", "traces",
          "compactify", "serialize", "cli")
-SRC = Path(__file__).resolve().parent.parent / "src" / "mixtrace"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "mixtrace"
 MODULES = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
+TEST_MODULES = sorted(p.name for p in TESTS.glob("*.py"))
 
 
 def _tree(name):
@@ -66,3 +69,17 @@ def test_every_export_is_used_by_the_engine():
                 loaded.add(node.attr)
     unused = sorted(exported - loaded)
     assert not unused, f"exported but never used in src: {unused}"
+
+
+@pytest.mark.parametrize("name", TEST_MODULES)
+def test_test_modules_use_every_name_they_import(name):
+    tree = ast.parse((TESTS / name).read_text(encoding="utf-8"))
+    imported = {alias.asname or alias.name.split(".")[0]: node.lineno
+                for node in tree.body
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for alias in node.names}
+    loaded = {node.id for node in ast.walk(tree)
+              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    unused = sorted((line, n) for n, line in imported.items() if n not in loaded)
+    assert not unused, f"{name} imports names it never uses: {unused}"

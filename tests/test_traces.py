@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from mixtrace.category import (Model, Obj, canonical_map, compose, curry,
-                               dual_mor, identity, mor, mor_scale, obj_tensor,
+                               identity, mor, mor_scale, obj_tensor,
                                random_mor, tensor_mor, uncurry)
 from mixtrace.compactify import loop_value
 from mixtrace.errors import InputError, ModelNotCompactifiableError

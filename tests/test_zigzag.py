@@ -2,7 +2,7 @@ import pytest
 
 from mixtrace import zigzag
 from mixtrace.category import (Model, Obj, canonical_map, compose, identity,
-                               mor, random_mor)
+                               mor)
 from mixtrace.errors import InputError
 from mixtrace.loops import Permutation
 from mixtrace.zigzag import (CounterPath, Diagram, Edge, ZigZagInstance,
