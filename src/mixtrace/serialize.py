@@ -215,7 +215,8 @@ def zigzag_from_json(data, where: str = "zigzag") -> ZigZagInstance:
     right = fillers("right_fillers", "right")
     try:
         return ZigZagInstance(model, tuple(upper), tuple(apex), tuple(lower),
-                              downs, ups, perm, hub, left, right)
+                              downs, ups, perm, hub, left, right,
+                              levels=levels)
     except InputError as exc:
         raise FileFormatError(f"{where}: {exc}") from exc
 

@@ -117,9 +117,15 @@ def _exact_div(v: Number, m: Number, ring) -> Optional[Number]:
 def _divide_by_mix(rows: Sequence[Sequence[Number]], m: Number,
                    ring) -> Optional[List[List[Number]]]:
     """The first half of a staircase stage: every entry divided exactly by
-    the mix scalar, or None as soon as a quotient leaves the ring."""
+    the mix scalar, or None as soon as a quotient leaves the ring.  A row
+    of ints that an int scalar divides is divided in one pass; any other
+    row goes entry by entry."""
+    int_mix = type(m) is int
     divided: List[List[Number]] = []
     for row in rows:
+        if int_mix and all(type(v) is int and not v % m for v in row):
+            divided.append([v // m for v in row])
+            continue
         out = []
         for v in row:
             q = _exact_div(v, m, ring)
@@ -222,11 +228,14 @@ def free_mixed_trace(p: Loop, want_witness: bool = False) -> TraceResult:
     if found is None:
         return undefined()
     order, column, path = found
-    ba = p.cod.rank * p.dom.rank
-    psi = Mor(model, Obj(1), Obj(ba), tuple(map(tuple, column)))
-    value = regroup(psi, [p.cod.rank, p.dom.rank], [], [0], [1])
+    a = p.dom.rank
+    flat = [row[0] for row in column]
+    value = Mor(model, p.dom, p.cod,
+                tuple(tuple(flat[b * a:b * a + a]) for b in range(p.cod.rank)))
     witness = None
     if want_witness:
+        ba = len(flat)
+        psi = Mor(model, Obj(1), Obj(ba), tuple(map(tuple, column)))
         fillers = []
         rest = list(range(p.k))
         for i, divided in enumerate(path):
@@ -280,11 +289,16 @@ def staircase_diagram(p: Loop, witness: StaircaseWitness) -> Diagram:
 def _contract_over_mix_power(p: Loop) -> Tuple[Tuple[Number, ...], ...]:
     """The hidden indices of the carrier contracted and every entry divided
     by m^k over the rationals (m nonzero); the caller decides which ring
-    the quotients must lie in."""
-    contracted = contract_hidden(p.carrier, p.dom, p.cod, p.hidden)
-    scale = Fraction(1) / Fraction(p.model.mix) ** p.k
-    return tuple(tuple(_canon(v * scale) for v in row)
-                 for row in contracted.entries)
+    the quotients must lie in.  Int entries that an int m^k divides are
+    divided as ints."""
+    rows = contract_hidden(p.carrier, p.dom, p.cod, p.hidden).entries
+    m = p.model.mix
+    if type(m) is int:
+        q = m ** p.k
+        if all(type(v) is int and not v % q for row in rows for v in row):
+            return tuple(tuple(v // q for v in row) for row in rows)
+    scale = Fraction(1) / Fraction(m) ** p.k
+    return tuple(tuple(_canon(v * scale) for v in row) for row in rows)
 
 
 def induced_mixed_trace(p: Loop) -> TraceResult:
@@ -446,6 +460,8 @@ def run_axiom_suite(model: Model, seed: int = 0, cases: int = 1000,
     for kind, _ in kinds:
         report.stats[kind] = {name: AxiomStats() for name in AXIOMS}
         report.defined_cases[kind] = 0
+    # the yanking loop depends on its rank only: trace it once per kind
+    yanked: Dict[Tuple[str, int], TraceResult] = {}
 
     for case in range(cases):
         rng = random.Random(f"axioms:{seed}:{case}")
@@ -533,8 +549,10 @@ def run_axiom_suite(model: Model, seed: int = 0, cases: int = 1000,
 
             st = stats["yanking"]
             st.checked += 1
-            yl = yanking_loop(model, yank_rank)
-            ty = trace_of(yl)
+            ty = yanked.get((kind, yank_rank.rank))
+            if ty is None:
+                ty = yanked[kind, yank_rank.rank] = trace_of(
+                    yanking_loop(model, yank_rank))
             if not ty.is_defined or ty.value != identity(model, yank_rank):
                 _record_failure(
                     st, seed, case,

@@ -14,7 +14,8 @@ symmetry, turn the premise into the conclusion; the premise is checked as
 the edge prefix before them, with no second diagram.  Once it commutes,
 only the trees that reach the bottom symmetry can change, so the
 conclusion check re-grows just those.  An instance computes its level
-ranks once; Id (x) f (x) Id is whiskered by block copy
+ranks once, or takes them from the caller that sized its fillers by them
+(the search and the JSON loader); Id (x) f (x) Id is whiskered by block copy
 (``category.whisker``), and a search builds each base rank's mix map and
 coevaluation once.
 
@@ -25,8 +26,7 @@ free trace's staircase witness as a diagram and checks it here.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from math import prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -185,6 +185,10 @@ class ZigZagInstance:
     hub: Obj
     left_fillers: Tuple[Mor, ...]
     right_fillers: Tuple[Mor, ...]
+    # ``level_ranks`` of these objects: computed here unless a caller that
+    # sized the fillers by them hands them over
+    levels: Optional[Dict[str, Tuple[List[int], List[int]]]] = field(
+        default=None, compare=False, repr=False, kw_only=True)
 
     def __post_init__(self):
         for name in ("upper", "apex", "lower", "down_maps", "up_maps",
@@ -204,6 +208,9 @@ class ZigZagInstance:
                 raise InputError(f"down map {i} has the wrong shape")
             if g.dom != self.lower[i] or g.cod != self.apex[i]:
                 raise InputError(f"up map {i} has the wrong shape")
+        if self.levels is None:
+            object.__setattr__(self, "levels", level_ranks(
+                self.upper, self.apex, self.lower, self.perm))
         levels = self.levels
         for side, fillers in (("left", self.left_fillers),
                               ("right", self.right_fillers)):
@@ -211,11 +218,6 @@ class ZigZagInstance:
                 if f.dom.rank != levels[side][1][k] or f.cod != self.hub:
                     raise InputError(
                         f"{side} filler {k} has the wrong shape")
-
-    @cached_property
-    def levels(self) -> Dict[str, Tuple[List[int], List[int]]]:
-        """``level_ranks`` of this instance, computed once."""
-        return level_ranks(self.upper, self.apex, self.lower, self.perm)
 
     @property
     def n(self) -> int:
@@ -409,6 +411,7 @@ def search_counterexample(model: Model, n: int, max_rank: int,
         perm = Permutation(tuple(images))
         hub = Obj(rng.randint(1, max_rank))
         strategy = idx % 3
+        levels = None
         if strategy == 0:
             left, right = _pullback_fillers(model, rng, bases, perm, hub,
                                             entry_bound, structure)
@@ -428,7 +431,7 @@ def search_counterexample(model: Model, n: int, max_rank: int,
             left = col(levels["left"][1])
             right = col(levels["right"][1])
         inst = ZigZagInstance(model, upper, apex, lower, downs, ups, perm,
-                              hub, left, right)
+                              hub, left, right, levels=levels)
         outcome = check_zigzag_instance(inst)
         stats[outcome.status] += 1
         if outcome.status == "violated":

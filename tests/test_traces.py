@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from mixtrace import traces
 from mixtrace.category import (Model, Obj, canonical_map, compose, curry,
                                identity, mor, mor_scale, obj_tensor,
                                random_mor, tensor_mor, uncurry)
@@ -307,6 +308,32 @@ def test_axiom_suite_flags_m0():
     assert len(report.stats["free"]["yanking"].failures) > 0
     assert "induced" not in report.stats
     assert report.notes
+
+
+@pytest.mark.parametrize("model", [Z0, Z2], ids=["zmod:0", "zmod:2"])
+def test_axiom_suite_traces_each_yanking_loop_once(monkeypatch, model):
+    # the yanking loop depends only on the rank, so a suite builds and
+    # traces it at most once per rank and trace kind; every case still
+    # counts its own yanking check
+    calls = []
+    build = traces.yanking_loop
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(traces, "yanking_loop", counted)
+    report = run_axiom_suite(model, seed=3, cases=60, max_rank=2,
+                             max_hidden=1)
+    kinds = len(report.stats)
+    assert 0 < len(calls) <= (2 + 1) * kinds
+    for stats in report.stats.values():
+        assert stats["yanking"].checked == 60
+    if model.mix == 0:
+        # rank 0 yanks at m = 0; every other case records its failure
+        failures = report.stats["free"]["yanking"].failures
+        assert 0 < len(failures) < 60
+        assert len({f["case"] for f in failures}) == len(failures)
 
 
 def test_vanishing_definedness_is_genuinely_one_sided():

@@ -157,6 +157,22 @@ def test_check_builds_one_diagram_and_reuses_the_levels(monkeypatch):
     assert counts == {"diagrams": 3, "levels": 0}
 
 
+def test_search_computes_the_levels_once_per_sample(monkeypatch):
+    # the random-filler branch sizes its fillers by the level ranks and
+    # hands them to the instance; the pullback branch leaves them to it
+    calls = []
+    levels = zigzag.level_ranks
+
+    def count_levels(*args):
+        calls.append(args)
+        return levels(*args)
+
+    monkeypatch.setattr(zigzag, "level_ranks", count_levels)
+    res = search_counterexample(Z2, n=2, max_rank=2, seed=0, budget=1500)
+    assert res.status == "none_found" and res.samples == 1500
+    assert len(calls) == 1500
+
+
 def test_instance_validation():
     with pytest.raises(InputError):
         ZigZagInstance(
