@@ -23,9 +23,15 @@ staircase here: the matrices it divides along the found ordering are the
 fillers of the trace's witness, and ``staircase_diagram`` draws that
 witness as a diagram ``zigzag`` can check.
 
+Integer entries divide row by row: a row of ints that an int mix scalar
+divides is divided in one pass.  Everything else goes entry by entry:
+``Fraction`` entries, and rows with a quotient that is not an int, which
+over Q and Z[1/M] may still lie in the ring.
+
 The induced trace instead contracts everything first and divides once by
-m^k over the rationals, so it is defined at least as often as the free
-one, and strictly more often in general.
+m^k over the rationals (as ints when m^k divides every contracted int), so
+it is defined at least as often as the free one, and strictly more often
+in general.
 """
 
 from __future__ import annotations

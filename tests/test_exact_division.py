@@ -52,7 +52,8 @@ def _entry(rng, ring, m):
     if rng.random() < 0.2:
         v += BIG * m * rng.choice((1, -1))
     if ring.kind != "Z" and rng.random() < 0.3:
-        den = 2 ** rng.randint(1, 3) if ring.kind == "Zloc" else rng.randint(2, 7)
+        den = (2 ** rng.randint(1, 3) if ring.kind == "Zloc"
+               else rng.randint(2, 7))
         v = Fraction(v + 1, den)
     return v
 
@@ -72,15 +73,16 @@ def test_divide_by_mix_matches_entrywise_division(ring, m):
 @pytest.mark.parametrize("m", MIXES)
 def test_divide_by_mix_edge_rows(ring, m):
     rows_list = [
-        [[BIG * m, -BIG * m, 0]],                     # above 2^64, divisible
-        [[BIG + 1, 2 * m]],                           # above 2^64, not divisible
-        [[m, Fraction(m, 2 ** 3), 4 * m]],            # ints and a Fraction
-        [[Fraction(2 * m, 1), m]],                    # an integral Fraction
-        [[1, m], [m * m, 0]],                         # 1/m leaves Z only
+        [[BIG * m, -BIG * m, 0]],              # above 2^64, divisible
+        [[BIG + 1, 2 * m]],                    # above 2^64, not divisible
+        [[m, Fraction(m, 2 ** 3), 4 * m]],     # ints and a Fraction
+        [[Fraction(2 * m, 1), m]],             # an integral Fraction
+        [[1, m], [m * m, 0]],                  # 1/m leaves Z only
         [[]],
     ]
     for rows in rows_list:
-        if ring.kind == "Z" and any(isinstance(v, Fraction) and v.denominator > 1
+        if ring.kind == "Z" and any(isinstance(v, Fraction)
+                                    and v.denominator > 1
                                     for row in rows for v in row):
             continue
         assert (_typed(_divide_by_mix(rows, m, ring))
@@ -140,8 +142,8 @@ def test_contract_over_mix_power_edge_loops(ring):
                  mor(model, r2, r2, [[BIG, 1], [2, 3]])),
         ]
         if ring.kind != "Z":
-            loops.append(Loop(model, r1, r1, (r2,),
-                              mor(model, r2, r2, [[m, 5], [Fraction(1, 2), m]])))
+            loops.append(Loop(model, r1, r1, (r2,), mor(
+                model, r2, r2, [[m, 5], [Fraction(1, 2), m]])))
         for p in loops:
             assert (_typed(_contract_over_mix_power(p))
                     == _typed(_contract_by_fraction(p)))

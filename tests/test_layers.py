@@ -81,5 +81,6 @@ def test_test_modules_use_every_name_they_import(name):
                 for alias in node.names}
     loaded = {node.id for node in ast.walk(tree)
               if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
-    unused = sorted((line, n) for n, line in imported.items() if n not in loaded)
+    unused = sorted((line, n) for n, line in imported.items()
+                    if n not in loaded)
     assert not unused, f"{name} imports names it never uses: {unused}"
