@@ -23,15 +23,13 @@ staircase here: the matrices it divides along the found ordering are the
 fillers of the trace's witness, and ``staircase_diagram`` draws that
 witness as a diagram ``zigzag`` can check.
 
-Integer entries divide row by row: a row of ints that an int mix scalar
-divides is divided in one pass.  Everything else goes entry by entry:
-``Fraction`` entries, and rows with a quotient that is not an int, which
-over Q and Z[1/M] may still lie in the ring.
+Integer entries divide row by row, in one pass per row of ints that an
+int mix scalar divides; everything else goes entry by entry, since over Q
+and Z[1/M] a quotient that is not an int may still lie in the ring.
 
 The induced trace instead contracts everything first and divides once by
-m^k over the rationals (as ints when m^k divides every contracted int), so
-it is defined at least as often as the free one, and strictly more often
-in general.
+m^k over the rationals, so it is defined at least as often as the free
+one, and strictly more often in general.
 """
 
 from __future__ import annotations
@@ -123,9 +121,7 @@ def _exact_div(v: Number, m: Number, ring) -> Optional[Number]:
 def _divide_by_mix(rows: Sequence[Sequence[Number]], m: Number,
                    ring) -> Optional[List[List[Number]]]:
     """The first half of a staircase stage: every entry divided exactly by
-    the mix scalar, or None as soon as a quotient leaves the ring.  A row
-    of ints that an int scalar divides is divided in one pass; any other
-    row goes entry by entry."""
+    the mix scalar, or None as soon as a quotient leaves the ring."""
     int_mix = type(m) is int
     divided: List[List[Number]] = []
     for row in rows:
@@ -295,8 +291,7 @@ def staircase_diagram(p: Loop, witness: StaircaseWitness) -> Diagram:
 def _contract_over_mix_power(p: Loop) -> Tuple[Tuple[Number, ...], ...]:
     """The hidden indices of the carrier contracted and every entry divided
     by m^k over the rationals (m nonzero); the caller decides which ring
-    the quotients must lie in.  Int entries that an int m^k divides are
-    divided as ints."""
+    the quotients must lie in; ints that an int m^k divides stay ints."""
     rows = contract_hidden(p.carrier, p.dom, p.cod, p.hidden).entries
     m = p.model.mix
     if type(m) is int:

@@ -185,8 +185,7 @@ class ZigZagInstance:
     hub: Obj
     left_fillers: Tuple[Mor, ...]
     right_fillers: Tuple[Mor, ...]
-    # ``level_ranks`` of these objects: computed here unless a caller that
-    # sized the fillers by them hands them over
+    # level_ranks, handed over by a caller that sized the fillers by them
     levels: Optional[Dict[str, Tuple[List[int], List[int]]]] = field(
         default=None, compare=False, repr=False, kw_only=True)
 
