@@ -37,7 +37,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from math import prod
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -122,10 +122,9 @@ def _divide_by_mix(rows: Sequence[Sequence[Number]], m: Number,
                    ring) -> Optional[List[List[Number]]]:
     """The first half of a staircase stage: every entry divided exactly by
     the mix scalar, or None as soon as a quotient leaves the ring."""
-    int_mix = type(m) is int
     divided: List[List[Number]] = []
     for row in rows:
-        if int_mix and all(type(v) is int and not v % m for v in row):
+        if type(m) is int and all(type(v) is int and not v % m for v in row):
             divided.append([v // m for v in row])
             continue
         out = []
@@ -230,13 +229,12 @@ def free_mixed_trace(p: Loop, want_witness: bool = False) -> TraceResult:
     if found is None:
         return undefined()
     order, column, path = found
-    a = p.dom.rank
-    flat = [row[0] for row in column]
-    value = Mor(model, p.dom, p.cod,
-                tuple(tuple(flat[b * a:b * a + a]) for b in range(p.cod.rank)))
+    a, ba = p.dom.rank, p.cod.rank * p.dom.rank
+    value = Mor(model, p.dom, p.cod, tuple(
+        tuple(v for (v,) in column[b * a:b * a + a])
+        for b in range(p.cod.rank)))
     witness = None
     if want_witness:
-        ba = len(flat)
         psi = Mor(model, Obj(1), Obj(ba), tuple(map(tuple, column)))
         fillers = []
         rest = list(range(p.k))
@@ -477,6 +475,13 @@ def run_axiom_suite(model: Model, seed: int = 0, cases: int = 1000,
         rng.shuffle(alpha_images)
         alpha = Permutation(tuple(alpha_images))
         yank_rank = Obj(rng.randint(0, max_rank))
+        # p's derived loops serve every kind; these two only once needed
+        natural = cache(lambda: post_compose(g_out, pre_compose(p, f_in)))
+        strong = cache(lambda: morphism_tensor_loop(f_str, p))
+        swapped, dual = hidden_symmetry(p, alpha), loop_dual(p)
+        head = p.hidden[:split]
+        q = Loop(model, obj_tensor(p.dom, *head), obj_tensor(p.cod, *head),
+                 p.hidden[split:], p.carrier)
 
         for kind, trace_of in kinds:
             stats = report.stats[kind]
@@ -490,13 +495,13 @@ def run_axiom_suite(model: Model, seed: int = 0, cases: int = 1000,
             else:
                 st.checked += 1
                 lhs = compose(g_out, compose(tr.value, f_in))
-                rhs = trace_of(post_compose(g_out, pre_compose(p, f_in)))
+                rhs = trace_of(natural())
                 if not rhs.is_defined or rhs.value != lhs:
                     _record_failure(st, seed, case, "naturality mismatch",
                                     lhs, rhs)
 
             st = stats["dinaturality"]
-            other = trace_of(hidden_symmetry(p, alpha))
+            other = trace_of(swapped)
             if tr.is_defined or other.is_defined:
                 st.checked += 1
                 if not (tr.is_defined and other.is_defined
@@ -512,16 +517,12 @@ def run_axiom_suite(model: Model, seed: int = 0, cases: int = 1000,
             else:
                 st.checked += 1
                 lhs = tensor_mor(f_str, tr.value)
-                rhs = trace_of(morphism_tensor_loop(f_str, p))
+                rhs = trace_of(strong())
                 if not rhs.is_defined or rhs.value != lhs:
                     _record_failure(st, seed, case, "strength mismatch",
                                     lhs, rhs)
 
             st = stats["vanishing"]
-            head = p.hidden[:split]
-            tail = p.hidden[split:]
-            q = Loop(model, obj_tensor(p.dom, *head),
-                     obj_tensor(p.cod, *head), tail, p.carrier)
             tq = trace_of(q)
             if not tq.is_defined:
                 st.skipped_undefined += 1
@@ -538,7 +539,7 @@ def run_axiom_suite(model: Model, seed: int = 0, cases: int = 1000,
                     st.skipped_undefined += 1
 
             st = stats["adjointability"]
-            dual_tr = trace_of(loop_dual(p))
+            dual_tr = trace_of(dual)
             if tr.is_defined or dual_tr.is_defined:
                 st.checked += 1
                 if not (tr.is_defined and dual_tr.is_defined

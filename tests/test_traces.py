@@ -311,22 +311,31 @@ def test_axiom_suite_flags_m0():
 
 
 @pytest.mark.parametrize("model", [Z0, Z2], ids=["zmod:0", "zmod:2"])
-def test_axiom_suite_traces_each_yanking_loop_once(monkeypatch, model):
+def test_axiom_suite_builds_shared_loops_once(monkeypatch, model):
     # the yanking loop depends only on the rank, so a suite builds and
-    # traces it at most once per rank and trace kind; every case still
-    # counts its own yanking check
-    calls = []
-    build = traces.yanking_loop
+    # traces it at most once per rank and trace kind, and the loops a case
+    # derives from p serve every kind; each case still counts its own
+    # yanking check
+    calls = {"yanking_loop": 0, "hidden_symmetry": 0, "loop_dual": 0,
+             "post_compose": 0, "morphism_tensor_loop": 0}
 
-    def counted(*args):
-        calls.append(args)
-        return build(*args)
+    def counted(name):
+        build = getattr(traces, name)
 
-    monkeypatch.setattr(traces, "yanking_loop", counted)
+        def wrapper(*args):
+            calls[name] += 1
+            return build(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(traces, name, counted(name))
     report = run_axiom_suite(model, seed=3, cases=60, max_rank=2,
                              max_hidden=1)
     kinds = len(report.stats)
-    assert 0 < len(calls) <= (2 + 1) * kinds
+    assert 0 < calls["yanking_loop"] <= (2 + 1) * kinds
+    assert calls["hidden_symmetry"] == calls["loop_dual"] == 60
+    defined = max(report.defined_cases.values())
+    assert calls["post_compose"] == calls["morphism_tensor_loop"] == defined
     for stats in report.stats.values():
         assert stats["yanking"].checked == 60
     if model.mix == 0:
