@@ -44,6 +44,9 @@ def test_dumps_matches_json(payload):
     ["1", "-2/3", "0"], [["1", "0"], ["0", "1"]],
     ["1", 2, None, True, "x"], [1, "2"], ["1", ["2"]],
     {"b": [1, "x"], "a": {"d": None, "c": False}, "é": "é"},
+    # rows of strs, written in one join when no item needs an escape
+    ["", ""], ["\x7f"], ["0", "é"], ["1", "\""], ["\\"], ["0", "\n"],
+    ["1", "-2/3", "0", "\t"],
 ])
 def test_dumps_matches_json_on_edge_cases(payload):
     assert dumps(payload) == reference_dumps(payload)

@@ -25,6 +25,7 @@ def _loop(model, a, b, hidden, rows):
 
 Z2 = {"ring": "Z", "mix": "2"}
 Z0 = {"ring": "Z", "mix": "0"}
+Q3 = {"ring": "Q", "mix": "3"}
 
 FILES = {
     # solves only in the ordering (2, 1, 0)
@@ -57,6 +58,10 @@ FILES = {
     "k4.json": _loop(Z2, 1, 1, [2] * 4,
                      [[8 * ((i + 2 * j + i * j) % 7 - 3) for j in range(16)]
                       for i in range(16)]),
+    # over Q every stage divides; the witness fillers hold n/9 entries
+    "q-witness.json": _loop(Q3, 2, 3, [2, 1],
+                            [[1, 2, -1, 4], [0, 5, 2, 1], [7, -2, 1, 0],
+                             [1, 1, 4, -5], [2, 0, -1, 1], [-4, 1, 0, 2]]),
 }
 
 CASES = [
@@ -125,6 +130,9 @@ CASES = [
     ("trace-free-witness-k4", 0,
      "trace --mode free --loop k4.json --witness",
      "d6410a97e5cb5401226c031c2d3597af699d84532decfe3f90acbceaaabc85f4"),
+    ("trace-free-witness-q", 0,
+     "trace --mode free --loop q-witness.json --witness",
+     "25a2be6c7b7cfe4b52da63d27abacf3c89ce8a99eb3da68bb60287c829c19b3c"),
 ]
 
 
