@@ -105,10 +105,11 @@ def is_unit(ring: RingTag, value: Number) -> bool:
     return divides_power(v.numerator, ring.m)
 
 
-def parse_value(text: str) -> Fraction:
+def parse_value(text: str) -> Number:
     """Parse the textual scalar syntax: optional sign, ASCII digits,
     optional "/" ASCII digits, and nothing else, not even whitespace.
-    Raises InputError on anything else (including "3/0")."""
+    Text without "/" is an int, a quotient a Fraction.  Raises InputError
+    on anything else (including "3/0")."""
     if not _SCALAR_RE.fullmatch(text):
         raise InputError(f"malformed scalar {text!r}")
     num, _, den = text.partition("/")
@@ -117,14 +118,9 @@ def parse_value(text: str) -> Fraction:
         if d == 0:
             raise InputError(f"zero denominator in scalar {text!r}")
         return Fraction(int(num), d)
-    return Fraction(int(num))
+    return int(num)
 
 
 def format_value(v: Number) -> str:
     """The textual scalar syntax of a value: "n" or "n/d", reduced."""
-    if type(v) is int:
-        return str(v)
-    f = Fraction(v)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+    return str(v) if type(v) is int else str(Fraction(v))

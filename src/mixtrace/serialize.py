@@ -4,11 +4,14 @@ and reports.  Scalars travel as strings, never floats.
 Input is read with ``json.load``.  Output is canonical JSON, written by
 ``dumps`` directly: the standard encoder, asked for an indent, runs in
 pure Python, several times slower on a witness diagram's rows of
-strings.  The writer accepts only the types these schemas build."""
+strings.  The writer accepts only the types these schemas build.  A
+matrix row formats only its nonzero entries (a witness is mostly 0), and
+a row of plain scalars, which no escape touches, is written in one join."""
 
 from __future__ import annotations
 
 import json
+from itertools import compress
 from json.encoder import encode_basestring_ascii as _quote
 from typing import List, Optional
 
@@ -87,7 +90,14 @@ def model_from_json(data, where: str = "model") -> Model:
 
 
 def _bare_matrix_to_json(m: Mor):
-    return [[format_value(v) for v in row] for row in m.entries]
+    width = m.dom.rank
+    out = []
+    for row in m.entries:
+        text = ["0"] * width
+        for j in compress(range(width), row):
+            text[j] = format_value(row[j])
+        out.append(text)
+    return out
 
 
 def _bare_matrix_from_json(data, model: Model, dom: Obj, cod: Obj,
@@ -306,9 +316,13 @@ def _write(x, nl: str, out: List[str]) -> None:
             return
         inner = nl + "  "
         try:  # all strs, as in every matrix row: one join
-            out.append("[" + inner + ("," + inner).join(map(_quote, x))
-                       + nl + "]")
-        except TypeError:  # _quote refused an item that is no str
+            joined = "".join(x)
+            if len(_quote(joined)) == len(joined) + 2:  # every escape grows
+                body = '"' + ('",' + inner + '"').join(x) + '"'
+            else:
+                body = ("," + inner).join(map(_quote, x))
+            out.append("[" + inner + body + nl + "]")
+        except TypeError:  # the join refused an item that is no str
             sep = "[" + inner
             for v in x:
                 out.append(sep)

@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from mixtrace import cli
+from mixtrace import cli, serialize
 
 
 def _loop(model, a, b, hidden, rows):
@@ -147,3 +147,25 @@ def test_cli_stdout_is_pinned(tmp_path, monkeypatch, capsys, code, argv,
     assert cli.main(argv.split()) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _nonzero_scalars(x):
+    if isinstance(x, dict):
+        return sum(map(_nonzero_scalars, x.values()))
+    if isinstance(x, list):
+        return sum(map(_nonzero_scalars, x))
+    return int(isinstance(x, str) and x != "0"
+               and x.lstrip("-").replace("/", "").isdigit())
+
+
+def test_witness_formats_only_its_nonzero_scalars(tmp_path, monkeypatch,
+                                                  capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "k4.json").write_text(json.dumps(FILES["k4.json"]))
+    calls = []
+    real = serialize.format_value
+    monkeypatch.setattr(serialize, "format_value",
+                        lambda v: calls.append(v) or real(v))
+    assert cli.main("trace --mode free --loop k4.json --witness".split()) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert 0 < len(calls) <= _nonzero_scalars(payload)

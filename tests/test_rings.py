@@ -27,6 +27,11 @@ def test_parse_and_format():
     assert format_value(Fraction(-3, 4)) == "-3/4"
     assert format_value(Fraction(6, 3)) == "2"
     assert parse_value("+2") == 2
+    # integer text is read as an int, a quotient as a Fraction
+    for text, value in (("17", 17), ("-0", 0), ("+2", 2)):
+        assert type(parse_value(text)) is int and parse_value(text) == value
+    assert type(parse_value("3/4")) is Fraction
+    assert parse_value("4/2") == 2
     # ASCII digits only, and nothing around them: no whitespace, no
     # trailing newline, no underscores, no other scripts' digits
     for bad in ("3/0", "1.5", "x", "1/-2", "", "2\n", " 3 ", "1_0",
