@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from mixtrace import compactify
+from mixtrace.cli import parse_model_arg
 from mixtrace.category import (Model, Mor, Obj, canonical_map, compose,
                                dual_mor, identity, mor, mor_scale, random_mor,
                                tensor_mor)
@@ -12,8 +13,10 @@ from mixtrace.compactify import (c_tr, comix, localized_model, loop_value,
 from mixtrace.errors import InputError, ModelNotCompactifiableError
 from mixtrace.loops import (Loop, hidden_symmetry, loop_compose, loop_dual,
                             loop_tensor, morphism_loop)
-from mixtrace.rings import INTEGERS, RATIONALS, localized_integers
-from mixtrace.traces import free_mixed_trace, hidden_trace, random_loop
+from mixtrace.rings import (INTEGERS, RATIONALS, localized_integers,
+                            ring_contains)
+from mixtrace.traces import (free_mixed_trace, hidden_trace,
+                             induced_mixed_trace, random_loop)
 
 from trace_reference import all_permutations, hide, loop_par, total_trace
 
@@ -243,8 +246,6 @@ def test_localization_functor_factors_through_quotient():
 def test_integral_values_trace_back():
     # whenever the class of a loop is an integral matrix, the induced
     # trace recovers exactly that morphism
-    from mixtrace.traces import induced_mixed_trace
-
     rng = random.Random(19)
     seen = 0
     for _ in range(400):
@@ -257,6 +258,28 @@ def test_integral_values_trace_back():
             assert res.status == "defined"
             assert res.value.entries == v.entries
     assert seen > 50
+
+
+@pytest.mark.parametrize("selector", ["zmod:2", "zmod:-2", "zmod:3", "zloc:2",
+                                      "zloc:6", "qmod:2", "qmod:1/2"])
+def test_induced_trace_is_the_one_the_embedding_induces(selector):
+    # the induced trace of p is loop_value(p) exactly when that value lands
+    # back in the base ring: defined gives c_tr(value) == loop_value(p),
+    # undefined leaves some entry of loop_value(p) outside the base ring
+    model = parse_model_arg(selector)
+    rng = random.Random(f"induced:{selector}")
+    outcomes = set()
+    for _ in range(300):
+        p = random_loop(rng, model, 2, 2)
+        res = induced_mixed_trace(p)
+        outcomes.add(res.status)
+        v = loop_value(p)
+        if res.is_defined:
+            assert c_tr(res.value) == v
+        else:
+            assert not all(ring_contains(model.ring, x)
+                           for row in v.entries for x in row)
+    assert "defined" in outcomes
 
 
 def test_verify_compactness():

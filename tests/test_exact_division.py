@@ -1,10 +1,13 @@
-"""Differential tests for the staircase's two divisions by the mix scalar.
+"""Differential tests for the divisions by the mix scalar.
 
 ``_divide_by_mix`` is checked against dividing every entry on its own with
-``_exact_div``, and ``_contract_over_mix_power`` against contracting the
-hidden indices and scaling by the ``Fraction`` 1/m^k.  Both sides must give
-the same entries of the same types (an int quotient stays an int, a
-non-integral one is a ``Fraction``), or both must refuse.
+``_exact_div``.  The induced trace and ``loop_value`` are checked against
+contracting the hidden indices and scaling by the ``Fraction`` 1/m^k: the
+loop value is that quotient over the localized model, and the induced
+trace is the same quotient over the base model when every entry lies in
+the base ring, and Undefined otherwise.  Both sides must give the same
+entries of the same types (an int quotient stays an int, a non-integral
+one is a ``Fraction``), or both must refuse.
 """
 
 import random
@@ -13,10 +16,12 @@ from fractions import Fraction
 import pytest
 
 from mixtrace.category import Model, Obj, _canon, contract_hidden, mor
+from mixtrace.compactify import localized_model, loop_value
 from mixtrace.loops import Loop
-from mixtrace.rings import INTEGERS, RATIONALS, localized_integers
-from mixtrace.traces import (_contract_over_mix_power, _divide_by_mix,
-                             _exact_div)
+from mixtrace.rings import (INTEGERS, RATIONALS, localized_integers,
+                            ring_contains)
+from mixtrace.traces import (DEFINED, UNDEFINED, _divide_by_mix, _exact_div,
+                             induced_mixed_trace)
 
 RINGS = (INTEGERS, RATIONALS, localized_integers(2))
 MIXES = (2, -2, 3)
@@ -114,36 +119,64 @@ def _random_loop(rng, model, k):
                                          Obj(b.rank * h), rows))
 
 
-@pytest.mark.parametrize("ring", RINGS, ids=str)
-@pytest.mark.parametrize("m", MIXES)
+# the mix scalars of the loop tests: the int ones over every ring, and two
+# Fraction ones over Q
+LOOP_MODELS = tuple(Model(ring, m) for ring in RINGS for m in MIXES) + (
+    Model(RATIONALS, Fraction(1, 2)), Model(RATIONALS, Fraction(-3, 2)))
+
+
+def _assert_matches_oracle(p):
+    """The induced trace and the loop value of p against the Fraction
+    oracle: the same status, the same entries and the same entry types."""
+    expected = _contract_by_fraction(p)
+    value = loop_value(p)
+    assert value.model == localized_model(p.model)
+    assert _typed(value.entries) == _typed(expected)
+    res = induced_mixed_trace(p)
+    if all(ring_contains(p.model.ring, v) for row in expected for v in row):
+        assert res.status == DEFINED
+        assert res.value.model == p.model
+        assert _typed(res.value.entries) == _typed(expected)
+    else:
+        assert res.status == UNDEFINED and res.value is None
+
+
+@pytest.mark.parametrize("model", LOOP_MODELS, ids=str)
 @pytest.mark.parametrize("k", (0, 1, 2))
-def test_contract_over_mix_power_matches_fraction_scaling(ring, m, k):
-    model = Model(ring, m)
-    rng = random.Random(f"contract:{ring}:{m}:{k}")
+def test_induced_trace_and_loop_value_match_fraction_scaling(model, k):
+    rng = random.Random(f"contract:{model}:{k}")
     for _ in range(60):
-        p = _random_loop(rng, model, k)
-        assert (_typed(_contract_over_mix_power(p))
-                == _typed(_contract_by_fraction(p)))
+        _assert_matches_oracle(_random_loop(rng, model, k))
 
 
-@pytest.mark.parametrize("ring", RINGS, ids=str)
-def test_contract_over_mix_power_edge_loops(ring):
-    for m in MIXES:
-        model = Model(ring, m)
-        r1, r2 = Obj(1), Obj(2)
-        loops = [
-            # k = 0: the carrier itself, divided by m^0 = 1
-            Loop(model, r2, r1, (), mor(model, r2, r1, [[BIG + 1, -3]])),
-            # above 2^64 and divisible by m^2
-            Loop(model, r1, r1, (r1, r1),
-                 mor(model, r1, r1, [[BIG * m * m + m * m]])),
-            # above 2^64 and not divisible: a Fraction outside Z
-            Loop(model, r1, r1, (r2,),
-                 mor(model, r2, r2, [[BIG, 1], [2, 3]])),
-        ]
-        if ring.kind != "Z":
-            loops.append(Loop(model, r1, r1, (r2,), mor(
-                model, r2, r2, [[m, 5], [Fraction(1, 2), m]])))
-        for p in loops:
-            assert (_typed(_contract_over_mix_power(p))
-                    == _typed(_contract_by_fraction(p)))
+@pytest.mark.parametrize("model", LOOP_MODELS, ids=str)
+def test_induced_trace_and_loop_value_edge_loops(model):
+    m = model.mix
+    r1, r2 = Obj(1), Obj(2)
+    loops = [
+        # k = 0: the carrier itself, divided by m^0 = 1
+        Loop(model, r2, r1, (), mor(model, r2, r1, [[BIG + 1, -3]])),
+        # above 2^64 and divisible by m^2
+        Loop(model, r1, r1, (r1, r1),
+             mor(model, r1, r1, [[BIG * m * m + m * m]])),
+        # above 2^64 and not divisible: a Fraction outside Z
+        Loop(model, r1, r1, (r2,), mor(model, r2, r2, [[BIG, 1], [2, 3]])),
+        # the first row's quotient leaves Z and Z[1/2] at m = 3, the
+        # second row's does not
+        Loop(model, r1, r2, (r1,), mor(model, r1, r2, [[1], [m]])),
+        # the first row divides, the second does not
+        Loop(model, r1, r2, (r1,), mor(model, r1, r2, [[m], [1]])),
+    ]
+    if model.ring.kind != "Z":
+        loops.append(Loop(model, r1, r1, (r2,), mor(
+            model, r2, r2, [[m, 5], [Fraction(1, 2), m]])))
+    for p in loops:
+        _assert_matches_oracle(p)
+
+
+def test_induced_trace_stops_where_the_first_row_leaves_the_ring():
+    model = Model(INTEGERS, 2)
+    p = Loop(model, Obj(1), Obj(2), (Obj(1),),
+             mor(model, Obj(1), Obj(2), [[1], [2]]))
+    assert induced_mixed_trace(p).status == UNDEFINED
+    assert loop_value(p).entries == ((Fraction(1, 2),), (1,))
