@@ -20,14 +20,14 @@ from typing import Iterator, Optional, Sequence, Set, Tuple
 
 from . import traces
 from .category import (Mor, Model, Obj, ValidationReport, canonical_map,
-                       compose, dual_mor, identity, mor, mor_scale,
-                       random_mor, tensor_mor)
+                       compose, contract_hidden, dual_mor, identity, mor,
+                       mor_scale, random_mor, tensor_mor)
 from .errors import InputError, ModelNotCompactifiableError, ResourceLimitError
 from .loops import (Loop, Permutation, _distinct_choices, hidden_symmetry,
                     loop_compose, loop_dual, loop_tensor, morphism_loop)
 from .rings import (INTEGERS, RATIONALS, divides_power, format_value,
                     localized_integers)
-from .traces import _contract_over_mix_power
+from .traces import _divide_by_mix
 
 
 def localized_model(model: Model) -> Model:
@@ -49,9 +49,12 @@ def localized_model(model: Model) -> Model:
 
 def loop_value(p: Loop) -> Mor:
     """The congruence-class normal form: contract the hidden indices and
-    divide by m^k over the localized ring."""
+    divide by m^k through ``_divide_by_mix`` over the localized ring."""
     target = localized_model(p.model)
-    return Mor(target, p.dom, p.cod, _contract_over_mix_power(p))
+    rows = _divide_by_mix(
+        contract_hidden(p.carrier, p.dom, p.cod, p.hidden).entries,
+        p.model.mix ** p.k, target.ring)
+    return Mor(target, p.dom, p.cod, tuple(map(tuple, rows)))
 
 
 def c_tr(f: Mor) -> Mor:

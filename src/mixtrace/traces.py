@@ -23,13 +23,19 @@ staircase here: the matrices it divides along the found ordering are the
 fillers of the trace's witness, and ``staircase_diagram`` draws that
 witness as a diagram ``zigzag`` can check.
 
-Integer entries divide row by row, in one pass per row of ints that an
-int mix scalar divides; everything else goes entry by entry, since over Q
-and Z[1/M] a quotient that is not an int may still lie in the ring.
+Every division by a power of the mix scalar goes through
+``_divide_by_mix``: the staircase stages, the induced trace and
+``compactify.loop_value``.  Integer entries divide row by row, in one pass
+per row of ints that an int divisor divides; everything else goes entry by
+entry through ``_exact_div``, since over Q and Z[1/M] a quotient that is
+not an int may still lie in the ring.  The division stops at the first
+quotient outside the ring.
 
 The induced trace instead contracts everything first and divides once by
-m^k over the rationals, so it is defined at least as often as the free
-one, and strictly more often in general.
+m^k, stopping at the first quotient outside the base ring, so it is
+defined at least as often as the free one, and strictly more often in
+general.  ``loop_value`` divides the same contraction over the localized
+ring, which holds every quotient.
 """
 
 from __future__ import annotations
@@ -41,10 +47,10 @@ from functools import cache, partial
 from math import prod
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .category import (UNIT, Mor, Model, Obj, _canon, canonical_map,
-                       compose, contract_hidden, dual_mor, identity,
-                       mor_scale, obj_tensor, random_mor, regroup, tensor_mor,
-                       whisker, zero_mor)
+from .category import (UNIT, Mor, Model, Obj, canonical_map, compose,
+                       contract_hidden, dual_mor, identity, mor_scale,
+                       obj_tensor, random_mor, regroup, tensor_mor, whisker,
+                       zero_mor)
 from .errors import InputError, ModelNotCompactifiableError
 from .loops import (Loop, Permutation, _distinct_choices, hidden_symmetry,
                     loop_dual, morphism_tensor_loop, post_compose,
@@ -286,43 +292,34 @@ def staircase_diagram(p: Loop, witness: StaircaseWitness) -> Diagram:
     return Diagram(model, tuple(objects), tuple(edges))
 
 
-def _contract_over_mix_power(p: Loop) -> Tuple[Tuple[Number, ...], ...]:
-    """The hidden indices of the carrier contracted and every entry divided
-    by m^k over the rationals (m nonzero); the caller decides which ring
-    the quotients must lie in; ints that an int m^k divides stay ints."""
-    rows = contract_hidden(p.carrier, p.dom, p.cod, p.hidden).entries
-    m = p.model.mix
-    if type(m) is int:
-        q = m ** p.k
-        if all(type(v) is int and not v % q for row in rows for v in row):
-            return tuple(tuple(v // q for v in row) for row in rows)
-    scale = Fraction(1) / Fraction(m) ** p.k
-    return tuple(tuple(_canon(v * scale) for v in row) for row in rows)
-
-
 def induced_mixed_trace(p: Loop) -> TraceResult:
     """The trace induced by localizing the mix scalar: contract the hidden
-    indices over the rationals, divide by m^k, and keep the result iff
-    every entry lies back in the base ring."""
+    indices and divide by m^k through ``_divide_by_mix``, which stops at
+    the first quotient outside the base ring; Undefined if there is one."""
     if p.model.mix == 0:
         raise ModelNotCompactifiableError(
             "the induced trace needs a nonzero mix scalar")
-    rows = _contract_over_mix_power(p)
-    if not all(ring_contains(p.model.ring, v) for row in rows for v in row):
+    rows = _divide_by_mix(
+        contract_hidden(p.carrier, p.dom, p.cod, p.hidden).entries,
+        p.model.mix ** p.k, p.model.ring)
+    if rows is None:
         return undefined()
-    return defined(Mor(p.model, p.dom, p.cod, rows))
+    return defined(Mor(p.model, p.dom, p.cod, tuple(map(tuple, rows))))
 
 
-def hidden_trace(p: Loop, tail_len: int) -> Optional[Loop]:
-    """Trace out the last ``tail_len`` hidden objects and hide the rest
-    back; None when the free trace of the re-viewed loop is unsolvable."""
+def hidden_trace(p: Loop, tail_len: int,
+                 trace_of: Callable[[Loop], TraceResult] = free_mixed_trace
+                 ) -> Optional[Loop]:
+    """Trace out the last ``tail_len`` hidden objects with ``trace_of`` and
+    hide the rest back; None when that trace of the re-viewed loop is not
+    defined."""
     if not 0 <= tail_len <= p.k:
         raise InputError(f"tail length {tail_len} out of range 0..{p.k}")
     head = p.hidden[:p.k - tail_len]
     tail = p.hidden[p.k - tail_len:]
     q = Loop(p.model, obj_tensor(p.dom, *head), obj_tensor(p.cod, *head),
              tail, p.carrier)
-    r = free_mixed_trace(q)
+    r = trace_of(q)
     if not r.is_defined:
         return None
     return Loop(p.model, p.dom, p.cod, head, r.value)
@@ -479,9 +476,6 @@ def run_axiom_suite(model: Model, seed: int = 0, cases: int = 1000,
         natural = cache(lambda: post_compose(g_out, pre_compose(p, f_in)))
         strong = cache(lambda: morphism_tensor_loop(f_str, p))
         swapped, dual = hidden_symmetry(p, alpha), loop_dual(p)
-        head = p.hidden[:split]
-        q = Loop(model, obj_tensor(p.dom, *head), obj_tensor(p.cod, *head),
-                 p.hidden[split:], p.carrier)
 
         for kind, trace_of in kinds:
             stats = report.stats[kind]
@@ -523,11 +517,11 @@ def run_axiom_suite(model: Model, seed: int = 0, cases: int = 1000,
                                     lhs, rhs)
 
             st = stats["vanishing"]
-            tq = trace_of(q)
-            if not tq.is_defined:
+            traced = hidden_trace(p, p.k - split, trace_of)
+            if traced is None:
                 st.skipped_undefined += 1
             else:
-                outer = trace_of(Loop(model, p.dom, p.cod, head, tq.value))
+                outer = trace_of(traced)
                 if tr.is_defined and outer.is_defined:
                     st.checked += 1
                     if tr.value != outer.value:
