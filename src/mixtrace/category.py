@@ -28,7 +28,7 @@ from math import prod
 from typing import Iterable, List, Sequence, Tuple
 
 from .errors import InputError
-from .rings import Number, RingTag, format_value, is_unit, ring_contains
+from .rings import Number, RingTag, format_value, ring_contains
 
 
 def _canon(x) -> Number:
@@ -53,10 +53,6 @@ class Model:
         object.__setattr__(self, "mix", _canon(self.mix))
         if not ring_contains(self.ring, self.mix):
             raise InputError(f"mix scalar {self.mix} is not in {self.ring}")
-
-    @property
-    def is_compact(self) -> bool:
-        return is_unit(self.ring, self.mix)
 
     def __str__(self):
         return f"({self.ring}, mix={format_value(self.mix)})"

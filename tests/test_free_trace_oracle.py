@@ -12,13 +12,13 @@ import pytest
 
 from mixtrace.category import Model, Mor, Obj, mor
 from mixtrace.loops import Loop, hidden_symmetry
-from mixtrace.rings import (INTEGERS, RATIONALS, is_unit,
-                            localized_integers, ring_contains)
+from mixtrace.rings import (INTEGERS, RATIONALS, localized_integers,
+                            ring_contains)
 from mixtrace.serialize import dumps, trace_result_to_json
 from mixtrace.traces import free_mixed_trace, staircase_diagram
 from mixtrace.zigzag import diagram_commutes
 
-from trace_reference import free_trace_by_orderings
+from trace_reference import free_trace_by_orderings, is_unit
 
 RINGS = (INTEGERS, RATIONALS, localized_integers(2), localized_integers(3))
 MIXES = (0, 1, 2, 3, 4, 6, -2, Fraction(1, 2), Fraction(3, 2))

@@ -1,6 +1,7 @@
 """The modules of ``mixtrace`` form one chain, each importing only from
-modules below it, and every import sits at module level; no test module
-imports a name it never uses."""
+modules below it, and every import sits at module level; every export and
+every definition in ``src`` is used by some module of ``src``; no test
+module imports a name it never uses."""
 
 import ast
 from pathlib import Path
@@ -53,13 +54,8 @@ def test_no_import_inside_a_function(name):
     assert not inner, f"{name} imports inside a function at lines {inner}"
 
 
-def test_every_export_is_used_by_the_engine():
-    # a name the package exports that no other module loads is API only
-    # tests call; such code belongs with the oracles in tests/
-    init = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
-    exported = {alias.asname or alias.name
-                for node in ast.walk(init) if isinstance(node, ast.ImportFrom)
-                for alias in node.names}
+def _loaded_in_src():
+    """Every name a module of ``src`` loads, bare or as an attribute."""
     loaded = set()
     for name in MODULES:
         for node in ast.walk(_tree(name)):
@@ -67,8 +63,42 @@ def test_every_export_is_used_by_the_engine():
                 loaded.add(node.id)
             elif isinstance(node, ast.Attribute):
                 loaded.add(node.attr)
-    unused = sorted(exported - loaded)
+    return loaded
+
+
+def _definitions(tree):
+    """The top-level functions and classes of a module, and the methods
+    and properties of its classes other than dunders, as dotted names."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, ast.FunctionDef)
+                        and not (item.name.startswith("__")
+                                 and item.name.endswith("__"))):
+                    yield f"{node.name}.{item.name}"
+
+
+def test_every_export_is_used_by_the_engine():
+    # a name the package exports that no other module loads is API only
+    # tests call; such code belongs with the oracles in tests/
+    init = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    exported = {alias.asname or alias.name
+                for node in ast.walk(init) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    unused = sorted(exported - _loaded_in_src())
     assert not unused, f"exported but never used in src: {unused}"
+
+
+def test_every_definition_is_used_by_the_engine():
+    # the same for what src defines: a function, class, method or
+    # property that no module loads is dead code or API only tests call
+    loaded = _loaded_in_src()
+    unused = sorted(f"{name}.{qual}" for name in MODULES
+                    for qual in _definitions(_tree(name))
+                    if qual.rsplit(".", 1)[-1] not in loaded)
+    assert not unused, f"defined but never used in src: {unused}"
 
 
 @pytest.mark.parametrize("name", TEST_MODULES)

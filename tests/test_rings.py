@@ -5,9 +5,11 @@ from hypothesis import given, strategies as st
 
 from mixtrace.errors import InputError
 from mixtrace.rings import (INTEGERS, RATIONALS, RingTag, divides_power,
-                            format_value, is_unit, localized_integers,
-                            parse_value, ring_contains)
+                            format_value, localized_integers, parse_value,
+                            ring_contains)
 from mixtrace.traces import _exact_div
+
+from trace_reference import is_unit
 
 Z2 = localized_integers(2)
 

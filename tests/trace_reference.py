@@ -12,7 +12,8 @@ agree with it on status, ordering, value and witness.
 pairing form and the staircase along other routes than the library does.
 ``total_trace`` is the trace of a compact model as the canonical composite
 through coevaluation and the inverse mix map; the induced trace and the
-loop value must agree with it there.
+loop value must agree with it there.  ``is_compact`` decides which models
+those are, through the unit test ``is_unit``; the library never asks.
 
 ``loop_par``, ``hide`` and ``one_step_congruent`` are loop operations
 the library itself never needs: the cotensor through duality, moving an
@@ -38,15 +39,15 @@ from fractions import Fraction
 from math import prod
 from typing import Dict, List, Sequence, Tuple
 
-from mixtrace.category import (Mor, Obj, canonical_map, compose, curry,
-                               dual_mor, factor_permutation, identity,
+from mixtrace.category import (Model, Mor, Obj, canonical_map, compose,
+                               curry, dual_mor, factor_permutation, identity,
                                mor_scale, obj_tensor, tensor_mor, uncurry,
                                zero_mor)
 from mixtrace.compactify import _one_step_moves, _require_comparable
 from mixtrace.errors import InputError, ResourceLimitError
 from mixtrace.loops import (Loop, Permutation, hidden_symmetry, loop_dual,
                             loop_tensor)
-from mixtrace.rings import Number
+from mixtrace.rings import Number, RingTag, divides_power
 from mixtrace.traces import (AMBIGUOUS, StaircaseWitness, TraceResult,
                              _contract_pair, _divide_by_mix, _exact_div,
                              ambiguous, defined, pairing_form, undefined)
@@ -244,12 +245,29 @@ def provisional_trace_dual(p):
     return defined(Mor(model, p.dom, p.cod, rows))
 
 
+def is_unit(ring: RingTag, value: Number) -> bool:
+    """True iff the value has a multiplicative inverse inside the ring."""
+    v = Fraction(value)
+    if v == 0:
+        return False
+    if ring.kind == "Z":
+        return v == 1 or v == -1
+    if ring.kind == "Q":
+        return True
+    return divides_power(v.numerator, ring.m)
+
+
+def is_compact(model: Model) -> bool:
+    """True iff the mix scalar is a unit of the ring."""
+    return is_unit(model.ring, model.mix)
+
+
 def total_trace(f: Mor, a: Obj, b: Obj, u: Obj) -> Mor:
     """The total trace of a compact model, computed as the canonical
     composite through coevaluation and the inverse mix map; equals the
     entrywise partial trace over U."""
     model = f.model
-    if not model.is_compact:
+    if not is_compact(model):
         raise InputError(
             f"total trace needs a compact model; {model} is not")
     if f.dom.rank != a.rank * u.rank or f.cod.rank != b.rank * u.rank:
