@@ -118,7 +118,7 @@ def _exact_div(v: Number, m: Number, ring) -> Optional[Number]:
             return q
         val = Fraction(v, m)
     else:
-        val = Fraction(v) / Fraction(m)
+        val = v / m
     if ring_contains(ring, val):
         return int(val) if val.denominator == 1 else val
     return None

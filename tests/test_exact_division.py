@@ -173,10 +173,3 @@ def test_induced_trace_and_loop_value_edge_loops(model):
     for p in loops:
         _assert_matches_oracle(p)
 
-
-def test_induced_trace_stops_where_the_first_row_leaves_the_ring():
-    model = Model(INTEGERS, 2)
-    p = Loop(model, Obj(1), Obj(2), (Obj(1),),
-             mor(model, Obj(1), Obj(2), [[1], [2]]))
-    assert induced_mixed_trace(p).status == UNDEFINED
-    assert loop_value(p).entries == ((Fraction(1, 2),), (1,))
