@@ -200,9 +200,8 @@ def verify_compactness(model: Model, max_rank: int, seed: int = 0,
             cod = Obj(rng.randint(0, max_rank))
             j = rng.randint(0, 3)
             num = random_mor(model, rng, dom, cod, bound=5)
-            rows = tuple(tuple(Fraction(v, m_int ** j) for v in row)
-                         for row in num.entries)
-            m_mat = mor(target, dom, cod, rows)
+            m_mat = mor(target, dom, cod, _divide_by_mix(
+                num.entries, m_int ** j, target.ring))
             back = loop_value(realize(m_mat))
             if back != m_mat:
                 ok, detail = False, f"realization round trip fails at sample {i}"
