@@ -23,19 +23,15 @@ staircase here: the matrices it divides along the found ordering are the
 fillers of the trace's witness, and ``staircase_diagram`` draws that
 witness as a diagram ``zigzag`` can check.
 
-Every division by a power of the mix scalar goes through
-``_divide_by_mix``: the staircase stages, the induced trace and
-``compactify.loop_value``.  Integer entries divide row by row, in one pass
-per row of ints that an int divisor divides; everything else goes entry by
-entry through ``_exact_div``, since over Q and Z[1/M] a quotient that is
-not an int may still lie in the ring.  The division stops at the first
+Every division by a mix power, here and in ``compactify``, is
+``_divide_by_mix``: a row of ints that an int divisor divides goes in one
+pass, everything else entry by entry, since over Q and Z[1/M] a quotient
+that is not an int may still lie in the ring; it stops at the first
 quotient outside the ring.
 
 The induced trace instead contracts everything first and divides once by
-m^k, stopping at the first quotient outside the base ring, so it is
-defined at least as often as the free one, and strictly more often in
-general.  ``loop_value`` divides the same contraction over the localized
-ring, which holds every quotient.
+m^k, so it is defined at least as often as the free one, and strictly
+more often in general.
 """
 
 from __future__ import annotations
@@ -126,8 +122,8 @@ def _exact_div(v: Number, m: Number, ring) -> Optional[Number]:
 
 def _divide_by_mix(rows: Sequence[Sequence[Number]], m: Number,
                    ring) -> Optional[List[List[Number]]]:
-    """The first half of a staircase stage: every entry divided exactly by
-    the mix scalar, or None as soon as a quotient leaves the ring."""
+    """Every entry divided exactly by m, a power of the mix scalar, or None
+    as soon as a quotient leaves the ring; a staircase stage's first half."""
     divided: List[List[Number]] = []
     for row in rows:
         if type(m) is int and all(type(v) is int and not v % m for v in row):
