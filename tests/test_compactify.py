@@ -4,10 +4,10 @@ from fractions import Fraction
 import pytest
 
 from mixtrace import compactify
-from mixtrace.cli import parse_model_arg
 from mixtrace.category import (Model, Mor, Obj, canonical_map, compose,
                                dual_mor, identity, mor, mor_scale, random_mor,
                                tensor_mor)
+from mixtrace.cli import parse_model_arg
 from mixtrace.compactify import (c_tr, comix, localized_model, loop_value,
                                  realize, verify_compactness)
 from mixtrace.errors import InputError, ModelNotCompactifiableError

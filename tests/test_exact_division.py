@@ -172,4 +172,3 @@ def test_induced_trace_and_loop_value_edge_loops(model):
             model, r2, r2, [[m, 5], [Fraction(1, 2), m]])))
     for p in loops:
         _assert_matches_oracle(p)
-
