@@ -119,10 +119,8 @@ def _random_loop(rng, model, k):
                                          Obj(b.rank * h), rows))
 
 
-# the mix scalars of the loop tests: the int ones over every ring, and two
-# Fraction ones over Q
-LOOP_MODELS = tuple(Model(ring, m) for ring in RINGS for m in MIXES) + (
-    Model(RATIONALS, Fraction(1, 2)), Model(RATIONALS, Fraction(-3, 2)))
+# two Fraction mix scalars over Q, next to the int ones of MIXES
+FRACTION_MIXES = (Fraction(1, 2), Fraction(-3, 2))
 
 
 def _assert_matches_oracle(p):
@@ -141,34 +139,48 @@ def _assert_matches_oracle(p):
         assert res.status == UNDEFINED and res.value is None
 
 
-@pytest.mark.parametrize("model", LOOP_MODELS, ids=str)
+@pytest.mark.parametrize("ring", RINGS, ids=str)
+@pytest.mark.parametrize("m", MIXES)
 @pytest.mark.parametrize("k", (0, 1, 2))
-def test_induced_trace_and_loop_value_match_fraction_scaling(model, k):
-    rng = random.Random(f"contract:{model}:{k}")
+def test_contract_over_mix_power_matches_fraction_scaling(ring, m, k):
+    model = Model(ring, m)
+    rng = random.Random(f"contract:{ring}:{m}:{k}")
     for _ in range(60):
         _assert_matches_oracle(_random_loop(rng, model, k))
 
 
-@pytest.mark.parametrize("model", LOOP_MODELS, ids=str)
-def test_induced_trace_and_loop_value_edge_loops(model):
-    m = model.mix
-    r1, r2 = Obj(1), Obj(2)
-    loops = [
-        # k = 0: the carrier itself, divided by m^0 = 1
-        Loop(model, r2, r1, (), mor(model, r2, r1, [[BIG + 1, -3]])),
-        # above 2^64 and divisible by m^2
-        Loop(model, r1, r1, (r1, r1),
-             mor(model, r1, r1, [[BIG * m * m + m * m]])),
-        # above 2^64 and not divisible: a Fraction outside Z
-        Loop(model, r1, r1, (r2,), mor(model, r2, r2, [[BIG, 1], [2, 3]])),
-        # the first row's quotient leaves Z and Z[1/2] at m = 3, the
-        # second row's does not
-        Loop(model, r1, r2, (r1,), mor(model, r1, r2, [[1], [m]])),
-        # the first row divides, the second does not
-        Loop(model, r1, r2, (r1,), mor(model, r1, r2, [[m], [1]])),
-    ]
-    if model.ring.kind != "Z":
-        loops.append(Loop(model, r1, r1, (r2,), mor(
-            model, r2, r2, [[m, 5], [Fraction(1, 2), m]])))
-    for p in loops:
-        _assert_matches_oracle(p)
+@pytest.mark.parametrize("m", FRACTION_MIXES, ids=str)
+@pytest.mark.parametrize("k", (0, 1, 2))
+def test_contract_over_fraction_mix_power_matches_fraction_scaling(m, k):
+    model = Model(RATIONALS, m)
+    rng = random.Random(f"contract:{RATIONALS}:{m}:{k}")
+    for _ in range(60):
+        _assert_matches_oracle(_random_loop(rng, model, k))
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=str)
+def test_contract_over_mix_power_edge_loops(ring):
+    mixes = MIXES + (FRACTION_MIXES if ring == RATIONALS else ())
+    for m in mixes:
+        model = Model(ring, m)
+        r1, r2 = Obj(1), Obj(2)
+        loops = [
+            # k = 0: the carrier itself, divided by m^0 = 1
+            Loop(model, r2, r1, (), mor(model, r2, r1, [[BIG + 1, -3]])),
+            # above 2^64 and divisible by m^2
+            Loop(model, r1, r1, (r1, r1),
+                 mor(model, r1, r1, [[BIG * m * m + m * m]])),
+            # above 2^64 and not divisible: a Fraction outside Z
+            Loop(model, r1, r1, (r2,),
+                 mor(model, r2, r2, [[BIG, 1], [2, 3]])),
+            # the first row's quotient leaves Z and Z[1/2] at m = 3, the
+            # second row's does not
+            Loop(model, r1, r2, (r1,), mor(model, r1, r2, [[1], [m]])),
+            # the first row divides, the second does not
+            Loop(model, r1, r2, (r1,), mor(model, r1, r2, [[m], [1]])),
+        ]
+        if ring.kind != "Z":
+            loops.append(Loop(model, r1, r1, (r2,), mor(
+                model, r2, r2, [[m, 5], [Fraction(1, 2), m]])))
+        for p in loops:
+            _assert_matches_oracle(p)
