@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mixtrace import category
 from mixtrace.category import (Model, Obj, UNIT, canonical_map, compose,
                                contract_hidden, curry, dual_mor,
                                factor_permutation, identity, mor, mor_scale,
@@ -259,3 +260,41 @@ def test_validate_coherence(model):
     report = validate_coherence(model, 2)
     failed = [c.name for c in report.checks if not c.passed]
     assert report.ok, failed
+
+
+def _doubled_at(build, hit):
+    """``build`` with its result doubled where ``hit`` holds of its
+    arguments after the model."""
+    def wrong(model, *args):
+        f = build(model, *args)
+        return mor_scale(f, 2) if hit(*args) else f
+    return wrong
+
+
+@pytest.mark.parametrize("name, hit, failures", [
+    ("factor_permutation",
+     lambda dims, pos_map: (list(dims), list(pos_map)) == ([1, 2, 2, 1],
+                                                           [0, 2, 1, 3]),
+     [("shuffle-composition-orders",
+       "times rule disagrees with direct permutation")]),
+    ("canonical_map",
+     lambda kind, params: (kind == "times_rule"
+                           and [o.rank for o in params] == [2, 1, 1, 2]),
+     [("shuffle-composition-orders",
+       "composition orders disagree at 1,2,2,1")]),
+    ("identity", lambda a: a.rank == 8,
+     [("distributivities-vs-bijection", "distributivity fails at 2,2,2"),
+      ("currying-triangle", "currying triangle fails at 2,2,2,2"),
+      ("shuffle-composition-orders",
+       "composition orders disagree at 2,2,2,1")]),
+], ids=["factor_permutation", "times_rule", "identity"])
+def test_validate_coherence_fails_where_a_structure_map_is_wrong(
+        monkeypatch, name, hit, failures):
+    # one structure map made wrong at one shape fails exactly the checks
+    # that build that shape, with their usual detail: whatever one call
+    # shares, every check still runs on the builders' own output
+    monkeypatch.setattr(category, name, _doubled_at(getattr(category, name),
+                                                    hit))
+    report = validate_coherence(Z2, 2)
+    assert [(c.name, c.detail) for c in report.checks
+            if not c.passed] == failures

@@ -294,3 +294,21 @@ def test_verify_compactness():
         verify_compactness(Z0, max_rank=2, samples=-5)
     with pytest.raises(InputError):
         verify_compactness(Z0, max_rank=-1)
+
+
+@pytest.mark.parametrize("name, wrong, failure", [
+    ("loop_tensor", lambda build: lambda p, q: build(q, p),
+     ("values-functorial", "tensor of values fails at sample 5")),
+    ("dual_mor", lambda build: lambda f: mor_scale(build(f), 2),
+     ("values-functorial", "dual of values fails at sample 4")),
+    ("realize", lambda build: lambda m_mor: build(mor_scale(m_mor, 2)),
+     ("realize-round-trip", "realization round trip fails at sample 0")),
+], ids=["loop_tensor", "dual_mor", "realize"])
+def test_verify_compactness_fails_where_a_map_is_wrong(monkeypatch, name,
+                                                       wrong, failure):
+    # each map the checks compare through, made wrong, fails its check
+    # with the usual detail, whatever the call localizes once
+    monkeypatch.setattr(compactify, name, wrong(getattr(compactify, name)))
+    report = verify_compactness(Z2, max_rank=2, samples=100)
+    assert [(c.name, c.detail) for c in report.checks
+            if not c.passed] == [failure]
