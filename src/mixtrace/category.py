@@ -24,6 +24,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from math import prod
 from typing import Iterable, List, Sequence, Tuple
 
@@ -378,32 +379,27 @@ class ValidationReport:
         }
 
 
-def _alt_times_rule_composites(model: Model, a: Obj, b: Obj, c: Obj,
+def _alt_times_rule_composites(canon, perm, ident, a: Obj, b: Obj, c: Obj,
                                d: Obj) -> List[Mor]:
     """Two further composites of distributivities and symmetries with the
-    times_rule shape, built along genuinely different routes."""
+    times_rule shape, built along genuinely different routes from the
+    structure-map builders of one ``validate_coherence`` call."""
     ar, br, cr, dr = a.rank, b.rank, c.rank, d.rank
     # Route 2: swap the two tensor factors, apply the canonical shuffle
     # there, then repair with a symmetry on A,C and on B,D.
-    swap = factor_permutation(model, [ar * br, cr * dr], [1, 0])
-    shuffled = compose(canonical_map(model, "times_rule", [c, d, a, b]), swap)
-    fix_ca = tensor_mor(canonical_map(model, "symmetry", [c, a]),
-                        identity(model, Obj(dr * br)))
-    fix_db = tensor_mor(identity(model, Obj(ar * cr)),
-                        factor_permutation(model, [dr, br], [1, 0]))
+    swap = perm((ar * br, cr * dr), (1, 0))
+    shuffled = compose(canon("times_rule", c, d, a, b), swap)
+    fix_ca = tensor_mor(canon("symmetry", c, a), ident(Obj(dr * br)))
+    fix_db = tensor_mor(ident(Obj(ar * cr)), perm((dr, br), (1, 0)))
     comp2 = compose(fix_db, compose(fix_ca, shuffled))
     # Route 3: through the right distributivity on the swapped factors.
-    s1 = factor_permutation(model, [ar * br, cr * dr], [1, 0])
-    s2 = tensor_mor(canonical_map(model, "par_symmetry", [c, d]),
-                    identity(model, Obj(ar * br)))
+    s1 = perm((ar * br, cr * dr), (1, 0))
+    s2 = tensor_mor(canon("par_symmetry", c, d), ident(Obj(ar * br)))
     # right_distributivity and distributivity are identity reindexings
-    s4 = tensor_mor(identity(model, Obj(dr)),
-                    tensor_mor(canonical_map(model, "distributivity",
-                                             [c, a, b]),
-                               identity(model, UNIT)))
-    s5 = factor_permutation(model, [dr, cr * ar * br], [1, 0])
-    s6 = tensor_mor(canonical_map(model, "symmetry", [c, a]),
-                    identity(model, Obj(br * dr)))
+    s4 = tensor_mor(ident(d), tensor_mor(canon("distributivity", c, a, b),
+                                         ident(UNIT)))
+    s5 = perm((dr, cr * ar * br), (1, 0))
+    s6 = tensor_mor(canon("symmetry", c, a), ident(Obj(br * dr)))
     comp3 = compose(s6, compose(s5, compose(s4, compose(s2, s1))))
     return [comp2, comp3]
 
@@ -418,24 +414,31 @@ def validate_coherence(model: Model, max_rank: int, seed: int = 0) -> Validation
     bijection-based definitions; the mix map against its defining
     composite; and equality of three distinct distributivity/symmetry
     composition orders with the canonical times_rule map.
+
+    Structure maps depend only on ranks, so each is built once per call
+    and shared by every check that compares against it.
     """
     if max_rank < 1:
         raise InputError("max_rank must be >= 1")
     rng = random.Random(f"coherence:{seed}")
     report = ValidationReport(f"coherence of {model} at ranks <= {max_rank}")
     ranks = [Obj(r) for r in range(0, max_rank + 1)]
+    canon = cache(lambda kind, *params: canonical_map(model, kind, params))
+    perm = cache(lambda dims, pos_map: factor_permutation(model, dims,
+                                                          pos_map))
+    ident = cache(lambda a: identity(model, a))
 
-    mix = canonical_map(model, "mix", [])
-    lhs = tensor_mor(mix, identity(model, UNIT))
-    rhs = tensor_mor(identity(model, UNIT), mix)
+    mix = canon("mix")
+    lhs = tensor_mor(mix, ident(UNIT))
+    rhs = tensor_mor(ident(UNIT), mix)
     report.record("mix-unit-square", lhs.entries == rhs.entries)
 
     ok, detail = True, ""
     for a in ranks:
-        ev = canonical_map(model, "ev", [a])
-        coev = canonical_map(model, "coev", [a])
-        sig = canonical_map(model, "symmetry", [a, a])
-        tau = canonical_map(model, "par_symmetry", [a, a])
+        ev = canon("ev", a)
+        coev = canon("coev", a)
+        sig = canon("symmetry", a, a)
+        tau = canon("par_symmetry", a, a)
         if compose(ev, sig).entries != ev.entries:
             ok, detail = False, f"ev symmetry fails at rank {a.rank}"
             break
@@ -446,17 +449,16 @@ def validate_coherence(model: Model, max_rank: int, seed: int = 0) -> Validation
 
     ok, detail = True, ""
     for a, b in itertools.product(ranks, repeat=2):
-        direct = canonical_map(model, "mix_map", [a, b])
-        inner = tensor_mor(identity(model, a),
-                           canonical_map(model, "mixed_ev", [b]))
+        direct = canon("mix_map", a, b)
+        inner = tensor_mor(ident(a), canon("mixed_ev", b))
         via_curry = curry(inner, obj_tensor(a, b), b, a)
         if direct.entries != via_curry.entries:
             ok, detail = False, f"mix map composite fails at {a.rank},{b.rank}"
             break
-        msym = canonical_map(model, "mixed_symmetry", [a, b])
-        tau = canonical_map(model, "par_symmetry", [a, b])
-        sig = canonical_map(model, "symmetry", [a, b])
-        other = canonical_map(model, "mix_map", [b, a])
+        msym = canon("mixed_symmetry", a, b)
+        tau = canon("par_symmetry", a, b)
+        sig = canon("symmetry", a, b)
+        other = canon("mix_map", b, a)
         if compose(tau, direct).entries != msym.entries or \
                 compose(other, sig).entries != msym.entries:
             ok, detail = False, f"mixed symmetry fails at {a.rank},{b.rank}"
@@ -465,43 +467,35 @@ def validate_coherence(model: Model, max_rank: int, seed: int = 0) -> Validation
 
     ok, detail = True, ""
     for a, b, c in itertools.product(ranks, repeat=3):
-        delta = canonical_map(model, "distributivity", [a, b, c])
-        left = compose(delta, tensor_mor(identity(model, a),
-                                         canonical_map(model, "mix_map", [b, c])))
-        if left.entries != canonical_map(model, "mix_map",
-                                         [obj_tensor(a, b), c]).entries:
+        delta = canon("distributivity", a, b, c)
+        left = compose(delta, tensor_mor(ident(a), canon("mix_map", b, c)))
+        if left.entries != canon("mix_map", obj_tensor(a, b), c).entries:
             ok, detail = False, f"first triangle fails at {a.rank},{b.rank},{c.rank}"
             break
-        right = compose(tensor_mor(canonical_map(model, "mix_map", [a, b]),
-                                   identity(model, c)), delta)
-        if right.entries != canonical_map(model, "mix_map",
-                                          [a, obj_tensor(b, c)]).entries:
+        right = compose(tensor_mor(canon("mix_map", a, b), ident(c)), delta)
+        if right.entries != canon("mix_map", a, obj_tensor(b, c)).entries:
             ok, detail = False, f"second triangle fails at {a.rank},{b.rank},{c.rank}"
             break
     report.record("mix-distributivity-triangles", ok, detail)
 
     ok, detail = True, ""
     for a, b, c in itertools.product(ranks, repeat=3):
-        expected = identity(model, obj_tensor(a, b, c))
+        expected = ident(obj_tensor(a, b, c))
         # delta from the closure bijection
-        peeled = uncurry(identity(model, obj_tensor(b, c)),
-                         obj_tensor(b, c), c, b)
-        inner = tensor_mor(identity(model, a), peeled)
+        peeled = uncurry(ident(obj_tensor(b, c)), obj_tensor(b, c), c, b)
+        inner = tensor_mor(ident(a), peeled)
         delta = curry(inner, obj_tensor(a, b, c), c, obj_tensor(a, b))
         if delta.entries != expected.entries:
             ok, detail = False, f"distributivity fails at {a.rank},{b.rank},{c.rank}"
             break
         # right distributivity from symmetries and delta
         ar, br, cr = a.rank, b.rank, c.rank
-        t1 = factor_permutation(model, [ar * br, cr], [1, 0])
-        t2 = tensor_mor(identity(model, c),
-                        canonical_map(model, "par_symmetry", [a, b]))
-        t4 = factor_permutation(model, [cr * br, ar], [1, 0])
-        t5 = tensor_mor(identity(model, a),
-                        canonical_map(model, "symmetry", [c, b]))
+        t1 = perm((ar * br, cr), (1, 0))
+        t2 = tensor_mor(ident(c), canon("par_symmetry", a, b))
+        t4 = perm((cr * br, ar), (1, 0))
+        t5 = tensor_mor(ident(a), canon("symmetry", c, b))
         dr_alt = compose(t5, compose(t4, compose(t2, t1)))
-        if dr_alt.entries != canonical_map(model, "right_distributivity",
-                                           [a, b, c]).entries:
+        if dr_alt.entries != canon("right_distributivity", a, b, c).entries:
             ok, detail = False, f"right distributivity fails at {a.rank},{b.rank},{c.rank}"
             break
     report.record("distributivities-vs-bijection", ok, detail)
@@ -510,10 +504,10 @@ def validate_coherence(model: Model, max_rank: int, seed: int = 0) -> Validation
     for _ in range(40):
         x, a, b, c = (Obj(rng.randint(0, max_rank)) for _ in range(4))
         phi = random_mor(model, rng, obj_tensor(a, b), c)
-        lhs_m = curry(tensor_mor(identity(model, x), phi),
+        lhs_m = curry(tensor_mor(ident(x), phi),
                       obj_tensor(x, a), b, obj_tensor(x, c))
-        rhs_m = compose(canonical_map(model, "distributivity", [x, c, b]),
-                        tensor_mor(identity(model, x), curry(phi, a, b, c)))
+        rhs_m = compose(canon("distributivity", x, c, b),
+                        tensor_mor(ident(x), curry(phi, a, b, c)))
         if lhs_m.entries != rhs_m.entries:
             ok, detail = False, (
                 f"currying triangle fails at {x.rank},{a.rank},{b.rank},{c.rank}")
@@ -522,13 +516,13 @@ def validate_coherence(model: Model, max_rank: int, seed: int = 0) -> Validation
 
     ok, detail = True, ""
     for a, b, c, d in itertools.product(ranks, repeat=4):
-        target = canonical_map(model, "times_rule", [a, b, c, d])
-        direct = factor_permutation(
-            model, [a.rank, b.rank, c.rank, d.rank], [0, 2, 1, 3])
+        target = canon("times_rule", a, b, c, d)
+        direct = perm((a.rank, b.rank, c.rank, d.rank), (0, 2, 1, 3))
         if target.entries != direct.entries:
             ok, detail = False, f"times rule disagrees with direct permutation"
             break
-        bad = [m for m in _alt_times_rule_composites(model, a, b, c, d)
+        bad = [m for m in _alt_times_rule_composites(canon, perm, ident,
+                                                     a, b, c, d)
                if m.entries != target.entries]
         if bad:
             ok, detail = False, (

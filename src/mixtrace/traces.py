@@ -115,7 +115,7 @@ def _exact_div(v: Number, m: Number, ring) -> Optional[Number]:
         val = Fraction(v, m)
     else:
         val = v / m
-    if ring_contains(ring, val):
+    if ring is None or ring_contains(ring, val):
         return int(val) if val.denominator == 1 else val
     return None
 
@@ -123,7 +123,9 @@ def _exact_div(v: Number, m: Number, ring) -> Optional[Number]:
 def _divide_by_mix(rows: Sequence[Sequence[Number]], m: Number,
                    ring) -> Optional[List[List[Number]]]:
     """Every entry divided exactly by m, a power of the mix scalar, or None
-    as soon as a quotient leaves the ring; a staircase stage's first half."""
+    as soon as a quotient leaves the ring; a staircase stage's first half.
+    With ring None the caller knows every quotient lies in its ring, and
+    none is tested."""
     divided: List[List[Number]] = []
     for row in rows:
         if type(m) is int and all(type(v) is int and not v % m for v in row):

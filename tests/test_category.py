@@ -298,3 +298,31 @@ def test_validate_coherence_fails_where_a_structure_map_is_wrong(
     report = validate_coherence(Z2, 2)
     assert [(c.name, c.detail) for c in report.checks
             if not c.passed] == failures
+
+
+def test_validate_coherence_builds_each_structure_map_once_per_call(
+        monkeypatch):
+    # the builders are shared within one call only: a second call in the
+    # same process builds exactly as many maps as the first (counts include
+    # canonical_map's own calls of the other builders)
+    calls = dict.fromkeys(["canonical_map", "factor_permutation",
+                           "identity"], 0)
+
+    def counted(name):
+        build = getattr(category, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return build(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(category, name, counted(name))
+    per_call = []
+    for _ in range(2):
+        assert validate_coherence(Z2, 2).ok
+        per_call.append(dict(calls))
+        calls.update(dict.fromkeys(calls, 0))
+    expected = {"canonical_map": 205, "factor_permutation": 370,
+                "identity": 83}
+    assert per_call == [expected, expected]

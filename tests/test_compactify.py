@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from mixtrace import compactify
+from mixtrace import compactify, traces
 from mixtrace.category import (Model, Mor, Obj, canonical_map, compose,
-                               dual_mor, identity, mor, mor_scale, random_mor,
-                               tensor_mor)
+                               contract_hidden, dual_mor, identity, mor,
+                               mor_scale, random_mor, tensor_mor)
 from mixtrace.cli import parse_model_arg
 from mixtrace.compactify import (c_tr, comix, localized_model, loop_value,
                                  realize, verify_compactness)
@@ -15,7 +15,7 @@ from mixtrace.loops import (Loop, hidden_symmetry, loop_compose, loop_dual,
                             loop_tensor, morphism_loop)
 from mixtrace.rings import (INTEGERS, RATIONALS, localized_integers,
                             ring_contains)
-from mixtrace.traces import (free_mixed_trace, hidden_trace,
+from mixtrace.traces import (_divide_by_mix, free_mixed_trace, hidden_trace,
                              induced_mixed_trace, random_loop)
 
 from trace_reference import all_permutations, hide, loop_par, total_trace
@@ -312,3 +312,49 @@ def test_verify_compactness_fails_where_a_map_is_wrong(monkeypatch, name,
     report = verify_compactness(Z2, max_rank=2, samples=100)
     assert [(c.name, c.detail) for c in report.checks
             if not c.passed] == [failure]
+
+
+def test_verify_compactness_localizes_once_plus_once_per_realize_sample(
+        monkeypatch):
+    # every check compares over one localized model; only the realize
+    # round trip, whose loops live over Model(Z, m), localizes its own
+    calls = {"localized_model": 0, "realize": 0}
+
+    def counted(name):
+        build = getattr(compactify, name)
+
+        def wrapper(arg):
+            calls[name] += 1
+            return build(arg)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(compactify, name, counted(name))
+    assert verify_compactness(Z2, max_rank=2, samples=100).ok
+    assert calls == {"localized_model": 1 + 20, "realize": 20}
+
+
+@pytest.mark.parametrize("selector", ["qmod:1/2", "zmod:2", "zloc:6"])
+def test_loop_value_divides_without_membership_tests(monkeypatch, selector):
+    # every quotient loop_value takes lies in the localized ring, so it
+    # tests none of them, and its values are those of the tested division
+    model = parse_model_arg(selector)
+    target = localized_model(model)
+    rng = random.Random(5)
+    loops = [random_loop(rng, model, 3, 2) for _ in range(1000)]
+    tested = [_divide_by_mix(
+        contract_hidden(p.carrier, p.dom, p.cod, p.hidden).entries,
+        model.mix ** p.k, target.ring) for p in loops]
+    calls = []
+
+    def counted(ring, value):
+        calls.append(value)
+        return ring_contains(ring, value)
+
+    monkeypatch.setattr(traces, "ring_contains", counted)
+    values = [loop_value(p) for p in loops]
+    assert calls == []
+    assert [v.entries for v in values] == [tuple(map(tuple, rows))
+                                           for rows in tested]
+    with pytest.raises(ModelNotCompactifiableError):
+        loop_value(Loop(Z0, r1, r1, (r1,), mor(Z0, r1, r1, [[1]])))
