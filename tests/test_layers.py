@@ -1,7 +1,8 @@
 """The modules of ``mixtrace`` form one chain, each importing only from
 modules below it, and every import sits at module level; every export and
-every definition in ``src`` is used by some module of ``src``; no test
-module imports a name it never uses."""
+every definition in ``src`` is used by some module of ``src``; no cache
+outlives a call, except the CLI's parser; no test module imports a name it
+never uses."""
 
 import ast
 from pathlib import Path
@@ -99,6 +100,51 @@ def test_every_definition_is_used_by_the_engine():
                     for qual in _definitions(_tree(name))
                     if qual.rsplit(".", 1)[-1] not in loaded)
     assert not unused, f"defined but never used in src: {unused}"
+
+
+CACHES = ("cache", "lru_cache")
+
+
+def _module_level_caches(tree):
+    """Lines naming ``cache`` or ``lru_cache`` outside every function body:
+    a decorator, or a call at module or class level.  A cache built inside
+    a function lives for that call only."""
+    def outside(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for decorator in child.decorator_list:
+                    yield from ast.walk(decorator)
+            elif not isinstance(child, ast.Lambda):
+                yield child
+                yield from outside(child)
+    return sorted(node.lineno for node in outside(tree)
+                  if getattr(node, "id", getattr(node, "attr", None))
+                  in CACHES)
+
+
+def test_the_cache_guard_sees_decorators_and_calls_only():
+    tree = ast.parse("@functools.lru_cache(maxsize=None)\n"
+                     "def f(): pass\n"
+                     "@cache\n"
+                     "def g(): pass\n"
+                     "h = cache(lambda: cache(f))\n"
+                     "class C:\n"
+                     "    x = functools.cache(f)\n"
+                     "    def m(self):\n"
+                     "        return cache(f)()\n")
+    assert _module_level_caches(tree) == [1, 3, 5, 7]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_module_level_cache(name):
+    # values built once per call are shared by that call only; the parser,
+    # built once per process, is the one cache that outlives a call
+    tree = _tree(name)
+    allowed = [d.lineno for node in tree.body
+               if isinstance(node, ast.FunctionDef) and name == "cli"
+               and node.name == "_parser" for d in node.decorator_list]
+    found = _module_level_caches(tree)
+    assert found == allowed, f"{name} has a module-level cache at {found}"
 
 
 @pytest.mark.parametrize("name", TEST_MODULES)
