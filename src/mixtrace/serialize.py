@@ -110,6 +110,9 @@ def _bare_matrix_from_json(data, model: Model, dom: Obj, cod: Obj,
             raise FileFormatError(f"{where}[{i}]: expected {dom.rank} entries")
         new = []
         for j, cell in enumerate(row):
+            if cell == "0":  # most cells of a witness; nothing to parse
+                new.append(0)
+                continue
             if not isinstance(cell, str):
                 raise FileFormatError(
                     f"{where}[{i}][{j}]: scalars must be strings")

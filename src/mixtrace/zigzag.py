@@ -15,9 +15,16 @@ the edge prefix before them, with no second diagram.  Once it commutes,
 only the trees that reach the bottom symmetry can change, so the
 conclusion check re-grows just those.  An instance computes its level
 ranks once, or takes them from the caller that sized its fillers by them
-(the search and the JSON loader); Id (x) f (x) Id is whiskered by block copy
-(``category.whisker``), and a search builds each base rank's mix map and
-coevaluation once.
+(the search and the JSON loader).  Everything of the diagram but the hub
+and the fillers, which is most of its matrices, depends only on the
+instance's frame (its objects, maps and permutation): ``build_zigzag_frame``
+builds that part, with Id (x) f (x) Id whiskered by block copy
+(``category.whisker``), and ``build_zigzag_diagram`` drops an instance's
+hub and fillers into it.  ``check_zigzag_instance`` builds a frame per
+instance; a search builds one per frame it meets (base ranks and
+permutation), with its level ranks and pullback pieces, and each base
+rank's mix map and coevaluation once, and shares them within that call
+only.  Every instance and diagram is still validated and fully checked.
 
 The module builds on ``category`` and ``loops`` only; ``traces`` draws a
 free trace's staircase witness as a diagram and checks it here.
@@ -33,7 +40,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .category import (Mor, Model, Obj, canonical_map, compose, dual_mor,
                        factor_permutation, identity, obj_tensor, random_mor,
                        regroup, tensor_mor, whisker, zero_mor)
-from .errors import InputError
+from .errors import InputError, ResourceLimitError
 from .loops import Permutation
 
 
@@ -218,17 +225,6 @@ class ZigZagInstance:
                     raise InputError(
                         f"{side} filler {k} has the wrong shape")
 
-    @property
-    def n(self) -> int:
-        return len(self.upper)
-
-    def _side_seqs(self, side: str):
-        if side == "left":
-            return self.upper, self.apex, self.lower, self.down_maps, self.up_maps
-        return (self.perm.apply(self.upper), self.perm.apply(self.apex),
-                self.perm.apply(self.lower), self.perm.apply(self.down_maps),
-                self.perm.apply(self.up_maps))
-
 
 def level_ranks(upper: Sequence[Obj], apex: Sequence[Obj],
                 lower: Sequence[Obj], perm: Permutation
@@ -256,20 +252,28 @@ class ZigZagOutcome:
     counter: Optional[CounterPath] = None
 
 
-def build_zigzag_diagram(inst: ZigZagInstance) -> Diagram:
-    """The conclusion diagram of a zig-zag instance: both filler columns,
-    the top symmetry and, as the last two edges, the bottom symmetry.
-    Without those two it is the premise diagram."""
-    model = inst.model
-    n = inst.n
+# A frame: the objects below the hub and the edges in diagram order, each
+# filler edge a slot (src, side, k) for the side's filler k.
+Frame = Tuple[Tuple[Obj, ...], Tuple[object, ...]]
+
+
+def build_zigzag_frame(model: Model, upper: Sequence[Obj],
+                       lower: Sequence[Obj], downs: Sequence[Mor],
+                       ups: Sequence[Mor], perm: Permutation,
+                       levels: Dict[str, Tuple[List[int], List[int]]]
+                       ) -> Frame:
+    """Everything of a zig-zag diagram but its hub and fillers, which the
+    objects, the two map tuples and the permutation fix (the apex objects
+    enter through ``levels`` and the maps' codomains): left X levels
+    0..n and apex levels 1..n, the same on the right, and the edges,
+    each side's whiskered down and up maps followed by its filler slots,
+    then the top symmetry and, last, the bottom symmetry, each with its
+    inverse (the transpose of a permutation matrix)."""
+    n = len(upper)
     objects: List[Obj] = []
-    # left X-levels 0..n, left apex levels 1..n, then the same on the
-    # right, then the hub
     for side in ("left", "right"):
-        x_levels, fillers = inst.levels[side]
+        x_levels, fillers = levels[side]
         objects += [Obj(r) for r in x_levels] + [Obj(r) for r in fillers[1:]]
-    objects.append(inst.hub)
-    hub_idx = len(objects) - 1
 
     def x_idx(side: str, i: int) -> int:
         return (0 if side == "left" else 2 * n + 1) + i
@@ -277,46 +281,59 @@ def build_zigzag_diagram(inst: ZigZagInstance) -> Diagram:
     def a_idx(side: str, k: int) -> int:
         return (0 if side == "left" else 2 * n + 1) + (n + 1) + (k - 1)
 
-    edges: List[Edge] = []
-    for side in ("left", "right"):
-        upper, apex, lower, downs, ups = inst._side_seqs(side)
-        fillers = inst.left_fillers if side == "left" else inst.right_fillers
+    edges: List[object] = []
+    for side, order in (("left", range(n)), ("right", perm.images)):
         for k in range(1, n + 1):
-            pre, post = obj_tensor(*lower[:k - 1]), obj_tensor(*upper[k:])
-            down = whisker(pre, downs[k - 1], post)
-            up = whisker(pre, ups[k - 1], post)
-            edges.append(Edge(x_idx(side, k - 1), a_idx(side, k), down,
+            i = order[k - 1]
+            pre = obj_tensor(*(lower[j] for j in order[:k - 1]))
+            post = obj_tensor(*(upper[j] for j in order[k:]))
+            edges.append(Edge(x_idx(side, k - 1), a_idx(side, k),
+                              whisker(pre, downs[i], post),
                               f"{side}-down-{k}"))
-            edges.append(Edge(x_idx(side, k), a_idx(side, k), up,
-                              f"{side}-up-{k}"))
-        edges.append(Edge(x_idx(side, 0), hub_idx, fillers[0],
-                          f"{side}-filler-top"))
-        for k in range(1, n + 1):
-            edges.append(Edge(a_idx(side, k), hub_idx, fillers[k],
-                              f"{side}-filler-{k}"))
+            edges.append(Edge(x_idx(side, k), a_idx(side, k),
+                              whisker(pre, ups[i], post), f"{side}-up-{k}"))
+        edges.append((x_idx(side, 0), side, 0))
+        edges += [(a_idx(side, k), side, k) for k in range(1, n + 1)]
 
-    # the inverse of a permutation matrix is its transpose
-    top = factor_permutation(model, [u.rank for u in inst.upper],
-                             inst.perm.images)
-    edges.append(Edge(x_idx("left", 0), x_idx("right", 0), top, "top-iso"))
-    edges.append(Edge(x_idx("right", 0), x_idx("left", 0), dual_mor(top),
-                      "top-iso-inv"))
-    bottom = factor_permutation(model, [x.rank for x in inst.lower],
-                                inst.perm.images)
-    edges.append(Edge(x_idx("left", n), x_idx("right", n), bottom,
-                      "bottom-iso"))
-    edges.append(Edge(x_idx("right", n), x_idx("left", n), dual_mor(bottom),
-                      "bottom-iso-inv"))
-    return Diagram(model, tuple(objects), tuple(edges))
+    for name, objs, i in (("top", upper, 0), ("bottom", lower, n)):
+        iso = factor_permutation(model, [o.rank for o in objs], perm.images)
+        edges.append(Edge(x_idx("left", i), x_idx("right", i), iso,
+                          f"{name}-iso"))
+        edges.append(Edge(x_idx("right", i), x_idx("left", i), dual_mor(iso),
+                          f"{name}-iso-inv"))
+    return tuple(objects), tuple(edges)
+
+
+def build_zigzag_diagram(inst: ZigZagInstance, frame: Frame) -> Diagram:
+    """The conclusion diagram of a zig-zag instance: its frame (built from
+    the instance's objects, maps and permutation) with the hub appended
+    and the fillers in their slots.  Without its last two edges, the
+    bottom symmetry, it is the premise diagram."""
+    objects, slots = frame
+    hub = len(objects)
+    fillers = {"left": inst.left_fillers, "right": inst.right_fillers}
+    edges = [e if type(e) is Edge else
+             Edge(e[0], hub, fillers[e[1]][e[2]],
+                  f"{e[1]}-filler-{e[2] or 'top'}")
+             for e in slots]
+    return Diagram(inst.model, objects + (inst.hub,), tuple(edges))
 
 
 def check_zigzag_instance(inst: ZigZagInstance) -> ZigZagOutcome:
-    """Build the instance's one diagram (from the levels the instance
-    computed once) and check its premise, the edge prefix without the
-    bottom symmetry; if that commutes, check the whole diagram by
-    re-growing only the trees that reach the bottom symmetry, which report
-    the failure, if any, that a full check of the whole diagram reports."""
-    whole = build_zigzag_diagram(inst)
+    """Build the instance's frame (from the levels it computed once) and
+    check the instance in it."""
+    return _check_in_frame(inst, build_zigzag_frame(
+        inst.model, inst.upper, inst.lower, inst.down_maps, inst.up_maps,
+        inst.perm, inst.levels))
+
+
+def _check_in_frame(inst: ZigZagInstance, frame: Frame) -> ZigZagOutcome:
+    """Fill the frame with the instance and check the premise, the edge
+    prefix without the bottom symmetry; if that commutes, check the whole
+    diagram by re-growing only the trees that reach the bottom symmetry,
+    which report the failure, if any, that a full check of the whole
+    diagram reports."""
+    whole = build_zigzag_diagram(inst, frame)
     premise = _check_trees(whole, whole.edges[:-2],
                            range(len(whole.objects)))
     if premise is not True:
@@ -354,18 +371,15 @@ def _corollary_frame(model: Model, rng: random.Random, n: int,
     return bases, upper, apex, lower, downs, ups
 
 
-def _pullback_fillers(model: Model, rng: random.Random, bases,
-                      perm: Permutation, hub: Obj, entry_bound: int,
-                      structure: Dict[int, Tuple[Mor, Mor]]):
-    """Premise-commuting fillers: one random map out of the tensor of the
-    apex objects, pulled back along coevaluations (below the level) and
-    mix maps (above it)."""
+def _pullback_pieces(model: Model, bases, perm: Permutation,
+                     structure: Dict[int, Tuple[Mor, Mor]]):
+    """Per side, the maps from each filler level to the tensor of the apex
+    objects (in ``bases`` order) that a pullback filler composes with:
+    coevaluations below the level and mix maps above it."""
     n = len(bases)
-    apex_all = Obj(prod(b.rank * b.rank for b in bases))
-    rho = random_mor(model, rng, apex_all, hub, entry_bound)
 
-    def side_fillers(side_bases, reorder: Optional[Sequence[int]]):
-        fillers = []
+    def side_pieces(side_bases, reorder: Optional[Sequence[int]]):
+        out = []
         for k in range(0, n + 1):
             pieces = identity(model, Obj(1))
             for j, b in enumerate(side_bases):
@@ -379,12 +393,35 @@ def _pullback_fillers(model: Model, rng: random.Random, bases,
             if reorder is not None:  # apex factors back in ``bases`` order
                 pieces = regroup(pieces, [b.rank * b.rank for b in side_bases],
                                  [pieces.dom.rank], reorder, [n])
-            fillers.append(compose(rho, pieces))
-        return tuple(fillers)
+            out.append(pieces)
+        return tuple(out)
 
-    left = side_fillers(bases, None)
-    right = side_fillers(perm.apply(tuple(bases)), perm.inverse().images)
-    return left, right
+    return (side_pieces(bases, None),
+            side_pieces(perm.apply(tuple(bases)), perm.inverse().images))
+
+
+# The most matrix entries a search may build; see _check_search_size.
+_SEARCH_ENTRY_BOUND = 10 ** 6
+
+
+def _check_search_size(n: int, max_rank: int) -> None:
+    """Raise ResourceLimitError when the largest matrix a search at these
+    sizes can build has more than ``_SEARCH_ENTRY_BOUND`` entries.  That is
+    a map out of the top level, of rank up to max_rank^(2n), to itself or
+    to the hub, of rank up to max_rank: max_rank^(4n) entries for n >= 1,
+    max_rank for n = 0.  Past 2^64 the count is named, not computed."""
+    if n == 0:
+        size, text = max_rank, str(max_rank)
+    elif 4 * n * (max_rank.bit_length() - 1) >= 64:
+        size, text = None, f"{max_rank}^{4 * n}"
+    else:
+        size = max_rank ** (4 * n)
+        text = f"{max_rank}^{4 * n} = {size}"
+    if size is None or size > _SEARCH_ENTRY_BOUND:
+        raise ResourceLimitError(
+            f"a zig-zag search at n = {n} and max_rank {max_rank} builds "
+            f"matrices of up to {text} entries, more than the bound "
+            f"{_SEARCH_ENTRY_BOUND}")
 
 
 def search_counterexample(model: Model, n: int, max_rank: int,
@@ -395,25 +432,43 @@ def search_counterexample(model: Model, n: int, max_rank: int,
     Rotates three filler strategies: a consistent pullback collection
     (exercising the Holds branch), a zero-top collection (the family that
     violates contractibility when m = 0), and fully random fillers.
+    Everything but an instance's hub and fillers depends only on its
+    frame, the base ranks and the permutation, so each frame's levels,
+    diagram frame and pullback pieces are built once per call.
     """
     if n < 0 or max_rank < 1 or entry_bound < 0 or budget < 0:
         raise InputError("n must be >= 0, max_rank >= 1, entry_bound >= 0 "
                          "and budget >= 0")
+    _check_search_size(n, max_rank)
     rng = random.Random(f"zigzag:{seed}")
     stats = {"premise_fails": 0, "holds": 0, "violated": 0}
     structure: Dict[int, Tuple[Mor, Mor]] = {}
+    frames: Dict[tuple, tuple] = {}
+    pullbacks: Dict[tuple, tuple] = {}
     for idx in range(budget):
         bases, upper, apex, lower, downs, ups = _corollary_frame(
             model, rng, n, max_rank, structure)
         images = list(range(n))
         rng.shuffle(images)
         perm = Permutation(tuple(images))
+        key = (tuple(b.rank for b in bases), perm.images)
+        if key not in frames:
+            levels = level_ranks(upper, apex, lower, perm)
+            frames[key] = (levels, build_zigzag_frame(
+                model, upper, lower, downs, ups, perm, levels))
+        levels, frame = frames[key]
         hub = Obj(rng.randint(1, max_rank))
         strategy = idx % 3
-        levels = None
         if strategy == 0:
-            left, right = _pullback_fillers(model, rng, bases, perm, hub,
-                                            entry_bound, structure)
+            # one random map out of the tensor of the apex objects, pulled
+            # back to every level: premise-commuting fillers
+            if key not in pullbacks:
+                pullbacks[key] = _pullback_pieces(model, bases, perm,
+                                                  structure)
+            rho = random_mor(model, rng, Obj(prod(u.rank for u in upper)),
+                             hub, entry_bound)
+            left, right = (tuple(compose(rho, p) for p in side)
+                           for side in pullbacks[key])
         else:
             def col(ranks):
                 fillers = []
@@ -426,12 +481,11 @@ def search_counterexample(model: Model, n: int, max_rank: int,
                                                   entry_bound))
                 return tuple(fillers)
 
-            levels = level_ranks(upper, apex, lower, perm)
             left = col(levels["left"][1])
             right = col(levels["right"][1])
         inst = ZigZagInstance(model, upper, apex, lower, downs, ups, perm,
                               hub, left, right, levels=levels)
-        outcome = check_zigzag_instance(inst)
+        outcome = _check_in_frame(inst, frame)
         stats[outcome.status] += 1
         if outcome.status == "violated":
             return SearchResult("violated", inst, stats, idx + 1)

@@ -101,14 +101,15 @@ def test_search_diagrams_agree_and_name_the_same_pair(monkeypatch):
 
 
 def _sampled_instances(monkeypatch, mix, n, seed, budget):
+    """Every instance the search checks, with the frame it checks it in."""
     seen = []
-    original = zigzag.check_zigzag_instance
+    original = zigzag._check_in_frame
 
-    def record(inst):
-        seen.append(inst)
-        return original(inst)
+    def record(inst, frame):
+        seen.append((inst, frame))
+        return original(inst, frame)
 
-    monkeypatch.setattr(zigzag, "check_zigzag_instance", record)
+    monkeypatch.setattr(zigzag, "_check_in_frame", record)
     zigzag.search_counterexample(Model(INTEGERS, mix), n, max_rank=2,
                                  seed=seed, budget=budget)
     monkeypatch.undo()
@@ -124,8 +125,9 @@ def test_partial_conclusion_check_matches_the_full_check(monkeypatch, n):
     for mix in (0, 1, 2):
         for seed in range(3):
             budget = 15 if n == 3 else 30
-            for inst in _sampled_instances(monkeypatch, mix, n, seed, budget):
-                whole = zigzag.build_zigzag_diagram(inst)
+            for inst, frame in _sampled_instances(monkeypatch, mix, n, seed,
+                                                  budget):
+                whole = zigzag.build_zigzag_diagram(inst, frame)
                 premise = whole.edges[:-2]
                 if diagram_commutes(Diagram(inst.model, whole.objects,
                                             premise)) is not True:

@@ -9,11 +9,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mixtrace import serialize
 from mixtrace.category import Model, Mor, Obj
+from mixtrace.errors import InputError
 from mixtrace.loops import hidden_symmetry
 from mixtrace.rings import (INTEGERS, RATIONALS, format_value,
-                            localized_integers)
-from mixtrace.serialize import (_bare_matrix_to_json, diagram_from_json,
+                            localized_integers, parse_value)
+from mixtrace.serialize import (FileFormatError, _bare_matrix_from_json,
+                                _bare_matrix_to_json, diagram_from_json,
                                 diagram_to_json, dumps, loop_from_json,
                                 loop_to_json)
 from mixtrace.traces import free_mixed_trace, random_loop, staircase_diagram
@@ -58,6 +61,41 @@ def test_matrix_rows_of_fixed_entries():
     assert _bare_matrix_to_json(f) == [
         ["0", "-3", str(big), str(-big)], ["0", "2", "-1/2", "5/36"]]
     assert _bare_matrix_to_json(f) == per_entry(f)
+
+
+@pytest.mark.parametrize("cell", [
+    "0", "00", "-0", "+0", " 0", "0 ", "0/0", "0/1", "", 0, 0.0, False, None,
+    ["0"]])
+def test_cells_near_zero_read_as_parse_value_reads_them(cell):
+    # only the exact text "0" skips the parser; every other cell gets
+    # parse_value's value or its error text, and a non-string is refused
+    def read():
+        return _bare_matrix_from_json([["1", cell]], MODELS["zmod:2"],
+                                      Obj(2), Obj(1), "m")
+
+    if not isinstance(cell, str):
+        with pytest.raises(FileFormatError) as exc:
+            read()
+        assert str(exc.value) == "m[0][1]: scalars must be strings"
+        return
+    try:
+        value = parse_value(cell)
+    except InputError as oracle:
+        with pytest.raises(FileFormatError) as exc:
+            read()
+        assert str(exc.value) == f"m[0][1]: {oracle}"
+    else:
+        entries = read().entries
+        assert entries == ((1, value),) and type(entries[0][1]) is int
+
+
+def test_zero_cells_skip_the_parser(monkeypatch):
+    calls = []
+    monkeypatch.setattr(serialize, "parse_value",
+                        lambda text: calls.append(text) or parse_value(text))
+    f = _bare_matrix_from_json([["0", "3"], ["0", "00"]], MODELS["zmod:2"],
+                               Obj(2), Obj(2), "m")
+    assert f.entries == ((0, 3), (0, 0)) and calls == ["3", "00"]
 
 
 def _through_text(payload):

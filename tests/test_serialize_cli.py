@@ -253,6 +253,22 @@ def test_cli_congruent_relabelling_bound(tmp_path):
     assert "5040" in err and "720" in err, err
 
 
+def test_cli_zigzag_search_size_bound(monkeypatch, capsys):
+    # (12^6)^2 entries in the top symmetry alone: refused before any
+    # matrix is built, so no Mor is constructed
+    def no_matrix(*args):
+        raise AssertionError("a matrix was built")
+
+    monkeypatch.setattr(cli.zigzag.Mor, "__post_init__", no_matrix)
+    code = cli.main(["zigzag-search", "--model", "zmod:2", "--n", "3",
+                     "--max-rank", "12"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err == ("resource limit: a zig-zag search at n = 3 and max_rank "
+                   "12 builds matrices of up to 12^12 = 8916100448256 "
+                   "entries, more than the bound 1000000\n")
+
+
 def test_cli_congruent_entry_less_carrier(tmp_path):
     # a rank-0 hidden object empties the carrier, so the two loops differ
     # only in the order of their hidden ranks: 105 relabellings, one step

@@ -1,13 +1,16 @@
+import re
+
 import pytest
 
 from mixtrace import zigzag
 from mixtrace.category import (Model, Obj, canonical_map, compose, identity,
                                mor)
-from mixtrace.errors import InputError
+from mixtrace.errors import InputError, ResourceLimitError
 from mixtrace.loops import Permutation
 from mixtrace.zigzag import (CounterPath, Diagram, Edge, ZigZagInstance,
-                             build_zigzag_diagram, check_zigzag_instance,
-                             diagram_commutes, search_counterexample)
+                             build_zigzag_diagram, build_zigzag_frame,
+                             check_zigzag_instance, diagram_commutes,
+                             search_counterexample)
 from mixtrace.rings import INTEGERS
 
 Z0 = Model(INTEGERS, 0)
@@ -113,6 +116,12 @@ def frozen_instance(model, left_apex, right_apex):
     )
 
 
+def own_frame(inst):
+    return build_zigzag_frame(inst.model, inst.upper, inst.lower,
+                              inst.down_maps, inst.up_maps, inst.perm,
+                              inst.levels)
+
+
 def test_frozen_m0_witness():
     out = check_zigzag_instance(frozen_instance(Z0, 1, 2))
     assert out.status == "violated"
@@ -129,7 +138,7 @@ def test_witness_is_stable_under_rebuild():
     first = check_zigzag_instance(inst)
     second = check_zigzag_instance(inst)
     assert first == second
-    d = build_zigzag_diagram(inst)
+    d = build_zigzag_diagram(inst, own_frame(inst))
     counter = diagram_commutes(d)
     assert isinstance(counter, CounterPath)
 
@@ -157,20 +166,28 @@ def test_check_builds_one_diagram_and_reuses_the_levels(monkeypatch):
     assert counts == {"diagrams": 3, "levels": 0}
 
 
-def test_search_computes_the_levels_once_per_sample(monkeypatch):
-    # the random-filler branch sizes its fillers by the level ranks and
-    # hands them to the instance; the pullback branch leaves them to it
-    calls = []
-    levels = zigzag.level_ranks
+def test_search_computes_the_levels_once_per_frame(monkeypatch):
+    # a frame is the base ranks and the permutation; its level ranks are
+    # computed with its diagram frame and handed to every instance in it.
+    # At n = 2 and max_rank 2 there are 2 * 2 * 2 = 8 frames.
+    calls, frames = [], []
+    levels, build = zigzag.level_ranks, zigzag.build_zigzag_frame
 
     def count_levels(*args):
         calls.append(args)
         return levels(*args)
 
+    def count_frames(*args):
+        frames.append(args)
+        return build(*args)
+
     monkeypatch.setattr(zigzag, "level_ranks", count_levels)
+    monkeypatch.setattr(zigzag, "build_zigzag_frame", count_frames)
     res = search_counterexample(Z2, n=2, max_rank=2, seed=0, budget=1500)
     assert res.status == "none_found" and res.samples == 1500
-    assert len(calls) == 1500
+    keys = {(tuple(u.rank for u in upper), perm.images)
+            for _, upper, _, _, _, perm, _ in frames}
+    assert len(calls) == len(frames) == len(keys) <= 8
 
 
 def test_instance_validation():
@@ -214,6 +231,27 @@ def test_pullback_instances_hold_even_at_m0():
     res = search_counterexample(Z0, n=2, max_rank=2, seed=9, budget=3)
     # sample 0 uses the pullback strategy and must commute end to end
     assert res.stats["holds"] >= 1
+
+
+@pytest.mark.parametrize("n,max_rank,size", [
+    (5, 2, "2^20 = 1048576"), (3, 12, "12^12 = 8916100448256"),
+    (0, 10 ** 6 + 1, "1000001"), (16, 2, "2^64"), (10 ** 9, 3, "3^4000000000"),
+])
+def test_search_size_bound(n, max_rank, size):
+    # the largest matrix, the top symmetry or a filler out of the top level,
+    # is sized from n and max_rank before the first sample; past 2^64 the
+    # count is named, not computed
+    with pytest.raises(ResourceLimitError, match=(
+            rf"n = {n} and max_rank {max_rank} builds matrices of up to "
+            rf"{re.escape(size)} entries, more than the bound 1000000$")):
+        search_counterexample(Z2, n=n, max_rank=max_rank, budget=0)
+
+
+@pytest.mark.parametrize("n,max_rank", [
+    (3, 2), (3, 3), (2, 5), (0, 10 ** 6), (10 ** 9, 1)])
+def test_search_size_bound_admits_up_to_the_bound(n, max_rank):
+    res = search_counterexample(Z2, n=n, max_rank=max_rank, budget=0)
+    assert res.status == "none_found" and res.samples == 0
 
 
 def test_random_alpha_search():

@@ -130,3 +130,30 @@ def test_search_results_are_pinned_and_match_fresh_checks(monkeypatch, mix):
                 # ZigZagOutcome equality covers the status and the whole
                 # CounterPath: src, dst, both paths and both values
                 assert check_zigzag_instance(inst) == outcome
+
+
+@pytest.mark.parametrize("mix", (0, 2))
+def test_each_frame_matches_one_built_for_its_own_instance(monkeypatch, mix):
+    # the search builds a frame for the first instance of each (base
+    # ranks, permutation) and checks every later one in it; a frame built
+    # afresh from any of those instances has equal objects and edges
+    checked = []
+    original = zigzag._check_in_frame
+
+    def record(inst, frame):
+        checked.append((inst, frame))
+        return original(inst, frame)
+
+    monkeypatch.setattr(zigzag, "_check_in_frame", record)
+    for n in range(4):
+        search_counterexample(Model(INTEGERS, mix), n, max_rank=2, seed=4,
+                              budget=20 if n == 3 else 40)
+    monkeypatch.undo()
+    shared = 0
+    for inst, frame in checked:
+        fresh = zigzag.build_zigzag_frame(
+            inst.model, inst.upper, inst.lower, inst.down_maps, inst.up_maps,
+            inst.perm, inst.levels)
+        assert fresh is not frame and fresh == frame
+        shared += sum(other is frame for _, other in checked) > 1
+    assert len(checked) > 100 and shared > len(checked) // 2
