@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mixtrace import serialize
-from mixtrace.category import Model, Mor, Obj
+from mixtrace.category import Model, Mor, Obj, mor
 from mixtrace.errors import InputError
 from mixtrace.loops import hidden_symmetry
 from mixtrace.rings import (INTEGERS, RATIONALS, format_value,
@@ -112,3 +112,96 @@ def test_loops_and_staircases_survive_json(name, seed):
         aligned = p if r.alpha is None else hidden_symmetry(p, r.alpha)
         d = staircase_diagram(aligned, r.witness)
         assert diagram_from_json(_through_text(diagram_to_json(d))) == d
+
+
+def per_cell_read(data, model, dom, cod, where):
+    """The reference reader: ``parse_value`` per cell, then the validating
+    ``mor()``, which canonicalises and ring-tests every entry."""
+    if not isinstance(data, list) or len(data) != cod.rank:
+        raise FileFormatError(f"{where}: expected {cod.rank} rows")
+    rows = []
+    for i, row in enumerate(data):
+        if not isinstance(row, list) or len(row) != dom.rank:
+            raise FileFormatError(f"{where}[{i}]: expected {dom.rank} entries")
+        new = []
+        for j, cell in enumerate(row):
+            if not isinstance(cell, str):
+                raise FileFormatError(
+                    f"{where}[{i}][{j}]: scalars must be strings")
+            try:
+                new.append(parse_value(cell))
+            except InputError as exc:
+                raise FileFormatError(f"{where}[{i}][{j}]: {exc}") from exc
+        rows.append(new)
+    try:
+        return mor(model, dom, cod, rows)
+    except InputError as exc:
+        raise FileFormatError(f"{where}: {exc}") from exc
+
+
+# integer text with any sign, leading zeros and values past 2^64; quotients,
+# integral, negative or with a zero denominator; texts int() reads but the
+# scalar syntax refuses; and JSON values that are no strings
+integer_cells = st.builds(
+    lambda sign, zeros, v: sign + "0" * zeros + str(v),
+    st.sampled_from(["", "+", "-"]), st.integers(0, 3),
+    st.integers(0, 2 ** 70))
+fraction_cells = (st.sampled_from(["4/2", "-1/2", "1/0", "0/0", "3/4", "1/3"])
+                  | st.builds(lambda n, d: f"{n}/{d}",
+                              st.integers(-9, 9), st.integers(0, 12)))
+near_miss_cells = st.sampled_from(
+    [" 5", "5 ", "1 2", "1_0", "٣", "", "+", "1/", "1 -2", "+-1"])
+non_string_cells = st.sampled_from([0, 0.0, False, None, ["0"]])
+cells = st.one_of(integer_cells, fraction_cells, near_miss_cells,
+                  non_string_cells)
+
+
+def _typed(f: Mor):
+    return [[(type(x), x) for x in row] for row in f.entries]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(sorted(MODELS)), st.integers(0, 4), st.integers(0, 4),
+       st.data())
+def test_matrix_reader_matches_the_per_cell_reader(name, dom, cod, data):
+    # mostly all-integer rows, some with one odd cell, and now and then a
+    # row of the wrong length; the reader gives the reference's entries and
+    # entry types or raises its error text
+    def row():
+        cells_of_row = data.draw(st.lists(integer_cells, min_size=dom,
+                                          max_size=dom))
+        if cells_of_row and data.draw(st.integers(0, 2)) == 0:
+            j = data.draw(st.integers(0, dom - 1))
+            cells_of_row[j] = data.draw(cells)
+        if data.draw(st.integers(0, 19)) == 0:
+            cells_of_row.append("1")
+        return cells_of_row
+
+    rows = [row() for _ in range(cod)]
+    model = MODELS[name]
+    try:
+        want = per_cell_read(rows, model, Obj(dom), Obj(cod), "m")
+    except FileFormatError as exc:
+        with pytest.raises(FileFormatError) as got:
+            _bare_matrix_from_json(rows, model, Obj(dom), Obj(cod), "m")
+        assert str(got.value) == str(exc)
+    else:
+        got = _bare_matrix_from_json(rows, model, Obj(dom), Obj(cod), "m")
+        assert got == want and _typed(got) == _typed(want)
+
+
+@pytest.mark.parametrize("rows,error", [
+    # a ring failure in row 0 is reported after row 1's malformed cell
+    ([["1/3", "1"], ["1", " 5"]], "m[1][1]: malformed scalar ' 5'"),
+    ([["1/3", "1"], ["1", "1/9"]], "m: entry 1/3 is not in Z"),
+    ([["1", "1 2"], ["1", "1"]], "m[0][1]: malformed scalar '1 2'"),
+    ([["1", "2"], ["1"]], "m[1]: expected 2 entries"),
+    ([["1", "٣"], ["1", "1"]], "m[0][1]: malformed scalar '٣'"),
+    ([["1", "1_0"], ["1", "1"]], "m[0][1]: malformed scalar '1_0'"),
+    ([["1", 1], ["1", "1"]], "m[0][1]: scalars must be strings"),
+])
+def test_matrix_reader_reports_the_first_error_in_reading_order(rows, error):
+    for reader in (per_cell_read, _bare_matrix_from_json):
+        with pytest.raises(FileFormatError) as exc:
+            reader(rows, MODELS["zmod:2"], Obj(2), Obj(2), "m")
+        assert str(exc.value) == error
