@@ -11,11 +11,12 @@ a row of plain scalars, which no escape touches, is written in one join."""
 from __future__ import annotations
 
 import json
+import re
 from itertools import compress
 from json.encoder import encode_basestring_ascii as _quote
 from typing import List, Optional
 
-from .category import Mor, Model, Obj, mor
+from .category import Mor, Model, Obj
 from .errors import InputError
 from .loops import Loop, Permutation, hidden_symmetry
 from .rings import (INTEGERS, RATIONALS, RingTag, format_value,
@@ -100,14 +101,31 @@ def _bare_matrix_to_json(m: Mor):
     return out
 
 
+# A row of integer text, its cells joined by single spaces.
+_INT_ROW = re.compile(r"[+-]?[0-9]+(?: [+-]?[0-9]+)*")
+
+
 def _bare_matrix_from_json(data, model: Model, dom: Obj, cod: Obj,
                            where: str) -> Mor:
+    """The matrix of a list of rows of scalar texts, each entry validated
+    once.  A row whose cells, joined by single spaces, are integer text is
+    read with one ``int`` map: ints lie in every ring.  Any other row is
+    read per cell, each quotient canonicalised and ring-tested as it is
+    read.  Errors come in reading order, except that an entry outside the
+    ring is reported only once every cell has been read."""
     if not isinstance(data, list) or len(data) != cod.rank:
         raise FileFormatError(f"{where}: expected {cod.rank} rows")
     rows = []
+    outside = None  # the first entry not in the ring
     for i, row in enumerate(data):
         if not isinstance(row, list) or len(row) != dom.rank:
             raise FileFormatError(f"{where}[{i}]: expected {dom.rank} entries")
+        try:
+            if _INT_ROW.fullmatch(" ".join(row)):
+                rows.append(tuple(map(int, row)))
+                continue
+        except (TypeError, ValueError):  # a cell no str, or int() refuses one
+            pass
         new = []
         for j, cell in enumerate(row):
             if cell == "0":  # most cells of a witness; nothing to parse
@@ -117,14 +135,19 @@ def _bare_matrix_from_json(data, model: Model, dom: Obj, cod: Obj,
                 raise FileFormatError(
                     f"{where}[{i}][{j}]: scalars must be strings")
             try:
-                new.append(parse_value(cell))
+                x = parse_value(cell)
             except InputError as exc:
                 raise FileFormatError(f"{where}[{i}][{j}]: {exc}") from exc
-        rows.append(new)
-    try:
-        return mor(model, dom, cod, rows)
-    except InputError as exc:
-        raise FileFormatError(f"{where}: {exc}") from exc
+            if type(x) is not int:
+                if x.denominator == 1:
+                    x = x.numerator
+                elif outside is None and not ring_contains(model.ring, x):
+                    outside = x
+            new.append(x)
+        rows.append(tuple(new))
+    if outside is not None:
+        raise FileFormatError(f"{where}: entry {outside} is not in {model.ring}")
+    return Mor(model, dom, cod, tuple(rows))
 
 
 def mor_to_json(m: Mor):

@@ -93,9 +93,13 @@ def test_zero_cells_skip_the_parser(monkeypatch):
     calls = []
     monkeypatch.setattr(serialize, "parse_value",
                         lambda text: calls.append(text) or parse_value(text))
-    f = _bare_matrix_from_json([["0", "3"], ["0", "00"]], MODELS["zmod:2"],
-                               Obj(2), Obj(2), "m")
-    assert f.entries == ((0, 3), (0, 0)) and calls == ["3", "00"]
+    # an all-integer row is read without the parser; a row holding a
+    # quotient is read per cell, and its "0" cells skip the parser
+    f = _bare_matrix_from_json(
+        [["0", "3", "00"], ["0", "4/2", "-00"], ["0", "1/2", "0"]],
+        MODELS["qmod:1/2"], Obj(3), Obj(3), "m")
+    assert f.entries == ((0, 3, 0), (0, 2, 0), (0, Fraction(1, 2), 0))
+    assert calls == ["4/2", "-00", "1/2"]
 
 
 def _through_text(payload):
