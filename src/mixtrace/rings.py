@@ -12,6 +12,7 @@ not merely imprecise.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -97,10 +98,16 @@ def parse_value(text: str) -> Number:
     """Parse the textual scalar syntax: optional sign, ASCII digits,
     optional "/" ASCII digits, and nothing else, not even whitespace.
     Text without "/" is an int, a quotient a Fraction.  Raises InputError
-    on anything else (including "3/0")."""
+    on anything else (including "3/0"), and on a part longer than Python's
+    limit on the digits of integer text."""
     if not _SCALAR_RE.fullmatch(text):
         raise InputError(f"malformed scalar {text!r}")
     num, _, den = text.partition("/")
+    limit = sys.get_int_max_str_digits()
+    longest = max(len(num.lstrip("+-")), len(den))
+    if limit and longest > limit:
+        raise InputError(f"scalar with {longest} digits in one part, more "
+                         f"than the limit of {limit} digits")
     if den:
         d = int(den)
         if d == 0:
