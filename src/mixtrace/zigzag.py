@@ -400,16 +400,22 @@ def _pullback_pieces(model: Model, bases, perm: Permutation,
             side_pieces(perm.apply(tuple(bases)), perm.inverse().images))
 
 
-# The most matrix entries a search may build; see _check_search_size.
+# The most matrix entries a search may build, and the most tree work (nodes
+# times edges) one sample's check may do; see _check_search_size.
 _SEARCH_ENTRY_BOUND = 10 ** 6
+_SEARCH_TREE_BOUND = 10 ** 4
 
 
-def _check_search_size(n: int, max_rank: int) -> None:
+def _check_search_size(n: int, max_rank: int, budget: int) -> None:
     """Raise ResourceLimitError when the largest matrix a search at these
     sizes can build has more than ``_SEARCH_ENTRY_BOUND`` entries.  That is
     a map out of the top level, of rank up to max_rank^(2n), to itself or
     to the hub, of rank up to max_rank: max_rank^(4n) entries for n >= 1,
-    max_rank for n = 0.  Past 2^64 the count is named, not computed."""
+    max_rank for n = 0.  Past 2^64 the count is named, not computed.
+    When the search takes a sample, also raise it when the sample's check,
+    one tree per node, each over every edge, does more than
+    ``_SEARCH_TREE_BOUND`` node-edge steps: a diagram at n has 4n + 3
+    nodes and 6n + 6 edges, whatever the ranks."""
     if n == 0:
         size, text = max_rank, str(max_rank)
     elif 4 * n * (max_rank.bit_length() - 1) >= 64:
@@ -422,6 +428,12 @@ def _check_search_size(n: int, max_rank: int) -> None:
             f"a zig-zag search at n = {n} and max_rank {max_rank} builds "
             f"matrices of up to {text} entries, more than the bound "
             f"{_SEARCH_ENTRY_BOUND}")
+    nodes, edges = 4 * n + 3, 6 * n + 6
+    if budget and nodes * edges > _SEARCH_TREE_BOUND:
+        raise ResourceLimitError(
+            f"a zig-zag search at n = {n} checks diagrams of {nodes} nodes "
+            f"and {edges} edges, {nodes * edges} node-edge steps per "
+            f"sample, more than the bound {_SEARCH_TREE_BOUND}")
 
 
 def search_counterexample(model: Model, n: int, max_rank: int,
@@ -439,7 +451,7 @@ def search_counterexample(model: Model, n: int, max_rank: int,
     if n < 0 or max_rank < 1 or entry_bound < 0 or budget < 0:
         raise InputError("n must be >= 0, max_rank >= 1, entry_bound >= 0 "
                          "and budget >= 0")
-    _check_search_size(n, max_rank)
+    _check_search_size(n, max_rank, budget)
     rng = random.Random(f"zigzag:{seed}")
     stats = {"premise_fails": 0, "holds": 0, "violated": 0}
     structure: Dict[int, Tuple[Mor, Mor]] = {}

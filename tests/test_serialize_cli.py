@@ -269,6 +269,22 @@ def test_cli_zigzag_search_size_bound(monkeypatch, capsys):
                    "entries, more than the bound 1000000\n")
 
 
+def test_cli_zigzag_search_tree_bound(monkeypatch, capsys):
+    # rank-1 matrices only, but 3203 nodes x 4806 edges per sample's check:
+    # refused before any matrix is built
+    def no_matrix(*args):
+        raise AssertionError("a matrix was built")
+
+    monkeypatch.setattr(cli.zigzag.Mor, "__post_init__", no_matrix)
+    code = cli.main(["zigzag-search", "--model", "zmod:2", "--n", "800",
+                     "--max-rank", "1", "--budget", "1"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err == ("resource limit: a zig-zag search at n = 800 checks "
+                   "diagrams of 3203 nodes and 4806 edges, 15393618 "
+                   "node-edge steps per sample, more than the bound 10000\n")
+
+
 def test_cli_congruent_entry_less_carrier(tmp_path):
     # a rank-0 hidden object empties the carrier, so the two loops differ
     # only in the order of their hidden ranks: 105 relabellings, one step

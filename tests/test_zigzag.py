@@ -254,6 +254,27 @@ def test_search_size_bound_admits_up_to_the_bound(n, max_rank):
     assert res.status == "none_found" and res.samples == 0
 
 
+@pytest.mark.parametrize("n,nodes,edges", [
+    (20, 83, 126), (800, 3203, 4806), (10 ** 9, 4000000003, 6000000006)])
+def test_search_tree_bound(n, nodes, edges):
+    # at max_rank 1 every matrix is 1 x 1, but each sample's check grows a
+    # tree from every node over every edge: refused before the first sample
+    with pytest.raises(ResourceLimitError, match=(
+            rf"n = {n} checks diagrams of {nodes} nodes and {edges} edges, "
+            rf"{nodes * edges} node-edge steps per sample, more than the "
+            rf"bound 10000$")):
+        search_counterexample(Z2, n=n, max_rank=1, budget=1)
+
+
+def test_search_tree_bound_admits_up_to_the_bound():
+    # 79 nodes x 120 edges = 9480 steps; a search without samples does no
+    # tree work at any n
+    res = search_counterexample(Z2, n=19, max_rank=1, seed=1, budget=2)
+    assert res.status == "none_found" and res.samples == 2
+    res = search_counterexample(Z2, n=10 ** 9, max_rank=1, budget=0)
+    assert res.status == "none_found" and res.samples == 0
+
+
 def test_random_alpha_search():
     # nontrivial permutations with mixed ranks exercise the iso edges
     res = search_counterexample(Z2, n=3, max_rank=2, seed=11, budget=45)
