@@ -103,17 +103,23 @@ def parse_value(text: str) -> Number:
     if not _SCALAR_RE.fullmatch(text):
         raise InputError(f"malformed scalar {text!r}")
     num, _, den = text.partition("/")
-    limit = sys.get_int_max_str_digits()
-    longest = max(len(num.lstrip("+-")), len(den))
-    if limit and longest > limit:
-        raise InputError(f"scalar with {longest} digits in one part, more "
-                         f"than the limit of {limit} digits")
     if den:
-        d = int(den)
+        d = _int_text(den)
         if d == 0:
             raise InputError(f"zero denominator in scalar {text!r}")
-        return Fraction(int(num), d)
-    return int(num)
+        return Fraction(_int_text(num), d)
+    return _int_text(num)
+
+
+def _int_text(part: str) -> int:
+    """int(part), with text past the digits int() converts an InputError."""
+    try:
+        return int(part)
+    except ValueError as exc:
+        raise InputError(
+            f"scalar with {len(part.lstrip('+-'))} digits in one part, more "
+            f"than the limit of {sys.get_int_max_str_digits()} digits"
+        ) from exc
 
 
 def format_value(v: Number) -> str:

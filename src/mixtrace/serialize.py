@@ -124,7 +124,7 @@ def _bare_matrix_from_json(data, model: Model, dom: Obj, cod: Obj,
             if _INT_ROW.fullmatch(" ".join(row)):
                 rows.append(tuple(map(int, row)))
                 continue
-        except (TypeError, ValueError):  # a cell no str, or int() refuses one
+        except (TypeError, ValueError):  # a cell no str, or past int()'s limit
             pass
         new = []
         for j, cell in enumerate(row):

@@ -42,6 +42,26 @@ def test_parse_and_format():
             parse_value(bad)
 
 
+@pytest.mark.parametrize("text,error", [
+    ("9" * 5000, "scalar with 5000 digits in one part, more than the limit "
+                 "of 4300 digits"),
+    ("-" + "9" * 4301, "scalar with 4301 digits in one part, more than the "
+                       "limit of 4300 digits"),
+    ("1/" + "0" * 5000, "scalar with 5000 digits in one part, more than the "
+                        "limit of 4300 digits"),
+    # the denominator is read first, so a zero one is named as before
+    ("9" * 5000 + "/0", "zero denominator in scalar '" + "9" * 5000 + "/0'"),
+    ("3/0", "zero denominator in scalar '3/0'"),
+])
+def test_parse_value_past_the_digit_limit(text, error):
+    # int() refuses integer text past 4300 digits with ValueError; the
+    # scalar reader names the limit instead
+    with pytest.raises(InputError) as exc:
+        parse_value(text)
+    assert str(exc.value) == error
+    assert parse_value("-" + "9" * 4300) == -(10 ** 4300 - 1)
+
+
 def test_localized_rings_compare_as_rings():
     # Z[1/4] is Z[1/2] and Z[1/12] is Z[1/6]; the parameter is kept as given
     four = localized_integers(4)
