@@ -76,8 +76,6 @@ def _paths(node, path=()):
 
 
 def _set(data, path, value):
-    if not path:
-        return value
     node = data
     for key in path[:-1]:
         node = node[key]
