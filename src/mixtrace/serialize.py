@@ -247,14 +247,9 @@ def zigzag_from_json(data, where: str = "zigzag") -> ZigZagInstance:
                                    f"{where}.{key}[{k}]")
             for k in range(n + 1))
 
-    left = fillers("left_fillers", "left")
-    right = fillers("right_fillers", "right")
-    try:
-        return ZigZagInstance(model, tuple(upper), tuple(apex), tuple(lower),
-                              downs, ups, perm, hub, left, right,
-                              levels=levels)
-    except InputError as exc:
-        raise FileFormatError(f"{where}: {exc}") from exc
+    return ZigZagInstance(model, upper, apex, lower, downs, ups, perm, hub,
+                          fillers("left_fillers", "left"),
+                          fillers("right_fillers", "right"))
 
 
 def diagram_to_json(d: Diagram):
@@ -284,10 +279,7 @@ def diagram_from_json(data, where: str = "diagram") -> Diagram:
                                    model, objects[src], objects[dst],
                                    f"{where}.edges[{i}].entries")
         edges.append(Edge(src, dst, f, e.get("label", "")))
-    try:
-        return Diagram(model, objects, tuple(edges))
-    except InputError as exc:
-        raise FileFormatError(f"{where}: {exc}") from exc
+    return Diagram(model, objects, edges)
 
 
 def witness_to_json(w: StaircaseWitness):

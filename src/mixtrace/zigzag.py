@@ -13,18 +13,19 @@ A zig-zag instance is one diagram whose last two edges, the bottom
 symmetry, turn the premise into the conclusion; the premise is checked as
 the edge prefix before them, with no second diagram.  Once it commutes,
 only the trees that reach the bottom symmetry can change, so the
-conclusion check re-grows just those.  An instance computes its level
-ranks once, or takes them from the caller that sized its fillers by them
-(the search and the JSON loader).  Everything of the diagram but the hub
-and the fillers, which is most of its matrices, depends only on the
-instance's frame (its objects, maps and permutation): ``build_zigzag_frame``
-builds that part, with Id (x) f (x) Id whiskered by block copy
-(``category.whisker``), and ``build_zigzag_diagram`` drops an instance's
-hub and fillers into it.  ``check_zigzag_instance`` builds a frame per
-instance; a search builds one per frame it meets (base ranks and
-permutation), with its level ranks and pullback pieces, and each base
+conclusion check re-grows just those.  An instance validates its data and
+computes its level ranks once, when it is built.  Everything of the
+diagram but the hub and the fillers, which is most of its matrices,
+depends only on the instance's frame (its objects, maps and permutation):
+``build_zigzag_frame`` builds that part, with Id (x) f (x) Id whiskered by
+block copy (``category.whisker``), and ``build_zigzag_diagram`` drops a
+hub and two filler columns into it.  ``check_zigzag_instance`` builds a
+frame per instance.  A search builds one per frame it meets (base ranks
+and permutation), with its level ranks and pullback pieces, and each base
 rank's mix map and coevaluation once, and shares them within that call
-only.  Every instance and diagram is still validated and fully checked.
+only.  Its samples fit their frames by construction, so it checks each
+as a hub and fillers in its frame and builds, and validates, only the
+witness it returns as an instance.  Every diagram is still validated.
 
 The module builds on ``category`` and ``loops`` only; ``traces`` draws a
 free trace's staircase witness as a diagram and checks it here.
@@ -192,9 +193,9 @@ class ZigZagInstance:
     hub: Obj
     left_fillers: Tuple[Mor, ...]
     right_fillers: Tuple[Mor, ...]
-    # level_ranks, handed over by a caller that sized the fillers by them
-    levels: Optional[Dict[str, Tuple[List[int], List[int]]]] = field(
-        default=None, compare=False, repr=False, kw_only=True)
+    # level_ranks of the objects and permutation, computed once here
+    levels: Dict[str, Tuple[List[int], List[int]]] = field(
+        init=False, compare=False, repr=False)
 
     def __post_init__(self):
         for name in ("upper", "apex", "lower", "down_maps", "up_maps",
@@ -214,10 +215,8 @@ class ZigZagInstance:
                 raise InputError(f"down map {i} has the wrong shape")
             if g.dom != self.lower[i] or g.cod != self.apex[i]:
                 raise InputError(f"up map {i} has the wrong shape")
-        if self.levels is None:
-            object.__setattr__(self, "levels", level_ranks(
-                self.upper, self.apex, self.lower, self.perm))
-        levels = self.levels
+        levels = level_ranks(self.upper, self.apex, self.lower, self.perm)
+        object.__setattr__(self, "levels", levels)
         for side, fillers in (("left", self.left_fillers),
                               ("right", self.right_fillers)):
             for k, f in enumerate(fillers):
@@ -304,36 +303,39 @@ def build_zigzag_frame(model: Model, upper: Sequence[Obj],
     return tuple(objects), tuple(edges)
 
 
-def build_zigzag_diagram(inst: ZigZagInstance, frame: Frame) -> Diagram:
-    """The conclusion diagram of a zig-zag instance: its frame (built from
-    the instance's objects, maps and permutation) with the hub appended
-    and the fillers in their slots.  Without its last two edges, the
-    bottom symmetry, it is the premise diagram."""
+def build_zigzag_diagram(model: Model, frame: Frame, hub: Obj,
+                         left: Sequence[Mor], right: Sequence[Mor]) -> Diagram:
+    """The conclusion diagram of a zig-zag: its frame with the hub appended
+    and the left and right filler columns in their slots.  Without its
+    last two edges, the bottom symmetry, it is the premise diagram."""
     objects, slots = frame
-    hub = len(objects)
-    fillers = {"left": inst.left_fillers, "right": inst.right_fillers}
+    node = len(objects)
+    fillers = {"left": left, "right": right}
     edges = [e if type(e) is Edge else
-             Edge(e[0], hub, fillers[e[1]][e[2]],
+             Edge(e[0], node, fillers[e[1]][e[2]],
                   f"{e[1]}-filler-{e[2] or 'top'}")
              for e in slots]
-    return Diagram(inst.model, objects + (inst.hub,), tuple(edges))
+    return Diagram(model, objects + (hub,), tuple(edges))
 
 
 def check_zigzag_instance(inst: ZigZagInstance) -> ZigZagOutcome:
     """Build the instance's frame (from the levels it computed once) and
-    check the instance in it."""
-    return _check_in_frame(inst, build_zigzag_frame(
+    check its hub and fillers in it."""
+    return _check_in_frame(inst.model, build_zigzag_frame(
         inst.model, inst.upper, inst.lower, inst.down_maps, inst.up_maps,
-        inst.perm, inst.levels))
+        inst.perm, inst.levels), inst.hub, inst.left_fillers,
+        inst.right_fillers)
 
 
-def _check_in_frame(inst: ZigZagInstance, frame: Frame) -> ZigZagOutcome:
-    """Fill the frame with the instance and check the premise, the edge
-    prefix without the bottom symmetry; if that commutes, check the whole
-    diagram by re-growing only the trees that reach the bottom symmetry,
-    which report the failure, if any, that a full check of the whole
-    diagram reports."""
-    whole = build_zigzag_diagram(inst, frame)
+def _check_in_frame(model: Model, frame: Frame, hub: Obj,
+                    left: Sequence[Mor], right: Sequence[Mor]
+                    ) -> ZigZagOutcome:
+    """Fill the frame with the hub and fillers and check the premise, the
+    edge prefix without the bottom symmetry; if that commutes, check the
+    whole diagram by re-growing only the trees that reach the bottom
+    symmetry, which report the failure, if any, that a full check of the
+    whole diagram reports."""
+    whole = build_zigzag_diagram(model, frame, hub, left, right)
     premise = _check_trees(whole, whole.edges[:-2],
                            range(len(whole.objects)))
     if premise is not True:
@@ -444,9 +446,11 @@ def search_counterexample(model: Model, n: int, max_rank: int,
     Rotates three filler strategies: a consistent pullback collection
     (exercising the Holds branch), a zero-top collection (the family that
     violates contractibility when m = 0), and fully random fillers.
-    Everything but an instance's hub and fillers depends only on its
-    frame, the base ranks and the permutation, so each frame's levels,
-    diagram frame and pullback pieces are built once per call.
+    Everything but a sample's hub and fillers depends only on its frame,
+    the base ranks and the permutation, so each frame's levels, diagram
+    frame and pullback pieces are built once per call.  A sample is
+    checked as its hub and fillers in that frame; only the violated sample
+    it returns is made an instance.
     """
     if n < 0 or max_rank < 1 or entry_bound < 0 or budget < 0:
         raise InputError("n must be >= 0, max_rank >= 1, entry_bound >= 0 "
@@ -495,10 +499,10 @@ def search_counterexample(model: Model, n: int, max_rank: int,
 
             left = col(levels["left"][1])
             right = col(levels["right"][1])
-        inst = ZigZagInstance(model, upper, apex, lower, downs, ups, perm,
-                              hub, left, right, levels=levels)
-        outcome = _check_in_frame(inst, frame)
+        outcome = _check_in_frame(model, frame, hub, left, right)
         stats[outcome.status] += 1
         if outcome.status == "violated":
-            return SearchResult("violated", inst, stats, idx + 1)
+            witness = ZigZagInstance(model, upper, apex, lower, downs, ups,
+                                     perm, hub, left, right)
+            return SearchResult("violated", witness, stats, idx + 1)
     return SearchResult("none_found", None, stats, budget)

@@ -100,14 +100,15 @@ def test_search_diagrams_agree_and_name_the_same_pair(monkeypatch):
     assert partial > 0
 
 
-def _sampled_instances(monkeypatch, mix, n, seed, budget):
-    """Every instance the search checks, with the frame it checks it in."""
+def _sampled_diagrams(monkeypatch, mix, n, seed, budget):
+    """The whole diagram of every sample the search checks: the frame it
+    is checked in, filled with its hub and fillers."""
     seen = []
     original = zigzag._check_in_frame
 
-    def record(inst, frame):
-        seen.append((inst, frame))
-        return original(inst, frame)
+    def record(*args):
+        seen.append(zigzag.build_zigzag_diagram(*args))
+        return original(*args)
 
     monkeypatch.setattr(zigzag, "_check_in_frame", record)
     zigzag.search_counterexample(Model(INTEGERS, mix), n, max_rank=2,
@@ -125,16 +126,15 @@ def test_partial_conclusion_check_matches_the_full_check(monkeypatch, n):
     for mix in (0, 1, 2):
         for seed in range(3):
             budget = 15 if n == 3 else 30
-            for inst, frame in _sampled_instances(monkeypatch, mix, n, seed,
-                                                  budget):
-                whole = zigzag.build_zigzag_diagram(inst, frame)
+            for whole in _sampled_diagrams(monkeypatch, mix, n, seed,
+                                           budget):
                 premise = whole.edges[:-2]
-                if diagram_commutes(Diagram(inst.model, whole.objects,
+                if diagram_commutes(Diagram(whole.model, whole.objects,
                                             premise)) is not True:
                     continue
                 negated = tuple(Edge(e.src, e.dst, mor_scale(e.mor, -1),
                                      e.label) for e in whole.edges[-2:])
-                for d in (whole, Diagram(inst.model, whole.objects,
+                for d in (whole, Diagram(whole.model, whole.objects,
                                          premise + negated)):
                     full = diagram_commutes(d)
                     # CounterPath equality covers src, dst, both paths and

@@ -1,4 +1,5 @@
 import re
+from dataclasses import fields
 
 import pytest
 
@@ -138,7 +139,8 @@ def test_witness_is_stable_under_rebuild():
     first = check_zigzag_instance(inst)
     second = check_zigzag_instance(inst)
     assert first == second
-    d = build_zigzag_diagram(inst, own_frame(inst))
+    d = build_zigzag_diagram(inst.model, own_frame(inst), inst.hub,
+                             inst.left_fillers, inst.right_fillers)
     counter = diagram_commutes(d)
     assert isinstance(counter, CounterPath)
 
@@ -207,6 +209,15 @@ def test_instance_validation():
             Permutation((0,)), r1,
             (mor(Z2, r2, r1, [[0, 0]]), mor(Z2, r1, r1, [[1]])),
             (mor(Z2, r2, r1, [[0, 0]]), mor(Z2, r1, r1, [[1]])))
+    # the level ranks follow from the objects and the permutation: they
+    # are computed, never handed over
+    inst = frozen_instance(Z2, 1, 2)
+    args = [getattr(inst, f.name) for f in fields(inst) if f.init]
+    assert ZigZagInstance(*args) == inst
+    assert inst.levels == {"left": ([1, 1], [1, 1]),
+                           "right": ([1, 1], [1, 1])}
+    with pytest.raises(TypeError):
+        ZigZagInstance(*args, levels=inst.levels)
 
 
 def test_search_m0_finds_violation():

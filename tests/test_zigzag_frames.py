@@ -2,10 +2,11 @@
 outcomes.
 
 Every search result over mix -1..3, n = 0..3 and three seeds is pinned:
-status, samples, stats and a digest of the canonical witness JSON.  And
-every instance a search samples gets the outcome that
-``check_zigzag_instance`` gives the same instance on its own, the whole
-``CounterPath`` included.
+status, samples, stats and a digest of the canonical witness JSON.  A
+search builds one instance, its witness, and only when it returns one.
+And every sample a search checks, rebuilt as an instance from its own
+draw, gets the outcome that ``check_zigzag_instance`` gives that instance
+on its own, the whole ``CounterPath`` included.
 """
 
 import hashlib
@@ -16,7 +17,8 @@ from mixtrace import zigzag
 from mixtrace.category import Model
 from mixtrace.rings import INTEGERS
 from mixtrace.serialize import dumps, zigzag_to_json
-from mixtrace.zigzag import check_zigzag_instance, search_counterexample
+from mixtrace.zigzag import (ZigZagInstance, check_zigzag_instance,
+                             search_counterexample)
 
 # (mix, n, seed): (status, samples, (premise_fails, holds, violated),
 # first 16 hex digits of the sha256 of the witness JSON, or None)
@@ -85,27 +87,59 @@ PINNED = {
 
 
 def _recorded_search(monkeypatch, model, n, seed, budget):
-    """Run one search and return it with every instance it built and
-    every outcome it reached, in order.  Both are recorded where the
-    module constructs them, so the record does not depend on which
-    function the search calls per sample."""
-    instances, outcomes = [], []
-    make_instance, make_outcome = zigzag.ZigZagInstance, zigzag.ZigZagOutcome
+    """Run one search and return it with the instances it built, and every
+    sample it checked as (instance, frame, outcome), in order.
+
+    The search makes no instance of a sample it does not return, so each
+    is rebuilt here from its own draw: the objects and maps
+    ``_corollary_frame`` drew for it, the permutation the search drew for
+    it, and the hub and fillers it was checked with.  That permutation
+    must be the one the sample's frame was built with."""
+    draws, perms, frames, checks, built = [], [], [], [], []
+    originals = (zigzag._corollary_frame, zigzag.Permutation,
+                 zigzag.build_zigzag_frame, zigzag._check_in_frame,
+                 zigzag.ZigZagInstance)
+    corollary, make_perm, build_frame, check, make_instance = originals
+
+    def record_draw(*args):
+        draws.append(corollary(*args))
+        return draws[-1]
+
+    def record_perm(images):
+        perms.append(make_perm(images))
+        return perms[-1]
+
+    def record_frame(*args):
+        frames.append((build_frame(*args), args[5]))
+        return frames[-1][0]
+
+    def record_check(*args):
+        checks.append((args, check(*args)))
+        return checks[-1][1]
 
     def record_instance(*args, **kwargs):
-        instances.append(make_instance(*args, **kwargs))
-        return instances[-1]
+        built.append(make_instance(*args, **kwargs))
+        return built[-1]
 
-    def record_outcome(*args, **kwargs):
-        outcomes.append(make_outcome(*args, **kwargs))
-        return outcomes[-1]
-
-    monkeypatch.setattr(zigzag, "ZigZagInstance", record_instance)
-    monkeypatch.setattr(zigzag, "ZigZagOutcome", record_outcome)
+    for name, fn in zip(("_corollary_frame", "Permutation",
+                         "build_zigzag_frame", "_check_in_frame",
+                         "ZigZagInstance"),
+                        (record_draw, record_perm, record_frame, record_check,
+                         record_instance)):
+        monkeypatch.setattr(zigzag, name, fn)
     result = search_counterexample(model, n, max_rank=2, seed=seed,
                                    budget=budget)
     monkeypatch.undo()
-    return result, instances, outcomes
+    assert len(draws) == len(perms) == len(checks) == result.samples
+    samples = []
+    for draw, perm, ((model_, frame, hub, left, right), outcome) in zip(
+            draws, perms, checks):
+        _, upper, apex, lower, downs, ups = draw
+        assert [p for f, p in frames if f is frame] == [perm]
+        inst = ZigZagInstance(model_, upper, apex, lower, downs, ups, perm,
+                              hub, left, right)
+        samples.append((inst, frame, outcome))
+    return result, built, samples
 
 
 @pytest.mark.parametrize("mix", (-1, 0, 1, 2, 3))
@@ -113,7 +147,7 @@ def test_search_results_are_pinned_and_match_fresh_checks(monkeypatch, mix):
     for n in range(4):
         for seed in range(3):
             budget = 20 if n == 3 else 40
-            result, instances, outcomes = _recorded_search(
+            result, built, samples = _recorded_search(
                 monkeypatch, Model(INTEGERS, mix), n, seed, budget)
             digest = None
             if result.instance is not None:
@@ -124,9 +158,14 @@ def test_search_results_are_pinned_and_match_fresh_checks(monkeypatch, mix):
                 stats["premise_fails"], stats["holds"], stats["violated"]),
                 digest)
             assert got == PINNED[mix, n, seed], (mix, n, seed)
-            assert len(instances) == len(outcomes) == result.samples
-            assert result.instance in (None, instances[-1])
-            for inst, outcome in zip(instances, outcomes):
+            # one instance, the witness, and only when one is returned
+            if result.status == "violated":
+                assert built == [result.instance]
+                assert result.instance is built[0]
+                assert result.instance == samples[-1][0]
+            else:
+                assert built == [] and result.instance is None
+            for inst, _, outcome in samples:
                 # ZigZagOutcome equality covers the status and the whole
                 # CounterPath: src, dst, both paths and both values
                 assert check_zigzag_instance(inst) == outcome
@@ -134,26 +173,18 @@ def test_search_results_are_pinned_and_match_fresh_checks(monkeypatch, mix):
 
 @pytest.mark.parametrize("mix", (0, 2))
 def test_each_frame_matches_one_built_for_its_own_instance(monkeypatch, mix):
-    # the search builds a frame for the first instance of each (base
-    # ranks, permutation) and checks every later one in it; a frame built
-    # afresh from any of those instances has equal objects and edges
+    # the search builds a frame for the first sample of each (base ranks,
+    # permutation) and checks every later one in it; a frame built afresh
+    # from any of those samples' own draws has equal objects and edges
     checked = []
-    original = zigzag._check_in_frame
-
-    def record(inst, frame):
-        checked.append((inst, frame))
-        return original(inst, frame)
-
-    monkeypatch.setattr(zigzag, "_check_in_frame", record)
     for n in range(4):
-        search_counterexample(Model(INTEGERS, mix), n, max_rank=2, seed=4,
-                              budget=20 if n == 3 else 40)
-    monkeypatch.undo()
+        checked += _recorded_search(monkeypatch, Model(INTEGERS, mix), n,
+                                    seed=4, budget=20 if n == 3 else 40)[2]
     shared = 0
-    for inst, frame in checked:
+    for inst, frame, _ in checked:
         fresh = zigzag.build_zigzag_frame(
             inst.model, inst.upper, inst.lower, inst.down_maps, inst.up_maps,
             inst.perm, inst.levels)
         assert fresh is not frame and fresh == frame
-        shared += sum(other is frame for _, other in checked) > 1
+        shared += sum(other is frame for _, other, _ in checked) > 1
     assert len(checked) > 100 and shared > len(checked) // 2
