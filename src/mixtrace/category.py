@@ -28,7 +28,7 @@ from functools import cache
 from math import prod
 from typing import Iterable, List, Sequence, Tuple
 
-from .errors import InputError
+from .errors import InputError, ResourceLimitError
 from .rings import Number, RingTag, format_value, ring_contains
 
 
@@ -404,6 +404,27 @@ def _alt_times_rule_composites(canon, perm, ident, a: Obj, b: Obj, c: Obj,
     return [comp2, comp3]
 
 
+# The most entries of one matrix a request may build; validate_coherence
+# and the zig-zag search refuse, before building anything, past it.
+ENTRY_BOUND = 10 ** 6
+
+
+def check_entry_count(base: int, exp: int, what: str) -> None:
+    """Raise ResourceLimitError when base^exp, the entries of the largest
+    matrix that ``what`` builds, is more than ``ENTRY_BOUND``.  Past 2^64
+    the count is named, not computed."""
+    if exp * (base.bit_length() - 1) >= 64:
+        text = f"{base}^{exp}"
+    else:
+        size = base ** exp
+        if size <= ENTRY_BOUND:
+            return
+        text = f"{base}^{exp} = {size}" if exp > 1 else str(size)
+    raise ResourceLimitError(
+        f"{what} builds matrices of up to {text} entries, more than the "
+        f"bound {ENTRY_BOUND}")
+
+
 def validate_coherence(model: Model, max_rank: int, seed: int = 0) -> ValidationReport:
     """Exhaustively check the structural coherence of the model at all
     object ranks <= max_rank.
@@ -416,10 +437,14 @@ def validate_coherence(model: Model, max_rank: int, seed: int = 0) -> Validation
     composition orders with the canonical times_rule map.
 
     Structure maps depend only on ranks, so each is built once per call
-    and shared by every check that compares against it.
+    and shared by every check that compares against it.  The largest are
+    the times-rule maps at four objects of rank max_rank, with max_rank^8
+    entries; past ``ENTRY_BOUND`` the call is refused before the first.
     """
     if max_rank < 1:
         raise InputError("max_rank must be >= 1")
+    check_entry_count(max_rank, 8,
+                      f"a coherence check at max_rank {max_rank}")
     rng = random.Random(f"coherence:{seed}")
     report = ValidationReport(f"coherence of {model} at ranks <= {max_rank}")
     ranks = [Obj(r) for r in range(0, max_rank + 1)]

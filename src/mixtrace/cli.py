@@ -20,7 +20,8 @@ from . import compactify, serialize, traces, zigzag
 from .category import Model, validate_coherence
 from .compactify import congruent
 from .errors import InputError, ModelNotCompactifiableError, ResourceLimitError
-from .rings import INTEGERS, RATIONALS, localized_integers, parse_value
+from .rings import (INTEGERS, RATIONALS, echo, localized_integers,
+                    parse_value)
 from .serialize import FileFormatError, dumps, load_json_file
 
 
@@ -29,7 +30,7 @@ def parse_model_arg(text: str) -> Model:
     zloc:M (integers localized at M, mix M)."""
     kind, _, rest = text.partition(":")
     if not rest:
-        raise InputError(f"model {text!r}: expected kind:mix")
+        raise InputError(f"model {echo(text)}: expected kind:mix")
     try:
         if kind == "zmod":
             return Model(INTEGERS, parse_value(rest))
@@ -41,8 +42,8 @@ def parse_model_arg(text: str) -> Model:
                 raise InputError("localization requires an integer m >= 1")
             return Model(localized_integers(int(m)), m)
     except InputError as exc:
-        raise InputError(f"model {text!r}: {exc}") from exc
-    raise InputError(f"model {text!r}: unknown kind {kind!r}")
+        raise InputError(f"model {echo(text)}: {exc}") from exc
+    raise InputError(f"model {echo(text)}: unknown kind {echo(kind)}")
 
 
 def _default_seed(args) -> int:

@@ -296,10 +296,13 @@ def congruent(p: Loop, q: Loop, mode: str = "semantic", depth: int = 4,
     iff their localized normal forms agree.  In "bounded" mode the
     one-step moves (hidden traces, hidden symmetries, and un-tracing drawn
     from the supplied generator loops) are closed breadth-first to the
-    given depth from both sides; returns True when the closures meet,
-    False when both closures are exhausted and disjoint, and None when the
-    search was cut off undecided.  A loop with more distinct hidden
-    relabellings than ``_RELABELLING_BOUND`` raises ResourceLimitError.
+    given depth from both sides; returns True when the closures meet and
+    None when the search was cut off undecided.  When both closures are
+    exhausted and disjoint it returns False, except at a nonzero mix when
+    the loops' localized values agree: the moves tried may miss
+    un-tracings that no generator supplies, so the answer is None.  A loop
+    with more distinct hidden relabellings than ``_RELABELLING_BOUND``
+    raises ResourceLimitError.
     """
     _require_comparable(p, q)
     if mode == "semantic":
@@ -331,4 +334,6 @@ def congruent(p: Loop, q: Loop, mode: str = "semantic", depth: int = 4,
             frontiers[side] = new
     if seen[0] & seen[1]:
         return True
-    return None if any(frontiers) else False
+    if any(frontiers) or (p.model.mix != 0 and loop_value(p) == loop_value(q)):
+        return None
+    return False

@@ -18,11 +18,14 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional, Union
 
-from .errors import InputError
+from .errors import InputError, ResourceLimitError
 
 Number = Union[int, Fraction]
 
 _SCALAR_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+# Input text echoed in an error message is cut to this many characters.
+_ECHO_CHARS = 32
 
 
 @dataclass(frozen=True)
@@ -101,14 +104,23 @@ def parse_value(text: str) -> Number:
     on anything else (including "3/0"), and on a part longer than Python's
     limit on the digits of integer text."""
     if not _SCALAR_RE.fullmatch(text):
-        raise InputError(f"malformed scalar {text!r}")
+        raise InputError(f"malformed scalar {echo(text)}")
     num, _, den = text.partition("/")
     if den:
         d = _int_text(den)
         if d == 0:
-            raise InputError(f"zero denominator in scalar {text!r}")
+            raise InputError(f"zero denominator in scalar {echo(text)}")
         return Fraction(_int_text(num), d)
     return _int_text(num)
+
+
+def echo(text: str) -> str:
+    """repr(text) for an error message; text longer than ``_ECHO_CHARS``
+    is shown as the repr of its first ``_ECHO_CHARS`` characters and its
+    length."""
+    if len(text) <= _ECHO_CHARS:
+        return repr(text)
+    return f"{text[:_ECHO_CHARS]!r}... ({len(text)} characters)"
 
 
 def _int_text(part: str) -> int:
@@ -123,5 +135,12 @@ def _int_text(part: str) -> int:
 
 
 def format_value(v: Number) -> str:
-    """The textual scalar syntax of a value: "n" or "n/d", reduced."""
-    return str(v) if type(v) is int else str(Fraction(v))
+    """The textual scalar syntax of a value: "n" or "n/d", reduced.  A
+    part past Python's limit on the digits of integer text raises
+    ResourceLimitError naming the limit."""
+    try:
+        return str(v) if type(v) is int else str(Fraction(v))
+    except ValueError as exc:
+        raise ResourceLimitError(
+            f"an output value with more than {sys.get_int_max_str_digits()} "
+            f"digits in one part, the limit of integer text") from exc

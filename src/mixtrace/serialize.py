@@ -19,7 +19,7 @@ from typing import List, Optional
 from .category import Mor, Model, Obj
 from .errors import InputError
 from .loops import Loop, Permutation, hidden_symmetry
-from .rings import (INTEGERS, RATIONALS, RingTag, format_value,
+from .rings import (INTEGERS, RATIONALS, RingTag, echo, format_value,
                     localized_integers, parse_value, ring_contains)
 from .traces import StaircaseWitness, TraceResult, staircase_diagram
 from .zigzag import Diagram, Edge, ZigZagInstance, level_ranks
@@ -86,7 +86,7 @@ def model_from_json(data, where: str = "model") -> Model:
         raise FileFormatError(f"{where}.mix: {exc}") from exc
     if not ring_contains(ring, mix):
         raise FileFormatError(
-            f"{where}: mix scalar {mix_text!r} is not in ring {ring}")
+            f"{where}: mix scalar {echo(mix_text)} is not in ring {ring}")
     return Model(ring, mix)
 
 

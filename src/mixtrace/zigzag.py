@@ -38,9 +38,10 @@ from dataclasses import dataclass, field
 from math import prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .category import (Mor, Model, Obj, canonical_map, compose, dual_mor,
-                       factor_permutation, identity, obj_tensor, random_mor,
-                       regroup, tensor_mor, whisker, zero_mor)
+from .category import (Mor, Model, Obj, canonical_map, check_entry_count,
+                       compose, dual_mor, factor_permutation, identity,
+                       obj_tensor, random_mor, regroup, tensor_mor, whisker,
+                       zero_mor)
 from .errors import InputError, ResourceLimitError
 from .loops import Permutation
 
@@ -402,34 +403,22 @@ def _pullback_pieces(model: Model, bases, perm: Permutation,
             side_pieces(perm.apply(tuple(bases)), perm.inverse().images))
 
 
-# The most matrix entries a search may build, and the most tree work (nodes
-# times edges) one sample's check may do; see _check_search_size.
-_SEARCH_ENTRY_BOUND = 10 ** 6
+# The most tree work (nodes times edges) one sample's check may do; see
+# _check_search_size.
 _SEARCH_TREE_BOUND = 10 ** 4
 
 
 def _check_search_size(n: int, max_rank: int, budget: int) -> None:
     """Raise ResourceLimitError when the largest matrix a search at these
-    sizes can build has more than ``_SEARCH_ENTRY_BOUND`` entries.  That is
-    a map out of the top level, of rank up to max_rank^(2n), to itself or
-    to the hub, of rank up to max_rank: max_rank^(4n) entries for n >= 1,
-    max_rank for n = 0.  Past 2^64 the count is named, not computed.
-    When the search takes a sample, also raise it when the sample's check,
-    one tree per node, each over every edge, does more than
-    ``_SEARCH_TREE_BOUND`` node-edge steps: a diagram at n has 4n + 3
-    nodes and 6n + 6 edges, whatever the ranks."""
-    if n == 0:
-        size, text = max_rank, str(max_rank)
-    elif 4 * n * (max_rank.bit_length() - 1) >= 64:
-        size, text = None, f"{max_rank}^{4 * n}"
-    else:
-        size = max_rank ** (4 * n)
-        text = f"{max_rank}^{4 * n} = {size}"
-    if size is None or size > _SEARCH_ENTRY_BOUND:
-        raise ResourceLimitError(
-            f"a zig-zag search at n = {n} and max_rank {max_rank} builds "
-            f"matrices of up to {text} entries, more than the bound "
-            f"{_SEARCH_ENTRY_BOUND}")
+    sizes can build has more than ``ENTRY_BOUND`` entries.  That is a map
+    out of the top level, of rank up to max_rank^(2n), to itself or to the
+    hub, of rank up to max_rank: max_rank^(4n) entries for n >= 1,
+    max_rank for n = 0.  When the search takes a sample, also raise it
+    when the sample's check, one tree per node, each over every edge, does
+    more than ``_SEARCH_TREE_BOUND`` node-edge steps: a diagram at n has
+    4n + 3 nodes and 6n + 6 edges, whatever the ranks."""
+    check_entry_count(max_rank, 4 * n or 1, f"a zig-zag search at n = {n} "
+                      f"and max_rank {max_rank}")
     nodes, edges = 4 * n + 3, 6 * n + 6
     if budget and nodes * edges > _SEARCH_TREE_BOUND:
         raise ResourceLimitError(

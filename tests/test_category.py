@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,7 @@ from mixtrace.category import (Model, Obj, UNIT, canonical_map, compose,
                                obj_tensor, random_mor, tensor_mor,
                                uncurry, validate_coherence, whisker,
                                zero_mor)
-from mixtrace.errors import InputError
+from mixtrace.errors import InputError, ResourceLimitError
 from mixtrace.rings import INTEGERS, RATIONALS
 
 from trace_reference import is_compact
@@ -326,3 +327,36 @@ def test_validate_coherence_builds_each_structure_map_once_per_call(
     expected = {"canonical_map": 205, "factor_permutation": 370,
                 "identity": 83}
     assert per_call == [expected, expected]
+
+
+class _Built(Exception):
+    pass
+
+
+def _refuse_to_build(monkeypatch):
+    def refuse(self):
+        raise _Built
+
+    monkeypatch.setattr(category.Mor, "__post_init__", refuse)
+
+
+@pytest.mark.parametrize("max_rank,size", [
+    (6, "6^8 = 1679616"), (40, "40^8 = 6553600000000"), (256, "256^8"),
+    (10 ** 9, "1000000000^8")])
+def test_validate_size_bound(monkeypatch, max_rank, size):
+    # the times-rule maps at four objects of rank max_rank are the largest
+    # matrices: sized before any matrix is built, and past 2^64 the count
+    # is named, not computed
+    _refuse_to_build(monkeypatch)
+    with pytest.raises(ResourceLimitError, match=(
+            rf"^a coherence check at max_rank {max_rank} builds matrices of "
+            rf"up to {re.escape(size)} entries, more than the bound "
+            rf"1000000$")):
+        validate_coherence(Z2, max_rank)
+
+
+def test_validate_size_bound_admits_up_to_the_bound(monkeypatch):
+    # 5^8 = 390625 entries pass the check, and the first matrix is built
+    _refuse_to_build(monkeypatch)
+    with pytest.raises(_Built):
+        validate_coherence(Z2, 5)

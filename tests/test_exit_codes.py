@@ -1,7 +1,8 @@
 """The exit-code contract under mutated input files: every run of
-``cli.main`` on a loop, diagram or zig-zag instance file, however damaged,
-exits 0, 1 or 2 within a time bound, and no exception escapes it (which
-on the command line would print a traceback)."""
+``cli.main`` on a loop, diagram, zig-zag instance, morphism or generators
+file, however damaged, exits 0, 1 or 2 within a time bound, and no
+exception escapes it (which on the command line would print a
+traceback)."""
 
 import contextlib
 import io
@@ -16,10 +17,11 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from mixtrace import cli
-from mixtrace.category import Model
-from mixtrace.loops import hidden_symmetry
+from mixtrace.category import Model, Obj, mor
+from mixtrace.loops import Loop, hidden_symmetry, morphism_loop
 from mixtrace.rings import INTEGERS, RATIONALS, localized_integers
-from mixtrace.serialize import diagram_to_json, loop_to_json, zigzag_to_json
+from mixtrace.serialize import (diagram_to_json, loop_to_json, mor_to_json,
+                                zigzag_to_json)
 from mixtrace.traces import free_mixed_trace, random_loop, staircase_diagram
 from mixtrace.zigzag import search_counterexample
 
@@ -51,7 +53,30 @@ def _zigzag():
     return zigzag_to_json(found.instance)
 
 
+def _matrices():
+    # localized entries realize clears with a power of the mix; over Q the
+    # matrix comes back as it is
+    return [mor_to_json(mor(model, Obj(len(rows[0])), Obj(len(rows)), rows))
+            for model, rows in (
+                (MODELS[2], [[Fraction(1, 4), 3], [Fraction(-1, 2), 0]]),
+                (Model(localized_integers(6), 6),
+                 [[Fraction(1, 6)], [Fraction(5, 4)]]),
+                (MODELS[1], [[Fraction(1, 3), 2]]))]
+
+
+# a pair the bounded search tells apart only through the generators, which
+# share its model and endpoints, and a generator that does not
+r1 = Obj(1)
+THREE, FIVE = (loop_to_json(morphism_loop(mor(MODELS[0], r1, r1, [[v]])))
+               for v in (3, 5))
+GENERATORS = {"loops": [loop_to_json(p) for p in (
+    Loop(MODELS[0], r1, r1, (r1,), mor(MODELS[0], r1, r1, [[6]])),
+    Loop(MODELS[0], r1, r1, (r1, Obj(2)),
+         mor(MODELS[0], Obj(2), Obj(2), [[4, 2], [0, 8]])),
+    random_loop(random.Random(3), MODELS[0], 3, 2))]}
+
 LOOPS, DIAGRAM, ZIGZAG = _loops(), _diagram(), _zigzag()
+MATRICES = _matrices()
 
 # texts near the scalar syntax, quotients, and integer text past Python's
 # limit on the digits it converts
@@ -172,6 +197,43 @@ def test_mutated_zigzag_instance_files(data):
            lambda f: ["zigzag-check", "--instance", f])
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_mutated_morphism_files(data):
+    base = data.draw(st.sampled_from(MATRICES))
+    _check(data.draw(mutated(base)), lambda f: ["realize", "--matrix", f])
+
+
+def _congruent_with_generators(path):
+    """The bounded congruence of THREE and FIVE with the generators file
+    at path; the two loop files are written beside it."""
+    sides = []
+    for name, loop in (("left", THREE), ("right", FIVE)):
+        sides.append(os.path.join(os.path.dirname(path), f"{name}.json"))
+        with open(sides[-1], "w", encoding="utf-8") as fh:
+            json.dump(loop, fh)
+    return ["congruent", "--mode", "bounded:1", "--left", sides[0],
+            "--right", sides[1], "--generators", path]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_mutated_generators_files(data):
+    _check(data.draw(mutated(GENERATORS)), _congruent_with_generators)
+
+
+def test_oversized_output_value_is_a_resource_limit():
+    # realize clears the denominator 10 with one factor of the mix 10^4000:
+    # the carrier entry has 7999 digits, more than Python writes as integer
+    # text, and the writer names the limit instead of a traceback
+    matrix = {"model": {"ring": {"Zloc": 10 ** 4000}, "mix": str(10 ** 4000)},
+              "dom": 1, "cod": 1, "entries": [["7" * 4000 + "/10"]]}
+    code, err = _check(matrix, lambda f: ["realize", "--matrix", f])
+    assert code == 1 and err == (
+        "resource limit: an output value with more than 4300 digits in one "
+        "part, the limit of integer text\n"), err
+
+
 def test_long_integer_text_is_an_input_error():
     # past the limit int() refuses the text: exit 2 naming the limit, not a
     # traceback, for a carrier cell, a denominator and the mix alike
@@ -183,5 +245,9 @@ def test_long_integer_text_is_an_input_error():
             assert code == 2 and err.endswith(
                 "scalar with 5000 digits in one part, more than the limit "
                 "of 4300 digits\n"), err
+    # the model text is echoed as a prefix and its length, not whole
     code, err, _ = _run(["axioms", "--model", "zmod:" + LONG])
-    assert code == 2 and "more than the limit of 4300 digits" in err
+    assert code == 2 and err == (
+        "input error: model 'zmod:" + "9" * 27 + "'... (5005 characters): "
+        "scalar with 5000 digits in one part, more than the limit of 4300 "
+        "digits\n"), err

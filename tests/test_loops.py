@@ -325,6 +325,24 @@ def test_congruent_semantic_and_bounded():
                   mode="semantic")
 
 
+def test_bounded_says_unknown_where_the_values_agree():
+    # the criterion-4 loop and [[1]] are congruent (semantic), four free
+    # moves apart through an un-tracing no generator supplies: both
+    # closures run out, and the bounded search must not say False
+    p = Loop(Z2, r1, r1, (r2,), identity(Z2, r2))
+    one = morphism_loop(mor(Z2, r1, r1, [[1]]))
+    assert congruent(p, one, mode="semantic") is True
+    assert congruent(p, one, mode="bounded", depth=4) is None
+    # loops whose values differ are still refuted, and at m = 0, where no
+    # value exists, exhausted closures still refute
+    assert congruent(p, morphism_loop(mor(Z2, r1, r1, [[3]])),
+                     mode="bounded", depth=4) is False
+    z0 = Model(INTEGERS, 0)
+    assert congruent(morphism_loop(mor(z0, r1, r1, [[1]])),
+                     morphism_loop(mor(z0, r1, r1, [[2]])),
+                     mode="bounded", depth=4) is False
+
+
 def test_congruent_bounded_generators_and_unknown():
     three = morphism_loop(mor(Z2, r1, r1, [[3]]))
     five = morphism_loop(mor(Z2, r1, r1, [[5]]))

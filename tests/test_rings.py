@@ -49,9 +49,14 @@ def test_parse_and_format():
                        "limit of 4300 digits"),
     ("1/" + "0" * 5000, "scalar with 5000 digits in one part, more than the "
                         "limit of 4300 digits"),
-    # the denominator is read first, so a zero one is named as before
-    ("9" * 5000 + "/0", "zero denominator in scalar '" + "9" * 5000 + "/0'"),
+    # the denominator is read first, so a zero one is named as before; a
+    # long text is echoed as a prefix and its length, a short one whole
+    ("9" * 5000 + "/0",
+     "zero denominator in scalar '" + "9" * 32 + "'... (5002 characters)"),
     ("3/0", "zero denominator in scalar '3/0'"),
+    ("9" * 30 + "/0", "zero denominator in scalar '" + "9" * 30 + "/0'"),
+    ("1/" + "9" * 5000 + "x",
+     "malformed scalar '1/" + "9" * 30 + "'... (5003 characters)"),
 ])
 def test_parse_value_past_the_digit_limit(text, error):
     # int() refuses integer text past 4300 digits with ValueError; the
