@@ -411,15 +411,15 @@ ENTRY_BOUND = 10 ** 6
 
 def check_entry_count(base: int, exp: int, what: str) -> None:
     """Raise ResourceLimitError when base^exp, the entries of the largest
-    matrix that ``what`` builds, is more than ``ENTRY_BOUND``.  Past 2^64
-    the count is named, not computed."""
-    if exp * (base.bit_length() - 1) >= 64:
+    matrix that ``what`` builds, is more than ``ENTRY_BOUND``.  A power
+    past 2^64 is named, not computed."""
+    if exp > 1 and exp * (base.bit_length() - 1) >= 64:
         text = f"{base}^{exp}"
     else:
         size = base ** exp
         if size <= ENTRY_BOUND:
             return
-        text = f"{base}^{exp} = {size}" if exp > 1 else str(size)
+        text = str(size) if exp == 1 else f"{base}^{exp} = {size}"
     raise ResourceLimitError(
         f"{what} builds matrices of up to {text} entries, more than the "
         f"bound {ENTRY_BOUND}")

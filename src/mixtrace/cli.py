@@ -54,7 +54,8 @@ def _default_seed(args) -> int:
         try:
             return int(env)
         except ValueError as exc:
-            raise InputError(f"MIXCAT_SEED={env!r} is not an integer") from exc
+            raise InputError(
+                f"MIXCAT_SEED={echo(env)} is not an integer") from exc
     return 0
 
 
@@ -102,12 +103,12 @@ def cmd_congruent(args) -> int:
         verdict = congruent(left, right, mode="semantic")
     elif mode == "bounded":
         if colon and not (depth_text.isascii() and depth_text.isdigit()):
-            raise InputError(f"bad bounded depth {depth_text!r}")
+            raise InputError(f"bad bounded depth {echo(depth_text)}")
         depth = int(depth_text) if colon else 4
         verdict = congruent(left, right, mode="bounded", depth=depth,
                             generators=generators)
     else:
-        raise InputError(f"unknown congruence mode {args.mode!r}")
+        raise InputError(f"unknown congruence mode {echo(args.mode)}")
     _emit({"mode": args.mode,
            "congruent": verdict if verdict is not None else "unknown"})
     return 0 if verdict is True else 1

@@ -251,3 +251,21 @@ def test_long_integer_text_is_an_input_error():
         "input error: model 'zmod:" + "9" * 27 + "'... (5005 characters): "
         "scalar with 5000 digits in one part, more than the limit of 4300 "
         "digits\n"), err
+
+
+def test_long_option_text_is_echoed_as_a_prefix(monkeypatch):
+    # an option's text is echoed as its first 32 characters and its length
+    x = "x" * 3000
+    clipped = "'" + "x" * 32 + "'... (3000 characters)"
+
+    def congruent(path, mode):
+        return ["congruent", "--mode", mode, "--left", path, "--right", path]
+
+    for mode, error in (("bounded:" + x, "bad bounded depth " + clipped),
+                        (x, "unknown congruence mode " + clipped)):
+        code, err = _check(LOOPS[0], lambda f: congruent(f, mode))
+        assert (code, err) == (2, f"input error: {error}\n")
+    monkeypatch.setenv("MIXCAT_SEED", x)
+    code, err, _ = _run(["axioms", "--model", "zmod:2", "--cases", "1"])
+    assert (code, err) == (
+        2, f"input error: MIXCAT_SEED={clipped} is not an integer\n")

@@ -246,7 +246,8 @@ def test_pullback_instances_hold_even_at_m0():
 
 @pytest.mark.parametrize("n,max_rank,size", [
     (5, 2, "2^20 = 1048576"), (3, 12, "12^12 = 8916100448256"),
-    (0, 10 ** 6 + 1, "1000001"), (16, 2, "2^64"), (10 ** 9, 3, "3^4000000000"),
+    (0, 10 ** 6 + 1, "1000001"), (0, 2 ** 64, "18446744073709551616"),
+    (16, 2, "2^64"), (10 ** 9, 3, "3^4000000000"),
 ])
 def test_search_size_bound(n, max_rank, size):
     # the largest matrix, the top symmetry or a filler out of the top level,
