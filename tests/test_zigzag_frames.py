@@ -86,6 +86,13 @@ PINNED = {
 }
 
 
+def _recorder(fn, log):
+    def record(*args):
+        log.append((args, fn(*args)))
+        return log[-1][1]
+    return record
+
+
 def _recorded_search(monkeypatch, model, n, seed, budget):
     """Run one search and return it with the instances it built, and every
     sample it checked as (instance, frame, outcome), in order.
@@ -95,51 +102,26 @@ def _recorded_search(monkeypatch, model, n, seed, budget):
     ``_corollary_frame`` drew for it, the permutation the search drew for
     it, and the hub and fillers it was checked with.  That permutation
     must be the one the sample's frame was built with."""
-    draws, perms, frames, checks, built = [], [], [], [], []
-    originals = (zigzag._corollary_frame, zigzag.Permutation,
-                 zigzag.build_zigzag_frame, zigzag._check_in_frame,
-                 zigzag.ZigZagInstance)
-    corollary, make_perm, build_frame, check, make_instance = originals
-
-    def record_draw(*args):
-        draws.append(corollary(*args))
-        return draws[-1]
-
-    def record_perm(images):
-        perms.append(make_perm(images))
-        return perms[-1]
-
-    def record_frame(*args):
-        frames.append((build_frame(*args), args[5]))
-        return frames[-1][0]
-
-    def record_check(*args):
-        checks.append((args, check(*args)))
-        return checks[-1][1]
-
-    def record_instance(*args, **kwargs):
-        built.append(make_instance(*args, **kwargs))
-        return built[-1]
-
-    for name, fn in zip(("_corollary_frame", "Permutation",
-                         "build_zigzag_frame", "_check_in_frame",
-                         "ZigZagInstance"),
-                        (record_draw, record_perm, record_frame, record_check,
-                         record_instance)):
-        monkeypatch.setattr(zigzag, name, fn)
+    logs = {name: [] for name in ("_corollary_frame", "Permutation",
+                                  "build_zigzag_frame", "_check_in_frame",
+                                  "ZigZagInstance")}
+    for name, log in logs.items():
+        monkeypatch.setattr(zigzag, name, _recorder(getattr(zigzag, name),
+                                                    log))
     result = search_counterexample(model, n, max_rank=2, seed=seed,
                                    budget=budget)
     monkeypatch.undo()
+    draws, perms, frames, checks, built = logs.values()
     assert len(draws) == len(perms) == len(checks) == result.samples
     samples = []
-    for draw, perm, ((model_, frame, hub, left, right), outcome) in zip(
-            draws, perms, checks):
+    for (_, draw), (_, perm), (args, outcome) in zip(draws, perms, checks):
         _, upper, apex, lower, downs, ups = draw
-        assert [p for f, p in frames if f is frame] == [perm]
+        model_, frame, hub, left, right = args
+        assert [a[5] for a, f in frames if f is frame] == [perm]
         inst = ZigZagInstance(model_, upper, apex, lower, downs, ups, perm,
                               hub, left, right)
         samples.append((inst, frame, outcome))
-    return result, built, samples
+    return result, [inst for _, inst in built], samples
 
 
 @pytest.mark.parametrize("mix", (-1, 0, 1, 2, 3))
