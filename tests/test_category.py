@@ -341,8 +341,7 @@ def _refuse_to_build(monkeypatch):
 
 
 @pytest.mark.parametrize("max_rank,size", [
-    (6, "6^8 = 1679616"), (40, "40^8 = 6553600000000"), (256, "256^8"),
-    (10 ** 9, "1000000000^8")])
+    (6, "6^8 = 1679616"), (40, "40^8 = 6553600000000"), (256, "256^8")])
 def test_validate_size_bound(monkeypatch, max_rank, size):
     # the times-rule maps at four objects of rank max_rank are the largest
     # matrices: sized before any matrix is built, and past 2^64 the count
