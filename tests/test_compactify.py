@@ -296,22 +296,34 @@ def test_verify_compactness():
         verify_compactness(Z0, max_rank=-1)
 
 
-@pytest.mark.parametrize("name, wrong, failure", [
+@pytest.mark.parametrize("name, wrong, failures", [
     ("loop_tensor", lambda build: lambda p, q: build(q, p),
-     ("values-functorial", "tensor of values fails at sample 5")),
+     [("values-functorial", "tensor of values fails at sample 5")]),
     ("dual_mor", lambda build: lambda f: mor_scale(build(f), 2),
-     ("values-functorial", "dual of values fails at sample 4")),
+     [("values-functorial", "dual of values fails at sample 4")]),
     ("realize", lambda build: lambda m_mor: build(mor_scale(m_mor, 2)),
-     ("realize-round-trip", "realization round trip fails at sample 0")),
-], ids=["loop_tensor", "dual_mor", "realize"])
+     [("realize-round-trip", "realization round trip fails at sample 0")]),
+    # rank 2 is reached at ranks 1,2 and again at 2,1: the report names
+    # the first, so the comix check stops its outer loop too
+    ("identity",
+     lambda build: lambda model, a: (mor_scale(build(model, a), 2)
+                                     if a.rank == 2 else build(model, a)),
+     [("comix-inverts-mix", "comix fails at ranks 1,2")]),
+    # every nonzero composite doubled: comix fails first at 1,1, before
+    # the end of either loop, and the values of composites fail too
+    ("compose", lambda build: lambda g, f: mor_scale(build(g, f), 2),
+     [("comix-inverts-mix", "comix fails at ranks 1,1"),
+      ("values-functorial", "composition of values fails at sample 4")]),
+], ids=["loop_tensor", "dual_mor", "realize", "identity", "compose"])
 def test_verify_compactness_fails_where_a_map_is_wrong(monkeypatch, name,
-                                                       wrong, failure):
-    # each map the checks compare through, made wrong, fails its check
-    # with the usual detail, whatever the call localizes once
+                                                       wrong, failures):
+    # each map the checks compare through, made wrong, fails exactly the
+    # checks that compare through it, each at its first failure and with
+    # the usual detail, whatever the call localizes once
     monkeypatch.setattr(compactify, name, wrong(getattr(compactify, name)))
     report = verify_compactness(Z2, max_rank=2, samples=100)
     assert [(c.name, c.detail) for c in report.checks
-            if not c.passed] == [failure]
+            if not c.passed] == failures
 
 
 def test_verify_compactness_localizes_once_plus_once_per_realize_sample(
