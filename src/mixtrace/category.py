@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from math import prod
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from .errors import InputError, ResourceLimitError
 from .rings import Number, RingTag, format_value, ring_contains
@@ -100,12 +100,6 @@ class Mor:
             if len(row) != self.dom.rank:
                 raise InputError(
                     f"expected {self.dom.rank} columns, got {len(row)}")
-
-    def __str__(self):
-        if not self.entries:
-            return f"(empty {self.cod.rank}x{self.dom.rank})"
-        return "\n".join(" ".join(format_value(x) for x in row)
-                         for row in self.entries)
 
 
 def mor(model: Model, dom: Obj, cod: Obj, rows: Iterable[Iterable[Number]]) -> Mor:
@@ -368,8 +362,13 @@ class ValidationReport:
     def ok(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def record(self, name: str, passed: bool, detail: str = "") -> None:
-        self.checks.append(CheckResult(name, passed, detail))
+    def first_failure(self, name: str, failures: Iterator[str]) -> None:
+        """Record the check ``name`` from the details of its failures:
+        passed when ``failures`` yields none, else failed with the first.
+        Nothing more is drawn, so a check written as a generator stops
+        at the first failure it yields."""
+        detail = next(failures, None)
+        self.checks.append(CheckResult(name, detail is None, detail or ""))
 
     def to_dict(self):
         return {
@@ -377,31 +376,6 @@ class ValidationReport:
             "ok": self.ok,
             "checks": [c.to_dict() for c in self.checks],
         }
-
-
-def _alt_times_rule_composites(canon, perm, ident, a: Obj, b: Obj, c: Obj,
-                               d: Obj) -> List[Mor]:
-    """Two further composites of distributivities and symmetries with the
-    times_rule shape, built along genuinely different routes from the
-    structure-map builders of one ``validate_coherence`` call."""
-    ar, br, cr, dr = a.rank, b.rank, c.rank, d.rank
-    # Route 2: swap the two tensor factors, apply the canonical shuffle
-    # there, then repair with a symmetry on A,C and on B,D.
-    swap = perm((ar * br, cr * dr), (1, 0))
-    shuffled = compose(canon("times_rule", c, d, a, b), swap)
-    fix_ca = tensor_mor(canon("symmetry", c, a), ident(Obj(dr * br)))
-    fix_db = tensor_mor(ident(Obj(ar * cr)), perm((dr, br), (1, 0)))
-    comp2 = compose(fix_db, compose(fix_ca, shuffled))
-    # Route 3: through the right distributivity on the swapped factors.
-    s1 = perm((ar * br, cr * dr), (1, 0))
-    s2 = tensor_mor(canon("par_symmetry", c, d), ident(Obj(ar * br)))
-    # right_distributivity and distributivity are identity reindexings
-    s4 = tensor_mor(ident(d), tensor_mor(canon("distributivity", c, a, b),
-                                         ident(UNIT)))
-    s5 = perm((dr, cr * ar * br), (1, 0))
-    s6 = tensor_mor(canon("symmetry", c, a), ident(Obj(br * dr)))
-    comp3 = compose(s6, compose(s5, compose(s4, compose(s2, s1))))
-    return [comp2, comp3]
 
 
 # The most entries of one matrix a request may build; validate_coherence
@@ -453,106 +427,116 @@ def validate_coherence(model: Model, max_rank: int, seed: int = 0) -> Validation
                                                           pos_map))
     ident = cache(lambda a: identity(model, a))
 
-    mix = canon("mix")
-    lhs = tensor_mor(mix, ident(UNIT))
-    rhs = tensor_mor(ident(UNIT), mix)
-    report.record("mix-unit-square", lhs.entries == rhs.entries)
+    def mix_unit_square():
+        mix = canon("mix")
+        if tensor_mor(mix, ident(UNIT)).entries != \
+                tensor_mor(ident(UNIT), mix).entries:
+            yield ""
 
-    ok, detail = True, ""
-    for a in ranks:
-        ev = canon("ev", a)
-        coev = canon("coev", a)
-        sig = canon("symmetry", a, a)
-        tau = canon("par_symmetry", a, a)
-        if compose(ev, sig).entries != ev.entries:
-            ok, detail = False, f"ev symmetry fails at rank {a.rank}"
-            break
-        if compose(tau, coev).entries != coev.entries:
-            ok, detail = False, f"coev symmetry fails at rank {a.rank}"
-            break
-    report.record("dual-ev-coev-symmetry", ok, detail)
+    def ev_coev_symmetry():
+        for a in ranks:
+            ev = canon("ev", a)
+            coev = canon("coev", a)
+            sig = canon("symmetry", a, a)
+            tau = canon("par_symmetry", a, a)
+            if compose(ev, sig).entries != ev.entries:
+                yield f"ev symmetry fails at rank {a.rank}"
+            if compose(tau, coev).entries != coev.entries:
+                yield f"coev symmetry fails at rank {a.rank}"
 
-    ok, detail = True, ""
-    for a, b in itertools.product(ranks, repeat=2):
-        direct = canon("mix_map", a, b)
-        inner = tensor_mor(ident(a), canon("mixed_ev", b))
-        via_curry = curry(inner, obj_tensor(a, b), b, a)
-        if direct.entries != via_curry.entries:
-            ok, detail = False, f"mix map composite fails at {a.rank},{b.rank}"
-            break
-        msym = canon("mixed_symmetry", a, b)
-        tau = canon("par_symmetry", a, b)
-        sig = canon("symmetry", a, b)
-        other = canon("mix_map", b, a)
-        if compose(tau, direct).entries != msym.entries or \
-                compose(other, sig).entries != msym.entries:
-            ok, detail = False, f"mixed symmetry fails at {a.rank},{b.rank}"
-            break
-    report.record("mix-map-definition", ok, detail)
+    def mix_map_definition():
+        for a, b in itertools.product(ranks, repeat=2):
+            direct = canon("mix_map", a, b)
+            inner = tensor_mor(ident(a), canon("mixed_ev", b))
+            via_curry = curry(inner, obj_tensor(a, b), b, a)
+            if direct.entries != via_curry.entries:
+                yield f"mix map composite fails at {a.rank},{b.rank}"
+            msym = canon("mixed_symmetry", a, b)
+            tau = canon("par_symmetry", a, b)
+            sig = canon("symmetry", a, b)
+            other = canon("mix_map", b, a)
+            if compose(tau, direct).entries != msym.entries or \
+                    compose(other, sig).entries != msym.entries:
+                yield f"mixed symmetry fails at {a.rank},{b.rank}"
 
-    ok, detail = True, ""
-    for a, b, c in itertools.product(ranks, repeat=3):
-        delta = canon("distributivity", a, b, c)
-        left = compose(delta, tensor_mor(ident(a), canon("mix_map", b, c)))
-        if left.entries != canon("mix_map", obj_tensor(a, b), c).entries:
-            ok, detail = False, f"first triangle fails at {a.rank},{b.rank},{c.rank}"
-            break
-        right = compose(tensor_mor(canon("mix_map", a, b), ident(c)), delta)
-        if right.entries != canon("mix_map", a, obj_tensor(b, c)).entries:
-            ok, detail = False, f"second triangle fails at {a.rank},{b.rank},{c.rank}"
-            break
-    report.record("mix-distributivity-triangles", ok, detail)
+    def mix_distributivity_triangles():
+        for a, b, c in itertools.product(ranks, repeat=3):
+            delta = canon("distributivity", a, b, c)
+            left = compose(delta, tensor_mor(ident(a),
+                                             canon("mix_map", b, c)))
+            if left.entries != canon("mix_map", obj_tensor(a, b), c).entries:
+                yield f"first triangle fails at {a.rank},{b.rank},{c.rank}"
+            right = compose(tensor_mor(canon("mix_map", a, b), ident(c)),
+                            delta)
+            if right.entries != canon("mix_map", a, obj_tensor(b, c)).entries:
+                yield f"second triangle fails at {a.rank},{b.rank},{c.rank}"
 
-    ok, detail = True, ""
-    for a, b, c in itertools.product(ranks, repeat=3):
-        expected = ident(obj_tensor(a, b, c))
-        # delta from the closure bijection
-        peeled = uncurry(ident(obj_tensor(b, c)), obj_tensor(b, c), c, b)
-        inner = tensor_mor(ident(a), peeled)
-        delta = curry(inner, obj_tensor(a, b, c), c, obj_tensor(a, b))
-        if delta.entries != expected.entries:
-            ok, detail = False, f"distributivity fails at {a.rank},{b.rank},{c.rank}"
-            break
-        # right distributivity from symmetries and delta
-        ar, br, cr = a.rank, b.rank, c.rank
-        t1 = perm((ar * br, cr), (1, 0))
-        t2 = tensor_mor(ident(c), canon("par_symmetry", a, b))
-        t4 = perm((cr * br, ar), (1, 0))
-        t5 = tensor_mor(ident(a), canon("symmetry", c, b))
-        dr_alt = compose(t5, compose(t4, compose(t2, t1)))
-        if dr_alt.entries != canon("right_distributivity", a, b, c).entries:
-            ok, detail = False, f"right distributivity fails at {a.rank},{b.rank},{c.rank}"
-            break
-    report.record("distributivities-vs-bijection", ok, detail)
+    def distributivities_vs_bijection():
+        for a, b, c in itertools.product(ranks, repeat=3):
+            ar, br, cr = a.rank, b.rank, c.rank
+            expected = ident(obj_tensor(a, b, c))
+            # delta from the closure bijection
+            peeled = uncurry(ident(obj_tensor(b, c)), obj_tensor(b, c), c, b)
+            inner = tensor_mor(ident(a), peeled)
+            delta = curry(inner, obj_tensor(a, b, c), c, obj_tensor(a, b))
+            if delta.entries != expected.entries:
+                yield f"distributivity fails at {ar},{br},{cr}"
+            # right distributivity from symmetries and delta
+            t1 = perm((ar * br, cr), (1, 0))
+            t2 = tensor_mor(ident(c), canon("par_symmetry", a, b))
+            t4 = perm((cr * br, ar), (1, 0))
+            t5 = tensor_mor(ident(a), canon("symmetry", c, b))
+            dr_alt = compose(t5, compose(t4, compose(t2, t1)))
+            if dr_alt.entries != \
+                    canon("right_distributivity", a, b, c).entries:
+                yield f"right distributivity fails at {ar},{br},{cr}"
 
-    ok, detail = True, ""
-    for _ in range(40):
-        x, a, b, c = (Obj(rng.randint(0, max_rank)) for _ in range(4))
-        phi = random_mor(model, rng, obj_tensor(a, b), c)
-        lhs_m = curry(tensor_mor(ident(x), phi),
-                      obj_tensor(x, a), b, obj_tensor(x, c))
-        rhs_m = compose(canon("distributivity", x, c, b),
-                        tensor_mor(ident(x), curry(phi, a, b, c)))
-        if lhs_m.entries != rhs_m.entries:
-            ok, detail = False, (
-                f"currying triangle fails at {x.rank},{a.rank},{b.rank},{c.rank}")
-            break
-    report.record("currying-triangle", ok, detail)
+    def currying_triangle():
+        for _ in range(40):
+            x, a, b, c = (Obj(rng.randint(0, max_rank)) for _ in range(4))
+            phi = random_mor(model, rng, obj_tensor(a, b), c)
+            lhs = curry(tensor_mor(ident(x), phi),
+                        obj_tensor(x, a), b, obj_tensor(x, c))
+            rhs = compose(canon("distributivity", x, c, b),
+                          tensor_mor(ident(x), curry(phi, a, b, c)))
+            if lhs.entries != rhs.entries:
+                yield (f"currying triangle fails at "
+                       f"{x.rank},{a.rank},{b.rank},{c.rank}")
 
-    ok, detail = True, ""
-    for a, b, c, d in itertools.product(ranks, repeat=4):
-        target = canon("times_rule", a, b, c, d)
-        direct = perm((a.rank, b.rank, c.rank, d.rank), (0, 2, 1, 3))
-        if target.entries != direct.entries:
-            ok, detail = False, f"times rule disagrees with direct permutation"
-            break
-        bad = [m for m in _alt_times_rule_composites(canon, perm, ident,
-                                                     a, b, c, d)
-               if m.entries != target.entries]
-        if bad:
-            ok, detail = False, (
-                f"composition orders disagree at {a.rank},{b.rank},{c.rank},{d.rank}")
-            break
-    report.record("shuffle-composition-orders", ok, detail)
+    def shuffle_composition_orders():
+        for a, b, c, d in itertools.product(ranks, repeat=4):
+            ar, br, cr, dr = a.rank, b.rank, c.rank, d.rank
+            target = canon("times_rule", a, b, c, d)
+            if target.entries != perm((ar, br, cr, dr), (0, 2, 1, 3)).entries:
+                yield "times rule disagrees with direct permutation"
+            # Route 2: swap the two tensor factors, apply the canonical
+            # shuffle there, then repair with a symmetry on A,C and on B,D.
+            swap = perm((ar * br, cr * dr), (1, 0))
+            shuffled = compose(canon("times_rule", c, d, a, b), swap)
+            fix_ca = tensor_mor(canon("symmetry", c, a), ident(Obj(dr * br)))
+            fix_db = tensor_mor(ident(Obj(ar * cr)), perm((dr, br), (1, 0)))
+            comp2 = compose(fix_db, compose(fix_ca, shuffled))
+            # Route 3: through the right distributivity on the swapped
+            # factors; right_distributivity and distributivity are
+            # identity reindexings.
+            s2 = tensor_mor(canon("par_symmetry", c, d), ident(Obj(ar * br)))
+            s4 = tensor_mor(ident(d), tensor_mor(
+                canon("distributivity", c, a, b), ident(UNIT)))
+            s5 = perm((dr, cr * ar * br), (1, 0))
+            s6 = tensor_mor(canon("symmetry", c, a), ident(Obj(br * dr)))
+            comp3 = compose(s6, compose(s5, compose(s4, compose(s2, swap))))
+            if comp2.entries != target.entries or \
+                    comp3.entries != target.entries:
+                yield f"composition orders disagree at {ar},{br},{cr},{dr}"
 
+    report.first_failure("mix-unit-square", mix_unit_square())
+    report.first_failure("dual-ev-coev-symmetry", ev_coev_symmetry())
+    report.first_failure("mix-map-definition", mix_map_definition())
+    report.first_failure("mix-distributivity-triangles",
+                         mix_distributivity_triangles())
+    report.first_failure("distributivities-vs-bijection",
+                         distributivities_vs_bijection())
+    report.first_failure("currying-triangle", currying_triangle())
+    report.first_failure("shuffle-composition-orders",
+                         shuffle_composition_orders())
     return report

@@ -131,73 +131,62 @@ def verify_compactness(model: Model, max_rank: int, seed: int = 0,
     value = partial(loop_value, target=target)
     embed = partial(c_tr, target=target)
 
-    ok, detail = True, ""
-    for ar in range(0, max_rank + 1):
-        for br in range(0, max_rank + 1):
-            a, b = Obj(ar), Obj(br)
-            inv = value(comix(model, a, b))
-            mix = embed(canonical_map(model, "mix_map", [a, b]))
-            ident = identity(target, Obj(ar * br))
-            if compose(inv, mix) != ident or compose(mix, inv) != ident:
-                ok, detail = False, f"comix fails at ranks {ar},{br}"
-                break
-        if not ok:
-            break
-    report.record("comix-inverts-mix", ok, detail)
+    def comix_inverts_mix():
+        for ar in range(0, max_rank + 1):
+            for br in range(0, max_rank + 1):
+                a, b = Obj(ar), Obj(br)
+                inv = value(comix(model, a, b))
+                mix = embed(canonical_map(model, "mix_map", [a, b]))
+                ident = identity(target, Obj(ar * br))
+                if compose(inv, mix) != ident or compose(mix, inv) != ident:
+                    yield f"comix fails at ranks {ar},{br}"
 
-    ok, detail = True, ""
-    for i in range(samples):
-        dom = Obj(rng.randint(0, max_rank))
-        cod = Obj(rng.randint(0, max_rank))
-        f = random_mor(model, rng, dom, cod)
-        g = random_mor(model, rng, dom, cod)
-        if (f.entries == g.entries) != (embed(f) == embed(g)):
-            ok, detail = False, f"faithfulness fails at sample {i}"
-            break
-    report.record("embedding-faithful", ok, detail)
+    def embedding_faithful():
+        for i in range(samples):
+            dom = Obj(rng.randint(0, max_rank))
+            cod = Obj(rng.randint(0, max_rank))
+            f = random_mor(model, rng, dom, cod)
+            g = random_mor(model, rng, dom, cod)
+            if (f.entries == g.entries) != (embed(f) == embed(g)):
+                yield f"faithfulness fails at sample {i}"
 
-    ok, detail = True, ""
-    for i in range(max(1, samples // 5)):
-        a, b, c = (Obj(rng.randint(0, max_rank)) for _ in range(3))
-        f = random_mor(model, rng, a, b)
-        g = random_mor(model, rng, b, c)
-        if embed(compose(g, f)) != compose(embed(g), embed(f)):
-            ok, detail = False, "composition not preserved"
-            break
-        if embed(tensor_mor(f, g)) != tensor_mor(embed(f), embed(g)):
-            ok, detail = False, "tensor not preserved"
-            break
-        if embed(dual_mor(f)) != dual_mor(embed(f)):
-            ok, detail = False, "duality not preserved"
-            break
-    report.record("embedding-structure-preserving", ok, detail)
+    def embedding_structure_preserving():
+        for i in range(max(1, samples // 5)):
+            a, b, c = (Obj(rng.randint(0, max_rank)) for _ in range(3))
+            f = random_mor(model, rng, a, b)
+            g = random_mor(model, rng, b, c)
+            if embed(compose(g, f)) != compose(embed(g), embed(f)):
+                yield "composition not preserved"
+            if embed(tensor_mor(f, g)) != tensor_mor(embed(f), embed(g)):
+                yield "tensor not preserved"
+            if embed(dual_mor(f)) != dual_mor(embed(f)):
+                yield "duality not preserved"
 
-    ok, detail = True, ""
-    for i in range(max(1, samples // 5)):
-        rng_case = random.Random(f"compactness:{seed}:hom:{i}")
-        p = traces.random_loop(rng_case, model, max_rank, 2)
-        q = traces.random_loop(rng_case, model, max_rank, 2)
-        if value(loop_tensor(p, q)) != tensor_mor(value(p), value(q)):
-            ok, detail = False, f"tensor of values fails at sample {i}"
-            break
-        if value(loop_dual(p)) != dual_mor(value(p)):
-            ok, detail = False, f"dual of values fails at sample {i}"
-            break
-        c = Obj(rng_case.randint(0, max_rank))
-        khid = rng_case.randint(0, 2)
-        hid = tuple(Obj(rng_case.randint(0, max_rank)) for _ in range(khid))
-        h = prod(u.rank for u in hid)
-        mid = Loop(model, p.cod, c, hid,
-                   random_mor(model, rng_case, Obj(p.cod.rank * h),
-                              Obj(c.rank * h)))
-        if value(loop_compose(mid, p)) != compose(value(mid), value(p)):
-            ok, detail = False, f"composition of values fails at sample {i}"
-            break
-    report.record("values-functorial", ok, detail)
+    def values_functorial():
+        for i in range(max(1, samples // 5)):
+            rng_case = random.Random(f"compactness:{seed}:hom:{i}")
+            p = traces.random_loop(rng_case, model, max_rank, 2)
+            q = traces.random_loop(rng_case, model, max_rank, 2)
+            if value(loop_tensor(p, q)) != tensor_mor(value(p), value(q)):
+                yield f"tensor of values fails at sample {i}"
+            if value(loop_dual(p)) != dual_mor(value(p)):
+                yield f"dual of values fails at sample {i}"
+            c = Obj(rng_case.randint(0, max_rank))
+            khid = rng_case.randint(0, 2)
+            hid = tuple(Obj(rng_case.randint(0, max_rank))
+                        for _ in range(khid))
+            h = prod(u.rank for u in hid)
+            mid = Loop(model, p.cod, c, hid,
+                       random_mor(model, rng_case, Obj(p.cod.rank * h),
+                                  Obj(c.rank * h)))
+            if value(loop_compose(mid, p)) != compose(value(mid), value(p)):
+                yield f"composition of values fails at sample {i}"
 
-    ok, detail = True, ""
     m_int = int(model.mix) if Fraction(model.mix).denominator == 1 else None
-    if m_int not in (None, 0):
+
+    def realize_round_trip():
+        if m_int in (None, 0):
+            return
         for i in range(max(1, samples // 5)):
             dom = Obj(rng.randint(0, max_rank))
             cod = Obj(rng.randint(0, max_rank))
@@ -205,26 +194,29 @@ def verify_compactness(model: Model, max_rank: int, seed: int = 0,
             num = random_mor(model, rng, dom, cod, bound=5)
             m_mat = mor(target, dom, cod, _divide_by_mix(
                 num.entries, m_int ** j, target.ring))
-            back = loop_value(realize(m_mat))
-            if back != m_mat:
-                ok, detail = False, f"realization round trip fails at sample {i}"
-                break
-    report.record("realize-round-trip", ok, detail)
+            if loop_value(realize(m_mat)) != m_mat:
+                yield f"realization round trip fails at sample {i}"
 
-    ok, detail = True, ""
-    for i in range(max(1, samples // 10)):
-        dom = Obj(rng.randint(0, max_rank))
-        cod = Obj(rng.randint(0, max_rank))
-        f = random_mor(model, rng, dom, cod)
-        j = rng.randint(0, 2)
-        lifted = mor_scale(f, model.mix ** j)
-        p = Loop(model, dom, cod, (Obj(1),) * j, lifted)
-        t = traces.induced_mixed_trace(p)
-        if not t.is_defined or t.value != f:
-            ok, detail = False, f"congruent-to-morphism trace fails at {i}"
-            break
-    report.record("morphism-classes-trace-back", ok, detail)
+    def morphism_classes_trace_back():
+        for i in range(max(1, samples // 10)):
+            dom = Obj(rng.randint(0, max_rank))
+            cod = Obj(rng.randint(0, max_rank))
+            f = random_mor(model, rng, dom, cod)
+            j = rng.randint(0, 2)
+            lifted = mor_scale(f, model.mix ** j)
+            p = Loop(model, dom, cod, (Obj(1),) * j, lifted)
+            t = traces.induced_mixed_trace(p)
+            if not t.is_defined or t.value != f:
+                yield f"congruent-to-morphism trace fails at {i}"
 
+    report.first_failure("comix-inverts-mix", comix_inverts_mix())
+    report.first_failure("embedding-faithful", embedding_faithful())
+    report.first_failure("embedding-structure-preserving",
+                         embedding_structure_preserving())
+    report.first_failure("values-functorial", values_functorial())
+    report.first_failure("realize-round-trip", realize_round_trip())
+    report.first_failure("morphism-classes-trace-back",
+                         morphism_classes_trace_back())
     return report
 
 
