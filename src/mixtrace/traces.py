@@ -411,12 +411,11 @@ def random_loop(rng: random.Random, model: Model, max_rank: int,
 
 
 def _side_repr(side) -> str:
-    if isinstance(side, Mor):
-        return "[" + "; ".join(" ".join(str(v) for v in row)
-                               for row in side.entries) + "]"
+    """One side of a failed comparison, a Mor or a TraceResult."""
     if isinstance(side, TraceResult):
         return _side_repr(side.value) if side.is_defined else side.status
-    return str(side)
+    return "[" + "; ".join(" ".join(str(v) for v in row)
+                           for row in side.entries) + "]"
 
 
 def _record_failure(st: AxiomStats, seed, case: int, detail: str,

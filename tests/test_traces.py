@@ -310,6 +310,18 @@ def test_axiom_suite_flags_m0():
     assert report.notes
 
 
+def test_axiom_failures_name_both_sides(monkeypatch):
+    # a failed comparison names each side: a matrix by its rows, a trace by
+    # its value when defined and by its status when not
+    monkeypatch.setattr(traces, "identity",
+                        lambda model, a: mor_scale(identity(model, a), 2))
+    for model, lhs in ((Z0, "ambiguous"), (Z2, "[1 0; 0 1]")):
+        report = run_axiom_suite(model, seed=0, cases=2, max_rank=2,
+                                 max_hidden=1)
+        failure = report.stats["free"]["yanking"].failures[1]
+        assert (failure["lhs"], failure["rhs"]) == (lhs, "[2 0; 0 2]")
+
+
 @pytest.mark.parametrize("model", [Z0, Z2], ids=["zmod:0", "zmod:2"])
 def test_axiom_suite_builds_shared_loops_once(monkeypatch, model):
     # the yanking loop depends only on the rank, so a suite builds and
