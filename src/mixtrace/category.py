@@ -29,7 +29,7 @@ from math import prod
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from .errors import InputError, ResourceLimitError
-from .rings import Number, RingTag, format_value, ring_contains
+from .rings import Number, RingTag, echo, format_value, ring_contains
 
 
 def _canon(x) -> Number:
@@ -109,7 +109,8 @@ def mor(model: Model, dom: Obj, cod: Obj, rows: Iterable[Iterable[Number]]) -> M
     for row in f.entries:
         for x in row:
             if not ring_contains(model.ring, x):
-                raise InputError(f"entry {x} is not in {model.ring}")
+                raise InputError(
+                    f"entry {echo(str(x), str)} is not in {model.ring}")
     return f
 
 

@@ -26,7 +26,7 @@ from .category import (Mor, Model, Obj, ValidationReport, canonical_map,
 from .errors import InputError, ModelNotCompactifiableError, ResourceLimitError
 from .loops import (Loop, Permutation, _distinct_choices, hidden_symmetry,
                     loop_compose, loop_dual, loop_tensor, morphism_loop)
-from .rings import (INTEGERS, RATIONALS, divides_power, format_value,
+from .rings import (INTEGERS, RATIONALS, divides_power, echo,
                     localized_integers)
 from .traces import _divide_by_mix
 
@@ -96,8 +96,9 @@ def realize(m_mor: Mor) -> Loop:
         for v in row:
             den = Fraction(v).denominator
             if not divides_power(den, m):
-                raise InputError(f"entry {format_value(v)}: no power of the "
-                                 f"mix scalar {m} clears its denominator")
+                raise InputError(
+                    f"entry {echo(str(v), str)}: no power of the "
+                    f"mix scalar {echo(str(m), str)} clears its denominator")
             while power % den != 0:
                 power *= m
                 k += 1

@@ -114,13 +114,13 @@ def parse_value(text: str) -> Number:
     return _int_text(num)
 
 
-def echo(text: str) -> str:
-    """repr(text) for an error message; text longer than ``_ECHO_CHARS``
-    is shown as the repr of its first ``_ECHO_CHARS`` characters and its
-    length."""
+def echo(text: str, show=repr) -> str:
+    """show(text) for an error message: repr for input text, str for the
+    text of a value.  Text longer than ``_ECHO_CHARS`` is shown as its
+    first ``_ECHO_CHARS`` characters and its length."""
     if len(text) <= _ECHO_CHARS:
-        return repr(text)
-    return f"{text[:_ECHO_CHARS]!r}... ({len(text)} characters)"
+        return show(text)
+    return f"{show(text[:_ECHO_CHARS])}... ({len(text)} characters)"
 
 
 def _int_text(part: str) -> int:

@@ -146,7 +146,8 @@ def _bare_matrix_from_json(data, model: Model, dom: Obj, cod: Obj,
             new.append(x)
         rows.append(tuple(new))
     if outside is not None:
-        raise FileFormatError(f"{where}: entry {outside} is not in {model.ring}")
+        raise FileFormatError(f"{where}: entry {echo(str(outside), str)} "
+                              f"is not in {model.ring}")
     return Mor(model, dom, cod, tuple(rows))
 
 

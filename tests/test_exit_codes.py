@@ -253,6 +253,30 @@ def test_long_integer_text_is_an_input_error():
         "digits\n"), err
 
 
+def test_long_entry_outside_its_ring_is_named_by_a_prefix():
+    # a value an error names is cut as echoed text is: up to 32 characters
+    # in full ("entry 1/3 is not in Z"), past that its first 32 and its
+    # length, in the reader's ring check and in realize alike
+    def matrix(ring, mix, entry):
+        return {"model": {"ring": ring, "mix": mix}, "dom": 1, "cod": 1,
+                "entries": [[entry]]}
+
+    threes, power = "1/" + "3" * 4000, "1/" + str(3 ** 8000)
+    for data, error in (
+            (matrix("Z", "2", "1/3"), "entry 1/3 is not in Z"),
+            (matrix("Z", "2", threes),
+             f"entry {threes[:32]}... (4002 characters) is not in Z"),
+            (matrix({"Zloc": 6}, "2", power),
+             f"entry {power[:32]}... (3819 characters): no power of the mix "
+             "scalar 2 clears its denominator"),
+            (matrix({"Zloc": 6}, "2" * 4000, "1/3"),
+             f"entry 1/3: no power of the mix scalar {'2' * 32}... (4000 "
+             "characters) clears its denominator")):
+        code, err = _check(data, lambda f: ["realize", "--matrix", f])
+        assert code == 2 and err.endswith(f"{error}\n"), err
+        assert len(err) < 200, len(err)
+
+
 def test_long_option_text_is_echoed_as_a_prefix(monkeypatch):
     # an option's text is echoed as its first 32 characters and its length
     x = "x" * 3000
