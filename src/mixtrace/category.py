@@ -379,8 +379,9 @@ class ValidationReport:
         }
 
 
-# The most entries of one matrix a request may build; validate_coherence
-# and the zig-zag search refuse, before building anything, past it.
+# The most entries of one matrix a request may build; validate_coherence,
+# the axiom suite, verify_compactness and the zig-zag search refuse, before
+# building anything, past it.
 ENTRY_BOUND = 10 ** 6
 
 

@@ -21,8 +21,8 @@ from typing import Iterator, Optional, Sequence, Set, Tuple
 
 from . import traces
 from .category import (Mor, Model, Obj, ValidationReport, canonical_map,
-                       compose, contract_hidden, dual_mor, identity, mor,
-                       mor_scale, random_mor, tensor_mor)
+                       check_entry_count, compose, contract_hidden, dual_mor,
+                       identity, mor, mor_scale, random_mor, tensor_mor)
 from .errors import InputError, ModelNotCompactifiableError, ResourceLimitError
 from .loops import (Loop, Permutation, _distinct_choices, hidden_symmetry,
                     loop_compose, loop_dual, loop_tensor, morphism_loop)
@@ -121,13 +121,20 @@ def verify_compactness(model: Model, max_rank: int, seed: int = 0,
     """Check that the localized matrices realize the compact envelope:
     the comix loop inverts the mix map, the embedding is a faithful
     structure-preserving functor, loop values are functorial, and every
-    bounded-denominator matrix is realized."""
+    bounded-denominator matrix is realized.
+
+    The largest matrix is the tensor of two loops with two hidden objects
+    each, all of rank max_rank: max_rank^12 entries.  Past ``ENTRY_BOUND``
+    the call is refused, after the zero-mix check and before any matrix
+    is built."""
     if max_rank < 0 or samples < 0:
         raise InputError("max_rank and samples must be >= 0")
     rng = random.Random(f"compactness:{seed}")
     report = ValidationReport(
         f"compactness of the localization of {model} at ranks <= {max_rank}")
     target = localized_model(model)
+    check_entry_count(max_rank, 12,
+                      f"a compactness check at max_rank {max_rank}")
     # every check but the realize round trip stays over this one target
     value = partial(loop_value, target=target)
     embed = partial(c_tr, target=target)

@@ -43,10 +43,10 @@ from functools import cache, partial
 from math import prod
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .category import (UNIT, Mor, Model, Obj, canonical_map, compose,
-                       contract_hidden, dual_mor, identity, mor_scale,
-                       obj_tensor, random_mor, regroup, tensor_mor, whisker,
-                       zero_mor)
+from .category import (UNIT, Mor, Model, Obj, canonical_map,
+                       check_entry_count, compose, contract_hidden, dual_mor,
+                       identity, mor_scale, obj_tensor, random_mor, regroup,
+                       tensor_mor, whisker, zero_mor)
 from .errors import InputError, ModelNotCompactifiableError
 from .loops import (Loop, Permutation, _distinct_choices, hidden_symmetry,
                     loop_dual, morphism_tensor_loop, post_compose,
@@ -439,9 +439,16 @@ def run_axiom_suite(model: Model, seed: int = 0, cases: int = 1000,
     Vanishing the two outer traces may genuinely differ in definedness
     (the staircase is order-sensitive before the permutation search), so
     one-sided cases are tallied separately rather than failed.
+
+    The largest matrix is the carrier of the strength loop f (x) p, with
+    max_rank^(2 max_hidden + 4) entries; past ``ENTRY_BOUND`` the suite
+    is refused before any matrix is built.
     """
     if max_rank < 0 or max_hidden < 0 or cases < 0:
         raise InputError("max_rank, max_hidden and cases must be >= 0")
+    check_entry_count(max_rank, 2 * max_hidden + 4,
+                      f"an axiom suite at max_rank {max_rank} and max_hidden "
+                      f"{max_hidden}")
     report = SuiteReport(model, seed, cases, max_rank, max_hidden)
     kinds: List[Tuple[str, Callable[[Loop], TraceResult]]] = [
         ("free", free_mixed_trace)]

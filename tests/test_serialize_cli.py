@@ -285,6 +285,66 @@ def test_cli_zigzag_search_tree_bound(monkeypatch, capsys):
                    "node-edge steps per sample, more than the bound 10000\n")
 
 
+class _Built(Exception):
+    pass
+
+
+def _refuse_to_build(monkeypatch):
+    def refuse(*args):
+        raise _Built
+
+    monkeypatch.setattr(cli.compactify.Mor, "__post_init__", refuse)
+
+
+@pytest.mark.parametrize("argv, size", [
+    (["axioms", "--max-rank", "4", "--max-hidden", "3"], "4^10 = 1048576"),
+    (["axioms", "--max-rank", "32", "--max-hidden", "0"], "32^4 = 1048576"),
+    (["axioms", "--max-rank", "2", "--max-hidden", "1000"], "2^2004"),
+    (["compactify-verify", "--max-rank", "4"], "4^12 = 16777216"),
+    (["compactify-verify", "--max-rank", "100"], "100^12"),
+])
+def test_cli_axioms_and_compactify_verify_size_bounds(monkeypatch, capsys,
+                                                      argv, size):
+    # the largest matrix, sized from the options before any is built:
+    # axioms' strength loop f (x) p, max_rank^(2 max_hidden + 4) entries,
+    # and compactify-verify's tensor of two loops with two hidden objects
+    # each, max_rank^12
+    _refuse_to_build(monkeypatch)
+    what = (f"an axiom suite at max_rank {argv[2]} and max_hidden {argv[4]}"
+            if argv[0] == "axioms" else
+            f"a compactness check at max_rank {argv[2]}")
+    code = cli.main([*argv, "--model", "zmod:2"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err == (f"resource limit: {what} builds matrices of up to {size} "
+                   "entries, more than the bound 1000000\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["axioms", "--max-rank", "3", "--max-hidden", "4"],   # 3^12 = 531441
+    ["axioms", "--max-rank", "31", "--max-hidden", "0"],  # 31^4 = 923521
+    ["compactify-verify", "--max-rank", "3"],             # 3^12 = 531441
+])
+def test_cli_size_bounds_admit_up_to_the_bound(monkeypatch, argv):
+    _refuse_to_build(monkeypatch)
+    with pytest.raises(_Built):
+        cli.main([*argv, "--model", "zmod:2"])
+
+
+def test_cli_size_bounds_come_after_the_input_checks(capsys):
+    # a negative count is malformed input, and a zero mix is not
+    # compactifiable, however large the matrices would be
+    assert cli.main(["axioms", "--model", "zmod:2", "--max-rank", "100",
+                     "--cases", "-1"]) == 2
+    assert cli.main(["compactify-verify", "--model", "zmod:2",
+                     "--max-rank", "100", "--samples", "-1"]) == 2
+    capsys.readouterr()
+    assert cli.main(["compactify-verify", "--model", "zmod:0",
+                     "--max-rank", "100"]) == 1
+    assert json.loads(capsys.readouterr().out)["status"] == \
+        "ModelNotCompactifiable"
+
+
 def test_cli_congruent_entry_less_carrier(tmp_path):
     # a rank-0 hidden object empties the carrier, so the two loops differ
     # only in the order of their hidden ranks: 105 relabellings, one step
