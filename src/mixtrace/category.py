@@ -53,7 +53,8 @@ class Model:
     def __post_init__(self):
         object.__setattr__(self, "mix", _canon(self.mix))
         if not ring_contains(self.ring, self.mix):
-            raise InputError(f"mix scalar {self.mix} is not in {self.ring}")
+            raise InputError(f"mix scalar {echo(str(self.mix), str)} is not "
+                             f"in {self.ring}")
 
     def __str__(self):
         return f"({self.ring}, mix={format_value(self.mix)})"

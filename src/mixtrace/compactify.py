@@ -121,12 +121,9 @@ def verify_compactness(model: Model, max_rank: int, seed: int = 0,
     """Check that the localized matrices realize the compact envelope:
     the comix loop inverts the mix map, the embedding is a faithful
     structure-preserving functor, loop values are functorial, and every
-    bounded-denominator matrix is realized.
-
-    The largest matrix is the tensor of two loops with two hidden objects
-    each, all of rank max_rank: max_rank^12 entries.  Past ``ENTRY_BOUND``
-    the call is refused, after the zero-mix check and before any matrix
-    is built."""
+    bounded-denominator matrix is realized.  The largest matrix, a tensor
+    of two loops with two hidden objects each, has max_rank^12 entries;
+    past ``ENTRY_BOUND`` the call is refused before any matrix is built."""
     if max_rank < 0 or samples < 0:
         raise InputError("max_rank and samples must be >= 0")
     rng = random.Random(f"compactness:{seed}")

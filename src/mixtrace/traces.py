@@ -438,11 +438,10 @@ def run_axiom_suite(model: Model, seed: int = 0, cases: int = 1000,
     A comparison is skipped when its governing side is undefined; for
     Vanishing the two outer traces may genuinely differ in definedness
     (the staircase is order-sensitive before the permutation search), so
-    one-sided cases are tallied separately rather than failed.
-
-    The largest matrix is the carrier of the strength loop f (x) p, with
-    max_rank^(2 max_hidden + 4) entries; past ``ENTRY_BOUND`` the suite
-    is refused before any matrix is built.
+    one-sided cases are tallied separately rather than failed.  The
+    largest matrix, the strength loop's carrier, has max_rank^(2
+    max_hidden + 4) entries; past ``ENTRY_BOUND`` the suite is refused
+    before any matrix is built.
     """
     if max_rank < 0 or max_hidden < 0 or cases < 0:
         raise InputError("max_rank, max_hidden and cases must be >= 0")

@@ -256,7 +256,7 @@ def test_long_integer_text_is_an_input_error():
 def test_long_entry_outside_its_ring_is_named_by_a_prefix():
     # a value an error names is cut as echoed text is: up to 32 characters
     # in full ("entry 1/3 is not in Z"), past that its first 32 and its
-    # length, in the reader's ring check and in realize alike
+    # length, in the reader's ring check, in realize and in a model alike
     def matrix(ring, mix, entry):
         return {"model": {"ring": ring, "mix": mix}, "dom": 1, "cod": 1,
                 "entries": [[entry]]}
@@ -275,6 +275,11 @@ def test_long_entry_outside_its_ring_is_named_by_a_prefix():
         code, err = _check(data, lambda f: ["realize", "--matrix", f])
         assert code == 2 and err.endswith(f"{error}\n"), err
         assert len(err) < 200, len(err)
+    # a --model mix outside its ring: the selector and the value both cut
+    code, err, _ = _run(["axioms", "--model", "zmod:" + threes])
+    assert (code, err) == (2, (
+        f"input error: model 'zmod:{threes[:27]}'... (4007 characters): mix "
+        f"scalar {threes[:32]}... (4002 characters) is not in Z\n"))
 
 
 def test_long_option_text_is_echoed_as_a_prefix(monkeypatch):
