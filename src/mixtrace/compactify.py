@@ -97,8 +97,8 @@ def realize(m_mor: Mor) -> Loop:
             den = Fraction(v).denominator
             if not divides_power(den, m):
                 raise InputError(
-                    f"entry {echo(str(v), str)}: no power of the "
-                    f"mix scalar {echo(str(m), str)} clears its denominator")
+                    f"entry {echo(str(v), str)}: no power of the mix scalar "
+                    f"{echo(str(m), str)} clears its denominator")
             while power % den != 0:
                 power *= m
                 k += 1
