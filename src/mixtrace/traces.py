@@ -47,7 +47,8 @@ from .category import (UNIT, Mor, Model, Obj, canonical_map,
                        check_entry_count, compose, contract_hidden, dual_mor,
                        identity, mor_scale, obj_tensor, random_mor, regroup,
                        tensor_mor, whisker, zero_mor)
-from .errors import InputError, ModelNotCompactifiableError
+from .errors import (InputError, ModelNotCompactifiableError,
+                     ResourceLimitError)
 from .loops import (Loop, Permutation, _distinct_choices, hidden_symmetry,
                     loop_dual, morphism_tensor_loop, post_compose,
                     pre_compose, yanking_loop)
@@ -330,6 +331,8 @@ AXIOMS = ("naturality", "dinaturality", "strength", "vanishing",
           "adjointability", "yanking")
 
 _CARRIER_BOUND = 4
+# The most hidden objects an axiom suite's loops may draw.
+_HIDDEN_BOUND = 32
 # Failures of one axiom reported in full; later ones are reported as "...".
 _FAILURE_DETAIL_CAP = 10
 
@@ -419,14 +422,10 @@ def _side_repr(side) -> str:
 
 
 def _record_failure(st: AxiomStats, seed, case: int, detail: str,
-                    lhs=None, rhs=None) -> None:
-    entry = {"seed": seed, "case": case, "detail": detail}
-    if lhs is not None:
-        entry["lhs"] = _side_repr(lhs)
-    if rhs is not None:
-        entry["rhs"] = _side_repr(rhs)
-    if len(st.failures) >= _FAILURE_DETAIL_CAP:
-        entry = {"seed": seed, "case": case, "detail": "..."}
+                    lhs, rhs) -> None:
+    entry = {"seed": seed, "case": case, "detail": "..."}
+    if len(st.failures) < _FAILURE_DETAIL_CAP:
+        entry.update(detail=detail, lhs=_side_repr(lhs), rhs=_side_repr(rhs))
     st.failures.append(entry)
 
 
@@ -441,13 +440,20 @@ def run_axiom_suite(model: Model, seed: int = 0, cases: int = 1000,
     one-sided cases are tallied separately rather than failed.  The
     largest matrix, the strength loop's carrier, has max_rank^(2
     max_hidden + 4) entries; past ``ENTRY_BOUND`` the suite is refused
-    before any matrix is built.
+    before any matrix is built.  At max_rank <= 1 every matrix is 1 x 1,
+    yet each loop draws up to max_hidden hidden objects, so past
+    ``_HIDDEN_BOUND`` of them the suite is refused too.
     """
     if max_rank < 0 or max_hidden < 0 or cases < 0:
         raise InputError("max_rank, max_hidden and cases must be >= 0")
     check_entry_count(max_rank, 2 * max_hidden + 4,
                       f"an axiom suite at max_rank {max_rank} and max_hidden "
                       f"{max_hidden}")
+    if max_hidden > _HIDDEN_BOUND:
+        raise ResourceLimitError(
+            f"an axiom suite at max_hidden {max_hidden} draws loops of up to "
+            f"{max_hidden} hidden objects, more than the bound "
+            f"{_HIDDEN_BOUND}")
     report = SuiteReport(model, seed, cases, max_rank, max_hidden)
     kinds: List[Tuple[str, Callable[[Loop], TraceResult]]] = [
         ("free", free_mixed_trace)]

@@ -13,8 +13,9 @@ A zig-zag instance is one diagram whose last two edges, the bottom
 symmetry, turn the premise into the conclusion; the premise is checked as
 the edge prefix before them, with no second diagram.  Once it commutes,
 only the trees that reach the bottom symmetry can change, so the
-conclusion check re-grows just those.  An instance validates its data and
-computes its level ranks once, when it is built.  Everything of the
+conclusion re-grows just the premise trees that reach it, which the
+premise's walk names.  An instance validates its data and computes its
+level ranks once, when it is built.  Everything of the
 diagram but the hub and the fillers, which is most of its matrices,
 depends only on the instance's frame (its objects, maps and permutation):
 ``build_zigzag_frame`` builds that part, with Id (x) f (x) Id whiskered by
@@ -23,9 +24,9 @@ hub and two filler columns into it.  ``check_zigzag_instance`` builds a
 frame per instance.  A search builds one per frame it meets (base ranks
 and permutation), with its level ranks and pullback pieces, and each base
 rank's mix map and coevaluation once, and shares them within that call
-only.  Its samples fit their frames by construction, so it checks each
-as a hub and fillers in its frame and builds, and validates, only the
-witness it returns as an instance.  Every diagram is still validated.
+only.  Its samples fit their frames by construction, so it drops each
+sample's hub and fillers into its frame and builds, and validates, only
+the witness it returns as an instance.  Every diagram is still validated.
 
 The module builds on ``category`` and ``loops`` only; ``traces`` draws a
 free trace's staircase witness as a diagram and checks it here.
@@ -100,15 +101,18 @@ def diagram_commutes(d: Diagram):
     A failing edge names the tree path to v against the tree path to u
     plus e or, when v lies inside the latter, that cycle at v against the
     identity."""
-    return _check_trees(d, d.edges, range(len(d.objects)))
+    found = _check_trees(d, d.edges, range(len(d.objects)))
+    return found if isinstance(found, CounterPath) else True
 
 
-def _check_trees(d: Diagram, edges: Sequence[Edge], sources):
+def _check_trees(d: Diagram, edges: Sequence[Edge], sources, tails=()):
     """``diagram_commutes`` of the diagram with d's objects and ``edges``, a
     prefix of ``d.edges``, restricted to the trees grown from ``sources``,
-    taken in the order given.  The identity at a source stays implicit (an
-    out-edge's matrix is its own composite) until a counterexample names
-    it."""
+    taken in the order given: the first failing pair or, when every tree
+    commutes, the list of those sources whose tree holds a node of
+    ``tails``.  The identity at a source stays implicit (an out-edge's
+    matrix is its own composite) until a counterexample names it."""
+    reached = []
     adjacency: Dict[int, List[Tuple[int, Edge]]] = {}
     for idx, e in enumerate(edges):
         adjacency.setdefault(e.src, []).append((idx, e))
@@ -130,31 +134,14 @@ def _check_trees(d: Diagram, edges: Sequence[Edge], sources):
                         return _counter_pair(d, src, at_v, via, value)
                 elif value.entries != at_v[0].entries:
                     return _counter_pair(d, src, at_v, via, value)
-    return True
+        if any(t in tree for t in tails):
+            reached.append(src)
+    return reached
 
 
 def _is_identity(entries) -> bool:
     return all(row[i] == 1 and not any(row[:i]) and not any(row[i + 1:])
                for i, row in enumerate(entries))
-
-
-def _check_conclusion(whole: Diagram):
-    """``diagram_commutes(whole)`` for a diagram whose premise, all but its
-    last two edges, commutes.  A tree that never reaches the tail of one of
-    those edges never uses it and is the premise's tree, so only the
-    sources with a path to such a tail are re-grown, in ascending order:
-    the first failure is the one the full check reports."""
-    into: Dict[int, List[int]] = {}
-    for e in whole.edges:
-        into.setdefault(e.dst, []).append(e.src)
-    reach = {e.src for e in whole.edges[-2:]}
-    stack = list(reach)
-    while stack:
-        for u in into.get(stack.pop(), ()):
-            if u not in reach:
-                reach.add(u)
-                stack.append(u)
-    return _check_trees(whole, whole.edges, sorted(reach))
 
 
 def _counter_pair(d: Diagram, src: int, at_v, via: Tuple[int, ...],
@@ -320,31 +307,31 @@ def build_zigzag_diagram(model: Model, frame: Frame, hub: Obj,
 
 
 def check_zigzag_instance(inst: ZigZagInstance) -> ZigZagOutcome:
-    """Build the instance's frame (from the levels it computed once) and
-    check its hub and fillers in it."""
-    return _check_in_frame(inst.model, build_zigzag_frame(
-        inst.model, inst.upper, inst.lower, inst.down_maps, inst.up_maps,
-        inst.perm, inst.levels), inst.hub, inst.left_fillers,
-        inst.right_fillers)
+    """Build the instance's frame (from the levels it computed once), fill
+    it with the hub and fillers, and check the diagram."""
+    frame = build_zigzag_frame(inst.model, inst.upper, inst.lower,
+                               inst.down_maps, inst.up_maps, inst.perm,
+                               inst.levels)
+    return _check_zigzag(build_zigzag_diagram(
+        inst.model, frame, inst.hub, inst.left_fillers, inst.right_fillers))
 
 
-def _check_in_frame(model: Model, frame: Frame, hub: Obj,
-                    left: Sequence[Mor], right: Sequence[Mor]
-                    ) -> ZigZagOutcome:
-    """Fill the frame with the hub and fillers and check the premise, the
-    edge prefix without the bottom symmetry; if that commutes, check the
-    whole diagram by re-growing only the trees that reach the bottom
-    symmetry, which report the failure, if any, that a full check of the
-    whole diagram reports."""
-    whole = build_zigzag_diagram(model, frame, hub, left, right)
-    premise = _check_trees(whole, whole.edges[:-2],
-                           range(len(whole.objects)))
-    if premise is not True:
+def _check_zigzag(whole: Diagram) -> ZigZagOutcome:
+    """Check the premise, the edge prefix without the bottom symmetry, over
+    every source; if it commutes, re-grow over every edge just the trees
+    that held a tail of the bottom symmetry.  A path that reaches such a
+    tail reaches its first one over premise edges, so every other tree
+    never uses the bottom symmetry and stays the premise's.  Sources are
+    taken in ascending order, so the failure, if any, is the one a full
+    check of the whole diagram reports."""
+    premise = _check_trees(whole, whole.edges[:-2], range(len(whole.objects)),
+                           {e.src for e in whole.edges[-2:]})
+    if isinstance(premise, CounterPath):
         return ZigZagOutcome("premise_fails", premise)
-    conclusion = _check_conclusion(whole)
-    if conclusion is True:
-        return ZigZagOutcome("holds")
-    return ZigZagOutcome("violated", conclusion)
+    conclusion = _check_trees(whole, whole.edges, premise)
+    if isinstance(conclusion, CounterPath):
+        return ZigZagOutcome("violated", conclusion)
+    return ZigZagOutcome("holds")
 
 
 @dataclass(frozen=True)
@@ -438,8 +425,8 @@ def search_counterexample(model: Model, n: int, max_rank: int,
     Everything but a sample's hub and fillers depends only on its frame,
     the base ranks and the permutation, so each frame's levels, diagram
     frame and pullback pieces are built once per call.  A sample is
-    checked as its hub and fillers in that frame; only the violated sample
-    it returns is made an instance.
+    checked as that frame filled with its hub and fillers; only the
+    violated sample it returns is made an instance.
     """
     if n < 0 or max_rank < 1 or entry_bound < 0 or budget < 0:
         raise InputError("n must be >= 0, max_rank >= 1, entry_bound >= 0 "
@@ -488,7 +475,8 @@ def search_counterexample(model: Model, n: int, max_rank: int,
 
             left = col(levels["left"][1])
             right = col(levels["right"][1])
-        outcome = _check_in_frame(model, frame, hub, left, right)
+        outcome = _check_zigzag(build_zigzag_diagram(model, frame, hub,
+                                                     left, right))
         stats[outcome.status] += 1
         if outcome.status == "violated":
             witness = ZigZagInstance(model, upper, apex, lower, downs, ups,

@@ -7,9 +7,12 @@ and rank-0 nodes.  The verdicts must agree, and every counterexample must
 be a genuine pair: two simple paths from ``src`` to ``dst`` that compose to
 ``value_a`` and ``value_b``, which differ.
 
-A zig-zag conclusion is checked by re-growing only the trees that reach
-the bottom symmetry (``zigzag._check_conclusion``); on every instance the
-search samples it must name the pair the full check names.
+A zig-zag diagram is checked by ``zigzag._check_zigzag``: the premise over
+every source, then the conclusion by re-growing only the premise trees
+that hold a tail of the bottom symmetry.  On every diagram the search
+samples, and on the random multigraphs read as zig-zags, it must name the
+pair the full checks name, and the sources it re-grows must be the ones
+the reverse search ``sources_reaching_last_two_tails`` finds.
 """
 
 import random
@@ -20,9 +23,11 @@ from mixtrace import zigzag
 from mixtrace.category import (Model, Obj, compose, dual_mor, identity,
                                mor, mor_scale, random_mor)
 from mixtrace.rings import INTEGERS
-from mixtrace.zigzag import CounterPath, Diagram, Edge, diagram_commutes
+from mixtrace.zigzag import (CounterPath, Diagram, Edge, ZigZagOutcome,
+                             diagram_commutes)
 
-from trace_reference import diagram_commutes_by_paths
+from trace_reference import (diagram_commutes_by_paths,
+                             sources_reaching_last_two_tails)
 
 Z2 = Model(INTEGERS, 2)
 
@@ -59,19 +64,65 @@ def assert_agrees(d):
     return new, old
 
 
+def _verdict(found):
+    """``_check_trees``'s answer as ``diagram_commutes`` gives it."""
+    return found if isinstance(found, CounterPath) else True
+
+
+def _check_zigzag_regrowing(d):
+    """``zigzag._check_zigzag(d)`` and the sources its conclusion check
+    re-grows, or None when the premise fails and nothing is re-grown."""
+    grown = []
+    original = zigzag._check_trees
+
+    def record(d_, edges, sources, tails=()):
+        grown.append(list(sources))
+        return original(d_, edges, sources, tails)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(zigzag, "_check_trees", record)
+        outcome = zigzag._check_zigzag(d)
+    assert len(grown) in (1, 2)
+    return outcome, grown[1] if len(grown) == 2 else None
+
+
+def assert_zigzag_check_agrees(d):
+    """``_check_zigzag(d)`` against full checks of the premise (all but the
+    last two edges) and of the whole diagram, and the sources it re-grows
+    against the reverse search.  Returns the whole diagram's full check,
+    or None when the premise fails."""
+    outcome, regrown = _check_zigzag_regrowing(d)
+    premise = diagram_commutes(Diagram(d.model, d.objects, d.edges[:-2]))
+    if premise is not True:
+        assert (outcome, regrown) == (
+            ZigZagOutcome("premise_fails", premise), None)
+        return None
+    full = diagram_commutes(d)
+    # ZigZagOutcome equality covers the status and the whole CounterPath:
+    # src, dst, both paths and both values
+    assert outcome == (ZigZagOutcome("holds") if full is True
+                       else ZigZagOutcome("violated", full))
+    assert regrown == sources_reaching_last_two_tails(d)
+    return full
+
+
 def _search_diagrams(monkeypatch):
     """Every tree check the zig-zag search makes, as the diagram it checks
     and the sources it grows trees from: all of them for a premise, those
-    with a path to the bottom symmetry for a conclusion.  A premise is
-    checked as an edge prefix of the instance's diagram, so each check is
-    recorded as a diagram of the edges it walks, built here."""
-    seen = []
+    the premise reports for a conclusion.  A premise is checked as an edge
+    prefix of the instance's diagram, so each check is recorded as a
+    diagram of the edges it walks, built here.  Each commuting premise is
+    also recorded with its whole diagram and the sources it reports."""
+    seen, reported = [], []
     original = zigzag._check_trees
 
-    def record(d, edges, sources):
+    def record(d, edges, sources, tails=()):
         assert tuple(edges) == d.edges[:len(edges)]
         seen.append((Diagram(d.model, d.objects, edges), sources))
-        return original(d, edges, sources)
+        found = original(d, edges, sources, tails)
+        if tails and not isinstance(found, CounterPath):
+            reported.append((d, found))
+        return found
 
     monkeypatch.setattr(zigzag, "_check_trees", record)
     for mix in (0, 1, 2):
@@ -80,11 +131,11 @@ def _search_diagrams(monkeypatch):
                 zigzag.search_counterexample(Model(INTEGERS, mix), n,
                                              max_rank=2, seed=seed, budget=12)
     monkeypatch.undo()
-    return seen
+    return seen, reported
 
 
 def test_search_diagrams_agree_and_name_the_same_pair(monkeypatch):
-    checks = _search_diagrams(monkeypatch)
+    checks, reported = _search_diagrams(monkeypatch)
     failing = partial = 0
     for d, sources in checks:
         new, old = assert_agrees(d)
@@ -93,24 +144,29 @@ def test_search_diagrams_agree_and_name_the_same_pair(monkeypatch):
         assert new == old
         # and a conclusion check, which re-grows only some of the trees,
         # names the pair the full check names
-        assert zigzag._check_trees(d, d.edges, sources) == new
+        assert _verdict(zigzag._check_trees(d, d.edges, sources)) == new
         failing += new is not True
         partial += len(sources) < len(d.objects)
     assert len(checks) > 200 and 0 < failing < len(checks)
     assert partial > 0
+    # the sources a commuting premise reports are those with a path to the
+    # bottom symmetry's tails
+    for whole, sources in reported:
+        assert sources == sources_reaching_last_two_tails(whole)
+    assert len(reported) > 100
 
 
 def _sampled_diagrams(monkeypatch, mix, n, seed, budget):
     """The whole diagram of every sample the search checks: the frame it
     is checked in, filled with its hub and fillers."""
     seen = []
-    original = zigzag._check_in_frame
+    original = zigzag.build_zigzag_diagram
 
     def record(*args):
-        seen.append(zigzag.build_zigzag_diagram(*args))
-        return original(*args)
+        seen.append(original(*args))
+        return seen[-1]
 
-    monkeypatch.setattr(zigzag, "_check_in_frame", record)
+    monkeypatch.setattr(zigzag, "build_zigzag_diagram", record)
     zigzag.search_counterexample(Model(INTEGERS, mix), n, max_rank=2,
                                  seed=seed, budget=budget)
     monkeypatch.undo()
@@ -122,26 +178,23 @@ def test_partial_conclusion_check_matches_the_full_check(monkeypatch, n):
     # violations are rare in the samples at n >= 2, so each commuting
     # premise is also checked with the bottom symmetry negated, which keeps
     # the premise and mostly breaks the conclusion
-    verdicts = {True: 0, False: 0}
+    verdicts = {True: 0, False: 0, None: 0}
     for mix in (0, 1, 2):
         for seed in range(3):
             budget = 15 if n == 3 else 30
             for whole in _sampled_diagrams(monkeypatch, mix, n, seed,
                                            budget):
-                premise = whole.edges[:-2]
-                if diagram_commutes(Diagram(whole.model, whole.objects,
-                                            premise)) is not True:
+                full = assert_zigzag_check_agrees(whole)
+                if full is None:  # the premise fails
+                    verdicts[None] += 1
                     continue
+                verdicts[full is True] += 1
                 negated = tuple(Edge(e.src, e.dst, mor_scale(e.mor, -1),
                                      e.label) for e in whole.edges[-2:])
-                for d in (whole, Diagram(whole.model, whole.objects,
-                                         premise + negated)):
-                    full = diagram_commutes(d)
-                    # CounterPath equality covers src, dst, both paths and
-                    # both values
-                    assert zigzag._check_conclusion(d) == full
-                    verdicts[full is True] += 1
-    assert verdicts[True] > 0 and verdicts[False] > 0
+                full = assert_zigzag_check_agrees(Diagram(
+                    whole.model, whole.objects, whole.edges[:-2] + negated))
+                verdicts[full is True] += 1
+    assert all(verdicts.values())
 
 
 def test_two_cycle_through_the_source_names_the_oracle_pair():
@@ -213,18 +266,20 @@ def _random_multigraph(rng):
 def test_random_multigraphs_agree(seed):
     rng = random.Random(f"diagram-oracle:{seed}")
     verdicts = {True: 0, False: 0}
-    partial = 0
+    premise_fails = partial = 0
     for _ in range(250):
         d = _random_multigraph(rng)
         new, _ = assert_agrees(d)
         verdicts[new is True] += 1
-        # read the last two edges as a conclusion's: whenever the rest
-        # commutes, the partial check names the full check's pair
-        premise = Diagram(d.model, d.objects, d.edges[:-2])
-        if len(d.edges) > 2 and diagram_commutes(premise) is True:
-            assert zigzag._check_conclusion(d) == new
+        # read the last two edges as the bottom symmetry: the zig-zag check
+        # names the full checks' pairs and re-grows the reverse search's
+        # sources
+        if assert_zigzag_check_agrees(d) is None:
+            premise_fails += 1
+        elif len(d.edges) > 2:
             partial += 1
-    assert verdicts[True] > 0 and verdicts[False] > 0 and partial > 0
+    assert verdicts[True] > 0 and verdicts[False] > 0
+    assert premise_fails > 0 and partial > 0
 
 
 def test_dense_dag_commutes_and_locates_a_changed_edge():

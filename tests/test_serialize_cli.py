@@ -320,10 +320,29 @@ def test_cli_axioms_and_compactify_verify_size_bounds(monkeypatch, capsys,
                    "entries, more than the bound 1000000\n")
 
 
+@pytest.mark.parametrize("rank, hidden", [("1", "1000000000"), ("0", "33")])
+def test_cli_axioms_hidden_object_bound(monkeypatch, capsys, rank, hidden):
+    # at max_rank <= 1 every matrix is 1 x 1, so the entry bound admits any
+    # max_hidden; past 32 hidden objects the suite is refused before its
+    # first loop is drawn
+    def no_loop(*args):
+        raise AssertionError("a loop was drawn")
+
+    monkeypatch.setattr(cli.traces, "random_loop", no_loop)
+    code = cli.main(["axioms", "--model", "zmod:2", "--max-rank", rank,
+                     "--max-hidden", hidden])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err == (f"resource limit: an axiom suite at max_hidden {hidden} "
+                   f"draws loops of up to {hidden} hidden objects, more than "
+                   "the bound 32\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["axioms", "--max-rank", "3", "--max-hidden", "4"],   # 3^12 = 531441
     ["axioms", "--max-rank", "31", "--max-hidden", "0"],  # 31^4 = 923521
     ["compactify-verify", "--max-rank", "3"],             # 3^12 = 531441
+    ["axioms", "--max-rank", "1", "--max-hidden", "32"],  # 32 hidden objects
 ])
 def test_cli_size_bounds_admit_up_to_the_bound(monkeypatch, argv):
     _refuse_to_build(monkeypatch)

@@ -376,3 +376,30 @@ def test_vanishing_definedness_is_genuinely_one_sided():
     assert induced_mixed_trace(
         Loop(Z2, r1, r1, (r2,), iq.value)).value == \
         induced_mixed_trace(p).value
+
+
+@pytest.mark.parametrize("model, seed, one_sided", [
+    (Z2, 3, {109: {"free": 1, "induced": 0}}),
+    (Z0, 0, {4: {"free": 1}, 165: {"free": 1}}),
+], ids=["zmod:2", "zmod:0"])
+def test_axiom_suite_tallies_one_sided_vanishing(model, seed, one_sided):
+    # the sampler draws the one-sided Vanishing shape at m != 0 too; each
+    # case draws from its own seed, so a case's tally is the difference of
+    # the suites that stop just before and just after it
+    def tally(cases):
+        report = run_axiom_suite(model, seed=seed, cases=cases, max_rank=2,
+                                 max_hidden=2)
+        return {kind: stats["vanishing"].one_sided
+                for kind, stats in report.stats.items()}
+
+    total = dict.fromkeys(tally(0), 0)
+    for case, counts in one_sided.items():
+        assert tally(case) == total
+        total = {kind: total[kind] + counts[kind] for kind in total}
+        assert tally(case + 1) == total
+    if model.mix:
+        # zmod:2's case: hidden ranks (2, 1), A = 2, B = 1
+        p = random_loop(random.Random(f"axioms:{seed}:{max(one_sided)}"),
+                        model, 2, 2)
+        assert (p.dom.rank, p.cod.rank, [u.rank for u in p.hidden]) == \
+            (2, 1, [2, 1])

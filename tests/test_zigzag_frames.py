@@ -100,10 +100,12 @@ def _recorded_search(monkeypatch, model, n, seed, budget):
     The search makes no instance of a sample it does not return, so each
     is rebuilt here from its own draw: the objects and maps
     ``_corollary_frame`` drew for it, the permutation the search drew for
-    it, and the hub and fillers it was checked with.  That permutation
-    must be the one the sample's frame was built with."""
+    it, and the hub and fillers its diagram was built with.  That
+    permutation must be the one the sample's frame was built with, and
+    that diagram the one the sample's check was given."""
     logs = {name: [] for name in ("_corollary_frame", "Permutation",
-                                  "build_zigzag_frame", "_check_in_frame",
+                                  "build_zigzag_frame",
+                                  "build_zigzag_diagram", "_check_zigzag",
                                   "ZigZagInstance")}
     for name, log in logs.items():
         monkeypatch.setattr(zigzag, name, _recorder(getattr(zigzag, name),
@@ -111,12 +113,15 @@ def _recorded_search(monkeypatch, model, n, seed, budget):
     result = search_counterexample(model, n, max_rank=2, seed=seed,
                                    budget=budget)
     monkeypatch.undo()
-    draws, perms, frames, checks, built = logs.values()
-    assert len(draws) == len(perms) == len(checks) == result.samples
+    draws, perms, frames, diagrams, checks, built = logs.values()
+    assert (len(draws) == len(perms) == len(diagrams) == len(checks)
+            == result.samples)
     samples = []
-    for (_, draw), (_, perm), (args, outcome) in zip(draws, perms, checks):
+    for (_, draw), (_, perm), (args, whole), ((checked,), outcome) in zip(
+            draws, perms, diagrams, checks):
         _, upper, apex, lower, downs, ups = draw
         model_, frame, hub, left, right = args
+        assert checked is whole
         assert [a[5] for a, f in frames if f is frame] == [perm]
         inst = ZigZagInstance(model_, upper, apex, lower, downs, ups, perm,
                               hub, left, right)

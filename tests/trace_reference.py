@@ -23,7 +23,10 @@ built from the library's own moves.
 ``diagram_commutes_by_paths`` is the simple-path enumerator: it lists every
 simple path out of every node and compares the parallel ones.  The
 library's per-source tree check must reach the same verdict on every
-diagram.
+diagram.  ``sources_reaching_last_two_tails`` is a reverse search for the
+nodes with a path to the tail of one of a diagram's last two edges: the
+sources the library's zig-zag check re-grows, which it reads off the
+premise's trees instead.
 
 The structural maps the library computes as one ``regroup`` each are here
 as explicit index loops over multi-indices (``curry_by_loops``,
@@ -430,3 +433,22 @@ def diagram_commutes_by_paths(d: Diagram, max_paths: int = 50000):
                 if m.entries != first_m.entries:
                     return CounterPath(src, dst, first_p, pth, first_m, m)
     return True
+
+
+def sources_reaching_last_two_tails(d: Diagram) -> List[int]:
+    """The nodes, in ascending order, with a directed path over any edges
+    to the tail of one of d's last two edges (each tail itself included):
+    a reverse breadth-first search from those tails.  For a zig-zag
+    diagram these are the sources whose trees the bottom symmetry can
+    change."""
+    into: Dict[int, List[int]] = {}
+    for e in d.edges:
+        into.setdefault(e.dst, []).append(e.src)
+    reach = {e.src for e in d.edges[-2:]}
+    queue = list(reach)
+    while queue:
+        for u in into.get(queue.pop(0), ()):
+            if u not in reach:
+                reach.add(u)
+                queue.append(u)
+    return sorted(reach)
