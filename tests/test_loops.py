@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from math import factorial, prod
 
 import pytest
@@ -11,14 +12,14 @@ from mixtrace.errors import (InputError, ModelNotCompactifiableError,
                              ResourceLimitError)
 from mixtrace.loops import (Loop, Permutation, hidden_symmetry,
                             loop_compose, loop_dual, loop_tensor,
-                            morphism_loop, morphism_tensor_loop,
-                            yanking_loop)
+                            morphism_loop, yanking_loop)
 from mixtrace import traces
 from mixtrace.rings import INTEGERS, RATIONALS
 from mixtrace.traces import hidden_trace
 
 from trace_reference import (all_permutations, hide, loop_par,
-                             one_step_congruent)
+                             morphism_tensor_loop, one_step_congruent,
+                             post_compose, pre_compose)
 
 Z2 = Model(INTEGERS, 2)
 Z3 = Model(INTEGERS, 3)
@@ -91,13 +92,60 @@ def test_loop_tensor_examples():
     assert [u.rank for u in tt.hidden] == [1, 1]
 
 
-def test_tensor_extends_morphism_multiplication():
-    rng = random.Random(1)
-    for _ in range(30):
-        p = rand_loop(Z2, rng, Obj(rng.randint(1, 2)), Obj(rng.randint(1, 2)),
-                      rng.randint(0, 2))
-        f = random_mor(Z2, rng, Obj(rng.randint(1, 2)), Obj(rng.randint(1, 2)))
-        assert loop_tensor(morphism_loop(f), p) == morphism_tensor_loop(f, p)
+# Each form of a loop with morphisms, as the reference builds it on the
+# carrier and as the loop algebra builds it from morphism loops; the last
+# is the axiom suite's naturality loop g . p . f.
+MORPHISM_FORMS = {
+    "pre_compose": (
+        lambda p, f, g, h: pre_compose(p, f),
+        lambda p, f, g, h: loop_compose(p, morphism_loop(f))),
+    "post_compose": (
+        lambda p, f, g, h: post_compose(g, p),
+        lambda p, f, g, h: loop_compose(morphism_loop(g), p)),
+    "morphism_tensor_loop": (
+        lambda p, f, g, h: morphism_tensor_loop(h, p),
+        lambda p, f, g, h: loop_tensor(morphism_loop(h), p)),
+    "naturality": (
+        lambda p, f, g, h: post_compose(g, pre_compose(p, f)),
+        lambda p, f, g, h: loop_compose(morphism_loop(g),
+                                        loop_compose(p, morphism_loop(f)))),
+}
+
+
+def _entries_mor(model, rng, dom, cod):
+    """A random matrix with int entries over Z and quotients over Q."""
+    def entry():
+        v = rng.randint(-3, 3)
+        return v if model.ring == INTEGERS else Fraction(v, rng.randint(1, 4))
+    return mor(model, dom, cod,
+               [[entry() for _ in range(dom.rank)] for _ in range(cod.rank)])
+
+
+@pytest.mark.parametrize("name", list(MORPHISM_FORMS))
+@pytest.mark.parametrize("model", [Z2, Model(RATIONALS, Fraction(1, 2))],
+                         ids=["Z", "Q"])
+def test_loop_algebra_matches_the_morphism_forms(model, name):
+    # a morphism is the loop with an empty hidden part, and composing or
+    # tensoring with it is the loop algebra's own operation: hidden parts
+    # of 0-3 objects of rank 0-3, so rank 0 and 1 blocks and empty parts
+    # are all drawn
+    oracle, algebra = MORPHISM_FORMS[name]
+    rng = random.Random(f"morphism-forms:{name}")
+    drawn = set()
+    for _ in range(60):
+        hidden = tuple(Obj(rng.randint(0, 3))
+                       for _ in range(rng.randint(0, 3)))
+        size = prod(u.rank for u in hidden)
+        a, b, x, y = (Obj(rng.randint(0, 2)) for _ in range(4))
+        p = Loop(model, a, b, hidden, _entries_mor(
+            model, rng, Obj(a.rank * size), Obj(b.rank * size)))
+        f = _entries_mor(model, rng, x, a)
+        g = _entries_mor(model, rng, b, y)
+        h = _entries_mor(model, rng, x, y)
+        assert algebra(p, f, g, h) == oracle(p, f, g, h)
+        drawn.add(f"k={min(len(hidden), 1)}")
+        drawn.update(f"rank {u.rank}" for u in hidden)
+    assert drawn == {"k=0", "k=1", "rank 0", "rank 1", "rank 2", "rank 3"}
 
 
 def test_loop_tensor_associative():

@@ -18,7 +18,10 @@ those are, through the unit test ``is_unit``; the library never asks.
 ``loop_par``, ``hide`` and ``one_step_congruent`` are loop operations
 the library itself never needs: the cotensor through duality, moving an
 endpoint factor into the hidden part, and the one-step congruence test
-built from the library's own moves.
+built from the library's own moves.  ``pre_compose``, ``post_compose``
+and ``morphism_tensor_loop`` compose and tensor a loop with a morphism
+directly on its carrier; the library builds the same loops as
+``loop_compose`` and ``loop_tensor`` with a ``morphism_loop``.
 
 ``diagram_commutes_by_paths`` is the simple-path enumerator: it lists every
 simple path out of every node and compares the parallel ones.  The
@@ -42,10 +45,10 @@ from fractions import Fraction
 from math import prod
 from typing import Dict, List, Sequence, Tuple
 
-from mixtrace.category import (Model, Mor, Obj, canonical_map, compose,
-                               curry, dual_mor, factor_permutation, identity,
-                               mor_scale, obj_tensor, tensor_mor, uncurry,
-                               zero_mor)
+from mixtrace.category import (UNIT, Model, Mor, Obj, canonical_map,
+                               compose, curry, dual_mor, factor_permutation,
+                               identity, mor_scale, obj_tensor, tensor_mor,
+                               uncurry, whisker, zero_mor)
 from mixtrace.compactify import _one_step_moves, _require_comparable
 from mixtrace.errors import InputError, ResourceLimitError
 from mixtrace.loops import (Loop, Permutation, hidden_symmetry, loop_dual,
@@ -83,6 +86,32 @@ def hide(p: Loop, new_dom: Obj, v: Obj) -> Loop:
             f"hide: codomain rank {p.cod.rank} not divisible by {v.rank}")
     new_cod = Obj(p.cod.rank // v.rank)
     return Loop(p.model, new_dom, new_cod, (v,) + p.hidden, p.carrier)
+
+
+def pre_compose(p: Loop, f: Mor) -> Loop:
+    """p . f for a morphism f into p's source endpoint."""
+    if f.cod != p.dom or f.model != p.model:
+        raise InputError("pre_compose: shape or model mismatch")
+    return Loop(p.model, f.dom, p.cod, p.hidden,
+                compose(p.carrier, whisker(UNIT, f, Obj(p.hidden_size))))
+
+
+def post_compose(g: Mor, p: Loop) -> Loop:
+    """g . p for a morphism g out of p's target endpoint."""
+    if g.dom != p.cod or g.model != p.model:
+        raise InputError("post_compose: shape or model mismatch")
+    return Loop(p.model, p.dom, g.cod, p.hidden,
+                compose(whisker(UNIT, g, Obj(p.hidden_size)), p.carrier))
+
+
+def morphism_tensor_loop(f: Mor, p: Loop) -> Loop:
+    """Multiplication by a morphism: the loop with carrier
+    distributivity . (f (x) carrier) and the same hidden part.  The
+    distributivity is the identity reindexing of the flattening."""
+    if f.model != p.model:
+        raise InputError("morphism_tensor_loop: model mismatch")
+    return Loop(p.model, obj_tensor(f.dom, p.dom), obj_tensor(f.cod, p.cod),
+                p.hidden, tensor_mor(f, p.carrier))
 
 
 def one_step_congruent(p: Loop, q: Loop) -> bool:
