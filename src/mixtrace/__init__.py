@@ -11,9 +11,7 @@ from .compactify import (c_tr, comix, congruent, localized_model, loop_value,
 from .errors import (InputError, ModelNotCompactifiableError,
                      ResourceLimitError)
 from .loops import (Loop, Permutation, hidden_symmetry, loop_compose,
-                    loop_dual, loop_tensor, morphism_loop,
-                    morphism_tensor_loop, post_compose, pre_compose,
-                    yanking_loop)
+                    loop_dual, loop_tensor, morphism_loop, yanking_loop)
 from .rings import (INTEGERS, RATIONALS, RingTag, localized_integers,
                     parse_value, ring_contains)
 from .traces import (StaircaseWitness, TraceResult, free_mixed_trace,

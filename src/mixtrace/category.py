@@ -174,8 +174,11 @@ def tensor_mor(f: Mor, g: Mor) -> Mor:
 
 def whisker(pre: Obj, f: Mor, post: Obj) -> Mor:
     """Id_pre (x) f (x) Id_post, with f's nonzero entries copied into their
-    blocks: row (a, r, b) carries f's row r at the columns (a, c, b)."""
+    blocks: row (a, r, b) carries f's row r at the columns (a, c, b).
+    Between identities of rank 1 that is f itself."""
     p, q = pre.rank, post.rank
+    if p == q == 1:
+        return f
     fd = f.dom.rank
     width = p * fd * q
     nonzero = [[(c * q, v) for c, v in enumerate(row) if v]

@@ -108,10 +108,11 @@ def loop_compose(q: Loop, p: Loop) -> Loop:
     hv = q.hidden_size
     lift_p = whisker(UNIT, p.carrier, Obj(hv))
     # q (x) Id_U: B(x)V(x)U -> C par V par U, with both sides regrouped to
-    # put U before V
-    lift_q = regroup(whisker(UNIT, q.carrier, Obj(hu)),
-                     [q.cod.rank, hv, hu], [q.dom.rank, hv, hu],
-                     [0, 2, 1], [3, 5, 4])
+    # put U before V; swapping a block of size 1 moves no entry
+    lift_q = whisker(UNIT, q.carrier, Obj(hu))
+    if hu != 1 and hv != 1:
+        lift_q = regroup(lift_q, [q.cod.rank, hv, hu], [q.dom.rank, hv, hu],
+                         [0, 2, 1], [3, 5, 4])
     return Loop(p.model, p.dom, q.cod, p.hidden + q.hidden,
                 compose(lift_q, lift_p))
 
@@ -123,11 +124,13 @@ def loop_tensor(p: Loop, q: Loop) -> Loop:
         raise InputError("loops belong to different models")
     hu, hv = p.hidden_size, q.hidden_size
     # the times_rule shuffle (B par U)(x)(D par V) -> (B(x)D) par U par V
-    # on the codomain, its inverse on the domain
-    carrier = regroup(tensor_mor(p.carrier, q.carrier),
-                      [p.cod.rank, hu, q.cod.rank, hv],
-                      [p.dom.rank, hu, q.dom.rank, hv],
-                      [0, 2, 1, 3], [4, 6, 5, 7])
+    # on the codomain, its inverse on the domain; it moves no entry when U
+    # has size 1
+    carrier = tensor_mor(p.carrier, q.carrier)
+    if hu != 1:
+        carrier = regroup(carrier, [p.cod.rank, hu, q.cod.rank, hv],
+                          [p.dom.rank, hu, q.dom.rank, hv],
+                          [0, 2, 1, 3], [4, 6, 5, 7])
     return Loop(p.model, obj_tensor(p.dom, q.dom), obj_tensor(p.cod, q.cod),
                 p.hidden + q.hidden, carrier)
 
@@ -136,32 +139,6 @@ def loop_dual(p: Loop) -> Loop:
     """Involutive duality: transpose the carrier and swap the endpoints;
     every object is its own dual."""
     return Loop(p.model, p.cod, p.dom, p.hidden, dual_mor(p.carrier))
-
-
-def pre_compose(p: Loop, f: Mor) -> Loop:
-    """p . f for a morphism f into p's source endpoint."""
-    if f.cod != p.dom or f.model != p.model:
-        raise InputError("pre_compose: shape or model mismatch")
-    return Loop(p.model, f.dom, p.cod, p.hidden,
-                compose(p.carrier, whisker(UNIT, f, Obj(p.hidden_size))))
-
-
-def post_compose(g: Mor, p: Loop) -> Loop:
-    """g . p for a morphism g out of p's target endpoint."""
-    if g.dom != p.cod or g.model != p.model:
-        raise InputError("post_compose: shape or model mismatch")
-    return Loop(p.model, p.dom, g.cod, p.hidden,
-                compose(whisker(UNIT, g, Obj(p.hidden_size)), p.carrier))
-
-
-def morphism_tensor_loop(f: Mor, p: Loop) -> Loop:
-    """Multiplication by a morphism: the loop with carrier
-    distributivity . (f (x) carrier) and the same hidden part.  The
-    distributivity is the identity reindexing of the flattening."""
-    if f.model != p.model:
-        raise InputError("morphism_tensor_loop: model mismatch")
-    return Loop(p.model, obj_tensor(f.dom, p.dom), obj_tensor(f.cod, p.cod),
-                p.hidden, tensor_mor(f, p.carrier))
 
 
 def hidden_symmetry(p: Loop, alpha: Permutation) -> Loop:

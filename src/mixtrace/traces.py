@@ -50,8 +50,8 @@ from .category import (UNIT, Mor, Model, Obj, canonical_map,
 from .errors import (InputError, ModelNotCompactifiableError,
                      ResourceLimitError)
 from .loops import (Loop, Permutation, _distinct_choices, hidden_symmetry,
-                    loop_dual, morphism_tensor_loop, post_compose,
-                    pre_compose, yanking_loop)
+                    loop_compose, loop_dual, loop_tensor, morphism_loop,
+                    yanking_loop)
 from .rings import Number, ring_contains
 from .zigzag import Diagram, Edge
 
@@ -482,8 +482,9 @@ def run_axiom_suite(model: Model, seed: int = 0, cases: int = 1000,
         alpha = Permutation(tuple(alpha_images))
         yank_rank = Obj(rng.randint(0, max_rank))
         # p's derived loops serve every kind; these two only once needed
-        natural = cache(lambda: post_compose(g_out, pre_compose(p, f_in)))
-        strong = cache(lambda: morphism_tensor_loop(f_str, p))
+        natural = cache(lambda: loop_compose(
+            morphism_loop(g_out), loop_compose(p, morphism_loop(f_in))))
+        strong = cache(lambda: loop_tensor(morphism_loop(f_str), p))
         swapped, dual = hidden_symmetry(p, alpha), loop_dual(p)
 
         for kind, trace_of in kinds:

@@ -20,8 +20,7 @@ from mixtrace.compactify import loop_value, verify_compactness
 from mixtrace.errors import ModelNotCompactifiableError
 from mixtrace.loops import (Loop, Permutation, hidden_symmetry,
                             loop_compose, loop_dual, loop_tensor,
-                            morphism_tensor_loop, post_compose, pre_compose,
-                            yanking_loop)
+                            morphism_loop, yanking_loop)
 from mixtrace.rings import INTEGERS, RATIONALS
 from mixtrace.serialize import dumps, loop_to_json
 from mixtrace.traces import (free_mixed_trace, hidden_trace,
@@ -173,13 +172,15 @@ def test_criterion_7_congruence_soundness():
             assert one_step_congruent(p, q)
             f = random_mor(model, rng, Obj(rng.randint(0, 2)), p.dom)
             g = random_mor(model, rng, p.cod, Obj(rng.randint(0, 2)))
-            lhs = post_compose(g, pre_compose(p, f))
-            rhs = post_compose(g, pre_compose(q, f))
+            lhs = loop_compose(morphism_loop(g),
+                               loop_compose(p, morphism_loop(f)))
+            rhs = loop_compose(morphism_loop(g),
+                               loop_compose(q, morphism_loop(f)))
             assert loop_value(lhs) == loop_value(rhs)
-            h = random_mor(model, rng, Obj(rng.randint(0, 2)),
-                           Obj(rng.randint(0, 2)))
-            assert loop_value(morphism_tensor_loop(h, p)) == \
-                loop_value(morphism_tensor_loop(h, q))
+            h = morphism_loop(random_mor(model, rng, Obj(rng.randint(0, 2)),
+                                         Obj(rng.randint(0, 2))))
+            assert loop_value(loop_tensor(h, p)) == \
+                loop_value(loop_tensor(h, q))
             r = random_loop(rng, model, 2, 1)
             assert loop_value(loop_tensor(p, r)) == \
                 loop_value(loop_tensor(q, r))

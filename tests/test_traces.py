@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -322,6 +323,39 @@ def test_axiom_failures_name_both_sides(monkeypatch):
         assert (failure["lhs"], failure["rhs"]) == (lhs, "[2 0; 0 2]")
 
 
+def _carrier_doubled(build):
+    """``build`` with the carrier of the loop it returns doubled."""
+    def wrong(p, *rest):
+        q = build(p, *rest)
+        return q and replace(q, carrier=mor_scale(q.carrier, 2))
+    return wrong
+
+
+@pytest.mark.parametrize("name, wrong, axiom", [
+    ("compose", lambda build: lambda g, f: mor_scale(build(g, f), 2),
+     "naturality"),
+    ("hidden_symmetry", _carrier_doubled, "dinaturality"),
+    ("tensor_mor", lambda build: lambda f, g: mor_scale(build(f, g), 2),
+     "strength"),
+    ("hidden_trace", _carrier_doubled, "vanishing"),
+    ("dual_mor", lambda build: lambda f: mor_scale(build(f), 2),
+     "adjointability"),
+])
+def test_axiom_suite_fails_where_a_comparison_is_wrong(monkeypatch, name,
+                                                       wrong, axiom):
+    # each map one axiom compares through, made wrong, fails that axiom
+    # alone, for both trace kinds, from the first case on, with the
+    # mismatch record naming both sides
+    monkeypatch.setattr(traces, name, wrong(getattr(traces, name)))
+    report = run_axiom_suite(Z2, seed=0, cases=20, max_rank=2, max_hidden=2)
+    failed = {(kind, ax): st.failures[0] for kind, axs in report.stats.items()
+              for ax, st in axs.items() if st.failures}
+    assert set(failed) == {("free", axiom), ("induced", axiom)}
+    for first in failed.values():
+        assert (first["case"], first["detail"]) == (0, f"{axiom} mismatch")
+        assert first["lhs"] != first["rhs"]
+
+
 @pytest.mark.parametrize("model", [Z0, Z2], ids=["zmod:0", "zmod:2"])
 def test_axiom_suite_builds_shared_loops_once(monkeypatch, model):
     # the yanking loop depends only on the rank, so a suite builds and
@@ -329,7 +363,7 @@ def test_axiom_suite_builds_shared_loops_once(monkeypatch, model):
     # derives from p serve every kind; each case still counts its own
     # yanking check
     calls = {"yanking_loop": 0, "hidden_symmetry": 0, "loop_dual": 0,
-             "post_compose": 0, "morphism_tensor_loop": 0}
+             "loop_compose": 0, "loop_tensor": 0}
 
     def counted(name):
         build = getattr(traces, name)
@@ -347,7 +381,10 @@ def test_axiom_suite_builds_shared_loops_once(monkeypatch, model):
     assert 0 < calls["yanking_loop"] <= (2 + 1) * kinds
     assert calls["hidden_symmetry"] == calls["loop_dual"] == 60
     defined = max(report.defined_cases.values())
-    assert calls["post_compose"] == calls["morphism_tensor_loop"] == defined
+    # the naturality loop g . p . f takes two compositions, the strength
+    # loop f (x) p one tensor
+    assert calls["loop_compose"] == 2 * defined
+    assert calls["loop_tensor"] == defined
     for stats in report.stats.values():
         assert stats["yanking"].checked == 60
     if model.mix == 0:
