@@ -32,7 +32,9 @@ from .traces import _divide_by_mix
 
 
 def localized_model(model: Model) -> Model:
-    """The model over the base ring with the mix scalar inverted."""
+    """The model over the base ring with the mix scalar inverted.  Over
+    Z[1/M] a mix p/q has q dividing a power of M, so inverting it inverts
+    p: the ring is Z[1/lcm(M, |p|)], with M = 1 over Z."""
     m = model.mix
     if m == 0:
         raise ModelNotCompactifiableError(
@@ -40,12 +42,8 @@ def localized_model(model: Model) -> Model:
     ring = model.ring
     if ring.kind == "Q":
         return Model(RATIONALS, m)
-    scale = abs(int(m)) if Fraction(m).denominator == 1 else None
-    if scale is None:
-        raise InputError("mix scalar of an integral ring must be an integer")
-    if ring.kind == "Z":
-        return Model(localized_integers(scale), m)
-    return Model(localized_integers(lcm(ring.m, scale)), m)
+    return Model(localized_integers(
+        lcm(ring.m or 1, abs(Fraction(m).numerator))), m)
 
 
 def loop_value(p: Loop, target: Optional[Model] = None) -> Mor:

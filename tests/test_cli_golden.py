@@ -58,6 +58,14 @@ FILES = {
     "k4.json": _loop(Z2, 1, 1, [2] * 4,
                      [[8 * ((i + 2 * j + i * j) % 7 - 3) for j in range(16)]
                       for i in range(16)]),
+    # a mix that is not an integer: localizing at 1/2 inverts 1 and keeps
+    # Z[1/2]
+    "half.json": _loop({"ring": {"Zloc": 2}, "mix": "1/2"}, 1, 1, [1],
+                       [["3/4"]]),
+    # m = 0: no induced trace
+    "zero.json": _loop(Z0, 1, 1, [1], [[0]]),
+    # 3/2 is not in Z: no free trace
+    "odd.json": _loop(Z2, 1, 1, [1], [[3]]),
     # over Q every stage divides; the witness fillers hold n/9 entries
     "q-witness.json": _loop(Q3, 2, 3, [2, 1],
                             [[1, 2, -1, 4], [0, 5, 2, 1], [7, -2, 1, 0],
@@ -133,6 +141,19 @@ CASES = [
     ("trace-free-witness-q", 0,
      "trace --mode free --loop q-witness.json --witness",
      "25a2be6c7b7cfe4b52da63d27abacf3c89ce8a99eb3da68bb60287c829c19b3c"),
+    # {"congruent": true, "mode": "semantic"}
+    ("congruent-semantic-fractional-mix", 0,
+     "congruent --mode semantic --left half.json --right half.json",
+     "40b86ae1b4bc7e2f563896874a2c57b64be54164929f23818fb678e5b87101fd"),
+    # {"error": "the induced trace needs a nonzero mix scalar",
+    #  "status": "error"}
+    ("trace-induced-zero-mix", 1,
+     "trace --mode induced --loop zero.json",
+     "da934b167527f3af15354496b0cd6a5237e0aa82868ad92e874431487d50ce37"),
+    # {"status": "undefined"}
+    ("trace-free-expect-defined-undefined", 1,
+     "trace --mode free --loop odd.json --expect-defined",
+     "da06eecf5cfab8a5a01a75eae204afc00412ccec3b982ed0e0949ca4eb39daed"),
 ]
 
 

@@ -45,6 +45,17 @@ def test_localizing_keeps_the_zloc_parameter():
     assert localized_model(localized_model(z6)).ring.m == 6
 
 
+def test_localizing_a_fractional_mix_inverts_its_numerator():
+    # over Z[1/M] a mix p/q has q dividing a power of M, so inverting it
+    # inverts p: Z[1/lcm(M, |p|)]
+    for m, ring in ((Fraction(1, 2), 2), (Fraction(-3, 4), 6),
+                    (Fraction(5, 8), 10)):
+        model = Model(localized_integers(2), m)
+        assert localized_model(model).ring.m == ring
+        p = Loop(model, r1, r1, (r1,), mor(model, r1, r1, [[3]]))
+        assert loop_value(p).entries == ((3 / m,),)
+
+
 def test_loop_value_examples():
     six = Loop(Z2, r1, r1, (r1,), mor(Z2, r1, r1, [[6]]))
     assert loop_value(six).entries == ((3,),)
@@ -296,6 +307,15 @@ def test_verify_compactness():
         verify_compactness(Z0, max_rank=-1)
 
 
+def _doubled_over_the_base(build):
+    """``build`` with its result doubled when its first argument lies over
+    the base model Z2 rather than its localization."""
+    def wrong(f, *rest):
+        value = build(f, *rest)
+        return mor_scale(value, 2) if f.model == Z2 else value
+    return wrong
+
+
 @pytest.mark.parametrize("name, wrong, failures", [
     ("loop_tensor", lambda build: lambda p, q: build(q, p),
      [("values-functorial", "tensor of values fails at sample 5")]),
@@ -314,7 +334,26 @@ def test_verify_compactness():
     ("compose", lambda build: lambda g, f: mor_scale(build(g, f), 2),
      [("comix-inverts-mix", "comix fails at ranks 1,1"),
       ("values-functorial", "composition of values fails at sample 4")]),
-], ids=["loop_tensor", "dual_mor", "realize", "identity", "compose"])
+    # every morphism embeds as zero: the first two unequal samples embed
+    # equal, and so do comix's inverse and the mix map
+    ("c_tr", lambda build: lambda f, target=None: mor_scale(build(f, target),
+                                                            0),
+     [("comix-inverts-mix", "comix fails at ranks 1,1"),
+      ("embedding-faithful", "faithfulness fails at sample 3")]),
+    # wrong over the base ring only, so only the embedding's side differs
+    ("compose", _doubled_over_the_base,
+     [("embedding-structure-preserving", "composition not preserved")]),
+    ("tensor_mor", _doubled_over_the_base,
+     [("embedding-structure-preserving", "tensor not preserved")]),
+    ("dual_mor", _doubled_over_the_base,
+     [("embedding-structure-preserving", "duality not preserved")]),
+    # the lifted carrier m^j f, doubled, traces back to 2f
+    ("mor_scale", lambda build: lambda f, c: build(f, 2 * c),
+     [("morphism-classes-trace-back",
+       "congruent-to-morphism trace fails at 1")]),
+], ids=["loop_tensor", "dual_mor", "realize", "identity", "compose", "c_tr",
+        "compose_over_the_base", "tensor_over_the_base",
+        "dual_over_the_base", "mor_scale"])
 def test_verify_compactness_fails_where_a_map_is_wrong(monkeypatch, name,
                                                        wrong, failures):
     # each map the checks compare through, made wrong, fails exactly the
