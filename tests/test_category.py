@@ -13,12 +13,17 @@ from mixtrace.category import (Model, Obj, UNIT, canonical_map, compose,
                                uncurry, validate_coherence, whisker,
                                zero_mor)
 from mixtrace.errors import InputError, ResourceLimitError
-from mixtrace.rings import INTEGERS, RATIONALS
+from mixtrace.loops import (Loop, Permutation, hidden_symmetry, loop_compose,
+                            loop_tensor, morphism_loop, yanking_loop)
+from mixtrace.rings import INTEGERS, RATIONALS, RingTag
+from mixtrace.zigzag import Diagram, Edge, ZigZagInstance
 
 from trace_reference import is_compact
 
 Z2 = Model(INTEGERS, 2)
+Z3 = Model(INTEGERS, 3)
 Q1 = Model(RATIONALS, 1)
+r1, r2 = Obj(1), Obj(2)
 
 entry = st.integers(-6, 6)
 
@@ -272,15 +277,20 @@ def _doubled_at(build, hit):
     return wrong
 
 
+def _kind_at(kind, *ranks):
+    """A ``hit`` for canonical_map: the structure map ``kind`` at these
+    object ranks."""
+    return lambda k, params: (k, [o.rank for o in params]) == (kind,
+                                                             list(ranks))
+
+
 @pytest.mark.parametrize("name, hit, failures", [
     ("factor_permutation",
      lambda dims, pos_map: (list(dims), list(pos_map)) == ([1, 2, 2, 1],
                                                            [0, 2, 1, 3]),
      [("shuffle-composition-orders",
        "times rule disagrees with direct permutation")]),
-    ("canonical_map",
-     lambda kind, params: (kind == "times_rule"
-                           and [o.rank for o in params] == [2, 1, 1, 2]),
+    ("canonical_map", _kind_at("times_rule", 2, 1, 1, 2),
      [("shuffle-composition-orders",
        "composition orders disagree at 1,2,2,1")]),
     ("identity", lambda a: a.rank == 8,
@@ -288,7 +298,35 @@ def _doubled_at(build, hit):
       ("currying-triangle", "currying triangle fails at 2,2,2,2"),
       ("shuffle-composition-orders",
        "composition orders disagree at 2,2,2,1")]),
-], ids=["factor_permutation", "times_rule", "identity"])
+    ("canonical_map", _kind_at("symmetry", 1, 1),
+     [("dual-ev-coev-symmetry", "ev symmetry fails at rank 1"),
+      ("mix-map-definition", "mixed symmetry fails at 1,1"),
+      ("distributivities-vs-bijection",
+       "right distributivity fails at 1,1,1"),
+      ("shuffle-composition-orders",
+       "composition orders disagree at 1,1,1,1")]),
+    ("canonical_map", _kind_at("par_symmetry", 1, 1),
+     [("dual-ev-coev-symmetry", "coev symmetry fails at rank 1"),
+      ("mix-map-definition", "mixed symmetry fails at 1,1"),
+      ("distributivities-vs-bijection",
+       "right distributivity fails at 1,1,1"),
+      ("shuffle-composition-orders",
+       "composition orders disagree at 1,1,1,1")]),
+    # at 1,1,1 both sides of each triangle double, so the second triangle
+    # fails first at 1,1,2
+    ("canonical_map", _kind_at("mix_map", 1, 1),
+     [("mix-map-definition", "mix map composite fails at 1,1"),
+      ("mix-distributivity-triangles", "second triangle fails at 1,1,2")]),
+    ("canonical_map", _kind_at("distributivity", 1, 1, 1),
+     [("mix-distributivity-triangles", "first triangle fails at 1,1,1"),
+      ("currying-triangle", "currying triangle fails at 1,2,1,1"),
+      ("shuffle-composition-orders",
+       "composition orders disagree at 1,1,1,1")]),
+    ("canonical_map", _kind_at("right_distributivity", 1, 1, 1),
+     [("distributivities-vs-bijection",
+       "right distributivity fails at 1,1,1")]),
+], ids=["factor_permutation", "times_rule", "identity", "symmetry",
+        "par_symmetry", "mix_map", "distributivity", "right_distributivity"])
 def test_validate_coherence_fails_where_a_structure_map_is_wrong(
         monkeypatch, name, hit, failures):
     # one structure map made wrong at one shape fails exactly the checks
@@ -359,3 +397,70 @@ def test_validate_size_bound_admits_up_to_the_bound(monkeypatch):
     _refuse_to_build(monkeypatch)
     with pytest.raises(_Built):
         validate_coherence(Z2, 5)
+
+
+def _zigzag(**changed):
+    """A well-formed one-factor zig-zag instance over Z2, with the given
+    fields changed."""
+    one = identity(Z2, r1)
+    fields = dict(model=Z2, upper=(r1,), apex=(r1,), lower=(r1,),
+                  down_maps=(one,), up_maps=(one,), perm=Permutation((0,)),
+                  hub=r1, left_fillers=(one, one), right_fillers=(one, one))
+    fields.update(changed)
+    return ZigZagInstance(**fields)
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: mor(Z2, r2, r2, [[1, 2]]), "expected 2 rows, got 1",
+                 id="mor-rows"),
+    pytest.param(lambda: mor(Z2, r2, r1, [[1]]), "expected 2 columns, got 1",
+                 id="mor-columns"),
+    pytest.param(lambda: mor(Z2, r1, r1, [["1"]]),
+                 "matrix entries must be int or Fraction, got str",
+                 id="mor-entry"),
+    pytest.param(lambda: Obj(-1), "object rank must be a non-negative",
+                 id="obj"),
+    pytest.param(lambda: contract_hidden(identity(Z2, r2), r1, r1, (Obj(3),)),
+                 "contract_hidden: shape mismatch", id="contract_hidden"),
+    pytest.param(lambda: Permutation((1, 0)).apply("abc"),
+                 "permutation size mismatch", id="permutation-apply"),
+    pytest.param(lambda: hidden_symmetry(yanking_loop(Z2, r1),
+                                         Permutation((1, 0))),
+                 "permutation size does not match the hidden part",
+                 id="hidden_symmetry"),
+    pytest.param(lambda: Loop(Z2, r1, r1, (), identity(Z3, r1)),
+                 "carrier belongs to a different model", id="loop-carrier"),
+    pytest.param(lambda: loop_compose(morphism_loop(identity(Z3, r1)),
+                                      morphism_loop(identity(Z2, r1))),
+                 "loops belong to different models", id="loop_compose"),
+    pytest.param(lambda: loop_tensor(morphism_loop(identity(Z3, r1)),
+                                     morphism_loop(identity(Z2, r1))),
+                 "loops belong to different models", id="loop_tensor"),
+    pytest.param(lambda: Diagram(Z2, (r1, r1),
+                                 (Edge(0, 1, identity(Z3, r1), "f"),)),
+                 "edge 'f' is in the wrong model", id="diagram-model"),
+    pytest.param(lambda: Diagram(Z2, (r2, r1),
+                                 (Edge(0, 1, identity(Z2, r1), "f"),)),
+                 "edge 'f': domain rank 1 != node rank 2",
+                 id="diagram-domain"),
+    pytest.param(lambda: _zigzag(upper=(r1, r1)), "tuple lengths disagree",
+                 id="zigzag-lengths"),
+    pytest.param(lambda: _zigzag(perm=Permutation((1, 0))),
+                 "permutation size disagrees with the tuples",
+                 id="zigzag-permutation"),
+    pytest.param(lambda: _zigzag(up_maps=(identity(Z2, r2),)),
+                 "up map 0 has the wrong shape", id="zigzag-up-map"),
+    pytest.param(lambda: _zigzag(left_fillers=(identity(Z2, r1),
+                                               identity(Z2, r2))),
+                 "left filler 1 has the wrong shape", id="zigzag-filler"),
+    pytest.param(lambda: RingTag("R"), "unknown ring kind 'R'",
+                 id="ring-kind"),
+    pytest.param(lambda: RingTag("Zloc", 0),
+                 "localization requires an integer m >= 1",
+                 id="ring-zloc-parameter"),
+    pytest.param(lambda: RingTag("Z", 2), "ring 'Z' takes no parameter",
+                 id="ring-parameter"),
+])
+def test_constructors_refuse_malformed_input(build, message):
+    with pytest.raises(InputError, match=re.escape(message)):
+        build()

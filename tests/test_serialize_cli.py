@@ -487,6 +487,10 @@ LOOP = {"model": {"ring": "Z", "mix": "2"}, "A": 1, "B": 1, "hidden": [1],
                     "entries": [["2"]]}}
 MATRIX = {"model": {"ring": {"Zloc": 2}, "mix": "2"}, "dom": 1, "cod": 1,
           "entries": [["3/4"]]}
+Z3_JSON = {"ring": "Z", "mix": "3"}
+# the option that names each verb's input file
+FILE_OPTION = {"trace": "--loop", "realize": "--matrix",
+               "zigzag-check": "--instance", "congruent": "--left"}
 
 
 def changed(base, path, value):
@@ -546,22 +550,53 @@ def changed(base, path, value):
     ("validate", None, ("--model",), "zmod:2\n"),
     ("trace", LOOP, ("model", "mix"), "\u0662"),
     ("trace", LOOP, ("carrier", "entries"), [[" 3 "]]),
+    # model selectors without a colon or of an unknown kind
+    ("validate", None, ("--model",), "zmod2"),
+    ("validate", None, ("--model",), "zfoo:2"),
+    ("validate", None, ("--max-rank",), "0"),
+    # a mix that is not a string, a list field that is not a list, an edge
+    # to a node past the objects
+    ("trace", LOOP, ("model", "mix"), 2),
+    ("trace", LOOP, ("hidden",), 1),
+    ("zigzag-check", DIAGRAM, ("edges",),
+     [{"src": 0, "dst": 2, "label": "f", "entries": [["1"]]}]),
+    # whole files: absent, not JSON, generators not {"loops": [...]}, and
+    # a right loop whose endpoints or model differ from the left one's
+    ("trace", LOOP, ("--loop", "loop.json"), None),
+    ("trace", LOOP, ("--loop", "line 1, column 11"), '{"model": }'),
+    ("congruent", LOOP, ("--generators", "loops"), {"loops": 5}),
+    ("congruent", LOOP, ("--right", "different endpoints"),
+     dict(LOOP, A=2, carrier=dict(LOOP["carrier"], dom=2,
+                                  entries=[["2", "0"]]))),
+    ("congruent", LOOP, ("--right", "different models"),
+     dict(LOOP, model=Z3_JSON, carrier=dict(LOOP["carrier"],
+                                            model=Z3_JSON))),
 ])
-def test_cli_rejects_bad_input(tmp_path, verb, base, path, value):
-    if verb == "congruent":
-        target = write(tmp_path, "in.json", base)
-        argv = [verb, "--left", target, "--right", target, path[0], value]
-    elif base is None:
+def test_cli_rejects_bad_input(tmp_path, capsys, verb, base, path, value):
+    # a row changes an option, or a field of the verb's input file, and
+    # the error names the option or the field; a row whose path is a file
+    # option and then the text its error carries gives that file whole:
+    # JSON, raw text when a str, and no file at all when None
+    if base is None:
         argv = [verb, "--model", "zmod:2", path[0], value]
     else:
-        target = write(tmp_path, "in.json", changed(base, path, value))
-        flag = {"trace": "--loop", "realize": "--matrix",
-                "zigzag-check": "--instance"}[verb]
-        argv = [verb, flag, target] + (["--mode", "free"]
-                                       if verb == "trace" else [])
-    code, _, err = run_cli(*argv)
+        files = {FILE_OPTION[verb]: base}
+        if verb == "congruent":
+            files["--right"] = base
+        argv = [verb] + (["--mode", "free"] if verb == "trace" else [])
+        if not path[0].startswith("--"):
+            files[FILE_OPTION[verb]] = changed(base, path, value)
+        elif len(path) == 1:
+            argv += [path[0], value]
+        else:
+            files[path[0]] = value
+        for option, content in files.items():
+            name = f"{option.lstrip('-')}.json"
+            argv += [option, str(tmp_path / name) if content is None
+                     else write(tmp_path, name, content)]
+    code = cli.main(argv)
+    err = capsys.readouterr().err
     assert code == 2 and err.startswith("input error:"), (code, err)
-    assert "Traceback" not in err
     assert path[-1].lstrip("-").replace("-", "_") in err, err
 
 
