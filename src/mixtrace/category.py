@@ -22,14 +22,13 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from math import prod
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from .errors import InputError, ResourceLimitError
-from .rings import Number, RingTag, echo, format_value, ring_contains
+from .rings import Number, RingTag, Value, echo, format_value, ring_contains
 
 
 def _canon(x) -> Number:
@@ -43,32 +42,54 @@ def _canon(x) -> Number:
     raise InputError(f"matrix entries must be int or Fraction, got {type(x).__name__}")
 
 
-@dataclass(frozen=True)
-class Model:
+class Model(Value):
     """A matrix model: a base ring together with the mix scalar m."""
 
-    ring: RingTag
-    mix: Number
+    __slots__ = ("ring", "mix")
+
+    def __init__(self, ring: RingTag, mix: Number):
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "mix", _canon(mix))
+        self.__post_init__()
 
     def __post_init__(self):
-        object.__setattr__(self, "mix", _canon(self.mix))
         if not ring_contains(self.ring, self.mix):
             raise InputError(f"mix scalar {echo(str(self.mix), str)} is not "
                              f"in {self.ring}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (
+            (self.ring, self.mix) == (other.ring, other.mix))
+
+    def __hash__(self):
+        return hash((self.ring, self.mix))
 
     def __str__(self):
         return f"({self.ring}, mix={format_value(self.mix)})"
 
 
-@dataclass(frozen=True)
-class Obj:
+class Obj(Value):
     """An object of the strict self-dual model: a non-negative rank."""
 
-    rank: int
+    __slots__ = ("rank",)
+
+    def __init__(self, rank: int):
+        object.__setattr__(self, "rank", rank)
+        self.__post_init__()
 
     def __post_init__(self):
         if not isinstance(self.rank, int) or self.rank < 0:
             raise InputError("object rank must be a non-negative integer")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.rank == other.rank
+
+    def __hash__(self):
+        return hash(self.rank)
 
 
 UNIT = Obj(1)  # the monoidal unit; the dualizing object has the same rank
@@ -78,8 +99,7 @@ def obj_tensor(*objs: Obj) -> Obj:
     return Obj(prod(o.rank for o in objs))
 
 
-@dataclass(frozen=True)
-class Mor:
+class Mor(Value):
     """An exact matrix with declared endpoint ranks, cod.rank rows by
     dom.rank columns, row-major.
 
@@ -88,10 +108,15 @@ class Mor:
     to entries of that ring.  Only the shape is checked here.
     """
 
-    model: Model
-    dom: Obj
-    cod: Obj
-    entries: Tuple[Tuple[Number, ...], ...]
+    __slots__ = ("model", "dom", "cod", "entries")
+
+    def __init__(self, model: Model, dom: Obj, cod: Obj,
+                 entries: Tuple[Tuple[Number, ...], ...]):
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "dom", dom)
+        object.__setattr__(self, "cod", cod)
+        object.__setattr__(self, "entries", entries)
+        self.__post_init__()
 
     def __post_init__(self):
         if len(self.entries) != self.cod.rank:
@@ -101,6 +126,16 @@ class Mor:
             if len(row) != self.dom.rank:
                 raise InputError(
                     f"expected {self.dom.rank} columns, got {len(row)}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (
+            (self.model, self.dom, self.cod, self.entries)
+            == (other.model, other.dom, other.cod, other.entries))
+
+    def __hash__(self):
+        return hash((self.model, self.dom, self.cod, self.entries))
 
 
 def mor(model: Model, dom: Obj, cod: Obj, rows: Iterable[Iterable[Number]]) -> Mor:
@@ -348,20 +383,18 @@ def random_mor(model: Model, rng: random.Random, dom: Obj, cod: Obj,
     return Mor(model, dom, cod, rows)
 
 
-@dataclass
 class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
+    def __init__(self, name: str, passed: bool, detail: str = ""):
+        self.name, self.passed, self.detail = name, passed, detail
 
     def to_dict(self):
         return {"name": self.name, "passed": self.passed, "detail": self.detail}
 
 
-@dataclass
 class ValidationReport:
-    description: str
-    checks: List[CheckResult] = field(default_factory=list)
+    def __init__(self, description: str):
+        self.description = description
+        self.checks: List[CheckResult] = []
 
     @property
     def ok(self) -> bool:

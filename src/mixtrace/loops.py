@@ -11,23 +11,25 @@ relabellings of a congruence step and the free-trace search use it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
 from typing import List, Sequence, Tuple
 
 from .category import (UNIT, Mor, Model, Obj, canonical_map, compose,
                        dual_mor, obj_tensor, regroup, tensor_mor, whisker)
 from .errors import InputError
+from .rings import Value
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(Value):
     """A bijection on {0..k-1}, stored as the image list."""
 
-    images: Tuple[int, ...]
+    __slots__ = ("images",)
+
+    def __init__(self, images: Sequence[int]):
+        object.__setattr__(self, "images", tuple(images))
+        self.__post_init__()
 
     def __post_init__(self):
-        object.__setattr__(self, "images", tuple(self.images))
         if sorted(self.images) != list(range(len(self.images))):
             raise InputError(f"not a permutation: {self.images}")
 
@@ -51,18 +53,21 @@ class Permutation:
         return tuple(seq[i] for i in self.images)
 
 
-@dataclass(frozen=True)
-class Loop:
+class Loop(Value):
     """A carrier morphism with declared endpoints and hidden objects."""
 
-    model: Model
-    dom: Obj
-    cod: Obj
-    hidden: Tuple[Obj, ...]
-    carrier: Mor
+    __slots__ = ("model", "dom", "cod", "hidden", "carrier")
+
+    def __init__(self, model: Model, dom: Obj, cod: Obj,
+                 hidden: Sequence[Obj], carrier: Mor):
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "dom", dom)
+        object.__setattr__(self, "cod", cod)
+        object.__setattr__(self, "hidden", tuple(hidden))
+        object.__setattr__(self, "carrier", carrier)
+        self.__post_init__()
 
     def __post_init__(self):
-        object.__setattr__(self, "hidden", tuple(self.hidden))
         h = prod(u.rank for u in self.hidden)
         if self.carrier.model != self.model:
             raise InputError("carrier belongs to a different model")
@@ -74,6 +79,18 @@ class Loop:
             raise InputError(
                 f"carrier codomain rank {self.carrier.cod.rank} != "
                 f"{self.cod.rank} * {h}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (
+            (self.model, self.dom, self.cod, self.hidden, self.carrier)
+            == (other.model, other.dom, other.cod, other.hidden,
+                other.carrier))
+
+    def __hash__(self):
+        return hash((self.model, self.dom, self.cod, self.hidden,
+                     self.carrier))
 
     @property
     def k(self) -> int:

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import attrgetter
 from typing import Optional, Union
 
 from .errors import InputError, ResourceLimitError
@@ -28,12 +28,47 @@ _SCALAR_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 _ECHO_CHARS = 32
 
 
-@dataclass(frozen=True)
-class RingTag:
+class Value:
+    """An immutable record, compared, hashed and shown field by field.  A
+    subclass names its fields in ``__slots__`` (and in ``_fields`` when a
+    slot holds a derived value), sets them in its ``__init__`` through
+    ``object.__setattr__`` and checks them in ``__post_init__``.  A type
+    whose ``==`` is hot spells it out on its fields."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = getattr(cls, "_fields", cls.__slots__)
+        cls._values = attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._values(self) == self._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}"
+                          for name in self._fields)
+        return f"{type(self).__name__}({shown})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+
+class RingTag(Value):
     """Names one of the supported rings; ``m`` is set for "Zloc" only."""
 
-    kind: str
-    m: Optional[int] = None
+    __slots__ = ("kind", "m")
+
+    def __init__(self, kind: str, m: Optional[int] = None):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "m", m)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.kind not in ("Z", "Q", "Zloc"):

@@ -37,7 +37,6 @@ more often in general.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, partial
 from math import prod
@@ -52,7 +51,7 @@ from .errors import (InputError, ModelNotCompactifiableError,
 from .loops import (Loop, Permutation, _distinct_choices, hidden_symmetry,
                     loop_compose, loop_dual, loop_tensor, morphism_loop,
                     yanking_loop)
-from .rings import Number, ring_contains
+from .rings import Number, Value, ring_contains
 from .zigzag import Diagram, Edge
 
 DEFINED = "defined"
@@ -60,21 +59,27 @@ UNDEFINED = "undefined"
 AMBIGUOUS = "ambiguous"
 
 
-@dataclass(frozen=True)
-class StaircaseWitness:
+class StaircaseWitness(Value):
     """The solved staircase: the final map psi out of the unit, plus the
     stage fillers, one per hidden object."""
 
-    psi: Mor
-    fillers: Tuple[Mor, ...]
+    __slots__ = ("psi", "fillers")
+
+    def __init__(self, psi: Mor, fillers: Tuple[Mor, ...]):
+        object.__setattr__(self, "psi", psi)
+        object.__setattr__(self, "fillers", fillers)
 
 
-@dataclass(frozen=True)
-class TraceResult:
-    status: str
-    value: Optional[Mor] = None
-    alpha: Optional[Permutation] = None
-    witness: Optional[StaircaseWitness] = None
+class TraceResult(Value):
+    __slots__ = ("status", "value", "alpha", "witness")
+
+    def __init__(self, status: str, value: Optional[Mor] = None,
+                 alpha: Optional[Permutation] = None,
+                 witness: Optional[StaircaseWitness] = None):
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "witness", witness)
 
     @property
     def is_defined(self) -> bool:
@@ -337,12 +342,10 @@ _HIDDEN_BOUND = 32
 _FAILURE_DETAIL_CAP = 10
 
 
-@dataclass
 class AxiomStats:
-    checked: int = 0
-    skipped_undefined: int = 0
-    one_sided: int = 0
-    failures: List[dict] = field(default_factory=list)
+    def __init__(self):
+        self.checked = self.skipped_undefined = self.one_sided = 0
+        self.failures: List[dict] = []
 
     def to_dict(self):
         return {
@@ -353,16 +356,14 @@ class AxiomStats:
         }
 
 
-@dataclass
 class SuiteReport:
-    model: Model
-    seed: int
-    cases: int
-    max_rank: int
-    max_hidden: int
-    stats: Dict[str, Dict[str, AxiomStats]] = field(default_factory=dict)
-    defined_cases: Dict[str, int] = field(default_factory=dict)
-    notes: List[str] = field(default_factory=list)
+    def __init__(self, model: Model, seed: int, cases: int, max_rank: int,
+                 max_hidden: int):
+        self.model, self.seed, self.cases = model, seed, cases
+        self.max_rank, self.max_hidden = max_rank, max_hidden
+        self.stats: Dict[str, Dict[str, AxiomStats]] = {}
+        self.defined_cases: Dict[str, int] = {}
+        self.notes: List[str] = []
 
     @property
     def total_failures(self) -> int:

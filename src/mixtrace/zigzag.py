@@ -35,7 +35,6 @@ free trace's staircase witness as a diagram and checks it here.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from math import prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -45,25 +44,30 @@ from .category import (Mor, Model, Obj, canonical_map, check_entry_count,
                        zero_mor)
 from .errors import InputError, ResourceLimitError
 from .loops import Permutation
+from .rings import Value
 
 
-@dataclass(frozen=True)
-class Edge:
-    src: int
-    dst: int
-    mor: Mor
-    label: str = ""
+class Edge(Value):
+    __slots__ = ("src", "dst", "mor", "label")
+
+    def __init__(self, src: int, dst: int, mor: Mor, label: str = ""):
+        object.__setattr__(self, "src", src)
+        object.__setattr__(self, "dst", dst)
+        object.__setattr__(self, "mor", mor)
+        object.__setattr__(self, "label", label)
 
 
-@dataclass(frozen=True)
-class Diagram:
-    model: Model
-    objects: Tuple[Obj, ...]
-    edges: Tuple[Edge, ...]
+class Diagram(Value):
+    __slots__ = ("model", "objects", "edges")
+
+    def __init__(self, model: Model, objects: Sequence[Obj],
+                 edges: Sequence[Edge]):
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "objects", tuple(objects))
+        object.__setattr__(self, "edges", tuple(edges))
+        self.__post_init__()
 
     def __post_init__(self):
-        object.__setattr__(self, "objects", tuple(self.objects))
-        object.__setattr__(self, "edges", tuple(self.edges))
         n = len(self.objects)
         for e in self.edges:
             if not (0 <= e.src < n and 0 <= e.dst < n):
@@ -80,17 +84,20 @@ class Diagram:
                     f"node rank {self.objects[e.dst].rank}")
 
 
-@dataclass(frozen=True)
-class CounterPath:
+class CounterPath(Value):
     """Two parallel paths (as edge index sequences) with unequal
     composites."""
 
-    src: int
-    dst: int
-    path_a: Tuple[int, ...]
-    path_b: Tuple[int, ...]
-    value_a: Mor
-    value_b: Mor
+    __slots__ = ("src", "dst", "path_a", "path_b", "value_a", "value_b")
+
+    def __init__(self, src: int, dst: int, path_a: Tuple[int, ...],
+                 path_b: Tuple[int, ...], value_a: Mor, value_b: Mor):
+        object.__setattr__(self, "src", src)
+        object.__setattr__(self, "dst", dst)
+        object.__setattr__(self, "path_a", path_a)
+        object.__setattr__(self, "path_b", path_b)
+        object.__setattr__(self, "value_a", value_a)
+        object.__setattr__(self, "value_b", value_b)
 
 
 def diagram_commutes(d: Diagram):
@@ -160,8 +167,7 @@ def _counter_pair(d: Diagram, src: int, at_v, via: Tuple[int, ...],
     return CounterPath(v, v, (), cycle, ident, value)
 
 
-@dataclass(frozen=True)
-class ZigZagInstance:
+class ZigZagInstance(Value):
     """The data of one contractible zig-zag check.
 
     ``down_maps[i]``: upper_i -> apex_i and ``up_maps[i]``: lower_i ->
@@ -171,24 +177,29 @@ class ZigZagInstance:
     permutation.
     """
 
-    model: Model
-    upper: Tuple[Obj, ...]
-    apex: Tuple[Obj, ...]
-    lower: Tuple[Obj, ...]
-    down_maps: Tuple[Mor, ...]
-    up_maps: Tuple[Mor, ...]
-    perm: Permutation
-    hub: Obj
-    left_fillers: Tuple[Mor, ...]
-    right_fillers: Tuple[Mor, ...]
-    # level_ranks of the objects and permutation, computed once here
-    levels: Dict[str, Tuple[List[int], List[int]]] = field(
-        init=False, compare=False, repr=False)
+    _fields = ("model", "upper", "apex", "lower", "down_maps", "up_maps",
+               "perm", "hub", "left_fillers", "right_fillers")
+    # levels: level_ranks of the objects and permutation, computed once
+    __slots__ = _fields + ("levels",)
+
+    def __init__(self, model: Model, upper: Sequence[Obj],
+                 apex: Sequence[Obj], lower: Sequence[Obj],
+                 down_maps: Sequence[Mor], up_maps: Sequence[Mor],
+                 perm: Permutation, hub: Obj, left_fillers: Sequence[Mor],
+                 right_fillers: Sequence[Mor]):
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "upper", tuple(upper))
+        object.__setattr__(self, "apex", tuple(apex))
+        object.__setattr__(self, "lower", tuple(lower))
+        object.__setattr__(self, "down_maps", tuple(down_maps))
+        object.__setattr__(self, "up_maps", tuple(up_maps))
+        object.__setattr__(self, "perm", perm)
+        object.__setattr__(self, "hub", hub)
+        object.__setattr__(self, "left_fillers", tuple(left_fillers))
+        object.__setattr__(self, "right_fillers", tuple(right_fillers))
+        self.__post_init__()
 
     def __post_init__(self):
-        for name in ("upper", "apex", "lower", "down_maps", "up_maps",
-                     "left_fillers", "right_fillers"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
         n = len(self.upper)
         if not (len(self.apex) == len(self.lower) == len(self.down_maps)
                 == len(self.up_maps) == n):
@@ -233,10 +244,14 @@ def level_ranks(upper: Sequence[Obj], apex: Sequence[Obj],
     return out
 
 
-@dataclass(frozen=True)
-class ZigZagOutcome:
-    status: str  # "premise_fails" | "holds" | "violated"
-    counter: Optional[CounterPath] = None
+class ZigZagOutcome(Value):
+    """``status`` is "premise_fails", "holds" or "violated"."""
+
+    __slots__ = ("status", "counter")
+
+    def __init__(self, status: str, counter: Optional[CounterPath] = None):
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "counter", counter)
 
 
 # A frame: the objects below the hub and the edges in diagram order, each
@@ -334,12 +349,15 @@ def _check_zigzag(whole: Diagram) -> ZigZagOutcome:
     return ZigZagOutcome("holds")
 
 
-@dataclass(frozen=True)
-class SearchResult:
-    status: str  # "violated" | "none_found"
-    instance: Optional[ZigZagInstance]
-    stats: Dict[str, int]
-    samples: int
+class SearchResult(Value):
+    __slots__ = ("status", "instance", "stats", "samples")
+
+    def __init__(self, status: str, instance: Optional[ZigZagInstance],
+                 stats: Dict[str, int], samples: int):
+        object.__setattr__(self, "status", status)  # "violated" | "none_found"
+        object.__setattr__(self, "instance", instance)
+        object.__setattr__(self, "stats", stats)
+        object.__setattr__(self, "samples", samples)
 
 
 def _corollary_frame(model: Model, rng: random.Random, n: int,

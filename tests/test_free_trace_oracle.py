@@ -4,7 +4,6 @@ one, and one of hidden parts that are mostly rank 1, where the search takes
 equal objects of rank <= 1 in their given order only."""
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 from math import prod
 
@@ -15,7 +14,8 @@ from mixtrace.loops import Loop, hidden_symmetry
 from mixtrace.rings import (INTEGERS, RATIONALS, localized_integers,
                             ring_contains)
 from mixtrace.serialize import dumps, trace_result_to_json
-from mixtrace.traces import free_mixed_trace, staircase_diagram
+from mixtrace.traces import (StaircaseWitness, free_mixed_trace,
+                             staircase_diagram)
 from mixtrace.zigzag import diagram_commutes
 
 from trace_reference import free_trace_by_orderings, is_unit
@@ -174,7 +174,7 @@ def test_free_trace_witness_commutes():
             i = rng.choice(full)
             fillers = list(w.fillers)
             fillers[i] = _nudged(fillers[i], rng)
-            broken = replace(w, fillers=tuple(fillers))
+            broken = StaircaseWitness(w.psi, tuple(fillers))
             assert diagram_commutes(staircase_diagram(aligned, broken)) \
                 is not True
             nudged += 1

@@ -1,10 +1,15 @@
 """The modules of ``mixtrace`` form one chain, each importing only from
-modules below it, and every import sits at module level; every export and
-every definition in ``src`` is used by some module of ``src``; no cache
-outlives a call, except the CLI's parser; no test module imports a name it
-never uses."""
+modules below it, and every import sits at module level; no module imports
+``dataclasses``, and importing the CLI loads neither it nor ``inspect``;
+every export and every definition in ``src`` is used by some module of
+``src``; no cache outlives a call, except the CLI's parser; no test module
+imports a name it never uses."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -53,6 +58,42 @@ def test_no_import_inside_a_function(name):
              for node in ast.walk(fn)
              if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert not inner, f"{name} imports inside a function at lines {inner}"
+
+
+def _imported_modules(tree):
+    """The top-level name of every module an ``import`` or an absolute
+    ``from ... import`` names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            yield node.module.split(".")[0]
+
+
+@pytest.mark.parametrize("name", MODULES + ["__init__"])
+def test_no_module_imports_dataclasses(name):
+    # ``dataclasses`` pulls in ``inspect``, ``ast``, ``dis`` and ``tokenize``
+    # and builds its methods with ``exec``: tens of milliseconds at the
+    # start of every CLI process.  The value types are slotted classes.
+    assert "dataclasses" not in set(_imported_modules(_tree(name)))
+
+
+HEAVY = ("dataclasses", "inspect")
+
+
+def _loaded_by(code):
+    """Which of HEAVY a fresh interpreter has loaded after ``code``, with
+    ``src`` on its path."""
+    probe = f"{code}\nimport json, sys\n" \
+            f"print(json.dumps([m for m in {HEAVY!r} if m in sys.modules]))"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    return set(json.loads(out))
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    assert _loaded_by("import mixtrace.cli") <= _loaded_by("pass")
 
 
 def _loaded_in_src():

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -327,7 +326,8 @@ def _carrier_doubled(build):
     """``build`` with the carrier of the loop it returns doubled."""
     def wrong(p, *rest):
         q = build(p, *rest)
-        return q and replace(q, carrier=mor_scale(q.carrier, 2))
+        return q and Loop(q.model, q.dom, q.cod, q.hidden,
+                          mor_scale(q.carrier, 2))
     return wrong
 
 

@@ -40,7 +40,6 @@ permutation matrices (``hidden_symmetry_by_conjugation``,
 """
 
 import itertools
-from dataclasses import replace
 from fractions import Fraction
 from math import prod
 from typing import Dict, List, Sequence, Tuple
@@ -144,10 +143,8 @@ def provisional_trace(p: Loop, want_witness: bool = False) -> TraceResult:
     k = p.k
     pf = pairing_form(p)
     if k == 0:
-        res = defined(_value_from_column(p, pf.entries))
-        if want_witness:
-            res = replace(res, witness=StaircaseWitness(pf, ()))
-        return res
+        witness = StaircaseWitness(pf, ()) if want_witness else None
+        return defined(_value_from_column(p, pf.entries), witness=witness)
 
     ba = p.cod.rank * p.dom.rank
     if m == 0:
@@ -185,7 +182,7 @@ def free_trace_by_orderings(p, want_witness=False):
         if r.status == AMBIGUOUS:
             saw_ambiguous = True
         elif r.is_defined:
-            return replace(r, alpha=alpha)
+            return defined(r.value, alpha, r.witness)
     return ambiguous() if saw_ambiguous else undefined()
 
 
