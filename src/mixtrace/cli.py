@@ -87,6 +87,9 @@ def cmd_trace(args) -> int:
 
 
 def cmd_congruent(args) -> int:
+    mode, colon, depth_text = args.mode.partition(":")
+    if args.generators is not None and mode != "bounded":
+        raise InputError("--generators is read only by --mode bounded")
     left = serialize.loop_from_json(load_json_file(args.left), args.left)
     right = serialize.loop_from_json(load_json_file(args.right), args.right)
     generators = ()
@@ -98,7 +101,6 @@ def cmd_congruent(args) -> int:
         generators = tuple(
             serialize.loop_from_json(item, f"{args.generators}.loops[{i}]")
             for i, item in enumerate(raw))
-    mode, colon, depth_text = args.mode.partition(":")
     if args.mode == "semantic":
         verdict = congruent(left, right, mode="semantic")
     elif mode == "bounded":

@@ -274,8 +274,11 @@ def diagram_from_json(data, where: str = "diagram") -> Diagram:
                          f"{where}.edges[{i}].src")
         dst = _int_field(_need(e, "dst", f"{where}.edges[{i}]"),
                          f"{where}.edges[{i}].dst")
-        if src >= len(objects) or dst >= len(objects):
-            raise FileFormatError(f"{where}.edges[{i}]: bad node index")
+        for end, node in (("src", src), ("dst", dst)):
+            if node >= len(objects):
+                raise FileFormatError(
+                    f"{where}.edges[{i}].{end}: node {node}, but the diagram "
+                    f"has {len(objects)} objects")
         f = _bare_matrix_from_json(_need(e, "entries", f"{where}.edges[{i}]"),
                                    model, objects[src], objects[dst],
                                    f"{where}.edges[{i}].entries")

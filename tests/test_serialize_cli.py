@@ -88,6 +88,29 @@ def test_diagram_roundtrip():
     assert diagram_from_json(diagram_to_json(d)) == d
 
 
+@pytest.mark.parametrize("end, node", [("src", 3), ("dst", 2)])
+def test_diagram_node_index_past_the_objects(end, node):
+    data = {"model": {"ring": "Z", "mix": "2"}, "objects": [1, 1],
+            "edges": [{"src": 0, "dst": 1, "entries": [["1"]]}]}
+    data["edges"][0][end] = node
+    with pytest.raises(FileFormatError) as info:
+        diagram_from_json(data)
+    assert str(info.value) == (f"diagram.edges[0].{end}: node {node}, but "
+                               f"the diagram has 2 objects")
+
+
+@pytest.mark.parametrize("mode", [None, "semantic", "semantic:junk"])
+def test_cli_refuses_generators_outside_bounded_mode(tmp_path, capsys,
+                                                     mode):
+    # refused before any file is read: none of the three files exists
+    missing = str(tmp_path / "missing.json")
+    argv = ["congruent", "--left", missing, "--right", missing,
+            "--generators", missing] + (["--mode", mode] if mode else [])
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == (
+        "input error: --generators is read only by --mode bounded\n")
+
+
 def write(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(dumps(payload) if not isinstance(payload, str)
@@ -558,13 +581,12 @@ def changed(base, path, value):
     # to a node past the objects
     ("trace", LOOP, ("model", "mix"), 2),
     ("trace", LOOP, ("hidden",), 1),
-    ("zigzag-check", DIAGRAM, ("edges",),
-     [{"src": 0, "dst": 2, "label": "f", "entries": [["1"]]}]),
-    # whole files: absent, not JSON, generators not {"loops": [...]}, and
+    ("zigzag-check", DIAGRAM, ("edges", 0, "dst"), 2),
+    # whole files: absent, not JSON, generators outside --mode bounded, and
     # a right loop whose endpoints or model differ from the left one's
     ("trace", LOOP, ("--loop", "loop.json"), None),
     ("trace", LOOP, ("--loop", "line 1, column 11"), '{"model": }'),
-    ("congruent", LOOP, ("--generators", "loops"), {"loops": 5}),
+    ("congruent", LOOP, ("--generators", "--mode bounded"), {"loops": []}),
     ("congruent", LOOP, ("--right", "different endpoints"),
      dict(LOOP, A=2, carrier=dict(LOOP["carrier"], dom=2,
                                   entries=[["2", "0"]]))),
