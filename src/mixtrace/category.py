@@ -58,10 +58,9 @@ class Model(Value):
                              f"in {self.ring}")
 
     def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or (
-            (self.ring, self.mix) == (other.ring, other.mix))
+        if other.__class__ is self.__class__:
+            return (self.ring, self.mix) == (other.ring, other.mix)
+        return NotImplemented
 
     def __hash__(self):
         return hash((self.ring, self.mix))
@@ -84,9 +83,9 @@ class Obj(Value):
             raise InputError("object rank must be a non-negative integer")
 
     def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.rank == other.rank
+        if other.__class__ is self.__class__:
+            return self.rank == other.rank
+        return NotImplemented
 
     def __hash__(self):
         return hash(self.rank)
@@ -128,11 +127,11 @@ class Mor(Value):
                     f"expected {self.dom.rank} columns, got {len(row)}")
 
     def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or (
-            (self.model, self.dom, self.cod, self.entries)
-            == (other.model, other.dom, other.cod, other.entries))
+        if other.__class__ is self.__class__:
+            return self is other or (
+                (self.model, self.dom, self.cod, self.entries)
+                == (other.model, other.dom, other.cod, other.entries))
+        return NotImplemented
 
     def __hash__(self):
         return hash((self.model, self.dom, self.cod, self.entries))

@@ -81,12 +81,12 @@ class Loop(Value):
                 f"{self.cod.rank} * {h}")
 
     def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or (
-            (self.model, self.dom, self.cod, self.hidden, self.carrier)
-            == (other.model, other.dom, other.cod, other.hidden,
-                other.carrier))
+        if other.__class__ is self.__class__:
+            return self is other or (
+                (self.model, self.dom, self.cod, self.hidden, self.carrier)
+                == (other.model, other.dom, other.cod, other.hidden,
+                    other.carrier))
+        return NotImplemented
 
     def __hash__(self):
         return hash((self.model, self.dom, self.cod, self.hidden,

@@ -42,9 +42,9 @@ class Value:
         cls._values = attrgetter(*cls._fields)
 
     def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or self._values(self) == self._values(other)
+        if other.__class__ is self.__class__:
+            return self is other or self._values(self) == self._values(other)
+        return NotImplemented
 
     def __hash__(self):
         return hash(self._values(self))
