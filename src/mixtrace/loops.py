@@ -12,7 +12,7 @@ relabellings of a congruence step and the free-trace search use it.
 from __future__ import annotations
 
 from math import prod
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 from .category import (UNIT, Mor, Model, Obj, canonical_map, compose,
                        dual_mor, obj_tensor, regroup, tensor_mor, whisker)
