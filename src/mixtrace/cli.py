@@ -90,6 +90,10 @@ def cmd_congruent(args) -> int:
     mode, colon, depth_text = args.mode.partition(":")
     if args.generators is not None and mode != "bounded":
         raise InputError("--generators is read only by --mode bounded")
+    if mode != "bounded" and args.mode != "semantic":
+        raise InputError(f"unknown congruence mode {echo(args.mode)}")
+    if colon and not (depth_text.isascii() and depth_text.isdigit()):
+        raise InputError(f"bad bounded depth {echo(depth_text)}")
     left = serialize.loop_from_json(load_json_file(args.left), args.left)
     right = serialize.loop_from_json(load_json_file(args.right), args.right)
     generators = ()
@@ -101,16 +105,12 @@ def cmd_congruent(args) -> int:
         generators = tuple(
             serialize.loop_from_json(item, f"{args.generators}.loops[{i}]")
             for i, item in enumerate(raw))
-    if args.mode == "semantic":
+    if mode == "semantic":
         verdict = congruent(left, right, mode="semantic")
-    elif mode == "bounded":
-        if colon and not (depth_text.isascii() and depth_text.isdigit()):
-            raise InputError(f"bad bounded depth {echo(depth_text)}")
-        depth = int(depth_text) if colon else 4
-        verdict = congruent(left, right, mode="bounded", depth=depth,
-                            generators=generators)
     else:
-        raise InputError(f"unknown congruence mode {echo(args.mode)}")
+        verdict = congruent(left, right, mode="bounded",
+                            depth=int(depth_text) if colon else 4,
+                            generators=generators)
     _emit({"mode": args.mode,
            "congruent": verdict if verdict is not None else "unknown"})
     return 0 if verdict is True else 1

@@ -86,8 +86,8 @@ def realize(m_mor: Mor) -> Loop:
     if ring.kind != "Zloc":
         raise InputError("realize expects a matrix over a localized ring")
     if not isinstance(m, int) or m == 0:
-        raise ModelNotCompactifiableError(
-            "realize needs a nonzero integer mix scalar")
+        error = ModelNotCompactifiableError if m == 0 else InputError
+        raise error("realize needs a nonzero integer mix scalar")
     k = 0
     power = 1
     for row in m_mor.entries:

@@ -30,16 +30,15 @@ _ECHO_CHARS = 32
 
 class Value:
     """An immutable record, compared, hashed and shown field by field.  A
-    subclass names its fields in ``__slots__`` (and in ``_fields`` when a
-    slot holds a derived value), sets them in its ``__init__`` through
-    ``object.__setattr__`` and checks them in ``__post_init__``.  A type
-    whose ``==`` is hot spells it out on its fields."""
+    subclass names its fields in ``__slots__``, sets them in its
+    ``__init__`` through ``object.__setattr__`` and checks them in
+    ``__post_init__``.  A type whose ``==`` is hot spells it out on its
+    fields."""
 
     __slots__ = ()
 
     def __init_subclass__(cls):
-        cls._fields = getattr(cls, "_fields", cls.__slots__)
-        cls._values = attrgetter(*cls._fields)
+        cls._values = attrgetter(*cls.__slots__)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -51,7 +50,7 @@ class Value:
 
     def __repr__(self):
         shown = ", ".join(f"{name}={getattr(self, name)!r}"
-                          for name in self._fields)
+                          for name in self.__slots__)
         return f"{type(self).__name__}({shown})"
 
     def __setattr__(self, name, value=None):

@@ -282,7 +282,11 @@ def diagram_from_json(data, where: str = "diagram") -> Diagram:
         f = _bare_matrix_from_json(_need(e, "entries", f"{where}.edges[{i}]"),
                                    model, objects[src], objects[dst],
                                    f"{where}.edges[{i}].entries")
-        edges.append(Edge(src, dst, f, e.get("label", "")))
+        label = e.get("label", "")
+        if not isinstance(label, str):
+            raise FileFormatError(
+                f"{where}.edges[{i}].label: expected a string")
+        edges.append(Edge(src, dst, f, label))
     return Diagram(model, objects, edges)
 
 

@@ -14,19 +14,18 @@ symmetry, turn the premise into the conclusion; the premise is checked as
 the edge prefix before them, with no second diagram.  Once it commutes,
 only the trees that reach the bottom symmetry can change, so the
 conclusion re-grows just the premise trees that reach it, which the
-premise's walk names.  An instance validates its data and computes its
-level ranks once, when it is built.  Everything of the
-diagram but the hub and the fillers, which is most of its matrices,
-depends only on the instance's frame (its objects, maps and permutation):
-``build_zigzag_frame`` builds that part, with Id (x) f (x) Id whiskered by
-block copy (``category.whisker``), and ``build_zigzag_diagram`` drops a
-hub and two filler columns into it.  ``check_zigzag_instance`` builds a
-frame per instance.  A search builds one per frame it meets (base ranks
-and permutation), with its level ranks and pullback pieces, and each base
-rank's mix map and coevaluation once, and shares them within that call
-only.  Its samples fit their frames by construction, so it drops each
-sample's hub and fillers into its frame and builds, and validates, only
-the witness it returns as an instance.  Every diagram is still validated.
+premise's walk names.  Everything of the diagram but the hub and the
+fillers, which is most of its matrices, depends only on the instance's
+objects, maps and permutation: ``build_zigzag_frame`` builds that part,
+the frame, with Id (x) f (x) Id whiskered by block copy
+(``category.whisker``), and ``build_zigzag_diagram`` drops a hub and two
+filler columns into it.  An instance keeps only its fields, and
+``check_zigzag_instance`` derives its level ranks and frame.  A search's
+samples are mix/coevaluation instances whose base ranks and permutation,
+the shape, fix all but the hub and fillers: it builds each shape it meets
+once per call (``_corollary_shape``), drops each sample's hub and fillers
+into the shape's frame, and builds, and validates, only the witness it
+returns as an instance.  Every diagram is still validated.
 
 The module builds on ``category`` and ``loops`` only; ``traces`` draws a
 free trace's staircase witness as a diagram and checks it here.
@@ -177,10 +176,8 @@ class ZigZagInstance(Value):
     permutation.
     """
 
-    _fields = ("model", "upper", "apex", "lower", "down_maps", "up_maps",
-               "perm", "hub", "left_fillers", "right_fillers")
-    # levels: level_ranks of the objects and permutation, computed once
-    __slots__ = _fields + ("levels",)
+    __slots__ = ("model", "upper", "apex", "lower", "down_maps", "up_maps",
+                 "perm", "hub", "left_fillers", "right_fillers")
 
     def __init__(self, model: Model, upper: Sequence[Obj],
                  apex: Sequence[Obj], lower: Sequence[Obj],
@@ -215,7 +212,6 @@ class ZigZagInstance(Value):
             if g.dom != self.lower[i] or g.cod != self.apex[i]:
                 raise InputError(f"up map {i} has the wrong shape")
         levels = level_ranks(self.upper, self.apex, self.lower, self.perm)
-        object.__setattr__(self, "levels", levels)
         for side, fillers in (("left", self.left_fillers),
                               ("right", self.right_fillers)):
             for k, f in enumerate(fillers):
@@ -322,11 +318,11 @@ def build_zigzag_diagram(model: Model, frame: Frame, hub: Obj,
 
 
 def check_zigzag_instance(inst: ZigZagInstance) -> ZigZagOutcome:
-    """Build the instance's frame (from the levels it computed once), fill
-    it with the hub and fillers, and check the diagram."""
+    """Build the instance's frame, fill it with the hub and fillers, and
+    check the diagram."""
+    levels = level_ranks(inst.upper, inst.apex, inst.lower, inst.perm)
     frame = build_zigzag_frame(inst.model, inst.upper, inst.lower,
-                               inst.down_maps, inst.up_maps, inst.perm,
-                               inst.levels)
+                               inst.down_maps, inst.up_maps, inst.perm, levels)
     return _check_zigzag(build_zigzag_diagram(
         inst.model, frame, inst.hub, inst.left_fillers, inst.right_fillers))
 
@@ -360,52 +356,59 @@ class SearchResult(Value):
         object.__setattr__(self, "samples", samples)
 
 
-def _corollary_frame(model: Model, rng: random.Random, n: int,
-                     max_rank: int, structure: Dict[int, Tuple[Mor, Mor]]):
-    """Objects and maps of the mix/coevaluation instance: the down maps
-    are forced to mix maps of A_i with its dual and the up maps to
-    coevaluations.  ``structure`` holds the pair (mix map, coevaluation)
-    per base rank, built on first use."""
-    bases = [Obj(rng.randint(1, max_rank)) for _ in range(n)]
-    for b in bases:
-        if b.rank not in structure:
-            structure[b.rank] = (canonical_map(model, "mix_map", [b, b]),
-                                 canonical_map(model, "coev", [b]))
-    upper = tuple(Obj(b.rank * b.rank) for b in bases)
-    apex = tuple(Obj(b.rank * b.rank) for b in bases)
-    lower = tuple(Obj(1) for _ in range(n))
-    downs = tuple(structure[b.rank][0] for b in bases)
-    ups = tuple(structure[b.rank][1] for b in bases)
-    return bases, upper, apex, lower, downs, ups
+def _corollary_shape(model: Model, ranks: Tuple[int, ...],
+                     images: Tuple[int, ...],
+                     structure: Dict[int, Tuple[Mor, Mor]]):
+    """Everything of a mix/coevaluation instance that its base ranks and
+    permutation images fix: its objects, maps and permutation (the first
+    seven instance fields; the down maps are mix maps of A_i with its dual
+    and the up maps coevaluations), each side's filler domain ranks, its
+    frame and its pullback pieces.  ``structure`` holds the pair (mix map,
+    coevaluation) per base rank, built on first use."""
+    for r in ranks:
+        if r not in structure:
+            b = Obj(r)
+            structure[r] = (canonical_map(model, "mix_map", [b, b]),
+                            canonical_map(model, "coev", [b]))
+    upper = apex = tuple(Obj(r * r) for r in ranks)
+    lower = (Obj(1),) * len(ranks)
+    downs = tuple(structure[r][0] for r in ranks)
+    ups = tuple(structure[r][1] for r in ranks)
+    perm = Permutation(images)
+    levels = level_ranks(upper, apex, lower, perm)
+    return ((model, upper, apex, lower, downs, ups, perm),
+            (levels["left"][1], levels["right"][1]),
+            build_zigzag_frame(model, upper, lower, downs, ups, perm, levels),
+            _pullback_pieces(model, ranks, perm, structure))
 
 
-def _pullback_pieces(model: Model, bases, perm: Permutation,
+def _pullback_pieces(model: Model, ranks: Tuple[int, ...], perm: Permutation,
                      structure: Dict[int, Tuple[Mor, Mor]]):
     """Per side, the maps from each filler level to the tensor of the apex
-    objects (in ``bases`` order) that a pullback filler composes with:
+    objects (in ``ranks`` order) that a pullback filler composes with:
     coevaluations below the level and mix maps above it."""
-    n = len(bases)
+    n = len(ranks)
 
-    def side_pieces(side_bases, reorder: Optional[Sequence[int]]):
+    def side_pieces(side_ranks, reorder: Optional[Sequence[int]]):
         out = []
         for k in range(0, n + 1):
             pieces = identity(model, Obj(1))
-            for j, b in enumerate(side_bases):
+            for j, r in enumerate(side_ranks):
                 if k == 0 or j + 1 > k:
-                    piece = structure[b.rank][0]
+                    piece = structure[r][0]
                 elif j + 1 < k:
-                    piece = structure[b.rank][1]
+                    piece = structure[r][1]
                 else:
-                    piece = identity(model, Obj(b.rank * b.rank))
+                    piece = identity(model, Obj(r * r))
                 pieces = tensor_mor(pieces, piece)
-            if reorder is not None:  # apex factors back in ``bases`` order
-                pieces = regroup(pieces, [b.rank * b.rank for b in side_bases],
+            if reorder is not None:  # apex factors back in ``ranks`` order
+                pieces = regroup(pieces, [r * r for r in side_ranks],
                                  [pieces.dom.rank], reorder, [n])
             out.append(pieces)
         return tuple(out)
 
-    return (side_pieces(bases, None),
-            side_pieces(perm.apply(tuple(bases)), perm.inverse().images))
+    return (side_pieces(ranks, None),
+            side_pieces(perm.apply(ranks), perm.inverse().images))
 
 
 # The most tree work (nodes times edges) one sample's check may do; see
@@ -440,11 +443,11 @@ def search_counterexample(model: Model, n: int, max_rank: int,
     Rotates three filler strategies: a consistent pullback collection
     (exercising the Holds branch), a zero-top collection (the family that
     violates contractibility when m = 0), and fully random fillers.
-    Everything but a sample's hub and fillers depends only on its frame,
-    the base ranks and the permutation, so each frame's levels, diagram
-    frame and pullback pieces are built once per call.  A sample is
-    checked as that frame filled with its hub and fillers; only the
-    violated sample it returns is made an instance.
+    Everything but a sample's hub and fillers depends only on its shape,
+    the base ranks and the permutation, so each shape is built once per
+    call (``_corollary_shape``).  A sample is checked as its shape's frame
+    filled with its hub and fillers; only the violated sample it returns
+    is made an instance.
     """
     if n < 0 or max_rank < 1 or entry_bound < 0 or budget < 0:
         raise InputError("n must be >= 0, max_rank >= 1, entry_bound >= 0 "
@@ -453,51 +456,33 @@ def search_counterexample(model: Model, n: int, max_rank: int,
     rng = random.Random(f"zigzag:{seed}")
     stats = {"premise_fails": 0, "holds": 0, "violated": 0}
     structure: Dict[int, Tuple[Mor, Mor]] = {}
-    frames: Dict[tuple, tuple] = {}
-    pullbacks: Dict[tuple, tuple] = {}
+    shapes: Dict[tuple, tuple] = {}
     for idx in range(budget):
-        bases, upper, apex, lower, downs, ups = _corollary_frame(
-            model, rng, n, max_rank, structure)
+        ranks = tuple(rng.randint(1, max_rank) for _ in range(n))
         images = list(range(n))
         rng.shuffle(images)
-        perm = Permutation(tuple(images))
-        key = (tuple(b.rank for b in bases), perm.images)
-        if key not in frames:
-            levels = level_ranks(upper, apex, lower, perm)
-            frames[key] = (levels, build_zigzag_frame(
-                model, upper, lower, downs, ups, perm, levels))
-        levels, frame = frames[key]
+        key = (ranks, tuple(images))
+        if key not in shapes:
+            shapes[key] = _corollary_shape(model, *key, structure)
+        fields, domains, frame, pullback = shapes[key]
         hub = Obj(rng.randint(1, max_rank))
         strategy = idx % 3
         if strategy == 0:
             # one random map out of the tensor of the apex objects, pulled
             # back to every level: premise-commuting fillers
-            if key not in pullbacks:
-                pullbacks[key] = _pullback_pieces(model, bases, perm,
-                                                  structure)
-            rho = random_mor(model, rng, Obj(prod(u.rank for u in upper)),
+            rho = random_mor(model, rng, Obj(prod(r * r for r in ranks)),
                              hub, entry_bound)
             left, right = (tuple(compose(rho, p) for p in side)
-                           for side in pullbacks[key])
+                           for side in pullback)
         else:
-            def col(ranks):
-                fillers = []
-                for k, r in enumerate(ranks):
-                    dom = Obj(r)
-                    if strategy == 1 and k == 0:
-                        fillers.append(zero_mor(model, dom, hub))
-                    else:
-                        fillers.append(random_mor(model, rng, dom, hub,
-                                                  entry_bound))
-                return tuple(fillers)
-
-            left = col(levels["left"][1])
-            right = col(levels["right"][1])
+            left, right = (tuple(
+                zero_mor(model, Obj(r), hub) if strategy == 1 and k == 0
+                else random_mor(model, rng, Obj(r), hub, entry_bound)
+                for k, r in enumerate(side)) for side in domains)
         outcome = _check_zigzag(build_zigzag_diagram(model, frame, hub,
                                                      left, right))
         stats[outcome.status] += 1
         if outcome.status == "violated":
-            witness = ZigZagInstance(model, upper, apex, lower, downs, ups,
-                                     perm, hub, left, right)
+            witness = ZigZagInstance(*fields, hub, left, right)
             return SearchResult("violated", witness, stats, idx + 1)
     return SearchResult("none_found", None, stats, budget)

@@ -270,9 +270,9 @@ def test_validate_coherence(model):
 
 def _doubled_at(build, hit):
     """``build`` with its result doubled where ``hit`` holds of its
-    arguments after the model."""
-    def wrong(model, *args):
-        f = build(model, *args)
+    arguments."""
+    def wrong(*args):
+        f = build(*args)
         return mor_scale(f, 2) if hit(*args) else f
     return wrong
 
@@ -280,20 +280,20 @@ def _doubled_at(build, hit):
 def _kind_at(kind, *ranks):
     """A ``hit`` for canonical_map: the structure map ``kind`` at these
     object ranks."""
-    return lambda k, params: (k, [o.rank for o in params]) == (kind,
-                                                             list(ranks))
+    return lambda _, k, params: (k, [o.rank for o in params]) == (
+        kind, list(ranks))
 
 
 @pytest.mark.parametrize("name, hit, failures", [
     ("factor_permutation",
-     lambda dims, pos_map: (list(dims), list(pos_map)) == ([1, 2, 2, 1],
-                                                           [0, 2, 1, 3]),
+     lambda _, dims, pos_map: (list(dims), list(pos_map)) == (
+         [1, 2, 2, 1], [0, 2, 1, 3]),
      [("shuffle-composition-orders",
        "times rule disagrees with direct permutation")]),
     ("canonical_map", _kind_at("times_rule", 2, 1, 1, 2),
      [("shuffle-composition-orders",
        "composition orders disagree at 1,2,2,1")]),
-    ("identity", lambda a: a.rank == 8,
+    ("identity", lambda _, a: a.rank == 8,
      [("distributivities-vs-bijection", "distributivity fails at 2,2,2"),
       ("currying-triangle", "currying triangle fails at 2,2,2,2"),
       ("shuffle-composition-orders",
@@ -325,8 +325,14 @@ def _kind_at(kind, *ranks):
     ("canonical_map", _kind_at("right_distributivity", 1, 1, 1),
      [("distributivities-vs-bijection",
        "right distributivity fails at 1,1,1")]),
+    # a tensor whose left factor is the 1 x 1 mix of Z2 (or any [[2]]):
+    # the unit square's left side, and the second triangle at 1,1,1
+    ("tensor_mor", lambda f, g: f.entries == ((2,),),
+     [("mix-unit-square", ""),
+      ("mix-distributivity-triangles", "second triangle fails at 1,1,1")]),
 ], ids=["factor_permutation", "times_rule", "identity", "symmetry",
-        "par_symmetry", "mix_map", "distributivity", "right_distributivity"])
+        "par_symmetry", "mix_map", "distributivity", "right_distributivity",
+        "tensor_mor"])
 def test_validate_coherence_fails_where_a_structure_map_is_wrong(
         monkeypatch, name, hit, failures):
     # one structure map made wrong at one shape fails exactly the checks

@@ -113,6 +113,17 @@ def test_realize_examples():
     assert loop_value(back) == five_eighths
 
 
+def test_realize_needs_a_nonzero_integer_mix():
+    # no compactification exists at m = 0; a fractional mix is malformed
+    zloc2 = localized_integers(2)
+    with pytest.raises(ModelNotCompactifiableError):
+        realize(mor(Model(zloc2, 0), r1, r1, [[1]]))
+    with pytest.raises(InputError) as info:
+        realize(mor(Model(zloc2, Fraction(1, 2)), r1, r1, [[1]]))
+    assert type(info.value) is InputError
+    assert str(info.value) == "realize needs a nonzero integer mix scalar"
+
+
 def test_realize_over_q_is_the_identity_section():
     # every nonzero mix is a unit of Q, so the model is its own
     # compactification: the matrix comes back with no hidden objects

@@ -371,6 +371,8 @@ def test_congruent_semantic_and_bounded():
         congruent(morphism_loop(mor(Model(INTEGERS, 0), r1, r1, [[1]])),
                   morphism_loop(mor(Model(INTEGERS, 0), r1, r1, [[1]])),
                   mode="semantic")
+    with pytest.raises(InputError, match="^unknown congruence mode 'x'$"):
+        congruent(two, two, mode="x")
 
 
 def test_bounded_says_unknown_where_the_values_agree():

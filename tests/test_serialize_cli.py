@@ -111,6 +111,53 @@ def test_cli_refuses_generators_outside_bounded_mode(tmp_path, capsys,
         "input error: --generators is read only by --mode bounded\n")
 
 
+@pytest.mark.parametrize("mode, error", [
+    ("bounded:x", "bad bounded depth 'x'"),
+    ("weird", "unknown congruence mode 'weird'")])
+def test_cli_parses_the_mode_before_reading_files(tmp_path, capsys, mode,
+                                                  error):
+    # a malformed mode is named first, with or without readable files
+    missing = str(tmp_path / "missing.json")
+    loop = write(tmp_path, "l.json", LOOP)
+    for left in (missing, loop):
+        argv = ["congruent", "--mode", mode, "--left", left, "--right", loop]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"input error: {error}\n"
+
+
+@pytest.mark.parametrize("generators", [{"loops": 5}, [1]])
+def test_cli_bounded_mode_reads_a_loops_list(tmp_path, capsys, generators):
+    loop = write(tmp_path, "l.json", LOOP)
+    g = write(tmp_path, "g.json", generators)
+    argv = ["congruent", "--mode", "bounded:1", "--left", loop, "--right",
+            loop, "--generators", g]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == (
+        f'input error: {g}: expected {{"loops": [...]}}\n')
+
+
+def test_cli_names_two_unequal_parallel_edges(tmp_path, capsys):
+    # two parallel edges with string labels and unequal matrices: the
+    # diagram file is read and the counterexample names both edges
+    two = dict(DIAGRAM, edges=DIAGRAM["edges"] + [
+        {"src": 0, "dst": 1, "label": "g", "entries": [["2"]]}])
+    assert cli.main(["zigzag-check", "--instance",
+                     write(tmp_path, "d.json", two)]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "outcome": "counterexample", "paths": {"a": [0], "b": [1]},
+        "src": 0, "dst": 1}
+
+
+@pytest.mark.parametrize("mix", ["0", "1/2"])
+def test_cli_realize_needs_a_nonzero_integer_mix(tmp_path, capsys, mix):
+    # m = 0 admits no compactification; a fractional mix is malformed input
+    matrix = write(tmp_path, "m.json", dict(MATRIX, model={
+        "ring": {"Zloc": 2}, "mix": mix}))
+    assert cli.main(["realize", "--matrix", matrix]) == 2
+    assert capsys.readouterr().err == (
+        "input error: realize needs a nonzero integer mix scalar\n")
+
+
 def write(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(dumps(payload) if not isinstance(payload, str)
@@ -593,6 +640,11 @@ def changed(base, path, value):
     ("congruent", LOOP, ("--right", "different models"),
      dict(LOOP, model=Z3_JSON, carrier=dict(LOOP["carrier"],
                                             model=Z3_JSON))),
+    # an edge label that is not a string
+    ("zigzag-check", DIAGRAM, ("edges", 0, "label"), 5),
+    ("zigzag-check", DIAGRAM, ("edges", 0, "label"), {"x": 1}),
+    ("zigzag-check", DIAGRAM, ("edges", 0, "label"), ["a"]),
+    ("zigzag-check", DIAGRAM, ("edges", 0, "label"), None),
 ])
 def test_cli_rejects_bad_input(tmp_path, capsys, verb, base, path, value):
     # a row changes an option, or a field of the verb's input file, and

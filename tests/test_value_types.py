@@ -151,17 +151,6 @@ def test_defaults_and_normalization():
     assert ZigZagInstance(**listed) == ZigZagInstance(**_zigzag_fields())
 
 
-def test_zigzag_levels_are_computed_and_not_compared():
-    a = ZigZagInstance(**_zigzag_fields())
-    b = ZigZagInstance(*_zigzag_fields().values())
-    assert a.levels == {"left": ([1, 1], [1, 1]), "right": ([1, 1], [1, 1])}
-    object.__setattr__(b, "levels", {})
-    assert a == b and hash(a) == hash(b)
-    assert "levels" not in repr(a)
-    with pytest.raises(TypeError):
-        ZigZagInstance(**_zigzag_fields(), levels=a.levels)
-
-
 def test_post_init_is_looked_up_on_the_class(monkeypatch):
     seen = []
     monkeypatch.setattr(Mor, "__post_init__", lambda self: seen.append(self))

@@ -10,7 +10,7 @@ from mixtrace.loops import Permutation
 from mixtrace.zigzag import (CounterPath, Diagram, Edge, ZigZagInstance,
                              build_zigzag_diagram, build_zigzag_frame,
                              check_zigzag_instance, diagram_commutes,
-                             search_counterexample)
+                             level_ranks, search_counterexample)
 from mixtrace.rings import INTEGERS
 
 Z0 = Model(INTEGERS, 0)
@@ -119,7 +119,8 @@ def frozen_instance(model, left_apex, right_apex):
 def own_frame(inst):
     return build_zigzag_frame(inst.model, inst.upper, inst.lower,
                               inst.down_maps, inst.up_maps, inst.perm,
-                              inst.levels)
+                              level_ranks(inst.upper, inst.apex, inst.lower,
+                                          inst.perm))
 
 
 def test_frozen_m0_witness():
@@ -145,8 +146,8 @@ def test_witness_is_stable_under_rebuild():
 
 
 def test_check_builds_one_diagram_and_reuses_the_levels(monkeypatch):
-    # the premise is a prefix of the instance's one diagram, and the level
-    # ranks are the instance's own, computed when it was built
+    # the premise is a prefix of the instance's one diagram, and the check
+    # derives the level ranks once, for that diagram's frame
     instances = [frozen_instance(Z0, 1, 2), frozen_instance(Z2, 1, 2),
                  frozen_instance(Z0, 1, 1)]
     counts = {"diagrams": 0, "levels": 0}
@@ -164,7 +165,7 @@ def test_check_builds_one_diagram_and_reuses_the_levels(monkeypatch):
     monkeypatch.setattr(zigzag, "level_ranks", count_levels)
     for inst, status in zip(instances, ("violated", "premise_fails", "holds")):
         assert check_zigzag_instance(inst).status == status
-    assert counts == {"diagrams": 3, "levels": 0}
+    assert counts == {"diagrams": 3, "levels": 3}
 
 
 def test_search_computes_the_levels_once_per_frame(monkeypatch):
@@ -209,16 +210,17 @@ def test_instance_validation():
             (mor(Z2, r2, r1, [[0, 0]]), mor(Z2, r1, r1, [[1]])),
             (mor(Z2, r2, r1, [[0, 0]]), mor(Z2, r1, r1, [[1]])))
     # the level ranks follow from the objects and the permutation: they
-    # are computed, never handed over
+    # are derived where needed, never handed over or kept
     inst = frozen_instance(Z2, 1, 2)
     args = [getattr(inst, name) for name in (
         "model", "upper", "apex", "lower", "down_maps", "up_maps", "perm",
         "hub", "left_fillers", "right_fillers")]
     assert ZigZagInstance(*args) == inst
-    assert inst.levels == {"left": ([1, 1], [1, 1]),
-                           "right": ([1, 1], [1, 1])}
+    levels = level_ranks(*args[1:4], inst.perm)
+    assert levels == {"left": ([1, 1], [1, 1]), "right": ([1, 1], [1, 1])}
+    assert not hasattr(inst, "levels")
     with pytest.raises(TypeError):
-        ZigZagInstance(*args, levels=inst.levels)
+        ZigZagInstance(*args, levels=levels)
 
 
 def test_search_m0_finds_violation():

@@ -98,13 +98,14 @@ def _recorded_search(monkeypatch, model, n, seed, budget):
     sample it checked as (instance, frame, outcome), in order.
 
     The search makes no instance of a sample it does not return, so each
-    is rebuilt here from its own draw: the objects and maps
-    ``_corollary_frame`` drew for it, the permutation the search drew for
-    it, and the hub and fillers its diagram was built with.  That
-    permutation must be the one the sample's frame was built with, and
-    that diagram the one the sample's check was given."""
-    logs = {name: [] for name in ("_corollary_frame", "Permutation",
-                                  "build_zigzag_frame",
+    is rebuilt here from its own draw: the objects, maps and permutation
+    of the shape ``_corollary_shape`` built for its key, and the hub and
+    fillers its diagram was built with.  That diagram must be the one the
+    sample's check was given, and its frame the one its shape holds.  A
+    shape, its permutation, its level ranks and its frame are each built
+    once per key."""
+    logs = {name: [] for name in ("_corollary_shape", "Permutation",
+                                  "level_ranks", "build_zigzag_frame",
                                   "build_zigzag_diagram", "_check_zigzag",
                                   "ZigZagInstance")}
     for name, log in logs.items():
@@ -113,18 +114,26 @@ def _recorded_search(monkeypatch, model, n, seed, budget):
     result = search_counterexample(model, n, max_rank=2, seed=seed,
                                    budget=budget)
     monkeypatch.undo()
-    draws, perms, frames, diagrams, checks, built = logs.values()
-    assert (len(draws) == len(perms) == len(diagrams) == len(checks)
-            == result.samples)
+    shapes, perms, levels, frames, diagrams, checks, built = logs.values()
+    # the witness, when there is one, derives its level ranks once more
+    # to validate its fillers
+    keys = {args[1:3] for args, _ in shapes}
+    assert (len(shapes) == len(perms) == len(levels) - len(built)
+            == len(frames) == len(keys))
+    assert len(diagrams) == len(checks) == result.samples
+    by_frame = {}
+    for (args, shape), (_, perm), (frame_args, frame) in zip(shapes, perms,
+                                                             frames):
+        fields = shape[0]
+        assert args[0] is fields[0] is model and fields[6] is perm
+        assert perm.images == args[2] and frame_args[5] is perm
+        assert shape[2] is frame
+        by_frame[id(frame)] = fields
     samples = []
-    for (_, draw), (_, perm), (args, whole), ((checked,), outcome) in zip(
-            draws, perms, diagrams, checks):
-        _, upper, apex, lower, downs, ups = draw
-        model_, frame, hub, left, right = args
+    for (args, whole), ((checked,), outcome) in zip(diagrams, checks):
+        _, frame, hub, left, right = args
         assert checked is whole
-        assert [a[5] for a, f in frames if f is frame] == [perm]
-        inst = ZigZagInstance(model_, upper, apex, lower, downs, ups, perm,
-                              hub, left, right)
+        inst = ZigZagInstance(*by_frame[id(frame)], hub, left, right)
         samples.append((inst, frame, outcome))
     return result, [inst for _, inst in built], samples
 
@@ -171,7 +180,8 @@ def test_each_frame_matches_one_built_for_its_own_instance(monkeypatch, mix):
     for inst, frame, _ in checked:
         fresh = zigzag.build_zigzag_frame(
             inst.model, inst.upper, inst.lower, inst.down_maps, inst.up_maps,
-            inst.perm, inst.levels)
+            inst.perm, zigzag.level_ranks(inst.upper, inst.apex, inst.lower,
+                                          inst.perm))
         assert fresh is not frame and fresh == frame
         shared += sum(other is frame for _, other, _ in checked) > 1
     assert len(checked) > 100 and shared > len(checked) // 2
