@@ -6,7 +6,8 @@ status, samples, stats and a digest of the canonical witness JSON.  A
 search builds one instance, its witness, and only when it returns one.
 And every sample a search checks, rebuilt as an instance from its own
 draw, gets the outcome that ``check_zigzag_instance`` gives that instance
-on its own, the whole ``CounterPath`` included.
+on its own, the whole ``CounterPath`` included, and the outcome that the
+reference tree check ``trace_reference.check_zigzag`` gives its diagram.
 """
 
 import hashlib
@@ -19,6 +20,8 @@ from mixtrace.rings import INTEGERS
 from mixtrace.serialize import dumps, zigzag_to_json
 from mixtrace.zigzag import (ZigZagInstance, check_zigzag_instance,
                              search_counterexample)
+
+from trace_reference import check_zigzag as reference_check_zigzag
 
 # (mix, n, seed): (status, samples, (premise_fails, holds, violated),
 # first 16 hex digits of the sha256 of the witness JSON, or None)
@@ -165,6 +168,22 @@ def test_search_results_are_pinned_and_match_fresh_checks(monkeypatch, mix):
                 # ZigZagOutcome equality covers the status and the whole
                 # CounterPath: src, dst, both paths and both values
                 assert check_zigzag_instance(inst) == outcome
+
+
+@pytest.mark.parametrize("mix", (-1, 0, 1, 2, 3))
+def test_each_sample_matches_the_reference_tree_check(monkeypatch, mix):
+    # every sample's outcome, CounterPath included, is the one the
+    # reference check of the pre-split tree walk gives its whole diagram
+    for n in range(4):
+        for seed in range(3):
+            samples = _recorded_search(monkeypatch, Model(INTEGERS, mix), n,
+                                       seed, 20 if n == 3 else 40)[2]
+            for inst, frame, outcome in samples:
+                whole = zigzag.build_zigzag_diagram(
+                    inst.model, frame, inst.hub, inst.left_fillers,
+                    inst.right_fillers)
+                assert reference_check_zigzag(whole) == outcome, (mix, n,
+                                                                  seed)
 
 
 @pytest.mark.parametrize("mix", (0, 2))

@@ -29,7 +29,11 @@ library's per-source tree check must reach the same verdict on every
 diagram.  ``sources_reaching_last_two_tails`` is a reverse search for the
 nodes with a path to the tail of one of a diagram's last two edges: the
 sources the library's zig-zag check re-grows, which it reads off the
-premise's trees instead.
+premise's trees instead.  ``check_trees`` and ``check_zigzag`` are the
+library's per-source tree check and zig-zag check as they stood before
+the check split into a walk per shape and a replay per sample: every
+sample the search checks must get the outcome ``check_zigzag`` gives its
+diagram.
 
 The structural maps the library computes as one ``regroup`` each are here
 as explicit index loops over multi-indices (``curry_by_loops``,
@@ -56,7 +60,7 @@ from mixtrace.rings import Number, RingTag, divides_power
 from mixtrace.traces import (AMBIGUOUS, StaircaseWitness, TraceResult,
                              _contract_pair, _divide_by_mix, _exact_div,
                              ambiguous, defined, pairing_form, undefined)
-from mixtrace.zigzag import CounterPath, Diagram, Edge
+from mixtrace.zigzag import CounterPath, Diagram, Edge, ZigZagOutcome
 
 
 def all_permutations(k):
@@ -478,3 +482,76 @@ def sources_reaching_last_two_tails(d: Diagram) -> List[int]:
                 reach.add(u)
                 queue.append(u)
     return sorted(reach)
+
+
+def check_trees(d: Diagram, edges: Sequence[Edge], sources, tails=()):
+    """``diagram_commutes`` of the diagram with d's objects and ``edges``, a
+    prefix of ``d.edges``, restricted to the trees grown from ``sources``,
+    taken in the order given: the first failing pair or, when every tree
+    commutes, the list of those sources whose tree holds a node of
+    ``tails``.  The identity at a source stays implicit (an out-edge's
+    matrix is its own composite) until a counterexample names it."""
+    reached = []
+    adjacency: Dict[int, List[Tuple[int, Edge]]] = {}
+    for idx, e in enumerate(edges):
+        adjacency.setdefault(e.src, []).append((idx, e))
+    for src in sources:
+        tree = {src: (None, ())}
+        stack = [src]
+        while stack:
+            u = stack.pop()
+            comp, path = tree[u]
+            for idx, e in adjacency.get(u, []):
+                value = e.mor if comp is None else compose(e.mor, comp)
+                via = path + (idx,)
+                at_v = tree.get(e.dst)
+                if at_v is None:
+                    tree[e.dst] = (value, via)
+                    stack.append(e.dst)
+                elif at_v[0] is None:  # back at the source
+                    if not is_identity_entries(value.entries):
+                        return counter_pair(d, src, at_v, via, value)
+                elif value.entries != at_v[0].entries:
+                    return counter_pair(d, src, at_v, via, value)
+        if any(t in tree for t in tails):
+            reached.append(src)
+    return reached
+
+
+def is_identity_entries(entries) -> bool:
+    return all(row[i] == 1 and not any(row[:i]) and not any(row[i + 1:])
+               for i, row in enumerate(entries))
+
+
+def counter_pair(d: Diagram, src: int, at_v, via: Tuple[int, ...],
+                 value: Mor) -> CounterPath:
+    v = d.edges[via[-1]].dst
+    inner = [d.edges[i].dst for i in via[:-1]]
+    if v == src or v not in inner:
+        ref = at_v[0]
+        if ref is None:
+            ref = identity(d.model, d.objects[src])
+        return CounterPath(src, v, at_v[1], via, ref, value)
+    cycle = via[inner.index(v) + 1:]
+    ident = value = identity(d.model, d.objects[v])
+    for idx in cycle:
+        value = compose(d.edges[idx].mor, value)
+    return CounterPath(v, v, (), cycle, ident, value)
+
+
+def check_zigzag(whole: Diagram) -> ZigZagOutcome:
+    """Check the premise, the edge prefix without the bottom symmetry, over
+    every source; if it commutes, re-grow over every edge just the trees
+    that held a tail of the bottom symmetry.  A path that reaches such a
+    tail reaches its first one over premise edges, so every other tree
+    never uses the bottom symmetry and stays the premise's.  Sources are
+    taken in ascending order, so the failure, if any, is the one a full
+    check of the whole diagram reports."""
+    premise = check_trees(whole, whole.edges[:-2], range(len(whole.objects)),
+                          {e.src for e in whole.edges[-2:]})
+    if isinstance(premise, CounterPath):
+        return ZigZagOutcome("premise_fails", premise)
+    conclusion = check_trees(whole, whole.edges, premise)
+    if isinstance(conclusion, CounterPath):
+        return ZigZagOutcome("violated", conclusion)
+    return ZigZagOutcome("holds")
