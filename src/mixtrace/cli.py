@@ -94,6 +94,11 @@ def cmd_congruent(args) -> int:
         raise InputError(f"unknown congruence mode {echo(args.mode)}")
     if colon and not (depth_text.isascii() and depth_text.isdigit()):
         raise InputError(f"bad bounded depth {echo(depth_text)}")
+    try:
+        depth = int(depth_text or 4)
+    except ValueError:  # more digits than int() converts
+        raise InputError(f"--mode bounded depth of {len(depth_text)} digits, "
+                         f"over {sys.get_int_max_str_digits()}") from None
     left = serialize.loop_from_json(load_json_file(args.left), args.left)
     right = serialize.loop_from_json(load_json_file(args.right), args.right)
     generators = ()
@@ -109,7 +114,7 @@ def cmd_congruent(args) -> int:
         verdict = congruent(left, right, mode="semantic")
     else:
         verdict = congruent(left, right, mode="bounded",
-                            depth=int(depth_text) if colon else 4,
+                            depth=depth,
                             generators=generators)
     _emit({"mode": args.mode,
            "congruent": verdict if verdict is not None else "unknown"})

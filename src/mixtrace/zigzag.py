@@ -11,21 +11,22 @@ failure is reported as two parallel simple paths with unequal composites.
 
 A zig-zag instance is one diagram whose last two edges, the bottom
 symmetry, turn the premise into the conclusion; the premise is checked as
-the edge prefix before them, with no second diagram.  Once it commutes,
-only the trees that reach the bottom symmetry can change, so the
-conclusion re-grows just the premise trees that reach it, which the
-premise's walk names.  Everything of the diagram but the hub and the
-fillers, which is most of its matrices, depends only on the instance's
+the edge prefix before them.  Once it commutes, only the trees that reach
+the bottom symmetry can change, so the conclusion re-grows just the
+premise trees that reach it, which the premise's walk names.  Everything
+of the diagram but the hub and the fillers depends only on the instance's
 objects, maps and permutation: ``build_zigzag_frame`` builds that part,
 the frame, with Id (x) f (x) Id whiskered by block copy
-(``category.whisker``), and ``build_zigzag_diagram`` drops a hub and two
-filler columns into it.  An instance keeps only its fields, and
-``check_zigzag_instance`` derives its level ranks and frame.  A search's
-samples are mix/coevaluation instances whose base ranks and permutation,
-the shape, fix all but the hub and fillers: it builds each shape it meets
-once per call (``_corollary_shape``), drops each sample's hub and fillers
-into the shape's frame, and builds, and validates, only the witness it
-returns as an instance.  Every diagram is still validated.
+(``category.whisker``) and a slot per filler, and ``build_zigzag_diagram``
+drops a hub and two filler columns into it.  The hub is a sink that only
+fillers enter, so a walk grows each tree over the frame's edges, checking
+them, and keeps the path composite P_s(u) at each slot's tail; a replay
+checks fillers f by the products f . P_s(u) alone.  A search's samples
+are mix/coevaluation instances whose base ranks and permutation, the
+shape, fix all but the hub and fillers: it builds each shape it meets,
+with its walks, once per call (``_corollary_shape``), replays them with
+each sample's fillers and makes only the witness it returns an instance.
+``check_zigzag_instance`` walks a whole diagram.
 
 The module builds on ``category`` and ``loops`` only; ``traces`` draws a
 free trace's staircase witness as a diagram and checks it here.
@@ -34,6 +35,7 @@ free trace's staircase witness as a diagram and checks it here.
 from __future__ import annotations
 
 import random
+from itertools import tee
 from math import prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -107,40 +109,84 @@ def diagram_commutes(d: Diagram):
     A failing edge names the tree path to v against the tree path to u
     plus e or, when v lies inside the latter, that cycle at v against the
     identity."""
-    found = _check_trees(d, d.edges, range(len(d.objects)))
+    found = _replay(d.objects, _walk(d.model, d.objects, d.edges,
+                                     range(len(d.objects))), None)
     return found if isinstance(found, CounterPath) else True
 
 
-def _check_trees(d: Diagram, edges: Sequence[Edge], sources, tails=()):
-    """``diagram_commutes`` of the diagram with d's objects and ``edges``, a
-    prefix of ``d.edges``, restricted to the trees grown from ``sources``,
-    taken in the order given: the first failing pair or, when every tree
-    commutes, the list of those sources whose tree holds a node of
-    ``tails``.  The identity at a source stays implicit (an out-edge's
-    matrix is its own composite) until a counterexample names it."""
-    reached = []
-    adjacency: Dict[int, List[Tuple[int, Edge]]] = {}
+def _walk(model: Model, objects: Sequence[Obj], edges: Sequence[object],
+          sources, tails=()):
+    """(source, events) per source of the diagram of ``objects`` and
+    ``edges``, ``Edge``s and filler slots (u, side, k) into a sink after
+    ``objects``.  The events grow the tree over the ``Edge``s, P implicit
+    at the source: per slot met, (index, side, k, the nonzeros (column,
+    entry) per row of P_s(u), or None, path to u); then the first failing
+    edge's ``CounterPath`` or whether the tree holds a node of ``tails``.
+    A ``tee`` never advanced, each ``__copy__`` replays them and grows the
+    tree only when asked."""
+    adjacency: Dict[int, List[Tuple[int, object]]] = {}
     for idx, e in enumerate(edges):
-        adjacency.setdefault(e.src, []).append((idx, e))
-    for src in sources:
-        tree = {src: (None, ())}
-        stack = [src]
+        adjacency.setdefault(e.src if type(e) is Edge else e[0],
+                             []).append((idx, e))
+
+    def grow(src: int):
+        tree, stack = {src: (None, ())}, [src]
         while stack:
             u = stack.pop()
             comp, path = tree[u]
-            for idx, e in adjacency.get(u, []):
+            for idx, e in adjacency.get(u, ()):
+                if type(e) is not Edge:
+                    yield idx, e[1], e[2], None if comp is None else tuple(
+                        tuple((j, x) for j, x in enumerate(row) if x)
+                        for row in comp.entries), path
+                    continue
                 value = e.mor if comp is None else compose(e.mor, comp)
-                via = path + (idx,)
                 at_v = tree.get(e.dst)
                 if at_v is None:
-                    tree[e.dst] = (value, via)
+                    tree[e.dst] = (value, path + (idx,))
                     stack.append(e.dst)
-                elif at_v[0] is None:  # back at the source
-                    if not _is_identity(value.entries):
-                        return _counter_pair(d, src, at_v, via, value)
-                elif value.entries != at_v[0].entries:
-                    return _counter_pair(d, src, at_v, via, value)
-        if any(t in tree for t in tails):
+                elif (not _is_identity(value.entries) if at_v[0] is None
+                      else value.entries != at_v[0].entries):
+                    return _counter_pair(model, objects, edges, src, at_v,
+                                         path + (idx,), value)
+        return any(t in tree for t in tails)
+
+    def events(src: int):  # the tree is dropped before the last event
+        yield (yield from grow(src))
+
+    return [(src, tee(events(src), 1)[0]) for src in sources]
+
+
+def _replay(objects: Sequence[Obj], walk, fillers):
+    """A walk's check with slot (u, side, k) filled by ``fillers[side][k]``
+    times P_s(u), in ``compose``'s order: the first failing pair or the
+    sources whose tree holds a tail."""
+    reached = []
+    for src, events in walk:
+        first, width = None, objects[src].rank
+        for event in events.__copy__():
+            if type(event) is not tuple:
+                break
+            idx, side, k, nonzeros, path = event
+            f = fillers[side][k]
+            rows = list(f.entries)
+            if nonzeros is not None:
+                for i, frow in enumerate(f.entries):
+                    acc = [0] * width
+                    for x, row in zip(frow, nonzeros):
+                        if x:
+                            for j, y in row:
+                                acc[j] += x * y
+                    rows[i] = tuple(acc)
+            if first is None:
+                first = (rows, path + (idx,))
+            elif rows != first[0]:
+                return CounterPath(src, len(objects), first[1], path + (idx,),
+                                   *(Mor(f.model, objects[src], f.cod,
+                                         tuple(r)) for r in (first[0], rows)))
+        if isinstance(event, CounterPath):
+            return event
+        if event:
             reached.append(src)
     return reached
 
@@ -150,19 +196,17 @@ def _is_identity(entries) -> bool:
                for i, row in enumerate(entries))
 
 
-def _counter_pair(d: Diagram, src: int, at_v, via: Tuple[int, ...],
-                  value: Mor) -> CounterPath:
-    v = d.edges[via[-1]].dst
-    inner = [d.edges[i].dst for i in via[:-1]]
+def _counter_pair(model: Model, objects: Sequence[Obj], edges, src: int,
+                  at_v, via: Tuple[int, ...], value: Mor) -> CounterPath:
+    v = edges[via[-1]].dst
+    inner = [edges[i].dst for i in via[:-1]]
     if v == src or v not in inner:
-        ref = at_v[0]
-        if ref is None:
-            ref = identity(d.model, d.objects[src])
-        return CounterPath(src, v, at_v[1], via, ref, value)
+        return CounterPath(src, v, at_v[1], via,
+                           at_v[0] or identity(model, objects[src]), value)
     cycle = via[inner.index(v) + 1:]
-    ident = value = identity(d.model, d.objects[v])
+    ident = value = identity(model, objects[v])
     for idx in cycle:
-        value = compose(d.edges[idx].mor, value)
+        value = compose(edges[idx].mor, value)
     return CounterPath(v, v, (), cycle, ident, value)
 
 
@@ -230,9 +274,8 @@ def level_ranks(upper: Sequence[Obj], apex: Sequence[Obj],
     lower_1..lower_k-1 (x) apex_k (x) upper_k+1..upper_n."""
     out = {}
     for side, order in (("left", range(len(upper))), ("right", perm.images)):
-        up = [upper[i].rank for i in order]
-        ap = [apex[i].rank for i in order]
-        lo = [lower[i].rank for i in order]
+        up, ap, lo = ([objs[i].rank for i in order]
+                      for objs in (upper, apex, lower))
         x_levels = [prod(lo[:i]) * prod(up[i:]) for i in range(len(up) + 1)]
         fillers = [x_levels[0]] + [prod(lo[:k - 1]) * ap[k - 1] * prod(up[k:])
                                    for k in range(1, len(up) + 1)]
@@ -250,8 +293,7 @@ class ZigZagOutcome(Value):
         object.__setattr__(self, "counter", counter)
 
 
-# A frame: the objects below the hub and the edges in diagram order, each
-# filler edge a slot (src, side, k) for the side's filler k.
+# A frame: objects below the hub, and edges with a slot (u, side, k) per filler
 Frame = Tuple[Tuple[Obj, ...], Tuple[object, ...]]
 
 
@@ -268,37 +310,26 @@ def build_zigzag_frame(model: Model, upper: Sequence[Obj],
     then the top symmetry and, last, the bottom symmetry, each with its
     inverse (the transpose of a permutation matrix)."""
     n = len(upper)
-    objects: List[Obj] = []
-    for side in ("left", "right"):
-        x_levels, fillers = levels[side]
-        objects += [Obj(r) for r in x_levels] + [Obj(r) for r in fillers[1:]]
-
-    def x_idx(side: str, i: int) -> int:
-        return (0 if side == "left" else 2 * n + 1) + i
-
-    def a_idx(side: str, k: int) -> int:
-        return (0 if side == "left" else 2 * n + 1) + (n + 1) + (k - 1)
-
+    objects = [Obj(r) for side in ("left", "right")  # X levels, then apexes
+               for r in levels[side][0] + levels[side][1][1:]]
+    # a side's X level i is node x + i and its apex level k node x + n + k
     edges: List[object] = []
-    for side, order in (("left", range(n)), ("right", perm.images)):
+    for x, side, order in ((0, "left", range(n)),
+                           (2 * n + 1, "right", perm.images)):
         for k in range(1, n + 1):
             i = order[k - 1]
             pre = obj_tensor(*(lower[j] for j in order[:k - 1]))
             post = obj_tensor(*(upper[j] for j in order[k:]))
-            edges.append(Edge(x_idx(side, k - 1), a_idx(side, k),
-                              whisker(pre, downs[i], post),
-                              f"{side}-down-{k}"))
-            edges.append(Edge(x_idx(side, k), a_idx(side, k),
-                              whisker(pre, ups[i], post), f"{side}-up-{k}"))
-        edges.append((x_idx(side, 0), side, 0))
-        edges += [(a_idx(side, k), side, k) for k in range(1, n + 1)]
-
+            edges += [Edge(x + k - 1, x + n + k, whisker(pre, downs[i], post),
+                           f"{side}-down-{k}"),
+                      Edge(x + k, x + n + k, whisker(pre, ups[i], post),
+                           f"{side}-up-{k}")]
+        edges.append((x, side, 0))
+        edges += [(x + n + k, side, k) for k in range(1, n + 1)]
     for name, objs, i in (("top", upper, 0), ("bottom", lower, n)):
         iso = factor_permutation(model, [o.rank for o in objs], perm.images)
-        edges.append(Edge(x_idx("left", i), x_idx("right", i), iso,
-                          f"{name}-iso"))
-        edges.append(Edge(x_idx("right", i), x_idx("left", i), dual_mor(iso),
-                          f"{name}-iso-inv"))
+        edges.append(Edge(i, 2 * n + 1 + i, iso, f"{name}-iso"))
+        edges.append(Edge(2 * n + 1 + i, i, dual_mor(iso), f"{name}-iso-inv"))
     return tuple(objects), tuple(edges)
 
 
@@ -308,10 +339,9 @@ def build_zigzag_diagram(model: Model, frame: Frame, hub: Obj,
     and the left and right filler columns in their slots.  Without its
     last two edges, the bottom symmetry, it is the premise diagram."""
     objects, slots = frame
-    node = len(objects)
     fillers = {"left": left, "right": right}
     edges = [e if type(e) is Edge else
-             Edge(e[0], node, fillers[e[1]][e[2]],
+             Edge(e[0], len(objects), fillers[e[1]][e[2]],
                   f"{e[1]}-filler-{e[2] or 'top'}")
              for e in slots]
     return Diagram(model, objects + (hub,), tuple(edges))
@@ -319,29 +349,37 @@ def build_zigzag_diagram(model: Model, frame: Frame, hub: Obj,
 
 def check_zigzag_instance(inst: ZigZagInstance) -> ZigZagOutcome:
     """Build the instance's frame, fill it with the hub and fillers, and
-    check the diagram."""
+    check the diagram through a fresh walk."""
     levels = level_ranks(inst.upper, inst.apex, inst.lower, inst.perm)
     frame = build_zigzag_frame(inst.model, inst.upper, inst.lower,
                                inst.down_maps, inst.up_maps, inst.perm, levels)
-    return _check_zigzag(build_zigzag_diagram(
-        inst.model, frame, inst.hub, inst.left_fillers, inst.right_fillers))
+    d = build_zigzag_diagram(inst.model, frame, inst.hub, inst.left_fillers,
+                             inst.right_fillers)
+    return _check_zigzag([d.model, (d.objects, d.edges), None, None], None)
 
 
-def _check_zigzag(whole: Diagram) -> ZigZagOutcome:
+def _check_zigzag(walks: list, fillers) -> ZigZagOutcome:
     """Check the premise, the edge prefix without the bottom symmetry, over
-    every source; if it commutes, re-grow over every edge just the trees
-    that held a tail of the bottom symmetry.  A path that reaches such a
-    tail reaches its first one over premise edges, so every other tree
-    never uses the bottom symmetry and stays the premise's.  Sources are
-    taken in ascending order, so the failure, if any, is the one a full
-    check of the whole diagram reports."""
-    premise = _check_trees(whole, whole.edges[:-2], range(len(whole.objects)),
-                           {e.src for e in whole.edges[-2:]})
-    if isinstance(premise, CounterPath):
-        return ZigZagOutcome("premise_fails", premise)
-    conclusion = _check_trees(whole, whole.edges, premise)
-    if isinstance(conclusion, CounterPath):
-        return ZigZagOutcome("violated", conclusion)
+    every node of the frame; if it commutes, re-grow over every edge just
+    the trees that held a tail of the bottom symmetry.  A path that reaches
+    such a tail reaches its first one over premise edges, so every other
+    tree never uses the bottom symmetry and stays the premise's.  Sources
+    are taken in ascending order, so the failure, if any, is the one a
+    full check of the whole diagram reports.  ``walks``, [model, frame,
+    premise walk, conclusion walk], keeps each walk from its first use."""
+    model, (objects, edges), premise, conclusion = walks
+    if premise is None:
+        premise = walks[2] = _walk(model, objects, edges[:-2],
+                                   range(len(objects)),
+                                   {e.src for e in edges[-2:]})
+    found = _replay(objects, premise, fillers)
+    if isinstance(found, CounterPath):
+        return ZigZagOutcome("premise_fails", found)
+    if conclusion is None:
+        conclusion = walks[3] = _walk(model, objects, edges, found)
+    found = _replay(objects, conclusion, fillers)
+    if isinstance(found, CounterPath):
+        return ZigZagOutcome("violated", found)
     return ZigZagOutcome("holds")
 
 
@@ -363,7 +401,8 @@ def _corollary_shape(model: Model, ranks: Tuple[int, ...],
     permutation images fix: its objects, maps and permutation (the first
     seven instance fields; the down maps are mix maps of A_i with its dual
     and the up maps coevaluations), each side's filler domain ranks, its
-    frame and its pullback pieces.  ``structure`` holds the pair (mix map,
+    frame's walks (``_check_zigzag``) and, once the search builds them,
+    its pullback pieces.  ``structure`` holds the pair (mix map,
     coevaluation) per base rank, built on first use."""
     for r in ranks:
         if r not in structure:
@@ -376,10 +415,10 @@ def _corollary_shape(model: Model, ranks: Tuple[int, ...],
     ups = tuple(structure[r][1] for r in ranks)
     perm = Permutation(images)
     levels = level_ranks(upper, apex, lower, perm)
-    return ((model, upper, apex, lower, downs, ups, perm),
+    frame = build_zigzag_frame(model, upper, lower, downs, ups, perm, levels)
+    return [(model, upper, apex, lower, downs, ups, perm),
             (levels["left"][1], levels["right"][1]),
-            build_zigzag_frame(model, upper, lower, downs, ups, perm, levels),
-            _pullback_pieces(model, ranks, perm, structure))
+            [model, frame, None, None], None]
 
 
 def _pullback_pieces(model: Model, ranks: Tuple[int, ...], perm: Permutation,
@@ -389,29 +428,24 @@ def _pullback_pieces(model: Model, ranks: Tuple[int, ...], perm: Permutation,
     coevaluations below the level and mix maps above it."""
     n = len(ranks)
 
-    def side_pieces(side_ranks, reorder: Optional[Sequence[int]]):
+    def side_pieces(side_ranks, reorder: Sequence[int]):
         out = []
         for k in range(0, n + 1):
             pieces = identity(model, Obj(1))
             for j, r in enumerate(side_ranks):
-                if k == 0 or j + 1 > k:
-                    piece = structure[r][0]
-                elif j + 1 < k:
-                    piece = structure[r][1]
-                else:
-                    piece = identity(model, Obj(r * r))
-                pieces = tensor_mor(pieces, piece)
-            if reorder is not None:  # apex factors back in ``ranks`` order
-                pieces = regroup(pieces, [r * r for r in side_ranks],
-                                 [pieces.dom.rank], reorder, [n])
-            out.append(pieces)
+                # coevaluations before level k's apex factor, mix maps after
+                pieces = tensor_mor(pieces, identity(model, Obj(r * r))
+                                    if j == k - 1 else structure[r][j < k])
+            # apex factors back in ``ranks`` order
+            out.append(regroup(pieces, [r * r for r in side_ranks],
+                               [pieces.dom.rank], reorder, [n]))
         return tuple(out)
 
-    return (side_pieces(ranks, None),
+    return (side_pieces(ranks, range(n)),
             side_pieces(perm.apply(ranks), perm.inverse().images))
 
 
-# The most tree work (nodes times edges) one sample's check may do; see
+# The most tree work (nodes times edges) one shape's walk may do; see
 # _check_search_size.
 _SEARCH_TREE_BOUND = 10 ** 4
 
@@ -422,7 +456,7 @@ def _check_search_size(n: int, max_rank: int, budget: int) -> None:
     out of the top level, of rank up to max_rank^(2n), to itself or to the
     hub, of rank up to max_rank: max_rank^(4n) entries for n >= 1,
     max_rank for n = 0.  When the search takes a sample, also raise it
-    when the sample's check, one tree per node, each over every edge, does
+    when a shape's walk, one tree per node, each over every edge, does
     more than ``_SEARCH_TREE_BOUND`` node-edge steps: a diagram at n has
     4n + 3 nodes and 6n + 6 edges, whatever the ranks."""
     check_entry_count(max_rank, 4 * n or 1, f"a zig-zag search at n = {n} "
@@ -445,8 +479,8 @@ def search_counterexample(model: Model, n: int, max_rank: int,
     violates contractibility when m = 0), and fully random fillers.
     Everything but a sample's hub and fillers depends only on its shape,
     the base ranks and the permutation, so each shape is built once per
-    call (``_corollary_shape``).  A sample is checked as its shape's frame
-    filled with its hub and fillers; only the violated sample it returns
+    call (``_corollary_shape``).  A sample is checked by replaying its
+    shape's walks with its fillers; only the violated sample it returns
     is made an instance.
     """
     if n < 0 or max_rank < 1 or entry_bound < 0 or budget < 0:
@@ -464,12 +498,14 @@ def search_counterexample(model: Model, n: int, max_rank: int,
         key = (ranks, tuple(images))
         if key not in shapes:
             shapes[key] = _corollary_shape(model, *key, structure)
-        fields, domains, frame, pullback = shapes[key]
+        fields, domains, walks, pullback = shape = shapes[key]
         hub = Obj(rng.randint(1, max_rank))
         strategy = idx % 3
         if strategy == 0:
             # one random map out of the tensor of the apex objects, pulled
             # back to every level: premise-commuting fillers
+            pullback = shape[3] = pullback or _pullback_pieces(
+                model, ranks, fields[6], structure)
             rho = random_mor(model, rng, Obj(prod(r * r for r in ranks)),
                              hub, entry_bound)
             left, right = (tuple(compose(rho, p) for p in side)
@@ -479,8 +515,7 @@ def search_counterexample(model: Model, n: int, max_rank: int,
                 zero_mor(model, Obj(r), hub) if strategy == 1 and k == 0
                 else random_mor(model, rng, Obj(r), hub, entry_bound)
                 for k, r in enumerate(side)) for side in domains)
-        outcome = _check_zigzag(build_zigzag_diagram(model, frame, hub,
-                                                     left, right))
+        outcome = _check_zigzag(walks, {"left": left, "right": right})
         stats[outcome.status] += 1
         if outcome.status == "violated":
             witness = ZigZagInstance(*fields, hub, left, right)

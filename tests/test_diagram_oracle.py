@@ -12,7 +12,9 @@ every source, then the conclusion by re-growing only the premise trees
 that hold a tail of the bottom symmetry.  On every diagram the search
 samples, and on the random multigraphs read as zig-zags, it must name the
 pair the full checks name, and the sources it re-grows must be the ones
-the reverse search ``sources_reaching_last_two_tails`` finds.
+the reverse search ``sources_reaching_last_two_tails`` finds.  The search
+replays each shape's walks with a sample's fillers; each sample's outcome
+must be the enumerator's verdict on its premise and its whole diagram.
 """
 
 import random
@@ -26,6 +28,7 @@ from mixtrace.rings import INTEGERS
 from mixtrace.zigzag import (CounterPath, Diagram, Edge, ZigZagOutcome,
                              diagram_commutes)
 
+from trace_reference import check_zigzag as reference_check_zigzag
 from trace_reference import (diagram_commutes_by_paths,
                              sources_reaching_last_two_tails)
 
@@ -65,23 +68,25 @@ def assert_agrees(d):
 
 
 def _verdict(found):
-    """``_check_trees``'s answer as ``diagram_commutes`` gives it."""
+    """``_replay``'s answer as ``diagram_commutes`` gives it."""
     return found if isinstance(found, CounterPath) else True
 
 
 def _check_zigzag_regrowing(d):
-    """``zigzag._check_zigzag(d)`` and the sources its conclusion check
-    re-grows, or None when the premise fails and nothing is re-grown."""
+    """``zigzag._check_zigzag`` of d's fresh walks, with no slots, and the
+    sources its conclusion check re-grows, or None when the premise fails
+    and nothing is re-grown."""
     grown = []
-    original = zigzag._check_trees
+    original = zigzag._walk
 
-    def record(d_, edges, sources, tails=()):
+    def record(model, objects, edges, sources, tails=()):
         grown.append(list(sources))
-        return original(d_, edges, sources, tails)
+        return original(model, objects, edges, sources, tails)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(zigzag, "_check_trees", record)
-        outcome = zigzag._check_zigzag(d)
+        mp.setattr(zigzag, "_walk", record)
+        outcome = zigzag._check_zigzag(
+            [d.model, (d.objects, d.edges), None, None], None)
     assert len(grown) in (1, 2)
     return outcome, grown[1] if len(grown) == 2 else None
 
@@ -106,25 +111,40 @@ def assert_zigzag_check_agrees(d):
     return full
 
 
+def _sample_diagram(walks, fillers):
+    """The whole diagram of a sample the search checks: its shape's frame,
+    which its walks hold, with its hub and fillers."""
+    left, right = fillers["left"], fillers["right"]
+    return zigzag.build_zigzag_diagram(walks[0], walks[1], left[0].cod, left,
+                                       right)
+
+
 def _search_diagrams(monkeypatch):
-    """Every tree check the zig-zag search makes, as the diagram it checks
-    and the sources it grows trees from: all of them for a premise, those
-    the premise reports for a conclusion.  A premise is checked as an edge
-    prefix of the instance's diagram, so each check is recorded as a
-    diagram of the edges it walks, built here.  Each commuting premise is
-    also recorded with its whole diagram and the sources it reports."""
+    """Every tree check the zig-zag search makes, as the diagram it checks,
+    the sources it grows trees from and its verdict: the premise, all but
+    the bottom symmetry, from every node of the frame, and, when the
+    premise commutes, the whole diagram from the sources the premise
+    reports.  Each commuting premise is also recorded with its whole
+    diagram and the sources it reports."""
     seen, reported = [], []
-    original = zigzag._check_trees
+    original = zigzag._check_zigzag
 
-    def record(d, edges, sources, tails=()):
-        assert tuple(edges) == d.edges[:len(edges)]
-        seen.append((Diagram(d.model, d.objects, edges), sources))
-        found = original(d, edges, sources, tails)
-        if tails and not isinstance(found, CounterPath):
-            reported.append((d, found))
-        return found
+    def record(walks, fillers):
+        outcome = original(walks, fillers)
+        whole = _sample_diagram(walks, fillers)
+        counter = outcome.counter or True
+        premise = Diagram(whole.model, whole.objects, whole.edges[:-2])
+        sources = [src for src, _ in walks[2]]
+        if outcome.status == "premise_fails":
+            seen.append((premise, sources, counter))
+            return outcome
+        seen.append((premise, sources, True))
+        sources = [src for src, _ in walks[3]]
+        seen.append((whole, sources, counter))
+        reported.append((whole, sources))
+        return outcome
 
-    monkeypatch.setattr(zigzag, "_check_trees", record)
+    monkeypatch.setattr(zigzag, "_check_zigzag", record)
     for mix in (0, 1, 2):
         for n in (1, 2, 3):
             for seed in range(3):
@@ -137,14 +157,17 @@ def _search_diagrams(monkeypatch):
 def test_search_diagrams_agree_and_name_the_same_pair(monkeypatch):
     checks, reported = _search_diagrams(monkeypatch)
     failing = partial = 0
-    for d, sources in checks:
+    for d, sources, verdict in checks:
         new, old = assert_agrees(d)
         # on the search's own diagrams the tree check names the pair the
-        # enumerator names, so `zigzag-check` on a witness is unchanged
-        assert new == old
-        # and a conclusion check, which re-grows only some of the trees,
-        # names the pair the full check names
-        assert _verdict(zigzag._check_trees(d, d.edges, sources)) == new
+        # enumerator names, and so does the search's replay of its shape's
+        # walks with the sample's fillers, so `zigzag-check` on a witness
+        # is unchanged
+        assert new == old == verdict
+        # and a check of only some of the trees, as a conclusion's re-grows
+        # and a premise's skips the hub, names the pair the full check names
+        walk = zigzag._walk(d.model, d.objects, d.edges, sources)
+        assert _verdict(zigzag._replay(d.objects, walk, None)) == new
         failing += new is not True
         partial += len(sources) < len(d.objects)
     assert len(checks) > 200 and 0 < failing < len(checks)
@@ -160,13 +183,13 @@ def _sampled_diagrams(monkeypatch, mix, n, seed, budget):
     """The whole diagram of every sample the search checks: the frame it
     is checked in, filled with its hub and fillers."""
     seen = []
-    original = zigzag.build_zigzag_diagram
+    original = zigzag._check_zigzag
 
-    def record(*args):
-        seen.append(original(*args))
-        return seen[-1]
+    def record(walks, fillers):
+        seen.append(_sample_diagram(walks, fillers))
+        return original(walks, fillers)
 
-    monkeypatch.setattr(zigzag, "build_zigzag_diagram", record)
+    monkeypatch.setattr(zigzag, "_check_zigzag", record)
     zigzag.search_counterexample(Model(INTEGERS, mix), n, max_rank=2,
                                  seed=seed, budget=budget)
     monkeypatch.undo()
@@ -280,6 +303,53 @@ def test_random_multigraphs_agree(seed):
             partial += 1
     assert verdicts[True] > 0 and verdicts[False] > 0
     assert premise_fails > 0 and partial > 0
+
+
+def _random_frame(rng):
+    """A random multigraph with filler slots into a sink added among all
+    but its last two edges, read as a zig-zag's bottom symmetry, and
+    fillers for them: all zero or small random ones."""
+    d = _random_multigraph(rng)
+    hub = Obj(rng.choice((1, 2)))
+    edges, fillers = list(d.edges[:-2]), {"left": [], "right": []}
+    for u in range(len(d.objects)):
+        if rng.random() < 0.6:
+            side = rng.choice(("left", "right"))
+            edges.insert(rng.randint(0, len(edges)),
+                         (u, side, len(fillers[side])))
+            fillers[side].append(random_mor(Z2, rng, d.objects[u], hub, 1))
+    if rng.random() < 0.3:
+        fillers = {side: [mor_scale(f, 0) for f in column]
+                   for side, column in fillers.items()}
+    return (d.objects, tuple(edges) + d.edges[-2:]), hub, fillers
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_random_frames_replay_as_their_diagrams(seed):
+    # the replay of a frame's walks with fillers gives the outcome the
+    # reference check gives the frame filled in, CounterPath included;
+    # failures found by the walk, trees that never reach the sink and
+    # filler mismatches in a later source all occur
+    rng = random.Random(f"frame-replay:{seed}")
+    found = {"frame": 0, "no sink": 0, "later slot": 0}
+    for _ in range(250):
+        frame, hub, fillers = _random_frame(rng)
+        if len(frame[1]) < 2 or type(frame[1][-2]) is not Edge:
+            continue
+        walks = [Z2, frame, None, None]
+        outcome = zigzag._check_zigzag(walks, fillers)
+        whole = zigzag.build_zigzag_diagram(Z2, frame, hub, fillers["left"],
+                                            fillers["right"])
+        assert outcome == reference_check_zigzag(whole)
+        sink = len(frame[0])
+        if outcome.counter is not None:
+            found["frame"] += outcome.counter.dst != sink
+            found["later slot"] += (outcome.counter.dst == sink
+                                    and outcome.counter.src > 0)
+        found["no sink"] += sum(
+            not any(type(e) is tuple for e in events.__copy__())
+            for _, events in walks[2])
+    assert all(found.values()), found
 
 
 def test_dense_dag_commutes_and_locates_a_changed_edge():

@@ -10,6 +10,7 @@ import json
 import os
 import random
 import signal
+import sys
 import tempfile
 import time
 from fractions import Fraction
@@ -280,6 +281,17 @@ def test_long_entry_outside_its_ring_is_named_by_a_prefix():
     assert (code, err) == (2, (
         f"input error: model 'zmod:{threes[:27]}'... (4007 characters): mix "
         f"scalar {threes[:32]}... (4002 characters) is not in Z\n"))
+
+
+def test_long_bounded_depth_is_refused_before_the_files_are_read():
+    # int() converts at most sys.get_int_max_str_digits() digits; a longer
+    # depth is an input error, named before the absent loop files
+    limit = sys.get_int_max_str_digits()
+    argv = ["congruent", "--mode", "bounded:" + "9" * (limit + 1),
+            "--left", "absent.json", "--right", "absent.json"]
+    code, err, _ = _run(argv)
+    assert (code, err) == (2, f"input error: --mode bounded depth of "
+                              f"{limit + 1} digits, over {limit}\n")
 
 
 def test_long_option_text_is_echoed_as_a_prefix(monkeypatch):

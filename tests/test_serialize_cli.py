@@ -645,6 +645,9 @@ def changed(base, path, value):
     ("zigzag-check", DIAGRAM, ("edges", 0, "label"), {"x": 1}),
     ("zigzag-check", DIAGRAM, ("edges", 0, "label"), ["a"]),
     ("zigzag-check", DIAGRAM, ("edges", 0, "label"), None),
+    # a bounded depth of more digits than int() converts
+    pytest.param("congruent", LOOP, ("--mode",), "bounded:" + "9" * 5000,
+                 id="congruent-long-bounded-depth"),
 ])
 def test_cli_rejects_bad_input(tmp_path, capsys, verb, base, path, value):
     # a row changes an option, or a field of the verb's input file, and

@@ -4,7 +4,7 @@ import pytest
 
 from mixtrace import zigzag
 from mixtrace.category import (Model, Obj, canonical_map, compose, identity,
-                               mor)
+                               mor, mor_scale)
 from mixtrace.errors import InputError, ResourceLimitError
 from mixtrace.loops import Permutation
 from mixtrace.zigzag import (CounterPath, Diagram, Edge, ZigZagInstance,
@@ -143,6 +143,35 @@ def test_witness_is_stable_under_rebuild():
                              inst.left_fillers, inst.right_fillers)
     counter = diagram_commutes(d)
     assert isinstance(counter, CounterPath)
+
+
+def test_frame_replay_gives_the_instance_check():
+    # the search replays a frame's walks with a sample's fillers; on the
+    # frozen instances that gives check_zigzag_instance's outcome, which
+    # walks the whole diagram, and the m = 0 violation is a mismatch of two
+    # filler products in a source after the first
+    for inst in (frozen_instance(Z0, 1, 2), frozen_instance(Z2, 1, 2),
+                 frozen_instance(Z0, 1, 1)):
+        fillers = {"left": inst.left_fillers, "right": inst.right_fillers}
+        out = zigzag._check_zigzag([inst.model, own_frame(inst), None, None],
+                                   fillers)
+        assert out == check_zigzag_instance(inst)
+    objects, edges = own_frame(inst)
+    m0 = check_zigzag_instance(frozen_instance(Z0, 1, 2)).counter
+    assert m0.dst == len(objects) and m0.src > 0
+    # a failing frame edge of an m = 0 frame, the top symmetry's inverse
+    # negated, is found by the walk: both paths end in the frame, and the
+    # pair is the one a full check of the premise names
+    at = [getattr(e, "label", None) for e in edges].index("top-iso-inv")
+    e = edges[at]
+    broken = (objects, edges[:at] + (Edge(e.src, e.dst, mor_scale(e.mor, -1),
+                                          e.label),) + edges[at + 1:])
+    out = zigzag._check_zigzag([Z0, broken, None, None], fillers)
+    assert out.status == "premise_fails" and out.counter.dst < len(objects)
+    whole = build_zigzag_diagram(Z0, broken, inst.hub, inst.left_fillers,
+                                 inst.right_fillers)
+    assert out.counter == diagram_commutes(
+        Diagram(Z0, whole.objects, whole.edges[:-2]))
 
 
 def test_check_builds_one_diagram_and_reuses_the_levels(monkeypatch):

@@ -100,13 +100,12 @@ def _recorded_search(monkeypatch, model, n, seed, budget):
     """Run one search and return it with the instances it built, and every
     sample it checked as (instance, frame, outcome), in order.
 
-    The search makes no instance of a sample it does not return, so each
-    is rebuilt here from its own draw: the objects, maps and permutation
-    of the shape ``_corollary_shape`` built for its key, and the hub and
-    fillers its diagram was built with.  That diagram must be the one the
-    sample's check was given, and its frame the one its shape holds.  A
-    shape, its permutation, its level ranks and its frame are each built
-    once per key."""
+    The search makes no instance or diagram of a sample it does not
+    return, so each is rebuilt here from its own draw: the objects, maps
+    and permutation of the shape ``_corollary_shape`` built for its key,
+    and the hub and fillers its check replayed that shape's walks with.
+    A shape, its permutation, its level ranks, its frame and its walks
+    are each built once per key."""
     logs = {name: [] for name in ("_corollary_shape", "Permutation",
                                   "level_ranks", "build_zigzag_frame",
                                   "build_zigzag_diagram", "_check_zigzag",
@@ -123,21 +122,20 @@ def _recorded_search(monkeypatch, model, n, seed, budget):
     keys = {args[1:3] for args, _ in shapes}
     assert (len(shapes) == len(perms) == len(levels) - len(built)
             == len(frames) == len(keys))
-    assert len(diagrams) == len(checks) == result.samples
-    by_frame = {}
+    assert diagrams == [] and len(checks) == result.samples
+    by_walks = {}
     for (args, shape), (_, perm), (frame_args, frame) in zip(shapes, perms,
                                                              frames):
-        fields = shape[0]
+        fields, walks = shape[0], shape[2]
         assert args[0] is fields[0] is model and fields[6] is perm
         assert perm.images == args[2] and frame_args[5] is perm
-        assert shape[2] is frame
-        by_frame[id(frame)] = fields
+        assert walks[:2] == [model, frame] and walks[1] is frame
+        by_walks[id(walks)] = fields
     samples = []
-    for (args, whole), ((checked,), outcome) in zip(diagrams, checks):
-        _, frame, hub, left, right = args
-        assert checked is whole
-        inst = ZigZagInstance(*by_frame[id(frame)], hub, left, right)
-        samples.append((inst, frame, outcome))
+    for (walks, fillers), outcome in checks:
+        left, right = fillers["left"], fillers["right"]
+        inst = ZigZagInstance(*by_walks[id(walks)], left[0].cod, left, right)
+        samples.append((inst, walks[1], outcome))
     return result, [inst for _, inst in built], samples
 
 
