@@ -13,7 +13,7 @@ A zig-zag instance is one diagram whose last two edges, the bottom
 symmetry, turn the premise into the conclusion; the premise is checked as
 the edge prefix before them.  Once it commutes, only the trees that reach
 the bottom symmetry can change, so the conclusion re-grows just the
-premise trees that reach it, which the premise's walk names.  Everything
+premise trees that reach it, which the premise's check names.  Everything
 of the diagram but the hub and the fillers depends only on the instance's
 objects, maps and permutation: ``build_zigzag_frame`` builds that part,
 the frame, with Id (x) f (x) Id whiskered by block copy
@@ -109,62 +109,69 @@ def diagram_commutes(d: Diagram):
     A failing edge names the tree path to v against the tree path to u
     plus e or, when v lies inside the latter, that cycle at v against the
     identity."""
-    found = _replay(d.objects, _walk(d.model, d.objects, d.edges,
-                                     range(len(d.objects))), None)
+    found = _replay(d.objects, _walk(d.model, d.objects, d.edges), None)
     return found if isinstance(found, CounterPath) else True
 
 
 def _walk(model: Model, objects: Sequence[Obj], edges: Sequence[object],
-          sources, tails=()):
-    """(source, events) per source of the diagram of ``objects`` and
-    ``edges``, ``Edge``s and filler slots (u, side, k) into a sink after
-    ``objects``.  The events grow the tree over the ``Edge``s, P implicit
-    at the source: per slot met, (index, side, k, the nonzeros (column,
-    entry) per row of P_s(u), or None, path to u); then the first failing
-    edge's ``CounterPath`` or whether the tree holds a node of ``tails``.
-    A ``tee`` never advanced, each ``__copy__`` replays them and grows the
-    tree only when asked."""
+          tails=()):
+    """The events of each node's tree, by source in ascending order, in the
+    diagram of ``objects`` and ``edges``: ``Edge``s and filler slots
+    (u, side, k) into a sink after ``objects``.  A tree grows over the
+    ``Edge``s, its composite P implicit at the source, and yields per slot
+    met (index, side, k, the nonzeros (column, entry) per row of P_s(u) or
+    None at the source, path to u); then the first failing edge's
+    ``CounterPath`` or whether the tree holds a node of ``tails``.  Each
+    source's events are a ``tee`` never advanced: each ``__copy__`` replays
+    them, and the tree grows only as far as a replay has asked."""
     adjacency: Dict[int, List[Tuple[int, object]]] = {}
     for idx, e in enumerate(edges):
         adjacency.setdefault(e.src if type(e) is Edge else e[0],
                              []).append((idx, e))
 
     def grow(src: int):
-        tree, stack = {src: (None, ())}, [src]
+        tree = {src: (None, ())}
+        stack = [src]
         while stack:
             u = stack.pop()
             comp, path = tree[u]
-            for idx, e in adjacency.get(u, ()):
-                if type(e) is not Edge:
-                    yield idx, e[1], e[2], None if comp is None else tuple(
+            for idx, e in adjacency.get(u, []):
+                if type(e) is not Edge:  # a slot, filled at replay
+                    nonzeros = None if comp is None else tuple(
                         tuple((j, x) for j, x in enumerate(row) if x)
-                        for row in comp.entries), path
+                        for row in comp.entries)
+                    yield idx, e[1], e[2], nonzeros, path
                     continue
                 value = e.mor if comp is None else compose(e.mor, comp)
+                via = path + (idx,)
                 at_v = tree.get(e.dst)
                 if at_v is None:
-                    tree[e.dst] = (value, path + (idx,))
+                    tree[e.dst] = (value, via)
                     stack.append(e.dst)
-                elif (not _is_identity(value.entries) if at_v[0] is None
-                      else value.entries != at_v[0].entries):
+                elif at_v[0] is None:  # back at the source
+                    if not _is_identity(value.entries):
+                        return _counter_pair(model, objects, edges, src, at_v,
+                                             via, value)
+                elif value.entries != at_v[0].entries:
                     return _counter_pair(model, objects, edges, src, at_v,
-                                         path + (idx,), value)
+                                         via, value)
         return any(t in tree for t in tails)
 
     def events(src: int):  # the tree is dropped before the last event
         yield (yield from grow(src))
 
-    return [(src, tee(events(src), 1)[0]) for src in sources]
+    return {src: tee(events(src), 1)[0] for src in range(len(objects))}
 
 
-def _replay(objects: Sequence[Obj], walk, fillers):
-    """A walk's check with slot (u, side, k) filled by ``fillers[side][k]``
-    times P_s(u), in ``compose``'s order: the first failing pair or the
-    sources whose tree holds a tail."""
+def _replay(objects: Sequence[Obj], walk, fillers, sources=None):
+    """A walk's check over ``sources``, by default every source, with slot
+    (u, side, k) filled by ``fillers[side][k]`` times P_s(u), in
+    ``compose``'s order: the first failing pair or the sources whose tree
+    holds a tail."""
     reached = []
-    for src, events in walk:
+    for src in walk if sources is None else sources:
         first, width = None, objects[src].rank
-        for event in events.__copy__():
+        for event in walk[src].__copy__():
             if type(event) is not tuple:
                 break
             idx, side, k, nonzeros, path = event
@@ -201,8 +208,10 @@ def _counter_pair(model: Model, objects: Sequence[Obj], edges, src: int,
     v = edges[via[-1]].dst
     inner = [edges[i].dst for i in via[:-1]]
     if v == src or v not in inner:
-        return CounterPath(src, v, at_v[1], via,
-                           at_v[0] or identity(model, objects[src]), value)
+        ref = at_v[0]
+        if ref is None:
+            ref = identity(model, objects[src])
+        return CounterPath(src, v, at_v[1], via, ref, value)
     cycle = via[inner.index(v) + 1:]
     ident = value = identity(model, objects[v])
     for idx in cycle:
@@ -274,8 +283,9 @@ def level_ranks(upper: Sequence[Obj], apex: Sequence[Obj],
     lower_1..lower_k-1 (x) apex_k (x) upper_k+1..upper_n."""
     out = {}
     for side, order in (("left", range(len(upper))), ("right", perm.images)):
-        up, ap, lo = ([objs[i].rank for i in order]
-                      for objs in (upper, apex, lower))
+        up = [upper[i].rank for i in order]
+        ap = [apex[i].rank for i in order]
+        lo = [lower[i].rank for i in order]
         x_levels = [prod(lo[:i]) * prod(up[i:]) for i in range(len(up) + 1)]
         fillers = [x_levels[0]] + [prod(lo[:k - 1]) * ap[k - 1] * prod(up[k:])
                                    for k in range(1, len(up) + 1)]
@@ -293,7 +303,8 @@ class ZigZagOutcome(Value):
         object.__setattr__(self, "counter", counter)
 
 
-# A frame: objects below the hub, and edges with a slot (u, side, k) per filler
+# A frame: the objects below the hub and the edges in diagram order, each
+# filler edge a slot (src, side, k) for the side's filler k.
 Frame = Tuple[Tuple[Obj, ...], Tuple[object, ...]]
 
 
@@ -310,26 +321,37 @@ def build_zigzag_frame(model: Model, upper: Sequence[Obj],
     then the top symmetry and, last, the bottom symmetry, each with its
     inverse (the transpose of a permutation matrix)."""
     n = len(upper)
-    objects = [Obj(r) for side in ("left", "right")  # X levels, then apexes
-               for r in levels[side][0] + levels[side][1][1:]]
-    # a side's X level i is node x + i and its apex level k node x + n + k
+    objects: List[Obj] = []
+    for side in ("left", "right"):
+        x_levels, fillers = levels[side]
+        objects += [Obj(r) for r in x_levels] + [Obj(r) for r in fillers[1:]]
+
+    def x_idx(side: str, i: int) -> int:
+        return (0 if side == "left" else 2 * n + 1) + i
+
+    def a_idx(side: str, k: int) -> int:
+        return (0 if side == "left" else 2 * n + 1) + (n + 1) + (k - 1)
+
     edges: List[object] = []
-    for x, side, order in ((0, "left", range(n)),
-                           (2 * n + 1, "right", perm.images)):
+    for side, order in (("left", range(n)), ("right", perm.images)):
         for k in range(1, n + 1):
             i = order[k - 1]
             pre = obj_tensor(*(lower[j] for j in order[:k - 1]))
             post = obj_tensor(*(upper[j] for j in order[k:]))
-            edges += [Edge(x + k - 1, x + n + k, whisker(pre, downs[i], post),
-                           f"{side}-down-{k}"),
-                      Edge(x + k, x + n + k, whisker(pre, ups[i], post),
-                           f"{side}-up-{k}")]
-        edges.append((x, side, 0))
-        edges += [(x + n + k, side, k) for k in range(1, n + 1)]
+            edges.append(Edge(x_idx(side, k - 1), a_idx(side, k),
+                              whisker(pre, downs[i], post),
+                              f"{side}-down-{k}"))
+            edges.append(Edge(x_idx(side, k), a_idx(side, k),
+                              whisker(pre, ups[i], post), f"{side}-up-{k}"))
+        edges.append((x_idx(side, 0), side, 0))
+        edges += [(a_idx(side, k), side, k) for k in range(1, n + 1)]
+
     for name, objs, i in (("top", upper, 0), ("bottom", lower, n)):
         iso = factor_permutation(model, [o.rank for o in objs], perm.images)
-        edges.append(Edge(i, 2 * n + 1 + i, iso, f"{name}-iso"))
-        edges.append(Edge(2 * n + 1 + i, i, dual_mor(iso), f"{name}-iso-inv"))
+        edges.append(Edge(x_idx("left", i), x_idx("right", i), iso,
+                          f"{name}-iso"))
+        edges.append(Edge(x_idx("right", i), x_idx("left", i), dual_mor(iso),
+                          f"{name}-iso-inv"))
     return tuple(objects), tuple(edges)
 
 
@@ -339,9 +361,10 @@ def build_zigzag_diagram(model: Model, frame: Frame, hub: Obj,
     and the left and right filler columns in their slots.  Without its
     last two edges, the bottom symmetry, it is the premise diagram."""
     objects, slots = frame
+    node = len(objects)
     fillers = {"left": left, "right": right}
     edges = [e if type(e) is Edge else
-             Edge(e[0], len(objects), fillers[e[1]][e[2]],
+             Edge(e[0], node, fillers[e[1]][e[2]],
                   f"{e[1]}-filler-{e[2] or 'top'}")
              for e in slots]
     return Diagram(model, objects + (hub,), tuple(edges))
@@ -349,35 +372,37 @@ def build_zigzag_diagram(model: Model, frame: Frame, hub: Obj,
 
 def check_zigzag_instance(inst: ZigZagInstance) -> ZigZagOutcome:
     """Build the instance's frame, fill it with the hub and fillers, and
-    check the diagram through a fresh walk."""
+    check the diagram through fresh walks."""
     levels = level_ranks(inst.upper, inst.apex, inst.lower, inst.perm)
     frame = build_zigzag_frame(inst.model, inst.upper, inst.lower,
                                inst.down_maps, inst.up_maps, inst.perm, levels)
     d = build_zigzag_diagram(inst.model, frame, inst.hub, inst.left_fillers,
                              inst.right_fillers)
-    return _check_zigzag([d.model, (d.objects, d.edges), None, None], None)
+    return _check_zigzag(d.objects, *_zigzag_walks(d.model, d.objects,
+                                                   d.edges), None)
 
 
-def _check_zigzag(walks: list, fillers) -> ZigZagOutcome:
-    """Check the premise, the edge prefix without the bottom symmetry, over
-    every node of the frame; if it commutes, re-grow over every edge just
-    the trees that held a tail of the bottom symmetry.  A path that reaches
-    such a tail reaches its first one over premise edges, so every other
-    tree never uses the bottom symmetry and stays the premise's.  Sources
-    are taken in ascending order, so the failure, if any, is the one a
-    full check of the whole diagram reports.  ``walks``, [model, frame,
-    premise walk, conclusion walk], keeps each walk from its first use."""
-    model, (objects, edges), premise, conclusion = walks
-    if premise is None:
-        premise = walks[2] = _walk(model, objects, edges[:-2],
-                                   range(len(objects)),
-                                   {e.src for e in edges[-2:]})
+def _zigzag_walks(model: Model, objects: Sequence[Obj],
+                  edges: Sequence[object]):
+    """The premise walk, over all edges but the bottom symmetry with its
+    tails, and the conclusion walk, over every edge, of a zig-zag frame or
+    diagram."""
+    return (_walk(model, objects, edges[:-2], {e.src for e in edges[-2:]}),
+            _walk(model, objects, edges))
+
+
+def _check_zigzag(objects: Sequence[Obj], premise, conclusion,
+                  fillers) -> ZigZagOutcome:
+    """Check the premise over every node's tree; if it commutes, re-check
+    over every edge just the trees that held a tail of the bottom symmetry.
+    A path that reaches such a tail reaches its first one over premise
+    edges, so every other tree never uses the bottom symmetry and stays the
+    premise's.  Sources are taken in ascending order, so the failure, if
+    any, is the one a full check of the whole diagram reports."""
     found = _replay(objects, premise, fillers)
     if isinstance(found, CounterPath):
         return ZigZagOutcome("premise_fails", found)
-    if conclusion is None:
-        conclusion = walks[3] = _walk(model, objects, edges, found)
-    found = _replay(objects, conclusion, fillers)
+    found = _replay(objects, conclusion, fillers, found)
     if isinstance(found, CounterPath):
         return ZigZagOutcome("violated", found)
     return ZigZagOutcome("holds")
@@ -401,9 +426,9 @@ def _corollary_shape(model: Model, ranks: Tuple[int, ...],
     permutation images fix: its objects, maps and permutation (the first
     seven instance fields; the down maps are mix maps of A_i with its dual
     and the up maps coevaluations), each side's filler domain ranks, its
-    frame's walks (``_check_zigzag``) and, once the search builds them,
-    its pullback pieces.  ``structure`` holds the pair (mix map,
-    coevaluation) per base rank, built on first use."""
+    frame and the frame's premise and conclusion walks.  ``structure``
+    holds the pair (mix map, coevaluation) per base rank, built on first
+    use."""
     for r in ranks:
         if r not in structure:
             b = Obj(r)
@@ -416,9 +441,9 @@ def _corollary_shape(model: Model, ranks: Tuple[int, ...],
     perm = Permutation(images)
     levels = level_ranks(upper, apex, lower, perm)
     frame = build_zigzag_frame(model, upper, lower, downs, ups, perm, levels)
-    return [(model, upper, apex, lower, downs, ups, perm),
+    return ((model, upper, apex, lower, downs, ups, perm),
             (levels["left"][1], levels["right"][1]),
-            [model, frame, None, None], None]
+            frame, _zigzag_walks(model, *frame))
 
 
 def _pullback_pieces(model: Model, ranks: Tuple[int, ...], perm: Permutation,
@@ -428,20 +453,25 @@ def _pullback_pieces(model: Model, ranks: Tuple[int, ...], perm: Permutation,
     coevaluations below the level and mix maps above it."""
     n = len(ranks)
 
-    def side_pieces(side_ranks, reorder: Sequence[int]):
+    def side_pieces(side_ranks, reorder: Optional[Sequence[int]]):
         out = []
         for k in range(0, n + 1):
             pieces = identity(model, Obj(1))
             for j, r in enumerate(side_ranks):
-                # coevaluations before level k's apex factor, mix maps after
-                pieces = tensor_mor(pieces, identity(model, Obj(r * r))
-                                    if j == k - 1 else structure[r][j < k])
-            # apex factors back in ``ranks`` order
-            out.append(regroup(pieces, [r * r for r in side_ranks],
-                               [pieces.dom.rank], reorder, [n]))
+                if k == 0 or j + 1 > k:
+                    piece = structure[r][0]
+                elif j + 1 < k:
+                    piece = structure[r][1]
+                else:
+                    piece = identity(model, Obj(r * r))
+                pieces = tensor_mor(pieces, piece)
+            if reorder is not None:  # apex factors back in ``ranks`` order
+                pieces = regroup(pieces, [r * r for r in side_ranks],
+                                 [pieces.dom.rank], reorder, [n])
+            out.append(pieces)
         return tuple(out)
 
-    return (side_pieces(ranks, range(n)),
+    return (side_pieces(ranks, None),
             side_pieces(perm.apply(ranks), perm.inverse().images))
 
 
@@ -491,6 +521,7 @@ def search_counterexample(model: Model, n: int, max_rank: int,
     stats = {"premise_fails": 0, "holds": 0, "violated": 0}
     structure: Dict[int, Tuple[Mor, Mor]] = {}
     shapes: Dict[tuple, tuple] = {}
+    pullbacks: Dict[tuple, tuple] = {}
     for idx in range(budget):
         ranks = tuple(rng.randint(1, max_rank) for _ in range(n))
         images = list(range(n))
@@ -498,24 +529,26 @@ def search_counterexample(model: Model, n: int, max_rank: int,
         key = (ranks, tuple(images))
         if key not in shapes:
             shapes[key] = _corollary_shape(model, *key, structure)
-        fields, domains, walks, pullback = shape = shapes[key]
+        fields, domains, frame, walks = shapes[key]
         hub = Obj(rng.randint(1, max_rank))
         strategy = idx % 3
         if strategy == 0:
             # one random map out of the tensor of the apex objects, pulled
             # back to every level: premise-commuting fillers
-            pullback = shape[3] = pullback or _pullback_pieces(
-                model, ranks, fields[6], structure)
+            if key not in pullbacks:
+                pullbacks[key] = _pullback_pieces(model, ranks, fields[6],
+                                                  structure)
             rho = random_mor(model, rng, Obj(prod(r * r for r in ranks)),
                              hub, entry_bound)
             left, right = (tuple(compose(rho, p) for p in side)
-                           for side in pullback)
+                           for side in pullbacks[key])
         else:
             left, right = (tuple(
                 zero_mor(model, Obj(r), hub) if strategy == 1 and k == 0
                 else random_mor(model, rng, Obj(r), hub, entry_bound)
                 for k, r in enumerate(side)) for side in domains)
-        outcome = _check_zigzag(walks, {"left": left, "right": right})
+        outcome = _check_zigzag(frame[0], *walks,
+                                {"left": left, "right": right})
         stats[outcome.status] += 1
         if outcome.status == "violated":
             witness = ZigZagInstance(*fields, hub, left, right)

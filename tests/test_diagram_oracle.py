@@ -76,19 +76,20 @@ def _check_zigzag_regrowing(d):
     """``zigzag._check_zigzag`` of d's fresh walks, with no slots, and the
     sources its conclusion check re-grows, or None when the premise fails
     and nothing is re-grown."""
-    grown = []
-    original = zigzag._walk
+    replays = []
+    original = zigzag._replay
 
-    def record(model, objects, edges, sources, tails=()):
-        grown.append(list(sources))
-        return original(model, objects, edges, sources, tails)
+    def record(objects, walk, fillers, sources=None):
+        replays.append(sources)
+        return original(objects, walk, fillers, sources)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(zigzag, "_walk", record)
+        mp.setattr(zigzag, "_replay", record)
         outcome = zigzag._check_zigzag(
-            [d.model, (d.objects, d.edges), None, None], None)
-    assert len(grown) in (1, 2)
-    return outcome, grown[1] if len(grown) == 2 else None
+            d.objects, *zigzag._zigzag_walks(d.model, d.objects, d.edges),
+            None)
+    assert len(replays) in (1, 2) and replays[0] is None
+    return outcome, replays[1] if len(replays) == 2 else None
 
 
 def assert_zigzag_check_agrees(d):
@@ -111,53 +112,72 @@ def assert_zigzag_check_agrees(d):
     return full
 
 
-def _sample_diagram(walks, fillers):
-    """The whole diagram of a sample the search checks: its shape's frame,
-    which its walks hold, with its hub and fillers."""
-    left, right = fillers["left"], fillers["right"]
-    return zigzag.build_zigzag_diagram(walks[0], walks[1], left[0].cod, left,
-                                       right)
+def _spy_samples(monkeypatch):
+    """A list that gets, per sample the zig-zag search checks, its whole
+    diagram (its shape's frame with its hub and fillers), the sources of
+    each replay of its check, the premise's and, when that commutes, the
+    conclusion's, and its outcome."""
+    samples, shapes, replays = [], {}, []
+    make_shape = zigzag._corollary_shape
+    check, replay = zigzag._check_zigzag, zigzag._replay
+
+    def record_shape(*args):
+        shape = make_shape(*args)
+        shapes[id(shape[3][0])] = shape
+        return shape
+
+    def record_replay(objects, walk, fillers, sources=None):
+        replays.append(list(walk if sources is None else sources))
+        return replay(objects, walk, fillers, sources)
+
+    def record_check(objects, premise, conclusion, fillers):
+        replays.clear()
+        outcome = check(objects, premise, conclusion, fillers)
+        fields, _, frame, walks = shapes[id(premise)]
+        assert objects is frame[0] and walks == (premise, conclusion)
+        left, right = fillers["left"], fillers["right"]
+        whole = zigzag.build_zigzag_diagram(fields[0], frame, left[0].cod,
+                                            left, right)
+        samples.append((whole, list(replays), outcome))
+        return outcome
+
+    monkeypatch.setattr(zigzag, "_corollary_shape", record_shape)
+    monkeypatch.setattr(zigzag, "_replay", record_replay)
+    monkeypatch.setattr(zigzag, "_check_zigzag", record_check)
+    return samples
 
 
 def _search_diagrams(monkeypatch):
     """Every tree check the zig-zag search makes, as the diagram it checks,
-    the sources it grows trees from and its verdict: the premise, all but
-    the bottom symmetry, from every node of the frame, and, when the
-    premise commutes, the whole diagram from the sources the premise
-    reports.  Each commuting premise is also recorded with its whole
-    diagram and the sources it reports."""
+    the sources it grows trees from, its verdict and whether it is a
+    conclusion check: the premise, all but the bottom symmetry, from every
+    node of the frame, and, when the premise commutes, the whole diagram
+    from the sources the premise reports.  Each commuting premise is also
+    recorded with its whole diagram and the sources it reports."""
     seen, reported = [], []
-    original = zigzag._check_zigzag
-
-    def record(walks, fillers):
-        outcome = original(walks, fillers)
-        whole = _sample_diagram(walks, fillers)
-        counter = outcome.counter or True
-        premise = Diagram(whole.model, whole.objects, whole.edges[:-2])
-        sources = [src for src, _ in walks[2]]
-        if outcome.status == "premise_fails":
-            seen.append((premise, sources, counter))
-            return outcome
-        seen.append((premise, sources, True))
-        sources = [src for src, _ in walks[3]]
-        seen.append((whole, sources, counter))
-        reported.append((whole, sources))
-        return outcome
-
-    monkeypatch.setattr(zigzag, "_check_zigzag", record)
+    samples = _spy_samples(monkeypatch)
     for mix in (0, 1, 2):
         for n in (1, 2, 3):
             for seed in range(3):
                 zigzag.search_counterexample(Model(INTEGERS, mix), n,
                                              max_rank=2, seed=seed, budget=12)
     monkeypatch.undo()
+    for whole, replays, outcome in samples:
+        counter = outcome.counter or True
+        premise = Diagram(whole.model, whole.objects, whole.edges[:-2])
+        if outcome.status == "premise_fails":
+            seen.append((premise, replays[0], counter, False))
+            continue
+        seen.append((premise, replays[0], True, False))
+        seen.append((whole, replays[1], counter, True))
+        reported.append((whole, replays[1]))
     return seen, reported
 
 
 def test_search_diagrams_agree_and_name_the_same_pair(monkeypatch):
     checks, reported = _search_diagrams(monkeypatch)
     failing = partial = 0
-    for d, sources, verdict in checks:
+    for d, sources, verdict, conclusion in checks:
         new, old = assert_agrees(d)
         # on the search's own diagrams the tree check names the pair the
         # enumerator names, and so does the search's replay of its shape's
@@ -166,10 +186,12 @@ def test_search_diagrams_agree_and_name_the_same_pair(monkeypatch):
         assert new == old == verdict
         # and a check of only some of the trees, as a conclusion's re-grows
         # and a premise's skips the hub, names the pair the full check names
-        walk = zigzag._walk(d.model, d.objects, d.edges, sources)
-        assert _verdict(zigzag._replay(d.objects, walk, None)) == new
+        walk = zigzag._walk(d.model, d.objects, d.edges)
+        assert _verdict(zigzag._replay(d.objects, walk, None, sources)) == new
         failing += new is not True
-        partial += len(sources) < len(d.objects)
+        # a conclusion check that re-grows fewer trees than its premise
+        # grew, one per node of the frame: all but the hub
+        partial += conclusion and len(sources) < len(d.objects) - 1
     assert len(checks) > 200 and 0 < failing < len(checks)
     assert partial > 0
     # the sources a commuting premise reports are those with a path to the
@@ -182,18 +204,11 @@ def test_search_diagrams_agree_and_name_the_same_pair(monkeypatch):
 def _sampled_diagrams(monkeypatch, mix, n, seed, budget):
     """The whole diagram of every sample the search checks: the frame it
     is checked in, filled with its hub and fillers."""
-    seen = []
-    original = zigzag._check_zigzag
-
-    def record(walks, fillers):
-        seen.append(_sample_diagram(walks, fillers))
-        return original(walks, fillers)
-
-    monkeypatch.setattr(zigzag, "_check_zigzag", record)
+    samples = _spy_samples(monkeypatch)
     zigzag.search_counterexample(Model(INTEGERS, mix), n, max_rank=2,
                                  seed=seed, budget=budget)
     monkeypatch.undo()
-    return seen
+    return [whole for whole, _, _ in samples]
 
 
 @pytest.mark.parametrize("n", range(4))
@@ -336,8 +351,9 @@ def test_random_frames_replay_as_their_diagrams(seed):
         frame, hub, fillers = _random_frame(rng)
         if len(frame[1]) < 2 or type(frame[1][-2]) is not Edge:
             continue
-        walks = [Z2, frame, None, None]
-        outcome = zigzag._check_zigzag(walks, fillers)
+        premise, conclusion = zigzag._zigzag_walks(Z2, *frame)
+        outcome = zigzag._check_zigzag(frame[0], premise, conclusion,
+                                       fillers)
         whole = zigzag.build_zigzag_diagram(Z2, frame, hub, fillers["left"],
                                             fillers["right"])
         assert outcome == reference_check_zigzag(whole)
@@ -348,7 +364,7 @@ def test_random_frames_replay_as_their_diagrams(seed):
                                     and outcome.counter.src > 0)
         found["no sink"] += sum(
             not any(type(e) is tuple for e in events.__copy__())
-            for _, events in walks[2])
+            for events in premise.values())
     assert all(found.values()), found
 
 

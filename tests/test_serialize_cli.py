@@ -650,6 +650,8 @@ def changed(base, path, value):
                  id="congruent-long-bounded-depth"),
     # an alpha of the right length that is not a permutation
     ("zigzag-check", ZIGZAG2, ("alpha",), [0, 0]),
+    # a permutation of the wrong length for alpha
+    ("zigzag-check", ZIGZAG2, ("alpha",), [0]),
 ])
 def test_cli_rejects_bad_input(tmp_path, capsys, verb, base, path, value):
     # a row changes an option, or a field of the verb's input file, and

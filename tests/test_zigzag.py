@@ -145,6 +145,13 @@ def test_witness_is_stable_under_rebuild():
     assert isinstance(counter, CounterPath)
 
 
+def _replay_frame(model, frame, fillers):
+    """The search's check of a sample: the frame's fresh walks replayed
+    with its fillers."""
+    return zigzag._check_zigzag(frame[0], *zigzag._zigzag_walks(model, *frame),
+                                fillers)
+
+
 def test_frame_replay_gives_the_instance_check():
     # the search replays a frame's walks with a sample's fillers; on the
     # frozen instances that gives check_zigzag_instance's outcome, which
@@ -153,8 +160,7 @@ def test_frame_replay_gives_the_instance_check():
     for inst in (frozen_instance(Z0, 1, 2), frozen_instance(Z2, 1, 2),
                  frozen_instance(Z0, 1, 1)):
         fillers = {"left": inst.left_fillers, "right": inst.right_fillers}
-        out = zigzag._check_zigzag([inst.model, own_frame(inst), None, None],
-                                   fillers)
+        out = _replay_frame(inst.model, own_frame(inst), fillers)
         assert out == check_zigzag_instance(inst)
     objects, edges = own_frame(inst)
     m0 = check_zigzag_instance(frozen_instance(Z0, 1, 2)).counter
@@ -166,7 +172,7 @@ def test_frame_replay_gives_the_instance_check():
     e = edges[at]
     broken = (objects, edges[:at] + (Edge(e.src, e.dst, mor_scale(e.mor, -1),
                                           e.label),) + edges[at + 1:])
-    out = zigzag._check_zigzag([Z0, broken, None, None], fillers)
+    out = _replay_frame(Z0, broken, fillers)
     assert out.status == "premise_fails" and out.counter.dst < len(objects)
     whole = build_zigzag_diagram(Z0, broken, inst.hub, inst.left_fillers,
                                  inst.right_fillers)

@@ -108,34 +108,38 @@ def _recorded_search(monkeypatch, model, n, seed, budget):
     are each built once per key."""
     logs = {name: [] for name in ("_corollary_shape", "Permutation",
                                   "level_ranks", "build_zigzag_frame",
-                                  "build_zigzag_diagram", "_check_zigzag",
-                                  "ZigZagInstance")}
+                                  "_zigzag_walks", "build_zigzag_diagram",
+                                  "_check_zigzag", "ZigZagInstance")}
     for name, log in logs.items():
         monkeypatch.setattr(zigzag, name, _recorder(getattr(zigzag, name),
                                                     log))
     result = search_counterexample(model, n, max_rank=2, seed=seed,
                                    budget=budget)
     monkeypatch.undo()
-    shapes, perms, levels, frames, diagrams, checks, built = logs.values()
+    (shapes, perms, levels, frames, walks, diagrams, checks,
+     built) = logs.values()
     # the witness, when there is one, derives its level ranks once more
     # to validate its fillers
     keys = {args[1:3] for args, _ in shapes}
     assert (len(shapes) == len(perms) == len(levels) - len(built)
-            == len(frames) == len(keys))
+            == len(frames) == len(walks) == len(keys))
     assert diagrams == [] and len(checks) == result.samples
-    by_walks = {}
-    for (args, shape), (_, perm), (frame_args, frame) in zip(shapes, perms,
-                                                             frames):
-        fields, walks = shape[0], shape[2]
+    by_premise = {}
+    for (args, shape), (_, perm), (frame_args, frame), (walk_args, pair) in (
+            zip(shapes, perms, frames, walks)):
+        fields = shape[0]
         assert args[0] is fields[0] is model and fields[6] is perm
         assert perm.images == args[2] and frame_args[5] is perm
-        assert walks[:2] == [model, frame] and walks[1] is frame
-        by_walks[id(walks)] = fields
+        assert shape[2] is frame and shape[3] is pair
+        assert walk_args == (model, *frame)
+        by_premise[id(pair[0])] = fields, frame, pair
     samples = []
-    for (walks, fillers), outcome in checks:
+    for (objects, premise, conclusion, fillers), outcome in checks:
+        fields, frame, pair = by_premise[id(premise)]
+        assert objects is frame[0] and pair == (premise, conclusion)
         left, right = fillers["left"], fillers["right"]
-        inst = ZigZagInstance(*by_walks[id(walks)], left[0].cod, left, right)
-        samples.append((inst, walks[1], outcome))
+        inst = ZigZagInstance(*fields, left[0].cod, left, right)
+        samples.append((inst, frame, outcome))
     return result, [inst for _, inst in built], samples
 
 
