@@ -8,10 +8,13 @@ from mixtrace.category import (Model, Obj, canonical_map, compose, identity,
 from mixtrace.errors import InputError, ResourceLimitError
 from mixtrace.loops import Permutation
 from mixtrace.zigzag import (CounterPath, Diagram, Edge, ZigZagInstance,
-                             build_zigzag_diagram, build_zigzag_frame,
-                             check_zigzag_instance, diagram_commutes,
-                             level_ranks, search_counterexample)
+                             build_zigzag_frame, check_zigzag_instance,
+                             diagram_commutes, level_ranks,
+                             search_counterexample)
 from mixtrace.rings import INTEGERS
+
+from trace_reference import build_zigzag_diagram
+from trace_reference import check_zigzag as reference_check_zigzag
 
 Z0 = Model(INTEGERS, 0)
 Z1 = Model(INTEGERS, 1)
@@ -178,6 +181,80 @@ def test_frame_replay_gives_the_instance_check():
                                  inst.right_fillers)
     assert out.counter == diagram_commutes(
         Diagram(Z0, whole.objects, whole.edges[:-2]))
+
+
+def _search_witnesses():
+    """Every witness the search returns at mix -1..3, n = 0..3, seeds 0..2
+    and max_rank 1..3 (n = 3 only up to max_rank 2), 60 samples each."""
+    for mix in range(-1, 4):
+        for n in range(4):
+            for max_rank in range(1, 4 if n < 3 else 3):
+                for seed in range(3):
+                    res = search_counterexample(
+                        Model(INTEGERS, mix), n, max_rank=max_rank,
+                        seed=seed, budget=60)
+                    if res.instance is not None:
+                        yield res.instance
+
+
+def _with(inst, name, k, f):
+    """A copy of the instance with entry k of its tuple field ``name``
+    replaced by f."""
+    fields = {slot: getattr(inst, slot) for slot in ZigZagInstance.__slots__}
+    column = list(fields[name])
+    column[k] = f
+    fields[name] = column
+    return ZigZagInstance(**fields)
+
+
+def _raised_entries(f):
+    """A copy of f per entry, with that entry raised by 1."""
+    for i, row in enumerate(f.entries):
+        for j in range(len(row)):
+            yield mor(f.model, f.dom, f.cod,
+                      [[x + (r == i and c == j) for c, x in enumerate(rw)]
+                       for r, rw in enumerate(f.entries)])
+
+
+def test_instance_check_matches_the_reference_check_of_its_diagram():
+    # check_zigzag_instance against the reference tree check of the whole
+    # diagram, the instance's frame with its hub and fillers filled in, on
+    # the frozen instances, every search witness, copies of each witness
+    # with one filler entry raised by 1 and copies with one down-map entry
+    # raised by 1, whose failures run through the changed frame edge
+    witnesses = list(_search_witnesses())
+    cases = [(inst, None) for inst in (
+        frozen_instance(Z0, 1, 2), frozen_instance(Z2, 1, 2),
+        frozen_instance(Z0, 1, 1))]
+    for inst in witnesses:
+        cases.append((inst, None))
+        for name in ("left_fillers", "right_fillers"):
+            for k, f in enumerate(getattr(inst, name)):
+                cases += [(_with(inst, name, k, g), None)
+                          for g in _raised_entries(f)]
+        for k, f in enumerate(inst.down_maps):
+            cases += [(_with(inst, "down_maps", k, g), k)
+                      for g in _raised_entries(f)]
+    statuses = {"premise_fails": 0, "violated": 0, "holds": 0}
+    through_down = 0
+    for inst, changed in cases:
+        frame = own_frame(inst)
+        whole = build_zigzag_diagram(inst.model, frame, inst.hub,
+                                     inst.left_fillers, inst.right_fillers)
+        outcome = check_zigzag_instance(inst)
+        # ZigZagOutcome equality covers the status and the whole
+        # CounterPath: src, dst, both paths and both values
+        assert outcome == reference_check_zigzag(whole), inst
+        statuses[outcome.status] += 1
+        if changed is not None and outcome.counter is not None:
+            labels = {whole.edges[i].label for i in
+                      outcome.counter.path_a + outcome.counter.path_b}
+            through_down += bool({f"left-down-{changed + 1}",
+                                  f"right-down-"
+                                  f"{inst.perm.images.index(changed) + 1}"}
+                                 & labels)
+    assert len(witnesses) >= 10 and all(statuses.values()), statuses
+    assert through_down > 0
 
 
 def test_check_builds_one_diagram_and_reuses_the_levels(monkeypatch):

@@ -32,8 +32,10 @@ sources the library's zig-zag check re-grows, which it reads off the
 premise's trees instead.  ``check_trees`` and ``check_zigzag`` are the
 library's per-source tree check and zig-zag check as they stood before
 the check split into a walk per shape and a replay per sample: every
-sample the search checks must get the outcome ``check_zigzag`` gives its
-diagram.
+sample the search checks, and every instance ``zigzag-check`` checks, must
+get the outcome ``check_zigzag`` gives its diagram.
+``build_zigzag_diagram`` is that diagram: a zig-zag frame with its hub and
+fillers filled in as edges.
 
 The structural maps the library computes as one ``regroup`` each are here
 as explicit index loops over multi-indices (``curry_by_loops``,
@@ -60,7 +62,8 @@ from mixtrace.rings import Number, RingTag, divides_power
 from mixtrace.traces import (AMBIGUOUS, StaircaseWitness, TraceResult,
                              _contract_pair, _divide_by_mix, _exact_div,
                              ambiguous, defined, pairing_form, undefined)
-from mixtrace.zigzag import CounterPath, Diagram, Edge, ZigZagOutcome
+from mixtrace.zigzag import (CounterPath, Diagram, Edge, Frame,
+                             ZigZagOutcome)
 
 
 def all_permutations(k):
@@ -555,3 +558,18 @@ def check_zigzag(whole: Diagram) -> ZigZagOutcome:
     if isinstance(conclusion, CounterPath):
         return ZigZagOutcome("violated", conclusion)
     return ZigZagOutcome("holds")
+
+
+def build_zigzag_diagram(model: Model, frame: Frame, hub: Obj,
+                         left: Sequence[Mor], right: Sequence[Mor]) -> Diagram:
+    """The conclusion diagram of a zig-zag: its frame with the hub appended
+    and the left and right filler columns in their slots.  Without its
+    last two edges, the bottom symmetry, it is the premise diagram."""
+    objects, slots = frame
+    node = len(objects)
+    fillers = {"left": left, "right": right}
+    edges = [e if type(e) is Edge else
+             Edge(e[0], node, fillers[e[1]][e[2]],
+                  f"{e[1]}-filler-{e[2] or 'top'}")
+             for e in slots]
+    return Diagram(model, objects + (hub,), tuple(edges))
