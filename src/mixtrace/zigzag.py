@@ -9,7 +9,7 @@ stand for).  ``diagram_commutes`` checks every edge against one tree of
 composites per source node: O(V * E) composites, with no path limit.  A
 failure is reported as two parallel simple paths with unequal composites.
 
-A zig-zag instance is one diagram whose last two edges, the bottom
+A zig-zag instance is a diagram whose last two edges, the bottom
 symmetry, turn the premise into the conclusion; the premise is checked as
 the edge prefix before them.  Once it commutes, only the trees that reach
 the bottom symmetry can change, so the conclusion re-grows just the
@@ -17,16 +17,17 @@ premise trees that reach it, which the premise's check names.  Everything
 of the diagram but the hub and the fillers depends only on the instance's
 objects, maps and permutation: ``build_zigzag_frame`` builds that part,
 the frame, with Id (x) f (x) Id whiskered by block copy
-(``category.whisker``) and a slot per filler, and ``build_zigzag_diagram``
-drops a hub and two filler columns into it.  The hub is a sink that only
+(``category.whisker``) and a slot per filler.  The hub is a sink that only
 fillers enter, so a walk grows each tree over the frame's edges, checking
 them, and keeps the path composite P_s(u) at each slot's tail; a replay
-checks fillers f by the products f . P_s(u) alone.  A search's samples
-are mix/coevaluation instances whose base ranks and permutation, the
-shape, fix all but the hub and fillers: it builds each shape it meets,
-with its walks, once per call (``_corollary_shape``), replays them with
-each sample's fillers and makes only the witness it returns an instance.
-``check_zigzag_instance`` walks a whole diagram.
+checks fillers f by the products f . P_s(u) alone, and no diagram with
+the hub is ever built.  ``_shape_walks`` builds a frame with its premise
+and conclusion walks, and ``check_zigzag_instance`` replays them with the
+instance's fillers.  A search's samples are mix/coevaluation instances
+whose base ranks and permutation, the shape, fix all but the hub and
+fillers: it builds each shape it meets, with its walks, once per call
+(``_corollary_shape``), replays them with each sample's fillers and makes
+only the witness it returns an instance.
 
 The module builds on ``category`` and ``loops`` only; ``traces`` draws a
 free trace's staircase witness as a diagram and checks it here.
@@ -271,6 +272,10 @@ class ZigZagInstance(Value):
                 if f.dom.rank != levels[side][1][k] or f.cod != self.hub:
                     raise InputError(
                         f"{side} filler {k} has the wrong shape")
+        for name in ("down_maps", "up_maps", "left_fillers", "right_fillers"):
+            for k, f in enumerate(getattr(self, name)):
+                if f.model != self.model:
+                    raise InputError(f"{name}[{k}] is in the wrong model")
 
 
 def level_ranks(upper: Sequence[Obj], apex: Sequence[Obj],
@@ -355,40 +360,29 @@ def build_zigzag_frame(model: Model, upper: Sequence[Obj],
     return tuple(objects), tuple(edges)
 
 
-def build_zigzag_diagram(model: Model, frame: Frame, hub: Obj,
-                         left: Sequence[Mor], right: Sequence[Mor]) -> Diagram:
-    """The conclusion diagram of a zig-zag: its frame with the hub appended
-    and the left and right filler columns in their slots.  Without its
-    last two edges, the bottom symmetry, it is the premise diagram."""
-    objects, slots = frame
-    node = len(objects)
-    fillers = {"left": left, "right": right}
-    edges = [e if type(e) is Edge else
-             Edge(e[0], node, fillers[e[1]][e[2]],
-                  f"{e[1]}-filler-{e[2] or 'top'}")
-             for e in slots]
-    return Diagram(model, objects + (hub,), tuple(edges))
+def _shape_walks(model: Model, upper: Sequence[Obj], apex: Sequence[Obj],
+                 lower: Sequence[Obj], downs: Sequence[Mor],
+                 ups: Sequence[Mor], perm: Permutation):
+    """Each side's filler domain ranks of a zig-zag with these objects,
+    maps and permutation, its frame, and the frame's premise walk, over
+    all edges but the bottom symmetry with its tails, and conclusion walk,
+    over every edge."""
+    levels = level_ranks(upper, apex, lower, perm)
+    frame = build_zigzag_frame(model, upper, lower, downs, ups, perm, levels)
+    objects, edges = frame
+    return ((levels["left"][1], levels["right"][1]), frame,
+            _walk(model, objects, edges[:-2], {e.src for e in edges[-2:]}),
+            _walk(model, objects, edges))
 
 
 def check_zigzag_instance(inst: ZigZagInstance) -> ZigZagOutcome:
-    """Build the instance's frame, fill it with the hub and fillers, and
-    check the diagram through fresh walks."""
-    levels = level_ranks(inst.upper, inst.apex, inst.lower, inst.perm)
-    frame = build_zigzag_frame(inst.model, inst.upper, inst.lower,
-                               inst.down_maps, inst.up_maps, inst.perm, levels)
-    d = build_zigzag_diagram(inst.model, frame, inst.hub, inst.left_fillers,
-                             inst.right_fillers)
-    return _check_zigzag(d.objects, *_zigzag_walks(d.model, d.objects,
-                                                   d.edges), None)
-
-
-def _zigzag_walks(model: Model, objects: Sequence[Obj],
-                  edges: Sequence[object]):
-    """The premise walk, over all edges but the bottom symmetry with its
-    tails, and the conclusion walk, over every edge, of a zig-zag frame or
-    diagram."""
-    return (_walk(model, objects, edges[:-2], {e.src for e in edges[-2:]}),
-            _walk(model, objects, edges))
+    """Replay the walks of the instance's frame with its fillers, as the
+    search checks a sample."""
+    _, frame, premise, conclusion = _shape_walks(
+        inst.model, inst.upper, inst.apex, inst.lower, inst.down_maps,
+        inst.up_maps, inst.perm)
+    return _check_zigzag(frame[0], premise, conclusion, {
+        "left": inst.left_fillers, "right": inst.right_fillers})
 
 
 def _check_zigzag(objects: Sequence[Obj], premise, conclusion,
@@ -425,10 +419,10 @@ def _corollary_shape(model: Model, ranks: Tuple[int, ...],
     """Everything of a mix/coevaluation instance that its base ranks and
     permutation images fix: its objects, maps and permutation (the first
     seven instance fields; the down maps are mix maps of A_i with its dual
-    and the up maps coevaluations), each side's filler domain ranks, its
-    frame and the frame's premise and conclusion walks.  ``structure``
-    holds the pair (mix map, coevaluation) per base rank, built on first
-    use."""
+    and the up maps coevaluations), then what ``_shape_walks`` builds from
+    them: each side's filler domain ranks, the frame and the frame's
+    premise and conclusion walks.  ``structure`` holds the pair (mix map,
+    coevaluation) per base rank, built on first use."""
     for r in ranks:
         if r not in structure:
             b = Obj(r)
@@ -438,12 +432,8 @@ def _corollary_shape(model: Model, ranks: Tuple[int, ...],
     lower = (Obj(1),) * len(ranks)
     downs = tuple(structure[r][0] for r in ranks)
     ups = tuple(structure[r][1] for r in ranks)
-    perm = Permutation(images)
-    levels = level_ranks(upper, apex, lower, perm)
-    frame = build_zigzag_frame(model, upper, lower, downs, ups, perm, levels)
-    return ((model, upper, apex, lower, downs, ups, perm),
-            (levels["left"][1], levels["right"][1]),
-            frame, _zigzag_walks(model, *frame))
+    fields = (model, upper, apex, lower, downs, ups, Permutation(images))
+    return (fields, *_shape_walks(*fields))
 
 
 def _pullback_pieces(model: Model, ranks: Tuple[int, ...], perm: Permutation,
@@ -529,7 +519,7 @@ def search_counterexample(model: Model, n: int, max_rank: int,
         key = (ranks, tuple(images))
         if key not in shapes:
             shapes[key] = _corollary_shape(model, *key, structure)
-        fields, domains, frame, walks = shapes[key]
+        fields, domains, frame, *walks = shapes[key]
         hub = Obj(rng.randint(1, max_rank))
         strategy = idx % 3
         if strategy == 0:

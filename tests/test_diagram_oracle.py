@@ -29,8 +29,8 @@ from mixtrace.zigzag import (CounterPath, Diagram, Edge, ZigZagOutcome,
                              diagram_commutes)
 
 from trace_reference import check_zigzag as reference_check_zigzag
-from trace_reference import (diagram_commutes_by_paths,
-                             sources_reaching_last_two_tails)
+from trace_reference import (build_zigzag_diagram, diagram_commutes_by_paths,
+                             frame_walks, sources_reaching_last_two_tails)
 
 Z2 = Model(INTEGERS, 2)
 
@@ -86,8 +86,7 @@ def _check_zigzag_regrowing(d):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(zigzag, "_replay", record)
         outcome = zigzag._check_zigzag(
-            d.objects, *zigzag._zigzag_walks(d.model, d.objects, d.edges),
-            None)
+            d.objects, *frame_walks(d.model, d.objects, d.edges), None)
     assert len(replays) in (1, 2) and replays[0] is None
     return outcome, replays[1] if len(replays) == 2 else None
 
@@ -123,7 +122,7 @@ def _spy_samples(monkeypatch):
 
     def record_shape(*args):
         shape = make_shape(*args)
-        shapes[id(shape[3][0])] = shape
+        shapes[id(shape[3])] = shape
         return shape
 
     def record_replay(objects, walk, fillers, sources=None):
@@ -133,11 +132,11 @@ def _spy_samples(monkeypatch):
     def record_check(objects, premise, conclusion, fillers):
         replays.clear()
         outcome = check(objects, premise, conclusion, fillers)
-        fields, _, frame, walks = shapes[id(premise)]
-        assert objects is frame[0] and walks == (premise, conclusion)
+        fields, _, frame, *walks = shapes[id(premise)]
+        assert objects is frame[0] and walks == [premise, conclusion]
         left, right = fillers["left"], fillers["right"]
-        whole = zigzag.build_zigzag_diagram(fields[0], frame, left[0].cod,
-                                            left, right)
+        whole = build_zigzag_diagram(fields[0], frame, left[0].cod, left,
+                                     right)
         samples.append((whole, list(replays), outcome))
         return outcome
 
@@ -351,11 +350,11 @@ def test_random_frames_replay_as_their_diagrams(seed):
         frame, hub, fillers = _random_frame(rng)
         if len(frame[1]) < 2 or type(frame[1][-2]) is not Edge:
             continue
-        premise, conclusion = zigzag._zigzag_walks(Z2, *frame)
+        premise, conclusion = frame_walks(Z2, *frame)
         outcome = zigzag._check_zigzag(frame[0], premise, conclusion,
                                        fillers)
-        whole = zigzag.build_zigzag_diagram(Z2, frame, hub, fillers["left"],
-                                            fillers["right"])
+        whole = build_zigzag_diagram(Z2, frame, hub, fillers["left"],
+                                     fillers["right"])
         assert outcome == reference_check_zigzag(whole)
         sink = len(frame[0])
         if outcome.counter is not None:

@@ -177,28 +177,28 @@ LOOP_VERBS = (
 )
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150, deadline=None, derandomize=True)
 @given(st.data(), st.sampled_from(LOOP_VERBS))
 def test_mutated_loop_files(data, argv_of):
     base = data.draw(st.sampled_from(LOOPS))
     _check(data.draw(mutated(base)), argv_of)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None, derandomize=True)
 @given(st.data())
 def test_mutated_diagram_files(data):
     _check(data.draw(mutated(DIAGRAM)),
            lambda f: ["zigzag-check", "--instance", f])
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None, derandomize=True)
 @given(st.data())
 def test_mutated_zigzag_instance_files(data):
     _check(data.draw(mutated(ZIGZAG)),
            lambda f: ["zigzag-check", "--instance", f])
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150, deadline=None, derandomize=True)
 @given(st.data())
 def test_mutated_morphism_files(data):
     base = data.draw(st.sampled_from(MATRICES))
@@ -217,7 +217,7 @@ def _congruent_with_generators(path):
             "--right", sides[1], "--generators", path]
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None, derandomize=True)
 @given(st.data())
 def test_mutated_generators_files(data):
     _check(data.draw(mutated(GENERATORS)), _congruent_with_generators)

@@ -2,8 +2,9 @@
 modules below it, and every import sits at module level; no module imports
 ``dataclasses``, and importing the CLI loads neither it nor ``inspect``;
 every export and every definition in ``src`` is used by some module of
-``src``; no cache outlives a call, except the CLI's parser; no test module
-imports a name it never uses."""
+``src``, and every public function outside its own body; no cache outlives
+a call, except the CLI's parser; no test module imports a name it never
+uses."""
 
 import ast
 import json
@@ -141,6 +142,30 @@ def test_every_definition_is_used_by_the_engine():
                     for qual in _definitions(_tree(name))
                     if qual.rsplit(".", 1)[-1] not in loaded)
     assert not unused, f"defined but never used in src: {unused}"
+
+
+def test_every_public_function_is_called_outside_its_own_body():
+    # no public API that the engine itself never calls: a top-level
+    # function whose name only its own body (a recursive call) or
+    # __init__.py loads is API only tests call
+    loads = []  # (module, enclosing top-level function or None, name)
+    for name in MODULES:
+        for stmt in _tree(name).body:
+            owner = stmt.name if isinstance(stmt, ast.FunctionDef) else None
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx,
+                                                             ast.Load):
+                    loads.append((name, owner, node.id))
+                elif isinstance(node, ast.Attribute):
+                    loads.append((name, owner, node.attr))
+    public = [(name, stmt.name) for name in MODULES
+              for stmt in _tree(name).body
+              if isinstance(stmt, ast.FunctionDef)
+              and not stmt.name.startswith("_")]
+    uncalled = sorted(f"{name}.{fn}" for name, fn in public
+                      if not any(loaded == fn and (where, owner) != (name, fn)
+                                 for where, owner, loaded in loads))
+    assert not uncalled, f"public but never called in src: {uncalled}"
 
 
 CACHES = ("cache", "lru_cache")

@@ -13,7 +13,7 @@ from mixtrace.zigzag import (CounterPath, Diagram, Edge, ZigZagInstance,
                              search_counterexample)
 from mixtrace.rings import INTEGERS
 
-from trace_reference import build_zigzag_diagram
+from trace_reference import build_zigzag_diagram, frame_walks
 from trace_reference import check_zigzag as reference_check_zigzag
 
 Z0 = Model(INTEGERS, 0)
@@ -149,17 +149,18 @@ def test_witness_is_stable_under_rebuild():
 
 
 def _replay_frame(model, frame, fillers):
-    """The search's check of a sample: the frame's fresh walks replayed
-    with its fillers."""
-    return zigzag._check_zigzag(frame[0], *zigzag._zigzag_walks(model, *frame),
+    """The check of a sample or an instance: the frame's fresh walks
+    replayed with its fillers."""
+    return zigzag._check_zigzag(frame[0], *frame_walks(model, *frame),
                                 fillers)
 
 
 def test_frame_replay_gives_the_instance_check():
-    # the search replays a frame's walks with a sample's fillers; on the
-    # frozen instances that gives check_zigzag_instance's outcome, which
-    # walks the whole diagram, and the m = 0 violation is a mismatch of two
-    # filler products in a source after the first
+    # the search and check_zigzag_instance replay a frame's walks with a
+    # sample's fillers; on the frozen instances a replay of the instance's
+    # own frame gives check_zigzag_instance's outcome, and the m = 0
+    # violation is a mismatch of two filler products in a source after the
+    # first
     for inst in (frozen_instance(Z0, 1, 2), frozen_instance(Z2, 1, 2),
                  frozen_instance(Z0, 1, 1)):
         fillers = {"left": inst.left_fillers, "right": inst.right_fillers}
@@ -257,9 +258,10 @@ def test_instance_check_matches_the_reference_check_of_its_diagram():
     assert through_down > 0
 
 
-def test_check_builds_one_diagram_and_reuses_the_levels(monkeypatch):
-    # the premise is a prefix of the instance's one diagram, and the check
-    # derives the level ranks once, for that diagram's frame
+def test_check_builds_no_diagram_and_derives_the_levels_once(monkeypatch):
+    # the check replays the walks of the instance's frame with its fillers,
+    # as the search checks a sample: it builds no diagram with the hub, and
+    # derives the level ranks once, for the frame
     instances = [frozen_instance(Z0, 1, 2), frozen_instance(Z2, 1, 2),
                  frozen_instance(Z0, 1, 1)]
     counts = {"diagrams": 0, "levels": 0}
@@ -277,7 +279,7 @@ def test_check_builds_one_diagram_and_reuses_the_levels(monkeypatch):
     monkeypatch.setattr(zigzag, "level_ranks", count_levels)
     for inst, status in zip(instances, ("violated", "premise_fails", "holds")):
         assert check_zigzag_instance(inst).status == status
-    assert counts == {"diagrams": 3, "levels": 3}
+    assert counts == {"diagrams": 0, "levels": 3}
 
 
 def test_search_computes_the_levels_once_per_frame(monkeypatch):
@@ -321,6 +323,14 @@ def test_instance_validation():
             Permutation((0,)), r1,
             (mor(Z2, r2, r1, [[0, 0]]), mor(Z2, r1, r1, [[1]])),
             (mor(Z2, r2, r1, [[0, 0]]), mor(Z2, r1, r1, [[1]])))
+    # every map and filler is in the instance's model; the check, which
+    # builds no diagram, never compares models
+    inst, other = frozen_instance(Z2, 1, 2), frozen_instance(Z0, 1, 2)
+    for name, k in (("down_maps", 0), ("up_maps", 0), ("left_fillers", 1),
+                    ("right_fillers", 0)):
+        with pytest.raises(InputError, match=re.escape(
+                f"{name}[{k}] is in the wrong model")):
+            _with(inst, name, k, getattr(other, name)[k])
     # the level ranks follow from the objects and the permutation: they
     # are derived where needed, never handed over or kept
     inst = frozen_instance(Z2, 1, 2)

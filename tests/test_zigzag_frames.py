@@ -21,6 +21,7 @@ from mixtrace.serialize import dumps, zigzag_to_json
 from mixtrace.zigzag import (ZigZagInstance, check_zigzag_instance,
                              search_counterexample)
 
+from trace_reference import build_zigzag_diagram
 from trace_reference import check_zigzag as reference_check_zigzag
 
 # (mix, n, seed): (status, samples, (premise_fails, holds, violated),
@@ -105,11 +106,12 @@ def _recorded_search(monkeypatch, model, n, seed, budget):
     and permutation of the shape ``_corollary_shape`` built for its key,
     and the hub and fillers its check replayed that shape's walks with.
     A shape, its permutation, its level ranks, its frame and its walks
-    are each built once per key."""
+    are each built once per key, the last three by ``_shape_walks``, the
+    helper ``check_zigzag_instance`` shares."""
     logs = {name: [] for name in ("_corollary_shape", "Permutation",
                                   "level_ranks", "build_zigzag_frame",
-                                  "_zigzag_walks", "build_zigzag_diagram",
-                                  "_check_zigzag", "ZigZagInstance")}
+                                  "_shape_walks", "Diagram", "_check_zigzag",
+                                  "ZigZagInstance")}
     for name, log in logs.items():
         monkeypatch.setattr(zigzag, name, _recorder(getattr(zigzag, name),
                                                     log))
@@ -125,14 +127,14 @@ def _recorded_search(monkeypatch, model, n, seed, budget):
             == len(frames) == len(walks) == len(keys))
     assert diagrams == [] and len(checks) == result.samples
     by_premise = {}
-    for (args, shape), (_, perm), (frame_args, frame), (walk_args, pair) in (
+    for (args, shape), (_, perm), (frame_args, frame), (walk_args, walked) in (
             zip(shapes, perms, frames, walks)):
         fields = shape[0]
         assert args[0] is fields[0] is model and fields[6] is perm
         assert perm.images == args[2] and frame_args[5] is perm
-        assert shape[2] is frame and shape[3] is pair
-        assert walk_args == (model, *frame)
-        by_premise[id(pair[0])] = fields, frame, pair
+        assert walk_args == fields and shape[1:] == walked
+        assert walked[1] is frame
+        by_premise[id(shape[3])] = fields, frame, shape[3:]
     samples = []
     for (objects, premise, conclusion, fillers), outcome in checks:
         fields, frame, pair = by_premise[id(premise)]
@@ -181,7 +183,7 @@ def test_each_sample_matches_the_reference_tree_check(monkeypatch, mix):
             samples = _recorded_search(monkeypatch, Model(INTEGERS, mix), n,
                                        seed, 20 if n == 3 else 40)[2]
             for inst, frame, outcome in samples:
-                whole = zigzag.build_zigzag_diagram(
+                whole = build_zigzag_diagram(
                     inst.model, frame, inst.hub, inst.left_fillers,
                     inst.right_fillers)
                 assert reference_check_zigzag(whole) == outcome, (mix, n,

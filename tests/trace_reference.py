@@ -35,7 +35,9 @@ the check split into a walk per shape and a replay per sample: every
 sample the search checks, and every instance ``zigzag-check`` checks, must
 get the outcome ``check_zigzag`` gives its diagram.
 ``build_zigzag_diagram`` is that diagram: a zig-zag frame with its hub and
-fillers filled in as edges.
+fillers filled in as edges.  ``frame_walks`` gives the library's premise
+and conclusion walks of any frame or diagram, such as an edited one, where
+the library builds them only for the frame of an instance.
 
 The structural maps the library computes as one ``regroup`` each are here
 as explicit index loops over multi-indices (``curry_by_loops``,
@@ -63,7 +65,7 @@ from mixtrace.traces import (AMBIGUOUS, StaircaseWitness, TraceResult,
                              _contract_pair, _divide_by_mix, _exact_div,
                              ambiguous, defined, pairing_form, undefined)
 from mixtrace.zigzag import (CounterPath, Diagram, Edge, Frame,
-                             ZigZagOutcome)
+                             ZigZagOutcome, _walk)
 
 
 def all_permutations(k):
@@ -573,3 +575,12 @@ def build_zigzag_diagram(model: Model, frame: Frame, hub: Obj,
                   f"{e[1]}-filler-{e[2] or 'top'}")
              for e in slots]
     return Diagram(model, objects + (hub,), tuple(edges))
+
+
+def frame_walks(model: Model, objects: Sequence[Obj], edges: Sequence[object]):
+    """The premise walk, over all edges but the bottom symmetry with its
+    tails, and the conclusion walk, over every edge, of a zig-zag frame or
+    diagram, as ``zigzag._shape_walks`` builds them for an instance's
+    frame."""
+    return (_walk(model, objects, edges[:-2], {e.src for e in edges[-2:]}),
+            _walk(model, objects, edges))
