@@ -22,24 +22,13 @@ from __future__ import annotations
 
 import itertools
 import random
-from fractions import Fraction
 from functools import cache
 from math import prod
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from .errors import InputError, ResourceLimitError
-from .rings import Number, RingTag, Value, echo, format_value, ring_contains
-
-
-def _canon(x) -> Number:
-    """Normalize an entry: exact int or Fraction, ints preferred."""
-    if isinstance(x, bool):
-        raise InputError("matrix entries must be exact numbers, not bool")
-    if isinstance(x, int):
-        return x
-    if isinstance(x, Fraction):
-        return int(x) if x.denominator == 1 else x
-    raise InputError(f"matrix entries must be int or Fraction, got {type(x).__name__}")
+from .rings import (Number, RingTag, Value, canonical, echo, format_value,
+                    ring_contains)
 
 
 class Model(Value):
@@ -49,7 +38,7 @@ class Model(Value):
 
     def __init__(self, ring: RingTag, mix: Number):
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "mix", _canon(mix))
+        object.__setattr__(self, "mix", canonical(mix))
         self.__post_init__()
 
     def __post_init__(self):
@@ -140,7 +129,7 @@ class Mor(Value):
 def mor(model: Model, dom: Obj, cod: Obj, rows: Iterable[Iterable[Number]]) -> Mor:
     """The validating constructor: each entry is normalized and checked to
     lie in the model's ring."""
-    f = Mor(model, dom, cod, tuple(tuple(_canon(x) for x in r) for r in rows))
+    f = Mor(model, dom, cod, tuple(tuple(canonical(x) for x in r) for r in rows))
     for row in f.entries:
         for x in row:
             if not ring_contains(model.ring, x):
@@ -266,7 +255,7 @@ def dual_mor(f: Mor) -> Mor:
 
 
 def mor_scale(f: Mor, c: Number) -> Mor:
-    rows = tuple(tuple(_canon(x * c) for x in row) for row in f.entries)
+    rows = tuple(tuple(canonical(x * c) for x in row) for row in f.entries)
     return Mor(f.model, f.dom, f.cod, rows)
 
 

@@ -20,8 +20,8 @@ from . import compactify, serialize, traces, zigzag
 from .category import Model, validate_coherence
 from .compactify import congruent
 from .errors import InputError, ModelNotCompactifiableError, ResourceLimitError
-from .rings import (INTEGERS, RATIONALS, echo, localized_integers,
-                    parse_value)
+from .rings import (INTEGERS, RATIONALS, canonical, echo,
+                    localized_integers, parse_value)
 from .serialize import FileFormatError, dumps, load_json_file
 
 
@@ -37,10 +37,8 @@ def parse_model_arg(text: str) -> Model:
         if kind == "qmod":
             return Model(RATIONALS, parse_value(rest))
         if kind == "zloc":
-            m = parse_value(rest)
-            if m.denominator != 1 or m < 1:
-                raise InputError("localization requires an integer m >= 1")
-            return Model(localized_integers(int(m)), m)
+            m = canonical(parse_value(rest))
+            return Model(localized_integers(m), m)
     except InputError as exc:
         raise InputError(f"model {echo(text)}: {exc}") from exc
     raise InputError(f"model {echo(text)}: unknown kind {echo(kind)}")

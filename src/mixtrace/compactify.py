@@ -2,10 +2,11 @@
 the loop congruence it is the quotient by.
 
 Quotienting loops by the congruence is represented by its normal form:
-matrices over the base ring localized at the mix scalar (denominators
-powers of m).  ``loop_value`` computes a loop's class, ``c_tr`` embeds
+matrices over the base ring with the mix scalar inverted, the ring
+``rings.localize`` names; every ring operation here is a call into
+``rings``.  ``loop_value`` computes a loop's class, ``c_tr`` embeds
 ordinary morphisms, ``realize`` sections the quotient, and ``comix`` is
-the loop inverting the mix map in the quotient.  The congruence itself is
+the loop inverting the mix map in the quotient.  The congruence is
 generated by one-step moves, hidden traces and hidden symmetries, and
 ``congruent`` either compares normal forms ("semantic") or closes the
 moves breadth first ("bounded").
@@ -14,9 +15,8 @@ moves breadth first ("bounded").
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from functools import partial
-from math import factorial, lcm, prod
+from math import factorial, prod
 from typing import Iterator, Optional, Sequence, Set, Tuple
 
 from . import traces
@@ -26,33 +26,26 @@ from .category import (Mor, Model, Obj, ValidationReport, canonical_map,
 from .errors import InputError, ModelNotCompactifiableError, ResourceLimitError
 from .loops import (Loop, Permutation, _distinct_choices, hidden_symmetry,
                     loop_compose, loop_dual, loop_tensor, morphism_loop)
-from .rings import (INTEGERS, RATIONALS, divides_power, echo,
-                    localized_integers)
-from .traces import _divide_by_mix
+from .rings import (INTEGERS, RATIONALS, clearing_exponent, divide_by_mix,
+                    localize)
 
 
 def localized_model(model: Model) -> Model:
-    """The model over the base ring with the mix scalar inverted.  Over
-    Z[1/M] a mix p/q has q dividing a power of M, so inverting it inverts
-    p: the ring is Z[1/lcm(M, |p|)], with M = 1 over Z."""
+    """The model over the base ring with the mix scalar inverted."""
     m = model.mix
     if m == 0:
         raise ModelNotCompactifiableError(
             "a zero mix scalar admits no compactification")
-    ring = model.ring
-    if ring.kind == "Q":
-        return Model(RATIONALS, m)
-    return Model(localized_integers(
-        lcm(ring.m or 1, abs(Fraction(m).numerator))), m)
+    return Model(localize(model.ring, m), m)
 
 
 def loop_value(p: Loop, target: Optional[Model] = None) -> Mor:
     """The congruence-class normal form: contract the hidden indices and
-    divide by m^k through ``_divide_by_mix``.  Every quotient lies in the
+    divide by m^k through ``divide_by_mix``.  Every quotient lies in the
     localized ring, so none is tested.  ``target``, when given, is
     ``localized_model(p.model)``, computed once by the caller."""
     target = target or localized_model(p.model)
-    rows = _divide_by_mix(
+    rows = divide_by_mix(
         contract_hidden(p.carrier, p.dom, p.cod, p.hidden).entries,
         p.model.mix ** p.k, None)
     return Mor(target, p.dom, p.cod, tuple(map(tuple, rows)))
@@ -66,11 +59,10 @@ def c_tr(f: Mor, target: Optional[Model] = None) -> Mor:
 
 def realize(m_mor: Mor) -> Loop:
     """A loop of the base model whose value is the given localized matrix:
-    clear denominators with the least power m^k and hide k rank-1 objects.
-    The integer mix m may be negative; m^k then alternates in sign.
-    Over Q every nonzero mix is a unit, so the model is its own
-    compactification and the matrix comes back as a loop with no hidden
-    objects.
+    clear denominators with the least power m^k (m may be negative, m^k
+    then alternates in sign) and hide k rank-1 objects.  Over Q every
+    nonzero mix is a unit, so the model is its own compactification and
+    the matrix comes back as a loop with no hidden objects.
 
     The base-ring free trace of the result is undefined as soon as k >= 1
     and the matrix is non-integral (free-trace values always lie in the
@@ -78,28 +70,18 @@ def realize(m_mor: Mor) -> Loop:
     """
     ring = m_mor.model.ring
     m = m_mor.model.mix
-    if ring.kind == "Q":
+    if ring == RATIONALS:
         if m == 0:
             raise ModelNotCompactifiableError(
                 "a zero mix scalar admits no compactification")
         return morphism_loop(m_mor)
-    if ring.kind != "Zloc":
+    if ring == INTEGERS:
         raise InputError("realize expects a matrix over a localized ring")
     if not isinstance(m, int) or m == 0:
         error = ModelNotCompactifiableError if m == 0 else InputError
         raise error("realize needs a nonzero integer mix scalar")
-    k = 0
-    power = 1
-    for row in m_mor.entries:
-        for v in row:
-            den = Fraction(v).denominator
-            if not divides_power(den, m):
-                raise InputError(
-                    f"entry {echo(str(v), str)}: no power of the mix scalar "
-                    f"{echo(str(m), str)} clears its denominator")
-            while power % den != 0:
-                power *= m
-                k += 1
+    k = clearing_exponent(m_mor.entries, m)
+    power = m ** k
     base = Model(INTEGERS, m)
     rows = tuple(tuple(int(v * power) for v in row) for row in m_mor.entries)
     carrier = Mor(base, m_mor.dom, m_mor.cod, rows)
@@ -185,7 +167,7 @@ def verify_compactness(model: Model, max_rank: int, seed: int = 0,
             if value(loop_compose(mid, p)) != compose(value(mid), value(p)):
                 yield f"composition of values fails at sample {i}"
 
-    m_int = int(model.mix) if Fraction(model.mix).denominator == 1 else None
+    m_int = model.mix if type(model.mix) is int else None
 
     def realize_round_trip():
         if m_int in (None, 0):
@@ -195,7 +177,7 @@ def verify_compactness(model: Model, max_rank: int, seed: int = 0,
             cod = Obj(rng.randint(0, max_rank))
             j = rng.randint(0, 3)
             num = random_mor(model, rng, dom, cod, bound=5)
-            m_mat = mor(target, dom, cod, _divide_by_mix(
+            m_mat = mor(target, dom, cod, divide_by_mix(
                 num.entries, m_int ** j, target.ring))
             if loop_value(realize(m_mat)) != m_mat:
                 yield f"realization round trip fails at sample {i}"

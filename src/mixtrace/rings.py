@@ -1,5 +1,5 @@
-"""The exact rings of the matrix models: tags, membership tests, and the
-textual scalar syntax.
+"""The exact rings of the matrix models: tags, membership, canonical
+entries, exact division, localization, and the textual scalar syntax.
 
 Three rings are supported: the integers, the rationals, and the integers
 localized at a fixed m >= 1 (rationals whose denominator divides a power
@@ -7,6 +7,12 @@ of m).  Values are ints or Fractions, arbitrary precision and reduced with
 a positive denominator; no floats anywhere.  Trace existence below is
 decided by exact divisibility, so approximate arithmetic would be wrong,
 not merely imprecise.
+
+Every division by a mix power, in ``traces`` and ``compactify``, is
+``divide_by_mix``: a row of ints that an int divisor divides goes in one
+pass, everything else entry by entry, since over Q and Z[1/M] a quotient
+that is not an int may still lie in the ring; it stops at the first
+quotient outside the ring.  No other module branches on a ring's kind.
 """
 
 from __future__ import annotations
@@ -14,9 +20,9 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import attrgetter
-from typing import Optional, Union
+from typing import List, Optional, Sequence, Union
 
 from .errors import InputError, ResourceLimitError
 
@@ -129,6 +135,78 @@ def ring_contains(ring: RingTag, value: Number) -> bool:
     if ring.kind == "Q":
         return True
     return divides_power(v.denominator, ring.m)
+
+
+def canonical(x) -> Number:
+    """Normalize an entry: exact int or Fraction, ints preferred."""
+    if isinstance(x, bool):
+        raise InputError("matrix entries must be exact numbers, not bool")
+    if isinstance(x, int):
+        return x
+    if isinstance(x, Fraction):
+        return int(x) if x.denominator == 1 else x
+    raise InputError(f"matrix entries must be int or Fraction, got {type(x).__name__}")
+
+
+def _exact_div(v: Number, m: Number, ring) -> Optional[Number]:
+    if isinstance(v, int) and isinstance(m, int):
+        q, r = divmod(v, m)
+        if r == 0:
+            return q
+        val = Fraction(v, m)
+    else:
+        val = v / m
+    if ring is None or ring_contains(ring, val):
+        return int(val) if val.denominator == 1 else val
+    return None
+
+
+def divide_by_mix(rows: Sequence[Sequence[Number]], m: Number,
+                  ring) -> Optional[List[List[Number]]]:
+    """Every entry divided exactly by m, a power of the mix scalar, or None
+    as soon as a quotient leaves the ring; a staircase stage's first half.
+    With ring None the caller knows every quotient lies in its ring, and
+    none is tested."""
+    divided: List[List[Number]] = []
+    for row in rows:
+        if type(m) is int and all(type(v) is int and not v % m for v in row):
+            divided.append([v // m for v in row])
+            continue
+        out = []
+        for v in row:
+            q = _exact_div(v, m, ring)
+            if q is None:
+                return None
+            out.append(q)
+        divided.append(out)
+    return divided
+
+
+def localize(ring: RingTag, m: Number) -> RingTag:
+    """The ring with its nonzero element m inverted: Q stays Q, and over
+    Z[1/M] a mix p/q has q dividing a power of M, so inverting it inverts
+    p: the ring is Z[1/lcm(M, |p|)], with M = 1 over Z."""
+    if ring.kind == "Q":
+        return RATIONALS
+    return localized_integers(lcm(ring.m or 1, abs(Fraction(m).numerator)))
+
+
+def clearing_exponent(rows: Sequence[Sequence[Number]], m: int) -> int:
+    """The least k with m^k times every entry an integer, m a nonzero int;
+    InputError at the first entry that no power of m clears."""
+    k = 0
+    power = 1
+    for row in rows:
+        for v in row:
+            den = Fraction(v).denominator
+            if not divides_power(den, m):
+                raise InputError(
+                    f"entry {echo(str(v), str)}: no power of the mix scalar "
+                    f"{echo(str(m), str)} clears its denominator")
+            while power % den != 0:
+                power *= m
+                k += 1
+    return k
 
 
 def parse_value(text: str) -> Number:

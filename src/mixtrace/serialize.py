@@ -19,8 +19,9 @@ from typing import List, Optional
 from .category import Mor, Model, Obj
 from .errors import InputError
 from .loops import Loop, Permutation, hidden_symmetry
-from .rings import (INTEGERS, RATIONALS, RingTag, echo, format_value,
-                    localized_integers, parse_value, ring_contains)
+from .rings import (INTEGERS, RATIONALS, RingTag, canonical, echo,
+                    format_value, localized_integers, parse_value,
+                    ring_contains)
 from .traces import StaircaseWitness, TraceResult, staircase_diagram
 from .zigzag import Diagram, Edge, ZigZagInstance, level_ranks
 
@@ -135,14 +136,11 @@ def _bare_matrix_from_json(data, model: Model, dom: Obj, cod: Obj,
                 raise FileFormatError(
                     f"{where}[{i}][{j}]: scalars must be strings")
             try:
-                x = parse_value(cell)
+                x = canonical(parse_value(cell))
             except InputError as exc:
                 raise FileFormatError(f"{where}[{i}][{j}]: {exc}") from exc
-            if type(x) is not int:
-                if x.denominator == 1:
-                    x = x.numerator
-                elif outside is None and not ring_contains(model.ring, x):
-                    outside = x
+            if outside is None and not ring_contains(model.ring, x):
+                outside = x
             new.append(x)
         rows.append(tuple(new))
     if outside is not None:

@@ -23,12 +23,6 @@ staircase here: the matrices it divides along the found ordering are the
 fillers of the trace's witness, and ``staircase_diagram`` draws that
 witness as a diagram ``zigzag`` can check.
 
-Every division by a mix power, here and in ``compactify``, is
-``_divide_by_mix``: a row of ints that an int divisor divides goes in one
-pass, everything else entry by entry, since over Q and Z[1/M] a quotient
-that is not an int may still lie in the ring; it stops at the first
-quotient outside the ring.
-
 The induced trace instead contracts everything first and divides once by
 m^k, so it is defined at least as often as the free one, and strictly
 more often in general.
@@ -37,7 +31,6 @@ more often in general.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from functools import cache, partial
 from math import prod
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -51,7 +44,7 @@ from .errors import (InputError, ModelNotCompactifiableError,
 from .loops import (Loop, Permutation, _distinct_choices, hidden_symmetry,
                     loop_compose, loop_dual, loop_tensor, morphism_loop,
                     yanking_loop)
-from .rings import Number, Value, ring_contains
+from .rings import Number, Value, divide_by_mix
 from .zigzag import Diagram, Edge
 
 DEFINED = "defined"
@@ -113,40 +106,6 @@ def pairing_form(p: Loop) -> Mor:
                    [s for i in range(k) for s in (k + 2 + i, 1 + i)])
 
 
-def _exact_div(v: Number, m: Number, ring) -> Optional[Number]:
-    if isinstance(v, int) and isinstance(m, int):
-        q, r = divmod(v, m)
-        if r == 0:
-            return q
-        val = Fraction(v, m)
-    else:
-        val = v / m
-    if ring is None or ring_contains(ring, val):
-        return int(val) if val.denominator == 1 else val
-    return None
-
-
-def _divide_by_mix(rows: Sequence[Sequence[Number]], m: Number,
-                   ring) -> Optional[List[List[Number]]]:
-    """Every entry divided exactly by m, a power of the mix scalar, or None
-    as soon as a quotient leaves the ring; a staircase stage's first half.
-    With ring None the caller knows every quotient lies in its ring, and
-    none is tested."""
-    divided: List[List[Number]] = []
-    for row in rows:
-        if type(m) is int and all(type(v) is int and not v % m for v in row):
-            divided.append([v // m for v in row])
-            continue
-        out = []
-        for v in row:
-            q = _exact_div(v, m, ring)
-            if q is None:
-                return None
-            out.append(q)
-        divided.append(out)
-    return divided
-
-
 def _contract_pair(rows: Sequence[Sequence[Number]], d: int, outer: int,
                    inner: int) -> List[List[Number]]:
     """The second half of a stage: contract one evaluation pair of rank d,
@@ -188,7 +147,7 @@ def _first_solvable_order(pf_rows: Sequence[Sequence[Number]],
         rows = contract()
         if len(order) == k:
             return order, rows, path
-        divided = _divide_by_mix(rows, m, ring)
+        divided = divide_by_mix(rows, m, ring)
         if divided is None:
             continue
         rest = [i for i in range(k) if not mask >> i & 1]
@@ -298,12 +257,12 @@ def staircase_diagram(p: Loop, witness: StaircaseWitness) -> Diagram:
 
 def induced_mixed_trace(p: Loop) -> TraceResult:
     """The trace induced by localizing the mix scalar: contract the hidden
-    indices and divide by m^k through ``_divide_by_mix``, which stops at
+    indices and divide by m^k through ``divide_by_mix``, which stops at
     the first quotient outside the base ring; Undefined if there is one."""
     if p.model.mix == 0:
         raise ModelNotCompactifiableError(
             "the induced trace needs a nonzero mix scalar")
-    rows = _divide_by_mix(
+    rows = divide_by_mix(
         contract_hidden(p.carrier, p.dom, p.cod, p.hidden).entries,
         p.model.mix ** p.k, p.model.ring)
     if rows is None:

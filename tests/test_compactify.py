@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from mixtrace import compactify, traces
+from mixtrace import compactify, rings
 from mixtrace.category import (Model, Mor, Obj, canonical_map, compose,
                                contract_hidden, dual_mor, identity, mor,
                                mor_scale, random_mor, tensor_mor)
@@ -13,9 +13,9 @@ from mixtrace.compactify import (c_tr, comix, localized_model, loop_value,
 from mixtrace.errors import InputError, ModelNotCompactifiableError
 from mixtrace.loops import (Loop, hidden_symmetry, loop_compose, loop_dual,
                             loop_tensor, morphism_loop)
-from mixtrace.rings import (INTEGERS, RATIONALS, localized_integers,
-                            ring_contains)
-from mixtrace.traces import (_divide_by_mix, free_mixed_trace, hidden_trace,
+from mixtrace.rings import (INTEGERS, RATIONALS, divide_by_mix,
+                            localized_integers, ring_contains)
+from mixtrace.traces import (free_mixed_trace, hidden_trace,
                              induced_mixed_trace, random_loop)
 
 from trace_reference import all_permutations, hide, loop_par, total_trace
@@ -399,12 +399,13 @@ def test_verify_compactness_localizes_once_plus_once_per_realize_sample(
 @pytest.mark.parametrize("selector", ["qmod:1/2", "zmod:2", "zloc:6"])
 def test_loop_value_divides_without_membership_tests(monkeypatch, selector):
     # every quotient loop_value takes lies in the localized ring, so it
-    # tests none of them, and its values are those of the tested division
+    # tests none of them, and its values are those of the tested division;
+    # the division reads ring_contains through its own module
     model = parse_model_arg(selector)
     target = localized_model(model)
     rng = random.Random(5)
     loops = [random_loop(rng, model, 3, 2) for _ in range(1000)]
-    tested = [_divide_by_mix(
+    tested = [divide_by_mix(
         contract_hidden(p.carrier, p.dom, p.cod, p.hidden).entries,
         model.mix ** p.k, target.ring) for p in loops]
     calls = []
@@ -413,7 +414,7 @@ def test_loop_value_divides_without_membership_tests(monkeypatch, selector):
         calls.append(value)
         return ring_contains(ring, value)
 
-    monkeypatch.setattr(traces, "ring_contains", counted)
+    monkeypatch.setattr(rings, "ring_contains", counted)
     values = [loop_value(p) for p in loops]
     assert calls == []
     assert [v.entries for v in values] == [tuple(map(tuple, rows))

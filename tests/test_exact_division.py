@@ -1,6 +1,6 @@
 """Differential tests for the divisions by the mix scalar.
 
-``_divide_by_mix`` is checked against dividing every entry on its own with
+``divide_by_mix`` is checked against dividing every entry on its own with
 ``_exact_div``.  The induced trace and ``loop_value`` are checked against
 contracting the hidden indices and scaling by the ``Fraction`` 1/m^k: the
 loop value is that quotient over the localized model, and the induced
@@ -15,13 +15,12 @@ from fractions import Fraction
 
 import pytest
 
-from mixtrace.category import Model, Obj, _canon, contract_hidden, mor
+from mixtrace.category import Model, Obj, contract_hidden, mor
 from mixtrace.compactify import localized_model, loop_value
 from mixtrace.loops import Loop
-from mixtrace.rings import (INTEGERS, RATIONALS, localized_integers,
-                            ring_contains)
-from mixtrace.traces import (DEFINED, UNDEFINED, _divide_by_mix, _exact_div,
-                             induced_mixed_trace)
+from mixtrace.rings import (INTEGERS, RATIONALS, _exact_div, canonical,
+                            divide_by_mix, localized_integers, ring_contains)
+from mixtrace.traces import DEFINED, UNDEFINED, induced_mixed_trace
 
 RINGS = (INTEGERS, RATIONALS, localized_integers(2))
 MIXES = (2, -2, 3)
@@ -41,7 +40,7 @@ def _divide_entrywise(rows, m, ring):
 def _contract_by_fraction(p):
     contracted = contract_hidden(p.carrier, p.dom, p.cod, p.hidden)
     scale = Fraction(1) / Fraction(p.model.mix) ** p.k
-    return tuple(tuple(_canon(v * scale) for v in row)
+    return tuple(tuple(canonical(v * scale) for v in row)
                  for row in contracted.entries)
 
 
@@ -70,7 +69,7 @@ def test_divide_by_mix_matches_entrywise_division(ring, m):
     for _ in range(300):
         rows = [[_entry(rng, ring, m) for _ in range(rng.randint(0, 5))]
                 for _ in range(rng.randint(1, 4))]
-        assert (_typed(_divide_by_mix(rows, m, ring))
+        assert (_typed(divide_by_mix(rows, m, ring))
                 == _typed(_divide_entrywise(rows, m, ring)))
 
 
@@ -90,19 +89,19 @@ def test_divide_by_mix_edge_rows(ring, m):
                                     and v.denominator > 1
                                     for row in rows for v in row):
             continue
-        assert (_typed(_divide_by_mix(rows, m, ring))
+        assert (_typed(divide_by_mix(rows, m, ring))
                 == _typed(_divide_entrywise(rows, m, ring)))
 
 
 def test_zloc_int_quotient_stays_in_the_ring_as_a_fraction():
     ring = localized_integers(2)
-    got = _divide_by_mix([[2, 1], [4, 6]], 2, ring)
+    got = divide_by_mix([[2, 1], [4, 6]], 2, ring)
     assert _typed(got) == [[(int, 1), (Fraction, Fraction(1, 2))],
                            [(int, 2), (int, 3)]]
-    assert _divide_by_mix([[2, 1]], 2, INTEGERS) is None
-    assert _divide_by_mix([[3]], 2, ring) == [[Fraction(3, 2)]]
-    assert _divide_by_mix([[3]], 3, ring) == [[1]]
-    assert _divide_by_mix([[1]], 3, ring) is None
+    assert divide_by_mix([[2, 1]], 2, INTEGERS) is None
+    assert divide_by_mix([[3]], 2, ring) == [[Fraction(3, 2)]]
+    assert divide_by_mix([[3]], 3, ring) == [[1]]
+    assert divide_by_mix([[1]], 3, ring) is None
 
 
 def _random_loop(rng, model, k):

@@ -4,10 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mixtrace.errors import InputError
-from mixtrace.rings import (INTEGERS, RATIONALS, RingTag, divides_power,
-                            format_value, localized_integers, parse_value,
-                            ring_contains)
-from mixtrace.traces import _exact_div
+from mixtrace.rings import (INTEGERS, RATIONALS, RingTag, _exact_div,
+                            divides_power, format_value, localized_integers,
+                            parse_value, ring_contains)
 
 from trace_reference import is_unit
 

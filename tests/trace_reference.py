@@ -60,10 +60,11 @@ from mixtrace.compactify import _one_step_moves, _require_comparable
 from mixtrace.errors import InputError, ResourceLimitError
 from mixtrace.loops import (Loop, Permutation, hidden_symmetry, loop_dual,
                             loop_tensor)
-from mixtrace.rings import Number, RingTag, divides_power
+from mixtrace.rings import (Number, RingTag, _exact_div, divide_by_mix,
+                            divides_power)
 from mixtrace.traces import (AMBIGUOUS, StaircaseWitness, TraceResult,
-                             _contract_pair, _divide_by_mix, _exact_div,
-                             ambiguous, defined, pairing_form, undefined)
+                             _contract_pair, ambiguous, defined, pairing_form,
+                             undefined)
 from mixtrace.zigzag import (CounterPath, Diagram, Edge, Frame,
                              ZigZagOutcome, _walk)
 
@@ -166,7 +167,7 @@ def provisional_trace(p: Loop, want_witness: bool = False) -> TraceResult:
     g_rows: Sequence[Sequence[Number]] = pf.entries
     fillers: List[Mor] = []
     for i, d in enumerate(dims):
-        divided = _divide_by_mix(g_rows, m, model.ring)
+        divided = divide_by_mix(g_rows, m, model.ring)
         if divided is None:
             return undefined()
         tail = prod(x * x for x in dims[i + 1:])
