@@ -3,8 +3,9 @@ modules below it, and every import sits at module level; no module imports
 ``dataclasses``, and importing the CLI loads neither it nor ``inspect``;
 every export and every definition in ``src`` is used by some module of
 ``src``, and every public function outside its own body; no cache outlives
-a call, except the CLI's parser; no test module imports a name it never
-uses."""
+a call, except the CLI's parser; no module but ``rings`` reads a ring's
+kind, save ``serialize.ring_to_json``; no module of ``src`` or of the tests
+imports a name it never uses."""
 
 import ast
 import json
@@ -213,9 +214,32 @@ def test_no_module_level_cache(name):
     assert found == allowed, f"{name} has a module-level cache at {found}"
 
 
-@pytest.mark.parametrize("name", TEST_MODULES)
-def test_test_modules_use_every_name_they_import(name):
-    tree = ast.parse((TESTS / name).read_text(encoding="utf-8"))
+def _ring_kind_loads(name):
+    """Lines of a module of ``src`` that read an attribute ``kind``, outside
+    ``serialize.ring_to_json``."""
+    tree = _tree(name)
+    schema = {id(node) for fn in tree.body
+              if isinstance(fn, ast.FunctionDef) and name == "serialize"
+              and fn.name == "ring_to_json" for node in ast.walk(fn)}
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "kind"
+                  and isinstance(node.ctx, ast.Load)
+                  and id(node) not in schema)
+
+
+@pytest.mark.parametrize("name", [n for n in MODULES if n != "rings"])
+def test_only_rings_reads_a_ring_kind(name):
+    # every ring operation lives in rings, so a new ring is one new tag
+    # there; the JSON schema of a tag is the one other place naming its kind
+    found = _ring_kind_loads(name)
+    assert not found, f"{name} reads .kind at lines {found}"
+
+
+@pytest.mark.parametrize("path", [TESTS / name for name in TEST_MODULES] + [
+    pytest.param(SRC / f"{name}.py", id=f"mixtrace/{name}.py")
+    for name in MODULES], ids=lambda path: path.name)
+def test_test_modules_use_every_name_they_import(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
     imported = {alias.asname or alias.name.split(".")[0]: node.lineno
                 for node in tree.body
                 if isinstance(node, (ast.Import, ast.ImportFrom))
@@ -225,4 +249,4 @@ def test_test_modules_use_every_name_they_import(name):
               if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     unused = sorted((line, n) for n, line in imported.items()
                     if n not in loaded)
-    assert not unused, f"{name} imports names it never uses: {unused}"
+    assert not unused, f"{path.name} imports names it never uses: {unused}"
