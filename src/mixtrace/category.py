@@ -68,7 +68,7 @@ class Obj(Value):
         self.__post_init__()
 
     def __post_init__(self):
-        if not isinstance(self.rank, int) or self.rank < 0:
+        if type(self.rank) is not int or self.rank < 0:
             raise InputError("object rank must be a non-negative integer")
 
     def __eq__(self, other):

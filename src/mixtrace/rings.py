@@ -79,7 +79,7 @@ class RingTag(Value):
         if self.kind not in ("Z", "Q", "Zloc"):
             raise InputError(f"unknown ring kind {self.kind!r}")
         if self.kind == "Zloc":
-            if not isinstance(self.m, int) or self.m < 1:
+            if type(self.m) is not int or self.m < 1:
                 raise InputError("localization requires an integer m >= 1")
         elif self.m is not None:
             raise InputError(f"ring {self.kind!r} takes no parameter")

@@ -15,7 +15,7 @@ from mixtrace.category import (Model, Obj, UNIT, canonical_map, compose,
 from mixtrace.errors import InputError, ResourceLimitError
 from mixtrace.loops import (Loop, Permutation, hidden_symmetry, loop_compose,
                             loop_tensor, morphism_loop, yanking_loop)
-from mixtrace.rings import INTEGERS, RATIONALS, RingTag
+from mixtrace.rings import INTEGERS, RATIONALS, RingTag, localized_integers
 from mixtrace.zigzag import Diagram, Edge, ZigZagInstance
 
 from trace_reference import is_compact
@@ -426,6 +426,12 @@ def _zigzag(**changed):
                  id="mor-entry"),
     pytest.param(lambda: Obj(-1), "object rank must be a non-negative",
                  id="obj"),
+    # Python counts bool as int, but a rank or a parameter is no bool:
+    # Obj(True) would equal Obj(1), and Z[1/True] would not read back
+    pytest.param(lambda: Obj(True), "object rank must be a non-negative",
+                 id="obj-bool"),
+    pytest.param(lambda: Obj(False), "object rank must be a non-negative",
+                 id="obj-bool-false"),
     pytest.param(lambda: contract_hidden(identity(Z2, r2), r1, r1, (Obj(3),)),
                  "contract_hidden: shape mismatch", id="contract_hidden"),
     pytest.param(lambda: Permutation((1, 0)).apply("abc"),
@@ -466,6 +472,9 @@ def _zigzag(**changed):
                  id="ring-zloc-parameter"),
     pytest.param(lambda: RingTag("Z", 2), "ring 'Z' takes no parameter",
                  id="ring-parameter"),
+    pytest.param(lambda: localized_integers(True),
+                 "localization requires an integer m >= 1",
+                 id="ring-zloc-bool"),
 ])
 def test_constructors_refuse_malformed_input(build, message):
     with pytest.raises(InputError, match=re.escape(message)):
