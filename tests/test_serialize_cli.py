@@ -627,6 +627,8 @@ def changed(base, path, value):
     # a mix that is not a string, a list field that is not a list, an edge
     # to a node past the objects
     ("trace", LOOP, ("model", "mix"), 2),
+    # a mix outside the model's ring
+    ("trace", LOOP, ("model", "mix"), "1/2"),
     ("trace", LOOP, ("hidden",), 1),
     ("zigzag-check", DIAGRAM, ("edges", 0, "dst"), 2),
     # whole files: absent, not JSON, generators outside --mode bounded, and
@@ -679,6 +681,15 @@ def test_cli_rejects_bad_input(tmp_path, capsys, verb, base, path, value):
     err = capsys.readouterr().err
     assert code == 2 and err.startswith("input error:"), (code, err)
     assert path[-1].lstrip("-").replace("-", "_") in err, err
+
+
+def test_a_mix_outside_its_ring_is_refused_at_the_mix_field(tmp_path,
+                                                            capsys):
+    # Model tests the mix once, and the reader names the field it came from
+    path = write(tmp_path, "loop.json", changed(LOOP, ("model", "mix"), "1/2"))
+    assert cli.main(["trace", "--mode", "free", "--loop", path]) == 2
+    assert capsys.readouterr().err == \
+        f"input error: {path}.model.mix: mix scalar 1/2 is not in Z\n"
 
 
 def test_entries_are_checked_where_they_enter(tmp_path):
