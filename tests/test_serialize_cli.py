@@ -627,8 +627,6 @@ def changed(base, path, value):
     # a mix that is not a string, a list field that is not a list, an edge
     # to a node past the objects
     ("trace", LOOP, ("model", "mix"), 2),
-    # a mix outside the model's ring
-    ("trace", LOOP, ("model", "mix"), "1/2"),
     ("trace", LOOP, ("hidden",), 1),
     ("zigzag-check", DIAGRAM, ("edges", 0, "dst"), 2),
     # whole files: absent, not JSON, generators outside --mode bounded, and
@@ -654,6 +652,8 @@ def changed(base, path, value):
     ("zigzag-check", ZIGZAG2, ("alpha",), [0, 0]),
     # a permutation of the wrong length for alpha
     ("zigzag-check", ZIGZAG2, ("alpha",), [0]),
+    # a mix outside the model's ring
+    ("trace", LOOP, ("model", "mix"), "1/2"),
 ])
 def test_cli_rejects_bad_input(tmp_path, capsys, verb, base, path, value):
     # a row changes an option, or a field of the verb's input file, and
