@@ -45,6 +45,9 @@ as explicit index loops over multi-indices (``curry_by_loops``,
 ``factor_permutation_by_product``) and, for loops, as conjugation by dense
 permutation matrices (``hidden_symmetry_by_conjugation``,
 ``loop_compose_by_conjugation``, ``loop_tensor_by_conjugation``).
+``factor_permutation_dense`` and ``times_rule_by_products`` are the dense
+builders the library's index maps replaced: a permutation matrix built
+row by row, and the times rule as a product of three of them.
 """
 
 import itertools
@@ -52,10 +55,11 @@ from fractions import Fraction
 from math import prod
 from typing import Dict, List, Sequence, Tuple
 
-from mixtrace.category import (UNIT, Model, Mor, Obj, canonical_map,
-                               compose, curry, dual_mor, factor_permutation,
-                               identity, mor_scale, obj_tensor, tensor_mor,
-                               uncurry, whisker, zero_mor)
+from mixtrace.category import (UNIT, Model, Mor, Obj, _flat_offsets,
+                               canonical_map, compose, curry, dual_mor,
+                               factor_permutation, identity, mor_scale,
+                               obj_tensor, tensor_mor, uncurry, whisker,
+                               zero_mor)
 from mixtrace.compactify import _one_step_moves, _require_comparable
 from mixtrace.errors import InputError, ResourceLimitError
 from mixtrace.loops import (Loop, Permutation, hidden_symmetry, loop_dual,
@@ -338,6 +342,30 @@ def factor_permutation_by_product(model, dims, pos_map):
         t = tuple(multi[p] for p in pos_map)
         rows[_flat(t, tgt)][flat_s] = 1
     return Mor(model, Obj(n), Obj(n), tuple(tuple(r) for r in rows))
+
+
+def factor_permutation_dense(model, dims, pos_map):
+    """``factor_permutation`` as it stood before index maps: the dense
+    permutation matrix built row by row from ``_flat_offsets``."""
+    if sorted(pos_map) != list(range(len(dims))):
+        raise InputError("pos_map must be a permutation of the factor slots")
+    n = prod(dims)
+    rows = []
+    for s in _flat_offsets(dims, pos_map):
+        row = [0] * n
+        row[s] = 1
+        rows.append(tuple(row))
+    return Mor(model, Obj(n), Obj(n), tuple(rows))
+
+
+def times_rule_by_products(model, a, b, c, d):
+    """``canonical_map("times_rule")`` as it stood before index maps: the
+    composite of three dense factor permutations."""
+    ar, br, cr, dr = a.rank, b.rank, c.rank, d.rank
+    step1 = factor_permutation_dense(model, [ar, br, cr, dr], [1, 0, 2, 3])
+    step3 = factor_permutation_dense(model, [br, ar * cr * dr], [1, 0])
+    step5 = factor_permutation_dense(model, [ar * cr, dr, br], [0, 2, 1])
+    return compose(step5, compose(step3, step1))
 
 
 def curry_by_loops(f, a, b, c):
