@@ -572,88 +572,150 @@ def changed(base, path, value):
     return data
 
 
+# every row names its id, so a row added anywhere renames no other
 @pytest.mark.parametrize("verb,base,path,value", [
     # non-list fields, and dicts of the right length
-    ("zigzag-check", ZIGZAG2, ("alpha",), 5),
-    ("zigzag-check", ZIGZAG2, ("alpha",), {"a": 1, "b": 0}),
-    ("zigzag-check", ZIGZAG2, ("down_maps",), 3),
-    ("zigzag-check", ZIGZAG2, ("up_maps",), {"a": [["1"]], "b": [["1"]]}),
-    ("zigzag-check", ZIGZAG2, ("left_fillers",), 4),
-    ("zigzag-check", ZIGZAG2, ("right_fillers",),
-     {"a": [["0"]], "b": [["0"]], "c": [["0"]]}),
-    ("zigzag-check", DIAGRAM, ("edges",), 7),
+    pytest.param("zigzag-check", ZIGZAG2, ("alpha",), 5,
+                 id="zigzag-check-base0-path0-5"),
+    pytest.param("zigzag-check", ZIGZAG2, ("alpha",), {"a": 1, "b": 0},
+                 id="zigzag-check-base1-path1-value1"),
+    pytest.param("zigzag-check", ZIGZAG2, ("down_maps",), 3,
+                 id="zigzag-check-base2-path2-3"),
+    pytest.param("zigzag-check", ZIGZAG2, ("up_maps",),
+                 {"a": [["1"]], "b": [["1"]]},
+                 id="zigzag-check-base3-path3-value3"),
+    pytest.param("zigzag-check", ZIGZAG2, ("left_fillers",), 4,
+                 id="zigzag-check-base4-path4-4"),
+    pytest.param("zigzag-check", ZIGZAG2, ("right_fillers",),
+                 {"a": [["0"]], "b": [["0"]], "c": [["0"]]},
+                 id="zigzag-check-base5-path5-value5"),
+    pytest.param("zigzag-check", DIAGRAM, ("edges",), 7,
+                 id="zigzag-check-base6-path6-7"),
     # bool in integer fields
-    ("trace", LOOP, ("A",), True),
-    ("trace", LOOP, ("B",), True),
-    ("trace", LOOP, ("hidden",), [True]),
-    ("trace", LOOP, ("carrier", "dom"), True),
-    ("trace", LOOP, ("carrier", "cod"), True),
-    ("realize", MATRIX, ("model", "ring", "Zloc"), True),
-    ("zigzag-check", ZIGZAG2, ("hub",), True),
-    ("zigzag-check", ZIGZAG2, ("upper",), [True, 1]),
-    ("zigzag-check", ZIGZAG2, ("apex",), [1, True]),
-    ("zigzag-check", ZIGZAG2, ("lower",), [True, True]),
-    ("zigzag-check", ZIGZAG2, ("alpha",), [True, 0]),
-    ("zigzag-check", DIAGRAM, ("objects",), [True, 1]),
-    ("zigzag-check", DIAGRAM, ("edges", 0, "src"), False),
-    ("zigzag-check", DIAGRAM, ("edges", 0, "dst"), True),
+    pytest.param("trace", LOOP, ("A",), True,
+                 id="trace-base7-path7-True"),
+    pytest.param("trace", LOOP, ("B",), True,
+                 id="trace-base8-path8-True"),
+    pytest.param("trace", LOOP, ("hidden",), [True],
+                 id="trace-base9-path9-value9"),
+    pytest.param("trace", LOOP, ("carrier", "dom"), True,
+                 id="trace-base10-path10-True"),
+    pytest.param("trace", LOOP, ("carrier", "cod"), True,
+                 id="trace-base11-path11-True"),
+    pytest.param("realize", MATRIX, ("model", "ring", "Zloc"), True,
+                 id="realize-base12-path12-True"),
+    pytest.param("zigzag-check", ZIGZAG2, ("hub",), True,
+                 id="zigzag-check-base13-path13-True"),
+    pytest.param("zigzag-check", ZIGZAG2, ("upper",), [True, 1],
+                 id="zigzag-check-base14-path14-value14"),
+    pytest.param("zigzag-check", ZIGZAG2, ("apex",), [1, True],
+                 id="zigzag-check-base15-path15-value15"),
+    pytest.param("zigzag-check", ZIGZAG2, ("lower",), [True, True],
+                 id="zigzag-check-base16-path16-value16"),
+    pytest.param("zigzag-check", ZIGZAG2, ("alpha",), [True, 0],
+                 id="zigzag-check-base17-path17-value17"),
+    pytest.param("zigzag-check", DIAGRAM, ("objects",), [True, 1],
+                 id="zigzag-check-base18-path18-value18"),
+    pytest.param("zigzag-check", DIAGRAM, ("edges", 0, "src"), False,
+                 id="zigzag-check-base19-path19-False"),
+    pytest.param("zigzag-check", DIAGRAM, ("edges", 0, "dst"), True,
+                 id="zigzag-check-base20-path20-True"),
     # out-of-range sizes
-    ("axioms", None, ("--max-rank",), "-1"),
-    ("axioms", None, ("--max-hidden",), "-1"),
-    ("zigzag-search", None, ("--n",), "-1"),
-    ("zigzag-search", None, ("--max-rank",), "0"),
-    ("zigzag-search", None, ("--entry-bound",), "-1"),
-    ("compactify-verify", None, ("--max-rank",), "-1"),
+    pytest.param("axioms", None, ("--max-rank",), "-1",
+                 id="axioms-None-path21--1"),
+    pytest.param("axioms", None, ("--max-hidden",), "-1",
+                 id="axioms-None-path22--1"),
+    pytest.param("zigzag-search", None, ("--n",), "-1",
+                 id="zigzag-search-None-path23--1"),
+    pytest.param("zigzag-search", None, ("--max-rank",), "0",
+                 id="zigzag-search-None-path24-0"),
+    pytest.param("zigzag-search", None, ("--entry-bound",), "-1",
+                 id="zigzag-search-None-path25--1"),
+    pytest.param("compactify-verify", None, ("--max-rank",), "-1",
+                 id="compactify-verify-None-path26--1"),
     # negative counts
-    ("axioms", None, ("--cases",), "-1"),
-    ("zigzag-search", None, ("--budget",), "-3"),
-    ("compactify-verify", None, ("--samples",), "-5"),
+    pytest.param("axioms", None, ("--cases",), "-1",
+                 id="axioms-None-path27--1"),
+    pytest.param("zigzag-search", None, ("--budget",), "-3",
+                 id="zigzag-search-None-path28--3"),
+    pytest.param("compactify-verify", None, ("--samples",), "-5",
+                 id="compactify-verify-None-path29--5"),
     # nothing may follow "semantic"
-    ("congruent", LOOP, ("--mode",), "semantic:junk"),
+    pytest.param("congruent", LOOP, ("--mode",), "semantic:junk",
+                 id="congruent-base30-path30-semantic:junk"),
     # scalars are ASCII digits with nothing around them
-    ("validate", None, ("--model",), "zloc:1_0"),
-    ("validate", None, ("--model",), "zloc: 2"),
-    ("validate", None, ("--model",), "zloc:\u0663"),
-    ("validate", None, ("--model",), "zloc:1/2"),
-    ("validate", None, ("--model",), "zloc:0"),
-    ("validate", None, ("--model",), "zmod: 2"),
-    ("validate", None, ("--model",), "zmod:2\n"),
-    ("trace", LOOP, ("model", "mix"), "\u0662"),
-    ("trace", LOOP, ("carrier", "entries"), [[" 3 "]]),
+    pytest.param("validate", None, ("--model",), "zloc:1_0",
+                 id="validate-None-path31-zloc:1_0"),
+    pytest.param("validate", None, ("--model",), "zloc: 2",
+                 id="validate-None-path32-zloc: 2"),
+    pytest.param("validate", None, ("--model",), "zloc:\u0663",
+                 id="validate-None-path33-zloc:\u0663"),
+    pytest.param("validate", None, ("--model",), "zloc:1/2",
+                 id="validate-None-path34-zloc:1/2"),
+    pytest.param("validate", None, ("--model",), "zloc:0",
+                 id="validate-None-path35-zloc:0"),
+    pytest.param("validate", None, ("--model",), "zmod: 2",
+                 id="validate-None-path36-zmod: 2"),
+    pytest.param("validate", None, ("--model",), "zmod:2\n",
+                 id="validate-None-path37-zmod:2\n"),
+    pytest.param("trace", LOOP, ("model", "mix"), "\u0662",
+                 id="trace-base38-path38-\u0662"),
+    pytest.param("trace", LOOP, ("carrier", "entries"), [[" 3 "]],
+                 id="trace-base39-path39-value39"),
     # model selectors without a colon or of an unknown kind
-    ("validate", None, ("--model",), "zmod2"),
-    ("validate", None, ("--model",), "zfoo:2"),
-    ("validate", None, ("--max-rank",), "0"),
+    pytest.param("validate", None, ("--model",), "zmod2",
+                 id="validate-None-path40-zmod2"),
+    pytest.param("validate", None, ("--model",), "zfoo:2",
+                 id="validate-None-path41-zfoo:2"),
+    pytest.param("validate", None, ("--max-rank",), "0",
+                 id="validate-None-path42-0"),
     # a mix that is not a string, a list field that is not a list, an edge
     # to a node past the objects
-    ("trace", LOOP, ("model", "mix"), 2),
-    ("trace", LOOP, ("hidden",), 1),
-    ("zigzag-check", DIAGRAM, ("edges", 0, "dst"), 2),
+    pytest.param("trace", LOOP, ("model", "mix"), 2,
+                 id="trace-base43-path43-2"),
+    pytest.param("trace", LOOP, ("hidden",), 1,
+                 id="trace-base44-path44-1"),
+    pytest.param("zigzag-check", DIAGRAM, ("edges", 0, "dst"), 2,
+                 id="zigzag-check-base45-path45-2"),
     # whole files: absent, not JSON, generators outside --mode bounded, and
     # a right loop whose endpoints or model differ from the left one's
-    ("trace", LOOP, ("--loop", "loop.json"), None),
-    ("trace", LOOP, ("--loop", "line 1, column 11"), '{"model": }'),
-    ("congruent", LOOP, ("--generators", "--mode bounded"), {"loops": []}),
-    ("congruent", LOOP, ("--right", "different endpoints"),
-     dict(LOOP, A=2, carrier=dict(LOOP["carrier"], dom=2,
-                                  entries=[["2", "0"]]))),
-    ("congruent", LOOP, ("--right", "different models"),
-     dict(LOOP, model=Z3_JSON, carrier=dict(LOOP["carrier"],
-                                            model=Z3_JSON))),
+    pytest.param("trace", LOOP, ("--loop", "loop.json"), None,
+                 id="trace-base46-path46-None"),
+    pytest.param("trace", LOOP, ("--loop", "line 1, column 11"),
+                 '{"model": }',
+                 id='trace-base47-path47-{"model": }'),
+    pytest.param("congruent", LOOP, ("--generators", "--mode bounded"),
+                 {"loops": []},
+                 id="congruent-base48-path48-value48"),
+    pytest.param("congruent", LOOP, ("--right", "different endpoints"),
+                 dict(LOOP, A=2, carrier=dict(LOOP["carrier"], dom=2,
+                                              entries=[["2", "0"]])),
+                 id="congruent-base49-path49-value49"),
+    pytest.param("congruent", LOOP, ("--right", "different models"),
+                 dict(LOOP, model=Z3_JSON, carrier=dict(LOOP["carrier"],
+                                                        model=Z3_JSON)),
+                 id="congruent-base50-path50-value50"),
     # an edge label that is not a string
-    ("zigzag-check", DIAGRAM, ("edges", 0, "label"), 5),
-    ("zigzag-check", DIAGRAM, ("edges", 0, "label"), {"x": 1}),
-    ("zigzag-check", DIAGRAM, ("edges", 0, "label"), ["a"]),
-    ("zigzag-check", DIAGRAM, ("edges", 0, "label"), None),
+    pytest.param("zigzag-check", DIAGRAM, ("edges", 0, "label"), 5,
+                 id="zigzag-check-base51-path51-5"),
+    pytest.param("zigzag-check", DIAGRAM, ("edges", 0, "label"), {"x": 1},
+                 id="zigzag-check-base52-path52-value52"),
+    pytest.param("zigzag-check", DIAGRAM, ("edges", 0, "label"), ["a"],
+                 id="zigzag-check-base53-path53-value53"),
+    pytest.param("zigzag-check", DIAGRAM, ("edges", 0, "label"), None,
+                 id="zigzag-check-base54-path54-None"),
     # a bounded depth of more digits than int() converts
     pytest.param("congruent", LOOP, ("--mode",), "bounded:" + "9" * 5000,
                  id="congruent-long-bounded-depth"),
     # an alpha of the right length that is not a permutation
-    ("zigzag-check", ZIGZAG2, ("alpha",), [0, 0]),
+    pytest.param("zigzag-check", ZIGZAG2, ("alpha",), [0, 0],
+                 id="zigzag-check-base56-path56-value56"),
     # a permutation of the wrong length for alpha
-    ("zigzag-check", ZIGZAG2, ("alpha",), [0]),
+    pytest.param("zigzag-check", ZIGZAG2, ("alpha",), [0],
+                 id="zigzag-check-base57-path57-value57"),
     # a mix outside the model's ring
-    ("trace", LOOP, ("model", "mix"), "1/2"),
+    pytest.param("trace", LOOP, ("model", "mix"), "1/2",
+                 id="trace-base58-path58-1/2"),
 ])
 def test_cli_rejects_bad_input(tmp_path, capsys, verb, base, path, value):
     # a row changes an option, or a field of the verb's input file, and
