@@ -64,11 +64,12 @@ class Obj(Value):
     __slots__ = ("rank",)
 
     def __init__(self, rank: int):
-        object.__setattr__(self, "rank", rank)
+        Obj.rank.__set__(self, rank)
         self.__post_init__()
 
     def __post_init__(self):
-        if type(self.rank) is not int or self.rank < 0:
+        rank = self.rank
+        if type(rank) is not int or rank < 0:
             raise InputError("object rank must be a non-negative integer")
 
     def __eq__(self, other):
@@ -100,20 +101,19 @@ class Mor(Value):
 
     def __init__(self, model: Model, dom: Obj, cod: Obj,
                  entries: Tuple[Tuple[Number, ...], ...]):
-        object.__setattr__(self, "model", model)
-        object.__setattr__(self, "dom", dom)
-        object.__setattr__(self, "cod", cod)
-        object.__setattr__(self, "entries", entries)
+        Mor.model.__set__(self, model)
+        Mor.dom.__set__(self, dom)
+        Mor.cod.__set__(self, cod)
+        Mor.entries.__set__(self, entries)
         self.__post_init__()
 
     def __post_init__(self):
-        if len(self.entries) != self.cod.rank:
-            raise InputError(
-                f"expected {self.cod.rank} rows, got {len(self.entries)}")
-        for row in self.entries:
-            if len(row) != self.dom.rank:
-                raise InputError(
-                    f"expected {self.dom.rank} columns, got {len(row)}")
+        entries, rows, cols = self.entries, self.cod.rank, self.dom.rank
+        if len(entries) != rows:
+            raise InputError(f"expected {rows} rows, got {len(entries)}")
+        for row in entries:
+            if len(row) != cols:
+                raise InputError(f"expected {cols} columns, got {len(row)}")
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

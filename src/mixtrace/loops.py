@@ -60,25 +60,23 @@ class Loop(Value):
 
     def __init__(self, model: Model, dom: Obj, cod: Obj,
                  hidden: Sequence[Obj], carrier: Mor):
-        object.__setattr__(self, "model", model)
-        object.__setattr__(self, "dom", dom)
-        object.__setattr__(self, "cod", cod)
-        object.__setattr__(self, "hidden", tuple(hidden))
-        object.__setattr__(self, "carrier", carrier)
+        Loop.model.__set__(self, model)
+        Loop.dom.__set__(self, dom)
+        Loop.cod.__set__(self, cod)
+        Loop.hidden.__set__(self, tuple(hidden))
+        Loop.carrier.__set__(self, carrier)
         self.__post_init__()
 
     def __post_init__(self):
-        h = prod(u.rank for u in self.hidden)
-        if self.carrier.model != self.model:
+        carrier, h = self.carrier, prod(u.rank for u in self.hidden)
+        if carrier.model is not self.model and carrier.model != self.model:
             raise InputError("carrier belongs to a different model")
-        if self.carrier.dom.rank != self.dom.rank * h:
-            raise InputError(
-                f"carrier domain rank {self.carrier.dom.rank} != "
-                f"{self.dom.rank} * {h}")
-        if self.carrier.cod.rank != self.cod.rank * h:
-            raise InputError(
-                f"carrier codomain rank {self.carrier.cod.rank} != "
-                f"{self.cod.rank} * {h}")
+        if carrier.dom.rank != self.dom.rank * h:
+            raise InputError(f"carrier domain rank {carrier.dom.rank} != "
+                             f"{self.dom.rank} * {h}")
+        if carrier.cod.rank != self.cod.rank * h:
+            raise InputError(f"carrier codomain rank {carrier.cod.rank} != "
+                             f"{self.cod.rank} * {h}")
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
