@@ -268,13 +268,57 @@ def factor_permutation(model: Model, dims: Sequence[int],
     """
     if sorted(pos_map) != list(range(len(dims))):
         raise InputError("pos_map must be a permutation of the factor slots")
-    n = prod(dims)
+    return _permutation_mor(model, _flat_offsets(dims, pos_map))
+
+
+# An index map p is a permutation matrix stored as the column of each
+# row's one entry: row i has its 1 at column p[i], as ``_flat_offsets``
+# gives it.  Index maps compose by gathering and tensor under the global
+# flattening; a map that is not a permutation matrix is None, and equals
+# nothing, not even another None.
+
+def _permutation_mor(model: Model, p: Sequence[int]) -> Mor:
+    """The permutation matrix of the index map p."""
+    n = len(p)
     rows = []
-    for s in _flat_offsets(dims, pos_map):
+    for s in p:
         row = [0] * n
         row[s] = 1
         rows.append(tuple(row))
     return Mor(model, Obj(n), Obj(n), tuple(rows))
+
+
+def _index_map(f: Mor):
+    """The index map of f, or None when f is not a permutation matrix."""
+    n = f.dom.rank
+    if f.cod.rank != n:
+        return None
+    p = []
+    for row in f.entries:
+        if row.count(0) != n - 1 or 1 not in row:
+            return None
+        p.append(row.index(1))
+    return tuple(p) if len(set(p)) == n else None
+
+
+def _after(g, f):
+    """The index map of the composite g . f: (g . f)[i] = f[g[i]]."""
+    if g is None or f is None:
+        return None
+    return tuple([f[i] for i in g])
+
+
+def _tensor_maps(p, q):
+    """The index map of p (x) q; empty when either factor is, since a
+    matrix with no rows is a permutation matrix whatever it tensors."""
+    if p is None or q is None:
+        return () if () in (p, q) else None
+    n = len(q)
+    return tuple([x * n + y for x in p for y in q])
+
+
+def _same_map(p, q) -> bool:
+    return p is not None and p == q
 
 
 # Canonical structure maps.  Kinds and their parameter arities:
@@ -329,12 +373,11 @@ def canonical_map(model: Model, kind: str, params: Sequence[Obj]) -> Mor:
     # times_rule: the composite of symmetries and distributivities
     # (Id par tau) . (delta par Id) . tau . delta_R . (tau (x) Id),
     # which any other composite of the same shape must equal.
-    a, b, c, d = params
-    ar, br, cr, dr = a.rank, b.rank, c.rank, d.rank
-    step1 = factor_permutation(model, [ar, br, cr, dr], [1, 0, 2, 3])
-    step3 = factor_permutation(model, [br, ar * cr * dr], [1, 0])
-    step5 = factor_permutation(model, [ar * cr, dr, br], [0, 2, 1])
-    return compose(step5, compose(step3, step1))
+    ar, br, cr, dr = (o.rank for o in params)
+    step1 = _flat_offsets([ar, br, cr, dr], [1, 0, 2, 3])
+    step3 = _flat_offsets([br, ar * cr * dr], [1, 0])
+    step5 = _flat_offsets([ar * cr, dr, br], [0, 2, 1])
+    return _permutation_mor(model, _after(step5, _after(step3, step1)))
 
 
 def curry(f: Mor, a: Obj, b: Obj, c: Obj) -> Mor:
@@ -450,9 +493,12 @@ def validate_coherence(model: Model, max_rank: int, seed: int = 0) -> Validation
     report = ValidationReport(f"coherence of {model} at ranks <= {max_rank}")
     ranks = [Obj(r) for r in range(0, max_rank + 1)]
     canon = cache(lambda kind, *params: canonical_map(model, kind, params))
-    perm = cache(lambda dims, pos_map: factor_permutation(model, dims,
-                                                          pos_map))
     ident = cache(lambda a: identity(model, a))
+    # index maps, read off each builder's own matrix once
+    canon_map = cache(lambda kind, *params: _index_map(canon(kind, *params)))
+    perm = cache(lambda dims, pos_map: _index_map(
+        factor_permutation(model, dims, pos_map)))
+    ident_map = cache(lambda a: _index_map(ident(a)))
 
     def mix_unit_square():
         mix = canon("mix")
@@ -510,12 +556,12 @@ def validate_coherence(model: Model, max_rank: int, seed: int = 0) -> Validation
                 yield f"distributivity fails at {ar},{br},{cr}"
             # right distributivity from symmetries and delta
             t1 = perm((ar * br, cr), (1, 0))
-            t2 = tensor_mor(ident(c), canon("par_symmetry", a, b))
+            t2 = _tensor_maps(ident_map(c), canon_map("par_symmetry", a, b))
             t4 = perm((cr * br, ar), (1, 0))
-            t5 = tensor_mor(ident(a), canon("symmetry", c, b))
-            dr_alt = compose(t5, compose(t4, compose(t2, t1)))
-            if dr_alt.entries != \
-                    canon("right_distributivity", a, b, c).entries:
+            t5 = _tensor_maps(ident_map(a), canon_map("symmetry", c, b))
+            dr_alt = _after(t5, _after(t4, _after(t2, t1)))
+            if not _same_map(dr_alt,
+                             canon_map("right_distributivity", a, b, c)):
                 yield f"right distributivity fails at {ar},{br},{cr}"
 
     def currying_triangle():
@@ -533,27 +579,30 @@ def validate_coherence(model: Model, max_rank: int, seed: int = 0) -> Validation
     def shuffle_composition_orders():
         for a, b, c, d in itertools.product(ranks, repeat=4):
             ar, br, cr, dr = a.rank, b.rank, c.rank, d.rank
-            target = canon("times_rule", a, b, c, d)
-            if target.entries != perm((ar, br, cr, dr), (0, 2, 1, 3)).entries:
+            target = canon_map("times_rule", a, b, c, d)
+            if not _same_map(target, perm((ar, br, cr, dr), (0, 2, 1, 3))):
                 yield "times rule disagrees with direct permutation"
             # Route 2: swap the two tensor factors, apply the canonical
             # shuffle there, then repair with a symmetry on A,C and on B,D.
             swap = perm((ar * br, cr * dr), (1, 0))
-            shuffled = compose(canon("times_rule", c, d, a, b), swap)
-            fix_ca = tensor_mor(canon("symmetry", c, a), ident(Obj(dr * br)))
-            fix_db = tensor_mor(ident(Obj(ar * cr)), perm((dr, br), (1, 0)))
-            comp2 = compose(fix_db, compose(fix_ca, shuffled))
+            shuffled = _after(canon_map("times_rule", c, d, a, b), swap)
+            fix_ca = _tensor_maps(canon_map("symmetry", c, a),
+                                  ident_map(Obj(dr * br)))
+            fix_db = _tensor_maps(ident_map(Obj(ar * cr)),
+                                  perm((dr, br), (1, 0)))
+            comp2 = _after(fix_db, _after(fix_ca, shuffled))
             # Route 3: through the right distributivity on the swapped
             # factors; right_distributivity and distributivity are
             # identity reindexings.
-            s2 = tensor_mor(canon("par_symmetry", c, d), ident(Obj(ar * br)))
-            s4 = tensor_mor(ident(d), tensor_mor(
-                canon("distributivity", c, a, b), ident(UNIT)))
+            s2 = _tensor_maps(canon_map("par_symmetry", c, d),
+                              ident_map(Obj(ar * br)))
+            s4 = _tensor_maps(ident_map(d), _tensor_maps(
+                canon_map("distributivity", c, a, b), ident_map(UNIT)))
             s5 = perm((dr, cr * ar * br), (1, 0))
-            s6 = tensor_mor(canon("symmetry", c, a), ident(Obj(br * dr)))
-            comp3 = compose(s6, compose(s5, compose(s4, compose(s2, swap))))
-            if comp2.entries != target.entries or \
-                    comp3.entries != target.entries:
+            s6 = _tensor_maps(canon_map("symmetry", c, a),
+                              ident_map(Obj(br * dr)))
+            comp3 = _after(s6, _after(s5, _after(s4, _after(s2, swap))))
+            if not (_same_map(comp2, target) and _same_map(comp3, target)):
                 yield f"composition orders disagree at {ar},{br},{cr},{dr}"
 
     report.first_failure("mix-unit-square", mix_unit_square())

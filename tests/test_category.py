@@ -368,7 +368,7 @@ def test_validate_coherence_builds_each_structure_map_once_per_call(
         assert validate_coherence(Z2, 2).ok
         per_call.append(dict(calls))
         calls.update(dict.fromkeys(calls, 0))
-    expected = {"canonical_map": 205, "factor_permutation": 370,
+    expected = {"canonical_map": 205, "factor_permutation": 127,
                 "identity": 83}
     assert per_call == [expected, expected]
 
