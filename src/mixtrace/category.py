@@ -38,7 +38,7 @@ class Model(Value):
 
     def __init__(self, ring: RingTag, mix: Number):
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "mix", canonical(mix))
+        object.__setattr__(self, "mix", canonical(mix, "mix scalars"))
         self.__post_init__()
 
     def __post_init__(self):

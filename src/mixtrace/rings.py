@@ -137,15 +137,16 @@ def ring_contains(ring: RingTag, value: Number) -> bool:
     return divides_power(v.denominator, ring.m)
 
 
-def canonical(x) -> Number:
-    """Normalize an entry: exact int or Fraction, ints preferred."""
+def canonical(x, what: str = "matrix entries") -> Number:
+    """Normalize an entry: exact int or Fraction, ints preferred.  A
+    refusal names the values refused as ``what``."""
     if isinstance(x, bool):
-        raise InputError("matrix entries must be exact numbers, not bool")
+        raise InputError(f"{what} must be exact numbers, not bool")
     if isinstance(x, int):
         return x
     if isinstance(x, Fraction):
         return int(x) if x.denominator == 1 else x
-    raise InputError(f"matrix entries must be int or Fraction, got {type(x).__name__}")
+    raise InputError(f"{what} must be int or Fraction, got {type(x).__name__}")
 
 
 def _exact_div(v: Number, m: Number, ring) -> Optional[Number]:

@@ -168,9 +168,9 @@ def test_post_init_is_looked_up_on_the_class(monkeypatch):
     (lambda: RingTag("Z", 2), "ring 'Z' takes no parameter"),
     (lambda: Model(INTEGERS, Fraction(1, 2)), "mix scalar 1/2 is not in Z"),
     (lambda: Model(INTEGERS, True),
-     "matrix entries must be exact numbers, not bool"),
+     "mix scalars must be exact numbers, not bool"),
     (lambda: Model(INTEGERS, 1.5),
-     "matrix entries must be int or Fraction, got float"),
+     "mix scalars must be int or Fraction, got float"),
     (lambda: Obj(-1), "object rank must be a non-negative integer"),
     (lambda: Obj("3"), "object rank must be a non-negative integer"),
     (lambda: Mor(Z2, r2, r1, ((1, 2), (3, 4))), "expected 1 rows, got 2"),
