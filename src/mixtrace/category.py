@@ -14,8 +14,11 @@ hidden relabelling are reindexings too: ``regroup`` applies each by moving
 entries, and ``_flat_offsets``, shared with ``factor_permutation``, is the
 one place that computes a reindexing's positions.  Only the mix scalar
 does arithmetic.  Any composite of distributivities and symmetries between
-fixed shapes is a single canonical permutation; ``validate_coherence``
-checks all of this by explicit matrix composition.
+fixed shapes is a single canonical permutation: the times rule composes
+it as an index map, the positions ``_flat_offsets`` gives.
+``validate_coherence`` checks all of this on the builders' own matrices,
+reading a permutation's index map off its matrix where a check composes
+permutations alone, and multiplying elsewhere.
 """
 
 from __future__ import annotations
@@ -68,8 +71,7 @@ class Obj(Value):
         self.__post_init__()
 
     def __post_init__(self):
-        rank = self.rank
-        if type(rank) is not int or rank < 0:
+        if type(self.rank) is not int or self.rank < 0:
             raise InputError("object rank must be a non-negative integer")
 
     def __eq__(self, other):
@@ -139,14 +141,11 @@ def mor(model: Model, dom: Obj, cod: Obj, rows: Iterable[Iterable[Number]]) -> M
 
 
 def identity(model: Model, a: Obj) -> Mor:
-    n = a.rank
-    rows = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-    return Mor(model, a, a, rows)
+    return _permutation_mor(model, range(a.rank))
 
 
 def zero_mor(model: Model, dom: Obj, cod: Obj) -> Mor:
-    rows = tuple((0,) * dom.rank for _ in range(cod.rank))
-    return Mor(model, dom, cod, rows)
+    return Mor(model, dom, cod, ((0,) * dom.rank,) * cod.rank)
 
 
 def _require_same_model(f: Mor, g: Mor) -> None:
@@ -261,64 +260,49 @@ def mor_scale(f: Mor, c: Number) -> Mor:
 
 def factor_permutation(model: Model, dims: Sequence[int],
                        pos_map: Sequence[int]) -> Mor:
-    """Permutation matrix reordering tensor factors of the given ranks.
-
-    Target slot i carries source factor pos_map[i]; row-major flattening on
-    both sides.
-    """
+    """Permutation matrix reordering tensor factors of the given ranks:
+    target slot i carries source factor pos_map[i]."""
     if sorted(pos_map) != list(range(len(dims))):
         raise InputError("pos_map must be a permutation of the factor slots")
     return _permutation_mor(model, _flat_offsets(dims, pos_map))
 
 
-# An index map p is a permutation matrix stored as the column of each
-# row's one entry: row i has its 1 at column p[i], as ``_flat_offsets``
-# gives it.  Index maps compose by gathering and tensor under the global
-# flattening; a map that is not a permutation matrix is None, and equals
-# nothing, not even another None.
+# An index map p stands for the permutation matrix whose row i has its 1
+# at column p[i].  A matrix that is no permutation matrix has the map None,
+# which equals no map, not even another None.
 
 def _permutation_mor(model: Model, p: Sequence[int]) -> Mor:
     """The permutation matrix of the index map p."""
-    n = len(p)
-    rows = []
-    for s in p:
-        row = [0] * n
-        row[s] = 1
-        rows.append(tuple(row))
-    return Mor(model, Obj(n), Obj(n), tuple(rows))
+    zeros = (0,) * len(p)
+    rows = tuple(zeros[:s] + (1,) + zeros[s + 1:] for s in p)
+    return Mor(model, Obj(len(p)), Obj(len(p)), rows)
 
 
 def _index_map(f: Mor):
     """The index map of f, or None when f is not a permutation matrix."""
     n = f.dom.rank
-    if f.cod.rank != n:
-        return None
-    p = []
-    for row in f.entries:
-        if row.count(0) != n - 1 or 1 not in row:
-            return None
-        p.append(row.index(1))
-    return tuple(p) if len(set(p)) == n else None
+    p = tuple([row.index(1) for row in f.entries
+               if row.count(0) == n - 1 and 1 in row])
+    return p if len(p) == n == f.cod.rank == len(set(p)) else None
 
 
-def _after(g, f):
-    """The index map of the composite g . f: (g . f)[i] = f[g[i]]."""
-    if g is None or f is None:
-        return None
-    return tuple([f[i] for i in g])
+def _after(p, *maps):
+    """The index map of the composite p . f . ..., the last map applied
+    first: (p . f)[i] = f[p[i]]."""
+    for f in maps:
+        p = None if p is None or f is None else tuple([f[i] for i in p])
+    return p
 
 
 def _tensor_maps(p, q):
-    """The index map of p (x) q; empty when either factor is, since a
-    matrix with no rows is a permutation matrix whatever it tensors."""
+    """The index map of p (x) q: empty when a factor is, as its matrix is."""
     if p is None or q is None:
         return () if () in (p, q) else None
-    n = len(q)
-    return tuple([x * n + y for x in p for y in q])
+    return tuple([x * len(q) + y for x in p for y in q])
 
 
-def _same_map(p, q) -> bool:
-    return p is not None and p == q
+def _same_map(p, *others) -> bool:
+    return p is not None and all(q == p for q in others)
 
 
 # Canonical structure maps.  Kinds and their parameter arities:
@@ -344,40 +328,31 @@ def canonical_map(model: Model, kind: str, params: Sequence[Obj]) -> Mor:
     if len(params) != CANONICAL_ARITY[kind]:
         raise InputError(
             f"{kind} takes {CANONICAL_ARITY[kind]} objects, got {len(params)}")
+    ranks = [o.rank for o in params]
     if kind == "symmetry" or kind == "par_symmetry":
-        a, b = params
-        return factor_permutation(model, [a.rank, b.rank], [1, 0])
+        return factor_permutation(model, ranks, [1, 0])
     if kind == "coev":
-        (a,) = params
-        return regroup(identity(model, a), [a.rank], [a.rank], [0, 1], [])
+        return regroup(identity(model, params[0]), ranks, ranks, [0, 1], [])
     if kind == "ev":
-        (a,) = params
-        return dual_mor(canonical_map(model, "coev", [a]))
+        return dual_mor(canonical_map(model, "coev", params))
     if kind == "mixed_ev":
-        (a,) = params
-        return mor_scale(canonical_map(model, "ev", [a]), model.mix)
+        return mor_scale(canonical_map(model, "ev", params), model.mix)
     if kind == "mix":
         return Mor(model, UNIT, UNIT, ((model.mix,),))
     if kind == "mix_map":
-        a, b = params
-        return mor_scale(identity(model, obj_tensor(a, b)), model.mix)
+        return mor_scale(identity(model, obj_tensor(*params)), model.mix)
     if kind == "mixed_symmetry":
-        a, b = params
-        return mor_scale(canonical_map(model, "symmetry", [a, b]), model.mix)
-    if kind == "distributivity":
-        a, b, c = params
-        return identity(model, obj_tensor(a, b, c))
-    if kind == "right_distributivity":
-        a, b, c = params
-        return identity(model, obj_tensor(a, b, c))
+        return mor_scale(canonical_map(model, "symmetry", params), model.mix)
+    if kind == "distributivity" or kind == "right_distributivity":
+        return identity(model, obj_tensor(*params))
     # times_rule: the composite of symmetries and distributivities
     # (Id par tau) . (delta par Id) . tau . delta_R . (tau (x) Id),
     # which any other composite of the same shape must equal.
-    ar, br, cr, dr = (o.rank for o in params)
+    ar, br, cr, dr = ranks
     step1 = _flat_offsets([ar, br, cr, dr], [1, 0, 2, 3])
     step3 = _flat_offsets([br, ar * cr * dr], [1, 0])
     step5 = _flat_offsets([ar * cr, dr, br], [0, 2, 1])
-    return _permutation_mor(model, _after(step5, _after(step3, step1)))
+    return _permutation_mor(model, _after(step5, step3, step1))
 
 
 def curry(f: Mor, a: Obj, b: Obj, c: Obj) -> Mor:
@@ -498,7 +473,7 @@ def validate_coherence(model: Model, max_rank: int, seed: int = 0) -> Validation
     canon_map = cache(lambda kind, *params: _index_map(canon(kind, *params)))
     perm = cache(lambda dims, pos_map: _index_map(
         factor_permutation(model, dims, pos_map)))
-    ident_map = cache(lambda a: _index_map(ident(a)))
+    ident_map = cache(lambda n: _index_map(ident(Obj(n))))
 
     def mix_unit_square():
         mix = canon("mix")
@@ -556,12 +531,12 @@ def validate_coherence(model: Model, max_rank: int, seed: int = 0) -> Validation
                 yield f"distributivity fails at {ar},{br},{cr}"
             # right distributivity from symmetries and delta
             t1 = perm((ar * br, cr), (1, 0))
-            t2 = _tensor_maps(ident_map(c), canon_map("par_symmetry", a, b))
+            t2 = _tensor_maps(ident_map(cr), canon_map("par_symmetry", a, b))
             t4 = perm((cr * br, ar), (1, 0))
-            t5 = _tensor_maps(ident_map(a), canon_map("symmetry", c, b))
-            dr_alt = _after(t5, _after(t4, _after(t2, t1)))
-            if not _same_map(dr_alt,
-                             canon_map("right_distributivity", a, b, c)):
+            t5 = _tensor_maps(ident_map(ar), canon_map("symmetry", c, b))
+            dr_alt = _after(t5, t4, t2, t1)
+            if not _same_map(canon_map("right_distributivity", a, b, c),
+                             dr_alt):
                 yield f"right distributivity fails at {ar},{br},{cr}"
 
     def currying_triangle():
@@ -587,22 +562,20 @@ def validate_coherence(model: Model, max_rank: int, seed: int = 0) -> Validation
             swap = perm((ar * br, cr * dr), (1, 0))
             shuffled = _after(canon_map("times_rule", c, d, a, b), swap)
             fix_ca = _tensor_maps(canon_map("symmetry", c, a),
-                                  ident_map(Obj(dr * br)))
-            fix_db = _tensor_maps(ident_map(Obj(ar * cr)),
-                                  perm((dr, br), (1, 0)))
-            comp2 = _after(fix_db, _after(fix_ca, shuffled))
+                                  ident_map(dr * br))
+            fix_db = _tensor_maps(ident_map(ar * cr), perm((dr, br), (1, 0)))
+            comp2 = _after(fix_db, fix_ca, shuffled)
             # Route 3: through the right distributivity on the swapped
             # factors; right_distributivity and distributivity are
             # identity reindexings.
             s2 = _tensor_maps(canon_map("par_symmetry", c, d),
-                              ident_map(Obj(ar * br)))
-            s4 = _tensor_maps(ident_map(d), _tensor_maps(
-                canon_map("distributivity", c, a, b), ident_map(UNIT)))
+                              ident_map(ar * br))
+            s4 = _tensor_maps(ident_map(dr), _tensor_maps(
+                canon_map("distributivity", c, a, b), ident_map(1)))
             s5 = perm((dr, cr * ar * br), (1, 0))
-            s6 = _tensor_maps(canon_map("symmetry", c, a),
-                              ident_map(Obj(br * dr)))
-            comp3 = _after(s6, _after(s5, _after(s4, _after(s2, swap))))
-            if not (_same_map(comp2, target) and _same_map(comp3, target)):
+            s6 = _tensor_maps(canon_map("symmetry", c, a), ident_map(br * dr))
+            comp3 = _after(s6, s5, s4, s2, swap)
+            if not _same_map(target, comp2, comp3):
                 yield f"composition orders disagree at {ar},{br},{cr},{dr}"
 
     report.first_failure("mix-unit-square", mix_unit_square())

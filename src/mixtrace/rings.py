@@ -37,9 +37,9 @@ _ECHO_CHARS = 32
 class Value:
     """An immutable record, compared, hashed and shown field by field.  A
     subclass names its fields in ``__slots__``, sets them in its
-    ``__init__`` through ``object.__setattr__`` and checks them in
-    ``__post_init__``.  A type whose ``==`` is hot spells it out on its
-    fields."""
+    ``__init__`` through ``object.__setattr__`` or, if built often, its
+    slot descriptors (``Mor.entries.__set__``), and checks them in
+    ``__post_init__``.  A hot ``==`` is spelled out on the fields."""
 
     __slots__ = ()
 
@@ -138,8 +138,7 @@ def ring_contains(ring: RingTag, value: Number) -> bool:
 
 
 def canonical(x, what: str = "matrix entries") -> Number:
-    """Normalize an entry: exact int or Fraction, ints preferred.  A
-    refusal names the values refused as ``what``."""
+    """Normalize an entry: exact int or Fraction, ints preferred."""
     if isinstance(x, bool):
         raise InputError(f"{what} must be exact numbers, not bool")
     if isinstance(x, int):
