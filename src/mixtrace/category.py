@@ -145,7 +145,8 @@ def identity(model: Model, a: Obj) -> Mor:
 
 
 def zero_mor(model: Model, dom: Obj, cod: Obj) -> Mor:
-    return Mor(model, dom, cod, ((0,) * dom.rank,) * cod.rank)
+    rows = tuple((0,) * dom.rank for _ in range(cod.rank))
+    return Mor(model, dom, cod, rows)
 
 
 def _require_same_model(f: Mor, g: Mor) -> None:
@@ -260,8 +261,11 @@ def mor_scale(f: Mor, c: Number) -> Mor:
 
 def factor_permutation(model: Model, dims: Sequence[int],
                        pos_map: Sequence[int]) -> Mor:
-    """Permutation matrix reordering tensor factors of the given ranks:
-    target slot i carries source factor pos_map[i]."""
+    """Permutation matrix reordering tensor factors of the given ranks.
+
+    Target slot i carries source factor pos_map[i]; row-major flattening on
+    both sides.
+    """
     if sorted(pos_map) != list(range(len(dims))):
         raise InputError("pos_map must be a permutation of the factor slots")
     return _permutation_mor(model, _flat_offsets(dims, pos_map))
