@@ -67,7 +67,7 @@ class Obj(Value):
     __slots__ = ("rank",)
 
     def __init__(self, rank: int):
-        Obj.rank.__set__(self, rank)
+        _set_rank(self, rank)
         self.__post_init__()
 
     def __post_init__(self):
@@ -83,6 +83,9 @@ class Obj(Value):
         return hash(self.rank)
 
 
+# The slot setters of the value types built on every operation, bound
+# once: each call skips the attribute lookup of ``object.__setattr__``.
+_set_rank = Obj.rank.__set__
 UNIT = Obj(1)  # the monoidal unit; the dualizing object has the same rank
 
 
@@ -103,10 +106,10 @@ class Mor(Value):
 
     def __init__(self, model: Model, dom: Obj, cod: Obj,
                  entries: Tuple[Tuple[Number, ...], ...]):
-        Mor.model.__set__(self, model)
-        Mor.dom.__set__(self, dom)
-        Mor.cod.__set__(self, cod)
-        Mor.entries.__set__(self, entries)
+        _set_model(self, model)
+        _set_dom(self, dom)
+        _set_cod(self, cod)
+        _set_entries(self, entries)
         self.__post_init__()
 
     def __post_init__(self):
@@ -126,6 +129,10 @@ class Mor(Value):
 
     def __hash__(self):
         return hash((self.model, self.dom, self.cod, self.entries))
+
+
+_set_model, _set_dom, _set_cod, _set_entries = (
+    Mor.model.__set__, Mor.dom.__set__, Mor.cod.__set__, Mor.entries.__set__)
 
 
 def mor(model: Model, dom: Obj, cod: Obj, rows: Iterable[Iterable[Number]]) -> Mor:

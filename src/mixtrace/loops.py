@@ -60,11 +60,11 @@ class Loop(Value):
 
     def __init__(self, model: Model, dom: Obj, cod: Obj,
                  hidden: Sequence[Obj], carrier: Mor):
-        Loop.model.__set__(self, model)
-        Loop.dom.__set__(self, dom)
-        Loop.cod.__set__(self, cod)
-        Loop.hidden.__set__(self, tuple(hidden))
-        Loop.carrier.__set__(self, carrier)
+        _set_model(self, model)
+        _set_dom(self, dom)
+        _set_cod(self, cod)
+        _set_hidden(self, tuple(hidden))
+        _set_carrier(self, carrier)
         self.__post_init__()
 
     def __post_init__(self):
@@ -97,6 +97,12 @@ class Loop(Value):
     @property
     def hidden_size(self) -> int:
         return prod(u.rank for u in self.hidden)
+
+
+# Loop's slot setters, bound once, as category binds those of Mor
+_set_model, _set_dom, _set_cod, _set_hidden, _set_carrier = (
+    Loop.model.__set__, Loop.dom.__set__, Loop.cod.__set__,
+    Loop.hidden.__set__, Loop.carrier.__set__)
 
 
 def morphism_loop(f: Mor) -> Loop:
