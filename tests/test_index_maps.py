@@ -38,6 +38,12 @@ def test_every_factor_permutation_matches_the_dense_builder():
             assert _index_map(dense) == tuple(p)
 
 
+def test_identity_is_the_unit_matrix():
+    for n in range(17):
+        assert identity(Z2, Obj(n)).entries == tuple(
+            tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+
+
 def test_index_maps_compose_as_their_matrices():
     # each map after the next one in the order of pos_maps on its dims;
     # dense products past 4^3 rows only make the test slow
