@@ -86,7 +86,6 @@ def test_times_rule_matches_its_three_products(ranks):
 
 
 r2, r3 = Obj(2), Obj(3)
-SWAP = factor_permutation(Z2, [2, 1], [0, 1])
 
 
 @pytest.mark.parametrize("f", [
@@ -114,4 +113,3 @@ def test_an_unusable_map_equals_nothing():
     assert _tensor_maps(None, (0,)) is None
     assert _tensor_maps((1, 0), None) is None
     assert _tensor_maps(None, ()) == () and _tensor_maps((), None) == ()
-    assert _index_map(SWAP) == (0, 1)
