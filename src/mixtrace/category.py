@@ -480,8 +480,11 @@ def validate_coherence(model: Model, max_rank: int, seed: int = 0) -> Validation
     ranks = [Obj(r) for r in range(0, max_rank + 1)]
     canon = cache(lambda kind, *params: canonical_map(model, kind, params))
     ident = cache(lambda a: identity(model, a))
-    # index maps, read off each builder's own matrix once
+    # index maps, read off each builder's own matrix once; only the maps of
+    # the times rule, the largest matrices, are used, so those are not kept
     canon_map = cache(lambda kind, *params: _index_map(canon(kind, *params)))
+    times_map = cache(lambda *params: _index_map(
+        canonical_map(model, "times_rule", params)))
     perm = cache(lambda dims, pos_map: _index_map(
         factor_permutation(model, dims, pos_map)))
     ident_map = cache(lambda n: _index_map(ident(Obj(n))))
@@ -565,13 +568,13 @@ def validate_coherence(model: Model, max_rank: int, seed: int = 0) -> Validation
     def shuffle_composition_orders():
         for a, b, c, d in itertools.product(ranks, repeat=4):
             ar, br, cr, dr = a.rank, b.rank, c.rank, d.rank
-            target = canon_map("times_rule", a, b, c, d)
+            target = times_map(a, b, c, d)
             if not _same_map(target, perm((ar, br, cr, dr), (0, 2, 1, 3))):
                 yield "times rule disagrees with direct permutation"
             # Route 2: swap the two tensor factors, apply the canonical
             # shuffle there, then repair with a symmetry on A,C and on B,D.
             swap = perm((ar * br, cr * dr), (1, 0))
-            shuffled = _after(canon_map("times_rule", c, d, a, b), swap)
+            shuffled = _after(times_map(c, d, a, b), swap)
             fix_ca = _tensor_maps(canon_map("symmetry", c, a),
                                   ident_map(dr * br))
             fix_db = _tensor_maps(ident_map(ar * cr), perm((dr, br), (1, 0)))
