@@ -48,10 +48,17 @@ permutation matrices (``hidden_symmetry_by_conjugation``,
 ``factor_permutation_dense`` and ``times_rule_by_products`` are the dense
 builders the library's index maps replaced: a permutation matrix built
 row by row, and the times rule as a product of three of them.
+
+``bare_matrix_to_json`` and ``row_joining_dumps`` are the writer the
+library's matrix writer replaced: every cell of a matrix turned into its
+scalar text first, then each row of strings written in one join.  What
+``serialize.dumps`` writes must be what they write, byte for byte.
 """
 
 import itertools
 from fractions import Fraction
+from itertools import compress
+from json.encoder import encode_basestring_ascii as _quote
 from math import prod
 from typing import Dict, List, Sequence, Tuple
 
@@ -65,7 +72,7 @@ from mixtrace.errors import InputError, ResourceLimitError
 from mixtrace.loops import (Loop, Permutation, hidden_symmetry, loop_dual,
                             loop_tensor)
 from mixtrace.rings import (Number, RingTag, _exact_div, divide_by_mix,
-                            divides_power)
+                            divides_power, format_value)
 from mixtrace.traces import (AMBIGUOUS, StaircaseWitness, TraceResult,
                              _contract_pair, ambiguous, defined, pairing_form,
                              undefined)
@@ -613,3 +620,70 @@ def frame_walks(model: Model, objects: Sequence[Obj], edges: Sequence[object]):
     frame."""
     return (_walk(model, objects, edges[:-2], {e.src for e in edges[-2:]}),
             _walk(model, objects, edges))
+
+
+def bare_matrix_to_json(m: Mor):
+    width = m.dom.rank
+    out = []
+    for row in m.entries:
+        text = ["0"] * width
+        for j in compress(range(width), row):
+            text[j] = format_value(row[j])
+        out.append(text)
+    return out
+
+
+def row_joining_dumps(payload) -> str:
+    """Canonical JSON of a payload whose matrices are rows of scalar text,
+    as ``bare_matrix_to_json`` gives them."""
+    out = []
+    _write_joining_rows(payload, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_joining_rows(x, nl: str, out: List[str]) -> None:
+    """Append x to out; ``nl`` is the line break and indent x starts on."""
+    t = type(x)
+    if t is str:
+        out.append(_quote(x))
+    elif t is int:
+        out.append(str(x))
+    elif t is bool:
+        out.append("true" if x else "false")
+    elif x is None:
+        out.append("null")
+    elif t is list:
+        if not x:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        try:  # all strs, as in every matrix row: one join
+            joined = "".join(x)
+            if len(_quote(joined)) == len(joined) + 2:  # every escape grows
+                body = '"' + ('",' + inner + '"').join(x) + '"'
+            else:
+                body = ("," + inner).join(map(_quote, x))
+            out.append("[" + inner + body + nl + "]")
+        except TypeError:  # the join refused an item that is no str
+            sep = "[" + inner
+            for v in x:
+                out.append(sep)
+                _write_joining_rows(v, inner, out)
+                sep = "," + inner
+            out.append(nl + "]")
+    elif t is dict:
+        if not x:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key in sorted(x):
+            if type(key) is not str:
+                raise TypeError(f"JSON keys must be str, not {key!r}")
+            out.append(sep + _quote(key) + ": ")
+            _write_joining_rows(x[key], inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    else:
+        raise TypeError(f"{t.__name__} is not written as JSON")
