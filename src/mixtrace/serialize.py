@@ -3,15 +3,17 @@ and reports.  Scalars travel as strings, never floats.
 
 Input is read with ``json.load``.  Output is canonical JSON, written by
 ``dumps`` directly: the standard encoder, asked for an indent, runs in
-pure Python, several times slower on a witness diagram's rows of
-strings.  The writer accepts only the types these schemas build.  A
-matrix row formats only its nonzero entries (a witness is mostly 0), and
-a row of plain scalars, which no escape touches, is written in one join."""
+pure Python, several times slower on a witness diagram.  The writer
+accepts only the types these schemas build.  A matrix travels as its
+``Mor`` entries and is written from them: only nonzero cells are
+formatted, and each run of zero cells (a witness is mostly 0) is one
+string, made once per ``dumps`` call."""
 
 from __future__ import annotations
 
 import json
 import re
+from fractions import Fraction
 from itertools import compress
 from json.encoder import encode_basestring_ascii as _quote
 from typing import List, Optional
@@ -87,17 +89,6 @@ def model_from_json(data, where: str = "model") -> Model:
         raise FileFormatError(f"{where}.mix: {exc}") from exc
 
 
-def _bare_matrix_to_json(m: Mor):
-    width = m.dom.rank
-    out = []
-    for row in m.entries:
-        text = ["0"] * width
-        for j in compress(range(width), row):
-            text[j] = format_value(row[j])
-        out.append(text)
-    return out
-
-
 # A row of integer text, its cells joined by single spaces.
 _INT_ROW = re.compile(r"[+-]?[0-9]+(?: [+-]?[0-9]+)*")
 
@@ -150,7 +141,7 @@ def mor_to_json(m: Mor):
         "model": model_to_json(m.model),
         "dom": m.dom.rank,
         "cod": m.cod.rank,
-        "entries": _bare_matrix_to_json(m),
+        "entries": m.entries,
     }
 
 
@@ -197,10 +188,10 @@ def zigzag_to_json(inst: ZigZagInstance):
         "lower": [o.rank for o in inst.lower],
         "alpha": list(inst.perm.images),
         "hub": inst.hub.rank,
-        "down_maps": [_bare_matrix_to_json(m) for m in inst.down_maps],
-        "up_maps": [_bare_matrix_to_json(m) for m in inst.up_maps],
-        "left_fillers": [_bare_matrix_to_json(m) for m in inst.left_fillers],
-        "right_fillers": [_bare_matrix_to_json(m) for m in inst.right_fillers],
+        "down_maps": [m.entries for m in inst.down_maps],
+        "up_maps": [m.entries for m in inst.up_maps],
+        "left_fillers": [m.entries for m in inst.left_fillers],
+        "right_fillers": [m.entries for m in inst.right_fillers],
     }
 
 
@@ -253,7 +244,7 @@ def diagram_to_json(d: Diagram):
         "objects": [o.rank for o in d.objects],
         "edges": [
             {"src": e.src, "dst": e.dst, "label": e.label,
-             "entries": _bare_matrix_to_json(e.mor)}
+             "entries": e.mor.entries}
             for e in d.edges
         ],
     }
@@ -285,10 +276,7 @@ def diagram_from_json(data, where: str = "diagram") -> Diagram:
 
 
 def witness_to_json(w: StaircaseWitness):
-    return {
-        "psi": _bare_matrix_to_json(w.psi),
-        "fillers": [_bare_matrix_to_json(f) for f in w.fillers],
-    }
+    return {"psi": w.psi.entries, "fillers": [f.entries for f in w.fillers]}
 
 
 def trace_result_to_json(r: TraceResult, p: Loop):
@@ -311,15 +299,16 @@ def dumps(payload) -> str:
     """Canonical JSON: sorted keys, two-space indent, strings with ASCII
     escapes, ``[]`` and ``{}`` when empty, and a trailing newline; the
     standard encoder's bytes with ``sort_keys=True, indent=2``, plus the
-    newline.  Only dicts with str keys, lists, strs, ints, bools and None
-    are written; anything else raises TypeError."""
+    newline.  Only dicts with str keys, lists, strs, ints, bools, None and
+    matrices (a ``Mor``'s entries: a tuple of row tuples, written as rows
+    of scalar text) are written; anything else raises TypeError."""
     out = []
-    _write(payload, "\n", out)
+    _write(payload, "\n", out, {})
     out.append("\n")
     return "".join(out)
 
 
-def _write(x, nl: str, out: List[str]) -> None:
+def _write(x, nl: str, out: List[str], runs: dict) -> None:
     """Append x to out; ``nl`` is the line break and indent x starts on."""
     t = type(x)
     if t is str:
@@ -330,40 +319,61 @@ def _write(x, nl: str, out: List[str]) -> None:
         out.append("true" if x else "false")
     elif x is None:
         out.append("null")
+    elif (t is list or t is tuple or t is dict) and not x:
+        out.append("{}" if t is dict else "[]")
     elif t is list:
-        if not x:
-            out.append("[]")
-            return
         inner = nl + "  "
-        try:  # all strs, as in every matrix row: one join
-            joined = "".join(x)
-            if len(_quote(joined)) == len(joined) + 2:  # every escape grows
-                body = '"' + ('",' + inner + '"').join(x) + '"'
-            else:
-                body = ("," + inner).join(map(_quote, x))
-            out.append("[" + inner + body + nl + "]")
-        except TypeError:  # the join refused an item that is no str
-            sep = "[" + inner
-            for v in x:
-                out.append(sep)
-                _write(v, inner, out)
-                sep = "," + inner
-            out.append(nl + "]")
+        sep = "[" + inner
+        for v in x:
+            out.append(sep)
+            _write(v, inner, out, runs)
+            sep = "," + inner
+        out.append(nl + "]")
     elif t is dict:
-        if not x:
-            out.append("{}")
-            return
         inner = nl + "  "
         sep = "{" + inner
         for key in sorted(x):
             if type(key) is not str:
                 raise TypeError(f"JSON keys must be str, not {key!r}")
             out.append(sep + _quote(key) + ": ")
-            _write(x[key], inner, out)
+            _write(x[key], inner, out, runs)
             sep = "," + inner
         out.append(nl + "}")
+    elif t is tuple:  # a matrix; cells equal to 0 are "0", others formatted
+        inner = nl + "  "
+        cell = "," + inner + '  "'
+        opened, zero = "[" + inner + '  "', cell + '0"'
+        zeros = runs.setdefault(nl, {})  # the text of g zero cells, by g
+        sep = "[" + inner
+        for row in x:
+            if type(row) is not tuple:
+                raise TypeError(f"{type(row).__name__} is not a matrix row")
+            out.append(sep)
+            sep = "," + inner
+            if not row:
+                out.append("[]")
+                continue
+            out.append(opened if row[0] else opened + '0"')
+            last = count = 0
+            for j in compress(range(len(row)), row):
+                v = row[j]
+                if type(v) is not int and type(v) is not Fraction:
+                    raise TypeError(f"{type(v).__name__} is not a scalar")
+                if j > last + 1:
+                    g = j - last - 1
+                    out.append(zeros.get(g) or zeros.setdefault(g, zero * g))
+                out.append((cell if j else "") + format_value(v) + '"')
+                last, count = j, count + 1
+            if count + row.count(0) != len(row):
+                raise TypeError("a false matrix entry that is not 0")
+            g = len(row) - 1 - last
+            if g:
+                out.append(zeros.get(g) or zeros.setdefault(g, zero * g))
+            out.append(inner + "]")
+        out.append(nl + "]")
     else:
         raise TypeError(f"{t.__name__} is not written as JSON")
+
 
 
 def load_json_file(path: str):

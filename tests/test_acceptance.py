@@ -103,7 +103,7 @@ def test_criterion_5_zigzag():
     replay = check_zigzag_instance(res.instance)
     assert replay.status == "violated"
     round_trip = serialize.zigzag_from_json(
-        json.loads(json.dumps(serialize.zigzag_to_json(res.instance))))
+        json.loads(dumps(serialize.zigzag_to_json(res.instance))))
     assert check_zigzag_instance(round_trip).status == "violated"
 
     stats = {}

@@ -21,8 +21,8 @@ from mixtrace import cli
 from mixtrace.category import Model, Obj, mor
 from mixtrace.loops import Loop, hidden_symmetry, morphism_loop
 from mixtrace.rings import INTEGERS, RATIONALS, localized_integers
-from mixtrace.serialize import (diagram_to_json, loop_to_json, mor_to_json,
-                                zigzag_to_json)
+from mixtrace.serialize import (diagram_to_json, dumps, loop_to_json,
+                                mor_to_json, zigzag_to_json)
 from mixtrace.traces import free_mixed_trace, random_loop, staircase_diagram
 from mixtrace.zigzag import search_counterexample
 
@@ -32,8 +32,13 @@ MODELS = (Model(INTEGERS, 2), Model(RATIONALS, Fraction(1, 2)),
           Model(localized_integers(2), 2))
 
 
+def _plain(payload):
+    """A ``*_to_json`` payload as the JSON it is written as."""
+    return json.loads(dumps(payload))
+
+
 def _loops():
-    return [loop_to_json(random_loop(random.Random(seed), model, 3, 2))
+    return [_plain(loop_to_json(random_loop(random.Random(seed), model, 3, 2)))
             for model in MODELS for seed in (1, 2)]
 
 
@@ -45,19 +50,21 @@ def _diagram():
         r = free_mixed_trace(p, want_witness=True)
         if p.hidden and r.is_defined:
             aligned = p if r.alpha is None else hidden_symmetry(p, r.alpha)
-            return diagram_to_json(staircase_diagram(aligned, r.witness))
+            return _plain(diagram_to_json(staircase_diagram(aligned,
+                                                            r.witness)))
     raise AssertionError("no seed gives a defined free trace")
 
 
 def _zigzag():
     found = search_counterexample(Model(INTEGERS, 0), 2, 2, seed=5)
-    return zigzag_to_json(found.instance)
+    return _plain(zigzag_to_json(found.instance))
 
 
 def _matrices():
     # localized entries realize clears with a power of the mix; over Q the
     # matrix comes back as it is
-    return [mor_to_json(mor(model, Obj(len(rows[0])), Obj(len(rows)), rows))
+    return [_plain(mor_to_json(mor(model, Obj(len(rows[0])), Obj(len(rows)),
+                                   rows)))
             for model, rows in (
                 (MODELS[2], [[Fraction(1, 4), 3], [Fraction(-1, 2), 0]]),
                 (Model(localized_integers(6), 6),
@@ -68,9 +75,10 @@ def _matrices():
 # a pair the bounded search tells apart only through the generators, which
 # share its model and endpoints, and a generator that does not
 r1 = Obj(1)
-THREE, FIVE = (loop_to_json(morphism_loop(mor(MODELS[0], r1, r1, [[v]])))
+THREE, FIVE = (_plain(loop_to_json(morphism_loop(mor(MODELS[0], r1, r1,
+                                                     [[v]]))))
                for v in (3, 5))
-GENERATORS = {"loops": [loop_to_json(p) for p in (
+GENERATORS = {"loops": [_plain(loop_to_json(p)) for p in (
     Loop(MODELS[0], r1, r1, (r1,), mor(MODELS[0], r1, r1, [[6]])),
     Loop(MODELS[0], r1, r1, (r1, Obj(2)),
          mor(MODELS[0], Obj(2), Obj(2), [[4, 2], [0, 8]])),

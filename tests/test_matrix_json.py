@@ -1,6 +1,7 @@
-"""Matrix JSON against per-entry oracles: the written rows equal one
-``format_value`` per entry, and every loop and staircase diagram survives
-the trip through ``dumps`` and back."""
+"""Matrix JSON against per-entry oracles: the reference rows of scalar
+text equal one ``format_value`` per entry, ``dumps`` writes a matrix from
+its entries as the reference writer writes those rows, and every loop and
+staircase diagram survives the trip through ``dumps`` and back."""
 
 import json
 import random
@@ -16,10 +17,11 @@ from mixtrace.loops import hidden_symmetry
 from mixtrace.rings import (INTEGERS, RATIONALS, format_value,
                             localized_integers, parse_value)
 from mixtrace.serialize import (FileFormatError, _bare_matrix_from_json,
-                                _bare_matrix_to_json, diagram_from_json,
-                                diagram_to_json, dumps, loop_from_json,
-                                loop_to_json)
+                                diagram_from_json, diagram_to_json, dumps,
+                                loop_from_json, loop_to_json, mor_to_json)
 from mixtrace.traces import free_mixed_trace, random_loop, staircase_diagram
+
+from trace_reference import bare_matrix_to_json, row_joining_dumps
 
 MODELS = {"zmod:2": Model(INTEGERS, 2),
           "qmod:1/2": Model(RATIONALS, Fraction(1, 2)),
@@ -28,6 +30,12 @@ MODELS = {"zmod:2": Model(INTEGERS, 2),
 
 def per_entry(m: Mor):
     return [[format_value(v) for v in row] for row in m.entries]
+
+
+def assert_written_as_the_reference_writes(f: Mor):
+    payload = mor_to_json(f)
+    assert dumps(payload) == row_joining_dumps(
+        {**payload, "entries": bare_matrix_to_json(f)})
 
 
 # zeros of both types, both signs, past 2^64, and Fractions, reduced or
@@ -43,14 +51,16 @@ def test_matrix_rows_match_per_entry_format_value(name, dom, cod, data):
     rows = data.draw(st.lists(st.lists(entries, min_size=dom, max_size=dom),
                               min_size=cod, max_size=cod))
     f = Mor(MODELS[name], Obj(dom), Obj(cod), tuple(map(tuple, rows)))
-    assert _bare_matrix_to_json(f) == per_entry(f)
+    assert bare_matrix_to_json(f) == per_entry(f)
+    assert_written_as_the_reference_writes(f)
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))
 @pytest.mark.parametrize("dom,cod", [(0, 3), (3, 0), (0, 0)])
 def test_empty_matrix_rows(name, dom, cod):
     f = Mor(MODELS[name], Obj(dom), Obj(cod), ((),) * cod)
-    assert _bare_matrix_to_json(f) == [[]] * cod
+    assert bare_matrix_to_json(f) == [[]] * cod
+    assert_written_as_the_reference_writes(f)
 
 
 def test_matrix_rows_of_fixed_entries():
@@ -58,9 +68,10 @@ def test_matrix_rows_of_fixed_entries():
     rows = ((0, -3, big, -big), (Fraction(0), Fraction(6, 3),
                                  Fraction(-1, 2), Fraction(5, 36)))
     f = Mor(MODELS["qmod:1/2"], Obj(4), Obj(2), rows)
-    assert _bare_matrix_to_json(f) == [
+    assert bare_matrix_to_json(f) == [
         ["0", "-3", str(big), str(-big)], ["0", "2", "-1/2", "5/36"]]
-    assert _bare_matrix_to_json(f) == per_entry(f)
+    assert bare_matrix_to_json(f) == per_entry(f)
+    assert_written_as_the_reference_writes(f)
 
 
 @pytest.mark.parametrize("cell", [

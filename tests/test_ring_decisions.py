@@ -2,6 +2,7 @@
 the ring a model localizes to, what ``realize`` returns or refuses, how a
 ``zloc`` selector is read, and the canonical form of a quotient entry."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,7 @@ from mixtrace.cli import parse_model_arg
 from mixtrace.compactify import localized_model, realize
 from mixtrace.errors import InputError, ModelNotCompactifiableError
 from mixtrace.rings import INTEGERS, RATIONALS, localized_integers
-from mixtrace.serialize import loop_to_json, mor_from_json
+from mixtrace.serialize import dumps, loop_to_json, mor_from_json
 
 RINGS = {"Z": INTEGERS, "Q": RATIONALS, "Z[1/2]": localized_integers(2),
          "Z[1/3]": localized_integers(3), "Z[1/6]": localized_integers(6)}
@@ -83,7 +84,8 @@ def _loop(model, hidden, rows):
      _loop({"ring": "Z", "mix": "2"}, [], [["2", "-2"]])),
 ])
 def test_realize_outputs(ring, mix, rows, expected):
-    assert loop_to_json(realize(_matrix(ring, mix, rows))) == expected
+    got = json.loads(dumps(loop_to_json(realize(_matrix(ring, mix, rows)))))
+    assert got == expected
 
 
 @pytest.mark.parametrize("ring,mix,rows,error,message", [

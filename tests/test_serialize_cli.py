@@ -43,16 +43,21 @@ def test_model_roundtrip():
         model_from_json({"ring": "Z"})
 
 
+def _plain(payload):
+    """A ``*_to_json`` payload as the JSON it is written as."""
+    return json.loads(dumps(payload))
+
+
 def test_mor_roundtrip():
     f = mor(Z2, r2, r2, [[1, -2], [0, 7]])
-    data = mor_to_json(f)
+    data = _plain(mor_to_json(f))
     assert data["entries"] == [["1", "-2"], ["0", "7"]]
     assert mor_from_json(data) == f
     loc = localized_model(Z2)
     from fractions import Fraction
 
     g = mor(loc, r1, r1, [[Fraction(3, 4)]])
-    assert mor_from_json(mor_to_json(g)) == g
+    assert mor_from_json(_plain(mor_to_json(g))) == g
     bad = dict(data)
     bad["entries"] = [["1", "3/0"], ["0", "7"]]
     with pytest.raises(FileFormatError):
@@ -61,8 +66,8 @@ def test_mor_roundtrip():
 
 def test_loop_roundtrip():
     p = Loop(Z2, r1, r1, (r2,), mor(Z2, r2, r2, [[2, 0], [0, 4]]))
-    assert loop_from_json(loop_to_json(p)) == p
-    data = loop_to_json(p)
+    assert loop_from_json(_plain(loop_to_json(p))) == p
+    data = _plain(loop_to_json(p))
     data["hidden"] = [3]
     with pytest.raises(FileFormatError):
         loop_from_json(data)
@@ -76,7 +81,7 @@ def test_zigzag_roundtrip():
         Permutation((0,)), r1,
         (mor(Z0, r1, r1, [[0]]), mor(Z0, r1, r1, [[1]])),
         (mor(Z0, r1, r1, [[0]]), mor(Z0, r1, r1, [[2]])))
-    back = zigzag_from_json(zigzag_to_json(inst))
+    back = zigzag_from_json(_plain(zigzag_to_json(inst)))
     assert back == inst
     assert check_zigzag_instance(back).status == "violated"
 
@@ -85,7 +90,7 @@ def test_diagram_roundtrip():
     p = Loop(Z2, r1, r1, (r2,), mor(Z2, r2, r2, [[2, 0], [0, 4]]))
     res = provisional_trace(p, want_witness=True)
     d = staircase_diagram(p, res.witness)
-    assert diagram_from_json(diagram_to_json(d)) == d
+    assert diagram_from_json(_plain(diagram_to_json(d))) == d
 
 
 @pytest.mark.parametrize("end, node", [("src", 3), ("dst", 2)])

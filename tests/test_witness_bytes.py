@@ -13,7 +13,6 @@ as ``commutes`` and read back as the diagram it was drawn from.
 import hashlib
 import json
 import random
-import sys
 from fractions import Fraction
 from math import prod
 
@@ -174,20 +173,6 @@ def test_the_corpus_solves_in_the_orderings_it_is_built_for():
     solvable = [alpha.images for alpha in all_permutations(4)
                 if provisional_trace(hidden_symmetry(p, alpha)).is_defined]
     assert solvable and all(images[-1] == 0 for images in solvable)
-
-
-def test_an_output_value_past_the_digit_limit_is_a_resource_limit(
-        files, capsys):
-    # realize clears 1/m^2 with m^2, which takes the other entry a/m to
-    # a·m, five digits past the limit of integer text
-    m, limit = 10 ** 10, sys.get_int_max_str_digits()
-    a = int("1" * (limit - 5))
-    (files / "long.json").write_text(json.dumps(_realize_matrix(
-        {"Zloc": 10}, str(m), [[f"{a}/{m}", f"1/{m * m}"]])))
-    assert cli.main("realize --matrix long.json".split()) == 1
-    assert capsys.readouterr() == (
-        "", f"resource limit: an output value with more than {limit} digits "
-            f"in one part, the limit of integer text\n")
 
 
 def test_the_largest_witness_rechecks_and_reads_back(files, capsys):
