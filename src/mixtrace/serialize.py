@@ -6,8 +6,8 @@ Input is read with ``json.load``.  Output is canonical JSON, written by
 pure Python, several times slower on a witness diagram.  The writer
 accepts only the types these schemas build.  A matrix travels as its
 ``Mor`` entries and is written from them: only nonzero cells are
-formatted, and each run of zero cells (a witness is mostly 0) is one
-string, made once per ``dumps`` call."""
+formatted, and a run of zero cells (a witness is mostly 0) is one string,
+made once per indent and run length in a ``dumps`` call."""
 
 from __future__ import annotations
 
