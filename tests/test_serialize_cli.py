@@ -750,6 +750,36 @@ def test_cli_rejects_bad_input(tmp_path, capsys, verb, base, path, value):
     assert path[-1].lstrip("-").replace("-", "_") in err, err
 
 
+RANK_FIELDS = [
+    ("realize", MATRIX, ("dom",), "dom"),
+    ("realize", MATRIX, ("cod",), "cod"),
+    ("trace", LOOP, ("A",), "A"),
+    ("trace", LOOP, ("B",), "B"),
+    ("trace", LOOP, ("hidden", 0), "hidden[0]"),
+    ("trace", LOOP, ("carrier", "dom"), "carrier.dom"),
+    ("trace", LOOP, ("carrier", "cod"), "carrier.cod"),
+    ("zigzag-check", DIAGRAM, ("objects", 1), "objects[1]"),
+    ("zigzag-check", ZIGZAG2, ("hub",), "hub"),
+    ("zigzag-check", ZIGZAG2, ("upper", 0), "upper[0]"),
+    ("zigzag-check", ZIGZAG2, ("apex", 1), "apex[1]"),
+    ("zigzag-check", ZIGZAG2, ("lower", 0), "lower[0]"),
+]
+
+
+@pytest.mark.parametrize("value", [True, -1, "3"], ids=repr)
+@pytest.mark.parametrize("verb,base,path,field", RANK_FIELDS,
+                         ids=[f"{v}-{f}" for v, _, _, f in RANK_FIELDS])
+def test_cli_refuses_a_rank_that_is_no_integer(tmp_path, capsys, verb, base,
+                                               path, field, value):
+    # every rank the CLI reads is checked where it enters, by the JSON
+    # reader, which names the field: exit 2 and nothing on stdout
+    name = write(tmp_path, "in.json", changed(base, path, value))
+    argv = [verb] + (["--mode", "free"] if verb == "trace" else [])
+    assert cli.main(argv + [FILE_OPTION[verb], name]) == 2
+    assert capsys.readouterr() == (
+        "", f"input error: {name}.{field}: expected an integer >= 0\n")
+
+
 def test_a_mix_outside_its_ring_is_refused_at_the_mix_field(tmp_path,
                                                             capsys):
     # Model tests the mix once, and the reader names the field it came from
