@@ -1,11 +1,11 @@
 """Exact traces, loop congruence and compactification for strict matrix
 models of *-autonomous Mix-categories."""
 
-from .category import (CheckResult, Model, Mor, Obj, UNIT, ValidationReport,
+from .category import (CheckResult, Model, Mor, ValidationReport,
                        canonical_map, compose, contract_hidden, curry,
                        dual_mor, factor_permutation, identity, mor, mor_scale,
-                       obj_tensor, regroup, tensor_mor, uncurry,
-                       validate_coherence, zero_mor)
+                       regroup, tensor_mor, uncurry, validate_coherence,
+                       zero_mor)
 from .compactify import (c_tr, comix, congruent, localized_model, loop_value,
                          realize, verify_compactness)
 from .errors import (InputError, ModelNotCompactifiableError,

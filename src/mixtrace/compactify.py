@@ -20,7 +20,7 @@ from math import factorial, prod
 from typing import Iterator, Optional, Sequence, Set, Tuple
 
 from . import traces
-from .category import (Mor, Model, Obj, ValidationReport, canonical_map,
+from .category import (Mor, Model, ValidationReport, canonical_map,
                        check_entry_count, compose, contract_hidden, dual_mor,
                        identity, mor, mor_scale, random_mor, tensor_mor)
 from .errors import InputError, ModelNotCompactifiableError, ResourceLimitError
@@ -85,13 +85,13 @@ def realize(m_mor: Mor) -> Loop:
     base = Model(INTEGERS, m)
     rows = tuple(tuple(int(v * power) for v in row) for row in m_mor.entries)
     carrier = Mor(base, m_mor.dom, m_mor.cod, rows)
-    return Loop(base, m_mor.dom, m_mor.cod, (Obj(1),) * k, carrier)
+    return Loop(base, m_mor.dom, m_mor.cod, (1,) * k, carrier)
 
 
-def comix(model: Model, a: Obj, b: Obj) -> Loop:
+def comix(model: Model, a: int, b: int) -> Loop:
     """The loop inverting the mix map in the quotient: the mixed symmetry
     of A par B with A (x) B, hiding A and B."""
-    n = Obj(a.rank * b.rank)
+    n = a * b
     carrier = canonical_map(model, "mixed_symmetry", [n, n])
     return Loop(model, n, n, (a, b), carrier)
 
@@ -117,19 +117,18 @@ def verify_compactness(model: Model, max_rank: int, seed: int = 0,
     embed = partial(c_tr, target=target)
 
     def comix_inverts_mix():
-        for ar in range(0, max_rank + 1):
-            for br in range(0, max_rank + 1):
-                a, b = Obj(ar), Obj(br)
+        for a in range(0, max_rank + 1):
+            for b in range(0, max_rank + 1):
                 inv = value(comix(model, a, b))
                 mix = embed(canonical_map(model, "mix_map", [a, b]))
-                ident = identity(target, Obj(ar * br))
+                ident = identity(target, a * b)
                 if compose(inv, mix) != ident or compose(mix, inv) != ident:
-                    yield f"comix fails at ranks {ar},{br}"
+                    yield f"comix fails at ranks {a},{b}"
 
     def embedding_faithful():
         for i in range(samples):
-            dom = Obj(rng.randint(0, max_rank))
-            cod = Obj(rng.randint(0, max_rank))
+            dom = rng.randint(0, max_rank)
+            cod = rng.randint(0, max_rank)
             f = random_mor(model, rng, dom, cod)
             g = random_mor(model, rng, dom, cod)
             if (f.entries == g.entries) != (embed(f) == embed(g)):
@@ -137,7 +136,7 @@ def verify_compactness(model: Model, max_rank: int, seed: int = 0,
 
     def embedding_structure_preserving():
         for i in range(max(1, samples // 5)):
-            a, b, c = (Obj(rng.randint(0, max_rank)) for _ in range(3))
+            a, b, c = (rng.randint(0, max_rank) for _ in range(3))
             f = random_mor(model, rng, a, b)
             g = random_mor(model, rng, b, c)
             if embed(compose(g, f)) != compose(embed(g), embed(f)):
@@ -156,14 +155,12 @@ def verify_compactness(model: Model, max_rank: int, seed: int = 0,
                 yield f"tensor of values fails at sample {i}"
             if value(loop_dual(p)) != dual_mor(value(p)):
                 yield f"dual of values fails at sample {i}"
-            c = Obj(rng_case.randint(0, max_rank))
+            c = rng_case.randint(0, max_rank)
             khid = rng_case.randint(0, 2)
-            hid = tuple(Obj(rng_case.randint(0, max_rank))
-                        for _ in range(khid))
-            h = prod(u.rank for u in hid)
+            hid = tuple(rng_case.randint(0, max_rank) for _ in range(khid))
+            h = prod(hid)
             mid = Loop(model, p.cod, c, hid,
-                       random_mor(model, rng_case, Obj(p.cod.rank * h),
-                                  Obj(c.rank * h)))
+                       random_mor(model, rng_case, p.cod * h, c * h))
             if value(loop_compose(mid, p)) != compose(value(mid), value(p)):
                 yield f"composition of values fails at sample {i}"
 
@@ -173,8 +170,8 @@ def verify_compactness(model: Model, max_rank: int, seed: int = 0,
         if m_int in (None, 0):
             return
         for i in range(max(1, samples // 5)):
-            dom = Obj(rng.randint(0, max_rank))
-            cod = Obj(rng.randint(0, max_rank))
+            dom = rng.randint(0, max_rank)
+            cod = rng.randint(0, max_rank)
             j = rng.randint(0, 3)
             num = random_mor(model, rng, dom, cod, bound=5)
             m_mat = mor(target, dom, cod, divide_by_mix(
@@ -184,12 +181,12 @@ def verify_compactness(model: Model, max_rank: int, seed: int = 0,
 
     def morphism_classes_trace_back():
         for i in range(max(1, samples // 10)):
-            dom = Obj(rng.randint(0, max_rank))
-            cod = Obj(rng.randint(0, max_rank))
+            dom = rng.randint(0, max_rank)
+            cod = rng.randint(0, max_rank)
             f = random_mor(model, rng, dom, cod)
             j = rng.randint(0, 2)
             lifted = mor_scale(f, model.mix ** j)
-            p = Loop(model, dom, cod, (Obj(1),) * j, lifted)
+            p = Loop(model, dom, cod, (1,) * j, lifted)
             t = traces.induced_mixed_trace(p)
             if not t.is_defined or t.value != f:
                 yield f"congruent-to-morphism trace fails at {i}"
@@ -219,9 +216,9 @@ def _relabellings(p: Loop) -> Iterator[Permutation]:
     0), since then no slot carries data.  There are k!/prod(n_r!) of them,
     n_r slots having such a rank r; past ``_RELABELLING_BOUND``
     ResourceLimitError is raised before the first."""
-    dims = [u.rank for u in p.hidden]
+    dims = p.hidden
     free_rank = 1
-    if p.carrier.dom.rank * p.carrier.cod.rank == 0:
+    if p.carrier.dom * p.carrier.cod == 0:
         free_rank = max(dims, default=0)
     count = factorial(p.k) // prod(factorial(dims.count(r))
                                    for r in set(dims) if r <= free_rank)

@@ -14,8 +14,8 @@ from __future__ import annotations
 from math import prod
 from typing import List, Sequence
 
-from .category import (UNIT, Mor, Model, Obj, canonical_map, compose,
-                       dual_mor, obj_tensor, regroup, tensor_mor, whisker)
+from .category import (Mor, Model, canonical_map, check_ranks, compose,
+                       dual_mor, regroup, tensor_mor, whisker)
 from .errors import InputError
 from .rings import Value
 
@@ -54,12 +54,13 @@ class Permutation(Value):
 
 
 class Loop(Value):
-    """A carrier morphism with declared endpoints and hidden objects."""
+    """A carrier morphism with declared endpoint ranks and the ranks of
+    its hidden objects, each checked here."""
 
     __slots__ = ("model", "dom", "cod", "hidden", "carrier")
 
-    def __init__(self, model: Model, dom: Obj, cod: Obj,
-                 hidden: Sequence[Obj], carrier: Mor):
+    def __init__(self, model: Model, dom: int, cod: int,
+                 hidden: Sequence[int], carrier: Mor):
         _set_model(self, model)
         _set_dom(self, dom)
         _set_cod(self, cod)
@@ -68,15 +69,16 @@ class Loop(Value):
         self.__post_init__()
 
     def __post_init__(self):
-        carrier, h = self.carrier, prod(u.rank for u in self.hidden)
+        check_ranks(self.dom, self.cod, *self.hidden)
+        carrier, h = self.carrier, prod(self.hidden)
         if carrier.model is not self.model and carrier.model != self.model:
             raise InputError("carrier belongs to a different model")
-        if carrier.dom.rank != self.dom.rank * h:
-            raise InputError(f"carrier domain rank {carrier.dom.rank} != "
-                             f"{self.dom.rank} * {h}")
-        if carrier.cod.rank != self.cod.rank * h:
-            raise InputError(f"carrier codomain rank {carrier.cod.rank} != "
-                             f"{self.cod.rank} * {h}")
+        if carrier.dom != self.dom * h:
+            raise InputError(f"carrier domain rank {carrier.dom} != "
+                             f"{self.dom} * {h}")
+        if carrier.cod != self.cod * h:
+            raise InputError(f"carrier codomain rank {carrier.cod} != "
+                             f"{self.cod} * {h}")
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -96,7 +98,7 @@ class Loop(Value):
 
     @property
     def hidden_size(self) -> int:
-        return prod(u.rank for u in self.hidden)
+        return prod(self.hidden)
 
 
 # Loop's slot setters, bound once, as category binds those of Mor
@@ -110,7 +112,7 @@ def morphism_loop(f: Mor) -> Loop:
     return Loop(f.model, f.dom, f.cod, (), f)
 
 
-def yanking_loop(model: Model, a: Obj) -> Loop:
+def yanking_loop(model: Model, a: int) -> Loop:
     """The loop (mixed symmetry of A with itself; A): A -|-> A."""
     return Loop(model, a, a, (a,),
                 canonical_map(model, "mixed_symmetry", [a, a]))
@@ -124,15 +126,15 @@ def loop_compose(q: Loop, p: Loop) -> Loop:
         raise InputError("loops belong to different models")
     if p.cod != q.dom:
         raise InputError(
-            f"cannot compose loops: endpoint ranks {q.dom.rank} vs {p.cod.rank}")
+            f"cannot compose loops: endpoint ranks {q.dom} vs {p.cod}")
     hu = p.hidden_size
     hv = q.hidden_size
-    lift_p = whisker(UNIT, p.carrier, Obj(hv))
+    lift_p = whisker(1, p.carrier, hv)
     # q (x) Id_U: B(x)V(x)U -> C par V par U, with both sides regrouped to
     # put U before V; swapping a block of size 1 moves no entry
-    lift_q = whisker(UNIT, q.carrier, Obj(hu))
+    lift_q = whisker(1, q.carrier, hu)
     if hu != 1 and hv != 1:
-        lift_q = regroup(lift_q, [q.cod.rank, hv, hu], [q.dom.rank, hv, hu],
+        lift_q = regroup(lift_q, [q.cod, hv, hu], [q.dom, hv, hu],
                          [0, 2, 1], [3, 5, 4])
     return Loop(p.model, p.dom, q.cod, p.hidden + q.hidden,
                 compose(lift_q, lift_p))
@@ -149,11 +151,11 @@ def loop_tensor(p: Loop, q: Loop) -> Loop:
     # has size 1
     carrier = tensor_mor(p.carrier, q.carrier)
     if hu != 1:
-        carrier = regroup(carrier, [p.cod.rank, hu, q.cod.rank, hv],
-                          [p.dom.rank, hu, q.dom.rank, hv],
+        carrier = regroup(carrier, [p.cod, hu, q.cod, hv],
+                          [p.dom, hu, q.dom, hv],
                           [0, 2, 1, 3], [4, 6, 5, 7])
-    return Loop(p.model, obj_tensor(p.dom, q.dom), obj_tensor(p.cod, q.cod),
-                p.hidden + q.hidden, carrier)
+    return Loop(p.model, p.dom * q.dom, p.cod * q.cod, p.hidden + q.hidden,
+                carrier)
 
 
 def loop_dual(p: Loop) -> Loop:
@@ -170,9 +172,8 @@ def hidden_symmetry(p: Loop, alpha: Permutation) -> Loop:
         raise InputError("permutation size does not match the hidden part")
     if alpha.is_identity:
         return p
-    dims = [u.rank for u in p.hidden]
     k = p.k
-    carrier = regroup(p.carrier, [p.cod.rank] + dims, [p.dom.rank] + dims,
+    carrier = regroup(p.carrier, [p.cod, *p.hidden], [p.dom, *p.hidden],
                       [0] + [1 + i for i in alpha.images],
                       [k + 1] + [k + 2 + i for i in alpha.images])
     return Loop(p.model, p.dom, p.cod, alpha.apply(p.hidden), carrier)

@@ -18,7 +18,7 @@ from itertools import compress
 from json.encoder import encode_basestring_ascii as _quote
 from typing import List, Optional
 
-from .category import Mor, Model, Obj
+from .category import Mor, Model
 from .errors import InputError
 from .loops import Loop, Permutation, hidden_symmetry
 from .rings import (INTEGERS, RATIONALS, RingTag, canonical, echo,
@@ -93,7 +93,7 @@ def model_from_json(data, where: str = "model") -> Model:
 _INT_ROW = re.compile(r"[+-]?[0-9]+(?: [+-]?[0-9]+)*")
 
 
-def _bare_matrix_from_json(data, model: Model, dom: Obj, cod: Obj,
+def _bare_matrix_from_json(data, model: Model, dom: int, cod: int,
                            where: str) -> Mor:
     """The matrix of a list of rows of scalar texts, each entry validated
     once.  A row whose cells, joined by single spaces, are integer text is
@@ -101,13 +101,13 @@ def _bare_matrix_from_json(data, model: Model, dom: Obj, cod: Obj,
     read per cell, each quotient canonicalised and ring-tested as it is
     read.  Errors come in reading order, except that an entry outside the
     ring is reported only once every cell has been read."""
-    if not isinstance(data, list) or len(data) != cod.rank:
-        raise FileFormatError(f"{where}: expected {cod.rank} rows")
+    if not isinstance(data, list) or len(data) != cod:
+        raise FileFormatError(f"{where}: expected {cod} rows")
     rows = []
     outside = None  # the first entry not in the ring
     for i, row in enumerate(data):
-        if not isinstance(row, list) or len(row) != dom.rank:
-            raise FileFormatError(f"{where}[{i}]: expected {dom.rank} entries")
+        if not isinstance(row, list) or len(row) != dom:
+            raise FileFormatError(f"{where}[{i}]: expected {dom} entries")
         try:
             if _INT_ROW.fullmatch(" ".join(row)):
                 rows.append(tuple(map(int, row)))
@@ -139,8 +139,8 @@ def _bare_matrix_from_json(data, model: Model, dom: Obj, cod: Obj,
 def mor_to_json(m: Mor):
     return {
         "model": model_to_json(m.model),
-        "dom": m.dom.rank,
-        "cod": m.cod.rank,
+        "dom": m.dom,
+        "cod": m.cod,
         "entries": m.entries,
     }
 
@@ -153,15 +153,15 @@ def mor_from_json(data, where: str = "morphism",
     dom = _int_field(_need(data, "dom", where), f"{where}.dom")
     cod = _int_field(_need(data, "cod", where), f"{where}.cod")
     return _bare_matrix_from_json(_need(data, "entries", where), got_model,
-                                  Obj(dom), Obj(cod), f"{where}.entries")
+                                  dom, cod, f"{where}.entries")
 
 
 def loop_to_json(p: Loop):
     return {
         "model": model_to_json(p.model),
-        "A": p.dom.rank,
-        "B": p.cod.rank,
-        "hidden": [u.rank for u in p.hidden],
+        "A": p.dom,
+        "B": p.cod,
+        "hidden": list(p.hidden),
         "carrier": mor_to_json(p.carrier),
     }
 
@@ -174,8 +174,7 @@ def loop_from_json(data, where: str = "loop") -> Loop:
     carrier = mor_from_json(_need(data, "carrier", where),
                             f"{where}.carrier", model=model)
     try:
-        return Loop(model, Obj(a), Obj(b), tuple(Obj(h) for h in hidden),
-                    carrier)
+        return Loop(model, a, b, hidden, carrier)
     except InputError as exc:
         raise FileFormatError(f"{where}: {exc}") from exc
 
@@ -183,11 +182,11 @@ def loop_from_json(data, where: str = "loop") -> Loop:
 def zigzag_to_json(inst: ZigZagInstance):
     return {
         "model": model_to_json(inst.model),
-        "upper": [o.rank for o in inst.upper],
-        "apex": [o.rank for o in inst.apex],
-        "lower": [o.rank for o in inst.lower],
+        "upper": list(inst.upper),
+        "apex": list(inst.apex),
+        "lower": list(inst.lower),
         "alpha": list(inst.perm.images),
-        "hub": inst.hub.rank,
+        "hub": inst.hub,
         "down_maps": [m.entries for m in inst.down_maps],
         "up_maps": [m.entries for m in inst.up_maps],
         "left_fillers": [m.entries for m in inst.left_fillers],
@@ -198,7 +197,7 @@ def zigzag_to_json(inst: ZigZagInstance):
 def zigzag_from_json(data, where: str = "zigzag") -> ZigZagInstance:
     model = model_from_json(_need(data, "model", where), f"{where}.model")
 
-    upper, apex, lower = ([Obj(r) for r in _int_list(data, key, where)]
+    upper, apex, lower = (_int_list(data, key, where)
                           for key in ("upper", "apex", "lower"))
     n = len(upper)
     alpha = _int_list(data, "alpha", where)
@@ -209,7 +208,7 @@ def zigzag_from_json(data, where: str = "zigzag") -> ZigZagInstance:
     if not len(apex) == len(lower) == perm.size == n:
         raise FileFormatError(
             f"{where}: upper, apex, lower and alpha differ in length")
-    hub = Obj(_int_field(_need(data, "hub", where), f"{where}.hub"))
+    hub = _int_field(_need(data, "hub", where), f"{where}.hub")
 
     def maps(key, count):
         raw = _need_list(data, key, where)
@@ -229,7 +228,7 @@ def zigzag_from_json(data, where: str = "zigzag") -> ZigZagInstance:
     def fillers(key, side):
         raw = maps(key, n + 1)
         return tuple(
-            _bare_matrix_from_json(raw[k], model, Obj(levels[side][1][k]), hub,
+            _bare_matrix_from_json(raw[k], model, levels[side][1][k], hub,
                                    f"{where}.{key}[{k}]")
             for k in range(n + 1))
 
@@ -241,7 +240,7 @@ def zigzag_from_json(data, where: str = "zigzag") -> ZigZagInstance:
 def diagram_to_json(d: Diagram):
     return {
         "model": model_to_json(d.model),
-        "objects": [o.rank for o in d.objects],
+        "objects": list(d.objects),
         "edges": [
             {"src": e.src, "dst": e.dst, "label": e.label,
              "entries": e.mor.entries}
@@ -252,7 +251,7 @@ def diagram_to_json(d: Diagram):
 
 def diagram_from_json(data, where: str = "diagram") -> Diagram:
     model = model_from_json(_need(data, "model", where), f"{where}.model")
-    objects = tuple(Obj(r) for r in _int_list(data, "objects", where))
+    objects = _int_list(data, "objects", where)
     edges = []
     for i, e in enumerate(_need_list(data, "edges", where)):
         src = _int_field(_need(e, "src", f"{where}.edges[{i}]"),

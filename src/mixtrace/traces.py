@@ -35,10 +35,10 @@ from functools import cache, partial
 from math import prod
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .category import (UNIT, Mor, Model, Obj, canonical_map,
-                       check_entry_count, compose, contract_hidden, dual_mor,
-                       identity, mor_scale, obj_tensor, random_mor, regroup,
-                       tensor_mor, whisker, zero_mor)
+from .category import (Mor, Model, canonical_map, check_entry_count,
+                       compose, contract_hidden, dual_mor, identity,
+                       mor_scale, random_mor, regroup, tensor_mor, whisker,
+                       zero_mor)
 from .errors import (InputError, ModelNotCompactifiableError,
                      ResourceLimitError)
 from .loops import (Loop, Permutation, _distinct_choices, hidden_symmetry,
@@ -99,9 +99,8 @@ def pairing_form(p: Loop) -> Mor:
     of U_i and the second the codomain-side one, and the endpoints flatten
     with B outermost.
     """
-    dims = [u.rank for u in p.hidden]
     k = p.k
-    return regroup(p.carrier, [p.cod.rank] + dims, [p.dom.rank] + dims,
+    return regroup(p.carrier, [p.cod, *p.hidden], [p.dom, *p.hidden],
                    [0, k + 1],
                    [s for i in range(k) for s in (k + 2 + i, 1 + i)])
 
@@ -180,12 +179,12 @@ def free_mixed_trace(p: Loop, want_witness: bool = False) -> TraceResult:
     """
     model = p.model
     m = model.mix
-    dims = [u.rank for u in p.hidden]
+    dims = p.hidden
     pf = pairing_form(p)
     if p.k and m == 0:
         if any(v for row in pf.entries for v in row):
             return undefined()
-        if p.cod.rank * p.dom.rank == 0:
+        if p.cod * p.dom == 0:
             order = tuple(range(p.k))
         else:
             zero_rank = [j for j, d in enumerate(dims) if d == 0]
@@ -198,19 +197,19 @@ def free_mixed_trace(p: Loop, want_witness: bool = False) -> TraceResult:
     if found is None:
         return undefined()
     order, column, path = found
-    a, ba = p.dom.rank, p.cod.rank * p.dom.rank
+    a, ba = p.dom, p.cod * p.dom
     value = Mor(model, p.dom, p.cod, tuple(
         tuple(v for (v,) in column[b * a:b * a + a])
-        for b in range(p.cod.rank)))
+        for b in range(p.cod)))
     witness = None
     if want_witness:
-        psi = Mor(model, Obj(1), Obj(ba), tuple(map(tuple, column)))
+        psi = Mor(model, 1, ba, tuple(map(tuple, column)))
         fillers = []
         rest = list(range(p.k))
         for i, divided in enumerate(path):
             sizes = [dims[j] * dims[j] for j in rest]
             slot = {j: 1 + pos for pos, j in enumerate(rest)}
-            stage = Mor(model, Obj(prod(sizes)), Obj(ba),
+            stage = Mor(model, prod(sizes), ba,
                         tuple(map(tuple, divided)))
             fillers.append(regroup(stage, [ba], sizes, [0],
                                    [slot[j] for j in order[i:]]))
@@ -225,28 +224,26 @@ def staircase_diagram(p: Loop, witness: StaircaseWitness) -> Diagram:
     apex object.  Commutation of this diagram is exactly the staircase
     condition."""
     model = p.model
-    dims = [u.rank for u in p.hidden]
+    dims = p.hidden
     k = p.k
-    ba = p.cod.rank * p.dom.rank
+    ba = p.cod * p.dom
     suffix = [1] * (k + 1)
     for i in reversed(range(k)):
         suffix[i] = dims[i] * dims[i] * suffix[i + 1]
-    objects: List[Obj] = [Obj(s) for s in suffix]          # tensor levels
-    objects += [Obj(dims[i] ** 2 * suffix[i + 1]) for i in range(k)]
-    objects.append(Obj(ba))                                # apex
+    objects = suffix + [dims[i] ** 2 * suffix[i + 1] for i in range(k)]
+    objects.append(ba)                                     # apex
     apex_idx = len(objects) - 1
 
     edges: List[Edge] = []
     for i in range(k):
         u, level = p.hidden[i], k + 1 + i
-        rest = Obj(suffix[i + 1])
+        rest = suffix[i + 1]
         edges.append(Edge(i, level,
-                          whisker(UNIT, canonical_map(model, "mix_map",
-                                                      [u, u]), rest),
+                          whisker(1, canonical_map(model, "mix_map", [u, u]),
+                                  rest),
                           f"mix-{i}"))
         edges.append(Edge(i + 1, level,
-                          whisker(UNIT, canonical_map(model, "coev", [u]),
-                                  rest),
+                          whisker(1, canonical_map(model, "coev", [u]), rest),
                           f"coev-{i}"))
         edges.append(Edge(level, apex_idx, witness.fillers[i],
                           f"filler-{i}"))
@@ -280,8 +277,8 @@ def hidden_trace(p: Loop, tail_len: int,
         raise InputError(f"tail length {tail_len} out of range 0..{p.k}")
     head = p.hidden[:p.k - tail_len]
     tail = p.hidden[p.k - tail_len:]
-    q = Loop(p.model, obj_tensor(p.dom, *head), obj_tensor(p.cod, *head),
-             tail, p.carrier)
+    q = Loop(p.model, p.dom * prod(head), p.cod * prod(head), tail,
+             p.carrier)
     r = trace_of(q)
     if not r.is_defined:
         return None
@@ -359,12 +356,11 @@ def random_loop(rng: random.Random, model: Model, max_rank: int,
     branch of the trace well exercised."""
     k = rng.choices(range(0, max_hidden + 1),
                     weights=[2] + [3] * max_hidden)[0]
-    a = Obj(_weighted_rank(rng, max_rank))
-    b = Obj(_weighted_rank(rng, max_rank))
-    hidden = tuple(Obj(_weighted_rank(rng, max_rank)) for _ in range(k))
-    h = prod(u.rank for u in hidden)
-    carrier = random_mor(model, rng, Obj(a.rank * h), Obj(b.rank * h),
-                         _CARRIER_BOUND)
+    a = _weighted_rank(rng, max_rank)
+    b = _weighted_rank(rng, max_rank)
+    hidden = tuple(_weighted_rank(rng, max_rank) for _ in range(k))
+    h = prod(hidden)
+    carrier = random_mor(model, rng, a * h, b * h, _CARRIER_BOUND)
     style = rng.random()
     if style < 0.5:
         carrier = mor_scale(carrier, model.mix ** k if k else 1)
@@ -431,8 +427,8 @@ def run_axiom_suite(model: Model, seed: int = 0, cases: int = 1000,
     for case in range(cases):
         rng = random.Random(f"axioms:{seed}:{case}")
         p = random_loop(rng, model, max_rank, max_hidden)
-        x = Obj(_weighted_rank(rng, max_rank))
-        y = Obj(_weighted_rank(rng, max_rank))
+        x = _weighted_rank(rng, max_rank)
+        y = _weighted_rank(rng, max_rank)
         f_in = random_mor(model, rng, x, p.dom)
         g_out = random_mor(model, rng, p.cod, y)
         f_str = random_mor(model, rng, x, y)
@@ -440,7 +436,7 @@ def run_axiom_suite(model: Model, seed: int = 0, cases: int = 1000,
         alpha_images = list(range(p.k))
         rng.shuffle(alpha_images)
         alpha = Permutation(tuple(alpha_images))
-        yank_rank = Obj(rng.randint(0, max_rank))
+        yank_rank = rng.randint(0, max_rank)
         # p's derived loops serve every kind; these two only once needed
         natural = cache(lambda: loop_compose(
             morphism_loop(g_out), loop_compose(p, morphism_loop(f_in))))
@@ -515,13 +511,13 @@ def run_axiom_suite(model: Model, seed: int = 0, cases: int = 1000,
 
             st = stats["yanking"]
             st.checked += 1
-            ty = yanked.get((kind, yank_rank.rank))
+            ty = yanked.get((kind, yank_rank))
             if ty is None:
-                ty = yanked[kind, yank_rank.rank] = trace_of(
+                ty = yanked[kind, yank_rank] = trace_of(
                     yanking_loop(model, yank_rank))
             if not ty.is_defined or ty.value != identity(model, yank_rank):
                 _record_failure(
                     st, seed, case,
-                    f"yanking fails at rank {yank_rank.rank}", ty,
+                    f"yanking fails at rank {yank_rank}", ty,
                     identity(model, yank_rank))
     return report

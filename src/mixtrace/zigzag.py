@@ -40,9 +40,9 @@ from itertools import tee
 from math import prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .category import (Mor, Model, Obj, canonical_map, check_entry_count,
-                       compose, dual_mor, factor_permutation, identity,
-                       obj_tensor, random_mor, regroup, tensor_mor, whisker,
+from .category import (Mor, Model, canonical_map, check_entry_count,
+                       check_ranks, compose, dual_mor, factor_permutation,
+                       identity, random_mor, regroup, tensor_mor, whisker,
                        zero_mor)
 from .errors import InputError, ResourceLimitError
 from .loops import Permutation
@@ -62,7 +62,7 @@ class Edge(Value):
 class Diagram(Value):
     __slots__ = ("model", "objects", "edges")
 
-    def __init__(self, model: Model, objects: Sequence[Obj],
+    def __init__(self, model: Model, objects: Sequence[int],
                  edges: Sequence[Edge]):
         object.__setattr__(self, "model", model)
         object.__setattr__(self, "objects", tuple(objects))
@@ -70,20 +70,21 @@ class Diagram(Value):
         self.__post_init__()
 
     def __post_init__(self):
+        check_ranks(*self.objects)
         n = len(self.objects)
         for e in self.edges:
             if not (0 <= e.src < n and 0 <= e.dst < n):
                 raise InputError(f"edge {e.label!r} references a missing node")
             if e.mor.model != self.model:
                 raise InputError(f"edge {e.label!r} is in the wrong model")
-            if e.mor.dom.rank != self.objects[e.src].rank:
+            if e.mor.dom != self.objects[e.src]:
                 raise InputError(
-                    f"edge {e.label!r}: domain rank {e.mor.dom.rank} != "
-                    f"node rank {self.objects[e.src].rank}")
-            if e.mor.cod.rank != self.objects[e.dst].rank:
+                    f"edge {e.label!r}: domain rank {e.mor.dom} != "
+                    f"node rank {self.objects[e.src]}")
+            if e.mor.cod != self.objects[e.dst]:
                 raise InputError(
-                    f"edge {e.label!r}: codomain rank {e.mor.cod.rank} != "
-                    f"node rank {self.objects[e.dst].rank}")
+                    f"edge {e.label!r}: codomain rank {e.mor.cod} != "
+                    f"node rank {self.objects[e.dst]}")
 
 
 class CounterPath(Value):
@@ -114,7 +115,7 @@ def diagram_commutes(d: Diagram):
     return found if isinstance(found, CounterPath) else True
 
 
-def _walk(model: Model, objects: Sequence[Obj], edges: Sequence[object],
+def _walk(model: Model, objects: Sequence[int], edges: Sequence[object],
           tails=()):
     """The events of each node's tree, by source in ascending order, in the
     diagram of ``objects`` and ``edges``: ``Edge``s and filler slots
@@ -164,14 +165,14 @@ def _walk(model: Model, objects: Sequence[Obj], edges: Sequence[object],
     return {src: tee(events(src), 1)[0] for src in range(len(objects))}
 
 
-def _replay(objects: Sequence[Obj], walk, fillers, sources=None):
+def _replay(objects: Sequence[int], walk, fillers, sources=None):
     """A walk's check over ``sources``, by default every source, with slot
     (u, side, k) filled by ``fillers[side][k]`` times P_s(u), in
     ``compose``'s order: the first failing pair or the sources whose tree
     holds a tail."""
     reached = []
     for src in walk if sources is None else sources:
-        first, width = None, objects[src].rank
+        first, width = None, objects[src]
         for event in walk[src].__copy__():
             if type(event) is not tuple:
                 break
@@ -204,7 +205,7 @@ def _is_identity(entries) -> bool:
                for i, row in enumerate(entries))
 
 
-def _counter_pair(model: Model, objects: Sequence[Obj], edges, src: int,
+def _counter_pair(model: Model, objects: Sequence[int], edges, src: int,
                   at_v, via: Tuple[int, ...], value: Mor) -> CounterPath:
     v = edges[via[-1]].dst
     inner = [edges[i].dst for i in via[:-1]]
@@ -233,10 +234,10 @@ class ZigZagInstance(Value):
     __slots__ = ("model", "upper", "apex", "lower", "down_maps", "up_maps",
                  "perm", "hub", "left_fillers", "right_fillers")
 
-    def __init__(self, model: Model, upper: Sequence[Obj],
-                 apex: Sequence[Obj], lower: Sequence[Obj],
+    def __init__(self, model: Model, upper: Sequence[int],
+                 apex: Sequence[int], lower: Sequence[int],
                  down_maps: Sequence[Mor], up_maps: Sequence[Mor],
-                 perm: Permutation, hub: Obj, left_fillers: Sequence[Mor],
+                 perm: Permutation, hub: int, left_fillers: Sequence[Mor],
                  right_fillers: Sequence[Mor]):
         object.__setattr__(self, "model", model)
         object.__setattr__(self, "upper", tuple(upper))
@@ -251,6 +252,7 @@ class ZigZagInstance(Value):
         self.__post_init__()
 
     def __post_init__(self):
+        check_ranks(*self.upper, *self.apex, *self.lower, self.hub)
         n = len(self.upper)
         if not (len(self.apex) == len(self.lower) == len(self.down_maps)
                 == len(self.up_maps) == n):
@@ -269,7 +271,7 @@ class ZigZagInstance(Value):
         for side, fillers in (("left", self.left_fillers),
                               ("right", self.right_fillers)):
             for k, f in enumerate(fillers):
-                if f.dom.rank != levels[side][1][k] or f.cod != self.hub:
+                if f.dom != levels[side][1][k] or f.cod != self.hub:
                     raise InputError(
                         f"{side} filler {k} has the wrong shape")
         for name in ("down_maps", "up_maps", "left_fillers", "right_fillers"):
@@ -278,8 +280,8 @@ class ZigZagInstance(Value):
                     raise InputError(f"{name}[{k}] is in the wrong model")
 
 
-def level_ranks(upper: Sequence[Obj], apex: Sequence[Obj],
-                lower: Sequence[Obj], perm: Permutation
+def level_ranks(upper: Sequence[int], apex: Sequence[int],
+                lower: Sequence[int], perm: Permutation
                 ) -> Dict[str, Tuple[List[int], List[int]]]:
     """Per side, the ranks of the X levels 0..n and of the filler domains
     0..n of a zig-zag with these objects; the right side runs through the
@@ -288,9 +290,9 @@ def level_ranks(upper: Sequence[Obj], apex: Sequence[Obj],
     lower_1..lower_k-1 (x) apex_k (x) upper_k+1..upper_n."""
     out = {}
     for side, order in (("left", range(len(upper))), ("right", perm.images)):
-        up = [upper[i].rank for i in order]
-        ap = [apex[i].rank for i in order]
-        lo = [lower[i].rank for i in order]
+        up = [upper[i] for i in order]
+        ap = [apex[i] for i in order]
+        lo = [lower[i] for i in order]
         x_levels = [prod(lo[:i]) * prod(up[i:]) for i in range(len(up) + 1)]
         fillers = [x_levels[0]] + [prod(lo[:k - 1]) * ap[k - 1] * prod(up[k:])
                                    for k in range(1, len(up) + 1)]
@@ -310,11 +312,11 @@ class ZigZagOutcome(Value):
 
 # A frame: the objects below the hub and the edges in diagram order, each
 # filler edge a slot (src, side, k) for the side's filler k.
-Frame = Tuple[Tuple[Obj, ...], Tuple[object, ...]]
+Frame = Tuple[Tuple[int, ...], Tuple[object, ...]]
 
 
-def build_zigzag_frame(model: Model, upper: Sequence[Obj],
-                       lower: Sequence[Obj], downs: Sequence[Mor],
+def build_zigzag_frame(model: Model, upper: Sequence[int],
+                       lower: Sequence[int], downs: Sequence[Mor],
                        ups: Sequence[Mor], perm: Permutation,
                        levels: Dict[str, Tuple[List[int], List[int]]]
                        ) -> Frame:
@@ -326,10 +328,10 @@ def build_zigzag_frame(model: Model, upper: Sequence[Obj],
     then the top symmetry and, last, the bottom symmetry, each with its
     inverse (the transpose of a permutation matrix)."""
     n = len(upper)
-    objects: List[Obj] = []
+    objects: List[int] = []
     for side in ("left", "right"):
         x_levels, fillers = levels[side]
-        objects += [Obj(r) for r in x_levels] + [Obj(r) for r in fillers[1:]]
+        objects += x_levels + fillers[1:]
 
     def x_idx(side: str, i: int) -> int:
         return (0 if side == "left" else 2 * n + 1) + i
@@ -341,8 +343,8 @@ def build_zigzag_frame(model: Model, upper: Sequence[Obj],
     for side, order in (("left", range(n)), ("right", perm.images)):
         for k in range(1, n + 1):
             i = order[k - 1]
-            pre = obj_tensor(*(lower[j] for j in order[:k - 1]))
-            post = obj_tensor(*(upper[j] for j in order[k:]))
+            pre = prod(lower[j] for j in order[:k - 1])
+            post = prod(upper[j] for j in order[k:])
             edges.append(Edge(x_idx(side, k - 1), a_idx(side, k),
                               whisker(pre, downs[i], post),
                               f"{side}-down-{k}"))
@@ -352,7 +354,7 @@ def build_zigzag_frame(model: Model, upper: Sequence[Obj],
         edges += [(a_idx(side, k), side, k) for k in range(1, n + 1)]
 
     for name, objs, i in (("top", upper, 0), ("bottom", lower, n)):
-        iso = factor_permutation(model, [o.rank for o in objs], perm.images)
+        iso = factor_permutation(model, objs, perm.images)
         edges.append(Edge(x_idx("left", i), x_idx("right", i), iso,
                           f"{name}-iso"))
         edges.append(Edge(x_idx("right", i), x_idx("left", i), dual_mor(iso),
@@ -360,8 +362,8 @@ def build_zigzag_frame(model: Model, upper: Sequence[Obj],
     return tuple(objects), tuple(edges)
 
 
-def _shape_walks(model: Model, upper: Sequence[Obj], apex: Sequence[Obj],
-                 lower: Sequence[Obj], downs: Sequence[Mor],
+def _shape_walks(model: Model, upper: Sequence[int], apex: Sequence[int],
+                 lower: Sequence[int], downs: Sequence[Mor],
                  ups: Sequence[Mor], perm: Permutation):
     """Each side's filler domain ranks of a zig-zag with these objects,
     maps and permutation, its frame, and the frame's premise walk, over
@@ -385,7 +387,7 @@ def check_zigzag_instance(inst: ZigZagInstance) -> ZigZagOutcome:
         "left": inst.left_fillers, "right": inst.right_fillers})
 
 
-def _check_zigzag(objects: Sequence[Obj], premise, conclusion,
+def _check_zigzag(objects: Sequence[int], premise, conclusion,
                   fillers) -> ZigZagOutcome:
     """Check the premise over every node's tree; if it commutes, re-check
     over every edge just the trees that held a tail of the bottom symmetry.
@@ -425,11 +427,10 @@ def _corollary_shape(model: Model, ranks: Tuple[int, ...],
     coevaluation) per base rank, built on first use."""
     for r in ranks:
         if r not in structure:
-            b = Obj(r)
-            structure[r] = (canonical_map(model, "mix_map", [b, b]),
-                            canonical_map(model, "coev", [b]))
-    upper = apex = tuple(Obj(r * r) for r in ranks)
-    lower = (Obj(1),) * len(ranks)
+            structure[r] = (canonical_map(model, "mix_map", [r, r]),
+                            canonical_map(model, "coev", [r]))
+    upper = apex = tuple(r * r for r in ranks)
+    lower = (1,) * len(ranks)
     downs = tuple(structure[r][0] for r in ranks)
     ups = tuple(structure[r][1] for r in ranks)
     fields = (model, upper, apex, lower, downs, ups, Permutation(images))
@@ -446,18 +447,18 @@ def _pullback_pieces(model: Model, ranks: Tuple[int, ...], perm: Permutation,
     def side_pieces(side_ranks, reorder: Optional[Sequence[int]]):
         out = []
         for k in range(0, n + 1):
-            pieces = identity(model, Obj(1))
+            pieces = identity(model, 1)
             for j, r in enumerate(side_ranks):
                 if k == 0 or j + 1 > k:
                     piece = structure[r][0]
                 elif j + 1 < k:
                     piece = structure[r][1]
                 else:
-                    piece = identity(model, Obj(r * r))
+                    piece = identity(model, r * r)
                 pieces = tensor_mor(pieces, piece)
             if reorder is not None:  # apex factors back in ``ranks`` order
                 pieces = regroup(pieces, [r * r for r in side_ranks],
-                                 [pieces.dom.rank], reorder, [n])
+                                 [pieces.dom], reorder, [n])
             out.append(pieces)
         return tuple(out)
 
@@ -520,7 +521,7 @@ def search_counterexample(model: Model, n: int, max_rank: int,
         if key not in shapes:
             shapes[key] = _corollary_shape(model, *key, structure)
         fields, domains, frame, *walks = shapes[key]
-        hub = Obj(rng.randint(1, max_rank))
+        hub = rng.randint(1, max_rank)
         strategy = idx % 3
         if strategy == 0:
             # one random map out of the tensor of the apex objects, pulled
@@ -528,14 +529,14 @@ def search_counterexample(model: Model, n: int, max_rank: int,
             if key not in pullbacks:
                 pullbacks[key] = _pullback_pieces(model, ranks, fields[6],
                                                   structure)
-            rho = random_mor(model, rng, Obj(prod(r * r for r in ranks)),
+            rho = random_mor(model, rng, prod(r * r for r in ranks),
                              hub, entry_bound)
             left, right = (tuple(compose(rho, p) for p in side)
                            for side in pullbacks[key])
         else:
             left, right = (tuple(
-                zero_mor(model, Obj(r), hub) if strategy == 1 and k == 0
-                else random_mor(model, rng, Obj(r), hub, entry_bound)
+                zero_mor(model, r, hub) if strategy == 1 and k == 0
+                else random_mor(model, rng, r, hub, entry_bound)
                 for k, r in enumerate(side)) for side in domains)
         outcome = _check_zigzag(frame[0], *walks,
                                 {"left": left, "right": right})

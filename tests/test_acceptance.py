@@ -13,9 +13,8 @@ from fractions import Fraction
 
 import pytest
 
-from mixtrace.category import (Model, Obj, canonical_map, compose,
-                               identity, mor, obj_tensor, random_mor,
-                               tensor_mor, validate_coherence)
+from mixtrace.category import (Model, canonical_map, compose, identity, mor,
+                               random_mor, tensor_mor, validate_coherence)
 from mixtrace.compactify import loop_value, verify_compactness
 from mixtrace.errors import ModelNotCompactifiableError
 from mixtrace.loops import (Loop, Permutation, hidden_symmetry,
@@ -61,11 +60,11 @@ def test_criterion_2_yanking():
     for m in (1, 2, 3):
         model = zmodel(m)
         for rank in range(0, 5):
-            loop = yanking_loop(model, Obj(rank))
+            loop = yanking_loop(model, rank)
             res = free_mixed_trace(loop)
             assert_solvable_orderings_agree(loop, res)
             assert res.status == "defined"
-            assert res.value == identity(model, Obj(rank))
+            assert res.value == identity(model, rank)
     report(2, "free trace of the mixed-symmetry loop is the identity, "
               "ranks <= 4, m in {1,2,3}")
 
@@ -89,7 +88,7 @@ def test_criterion_3_axiom_suite():
 
 def test_criterion_4_minimality_gap():
     model = zmodel(2)
-    p = Loop(model, Obj(1), Obj(1), (Obj(2),), identity(model, Obj(2)))
+    p = Loop(model, 1, 1, (2,), identity(model, 2))
     ind = induced_mixed_trace(p)
     assert ind.status == "defined" and ind.value.entries == ((1,),)
     assert free_mixed_trace(p).status == "undefined"
@@ -170,15 +169,15 @@ def test_criterion_7_congruence_soundness():
             else:
                 q = t
             assert one_step_congruent(p, q)
-            f = random_mor(model, rng, Obj(rng.randint(0, 2)), p.dom)
-            g = random_mor(model, rng, p.cod, Obj(rng.randint(0, 2)))
+            f = random_mor(model, rng, rng.randint(0, 2), p.dom)
+            g = random_mor(model, rng, p.cod, rng.randint(0, 2))
             lhs = loop_compose(morphism_loop(g),
                                loop_compose(p, morphism_loop(f)))
             rhs = loop_compose(morphism_loop(g),
                                loop_compose(q, morphism_loop(f)))
             assert loop_value(lhs) == loop_value(rhs)
-            h = morphism_loop(random_mor(model, rng, Obj(rng.randint(0, 2)),
-                                         Obj(rng.randint(0, 2))))
+            h = morphism_loop(random_mor(model, rng, rng.randint(0, 2),
+                                         rng.randint(0, 2)))
             assert loop_value(loop_tensor(h, p)) == \
                 loop_value(loop_tensor(h, q))
             r = random_loop(rng, model, 2, 1)
@@ -186,15 +185,15 @@ def test_criterion_7_congruence_soundness():
                 loop_value(loop_tensor(q, r))
             assert loop_value(loop_par(p, r)) == loop_value(loop_par(q, r))
             assert loop_value(loop_dual(p)) == loop_value(loop_dual(q))
-            hid = tuple(Obj(rng.randint(0, 2))
+            hid = tuple(rng.randint(0, 2)
                         for _ in range(rng.randint(0, 2)))
             hsize = 1
             for x in hid:
-                hsize *= x.rank
-            cc = Obj(rng.randint(0, 2))
+                hsize *= x
+            cc = rng.randint(0, 2)
             follow = Loop(model, p.cod, cc, hid,
-                          random_mor(model, rng, Obj(p.cod.rank * hsize),
-                                     Obj(cc.rank * hsize)))
+                          random_mor(model, rng, p.cod * hsize,
+                                     cc * hsize))
             assert loop_value(loop_compose(follow, p)) == \
                 loop_value(loop_compose(follow, q))
             pair_count += 1
@@ -207,10 +206,10 @@ def test_criterion_8_total_trace_axioms():
     rng = random.Random("total-trace")
     cases = 0
     while cases < 1000:
-        a, b, x, y = (Obj(rng.randint(0, 3)) for _ in range(4))
-        u, v = Obj(rng.randint(0, 2)), Obj(rng.randint(0, 2))
-        au = obj_tensor(a, u)
-        bu = obj_tensor(b, u)
+        a, b, x, y = (rng.randint(0, 3) for _ in range(4))
+        u, v = rng.randint(0, 2), rng.randint(0, 2)
+        au = a * u
+        bu = b * u
         phi = random_mor(Q1, rng, au, bu)
         f = random_mor(Q1, rng, x, a)
         g = random_mor(Q1, rng, b, y)
@@ -225,30 +224,30 @@ def test_criterion_8_total_trace_axioms():
         # strength
         s = random_mor(Q1, rng, x, y)
         assert tensor_mor(s, total_trace(phi, a, b, u)) == \
-            total_trace(tensor_mor(s, phi), obj_tensor(x, a),
-                        obj_tensor(y, b), u)
+            total_trace(tensor_mor(s, phi), x * a,
+                        y * b, u)
 
         # dinaturality w.r.t. symmetries and vanishing need a two-factor
         # hidden object
-        psi = random_mor(Q1, rng, obj_tensor(a, u, v), obj_tensor(b, u, v))
-        uv = obj_tensor(u, v)
+        psi = random_mor(Q1, rng, a * u * v, b * u * v)
+        uv = u * v
         direct = total_trace(psi, a, b, uv)
         swap_in = tensor_mor(identity(Q1, a),
                              canonical_map(Q1, "symmetry", [v, u]))
         swap_out = tensor_mor(identity(Q1, b),
                               canonical_map(Q1, "symmetry", [u, v]))
         assert direct == total_trace(compose(swap_out, compose(psi, swap_in)),
-                                     a, b, obj_tensor(v, u))
-        inner = total_trace(psi, obj_tensor(a, u), obj_tensor(b, u), v)
+                                     a, b, v * u)
+        inner = total_trace(psi, a * u, b * u, v)
         assert direct == total_trace(inner, a, b, u)
 
         # yanking and the unit identity
-        r = Obj(rng.randint(0, 3))
+        r = rng.randint(0, 3)
         assert total_trace(canonical_map(Q1, "symmetry", [r, r]), r, r, r) \
             == identity(Q1, r)
         h = random_mor(Q1, rng, a, b)
-        assert total_trace(tensor_mor(h, identity(Q1, Obj(1))), a, b,
-                           Obj(1)) == h
+        assert total_trace(tensor_mor(h, identity(Q1, 1)), a, b,
+                           1) == h
         cases += 1
     report(8, "total-trace axioms (with the unit identity) hold on 1000 "
               "seeded cases over the compact rational model")
@@ -288,8 +287,8 @@ def test_criterion_9_cli_determinism(tmp_path):
     assert code == 1 and json.loads(out)["outcome"] == "violated"
 
     loop_file = tmp_path / "loop.json"
-    p = Loop(zmodel(2), Obj(1), Obj(1), (Obj(2),),
-             mor(zmodel(2), Obj(2), Obj(2), [[2, 0], [0, 4]]))
+    p = Loop(zmodel(2), 1, 1, (2,),
+             mor(zmodel(2), 2, 2, [[2, 0], [0, 4]]))
     loop_file.write_text(dumps(loop_to_json(p)))
     code, out = run_cli("trace", "--mode", "free", "--loop", str(loop_file),
                         "--witness")

@@ -16,7 +16,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mixtrace.category import Model, Mor, Obj
+from mixtrace.category import Model, Mor
 from mixtrace.errors import ResourceLimitError
 from mixtrace.rings import INTEGERS
 from mixtrace.serialize import dumps
@@ -78,7 +78,7 @@ def rows_of_text(payload):
     if type(payload) is tuple:
         width = len(payload[0]) if payload else 0
         return bare_matrix_to_json(
-            Mor(Model(INTEGERS, 1), Obj(width), Obj(len(payload)), payload))
+            Mor(Model(INTEGERS, 1), width, len(payload), payload))
     if type(payload) is dict:
         return {key: rows_of_text(value) for key, value in payload.items()}
     if type(payload) is list:

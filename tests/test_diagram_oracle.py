@@ -22,8 +22,8 @@ import random
 import pytest
 
 from mixtrace import zigzag
-from mixtrace.category import (Model, Obj, compose, dual_mor, identity,
-                               mor, mor_scale, random_mor)
+from mixtrace.category import (Model, compose, dual_mor, identity, mor,
+                               mor_scale, random_mor)
 from mixtrace.rings import INTEGERS
 from mixtrace.zigzag import (CounterPath, Diagram, Edge, ZigZagOutcome,
                              diagram_commutes)
@@ -237,23 +237,23 @@ def test_partial_conclusion_check_matches_the_full_check(monkeypatch, n):
 def test_two_cycle_through_the_source_names_the_oracle_pair():
     # the cycle back to the source is compared with the identity there,
     # which the counterexample then names as its first value
-    f = mor(Z2, Obj(2), Obj(2), [[0, 1], [1, 0]])
-    g = mor(Z2, Obj(2), Obj(2), [[0, 1], [2, 0]])
+    f = mor(Z2, 2, 2, [[0, 1], [1, 0]])
+    g = mor(Z2, 2, 2, [[0, 1], [2, 0]])
     for edges in ([Edge(0, 1, f, "f"), Edge(1, 0, g, "g")],
                   [Edge(0, 1, f, "f"), Edge(1, 0, dual_mor(f), "f-inv"),
                    Edge(1, 0, g, "g")],
                   [Edge(0, 0, g, "loop"), Edge(0, 1, f, "f")]):
-        d = Diagram(Z2, (Obj(2), Obj(2)), tuple(edges))
+        d = Diagram(Z2, (2, 2), tuple(edges))
         new, old = assert_agrees(d)
         assert new == old
         assert new.src == new.dst == 0
-        assert new.value_a == identity(Z2, Obj(2))
+        assert new.value_a == identity(Z2, 2)
 
 
 def _signed_permutation(rng, r):
     images = list(range(r))
     rng.shuffle(images)
-    return mor(Z2, Obj(r), Obj(r),
+    return mor(Z2, r, r,
                [[rng.choice((1, -1)) if images[i] == j else 0
                  for j in range(r)] for i in range(r)])
 
@@ -284,14 +284,14 @@ def _random_multigraph(rng):
     pairs = _random_edges(rng, nodes)
     if rng.random() < 0.5:
         r = rng.choice((0, 1, 2, 2))
-        objects = (Obj(r),) * nodes
+        objects = (r,) * nodes
         g = [_signed_permutation(rng, r) for _ in range(nodes)]
         mors = [compose(g[v], dual_mor(g[u])) for u, v in pairs]
         if mors and rng.random() < 0.5:
             i = rng.randrange(len(mors))
-            mors[i] = random_mor(Z2, rng, Obj(r), Obj(r), 1)
+            mors[i] = random_mor(Z2, rng, r, r, 1)
     else:
-        objects = tuple(Obj(rng.choice((0, 1, 1, 2))) for _ in range(nodes))
+        objects = tuple(rng.choice((0, 1, 1, 2)) for _ in range(nodes))
         mors = [random_mor(Z2, rng, objects[u], objects[v], 1)
                 for u, v in pairs]
     edges = tuple(Edge(u, v, f, str(i))
@@ -324,7 +324,7 @@ def _random_frame(rng):
     but its last two edges, read as a zig-zag's bottom symmetry, and
     fillers for them: all zero or small random ones."""
     d = _random_multigraph(rng)
-    hub = Obj(rng.choice((1, 2)))
+    hub = rng.choice((1, 2))
     edges, fillers = list(d.edges[:-2]), {"left": [], "right": []}
     for u in range(len(d.objects)):
         if rng.random() < 0.6:
@@ -375,10 +375,10 @@ def test_dense_dag_commutes_and_locates_a_changed_edge():
     pairs = [(u, v) for u in range(17) for v in range(u + 1, 17)]
     edges = [Edge(u, v, compose(g[v], dual_mor(g[u])), f"{u}-{v}")
              for u, v in pairs]
-    assert diagram_commutes(Diagram(Z2, (Obj(2),) * 17, edges)) is True
+    assert diagram_commutes(Diagram(Z2, (2,) * 17, edges)) is True
     changed = pairs.index((5, 12))
     edges[changed] = Edge(5, 12, mor_scale(edges[changed].mor, -1), "5-12")
-    d = Diagram(Z2, (Obj(2),) * 17, edges)
+    d = Diagram(Z2, (2,) * 17, edges)
     counter = diagram_commutes(d)
     assert_genuine(d, counter)
     assert changed in counter.path_a + counter.path_b

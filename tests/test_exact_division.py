@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from mixtrace.category import Model, Obj, contract_hidden, mor
+from mixtrace.category import Model, contract_hidden, mor
 from mixtrace.compactify import localized_model, loop_value
 from mixtrace.loops import Loop
 from mixtrace.rings import (INTEGERS, RATIONALS, _exact_div, canonical,
@@ -106,16 +106,16 @@ def test_zloc_int_quotient_stays_in_the_ring_as_a_fraction():
 
 def _random_loop(rng, model, k):
     m = model.mix
-    a, b = Obj(rng.randint(0, 2)), Obj(rng.randint(0, 2))
-    hidden = tuple(Obj(rng.randint(1, 2)) for _ in range(k))
+    a, b = rng.randint(0, 2), rng.randint(0, 2)
+    hidden = tuple(rng.randint(1, 2) for _ in range(k))
     h = 1
     for u in hidden:
-        h *= u.rank
+        h *= u
     scale = m ** k if rng.random() < 0.6 else m ** rng.randint(0, k)
-    rows = [[scale * _entry(rng, model.ring, m) for _ in range(a.rank * h)]
-            for _ in range(b.rank * h)]
-    return Loop(model, a, b, hidden, mor(model, Obj(a.rank * h),
-                                         Obj(b.rank * h), rows))
+    rows = [[scale * _entry(rng, model.ring, m) for _ in range(a * h)]
+            for _ in range(b * h)]
+    return Loop(model, a, b, hidden, mor(model, a * h,
+                                         b * h, rows))
 
 
 # two Fraction mix scalars over Q, next to the int ones of MIXES
@@ -162,7 +162,7 @@ def test_contract_over_mix_power_edge_loops(ring):
     mixes = MIXES + (FRACTION_MIXES if ring == RATIONALS else ())
     for m in mixes:
         model = Model(ring, m)
-        r1, r2 = Obj(1), Obj(2)
+        r1, r2 = 1, 2
         loops = [
             # k = 0: the carrier itself, divided by m^0 = 1
             Loop(model, r2, r1, (), mor(model, r2, r1, [[BIG + 1, -3]])),

@@ -18,7 +18,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from mixtrace import cli
-from mixtrace.category import Model, Obj, mor
+from mixtrace.category import Model, mor
 from mixtrace.loops import Loop, hidden_symmetry, morphism_loop
 from mixtrace.rings import INTEGERS, RATIONALS, localized_integers
 from mixtrace.serialize import (diagram_to_json, dumps, loop_to_json,
@@ -63,7 +63,7 @@ def _zigzag():
 def _matrices():
     # localized entries realize clears with a power of the mix; over Q the
     # matrix comes back as it is
-    return [_plain(mor_to_json(mor(model, Obj(len(rows[0])), Obj(len(rows)),
+    return [_plain(mor_to_json(mor(model, len(rows[0]), len(rows),
                                    rows)))
             for model, rows in (
                 (MODELS[2], [[Fraction(1, 4), 3], [Fraction(-1, 2), 0]]),
@@ -74,14 +74,14 @@ def _matrices():
 
 # a pair the bounded search tells apart only through the generators, which
 # share its model and endpoints, and a generator that does not
-r1 = Obj(1)
+r1 = 1
 THREE, FIVE = (_plain(loop_to_json(morphism_loop(mor(MODELS[0], r1, r1,
                                                      [[v]]))))
                for v in (3, 5))
 GENERATORS = {"loops": [_plain(loop_to_json(p)) for p in (
     Loop(MODELS[0], r1, r1, (r1,), mor(MODELS[0], r1, r1, [[6]])),
-    Loop(MODELS[0], r1, r1, (r1, Obj(2)),
-         mor(MODELS[0], Obj(2), Obj(2), [[4, 2], [0, 8]])),
+    Loop(MODELS[0], r1, r1, (r1, 2),
+         mor(MODELS[0], 2, 2, [[4, 2], [0, 8]])),
     random_loop(random.Random(3), MODELS[0], 3, 2))]}
 
 LOOPS, DIAGRAM, ZIGZAG = _loops(), _diagram(), _zigzag()

@@ -9,7 +9,7 @@ from math import prod
 
 import pytest
 
-from mixtrace.category import Model, Mor, Obj, mor
+from mixtrace.category import Model, Mor, mor
 from mixtrace.loops import Loop, hidden_symmetry
 from mixtrace.rings import (INTEGERS, RATIONALS, localized_integers,
                             ring_contains)
@@ -62,8 +62,8 @@ def random_corpus_loop(rng, mostly_rank_one=False):
         # a rank-2 object last: at a shortfall of m, the identity ordering
         # then fails and a later one may solve
         ranks.append(ranks.pop(ranks.index(2)))
-    hidden = tuple(Obj(r) for r in ranks)
-    a, b = (Obj(0 if rng.random() < 0.05 else rng.choice((1, 1, 2)))
+    hidden = tuple(ranks)
+    a, b = (0 if rng.random() < 0.05 else rng.choice((1, 1, 2))
             for _ in range(2))
     h = prod(ranks)
     density = rng.random() * rng.choice((1, 0.3))
@@ -74,8 +74,8 @@ def random_corpus_loop(rng, mostly_rank_one=False):
         power = rng.randint(0, k) if shortfall is None else k - shortfall
         return _coefficient(rng, model) * model.mix ** max(0, power)
 
-    rows = [[entry() for _ in range(a.rank * h)] for _ in range(b.rank * h)]
-    carrier = mor(model, Obj(a.rank * h), Obj(b.rank * h), rows)
+    rows = [[entry() for _ in range(a * h)] for _ in range(b * h)]
+    carrier = mor(model, a * h, b * h, rows)
     return Loop(model, a, b, hidden, carrier)
 
 
@@ -85,14 +85,14 @@ def _m0_loops():
     rank-0 endpoints."""
     for ring in (INTEGERS, RATIONALS):
         model = Model(ring, 0)
-        r1 = Obj(1)
+        r1 = 1
         yield Loop(model, r1, r1, (r1,) * 5, mor(model, r1, r1, [[1]]))
         yield Loop(model, r1, r1, (r1,) * 5, mor(model, r1, r1, [[0]]))
-        z = Obj(0)
-        yield Loop(model, r1, r1, (r1, z, r1, z, Obj(2)),
+        z = 0
+        yield Loop(model, r1, r1, (r1, z, r1, z, 2),
                    mor(model, z, z, []))
-        yield Loop(model, z, r1, (r1, Obj(2), r1, r1, r1),
-                   mor(model, z, Obj(2), [[], []]))
+        yield Loop(model, z, r1, (r1, 2, r1, r1, r1),
+                   mor(model, z, 2, [[], []]))
 
 
 def _same(p, want_witness):
@@ -147,8 +147,8 @@ def test_free_trace_m0_closed_form(want_witness):
 def _nudged(f, rng):
     """f with one entry, chosen by rng, increased by 1."""
     rows = [list(row) for row in f.entries]
-    r = rng.randrange(f.cod.rank)
-    c = rng.randrange(f.dom.rank)
+    r = rng.randrange(f.cod)
+    c = rng.randrange(f.dom)
     rows[r][c] += 1
     return Mor(f.model, f.dom, f.cod, tuple(map(tuple, rows)))
 
@@ -169,7 +169,7 @@ def test_free_trace_witness_commutes():
         assert diagram_commutes(staircase_diagram(aligned, w)) is True
         checked += 1
         full = [i for i, f in enumerate(w.fillers)
-                if f.dom.rank and f.cod.rank]
+                if f.dom and f.cod]
         if full:
             i = rng.choice(full)
             fillers = list(w.fillers)

@@ -10,7 +10,7 @@ from math import prod
 
 import pytest
 
-from mixtrace.category import (Model, Obj, _after, _flat_offsets, _index_map,
+from mixtrace.category import (Model, _after, _flat_offsets, _index_map,
                                _permutation_mor, _same_map, _tensor_maps,
                                canonical_map, compose, factor_permutation,
                                identity, mor, mor_scale, tensor_mor)
@@ -40,7 +40,7 @@ def test_every_factor_permutation_matches_the_dense_builder():
 
 def test_identity_is_the_unit_matrix():
     for n in range(17):
-        assert identity(Z2, Obj(n)).entries == tuple(
+        assert identity(Z2, n).entries == tuple(
             tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
@@ -80,12 +80,11 @@ def test_index_maps_tensor_as_their_matrices():
 @pytest.mark.parametrize("ranks", list(itertools.product(range(4),
                                                          repeat=4)))
 def test_times_rule_matches_its_three_products(ranks):
-    objs = [Obj(r) for r in ranks]
-    assert canonical_map(Z2, "times_rule", objs) == \
-        times_rule_by_products(Z2, *objs)
+    assert canonical_map(Z2, "times_rule", ranks) == \
+        times_rule_by_products(Z2, *ranks)
 
 
-r2, r3 = Obj(2), Obj(3)
+r2, r3 = 2, 3
 
 
 @pytest.mark.parametrize("f", [

@@ -4,7 +4,8 @@ modules below it, and every import sits at module level; no module imports
 every export and every definition in ``src`` is used by some module of
 ``src``, and every public function outside its own body; no cache outlives
 a call, except the CLI's parser; no module but ``rings`` reads a ring's
-kind, save ``serialize.ring_to_json``; no module of ``src`` or of the tests
+kind, save ``serialize.ring_to_json``; one place in ``src`` refuses a rank;
+no module of ``src`` or of the tests
 imports a name it never uses."""
 
 import ast
@@ -233,6 +234,20 @@ def test_only_rings_reads_a_ring_kind(name):
     # there; the JSON schema of a tag is the one other place naming its kind
     found = _ring_kind_loads(name)
     assert not found, f"{name} reads .kind at lines {found}"
+
+
+RANK_MESSAGE = "object rank must be a non-negative integer"
+
+
+def test_one_place_refuses_a_rank():
+    # a rank is a plain int, checked where it enters: every constructor
+    # that takes ranks from a caller calls ``category.check_ranks``, the
+    # one text of this refusal
+    found = [(name, node.lineno) for name in MODULES
+             for node in ast.walk(_tree(name))
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)
+             and RANK_MESSAGE in node.value]
+    assert [name for name, _ in found] == ["category"], found
 
 
 @pytest.mark.parametrize("path", [TESTS / name for name in TEST_MODULES] + [

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mixtrace import serialize
-from mixtrace.category import Model, Mor, Obj, mor
+from mixtrace.category import Model, Mor, mor
 from mixtrace.errors import InputError
 from mixtrace.loops import hidden_symmetry
 from mixtrace.rings import (INTEGERS, RATIONALS, format_value,
@@ -50,7 +50,7 @@ entries = (st.just(0) | st.just(Fraction(0)) | st.just(Fraction(6, 3))
 def test_matrix_rows_match_per_entry_format_value(name, dom, cod, data):
     rows = data.draw(st.lists(st.lists(entries, min_size=dom, max_size=dom),
                               min_size=cod, max_size=cod))
-    f = Mor(MODELS[name], Obj(dom), Obj(cod), tuple(map(tuple, rows)))
+    f = Mor(MODELS[name], dom, cod, tuple(map(tuple, rows)))
     assert bare_matrix_to_json(f) == per_entry(f)
     assert_written_as_the_reference_writes(f)
 
@@ -58,7 +58,7 @@ def test_matrix_rows_match_per_entry_format_value(name, dom, cod, data):
 @pytest.mark.parametrize("name", sorted(MODELS))
 @pytest.mark.parametrize("dom,cod", [(0, 3), (3, 0), (0, 0)])
 def test_empty_matrix_rows(name, dom, cod):
-    f = Mor(MODELS[name], Obj(dom), Obj(cod), ((),) * cod)
+    f = Mor(MODELS[name], dom, cod, ((),) * cod)
     assert bare_matrix_to_json(f) == [[]] * cod
     assert_written_as_the_reference_writes(f)
 
@@ -67,7 +67,7 @@ def test_matrix_rows_of_fixed_entries():
     big = 2 ** 64 + 1
     rows = ((0, -3, big, -big), (Fraction(0), Fraction(6, 3),
                                  Fraction(-1, 2), Fraction(5, 36)))
-    f = Mor(MODELS["qmod:1/2"], Obj(4), Obj(2), rows)
+    f = Mor(MODELS["qmod:1/2"], 4, 2, rows)
     assert bare_matrix_to_json(f) == [
         ["0", "-3", str(big), str(-big)], ["0", "2", "-1/2", "5/36"]]
     assert bare_matrix_to_json(f) == per_entry(f)
@@ -82,7 +82,7 @@ def test_cells_near_zero_read_as_parse_value_reads_them(cell):
     # parse_value's value or its error text, and a non-string is refused
     def read():
         return _bare_matrix_from_json([["1", cell]], MODELS["zmod:2"],
-                                      Obj(2), Obj(1), "m")
+                                      2, 1, "m")
 
     if not isinstance(cell, str):
         with pytest.raises(FileFormatError) as exc:
@@ -108,7 +108,7 @@ def test_zero_cells_skip_the_parser(monkeypatch):
     # quotient is read per cell, and its "0" cells skip the parser
     f = _bare_matrix_from_json(
         [["0", "3", "00"], ["0", "4/2", "-00"], ["0", "1/2", "0"]],
-        MODELS["qmod:1/2"], Obj(3), Obj(3), "m")
+        MODELS["qmod:1/2"], 3, 3, "m")
     assert f.entries == ((0, 3, 0), (0, 2, 0), (0, Fraction(1, 2), 0))
     assert calls == ["4/2", "-00", "1/2"]
 
@@ -132,12 +132,12 @@ def test_loops_and_staircases_survive_json(name, seed):
 def per_cell_read(data, model, dom, cod, where):
     """The reference reader: ``parse_value`` per cell, then the validating
     ``mor()``, which canonicalises and ring-tests every entry."""
-    if not isinstance(data, list) or len(data) != cod.rank:
-        raise FileFormatError(f"{where}: expected {cod.rank} rows")
+    if not isinstance(data, list) or len(data) != cod:
+        raise FileFormatError(f"{where}: expected {cod} rows")
     rows = []
     for i, row in enumerate(data):
-        if not isinstance(row, list) or len(row) != dom.rank:
-            raise FileFormatError(f"{where}[{i}]: expected {dom.rank} entries")
+        if not isinstance(row, list) or len(row) != dom:
+            raise FileFormatError(f"{where}[{i}]: expected {dom} entries")
         new = []
         for j, cell in enumerate(row):
             if not isinstance(cell, str):
@@ -195,13 +195,13 @@ def test_matrix_reader_matches_the_per_cell_reader(name, dom, cod, data):
     rows = [row() for _ in range(cod)]
     model = MODELS[name]
     try:
-        want = per_cell_read(rows, model, Obj(dom), Obj(cod), "m")
+        want = per_cell_read(rows, model, dom, cod, "m")
     except FileFormatError as exc:
         with pytest.raises(FileFormatError) as got:
-            _bare_matrix_from_json(rows, model, Obj(dom), Obj(cod), "m")
+            _bare_matrix_from_json(rows, model, dom, cod, "m")
         assert str(got.value) == str(exc)
     else:
-        got = _bare_matrix_from_json(rows, model, Obj(dom), Obj(cod), "m")
+        got = _bare_matrix_from_json(rows, model, dom, cod, "m")
         assert got == want and _typed(got) == _typed(want)
 
 
@@ -218,5 +218,5 @@ def test_matrix_reader_matches_the_per_cell_reader(name, dom, cod, data):
 def test_matrix_reader_reports_the_first_error_in_reading_order(rows, error):
     for reader in (per_cell_read, _bare_matrix_from_json):
         with pytest.raises(FileFormatError) as exc:
-            reader(rows, MODELS["zmod:2"], Obj(2), Obj(2), "m")
+            reader(rows, MODELS["zmod:2"], 2, 2, "m")
         assert str(exc.value) == error

@@ -9,9 +9,8 @@ from math import prod
 
 import pytest
 
-from mixtrace.category import (Model, Obj, curry, dual_mor,
-                               factor_permutation, random_mor, regroup,
-                               uncurry)
+from mixtrace.category import (Model, curry, dual_mor, factor_permutation,
+                               random_mor, regroup, uncurry)
 from mixtrace.errors import InputError
 from mixtrace.loops import (Loop, Permutation, hidden_symmetry, loop_compose,
                             loop_tensor)
@@ -33,12 +32,12 @@ def _rank(rng):
 
 
 def _loop(rng, model, dom=None, max_k=3):
-    hidden = tuple(Obj(_rank(rng)) for _ in range(rng.randint(0, max_k)))
-    dom = dom if dom is not None else Obj(_rank(rng))
-    cod = Obj(_rank(rng))
-    h = prod(u.rank for u in hidden)
+    hidden = tuple(_rank(rng) for _ in range(rng.randint(0, max_k)))
+    dom = dom if dom is not None else _rank(rng)
+    cod = _rank(rng)
+    h = prod(hidden)
     return Loop(model, dom, cod, hidden,
-                random_mor(model, rng, Obj(dom.rank * h), Obj(cod.rank * h)))
+                random_mor(model, rng, dom * h, cod * h))
 
 
 def _permutation(rng, k):
@@ -65,9 +64,9 @@ def test_curry_and_uncurry_match_index_loops():
     rng = random.Random("regroup:curry")
     for _ in range(CASES):
         model = rng.choice(MODELS)
-        a, b, c = (Obj(_rank(rng)) for _ in range(3))
-        f = random_mor(model, rng, Obj(a.rank * b.rank), c)
-        g = random_mor(model, rng, a, Obj(c.rank * b.rank))
+        a, b, c = (_rank(rng) for _ in range(3))
+        f = random_mor(model, rng, a * b, c)
+        g = random_mor(model, rng, a, c * b)
         assert curry(f, a, b, c) == curry_by_loops(f, a, b, c)
         assert uncurry(g, a, b, c) == uncurry_by_loops(g, a, b, c)
         assert uncurry(curry(f, a, b, c), a, b, c) == f
@@ -105,7 +104,7 @@ def test_regroup_by_inverse_slot_order_gives_back_f():
         model = rng.choice(MODELS)
         row_dims = _shape(rng, rng.randint(0, 3))
         col_dims = _shape(rng, rng.randint(0, 3))
-        f = random_mor(model, rng, Obj(prod(col_dims)), Obj(prod(row_dims)))
+        f = random_mor(model, rng, prod(col_dims), prod(row_dims))
         dims = row_dims + col_dims
         slots = _permutation(rng, len(dims)).images
         split = rng.randint(0, len(dims))
@@ -121,7 +120,7 @@ def test_regroup_by_inverse_slot_order_gives_back_f():
 
 def test_regroup_keeps_or_transposes():
     model = MODELS[0]
-    f = random_mor(model, random.Random(1), Obj(3), Obj(2))
+    f = random_mor(model, random.Random(1), 3, 2)
     assert regroup(f, [2], [3], [1], [0]) == dual_mor(f)
     assert dual_mor(f).entries == tuple(zip(*f.entries))
     assert regroup(f, [2], [3], [0], [1]) == f
@@ -135,6 +134,6 @@ def test_regroup_keeps_or_transposes():
     ([2], [3], [1], []),         # a slot left out
 ])
 def test_regroup_rejects_mismatched_shapes(row_dims, col_dims, rows, cols):
-    f = random_mor(MODELS[0], random.Random(2), Obj(3), Obj(2))
+    f = random_mor(MODELS[0], random.Random(2), 3, 2)
     with pytest.raises(InputError):
         regroup(f, row_dims, col_dims, rows, cols)

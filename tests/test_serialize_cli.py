@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from mixtrace.category import Model, Obj, canonical_map, mor, random_mor
+from mixtrace.category import Model, canonical_map, mor, random_mor
 from mixtrace.compactify import localized_model
 from mixtrace.loops import Loop, Permutation, hidden_symmetry, yanking_loop
 from mixtrace.rings import INTEGERS, localized_integers
@@ -23,7 +23,7 @@ from trace_reference import provisional_trace
 
 Z0 = Model(INTEGERS, 0)
 Z2 = Model(INTEGERS, 2)
-r1, r2 = Obj(1), Obj(2)
+r1, r2 = 1, 2
 
 
 def run_cli(*args):
@@ -317,7 +317,7 @@ def test_cli_congruent_relabelling_bound(tmp_path):
     # the bound 720
     rng = random.Random(720)
     p = Loop(Z2, r1, r1, (r2,) * 6 + (r1,),
-             random_mor(Z2, rng, Obj(64), Obj(64), 3))
+             random_mor(Z2, rng, 64, 64, 3))
     left = write(tmp_path, "left.json", loop_to_json(p))
     right = write(tmp_path, "right.json", loop_to_json(
         hidden_symmetry(p, Permutation((6, 0, 1, 2, 3, 4, 5)))))

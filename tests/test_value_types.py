@@ -1,7 +1,7 @@
-"""The behaviour of the 18 value types, pinned independently of how they
+"""The behaviour of the 17 value types, pinned independently of how they
 are declared: field-wise equality and hashing, the ``Name(field=...)``
 repr, immutability, the validation messages and positional and keyword
-construction of the 14 frozen types, and the fields and fresh containers
+construction of the 13 frozen types, and the fields and fresh containers
 of the four mutable report types."""
 
 import re
@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from mixtrace.category import (CheckResult, Model, Mor, Obj, ValidationReport,
+from mixtrace.category import (CheckResult, Model, Mor, ValidationReport,
                                identity, zero_mor)
 from mixtrace.errors import InputError
 from mixtrace.loops import Loop, Permutation
@@ -22,7 +22,7 @@ from mixtrace.zigzag import (CounterPath, Diagram, Edge, SearchResult,
 
 Z1 = Model(INTEGERS, 1)
 Z2 = Model(INTEGERS, 2)
-r1, r2 = Obj(1), Obj(2)
+r1, r2 = 1, 2
 ONE = identity(Z2, r1)
 
 
@@ -40,7 +40,6 @@ def _zigzag_fields(**changed):
 FROZEN = [
     (RingTag, dict(kind="Zloc", m=6)),
     (Model, dict(ring=INTEGERS, mix=2)),
-    (Obj, dict(rank=3)),
     (Mor, dict(model=Z2, dom=r1, cod=r2, entries=((1,), (2,)))),
     (Permutation, dict(images=(1, 0))),
     (Loop, dict(model=Z2, dom=r1, cod=r1, hidden=(r1,), carrier=ONE)),
@@ -84,7 +83,7 @@ def test_another_type_with_the_same_fields_is_unequal(cls, fields):
 
 # One field changed per frozen type, to a value that keeps it well-formed.
 CHANGED = {
-    RingTag: dict(m=5), Model: dict(mix=3), Obj: dict(rank=4),
+    RingTag: dict(m=5), Model: dict(mix=3),
     Mor: dict(entries=((1,), (3,))), Permutation: dict(images=(0, 1)),
     Loop: dict(carrier=zero_mor(Z2, r1, r1)), Edge: dict(label="g"),
     Diagram: dict(edges=()), CounterPath: dict(path_b=(2,)),
@@ -108,13 +107,12 @@ def test_repr_names_every_field(cls, fields):
 
 
 def test_repr_text():
-    assert repr(Obj(3)) == "Obj(rank=3)"
     assert repr(Permutation((1, 0))) == "Permutation(images=(1, 0))"
     assert repr(Model(INTEGERS, 2)) == (
         "Model(ring=RingTag(kind='Z', m=None), mix=2)")
     assert repr(identity(Z2, r1)) == (
         "Mor(model=Model(ring=RingTag(kind='Z', m=None), mix=2), "
-        "dom=Obj(rank=1), cod=Obj(rank=1), entries=((1,),))")
+        "dom=1, cod=1, entries=((1,),))")
     assert repr(TraceResult("undefined")) == (
         "TraceResult(status='undefined', value=None, alpha=None, "
         "witness=None)")
@@ -171,8 +169,10 @@ def test_post_init_is_looked_up_on_the_class(monkeypatch):
      "mix scalars must be exact numbers, not bool"),
     (lambda: Model(INTEGERS, 1.5),
      "mix scalars must be int or Fraction, got float"),
-    (lambda: Obj(-1), "object rank must be a non-negative integer"),
-    (lambda: Obj("3"), "object rank must be a non-negative integer"),
+    (lambda: Loop(Z2, -1, r1, (), ONE),
+     "object rank must be a non-negative integer"),
+    (lambda: ZigZagInstance(**_zigzag_fields(hub="3")),
+     "object rank must be a non-negative integer"),
     (lambda: Mor(Z2, r2, r1, ((1, 2), (3, 4))), "expected 1 rows, got 2"),
     (lambda: Mor(Z2, r2, r1, ((1,),)), "expected 2 columns, got 1"),
     (lambda: Permutation([0, 2]), "not a permutation: (0, 2)"),

@@ -62,11 +62,10 @@ from json.encoder import encode_basestring_ascii as _quote
 from math import prod
 from typing import Dict, List, Sequence, Tuple
 
-from mixtrace.category import (UNIT, Model, Mor, Obj, _flat_offsets,
-                               canonical_map, compose, curry, dual_mor,
-                               factor_permutation, identity, mor_scale,
-                               obj_tensor, tensor_mor, uncurry, whisker,
-                               zero_mor)
+from mixtrace.category import (Model, Mor, _flat_offsets, canonical_map,
+                               compose, curry, dual_mor, factor_permutation,
+                               identity, mor_scale, tensor_mor, uncurry,
+                               whisker, zero_mor)
 from mixtrace.compactify import _one_step_moves, _require_comparable
 from mixtrace.errors import InputError, ResourceLimitError
 from mixtrace.loops import (Loop, Permutation, hidden_symmetry, loop_dual,
@@ -91,20 +90,20 @@ def loop_par(p: Loop, q: Loop) -> Loop:
     return loop_dual(loop_tensor(loop_dual(p), loop_dual(q)))
 
 
-def hide(p: Loop, new_dom: Obj, v: Obj) -> Loop:
+def hide(p: Loop, new_dom: int, v: int) -> Loop:
     """Move the declared endpoint factor V into the hidden part: a loop
     A'(x)V -|-> B' par V becomes A' -|-> B' with V prepended to the hidden
     list.  The factorization is caller data; rank arithmetic alone is
     ambiguous."""
-    if v.rank == 0:
+    if v == 0:
         raise InputError("cannot hide a rank-0 factor: target ranks ambiguous")
-    if p.dom.rank != new_dom.rank * v.rank:
+    if p.dom != new_dom * v:
         raise InputError(
-            f"hide: {p.dom.rank} does not factor as {new_dom.rank} * {v.rank}")
-    if p.cod.rank % v.rank != 0:
+            f"hide: {p.dom} does not factor as {new_dom} * {v}")
+    if p.cod % v != 0:
         raise InputError(
-            f"hide: codomain rank {p.cod.rank} not divisible by {v.rank}")
-    new_cod = Obj(p.cod.rank // v.rank)
+            f"hide: codomain rank {p.cod} not divisible by {v}")
+    new_cod = p.cod // v
     return Loop(p.model, new_dom, new_cod, (v,) + p.hidden, p.carrier)
 
 
@@ -113,7 +112,7 @@ def pre_compose(p: Loop, f: Mor) -> Loop:
     if f.cod != p.dom or f.model != p.model:
         raise InputError("pre_compose: shape or model mismatch")
     return Loop(p.model, f.dom, p.cod, p.hidden,
-                compose(p.carrier, whisker(UNIT, f, Obj(p.hidden_size))))
+                compose(p.carrier, whisker(1, f, p.hidden_size)))
 
 
 def post_compose(g: Mor, p: Loop) -> Loop:
@@ -121,7 +120,7 @@ def post_compose(g: Mor, p: Loop) -> Loop:
     if g.dom != p.cod or g.model != p.model:
         raise InputError("post_compose: shape or model mismatch")
     return Loop(p.model, p.dom, g.cod, p.hidden,
-                compose(whisker(UNIT, g, Obj(p.hidden_size)), p.carrier))
+                compose(whisker(1, g, p.hidden_size), p.carrier))
 
 
 def morphism_tensor_loop(f: Mor, p: Loop) -> Loop:
@@ -130,7 +129,7 @@ def morphism_tensor_loop(f: Mor, p: Loop) -> Loop:
     distributivity is the identity reindexing of the flattening."""
     if f.model != p.model:
         raise InputError("morphism_tensor_loop: model mismatch")
-    return Loop(p.model, obj_tensor(f.dom, p.dom), obj_tensor(f.cod, p.cod),
+    return Loop(p.model, f.dom * p.dom, f.cod * p.cod,
                 p.hidden, tensor_mor(f, p.carrier))
 
 
@@ -143,9 +142,9 @@ def one_step_congruent(p: Loop, q: Loop) -> bool:
 
 
 def _value_from_column(p: Loop, column: Sequence[Sequence[Number]]) -> Mor:
-    adim = p.dom.rank
+    adim = p.dom
     rows = tuple(tuple(column[bi * adim + ai][0] for ai in range(adim))
-                 for bi in range(p.cod.rank))
+                 for bi in range(p.cod))
     return Mor(p.model, p.dom, p.cod, rows)
 
 
@@ -160,14 +159,14 @@ def provisional_trace(p: Loop, want_witness: bool = False) -> TraceResult:
     """
     model = p.model
     m = model.mix
-    dims = [u.rank for u in p.hidden]
+    dims = list(p.hidden)
     k = p.k
     pf = pairing_form(p)
     if k == 0:
         witness = StaircaseWitness(pf, ()) if want_witness else None
         return defined(_value_from_column(p, pf.entries), witness=witness)
 
-    ba = p.cod.rank * p.dom.rank
+    ba = p.cod * p.dom
     if m == 0:
         if any(v for row in pf.entries for v in row):
             return undefined()
@@ -183,14 +182,14 @@ def provisional_trace(p: Loop, want_witness: bool = False) -> TraceResult:
             return undefined()
         tail = prod(x * x for x in dims[i + 1:])
         if want_witness:
-            fillers.append(Mor(model, Obj(d * d * tail), Obj(ba),
+            fillers.append(Mor(model, d * d * tail, ba,
                                tuple(tuple(r) for r in divided)))
         g_rows = _contract_pair(divided, d, 1, tail)
     psi_rows = tuple(tuple(r) for r in g_rows)
     value = _value_from_column(p, psi_rows)
     witness = None
     if want_witness:
-        witness = StaircaseWitness(Mor(model, Obj(1), Obj(ba), psi_rows),
+        witness = StaircaseWitness(Mor(model, 1, ba, psi_rows),
                                    tuple(fillers))
     return defined(value, witness=witness)
 
@@ -223,22 +222,22 @@ def pairing_form_by_currying(p):
     hidden object sits next to its dual with the endpoint last, and curry
     once more."""
     model = p.model
-    dims = [u.rank for u in p.hidden]
+    dims = list(p.hidden)
     k = p.k
-    ba = p.cod.rank * p.dom.rank
+    ba = p.cod * p.dom
     if any(d == 0 for d in dims):
-        return Mor(model, Obj(0), Obj(ba), tuple(() for _ in range(ba)))
+        return Mor(model, 0, ba, tuple(() for _ in range(ba)))
     cur = p.carrier
-    cod_rank = p.carrier.cod.rank
+    cod_rank = p.carrier.cod
     for i in reversed(range(k)):
         d = dims[i]
         cod_rank //= d
-        cur = uncurry(cur, cur.dom, Obj(d), Obj(cod_rank))
+        cur = uncurry(cur, cur.dom, d, cod_rank)
     # reorder (A, U1..Uk, Uk*..U1*) into pairs-first layout with A last
     pair_dims = []
     for d in dims:
         pair_dims += [d, d]
-    pair_dims.append(p.dom.rank)
+    pair_dims.append(p.dom)
     pos_map = [2 * k]
     for i in range(k):
         pos_map.append(2 * i)
@@ -247,7 +246,7 @@ def pairing_form_by_currying(p):
     perm = factor_permutation(model, pair_dims, pos_map)
     reordered = compose(cur, perm)
     hh = prod(d * d for d in dims)
-    return curry(reordered, Obj(hh), p.dom, p.cod)
+    return curry(reordered, hh, p.dom, p.cod)
 
 
 def provisional_trace_dual(p):
@@ -255,17 +254,17 @@ def provisional_trace_dual(p):
     the cotensor side); must agree with ``provisional_trace``."""
     model = p.model
     m = model.mix
-    dims = [u.rank for u in p.hidden]
+    dims = list(p.hidden)
     k = p.k
     pf_t = dual_mor(pairing_form(p))  # rows pair-flat, cols (b,a)-flat
-    adim = p.dom.rank
+    adim = p.dom
     if k == 0:
         rows = tuple(tuple(pf_t.entries[0][bi * adim + ai]
                            for ai in range(adim))
-                     for bi in range(p.cod.rank))
+                     for bi in range(p.cod))
         return defined(Mor(model, p.dom, p.cod, rows))
 
-    ba = p.cod.rank * p.dom.rank
+    ba = p.cod * p.dom
     if m == 0:
         if any(v for row in pf_t.entries for v in row):
             return undefined()
@@ -291,7 +290,7 @@ def provisional_trace_dual(p):
             for t in range(tail)]
     final = rows_now[0] if rows_now else [0] * ba
     rows = tuple(tuple(final[bi * adim + ai] for ai in range(adim))
-                 for bi in range(p.cod.rank))
+                 for bi in range(p.cod))
     return defined(Mor(model, p.dom, p.cod, rows))
 
 
@@ -312,7 +311,7 @@ def is_compact(model: Model) -> bool:
     return is_unit(model.ring, model.mix)
 
 
-def total_trace(f: Mor, a: Obj, b: Obj, u: Obj) -> Mor:
+def total_trace(f: Mor, a: int, b: int, u: int) -> Mor:
     """The total trace of a compact model, computed as the canonical
     composite through coevaluation and the inverse mix map; equals the
     entrywise partial trace over U."""
@@ -320,11 +319,11 @@ def total_trace(f: Mor, a: Obj, b: Obj, u: Obj) -> Mor:
     if not is_compact(model):
         raise InputError(
             f"total trace needs a compact model; {model} is not")
-    if f.dom.rank != a.rank * u.rank or f.cod.rank != b.rank * u.rank:
+    if f.dom != a * u or f.cod != b * u:
         raise InputError("total_trace: declared ranks do not match the matrix")
     recast = compose(canonical_map(model, "mix_map", [b, u]), f)
-    peeled = uncurry(recast, obj_tensor(a, u), u, b)
-    mix_inv = mor_scale(identity(model, Obj(u.rank * u.rank)),
+    peeled = uncurry(recast, a * u, u, b)
+    mix_inv = mor_scale(identity(model, u * u),
                         Fraction(1) / Fraction(model.mix))
     feed = compose(mix_inv, canonical_map(model, "coev", [u]))
     return compose(peeled, tensor_mor(identity(model, a), feed))
@@ -348,7 +347,7 @@ def factor_permutation_by_product(model, dims, pos_map):
     for flat_s, multi in enumerate(itertools.product(*[range(d) for d in src])):
         t = tuple(multi[p] for p in pos_map)
         rows[_flat(t, tgt)][flat_s] = 1
-    return Mor(model, Obj(n), Obj(n), tuple(tuple(r) for r in rows))
+    return Mor(model, n, n, tuple(tuple(r) for r in rows))
 
 
 def factor_permutation_dense(model, dims, pos_map):
@@ -362,49 +361,46 @@ def factor_permutation_dense(model, dims, pos_map):
         row = [0] * n
         row[s] = 1
         rows.append(tuple(row))
-    return Mor(model, Obj(n), Obj(n), tuple(rows))
+    return Mor(model, n, n, tuple(rows))
 
 
 def times_rule_by_products(model, a, b, c, d):
     """``canonical_map("times_rule")`` as it stood before index maps: the
     composite of three dense factor permutations."""
-    ar, br, cr, dr = a.rank, b.rank, c.rank, d.rank
-    step1 = factor_permutation_dense(model, [ar, br, cr, dr], [1, 0, 2, 3])
-    step3 = factor_permutation_dense(model, [br, ar * cr * dr], [1, 0])
-    step5 = factor_permutation_dense(model, [ar * cr, dr, br], [0, 2, 1])
+    step1 = factor_permutation_dense(model, [a, b, c, d], [1, 0, 2, 3])
+    step3 = factor_permutation_dense(model, [b, a * c * d], [1, 0])
+    step5 = factor_permutation_dense(model, [a * c, d, b], [0, 2, 1])
     return compose(step5, compose(step3, step1))
 
 
 def curry_by_loops(f, a, b, c):
     """entry[(c,b), a] = f[c, (a,b)]."""
-    if f.dom.rank != a.rank * b.rank or f.cod.rank != c.rank:
+    if f.dom != a * b or f.cod != c:
         raise InputError("curry: declared ranks do not match the matrix")
-    br = b.rank
     rows = []
-    for ci in range(c.rank):
+    for ci in range(c):
         src = f.entries[ci]
-        for bi in range(br):
-            rows.append(tuple(src[ai * br + bi] for ai in range(a.rank)))
-    return Mor(f.model, a, Obj(c.rank * br), tuple(rows))
+        for bi in range(b):
+            rows.append(tuple(src[ai * b + bi] for ai in range(a)))
+    return Mor(f.model, a, c * b, tuple(rows))
 
 
 def uncurry_by_loops(g, a, b, c):
-    if g.dom.rank != a.rank or g.cod.rank != c.rank * b.rank:
+    if g.dom != a or g.cod != c * b:
         raise InputError("uncurry: declared ranks do not match the matrix")
-    br = b.rank
     rows = []
-    for ci in range(c.rank):
+    for ci in range(c):
         row = []
-        for ai in range(a.rank):
-            for bi in range(br):
-                row.append(g.entries[ci * br + bi][ai])
+        for ai in range(a):
+            for bi in range(b):
+                row.append(g.entries[ci * b + bi][ai])
         rows.append(tuple(row))
-    return Mor(g.model, obj_tensor(a, b), c, tuple(rows))
+    return Mor(g.model, a * b, c, tuple(rows))
 
 
 def pairing_form_by_loops(p):
-    bdim, adim = p.cod.rank, p.dom.rank
-    dims = [u.rank for u in p.hidden]
+    bdim, adim = p.cod, p.dom
+    dims = list(p.hidden)
     h = prod(dims)
     pair_dims = []
     for d in dims:
@@ -424,20 +420,20 @@ def pairing_form_by_loops(p):
                 v = src[ai * h + uflat]
                 if v:
                     rows[bi * adim + ai][col] = v
-    return Mor(p.model, Obj(cols), Obj(bdim * adim),
+    return Mor(p.model, cols, bdim * adim,
                tuple(tuple(r) for r in rows))
 
 
 def hidden_symmetry_by_conjugation(p, alpha):
     model = p.model
-    dims = [u.rank for u in p.hidden]
+    dims = list(p.hidden)
     new_hidden = alpha.apply(p.hidden)
     inv = alpha.inverse()
     dom_perm = factor_permutation_by_product(
-        model, [p.dom.rank] + [dims[i] for i in alpha.images],
+        model, [p.dom] + [dims[i] for i in alpha.images],
         [0] + [1 + inv.images[j] for j in range(p.k)])
     cod_perm = factor_permutation_by_product(
-        model, [p.cod.rank] + dims,
+        model, [p.cod] + dims,
         [0] + [1 + alpha.images[i] for i in range(p.k)])
     carrier = compose(cod_perm, compose(p.carrier, dom_perm))
     return Loop(model, p.dom, p.cod, new_hidden, carrier)
@@ -447,11 +443,11 @@ def loop_compose_by_conjugation(q, p):
     model = p.model
     hu = p.hidden_size
     hv = q.hidden_size
-    lift_p = tensor_mor(p.carrier, identity(model, Obj(hv)))
-    rho = factor_permutation_by_product(model, [p.cod.rank, hu, hv],
+    lift_p = tensor_mor(p.carrier, identity(model, hv))
+    rho = factor_permutation_by_product(model, [p.cod, hu, hv],
                                         [0, 2, 1])
-    lift_q = tensor_mor(q.carrier, identity(model, Obj(hu)))
-    unshuffle = factor_permutation_by_product(model, [q.cod.rank, hv, hu],
+    lift_q = tensor_mor(q.carrier, identity(model, hu))
+    unshuffle = factor_permutation_by_product(model, [q.cod, hv, hu],
                                               [0, 2, 1])
     carrier = compose(unshuffle, compose(lift_q, compose(rho, lift_p)))
     return Loop(model, p.dom, q.cod, p.hidden + q.hidden, carrier)
@@ -461,12 +457,12 @@ def loop_tensor_by_conjugation(p, q):
     model = p.model
     hu, hv = p.hidden_size, q.hidden_size
     mid = factor_permutation_by_product(
-        model, [p.dom.rank, q.dom.rank, hu, hv], [0, 2, 1, 3])
+        model, [p.dom, q.dom, hu, hv], [0, 2, 1, 3])
     ten = tensor_mor(p.carrier, q.carrier)
     shuffle = canonical_map(model, "times_rule",
-                            [p.cod, Obj(hu), q.cod, Obj(hv)])
+                            [p.cod, hu, q.cod, hv])
     carrier = compose(shuffle, compose(ten, mid))
-    return Loop(model, obj_tensor(p.dom, q.dom), obj_tensor(p.cod, q.cod),
+    return Loop(model, p.dom * q.dom, p.cod * q.cod,
                 p.hidden + q.hidden, carrier)
 
 
@@ -598,7 +594,7 @@ def check_zigzag(whole: Diagram) -> ZigZagOutcome:
     return ZigZagOutcome("holds")
 
 
-def build_zigzag_diagram(model: Model, frame: Frame, hub: Obj,
+def build_zigzag_diagram(model: Model, frame: Frame, hub: int,
                          left: Sequence[Mor], right: Sequence[Mor]) -> Diagram:
     """The conclusion diagram of a zig-zag: its frame with the hub appended
     and the left and right filler columns in their slots.  Without its
@@ -613,7 +609,7 @@ def build_zigzag_diagram(model: Model, frame: Frame, hub: Obj,
     return Diagram(model, objects + (hub,), tuple(edges))
 
 
-def frame_walks(model: Model, objects: Sequence[Obj], edges: Sequence[object]):
+def frame_walks(model: Model, objects: Sequence[int], edges: Sequence[object]):
     """The premise walk, over all edges but the bottom symmetry with its
     tails, and the conclusion walk, over every edge, of a zig-zag frame or
     diagram, as ``zigzag._shape_walks`` builds them for an instance's
@@ -623,7 +619,7 @@ def frame_walks(model: Model, objects: Sequence[Obj], edges: Sequence[object]):
 
 
 def bare_matrix_to_json(m: Mor):
-    width = m.dom.rank
+    width = m.dom
     out = []
     for row in m.entries:
         text = ["0"] * width
