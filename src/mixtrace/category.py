@@ -416,7 +416,8 @@ class ValidationReport:
 
 # The most entries of one matrix a request may build; validate_coherence,
 # the axiom suite, verify_compactness and the zig-zag search refuse, before
-# building anything, past it.
+# building anything, past it, and so does a free trace asked for its
+# witness, once its search has found an ordering.
 ENTRY_BOUND = 10 ** 6
 
 

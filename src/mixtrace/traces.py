@@ -175,7 +175,10 @@ def free_mixed_trace(p: Loop, want_witness: bool = False) -> TraceResult:
     rank-0 hidden object, else ambiguous, and there is no witness.  With
     ``want_witness`` the stage matrices the search divided become the
     fillers of the staircase in the found ordering: filler i has its pairs
-    regrouped into the order alpha[i:], and psi is the final column.
+    regrouped into the order alpha[i:], and psi is the final column.  The
+    witness's diagram has h^4 entries in its widest edge, mix-0, for h the
+    product of the hidden ranks; past ``ENTRY_BOUND`` a witness is refused
+    once the search has found an ordering, before psi or a filler is built.
     """
     model = p.model
     m = model.mix
@@ -203,6 +206,8 @@ def free_mixed_trace(p: Loop, want_witness: bool = False) -> TraceResult:
         for b in range(p.cod)))
     witness = None
     if want_witness:
+        h = p.hidden_size
+        check_entry_count(h, 4, f"a staircase witness at hidden size {h}")
         psi = Mor(model, 1, ba, tuple(map(tuple, column)))
         fillers = []
         rest = list(range(p.k))

@@ -295,6 +295,39 @@ def test_cli_free_trace_of_a_long_rank_one_part(tmp_path):
     assert payload["alpha"] == list(range(k))
 
 
+def _hidden_size_32_loop(diagonal):
+    """A loop over Z at mix 2 with five hidden objects of rank 2, hidden
+    size 32, whose carrier is ``diagonal`` times the identity."""
+    model = {"ring": "Z", "mix": "2"}
+    rows = [[diagonal if i == j else "0" for j in range(32)]
+            for i in range(32)]
+    return {"model": model, "A": 1, "B": 1, "hidden": [2] * 5,
+            "carrier": {"model": model, "dom": 32, "cod": 32,
+                        "entries": rows}}
+
+
+@pytest.mark.parametrize("diagonal, witness, code, status", [
+    ("32", True, 1, None),
+    ("32", False, 0, "defined"),
+    ("1", True, 0, "undefined")])
+def test_cli_witness_size_bound(tmp_path, capsys, diagonal, witness, code,
+                                status):
+    # a witness diagram's mix-0 edge has h^4 entries at hidden size h:
+    # past the bound once an ordering is found, while the trace alone, and
+    # an undefined trace, which has no witness, are still reported
+    loop = write(tmp_path, "l.json", _hidden_size_32_loop(diagonal))
+    argv = ["trace", "--mode", "free", "--loop", loop]
+    assert cli.main(argv + ["--witness"] * witness) == code
+    out, err = capsys.readouterr()
+    if status is None:
+        assert (out, err) == ("", (
+            "resource limit: a staircase witness at hidden size 32 builds "
+            "matrices of up to 32^4 = 1048576 entries, more than the bound "
+            "1000000\n"))
+    else:
+        assert err == "" and json.loads(out)["status"] == status
+
+
 def test_cli_congruent_past_six_hidden_objects(tmp_path):
     # one rank-2 and six rank-1 hidden objects, one hidden symmetry apart
     model = {"ring": "Z", "mix": "2"}
