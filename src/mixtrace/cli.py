@@ -100,7 +100,7 @@ def cmd_congruent(args) -> int:
     left = serialize.loop_from_json(load_json_file(args.left), args.left)
     right = serialize.loop_from_json(load_json_file(args.right), args.right)
     generators = ()
-    if args.generators:
+    if args.generators is not None:
         data = load_json_file(args.generators)
         raw = data.get("loops") if isinstance(data, dict) else None
         if not isinstance(raw, list):

@@ -141,6 +141,21 @@ def test_cli_bounded_mode_reads_a_loops_list(tmp_path, capsys, generators):
         f'input error: {g}: expected {{"loops": [...]}}\n')
 
 
+@pytest.mark.parametrize("name", ["", "missing.json"])
+def test_cli_refuses_an_absent_generators_file(tmp_path, capsys, monkeypatch,
+                                               name):
+    # an empty --generators path names no file, and is refused as a
+    # missing one is, not read as no generators
+    monkeypatch.chdir(tmp_path)
+    loop = write(tmp_path, "l.json", LOOP)
+    argv = ["congruent", "--mode", "bounded:1", "--left", loop, "--right",
+            loop, "--generators", name]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", (
+        f"input error: {name}: [Errno 2] No such file or directory: "
+        f"{name!r}\n"))
+
+
 def test_cli_names_two_unequal_parallel_edges(tmp_path, capsys):
     # two parallel edges with string labels and unequal matrices: the
     # diagram file is read and the counterexample names both edges
