@@ -39,7 +39,10 @@ class Value:
     subclass names its fields in ``__slots__``, sets them in its
     ``__init__`` through ``object.__setattr__`` or, if built often, its
     slot descriptors (``Mor.entries.__set__``), and checks them in
-    ``__post_init__``.  A hot ``==`` is spelled out on the fields."""
+    ``__post_init__``, all but those checked where they entered: ``Mor``
+    checks its shape and trusts its ranks and entries.  A plain value, such
+    as an object's rank, is no ``Value``.  A hot ``==`` is spelled out on
+    the fields."""
 
     __slots__ = ()
 
