@@ -113,6 +113,8 @@ class Mor(Value):
         return hash((self.model, self.dom, self.cod, self.entries))
 
 
+# Mor's slot setters, bound once: Mor is built on every operation, and
+# each call skips the attribute lookup of ``object.__setattr__``.
 _set_model, _set_dom, _set_cod, _set_entries = (
     Mor.model.__set__, Mor.dom.__set__, Mor.cod.__set__, Mor.entries.__set__)
 
