@@ -26,10 +26,20 @@ witness as a diagram ``zigzag`` can check.
 The induced trace instead contracts everything first and divides once by
 m^k, so it is defined at least as often as the free one, and strictly
 more often in general.
+
+The axiom suite reads each axiom whenever defined, and ``_judge`` tallies
+every comparison of two sides.  A comparison with neither side defined is
+skipped.  In the Kleene reading, which naturality, dinaturality, strength,
+adjointability and yanking use, one with a single side defined fails; in
+the one-sided reading, which Vanishing alone uses, it is tallied apart, as
+a defined whole trace may have an undefined split.  Judging Vanishing in
+the Kleene reading of Malherbe, Scott and Selinger is one argument at its
+one call site.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 from functools import cache, partial
 from math import prod
@@ -382,24 +392,40 @@ def _side_repr(side) -> str:
                            for row in side.entries) + "]"
 
 
-def _record_failure(st: AxiomStats, seed, case: int, detail: str,
-                    lhs, rhs) -> None:
-    entry = {"seed": seed, "case": case, "detail": "..."}
-    if len(st.failures) < _FAILURE_DETAIL_CAP:
-        entry.update(detail=detail, lhs=_side_repr(lhs), rhs=_side_repr(rhs))
-    st.failures.append(entry)
+def _judge(stats: Dict[str, AxiomStats], seed, case: int, axiom: str, lhs,
+           rhs, one_sided: bool = False, agree=operator.eq,
+           detail: str = "") -> None:
+    """Tally one comparison of one axiom.  A side is a Mor, always defined,
+    or a TraceResult.  Neither side defined skips the comparison; exactly
+    one defined is tallied as one-sided under the ``one_sided`` reading;
+    any other is checked, and fails unless both sides are defined and
+    ``agree`` holds of their values."""
+    st = stats[axiom]
+    left, right = (s.value if isinstance(s, TraceResult) else s
+                   for s in (lhs, rhs))
+    if left is None and right is None:
+        st.skipped_undefined += 1
+    elif one_sided and (left is None or right is None):
+        st.one_sided += 1
+    else:
+        st.checked += 1
+        if left is None or right is None or not agree(left, right):
+            entry = {"seed": seed, "case": case, "detail": "..."}
+            if len(st.failures) < _FAILURE_DETAIL_CAP:
+                entry.update(detail=detail or f"{axiom} mismatch",
+                             lhs=_side_repr(lhs), rhs=_side_repr(rhs))
+            st.failures.append(entry)
 
 
 def run_axiom_suite(model: Model, seed: int = 0, cases: int = 1000,
                     max_rank: int = 3, max_hidden: int = 2) -> SuiteReport:
     """Check the mixed-trace axioms on seeded random loops, for both the
-    free and the induced trace, in their whenever-defined readings.
+    free and the induced trace, in their whenever-defined readings (see
+    the module docstring).
 
-    A comparison is skipped when its governing side is undefined; for
-    Vanishing the two outer traces may genuinely differ in definedness
-    (the staircase is order-sensitive before the permutation search), so
-    one-sided cases are tallied separately rather than failed.  The
-    largest matrix, the strength loop's carrier, has max_rank^(2
+    Naturality and strength are compared only where the loop's trace is
+    defined, and Vanishing only where its inner trace is.  The largest
+    matrix, the strength loop's carrier, has max_rank^(2
     max_hidden + 4) entries; past ``ENTRY_BOUND`` the suite is refused
     before any matrix is built.  At max_rank <= 1 every matrix is 1 x 1,
     yet each loop draws up to max_hidden hidden objects, so past
@@ -450,79 +476,31 @@ def run_axiom_suite(model: Model, seed: int = 0, cases: int = 1000,
 
         for kind, trace_of in kinds:
             stats = report.stats[kind]
+            judge = partial(_judge, stats, seed, case)
             tr = trace_of(p)
+            # naturality and strength are read where p's trace is defined
             if tr.is_defined:
                 report.defined_cases[kind] += 1
-
-            st = stats["naturality"]
-            if not tr.is_defined:
-                st.skipped_undefined += 1
+                judge("naturality", compose(g_out, compose(tr.value, f_in)),
+                      trace_of(natural()))
+                judge("strength", tensor_mor(f_str, tr.value),
+                      trace_of(strong()))
             else:
-                st.checked += 1
-                lhs = compose(g_out, compose(tr.value, f_in))
-                rhs = trace_of(natural())
-                if not rhs.is_defined or rhs.value != lhs:
-                    _record_failure(st, seed, case, "naturality mismatch",
-                                    lhs, rhs)
-
-            st = stats["dinaturality"]
-            other = trace_of(swapped)
-            if tr.is_defined or other.is_defined:
-                st.checked += 1
-                if not (tr.is_defined and other.is_defined
-                        and tr.value == other.value):
-                    _record_failure(st, seed, case, "dinaturality mismatch",
-                                    tr, other)
-            else:
-                st.skipped_undefined += 1
-
-            st = stats["strength"]
-            if not tr.is_defined:
-                st.skipped_undefined += 1
-            else:
-                st.checked += 1
-                lhs = tensor_mor(f_str, tr.value)
-                rhs = trace_of(strong())
-                if not rhs.is_defined or rhs.value != lhs:
-                    _record_failure(st, seed, case, "strength mismatch",
-                                    lhs, rhs)
-
-            st = stats["vanishing"]
+                stats["naturality"].skipped_undefined += 1
+                stats["strength"].skipped_undefined += 1
+            judge("dinaturality", tr, trace_of(swapped))
+            # vanishing is read where the inner trace is defined
             traced = hidden_trace(p, p.k - split, trace_of)
             if traced is None:
-                st.skipped_undefined += 1
+                stats["vanishing"].skipped_undefined += 1
             else:
-                outer = trace_of(traced)
-                if tr.is_defined and outer.is_defined:
-                    st.checked += 1
-                    if tr.value != outer.value:
-                        _record_failure(st, seed, case, "vanishing mismatch",
-                                        tr, outer)
-                elif tr.is_defined != outer.is_defined:
-                    st.one_sided += 1
-                else:
-                    st.skipped_undefined += 1
-
-            st = stats["adjointability"]
-            dual_tr = trace_of(dual)
-            if tr.is_defined or dual_tr.is_defined:
-                st.checked += 1
-                if not (tr.is_defined and dual_tr.is_defined
-                        and dual_tr.value == dual_mor(tr.value)):
-                    _record_failure(st, seed, case, "adjointability mismatch",
-                                    tr, dual_tr)
-            else:
-                st.skipped_undefined += 1
-
-            st = stats["yanking"]
-            st.checked += 1
+                judge("vanishing", tr, trace_of(traced), one_sided=True)
+            judge("adjointability", tr, trace_of(dual),
+                  agree=lambda t, d: d == dual_mor(t))
             ty = yanked.get((kind, yank_rank))
             if ty is None:
                 ty = yanked[kind, yank_rank] = trace_of(
                     yanking_loop(model, yank_rank))
-            if not ty.is_defined or ty.value != identity(model, yank_rank):
-                _record_failure(
-                    st, seed, case,
-                    f"yanking fails at rank {yank_rank}", ty,
-                    identity(model, yank_rank))
+            judge("yanking", ty, identity(model, yank_rank),
+                  detail=f"yanking fails at rank {yank_rank}")
     return report
