@@ -364,12 +364,12 @@ def build_zigzag_frame(model: Model, upper: Sequence[int],
 
 def _shape_walks(model: Model, upper: Sequence[int], apex: Sequence[int],
                  lower: Sequence[int], downs: Sequence[Mor],
-                 ups: Sequence[Mor], perm: Permutation):
+                 ups: Sequence[Mor], perm: Permutation, levels=None):
     """Each side's filler domain ranks of a zig-zag with these objects,
     maps and permutation, its frame, and the frame's premise walk, over
     all edges but the bottom symmetry with its tails, and conclusion walk,
-    over every edge."""
-    levels = level_ranks(upper, apex, lower, perm)
+    over every edge.  ``levels``, if given, are its ``level_ranks``."""
+    levels = levels or level_ranks(upper, apex, lower, perm)
     frame = build_zigzag_frame(model, upper, lower, downs, ups, perm, levels)
     objects, edges = frame
     return ((levels["left"][1], levels["right"][1]), frame,
@@ -379,10 +379,19 @@ def _shape_walks(model: Model, upper: Sequence[int], apex: Sequence[int],
 
 def check_zigzag_instance(inst: ZigZagInstance) -> ZigZagOutcome:
     """Replay the walks of the instance's frame with its fillers, as the
-    search checks a sample."""
+    search checks a sample.  For L the largest level rank, a frame matrix
+    or path composite has at most L^2 entries and a filler times a path
+    composite at most hub * L; past ``ENTRY_BOUND`` the instance is
+    refused before any is built.  A search witness has L <= max_rank^(2n)
+    and hub <= max_rank, inside the search's own bound, so it re-checks."""
+    levels = level_ranks(inst.upper, inst.apex, inst.lower, inst.perm)
+    top = max(r for ranks in levels.values() for r in ranks[0] + ranks[1])
+    what = f"a zig-zag instance of largest level rank {top}"
+    check_entry_count(top, 2, what)
+    check_entry_count(top * inst.hub, 1, f"{what} and hub {inst.hub}")
     _, frame, premise, conclusion = _shape_walks(
         inst.model, inst.upper, inst.apex, inst.lower, inst.down_maps,
-        inst.up_maps, inst.perm)
+        inst.up_maps, inst.perm, levels)
     return _check_zigzag(frame[0], premise, conclusion, {
         "left": inst.left_fillers, "right": inst.right_fillers})
 
