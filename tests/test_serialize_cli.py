@@ -408,6 +408,76 @@ def test_cli_zigzag_search_tree_bound(monkeypatch, capsys):
                    "node-edge steps per sample, more than the bound 10000\n")
 
 
+@pytest.mark.parametrize("upper, lower, hub, size", [
+    ([100] * 3, [1] * 3, 0, "rank 1000000 builds matrices of up to "
+     "1000000^2 = 1000000000000 entries"),
+    ([1], [1000], 1001, "rank 1000 and hub 1001 builds matrices of up to "
+     "1001000 entries")])
+def test_cli_zigzag_check_size_bound(tmp_path, capsys, upper, lower, hub,
+                                     size):
+    # a level of rank 10^6 makes frame maps of 10^12 entries; a level of
+    # rank 1000 reached from a filler to a hub of rank 1001 makes a filler
+    # product of 1001 * 1000: each refused before the frame is built
+    n = len(upper)
+    inst = write(tmp_path, "big.json", {
+        "model": {"ring": "Z", "mix": "2"}, "upper": upper, "apex": [1] * n,
+        "lower": lower, "alpha": list(range(n)), "hub": hub,
+        "down_maps": [[["0"] * u] for u in upper],
+        "up_maps": [[["0"] * v] for v in lower],
+        "left_fillers": [[["0"]] * hub] * (n + 1),
+        "right_fillers": [[["0"]] * hub] * (n + 1)})
+    assert cli.main(["zigzag-check", "--instance", inst]) == 1
+    assert capsys.readouterr() == ("", (
+        f"resource limit: a zig-zag instance of largest level {size}, more "
+        "than the bound 1000000\n"))
+
+
+def test_cli_zigzag_check_admits_the_largest_search_shape(tmp_path, capsys):
+    # the widest shape a search at n = 3 and max_rank 3 can emit, base
+    # ranks (3, 3, 3), has levels of rank 9^3 = 729 and 729^2 = 3^12
+    # entries in its widest maps, inside the bound: it re-checks
+    fields, domains, *_ = cli.zigzag._corollary_shape(Z0, (3, 3, 3),
+                                                      (2, 0, 1), {})
+    left, right = (tuple(mor(Z0, r, 1, [[0] * r]) for r in side)
+                   for side in domains)
+    inst = write(tmp_path, "wide.json", zigzag_to_json(
+        ZigZagInstance(*fields, 1, left, right)))
+    assert cli.main(["zigzag-check", "--instance", inst]) == 0
+    out, err = capsys.readouterr()
+    assert (json.loads(out), err) == ({"outcome": "holds"}, "")
+
+
+@pytest.mark.parametrize("hidden, alpha", [([300, 300], [0, 1]),
+                                           ([100, 100, 100], [0, 1, 2])])
+def test_cli_loop_with_no_rows_past_the_bound(tmp_path, capsys, hidden,
+                                              alpha):
+    # A = B = 0 over hidden objects of size 9 * 10^4 or 10^6: the pairing
+    # form has no rows and h^2 columns, so no column offset is listed and
+    # the traces and the bounded search answer; a witness is still refused
+    model = {"ring": "Z", "mix": "2"}
+    loop = write(tmp_path, "l.json", {
+        "model": model, "A": 0, "B": 0, "hidden": hidden,
+        "carrier": {"model": model, "dom": 0, "cod": 0, "entries": []}})
+    value = {"model": model, "dom": 0, "cod": 0, "entries": []}
+    for argv, code, expect in (
+            (["trace", "--mode", "free"], 0,
+             {"status": "defined", "alpha": alpha, "value": value}),
+            (["trace", "--mode", "induced"], 0,
+             {"status": "defined", "value": value}),
+            (["congruent", "--mode", "bounded:1", "--right", loop], 0,
+             {"mode": "bounded:1", "congruent": True}),
+            (["congruent", "--mode", "semantic", "--right", loop], 0,
+             {"mode": "semantic", "congruent": True})):
+        flag = "--left" if argv[0] == "congruent" else "--loop"
+        assert cli.main(argv + [flag, loop]) == code
+        out, err = capsys.readouterr()
+        assert (json.loads(out), err) == (expect, "")
+    assert cli.main(["trace", "--mode", "free", "--loop", loop,
+                     "--witness"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("resource limit: a staircase witness")
+
+
 class _Built(Exception):
     pass
 
