@@ -232,14 +232,14 @@ def regroup(f: Mor, row_dims: Sequence[int], col_dims: Sequence[int],
         raise InputError("regroup: factor ranks do not match the matrix")
     if sorted([*rows, *cols]) != list(range(len(dims))):
         raise InputError("regroup: rows and cols must split the slots")
-    entries = ()
     row_offsets = _flat_offsets(dims, rows)
-    if row_offsets:  # a result with no rows lists no column offsets
-        flat = list(itertools.chain.from_iterable(f.entries))
-        col_offsets = _flat_offsets(dims, cols)
-        entries = tuple(tuple([flat[r + c] for c in col_offsets])
-                        for r in row_offsets)
-    return Mor(f.model, prod(dims[s] for s in cols), len(entries), entries)
+    if not row_offsets:  # no rows: list no column offsets
+        return Mor(f.model, prod(dims[s] for s in cols), 0, ())
+    flat = list(itertools.chain.from_iterable(f.entries))
+    col_offsets = _flat_offsets(dims, cols)
+    entries = tuple(tuple([flat[r + c] for c in col_offsets])
+                    for r in row_offsets)
+    return Mor(f.model, len(col_offsets), len(entries), entries)
 
 
 def dual_mor(f: Mor) -> Mor:
