@@ -412,7 +412,7 @@ def test_cli_zigzag_search_tree_bound(monkeypatch, capsys):
     ([100] * 3, [1] * 3, 0, "rank 1000000 builds matrices of up to "
      "1000000^2 = 1000000000000 entries"),
     ([1], [1000], 1001, "rank 1000 and hub 1001 builds matrices of up to "
-     "1001000 entries")])
+     "1001000 entries")], ids=["level", "hub"])
 def test_cli_zigzag_check_size_bound(tmp_path, capsys, upper, lower, hub,
                                      size):
     # a level of rank 10^6 makes frame maps of 10^12 entries; a level of
@@ -448,7 +448,8 @@ def test_cli_zigzag_check_admits_the_largest_search_shape(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("hidden, alpha", [([300, 300], [0, 1]),
-                                           ([100, 100, 100], [0, 1, 2])])
+                                           ([100, 100, 100], [0, 1, 2])],
+                         ids=["k2", "k3"])
 def test_cli_loop_with_no_rows_past_the_bound(tmp_path, capsys, hidden,
                                               alpha):
     # A = B = 0 over hidden objects of size 9 * 10^4 or 10^6: the pairing
