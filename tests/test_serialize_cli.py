@@ -415,9 +415,9 @@ def test_cli_zigzag_search_tree_bound(monkeypatch, capsys):
      "1001000 entries")], ids=["level", "hub"])
 def test_cli_zigzag_check_size_bound(tmp_path, capsys, upper, lower, hub,
                                      size):
-    # a level of rank 10^6 makes frame maps of 10^12 entries; a level of
-    # rank 1000 reached from a filler to a hub of rank 1001 makes a filler
-    # product of 1001 * 1000: each refused before the frame is built
+    # a level of rank 10^6 makes frame maps of 10^12 entries; a filler to
+    # a hub of rank 1001 times a path composite out of a level of rank 1000
+    # has 1001 * 1000: each refused before the frame is built
     n = len(upper)
     inst = write(tmp_path, "big.json", {
         "model": {"ring": "Z", "mix": "2"}, "upper": upper, "apex": [1] * n,
@@ -460,17 +460,17 @@ def test_cli_loop_with_no_rows_past_the_bound(tmp_path, capsys, hidden,
         "model": model, "A": 0, "B": 0, "hidden": hidden,
         "carrier": {"model": model, "dom": 0, "cod": 0, "entries": []}})
     value = {"model": model, "dom": 0, "cod": 0, "entries": []}
-    for argv, code, expect in (
-            (["trace", "--mode", "free"], 0,
+    for argv, expect in (
+            (["trace", "--mode", "free"],
              {"status": "defined", "alpha": alpha, "value": value}),
-            (["trace", "--mode", "induced"], 0,
+            (["trace", "--mode", "induced"],
              {"status": "defined", "value": value}),
-            (["congruent", "--mode", "bounded:1", "--right", loop], 0,
+            (["congruent", "--mode", "bounded:1", "--right", loop],
              {"mode": "bounded:1", "congruent": True}),
-            (["congruent", "--mode", "semantic", "--right", loop], 0,
+            (["congruent", "--mode", "semantic", "--right", loop],
              {"mode": "semantic", "congruent": True})):
         flag = "--left" if argv[0] == "congruent" else "--loop"
-        assert cli.main(argv + [flag, loop]) == code
+        assert cli.main(argv + [flag, loop]) == 0
         out, err = capsys.readouterr()
         assert (json.loads(out), err) == (expect, "")
     assert cli.main(["trace", "--mode", "free", "--loop", loop,
