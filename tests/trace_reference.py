@@ -49,6 +49,12 @@ permutation matrices (``hidden_symmetry_by_conjugation``,
 builders the library's index maps replaced: a permutation matrix built
 row by row, and the times rule as a product of three of them.
 
+``staircase_diagram`` is the dense drawing of a free trace's witness the
+library's staircase layout replaced: every mix and coevaluation edge of
+the ladder built as a whiskered ``Mor``.  The witness diagram the library
+emits must be what ``diagram_to_json`` of this diagram writes, byte for
+byte, and this diagram must commute exactly when the staircase is solved.
+
 ``bare_matrix_to_json`` and ``row_joining_dumps`` are the writer the
 library's matrix writer replaced: every cell of a matrix turned into its
 scalar text first, then each row of strings written in one join.  What
@@ -192,6 +198,40 @@ def provisional_trace(p: Loop, want_witness: bool = False) -> TraceResult:
         witness = StaircaseWitness(Mor(model, 1, ba, psi_rows),
                                    tuple(fillers))
     return defined(value, witness=witness)
+
+
+def staircase_diagram(p: Loop, witness: StaircaseWitness) -> Diagram:
+    """The solved staircase of a loop as a checkable diagram: the ladder of
+    mix and coevaluation edges with the witness fillers pointing at the
+    apex object.  Commutation of this diagram is exactly the staircase
+    condition."""
+    model = p.model
+    dims = p.hidden
+    k = p.k
+    ba = p.cod * p.dom
+    suffix = [1] * (k + 1)
+    for i in reversed(range(k)):
+        suffix[i] = dims[i] * dims[i] * suffix[i + 1]
+    objects = suffix + [dims[i] ** 2 * suffix[i + 1] for i in range(k)]
+    objects.append(ba)                                     # apex
+    apex_idx = len(objects) - 1
+
+    edges: List[Edge] = []
+    for i in range(k):
+        u, level = p.hidden[i], k + 1 + i
+        rest = suffix[i + 1]
+        edges.append(Edge(i, level,
+                          whisker(1, canonical_map(model, "mix_map", [u, u]),
+                                  rest),
+                          f"mix-{i}"))
+        edges.append(Edge(i + 1, level,
+                          whisker(1, canonical_map(model, "coev", [u]), rest),
+                          f"coev-{i}"))
+        edges.append(Edge(level, apex_idx, witness.fillers[i],
+                          f"filler-{i}"))
+    edges.append(Edge(0, apex_idx, pairing_form(p), "pairing"))
+    edges.append(Edge(k, apex_idx, witness.psi, "psi"))
+    return Diagram(model, tuple(objects), tuple(edges))
 
 
 def free_trace_by_orderings(p, want_witness=False):
