@@ -16,7 +16,7 @@ from .rings import (INTEGERS, RATIONALS, RingTag, localized_integers,
                     parse_value, ring_contains)
 from .traces import (StaircaseWitness, TraceResult, free_mixed_trace,
                      hidden_trace, induced_mixed_trace, pairing_form,
-                     run_axiom_suite, staircase_diagram)
+                     run_axiom_suite)
 from .zigzag import (Diagram, Edge, ZigZagInstance, check_zigzag_instance,
                      diagram_commutes, search_counterexample)
 

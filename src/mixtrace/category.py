@@ -302,6 +302,29 @@ def _same_map(p, *others) -> bool:
     return p is not None and all(q == p for q in others)
 
 
+class Monomial(Value):
+    """A matrix of ``dom`` columns whose row i holds ``scalar`` at column
+    ``cols[i]``, a partial index map, and 0 elsewhere; a row whose column
+    is None is 0.  Whiskered structure maps such as m*Id and coev (x) Id
+    are of this form, and ``serialize.dumps`` writes them from it without
+    building a row.  It has no arithmetic; its shape is checked, its
+    scalar trusted."""
+
+    __slots__ = ("scalar", "dom", "cod", "cols")
+
+    def __init__(self, scalar: Number, dom: int, cols: Iterable):
+        object.__setattr__(self, "scalar", scalar)
+        object.__setattr__(self, "dom", dom)
+        object.__setattr__(self, "cols", tuple(cols))
+        object.__setattr__(self, "cod", len(self.cols))
+        self.__post_init__()
+
+    def __post_init__(self):
+        w = self.dom
+        if any(c is not None and not 0 <= c < w for c in self.cols):
+            raise InputError(f"a monomial column outside 0..{w - 1}")
+
+
 # Canonical structure maps.  Kinds and their parameter arities:
 CANONICAL_ARITY = {
     "symmetry": 2,            # A(x)B -> B(x)A

@@ -7,7 +7,11 @@ pure Python, several times slower on a witness diagram.  The writer
 accepts only the types these schemas build.  A matrix travels as its
 ``Mor`` entries and is written from them: only nonzero cells are
 formatted, and a run of zero cells (a witness is mostly 0) is one string,
-made once per indent and run length in a ``dumps`` call."""
+made once per indent and run length in a ``dumps`` call.  The mix and
+coevaluation edges of a staircase witness travel as ``Monomial``s, as
+``traces.staircase_layout`` lays them out: each row is written from those
+zero runs and the scalar's text, formatted once per edge, and no dense row
+is built or scanned."""
 
 from __future__ import annotations
 
@@ -16,16 +20,17 @@ import re
 from fractions import Fraction
 from itertools import compress
 from json.encoder import encode_basestring_ascii as _quote
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
-from .category import Mor, Model
+from .category import Monomial, Mor, Model
 from .errors import InputError
 from .loops import Loop, Permutation, hidden_symmetry
 from .rings import (INTEGERS, RATIONALS, RingTag, canonical, echo,
                     format_value, localized_integers, parse_value,
                     ring_contains)
-from .traces import StaircaseWitness, TraceResult, staircase_diagram
-from .zigzag import Diagram, Edge, ZigZagInstance, level_ranks
+from .traces import StaircaseWitness, TraceResult, staircase_layout
+from .zigzag import (Diagram, Edge, ZigZagInstance, check_edge,
+                     level_ranks)
 
 
 class FileFormatError(InputError):
@@ -237,14 +242,20 @@ def zigzag_from_json(data, where: str = "zigzag") -> ZigZagInstance:
                           fillers("right_fillers", "right"))
 
 
-def diagram_to_json(d: Diagram):
+def diagram_to_json(model: Model, objects: Sequence[int],
+                    edges: Sequence[tuple]):
+    """A diagram of node ranks ``objects`` and edges (src, dst, label,
+    matrix) as JSON, each edge checked by ``check_edge``.  A ``Mor``
+    travels as its entries, a ``Monomial`` as itself."""
+    for src, dst, label, f in edges:
+        check_edge(objects, src, dst, f, label)
     return {
-        "model": model_to_json(d.model),
-        "objects": list(d.objects),
+        "model": model_to_json(model),
+        "objects": list(objects),
         "edges": [
-            {"src": e.src, "dst": e.dst, "label": e.label,
-             "entries": e.mor.entries}
-            for e in d.edges
+            {"src": src, "dst": dst, "label": label,
+             "entries": f if type(f) is Monomial else f.entries}
+            for src, dst, label, f in edges
         ],
     }
 
@@ -290,7 +301,7 @@ def trace_result_to_json(r: TraceResult, p: Loop):
         out["witness"] = witness_to_json(r.witness)
         aligned = p if r.alpha is None else hidden_symmetry(p, r.alpha)
         out["witness"]["diagram"] = diagram_to_json(
-            staircase_diagram(aligned, r.witness))
+            p.model, *staircase_layout(aligned, r.witness))
     return out
 
 
@@ -299,8 +310,10 @@ def dumps(payload) -> str:
     escapes, ``[]`` and ``{}`` when empty, and a trailing newline; the
     standard encoder's bytes with ``sort_keys=True, indent=2``, plus the
     newline.  Only dicts with str keys, lists, strs, ints, bools, None and
-    matrices (a ``Mor``'s entries: a tuple of row tuples, written as rows
-    of scalar text) are written; anything else raises TypeError."""
+    matrices (a ``Mor``'s entries: a tuple of row tuples, or a
+    ``Monomial``, written as rows of scalar text) are written; anything
+    else, or a monomial scalar that is no int or Fraction, raises
+    TypeError."""
     out = []
     _write(payload, "\n", out, {})
     out.append("\n")
@@ -338,12 +351,38 @@ def _write(x, nl: str, out: List[str], runs: dict) -> None:
             _write(x[key], inner, out, runs)
             sep = "," + inner
         out.append(nl + "}")
-    elif t is tuple:  # a matrix; cells equal to 0 are "0", others formatted
+    elif t is tuple or t is Monomial:  # a matrix; 0 is "0", others formatted
         inner = nl + "  "
         cell = "," + inner + '  "'
         opened, zero = "[" + inner + '  "', cell + '0"'
         zeros = runs.setdefault(nl, {})  # the text of g zero cells, by g
         sep = "[" + inner
+        if t is Monomial:  # each row zeros but for one cell, the scalar
+            v, w = x.scalar, x.dom
+            if type(v) is not int and type(v) is not Fraction:
+                raise TypeError(f"{type(v).__name__} is not a scalar")
+            if not x.cols:
+                out.append("[]")
+                return
+            text = format_value(v) + '"'
+            head, first, mid = opened + '0"', opened + text, cell + text
+            for c in x.cols:
+                if not w:
+                    out += (sep, "[]")
+                elif c:
+                    g, h = c - 1, w - 1 - c
+                    out += (sep, head,
+                            zeros.get(g) or zeros.setdefault(g, zero * g), mid,
+                            zeros.get(h) or zeros.setdefault(h, zero * h),
+                            inner + "]")
+                else:  # the scalar in column 0, or a row of zeros
+                    g = w - 1
+                    out += (sep, head if c is None else first,
+                            zeros.get(g) or zeros.setdefault(g, zero * g),
+                            inner + "]")
+                sep = "," + inner
+            out.append(nl + "]")
+            return
         for row in x:
             if type(row) is not tuple:
                 raise TypeError(f"{type(row).__name__} is not a matrix row")

@@ -1,5 +1,5 @@
 """Trace machinery: the free and induced mixed traces, the staircase
-diagram of a free trace's witness, hidden traces, and the randomized axiom
+layout of a free trace's witness, hidden traces, and the randomized axiom
 suite.
 
 The staircase works on the pairing form of a loop carrier: the same
@@ -20,8 +20,10 @@ and any other order sorts later.  With n0, n1 and n2 hidden objects of rank
 0, 1 and >= 2 it visits at most 2^n2*(n0+1)*(n1+1) prefix sets, where 2^n2
 is at most the product of those n2 ranks.  This search is the only
 staircase here: the matrices it divides along the found ordering are the
-fillers of the trace's witness, and ``staircase_diagram`` draws that
-witness as a diagram ``zigzag`` can check.
+fillers of the trace's witness, and ``staircase_layout`` lays that witness
+out as a diagram for ``serialize`` to write and ``zigzag`` to check.  Its
+mix and coevaluation edges are ``Monomial``s, a scalar and an index map
+each, never dense matrices.
 
 The induced trace instead contracts everything first and divides once by
 m^k, so it is defined at least as often as the free one, and strictly
@@ -45,17 +47,15 @@ from functools import cache, partial
 from math import prod
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .category import (Mor, Model, canonical_map, check_entry_count,
-                       compose, contract_hidden, dual_mor, identity,
-                       mor_scale, random_mor, regroup, tensor_mor, whisker,
-                       zero_mor)
+from .category import (Model, Monomial, Mor, check_entry_count, compose,
+                       contract_hidden, dual_mor, identity, mor_scale,
+                       random_mor, regroup, tensor_mor, zero_mor)
 from .errors import (InputError, ModelNotCompactifiableError,
                      ResourceLimitError)
 from .loops import (Loop, Permutation, _distinct_choices, hidden_symmetry,
                     loop_compose, loop_dual, loop_tensor, morphism_loop,
                     yanking_loop)
 from .rings import Number, Value, divide_by_mix
-from .zigzag import Diagram, Edge
 
 DEFINED = "defined"
 UNDEFINED = "undefined"
@@ -187,8 +187,10 @@ def free_mixed_trace(p: Loop, want_witness: bool = False) -> TraceResult:
     fillers of the staircase in the found ordering: filler i has its pairs
     regrouped into the order alpha[i:], and psi is the final column.  The
     witness's diagram has h^4 entries in its widest edge, mix-0, for h the
-    product of the hidden ranks; past ``ENTRY_BOUND`` a witness is refused
-    once the search has found an ordering, before psi or a filler is built.
+    product of the hidden ranks: built as a ``Monomial`` of h^2 rows, it
+    is still h^4 cells of output text.  Past ``ENTRY_BOUND`` a witness is
+    refused once the search has found an ordering, before psi or a filler
+    is built.
     """
     model = p.model
     m = model.mix
@@ -233,38 +235,36 @@ def free_mixed_trace(p: Loop, want_witness: bool = False) -> TraceResult:
     return defined(value, Permutation(order), witness)
 
 
-def staircase_diagram(p: Loop, witness: StaircaseWitness) -> Diagram:
-    """The solved staircase of a loop as a checkable diagram: the ladder of
-    mix and coevaluation edges with the witness fillers pointing at the
-    apex object.  Commutation of this diagram is exactly the staircase
-    condition."""
-    model = p.model
-    dims = p.hidden
-    k = p.k
-    ba = p.cod * p.dom
+def staircase_layout(p: Loop, witness: StaircaseWitness
+                     ) -> Tuple[List[int], List[tuple]]:
+    """The solved staircase of a loop laid out as a checkable diagram: the
+    node ranks, and each edge as (src, dst, label, matrix).  Node i < k
+    of the ladder reaches level k + 1 + i, of the same rank, by mix-i,
+    m*Id, and node i + 1 reaches it by coev-i, coev_u (x) Id; both are
+    ``Monomial``s.  Filler i points from level i, and the pairing form
+    from node 0 and psi from node k, at the apex node of rank B*A.
+    Commutation of this diagram is exactly the staircase condition."""
+    dims, k = p.hidden, p.k
+    m = p.model.mix
     suffix = [1] * (k + 1)
     for i in reversed(range(k)):
         suffix[i] = dims[i] * dims[i] * suffix[i + 1]
-    objects = suffix + [dims[i] ** 2 * suffix[i + 1] for i in range(k)]
-    objects.append(ba)                                     # apex
-    apex_idx = len(objects) - 1
-
-    edges: List[Edge] = []
-    for i in range(k):
-        u, level = p.hidden[i], k + 1 + i
-        rest = suffix[i + 1]
-        edges.append(Edge(i, level,
-                          whisker(1, canonical_map(model, "mix_map", [u, u]),
-                                  rest),
-                          f"mix-{i}"))
-        edges.append(Edge(i + 1, level,
-                          whisker(1, canonical_map(model, "coev", [u]), rest),
-                          f"coev-{i}"))
-        edges.append(Edge(level, apex_idx, witness.fillers[i],
-                          f"filler-{i}"))
-    edges.append(Edge(0, apex_idx, pairing_form(p), "pairing"))
-    edges.append(Edge(k, apex_idx, witness.psi, "psi"))
-    return Diagram(model, tuple(objects), tuple(edges))
+    apex = 2 * k + 1
+    edges = []
+    for i, u in enumerate(dims):
+        level, rest = k + 1 + i, suffix[i + 1]
+        # row (a, b, r) of coev_u (x) Id holds its 1 at column r iff a == b
+        cols = [None] * suffix[i]
+        for a in range(u):
+            start = a * (u + 1) * rest
+            cols[start:start + rest] = range(rest)
+        edges += [(i, level, f"mix-{i}",
+                   Monomial(m, suffix[i], range(suffix[i]))),
+                  (i + 1, level, f"coev-{i}", Monomial(1, rest, cols)),
+                  (level, apex, f"filler-{i}", witness.fillers[i])]
+    edges += [(0, apex, "pairing", pairing_form(p)),
+              (k, apex, "psi", witness.psi)]
+    return suffix + suffix[:k] + [p.cod * p.dom], edges
 
 
 def induced_mixed_trace(p: Loop) -> TraceResult:

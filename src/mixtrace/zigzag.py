@@ -29,8 +29,10 @@ fillers: it builds each shape it meets, with its walks, once per call
 (``_corollary_shape``), replays them with each sample's fillers and makes
 only the witness it returns an instance.
 
-The module builds on ``category`` and ``loops`` only; ``traces`` draws a
-free trace's staircase witness as a diagram and checks it here.
+The module builds on ``category`` and ``loops`` only.  A free trace's
+staircase witness is laid out by ``traces``, its edges checked by
+``check_edge`` and written by ``serialize``, and read back into a
+``Diagram`` when ``zigzag-check`` checks it.
 """
 
 from __future__ import annotations
@@ -71,20 +73,26 @@ class Diagram(Value):
 
     def __post_init__(self):
         check_ranks(*self.objects)
-        n = len(self.objects)
         for e in self.edges:
-            if not (0 <= e.src < n and 0 <= e.dst < n):
-                raise InputError(f"edge {e.label!r} references a missing node")
+            check_edge(self.objects, e.src, e.dst, e.mor, e.label)
             if e.mor.model != self.model:
                 raise InputError(f"edge {e.label!r} is in the wrong model")
-            if e.mor.dom != self.objects[e.src]:
-                raise InputError(
-                    f"edge {e.label!r}: domain rank {e.mor.dom} != "
-                    f"node rank {self.objects[e.src]}")
-            if e.mor.cod != self.objects[e.dst]:
-                raise InputError(
-                    f"edge {e.label!r}: codomain rank {e.mor.cod} != "
-                    f"node rank {self.objects[e.dst]}")
+
+
+def check_edge(objects: Sequence[int], src: int, dst: int, f,
+               label: str) -> None:
+    """Refuse an edge from node src to node dst, of a diagram with node
+    ranks ``objects``, whose nodes are missing or whose matrix f, a
+    ``Mor`` or a ``Monomial``, does not have their ranks."""
+    n = len(objects)
+    if not (0 <= src < n and 0 <= dst < n):
+        raise InputError(f"edge {label!r} references a missing node")
+    if f.dom != objects[src]:
+        raise InputError(f"edge {label!r}: domain rank {f.dom} != "
+                         f"node rank {objects[src]}")
+    if f.cod != objects[dst]:
+        raise InputError(f"edge {label!r}: codomain rank {f.cod} != "
+                         f"node rank {objects[dst]}")
 
 
 class CounterPath(Value):

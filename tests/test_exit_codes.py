@@ -19,11 +19,11 @@ from hypothesis import given, settings, strategies as st
 
 from mixtrace import cli
 from mixtrace.category import Model, mor
-from mixtrace.loops import Loop, hidden_symmetry, morphism_loop
+from mixtrace.loops import Loop, morphism_loop
 from mixtrace.rings import INTEGERS, RATIONALS, localized_integers
-from mixtrace.serialize import (diagram_to_json, dumps, loop_to_json,
-                                mor_to_json, zigzag_to_json)
-from mixtrace.traces import free_mixed_trace, random_loop, staircase_diagram
+from mixtrace.serialize import (dumps, loop_to_json, mor_to_json,
+                                trace_result_to_json, zigzag_to_json)
+from mixtrace.traces import free_mixed_trace, random_loop
 from mixtrace.zigzag import search_counterexample
 
 SECONDS = 5  # per case; a case past it fails with CaseTooSlow
@@ -43,15 +43,13 @@ def _loops():
 
 
 def _diagram():
-    # the staircase of the first seeded loop with a hidden object and a
-    # free trace
+    # the emitted staircase of the first seeded loop with a hidden object
+    # and a free trace
     for seed in range(100):
         p = random_loop(random.Random(seed), MODELS[0], 2, 2)
         r = free_mixed_trace(p, want_witness=True)
         if p.hidden and r.is_defined:
-            aligned = p if r.alpha is None else hidden_symmetry(p, r.alpha)
-            return _plain(diagram_to_json(staircase_diagram(aligned,
-                                                            r.witness)))
+            return _plain(trace_result_to_json(r, p))["witness"]["diagram"]
     raise AssertionError("no seed gives a defined free trace")
 
 

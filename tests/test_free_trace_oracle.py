@@ -10,15 +10,14 @@ from math import prod
 import pytest
 
 from mixtrace.category import Model, Mor, mor
-from mixtrace.loops import Loop, hidden_symmetry
+from mixtrace.loops import Loop
 from mixtrace.rings import (INTEGERS, RATIONALS, localized_integers,
                             ring_contains)
 from mixtrace.serialize import dumps, trace_result_to_json
-from mixtrace.traces import (StaircaseWitness, free_mixed_trace,
-                             staircase_diagram)
+from mixtrace.traces import StaircaseWitness, defined, free_mixed_trace
 from mixtrace.zigzag import diagram_commutes
 
-from trace_reference import free_trace_by_orderings, is_unit
+from trace_reference import emitted_diagram, free_trace_by_orderings, is_unit
 
 RINGS = (INTEGERS, RATIONALS, localized_integers(2), localized_integers(3))
 MIXES = (0, 1, 2, 3, 4, 6, -2, Fraction(1, 2), Fraction(3, 2))
@@ -154,8 +153,9 @@ def _nudged(f, rng):
 
 
 def test_free_trace_witness_commutes():
-    # the staircase diagram of every witness the search returns commutes,
-    # and changing one entry of a non-empty filler breaks it
+    # the emitted diagram of every witness the search returns commutes,
+    # read back as zigzag-check reads it, and changing one entry of a
+    # non-empty filler breaks it
     rng = random.Random(1996)
     checked = nudged = 0
     for case in range(600):
@@ -165,8 +165,7 @@ def test_free_trace_witness_commutes():
             continue
         w = got.witness
         assert w is not None and len(w.fillers) == p.k
-        aligned = hidden_symmetry(p, got.alpha)
-        assert diagram_commutes(staircase_diagram(aligned, w)) is True
+        assert diagram_commutes(emitted_diagram(got, p)) is True
         checked += 1
         full = [i for i, f in enumerate(w.fillers)
                 if f.dom and f.cod]
@@ -174,8 +173,8 @@ def test_free_trace_witness_commutes():
             i = rng.choice(full)
             fillers = list(w.fillers)
             fillers[i] = _nudged(fillers[i], rng)
-            broken = StaircaseWitness(w.psi, tuple(fillers))
-            assert diagram_commutes(staircase_diagram(aligned, broken)) \
-                is not True
+            broken = defined(got.value, got.alpha,
+                             StaircaseWitness(w.psi, tuple(fillers)))
+            assert diagram_commutes(emitted_diagram(broken, p)) is not True
             nudged += 1
     assert checked >= 300 and nudged >= 250, (checked, nudged)

@@ -1,7 +1,10 @@
 """Matrix JSON against per-entry oracles: the reference rows of scalar
 text equal one ``format_value`` per entry, ``dumps`` writes a matrix from
-its entries as the reference writer writes those rows, and every loop and
-staircase diagram survives the trip through ``dumps`` and back."""
+its entries, and a ``Monomial`` from its index map, as the reference
+writer writes those rows, and every loop and staircase diagram survives
+the trip through ``dumps`` and back.  A monomial edge that does not fit
+its nodes, a monomial column outside its width and a monomial scalar that
+is no int or Fraction are refused."""
 
 import json
 import random
@@ -11,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mixtrace import serialize
-from mixtrace.category import Model, Mor, mor
+from mixtrace.category import Model, Monomial, Mor, mor
 from mixtrace.errors import InputError
 from mixtrace.loops import hidden_symmetry
 from mixtrace.rings import (INTEGERS, RATIONALS, format_value,
@@ -19,9 +22,11 @@ from mixtrace.rings import (INTEGERS, RATIONALS, format_value,
 from mixtrace.serialize import (FileFormatError, _bare_matrix_from_json,
                                 diagram_from_json, diagram_to_json, dumps,
                                 loop_from_json, loop_to_json, mor_to_json)
-from mixtrace.traces import free_mixed_trace, random_loop, staircase_diagram
+from mixtrace.traces import free_mixed_trace, random_loop
 
-from trace_reference import bare_matrix_to_json, row_joining_dumps
+from trace_reference import (bare_matrix_to_json, drawn_diagram_to_json,
+                             emitted_diagram, row_joining_dumps,
+                             staircase_diagram)
 
 MODELS = {"zmod:2": Model(INTEGERS, 2),
           "qmod:1/2": Model(RATIONALS, Fraction(1, 2)),
@@ -72,6 +77,64 @@ def test_matrix_rows_of_fixed_entries():
         ["0", "-3", str(big), str(-big)], ["0", "2", "-1/2", "5/36"]]
     assert bare_matrix_to_json(f) == per_entry(f)
     assert_written_as_the_reference_writes(f)
+
+
+def _dense(f: Monomial, model: Model) -> Mor:
+    return Mor(model, f.dom, f.cod, tuple(
+        tuple(f.scalar if j == c else 0 for j in range(f.dom))
+        for c in f.cols))
+
+
+@pytest.mark.parametrize("scalar, width, cols", [
+    (2, 4, range(4)), (1, 3, (0, None, 2, None, 1)),
+    (Fraction(-1, 2), 5, (4, 0, None, 3)), (0, 3, (0, 1, 2)),
+    (7, 0, (None, None)), (5, 2, ()), (-3, 1, (0, None)),
+    (2 ** 70 + 1, 2, (1, 1, None)), (1, 300, (299, 0, 150, None))],
+    ids=["identity", "sparse", "fraction", "zero-scalar", "width-0",
+         "no-rows", "width-1", "long-int", "width-300"])
+def test_monomial_rows_are_written_as_their_dense_rows(scalar, width, cols):
+    f = Monomial(scalar, width, cols)
+    dense = _dense(f, MODELS["qmod:1/2"])
+    assert dumps(f) == dumps(dense.entries) == row_joining_dumps(
+        bare_matrix_to_json(dense))
+    # at two depths, sharing the zero runs of the call with a dense matrix
+    # that has runs of every length
+    other = Mor(dense.model, 300, 2, ((1,) + (0,) * 299, (0,) * 299 + (1,)))
+    payload = {"a": [f, other.entries], "b": {"c": f}}
+    expected = {"a": [dense.entries, other.entries], "b": {"c": dense.entries}}
+    assert dumps(payload) == dumps(expected)
+
+
+@pytest.mark.parametrize("width, cols", [(2, (0, 2)), (2, (-1,)), (0, (0,)),
+                                         (3, (None, 3, 1))])
+def test_monomial_column_outside_its_width_is_refused(width, cols):
+    with pytest.raises(InputError) as exc:
+        Monomial(1, width, cols)
+    assert str(exc.value) == f"a monomial column outside 0..{width - 1}"
+
+
+@pytest.mark.parametrize("scalar", [1.5, 0.0, "1", None, True, [1]])
+def test_monomial_scalar_of_another_type_is_refused(scalar):
+    with pytest.raises(TypeError) as exc:
+        dumps({"entries": Monomial(scalar, 2, (0, None))})
+    assert str(exc.value) == f"{type(scalar).__name__} is not a scalar"
+
+
+@pytest.mark.parametrize("objects, edge, message", [
+    ((2, 3), (0, 1, Monomial(1, 2, (0, 1))),
+     "edge 'm': codomain rank 2 != node rank 3"),
+    ((2, 3), (0, 1, Monomial(1, 3, (0, 1, 2))),
+     "edge 'm': domain rank 3 != node rank 2"),
+    ((2, 2), (0, 2, Monomial(1, 2, (0, 1))),
+     "edge 'm' references a missing node"),
+    ((1, 2), (0, 1, Mor(MODELS["zmod:2"], 1, 1, ((1,),))),
+     "edge 'm': codomain rank 1 != node rank 2")],
+    ids=["rows", "width", "node", "mor"])
+def test_edge_that_does_not_fit_its_nodes_is_refused(objects, edge, message):
+    src, dst, f = edge
+    with pytest.raises(InputError) as exc:
+        diagram_to_json(MODELS["zmod:2"], objects, [(src, dst, "m", f)])
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("cell", [
@@ -126,7 +189,8 @@ def test_loops_and_staircases_survive_json(name, seed):
     if r.is_defined:
         aligned = p if r.alpha is None else hidden_symmetry(p, r.alpha)
         d = staircase_diagram(aligned, r.witness)
-        assert diagram_from_json(_through_text(diagram_to_json(d))) == d
+        assert diagram_from_json(_through_text(drawn_diagram_to_json(d))) == d
+        assert emitted_diagram(r, p) == d
 
 
 def per_cell_read(data, model, dom, cod, where):

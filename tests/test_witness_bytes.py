@@ -21,10 +21,10 @@ import pytest
 from mixtrace import cli
 from mixtrace.loops import hidden_symmetry
 from mixtrace.serialize import diagram_from_json, loop_from_json
-from mixtrace.traces import free_mixed_trace, staircase_diagram
+from mixtrace.traces import free_mixed_trace
 
 from trace_reference import (all_permutations, provisional_trace,
-                             row_joining_dumps)
+                             row_joining_dumps, staircase_diagram)
 
 
 def _model(ring, mix):

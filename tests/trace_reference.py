@@ -54,6 +54,9 @@ library's staircase layout replaced: every mix and coevaluation edge of
 the ladder built as a whiskered ``Mor``.  The witness diagram the library
 emits must be what ``diagram_to_json`` of this diagram writes, byte for
 byte, and this diagram must commute exactly when the staircase is solved.
+``emitted_diagram`` reads the emitted one back as ``zigzag-check`` does,
+and ``drawn_diagram_to_json`` writes a drawn ``Diagram`` through the
+library's one diagram writer.
 
 ``bare_matrix_to_json`` and ``row_joining_dumps`` are the writer the
 library's matrix writer replaced: every cell of a matrix turned into its
@@ -62,6 +65,7 @@ scalar text first, then each row of strings written in one join.  What
 """
 
 import itertools
+import json
 from fractions import Fraction
 from itertools import compress
 from json.encoder import encode_basestring_ascii as _quote
@@ -78,6 +82,8 @@ from mixtrace.loops import (Loop, Permutation, hidden_symmetry, loop_dual,
                             loop_tensor)
 from mixtrace.rings import (Number, RingTag, _exact_div, divide_by_mix,
                             divides_power, format_value)
+from mixtrace.serialize import (diagram_from_json, diagram_to_json, dumps,
+                                trace_result_to_json)
 from mixtrace.traces import (AMBIGUOUS, StaircaseWitness, TraceResult,
                              _contract_pair, ambiguous, defined, pairing_form,
                              undefined)
@@ -232,6 +238,19 @@ def staircase_diagram(p: Loop, witness: StaircaseWitness) -> Diagram:
     edges.append(Edge(0, apex_idx, pairing_form(p), "pairing"))
     edges.append(Edge(k, apex_idx, witness.psi, "psi"))
     return Diagram(model, tuple(objects), tuple(edges))
+
+
+def drawn_diagram_to_json(d: Diagram):
+    """The JSON of a built diagram, its edges laid out for the writer."""
+    return diagram_to_json(d.model, d.objects,
+                           [(e.src, e.dst, e.label, e.mor) for e in d.edges])
+
+
+def emitted_diagram(r: TraceResult, p: Loop) -> Diagram:
+    """The witness diagram of p's trace result r as the CLI writes it,
+    read back through ``diagram_from_json``."""
+    payload = json.loads(dumps(trace_result_to_json(r, p)))
+    return diagram_from_json(payload["witness"]["diagram"])
 
 
 def free_trace_by_orderings(p, want_witness=False):
