@@ -51,12 +51,12 @@ row by row, and the times rule as a product of three of them.
 
 ``staircase_diagram`` is the dense drawing of a free trace's witness the
 library's staircase layout replaced: every mix and coevaluation edge of
-the ladder built as a whiskered ``Mor``.  The witness diagram the library
-emits must be what ``diagram_to_json`` of this diagram writes, byte for
-byte, and this diagram must commute exactly when the staircase is solved.
-``emitted_diagram`` reads the emitted one back as ``zigzag-check`` does,
-and ``drawn_diagram_to_json`` writes a drawn ``Diagram`` through the
-library's one diagram writer.
+the ladder built as a whiskered ``Mor``.  ``drawn_diagram_to_json``
+writes a drawn ``Diagram`` through the library's one diagram writer, and
+the witness diagram the library emits must be, byte for byte, what it
+writes for this diagram; this diagram must commute exactly when the
+staircase is solved.  ``emitted_diagram`` reads the emitted one back as
+``zigzag-check`` does.
 
 ``bare_matrix_to_json`` and ``row_joining_dumps`` are the writer the
 library's matrix writer replaced: every cell of a matrix turned into its
