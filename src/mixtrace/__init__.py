@@ -17,7 +17,7 @@ from .rings import (INTEGERS, RATIONALS, RingTag, localized_integers,
 from .traces import (StaircaseWitness, TraceResult, free_mixed_trace,
                      hidden_trace, induced_mixed_trace, pairing_form,
                      run_axiom_suite)
-from .zigzag import (Diagram, Edge, ZigZagInstance, check_zigzag_instance,
+from .zigzag import (Diagram, ZigZagInstance, check_zigzag_instance,
                      diagram_commutes, search_counterexample)
 
 __version__ = "0.1.0"

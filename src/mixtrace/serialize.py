@@ -29,8 +29,7 @@ from .rings import (INTEGERS, RATIONALS, RingTag, canonical, echo,
                     format_value, localized_integers, parse_value,
                     ring_contains)
 from .traces import StaircaseWitness, TraceResult, staircase_layout
-from .zigzag import (Diagram, Edge, ZigZagInstance, check_edge,
-                     level_ranks)
+from .zigzag import Diagram, ZigZagInstance, check_edge, level_ranks
 
 
 class FileFormatError(InputError):
@@ -247,8 +246,8 @@ def diagram_to_json(model: Model, objects: Sequence[int],
     """A diagram of node ranks ``objects`` and edges (src, dst, label,
     matrix) as JSON, each edge checked by ``check_edge``.  A ``Mor``
     travels as its entries, a ``Monomial`` as itself."""
-    for src, dst, label, f in edges:
-        check_edge(objects, src, dst, f, label)
+    for e in edges:
+        check_edge(objects, e)
     return {
         "model": model_to_json(model),
         "objects": list(objects),
@@ -281,7 +280,7 @@ def diagram_from_json(data, where: str = "diagram") -> Diagram:
         if not isinstance(label, str):
             raise FileFormatError(
                 f"{where}.edges[{i}].label: expected a string")
-        edges.append(Edge(src, dst, f, label))
+        edges.append((src, dst, label, f))
     return Diagram(model, objects, edges)
 
 

@@ -1,13 +1,14 @@
 """Finite-diagram commutation checking and the contractible zig-zag
 condition, including the counterexample search for the m = 0 model.
 
-A diagram is a labelled multigraph of objects and morphisms; it commutes
-when all simple directed paths between any two nodes compose to the same
-matrix and all simple cycles compose to the identity (so isomorphism
-edges, stored in both orientations, behave like the unoriented lines they
-stand for).  ``diagram_commutes`` checks every edge against one tree of
-composites per source node: O(V * E) composites, with no path limit.  A
-failure is reported as two parallel simple paths with unequal composites.
+A diagram is a labelled multigraph of objects and morphisms, each edge a
+tuple (src, dst, label, matrix); it commutes when all simple directed
+paths between any two nodes compose to the same matrix and all simple
+cycles compose to the identity (so isomorphism edges, stored in both
+orientations, behave like the unoriented lines they stand for).
+``diagram_commutes`` checks every edge against one tree of composites per
+source node: O(V * E) composites, with no path limit.  A failure is
+reported as two parallel simple paths with unequal composites.
 
 A zig-zag instance is a diagram whose last two edges, the bottom
 symmetry, turn the premise into the conclusion; the premise is checked as
@@ -17,8 +18,9 @@ premise trees that reach it, which the premise's check names.  Everything
 of the diagram but the hub and the fillers depends only on the instance's
 objects, maps and permutation: ``build_zigzag_frame`` builds that part,
 the frame, with Id (x) f (x) Id whiskered by block copy
-(``category.whisker``) and a slot per filler.  The hub is a sink that only
-fillers enter, so a walk grows each tree over the frame's edges, checking
+(``category.whisker``) and a slot per filler: an edge into the hub whose
+matrix is the slot key (side, k).  The hub is a sink that only fillers
+enter, so a walk grows each tree over the frame's other edges, checking
 them, and keeps the path composite P_s(u) at each slot's tail; a replay
 checks fillers f by the products f . P_s(u) alone, and no diagram with
 the hub is ever built.  ``_shape_walks`` builds a frame with its premise
@@ -51,21 +53,11 @@ from .loops import Permutation
 from .rings import Value
 
 
-class Edge(Value):
-    __slots__ = ("src", "dst", "mor", "label")
-
-    def __init__(self, src: int, dst: int, mor: Mor, label: str = ""):
-        object.__setattr__(self, "src", src)
-        object.__setattr__(self, "dst", dst)
-        object.__setattr__(self, "mor", mor)
-        object.__setattr__(self, "label", label)
-
-
 class Diagram(Value):
     __slots__ = ("model", "objects", "edges")
 
     def __init__(self, model: Model, objects: Sequence[int],
-                 edges: Sequence[Edge]):
+                 edges: Sequence[tuple]):
         object.__setattr__(self, "model", model)
         object.__setattr__(self, "objects", tuple(objects))
         object.__setattr__(self, "edges", tuple(edges))
@@ -74,16 +66,16 @@ class Diagram(Value):
     def __post_init__(self):
         check_ranks(*self.objects)
         for e in self.edges:
-            check_edge(self.objects, e.src, e.dst, e.mor, e.label)
-            if e.mor.model != self.model:
-                raise InputError(f"edge {e.label!r} is in the wrong model")
+            check_edge(self.objects, e)
+            if e[3].model != self.model:
+                raise InputError(f"edge {e[2]!r} is in the wrong model")
 
 
-def check_edge(objects: Sequence[int], src: int, dst: int, f,
-               label: str) -> None:
-    """Refuse an edge from node src to node dst, of a diagram with node
-    ranks ``objects``, whose nodes are missing or whose matrix f, a
-    ``Mor`` or a ``Monomial``, does not have their ranks."""
+def check_edge(objects: Sequence[int], edge: tuple) -> None:
+    """Refuse an edge (src, dst, label, f), of a diagram with node ranks
+    ``objects``, whose nodes are missing or whose matrix f, a ``Mor`` or a
+    ``Monomial``, does not have their ranks."""
+    src, dst, label, f = edge
     n = len(objects)
     if not (0 <= src < n and 0 <= dst < n):
         raise InputError(f"edge {label!r} references a missing node")
@@ -99,16 +91,14 @@ class CounterPath(Value):
     """Two parallel paths (as edge index sequences) with unequal
     composites."""
 
-    __slots__ = ("src", "dst", "path_a", "path_b", "value_a", "value_b")
+    __slots__ = ("src", "dst", "path_a", "path_b")
 
     def __init__(self, src: int, dst: int, path_a: Tuple[int, ...],
-                 path_b: Tuple[int, ...], value_a: Mor, value_b: Mor):
+                 path_b: Tuple[int, ...]):
         object.__setattr__(self, "src", src)
         object.__setattr__(self, "dst", dst)
         object.__setattr__(self, "path_a", path_a)
         object.__setattr__(self, "path_b", path_b)
-        object.__setattr__(self, "value_a", value_a)
-        object.__setattr__(self, "value_b", value_b)
 
 
 def diagram_commutes(d: Diagram):
@@ -119,25 +109,24 @@ def diagram_commutes(d: Diagram):
     A failing edge names the tree path to v against the tree path to u
     plus e or, when v lies inside the latter, that cycle at v against the
     identity."""
-    found = _replay(d.objects, _walk(d.model, d.objects, d.edges), None)
+    found = _replay(d.objects, _walk(d.objects, d.edges), None)
     return found if isinstance(found, CounterPath) else True
 
 
-def _walk(model: Model, objects: Sequence[int], edges: Sequence[object],
-          tails=()):
+def _walk(objects: Sequence[int], edges: Sequence[tuple], tails=()):
     """The events of each node's tree, by source in ascending order, in the
-    diagram of ``objects`` and ``edges``: ``Edge``s and filler slots
-    (u, side, k) into a sink after ``objects``.  A tree grows over the
-    ``Edge``s, its composite P implicit at the source, and yields per slot
-    met (index, side, k, the nonzeros (column, entry) per row of P_s(u) or
-    None at the source, path to u); then the first failing edge's
-    ``CounterPath`` or whether the tree holds a node of ``tails``.  Each
-    source's events are a ``tee`` never advanced: each ``__copy__`` replays
-    them, and the tree grows only as far as a replay has asked."""
-    adjacency: Dict[int, List[Tuple[int, object]]] = {}
-    for idx, e in enumerate(edges):
-        adjacency.setdefault(e.src if type(e) is Edge else e[0],
-                             []).append((idx, e))
+    diagram of ``objects`` and ``edges`` (src, dst, label, f): f is a
+    ``Mor`` or, on a filler slot into a sink after ``objects``, the slot
+    key (side, k).  A tree grows over the ``Mor`` edges, its composite P
+    implicit at the source, and yields per slot met (index, key, the
+    nonzeros (column, entry) per row of P_s(u) or None at the source, path
+    to u); then the first failing edge's ``CounterPath`` or whether the
+    tree holds a node of ``tails``.  Each source's events are a ``tee``
+    never advanced: each ``__copy__`` replays them, and the tree grows
+    only as far as a replay has asked."""
+    adjacency: Dict[int, List[Tuple[int, int, object]]] = {}
+    for idx, (u, v, _, f) in enumerate(edges):
+        adjacency.setdefault(u, []).append((idx, v, f))
 
     def grow(src: int):
         tree = {src: (None, ())}
@@ -145,26 +134,24 @@ def _walk(model: Model, objects: Sequence[int], edges: Sequence[object],
         while stack:
             u = stack.pop()
             comp, path = tree[u]
-            for idx, e in adjacency.get(u, []):
-                if type(e) is not Edge:  # a slot, filled at replay
+            for idx, v, f in adjacency.get(u, []):
+                if type(f) is tuple:  # a slot, filled at replay
                     nonzeros = None if comp is None else tuple(
                         tuple((j, x) for j, x in enumerate(row) if x)
                         for row in comp.entries)
-                    yield idx, e[1], e[2], nonzeros, path
+                    yield idx, f, nonzeros, path
                     continue
-                value = e.mor if comp is None else compose(e.mor, comp)
+                value = f if comp is None else compose(f, comp)
                 via = path + (idx,)
-                at_v = tree.get(e.dst)
+                at_v = tree.get(v)
                 if at_v is None:
-                    tree[e.dst] = (value, via)
-                    stack.append(e.dst)
+                    tree[v] = (value, via)
+                    stack.append(v)
                 elif at_v[0] is None:  # back at the source
                     if not _is_identity(value.entries):
-                        return _counter_pair(model, objects, edges, src, at_v,
-                                             via, value)
+                        return _counter_pair(edges, src, at_v[1], via)
                 elif value.entries != at_v[0].entries:
-                    return _counter_pair(model, objects, edges, src, at_v,
-                                         via, value)
+                    return _counter_pair(edges, src, at_v[1], via)
         return any(t in tree for t in tails)
 
     def events(src: int):  # the tree is dropped before the last event
@@ -174,17 +161,17 @@ def _walk(model: Model, objects: Sequence[int], edges: Sequence[object],
 
 
 def _replay(objects: Sequence[int], walk, fillers, sources=None):
-    """A walk's check over ``sources``, by default every source, with slot
-    (u, side, k) filled by ``fillers[side][k]`` times P_s(u), in
-    ``compose``'s order: the first failing pair or the sources whose tree
-    holds a tail."""
+    """A walk's check over ``sources``, by default every source, with the
+    slot of key (side, k) at u filled by ``fillers[side][k]`` times
+    P_s(u), in ``compose``'s order: the first failing pair or the sources
+    whose tree holds a tail."""
     reached = []
     for src in walk if sources is None else sources:
         first, width = None, objects[src]
         for event in walk[src].__copy__():
             if type(event) is not tuple:
                 break
-            idx, side, k, nonzeros, path = event
+            idx, (side, k), nonzeros, path = event
             f = fillers[side][k]
             rows = list(f.entries)
             if nonzeros is not None:
@@ -198,9 +185,7 @@ def _replay(objects: Sequence[int], walk, fillers, sources=None):
             if first is None:
                 first = (rows, path + (idx,))
             elif rows != first[0]:
-                return CounterPath(src, len(objects), first[1], path + (idx,),
-                                   *(Mor(f.model, objects[src], f.cod,
-                                         tuple(r)) for r in (first[0], rows)))
+                return CounterPath(src, len(objects), first[1], path + (idx,))
         if isinstance(event, CounterPath):
             return event
         if event:
@@ -213,20 +198,13 @@ def _is_identity(entries) -> bool:
                for i, row in enumerate(entries))
 
 
-def _counter_pair(model: Model, objects: Sequence[int], edges, src: int,
-                  at_v, via: Tuple[int, ...], value: Mor) -> CounterPath:
-    v = edges[via[-1]].dst
-    inner = [edges[i].dst for i in via[:-1]]
+def _counter_pair(edges, src: int, path_v: Tuple[int, ...],
+                  via: Tuple[int, ...]) -> CounterPath:
+    v = edges[via[-1]][1]
+    inner = [edges[i][1] for i in via[:-1]]
     if v == src or v not in inner:
-        ref = at_v[0]
-        if ref is None:
-            ref = identity(model, objects[src])
-        return CounterPath(src, v, at_v[1], via, ref, value)
-    cycle = via[inner.index(v) + 1:]
-    ident = value = identity(model, objects[v])
-    for idx in cycle:
-        value = compose(edges[idx].mor, value)
-    return CounterPath(v, v, (), cycle, ident, value)
+        return CounterPath(src, v, path_v, via)
+    return CounterPath(v, v, (), via[inner.index(v) + 1:])
 
 
 class ZigZagInstance(Value):
@@ -319,7 +297,8 @@ class ZigZagOutcome(Value):
 
 
 # A frame: the objects below the hub and the edges in diagram order, each
-# filler edge a slot (src, side, k) for the side's filler k.
+# filler edge a slot (u, hub, label, (side, k)) for the side's filler k,
+# the hub being the node after the objects.
 Frame = Tuple[Tuple[int, ...], Tuple[object, ...]]
 
 
@@ -347,26 +326,27 @@ def build_zigzag_frame(model: Model, upper: Sequence[int],
     def a_idx(side: str, k: int) -> int:
         return (0 if side == "left" else 2 * n + 1) + (n + 1) + (k - 1)
 
-    edges: List[object] = []
+    hub = len(objects)
+    edges: List[tuple] = []
     for side, order in (("left", range(n)), ("right", perm.images)):
         for k in range(1, n + 1):
             i = order[k - 1]
             pre = prod(lower[j] for j in order[:k - 1])
             post = prod(upper[j] for j in order[k:])
-            edges.append(Edge(x_idx(side, k - 1), a_idx(side, k),
-                              whisker(pre, downs[i], post),
-                              f"{side}-down-{k}"))
-            edges.append(Edge(x_idx(side, k), a_idx(side, k),
-                              whisker(pre, ups[i], post), f"{side}-up-{k}"))
-        edges.append((x_idx(side, 0), side, 0))
-        edges += [(a_idx(side, k), side, k) for k in range(1, n + 1)]
+            edges.append((x_idx(side, k - 1), a_idx(side, k),
+                          f"{side}-down-{k}", whisker(pre, downs[i], post)))
+            edges.append((x_idx(side, k), a_idx(side, k), f"{side}-up-{k}",
+                          whisker(pre, ups[i], post)))
+        edges += [(x_idx(side, 0) if k == 0 else a_idx(side, k), hub,
+                   f"{side}-filler-{k or 'top'}", (side, k))
+                  for k in range(n + 1)]
 
     for name, objs, i in (("top", upper, 0), ("bottom", lower, n)):
         iso = factor_permutation(model, objs, perm.images)
-        edges.append(Edge(x_idx("left", i), x_idx("right", i), iso,
-                          f"{name}-iso"))
-        edges.append(Edge(x_idx("right", i), x_idx("left", i), dual_mor(iso),
-                          f"{name}-iso-inv"))
+        edges.append((x_idx("left", i), x_idx("right", i), f"{name}-iso",
+                      iso))
+        edges.append((x_idx("right", i), x_idx("left", i),
+                      f"{name}-iso-inv", dual_mor(iso)))
     return tuple(objects), tuple(edges)
 
 
@@ -381,8 +361,8 @@ def _shape_walks(model: Model, upper: Sequence[int], apex: Sequence[int],
     frame = build_zigzag_frame(model, upper, lower, downs, ups, perm, levels)
     objects, edges = frame
     return ((levels["left"][1], levels["right"][1]), frame,
-            _walk(model, objects, edges[:-2], {e.src for e in edges[-2:]}),
-            _walk(model, objects, edges))
+            _walk(objects, edges[:-2], {e[0] for e in edges[-2:]}),
+            _walk(objects, edges))
 
 
 def check_zigzag_instance(inst: ZigZagInstance) -> ZigZagOutcome:

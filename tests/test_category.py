@@ -15,7 +15,7 @@ from mixtrace.errors import InputError, ResourceLimitError
 from mixtrace.loops import (Loop, Permutation, hidden_symmetry, loop_compose,
                             loop_tensor, morphism_loop, yanking_loop)
 from mixtrace.rings import INTEGERS, RATIONALS, RingTag, localized_integers
-from mixtrace.zigzag import Diagram, Edge, ZigZagInstance
+from mixtrace.zigzag import Diagram, ZigZagInstance
 
 from trace_reference import is_compact
 
@@ -465,10 +465,10 @@ def _rank_refusals():
                                      morphism_loop(identity(Z2, r1))),
                  "loops belong to different models", id="loop_tensor"),
     pytest.param(lambda: Diagram(Z2, (r1, r1),
-                                 (Edge(0, 1, identity(Z3, r1), "f"),)),
+                                 ((0, 1, "f", identity(Z3, r1)),)),
                  "edge 'f' is in the wrong model", id="diagram-model"),
     pytest.param(lambda: Diagram(Z2, (r2, r1),
-                                 (Edge(0, 1, identity(Z2, r1), "f"),)),
+                                 ((0, 1, "f", identity(Z2, r1)),)),
                  "edge 'f': domain rank 1 != node rank 2",
                  id="diagram-domain"),
     pytest.param(lambda: _zigzag(upper=(r1, r1)), "tuple lengths disagree",

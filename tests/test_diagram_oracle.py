@@ -4,8 +4,8 @@ enumerator ``diagram_commutes_by_paths`` in ``trace_reference``.
 The corpus is every diagram the zig-zag search checks (zmod:0/1/2, n = 1..3)
 plus seeded random multigraphs with self-loops, parallel edges, 2-cycles
 and rank-0 nodes.  The verdicts must agree, and every counterexample must
-be a genuine pair: two simple paths from ``src`` to ``dst`` that compose to
-``value_a`` and ``value_b``, which differ.
+be a genuine pair: two simple paths from ``src`` to ``dst`` whose
+composites differ.
 
 A zig-zag diagram is checked by ``zigzag._check_zigzag``: the premise over
 every source, then the conclusion by re-growing only the premise trees
@@ -25,7 +25,7 @@ from mixtrace import zigzag
 from mixtrace.category import (Model, compose, dual_mor, identity, mor,
                                mor_scale, random_mor)
 from mixtrace.rings import INTEGERS
-from mixtrace.zigzag import (CounterPath, Diagram, Edge, ZigZagOutcome,
+from mixtrace.zigzag import (CounterPath, Diagram, ZigZagOutcome,
                              diagram_commutes)
 
 from trace_reference import check_zigzag as reference_check_zigzag
@@ -40,22 +40,23 @@ def _walk(d, src, path):
     its composite."""
     nodes, value = [src], identity(d.model, d.objects[src])
     for idx in path:
-        e = d.edges[idx]
-        assert e.src == nodes[-1], (path, idx)
-        nodes.append(e.dst)
-        value = compose(e.mor, value)
+        u, v, _, f = d.edges[idx]
+        assert u == nodes[-1], (path, idx)
+        nodes.append(v)
+        value = compose(f, value)
     return nodes, value
 
 
 def assert_genuine(d, c):
     assert isinstance(c, CounterPath)
-    for path, value in ((c.path_a, c.value_a), (c.path_b, c.value_b)):
+    composites = []
+    for path in (c.path_a, c.path_b):
         nodes, composite = _walk(d, c.src, path)
         assert nodes[-1] == c.dst
         inner = nodes[:-1] if c.src == c.dst else nodes
         assert len(set(inner)) == len(inner), ("not simple", nodes)
-        assert composite == value
-    assert c.value_a.entries != c.value_b.entries
+        composites.append(composite.entries)
+    assert composites[0] != composites[1]
 
 
 def assert_agrees(d):
@@ -86,7 +87,7 @@ def _check_zigzag_regrowing(d):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(zigzag, "_replay", record)
         outcome = zigzag._check_zigzag(
-            d.objects, *frame_walks(d.model, d.objects, d.edges), None)
+            d.objects, *frame_walks(d.objects, d.edges), None)
     assert len(replays) in (1, 2) and replays[0] is None
     return outcome, replays[1] if len(replays) == 2 else None
 
@@ -104,7 +105,7 @@ def assert_zigzag_check_agrees(d):
         return None
     full = diagram_commutes(d)
     # ZigZagOutcome equality covers the status and the whole CounterPath:
-    # src, dst, both paths and both values
+    # src, dst and both paths
     assert outcome == (ZigZagOutcome("holds") if full is True
                        else ZigZagOutcome("violated", full))
     assert regrown == sources_reaching_last_two_tails(d)
@@ -185,7 +186,7 @@ def test_search_diagrams_agree_and_name_the_same_pair(monkeypatch):
         assert new == old == verdict
         # and a check of only some of the trees, as a conclusion's re-grows
         # and a premise's skips the hub, names the pair the full check names
-        walk = zigzag._walk(d.model, d.objects, d.edges)
+        walk = zigzag._walk(d.objects, d.edges)
         assert _verdict(zigzag._replay(d.objects, walk, None, sources)) == new
         failing += new is not True
         # a conclusion check that re-grows fewer trees than its premise
@@ -226,8 +227,8 @@ def test_partial_conclusion_check_matches_the_full_check(monkeypatch, n):
                     verdicts[None] += 1
                     continue
                 verdicts[full is True] += 1
-                negated = tuple(Edge(e.src, e.dst, mor_scale(e.mor, -1),
-                                     e.label) for e in whole.edges[-2:])
+                negated = tuple((u, v, label, mor_scale(f, -1))
+                                for u, v, label, f in whole.edges[-2:])
                 full = assert_zigzag_check_agrees(Diagram(
                     whole.model, whole.objects, whole.edges[:-2] + negated))
                 verdicts[full is True] += 1
@@ -236,18 +237,18 @@ def test_partial_conclusion_check_matches_the_full_check(monkeypatch, n):
 
 def test_two_cycle_through_the_source_names_the_oracle_pair():
     # the cycle back to the source is compared with the identity there,
-    # which the counterexample then names as its first value
+    # which the counterexample then names as its first path, the empty one
     f = mor(Z2, 2, 2, [[0, 1], [1, 0]])
     g = mor(Z2, 2, 2, [[0, 1], [2, 0]])
-    for edges in ([Edge(0, 1, f, "f"), Edge(1, 0, g, "g")],
-                  [Edge(0, 1, f, "f"), Edge(1, 0, dual_mor(f), "f-inv"),
-                   Edge(1, 0, g, "g")],
-                  [Edge(0, 0, g, "loop"), Edge(0, 1, f, "f")]):
+    for edges in ([(0, 1, "f", f), (1, 0, "g", g)],
+                  [(0, 1, "f", f), (1, 0, "f-inv", dual_mor(f)),
+                   (1, 0, "g", g)],
+                  [(0, 0, "loop", g), (0, 1, "f", f)]):
         d = Diagram(Z2, (2, 2), tuple(edges))
         new, old = assert_agrees(d)
         assert new == old
         assert new.src == new.dst == 0
-        assert new.value_a == identity(Z2, 2)
+        assert new.path_a == ()
 
 
 def _signed_permutation(rng, r):
@@ -294,7 +295,7 @@ def _random_multigraph(rng):
         objects = tuple(rng.choice((0, 1, 1, 2)) for _ in range(nodes))
         mors = [random_mor(Z2, rng, objects[u], objects[v], 1)
                 for u, v in pairs]
-    edges = tuple(Edge(u, v, f, str(i))
+    edges = tuple((u, v, str(i), f)
                   for i, ((u, v), f) in enumerate(zip(pairs, mors)))
     return Diagram(Z2, objects, edges)
 
@@ -324,13 +325,14 @@ def _random_frame(rng):
     but its last two edges, read as a zig-zag's bottom symmetry, and
     fillers for them: all zero or small random ones."""
     d = _random_multigraph(rng)
-    hub = rng.choice((1, 2))
+    hub, sink = rng.choice((1, 2)), len(d.objects)
     edges, fillers = list(d.edges[:-2]), {"left": [], "right": []}
     for u in range(len(d.objects)):
         if rng.random() < 0.6:
             side = rng.choice(("left", "right"))
+            k = len(fillers[side])
             edges.insert(rng.randint(0, len(edges)),
-                         (u, side, len(fillers[side])))
+                         (u, sink, f"{side}-filler-{k}", (side, k)))
             fillers[side].append(random_mor(Z2, rng, d.objects[u], hub, 1))
     if rng.random() < 0.3:
         fillers = {side: [mor_scale(f, 0) for f in column]
@@ -348,9 +350,9 @@ def test_random_frames_replay_as_their_diagrams(seed):
     found = {"frame": 0, "no sink": 0, "later slot": 0}
     for _ in range(250):
         frame, hub, fillers = _random_frame(rng)
-        if len(frame[1]) < 2 or type(frame[1][-2]) is not Edge:
+        if len(frame[1]) < 2 or type(frame[1][-2][3]) is tuple:
             continue
-        premise, conclusion = frame_walks(Z2, *frame)
+        premise, conclusion = frame_walks(*frame)
         outcome = zigzag._check_zigzag(frame[0], premise, conclusion,
                                        fillers)
         whole = build_zigzag_diagram(Z2, frame, hub, fillers["left"],
@@ -373,11 +375,11 @@ def test_dense_dag_commutes_and_locates_a_changed_edge():
     rng = random.Random("dense-dag")
     g = [_signed_permutation(rng, 2) for _ in range(17)]
     pairs = [(u, v) for u in range(17) for v in range(u + 1, 17)]
-    edges = [Edge(u, v, compose(g[v], dual_mor(g[u])), f"{u}-{v}")
+    edges = [(u, v, f"{u}-{v}", compose(g[v], dual_mor(g[u])))
              for u, v in pairs]
     assert diagram_commutes(Diagram(Z2, (2,) * 17, edges)) is True
     changed = pairs.index((5, 12))
-    edges[changed] = Edge(5, 12, mor_scale(edges[changed].mor, -1), "5-12")
+    edges[changed] = (5, 12, "5-12", mor_scale(edges[changed][3], -1))
     d = Diagram(Z2, (2,) * 17, edges)
     counter = diagram_commutes(d)
     assert_genuine(d, counter)

@@ -13,12 +13,12 @@ from mixtrace.rings import INTEGERS, localized_integers
 from mixtrace.serialize import (FileFormatError, dumps, loop_from_json,
                                 loop_to_json, model_from_json, model_to_json,
                                 mor_from_json, mor_to_json, zigzag_from_json,
-                                zigzag_to_json, diagram_from_json)
+                                zigzag_to_json, diagram_from_json,
+                                diagram_to_json)
 from mixtrace.zigzag import ZigZagInstance, check_zigzag_instance
 from mixtrace import cli
 
-from trace_reference import (drawn_diagram_to_json, provisional_trace,
-                             staircase_diagram)
+from trace_reference import provisional_trace, staircase_diagram
 
 Z0 = Model(INTEGERS, 0)
 Z2 = Model(INTEGERS, 2)
@@ -89,7 +89,8 @@ def test_diagram_roundtrip():
     p = Loop(Z2, r1, r1, (r2,), mor(Z2, r2, r2, [[2, 0], [0, 4]]))
     res = provisional_trace(p, want_witness=True)
     d = staircase_diagram(p, res.witness)
-    assert diagram_from_json(_plain(drawn_diagram_to_json(d))) == d
+    assert diagram_from_json(_plain(diagram_to_json(d.model, d.objects,
+                                                    d.edges))) == d
 
 
 @pytest.mark.parametrize("end, node", [("src", 3), ("dst", 2)])

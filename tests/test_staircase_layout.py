@@ -14,10 +14,10 @@ import pytest
 from mixtrace.category import mor_scale, random_mor, zero_mor
 from mixtrace.cli import parse_model_arg
 from mixtrace.loops import Loop, hidden_symmetry
-from mixtrace.serialize import dumps, trace_result_to_json
+from mixtrace.serialize import diagram_to_json, dumps, trace_result_to_json
 from mixtrace.traces import free_mixed_trace, random_loop
 
-from trace_reference import drawn_diagram_to_json, staircase_diagram
+from trace_reference import staircase_diagram
 
 MODELS = ("zmod:1", "zmod:2", "zmod:3", "zmod:-2", "qmod:1/2", "zloc:2",
           "zloc:6")
@@ -36,7 +36,8 @@ def _emits_as_drawn(p: Loop) -> bool:
         return False
     emitted = trace_result_to_json(r, p)
     aligned = p if r.alpha is None else hidden_symmetry(p, r.alpha)
-    drawn = drawn_diagram_to_json(staircase_diagram(aligned, r.witness))
+    d = staircase_diagram(aligned, r.witness)
+    drawn = diagram_to_json(d.model, d.objects, d.edges)
     assert dumps(emitted["witness"]["diagram"]) == dumps(drawn)
     expected = dict(emitted, witness=dict(emitted["witness"], diagram=drawn))
     assert dumps(emitted) == dumps(expected)

@@ -7,7 +7,7 @@ from mixtrace.category import (Model, canonical_map, compose, identity, mor,
                                mor_scale)
 from mixtrace.errors import InputError, ResourceLimitError
 from mixtrace.loops import Permutation
-from mixtrace.zigzag import (CounterPath, Diagram, Edge, ZigZagInstance,
+from mixtrace.zigzag import (CounterPath, Diagram, ZigZagInstance,
                              build_zigzag_frame, check_zigzag_instance,
                              diagram_commutes, level_ranks,
                              search_counterexample)
@@ -24,7 +24,7 @@ r1, r2 = 1, 2
 
 def triangle(model, f, g, h):
     return Diagram(model, (f.dom, f.cod, g.cod), (
-        Edge(0, 1, f, "f"), Edge(1, 2, g, "g"), Edge(0, 2, h, "h")))
+        (0, 1, "f", f), (1, 2, "g", g), (0, 2, "h", h)))
 
 
 def test_triangle_commutes():
@@ -41,20 +41,20 @@ def test_triangle_commutes():
 def test_cycles_compare_to_identity():
     p = canonical_map(Z2, "symmetry", [r2, r2])
     d = Diagram(Z2, (4, 4),
-                (Edge(0, 1, p, "p"), Edge(1, 0, p, "p-inv")))
+                ((0, 1, "p", p), (1, 0, "p-inv", p)))
     assert diagram_commutes(d) is True
     bad = Diagram(Z2, (4, 4),
-                  (Edge(0, 1, p, "p"), Edge(1, 0, identity(Z2, 4), "id")))
+                  ((0, 1, "p", p), (1, 0, "id", identity(Z2, 4))))
     assert isinstance(diagram_commutes(bad), CounterPath)
 
 
 def test_diagram_validation_and_limits():
     with pytest.raises(InputError):
-        Diagram(Z2, (r1,), (Edge(0, 1, identity(Z2, r1), "off-end"),))
+        Diagram(Z2, (r1,), ((0, 1, "off-end", identity(Z2, r1)),))
     with pytest.raises(InputError):
-        Diagram(Z2, (r1, r2), (Edge(0, 1, identity(Z2, r1), "shape"),))
+        Diagram(Z2, (r1, r2), ((0, 1, "shape", identity(Z2, r1)),))
     f = identity(Z2, r1)
-    edges = tuple(Edge(0, 1, f, str(i)) for i in range(20))
+    edges = tuple((0, 1, str(i), f) for i in range(20))
     fan = Diagram(Z2, (r1, r1), edges)
     assert diagram_commutes(fan) is True
 
@@ -64,10 +64,10 @@ def test_mix_square_as_diagram():
     for model in (Z0, Z1, Z2):
         mix = canonical_map(model, "mix", [])
         d = Diagram(model, (r1, r1, r1), (
-            Edge(0, 1, mix, "mix-left"),
-            Edge(0, 2, mix, "mix-right"),
-            Edge(1, 2, identity(model, r1), "unit"),
-            Edge(2, 1, identity(model, r1), "unit-inv"),
+            (0, 1, "mix-left", mix),
+            (0, 2, "mix-right", mix),
+            (1, 2, "unit", identity(model, r1)),
+            (2, 1, "unit-inv", identity(model, r1)),
         ))
         assert diagram_commutes(d) is True
 
@@ -82,24 +82,23 @@ def test_mix_distributivity_triangle_as_diagram():
             a, b, c = ranks
             abc = a * b * c
             d = Diagram(model, (abc, abc, abc), (
-                Edge(0, 1, tensor_mor(identity(model, a),
-                                      canonical_map(model, "mix_map", [b, c])),
-                     "inner-mix"),
-                Edge(1, 2, canonical_map(model, "distributivity", [a, b, c]),
-                     "distribute"),
-                Edge(0, 2, canonical_map(model, "mix_map",
-                                         [a * b, c]),
-                     "outer-mix"),
+                (0, 1, "inner-mix",
+                 tensor_mor(identity(model, a),
+                            canonical_map(model, "mix_map", [b, c]))),
+                (1, 2, "distribute",
+                 canonical_map(model, "distributivity", [a, b, c])),
+                (0, 2, "outer-mix",
+                 canonical_map(model, "mix_map", [a * b, c])),
             ))
             assert diagram_commutes(d) is True
     # and a deliberately broken triangle is caught
     a, b, c = 1, 2, 2
     abc = 4
     bad = Diagram(Z2, (abc, abc, abc), (
-        Edge(0, 1, tensor_mor(identity(Z2, a),
-                              canonical_map(Z2, "mix_map", [b, c])), "inner"),
-        Edge(1, 2, canonical_map(Z2, "distributivity", [a, b, c]), "dist"),
-        Edge(0, 2, identity(Z2, abc), "wrong"),
+        (0, 1, "inner", tensor_mor(identity(Z2, a),
+                                   canonical_map(Z2, "mix_map", [b, c]))),
+        (1, 2, "dist", canonical_map(Z2, "distributivity", [a, b, c])),
+        (0, 2, "wrong", identity(Z2, abc)),
     ))
     assert isinstance(diagram_commutes(bad), CounterPath)
 
@@ -148,11 +147,10 @@ def test_witness_is_stable_under_rebuild():
     assert isinstance(counter, CounterPath)
 
 
-def _replay_frame(model, frame, fillers):
+def _replay_frame(frame, fillers):
     """The check of a sample or an instance: the frame's fresh walks
     replayed with its fillers."""
-    return zigzag._check_zigzag(frame[0], *frame_walks(model, *frame),
-                                fillers)
+    return zigzag._check_zigzag(frame[0], *frame_walks(*frame), fillers)
 
 
 def test_frame_replay_gives_the_instance_check():
@@ -164,7 +162,7 @@ def test_frame_replay_gives_the_instance_check():
     for inst in (frozen_instance(Z0, 1, 2), frozen_instance(Z2, 1, 2),
                  frozen_instance(Z0, 1, 1)):
         fillers = {"left": inst.left_fillers, "right": inst.right_fillers}
-        out = _replay_frame(inst.model, own_frame(inst), fillers)
+        out = _replay_frame(own_frame(inst), fillers)
         assert out == check_zigzag_instance(inst)
     objects, edges = own_frame(inst)
     m0 = check_zigzag_instance(frozen_instance(Z0, 1, 2)).counter
@@ -172,11 +170,11 @@ def test_frame_replay_gives_the_instance_check():
     # a failing frame edge of an m = 0 frame, the top symmetry's inverse
     # negated, is found by the walk: both paths end in the frame, and the
     # pair is the one a full check of the premise names
-    at = [getattr(e, "label", None) for e in edges].index("top-iso-inv")
-    e = edges[at]
-    broken = (objects, edges[:at] + (Edge(e.src, e.dst, mor_scale(e.mor, -1),
-                                          e.label),) + edges[at + 1:])
-    out = _replay_frame(Z0, broken, fillers)
+    at = [e[2] for e in edges].index("top-iso-inv")
+    u, v, label, f = edges[at]
+    broken = (objects, edges[:at] + ((u, v, label, mor_scale(f, -1)),)
+              + edges[at + 1:])
+    out = _replay_frame(broken, fillers)
     assert out.status == "premise_fails" and out.counter.dst < len(objects)
     whole = build_zigzag_diagram(Z0, broken, inst.hub, inst.left_fillers,
                                  inst.right_fillers)
@@ -244,11 +242,11 @@ def test_instance_check_matches_the_reference_check_of_its_diagram():
                                      inst.left_fillers, inst.right_fillers)
         outcome = check_zigzag_instance(inst)
         # ZigZagOutcome equality covers the status and the whole
-        # CounterPath: src, dst, both paths and both values
+        # CounterPath: src, dst and both paths
         assert outcome == reference_check_zigzag(whole), inst
         statuses[outcome.status] += 1
         if changed is not None and outcome.counter is not None:
-            labels = {whole.edges[i].label for i in
+            labels = {whole.edges[i][2] for i in
                       outcome.counter.path_a + outcome.counter.path_b}
             through_down += bool({f"left-down-{changed + 1}",
                                   f"right-down-"

@@ -170,7 +170,7 @@ def test_search_results_are_pinned_and_match_fresh_checks(monkeypatch, mix):
                 assert built == [] and result.instance is None
             for inst, _, outcome in samples:
                 # ZigZagOutcome equality covers the status and the whole
-                # CounterPath: src, dst, both paths and both values
+                # CounterPath: src, dst and both paths
                 assert check_zigzag_instance(inst) == outcome
 
 

@@ -34,10 +34,11 @@ library's per-source tree check and zig-zag check as they stood before
 the check split into a walk per shape and a replay per sample: every
 sample the search checks, and every instance ``zigzag-check`` checks, must
 get the outcome ``check_zigzag`` gives its diagram.
-``build_zigzag_diagram`` is that diagram: a zig-zag frame with its hub and
-fillers filled in as edges.  ``frame_walks`` gives the library's premise
-and conclusion walks of any frame or diagram, such as an edited one, where
-the library builds them only for the frame of an instance.
+``build_zigzag_diagram`` is that diagram: a zig-zag frame with its hub
+appended and each filler slot's key replaced by its filler.
+``frame_walks`` gives the library's premise and conclusion walks of any
+frame or diagram, such as an edited one, where the library builds them
+only for the frame of an instance.
 
 The structural maps the library computes as one ``regroup`` each are here
 as explicit index loops over multi-indices (``curry_by_loops``,
@@ -51,11 +52,10 @@ row by row, and the times rule as a product of three of them.
 
 ``staircase_diagram`` is the dense drawing of a free trace's witness the
 library's staircase layout replaced: every mix and coevaluation edge of
-the ladder built as a whiskered ``Mor``.  ``drawn_diagram_to_json``
-writes a drawn ``Diagram`` through the library's one diagram writer, and
-the witness diagram the library emits must be, byte for byte, what it
-writes for this diagram; this diagram must commute exactly when the
-staircase is solved.  ``emitted_diagram`` reads the emitted one back as
+the ladder built as a whiskered ``Mor``.  The witness diagram the library
+emits must be, byte for byte, what the library's one diagram writer
+writes for this diagram's edges; this diagram must commute exactly when
+the staircase is solved.  ``emitted_diagram`` reads the emitted one back as
 ``zigzag-check`` does.
 
 ``bare_matrix_to_json`` and ``row_joining_dumps`` are the writer the
@@ -82,13 +82,12 @@ from mixtrace.loops import (Loop, Permutation, hidden_symmetry, loop_dual,
                             loop_tensor)
 from mixtrace.rings import (Number, RingTag, _exact_div, divide_by_mix,
                             divides_power, format_value)
-from mixtrace.serialize import (diagram_from_json, diagram_to_json, dumps,
-                                trace_result_to_json)
+from mixtrace.serialize import diagram_from_json, dumps, trace_result_to_json
 from mixtrace.traces import (AMBIGUOUS, StaircaseWitness, TraceResult,
                              _contract_pair, ambiguous, defined, pairing_form,
                              undefined)
-from mixtrace.zigzag import (CounterPath, Diagram, Edge, Frame,
-                             ZigZagOutcome, _walk)
+from mixtrace.zigzag import (CounterPath, Diagram, Frame, ZigZagOutcome,
+                             _walk)
 
 
 def all_permutations(k):
@@ -222,28 +221,19 @@ def staircase_diagram(p: Loop, witness: StaircaseWitness) -> Diagram:
     objects.append(ba)                                     # apex
     apex_idx = len(objects) - 1
 
-    edges: List[Edge] = []
+    edges: List[tuple] = []
     for i in range(k):
         u, level = p.hidden[i], k + 1 + i
         rest = suffix[i + 1]
-        edges.append(Edge(i, level,
-                          whisker(1, canonical_map(model, "mix_map", [u, u]),
-                                  rest),
-                          f"mix-{i}"))
-        edges.append(Edge(i + 1, level,
-                          whisker(1, canonical_map(model, "coev", [u]), rest),
-                          f"coev-{i}"))
-        edges.append(Edge(level, apex_idx, witness.fillers[i],
-                          f"filler-{i}"))
-    edges.append(Edge(0, apex_idx, pairing_form(p), "pairing"))
-    edges.append(Edge(k, apex_idx, witness.psi, "psi"))
+        edges.append((i, level, f"mix-{i}",
+                      whisker(1, canonical_map(model, "mix_map", [u, u]),
+                              rest)))
+        edges.append((i + 1, level, f"coev-{i}",
+                      whisker(1, canonical_map(model, "coev", [u]), rest)))
+        edges.append((level, apex_idx, f"filler-{i}", witness.fillers[i]))
+    edges.append((0, apex_idx, "pairing", pairing_form(p)))
+    edges.append((k, apex_idx, "psi", witness.psi))
     return Diagram(model, tuple(objects), tuple(edges))
-
-
-def drawn_diagram_to_json(d: Diagram):
-    """The JSON of a built diagram, its edges laid out for the writer."""
-    return diagram_to_json(d.model, d.objects,
-                           [(e.src, e.dst, e.label, e.mor) for e in d.edges])
 
 
 def emitted_diagram(r: TraceResult, p: Loop) -> Diagram:
@@ -529,9 +519,9 @@ def diagram_commutes_by_paths(d: Diagram, max_paths: int = 50000):
     """True iff every pair of parallel simple paths agrees (and every
     simple cycle composes to the identity); otherwise the first offending
     pair of paths."""
-    adjacency: Dict[int, List[Tuple[int, Edge]]] = {}
+    adjacency: Dict[int, List[Tuple[int, tuple]]] = {}
     for idx, e in enumerate(d.edges):
-        adjacency.setdefault(e.src, []).append((idx, e))
+        adjacency.setdefault(e[0], []).append((idx, e))
     counted = 0
     for src in range(len(d.objects)):
         by_dst: Dict[int, List[Tuple[Mor, Tuple[int, ...]]]] = {
@@ -540,24 +530,23 @@ def diagram_commutes_by_paths(d: Diagram, max_paths: int = 50000):
                   identity(d.model, d.objects[src]), ())]
         while stack:
             v, visited, comp, path = stack.pop()
-            for idx, e in adjacency.get(v, []):
-                if e.dst in visited and e.dst != src:
+            for idx, (_, dst, _, f) in adjacency.get(v, []):
+                if dst in visited and dst != src:
                     continue
-                new_comp = compose(e.mor, comp)
+                new_comp = compose(f, comp)
                 new_path = path + (idx,)
-                by_dst.setdefault(e.dst, []).append((new_comp, new_path))
+                by_dst.setdefault(dst, []).append((new_comp, new_path))
                 counted += 1
                 if counted > max_paths:
                     raise ResourceLimitError(
                         f"more than {max_paths} simple paths")
-                if e.dst != src:
-                    stack.append((e.dst, visited | {e.dst},
-                                  new_comp, new_path))
+                if dst != src:
+                    stack.append((dst, visited | {dst}, new_comp, new_path))
         for dst, entries in by_dst.items():
             first_m, first_p = entries[0]
             for m, pth in entries[1:]:
                 if m.entries != first_m.entries:
-                    return CounterPath(src, dst, first_p, pth, first_m, m)
+                    return CounterPath(src, dst, first_p, pth)
     return True
 
 
@@ -568,9 +557,9 @@ def sources_reaching_last_two_tails(d: Diagram) -> List[int]:
     diagram these are the sources whose trees the bottom symmetry can
     change."""
     into: Dict[int, List[int]] = {}
-    for e in d.edges:
-        into.setdefault(e.dst, []).append(e.src)
-    reach = {e.src for e in d.edges[-2:]}
+    for u, v, _, _ in d.edges:
+        into.setdefault(v, []).append(u)
+    reach = {e[0] for e in d.edges[-2:]}
     queue = list(reach)
     while queue:
         for u in into.get(queue.pop(0), ()):
@@ -580,7 +569,7 @@ def sources_reaching_last_two_tails(d: Diagram) -> List[int]:
     return sorted(reach)
 
 
-def check_trees(d: Diagram, edges: Sequence[Edge], sources, tails=()):
+def check_trees(d: Diagram, edges: Sequence[tuple], sources, tails=()):
     """``diagram_commutes`` of the diagram with d's objects and ``edges``, a
     prefix of ``d.edges``, restricted to the trees grown from ``sources``,
     taken in the order given: the first failing pair or, when every tree
@@ -588,27 +577,27 @@ def check_trees(d: Diagram, edges: Sequence[Edge], sources, tails=()):
     ``tails``.  The identity at a source stays implicit (an out-edge's
     matrix is its own composite) until a counterexample names it."""
     reached = []
-    adjacency: Dict[int, List[Tuple[int, Edge]]] = {}
+    adjacency: Dict[int, List[Tuple[int, tuple]]] = {}
     for idx, e in enumerate(edges):
-        adjacency.setdefault(e.src, []).append((idx, e))
+        adjacency.setdefault(e[0], []).append((idx, e))
     for src in sources:
         tree = {src: (None, ())}
         stack = [src]
         while stack:
             u = stack.pop()
             comp, path = tree[u]
-            for idx, e in adjacency.get(u, []):
-                value = e.mor if comp is None else compose(e.mor, comp)
+            for idx, (_, dst, _, f) in adjacency.get(u, []):
+                value = f if comp is None else compose(f, comp)
                 via = path + (idx,)
-                at_v = tree.get(e.dst)
+                at_v = tree.get(dst)
                 if at_v is None:
-                    tree[e.dst] = (value, via)
-                    stack.append(e.dst)
+                    tree[dst] = (value, via)
+                    stack.append(dst)
                 elif at_v[0] is None:  # back at the source
                     if not is_identity_entries(value.entries):
-                        return counter_pair(d, src, at_v, via, value)
+                        return counter_pair(d, src, at_v, via)
                 elif value.entries != at_v[0].entries:
-                    return counter_pair(d, src, at_v, via, value)
+                    return counter_pair(d, src, at_v, via)
         if any(t in tree for t in tails):
             reached.append(src)
     return reached
@@ -619,20 +608,13 @@ def is_identity_entries(entries) -> bool:
                for i, row in enumerate(entries))
 
 
-def counter_pair(d: Diagram, src: int, at_v, via: Tuple[int, ...],
-                 value: Mor) -> CounterPath:
-    v = d.edges[via[-1]].dst
-    inner = [d.edges[i].dst for i in via[:-1]]
+def counter_pair(d: Diagram, src: int, at_v,
+                 via: Tuple[int, ...]) -> CounterPath:
+    v = d.edges[via[-1]][1]
+    inner = [d.edges[i][1] for i in via[:-1]]
     if v == src or v not in inner:
-        ref = at_v[0]
-        if ref is None:
-            ref = identity(d.model, d.objects[src])
-        return CounterPath(src, v, at_v[1], via, ref, value)
-    cycle = via[inner.index(v) + 1:]
-    ident = value = identity(d.model, d.objects[v])
-    for idx in cycle:
-        value = compose(d.edges[idx].mor, value)
-    return CounterPath(v, v, (), cycle, ident, value)
+        return CounterPath(src, v, at_v[1], via)
+    return CounterPath(v, v, (), via[inner.index(v) + 1:])
 
 
 def check_zigzag(whole: Diagram) -> ZigZagOutcome:
@@ -644,7 +626,7 @@ def check_zigzag(whole: Diagram) -> ZigZagOutcome:
     taken in ascending order, so the failure, if any, is the one a full
     check of the whole diagram reports."""
     premise = check_trees(whole, whole.edges[:-2], range(len(whole.objects)),
-                          {e.src for e in whole.edges[-2:]})
+                          {e[0] for e in whole.edges[-2:]})
     if isinstance(premise, CounterPath):
         return ZigZagOutcome("premise_fails", premise)
     conclusion = check_trees(whole, whole.edges, premise)
@@ -658,23 +640,20 @@ def build_zigzag_diagram(model: Model, frame: Frame, hub: int,
     """The conclusion diagram of a zig-zag: its frame with the hub appended
     and the left and right filler columns in their slots.  Without its
     last two edges, the bottom symmetry, it is the premise diagram."""
-    objects, slots = frame
-    node = len(objects)
+    objects, edges = frame
     fillers = {"left": left, "right": right}
-    edges = [e if type(e) is Edge else
-             Edge(e[0], node, fillers[e[1]][e[2]],
-                  f"{e[1]}-filler-{e[2] or 'top'}")
-             for e in slots]
-    return Diagram(model, objects + (hub,), tuple(edges))
+    return Diagram(model, objects + (hub,), tuple(
+        (u, v, label, fillers[f[0]][f[1]] if type(f) is tuple else f)
+        for u, v, label, f in edges))
 
 
-def frame_walks(model: Model, objects: Sequence[int], edges: Sequence[object]):
+def frame_walks(objects: Sequence[int], edges: Sequence[tuple]):
     """The premise walk, over all edges but the bottom symmetry with its
     tails, and the conclusion walk, over every edge, of a zig-zag frame or
     diagram, as ``zigzag._shape_walks`` builds them for an instance's
     frame."""
-    return (_walk(model, objects, edges[:-2], {e.src for e in edges[-2:]}),
-            _walk(model, objects, edges))
+    return (_walk(objects, edges[:-2], {e[0] for e in edges[-2:]}),
+            _walk(objects, edges))
 
 
 def bare_matrix_to_json(m: Mor):
