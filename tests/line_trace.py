@@ -9,7 +9,10 @@ given) in this process under a ``sys.settrace`` line tracer that follows
 only frames of ``src/mixtrace``, then prints every statement none of those
 frames reached as ``file:line: text``.  A statement is an ``ast`` statement
 with bytecode; docstrings, ``def``, ``class`` and import lines are left
-out, as they run at import whatever the tests do.  Code run in child
+out, as they run at import whatever the tests do, and so is the body of an
+``if __name__ == "__main__":`` block, which no import runs.  It exits with
+pytest's code when the suite fails, else 1 when it printed a statement and
+0 when every statement ran.  Code run in child
 processes, such as the command-line tests' ``python -m mixtrace.cli``, is
 not traced.  It needs pytest and the standard library, no coverage
 package; tracing makes the suite about four times slower.
@@ -45,8 +48,12 @@ def _statements(path: Path):
     text = path.read_text(encoding="utf-8")
     tree = ast.parse(text)
     executable = _code_lines(compile(text, str(path), "exec"))
+    main_only = {line for node in ast.walk(tree) if isinstance(node, ast.If)
+                 and ast.unparse(node.test) == "__name__ == '__main__'"
+                 for line in range(node.body[0].lineno, node.end_lineno + 1)}
     for node in ast.walk(tree):
-        if not isinstance(node, ast.stmt) or isinstance(node, SKIPPED):
+        if (not isinstance(node, ast.stmt) or isinstance(node, SKIPPED)
+                or node.lineno in main_only):
             continue
         if (isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
                 and isinstance(node.value.value, str)):
@@ -85,14 +92,16 @@ def main(argv) -> int:
     finally:
         sys.settrace(None)
         threading.settrace(None)
+    unrun = 0
     for path in sorted(SRC.glob("*.py")):
         lines = path.read_text(encoding="utf-8").splitlines()
         seen = reached.get(str(path), set())
         for first, head in sorted(_statements(path)):
             if not head & seen:
+                unrun += 1
                 print(f"{path.relative_to(ROOT)}:{first}: "
                       f"{lines[first - 1].strip()}")
-    return int(code)
+    return int(code) or int(unrun > 0)
 
 
 if __name__ == "__main__":
