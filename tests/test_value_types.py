@@ -3,8 +3,8 @@ declared: field-wise equality and hashing, the ``Name(field=...)`` repr,
 immutability, the validation messages and positional and keyword
 construction of 12 frozen types, and the fields and fresh containers of
 the four mutable report types.  The thirteenth frozen type, ``Monomial``,
-computes its ``cod`` and is pinned with the matrix writer in
-``test_matrix_json``."""
+is left out: its ``cod`` is derived, so its fields are not its
+constructor's arguments."""
 
 import re
 from fractions import Fraction
