@@ -1,7 +1,9 @@
 """Differential test: the free mixed trace against the k! ordering
 enumerator in ``trace_reference``, on seeded corpora of loops: a general
-one, and one of hidden parts that are mostly rank 1, where the search takes
-equal objects of rank <= 1 in their given order only."""
+one, one of hidden parts that are mostly rank 1, where the search takes
+equal objects of rank <= 1 in their given order only, and one whose
+hidden ranks are all <= 1, where at m != 0 the free trace is the induced
+one."""
 
 import random
 from fractions import Fraction
@@ -9,12 +11,13 @@ from math import prod
 
 import pytest
 
-from mixtrace.category import Model, Mor, mor
+from mixtrace.category import Model, Mor, contract_hidden, mor
 from mixtrace.loops import Loop
-from mixtrace.rings import (INTEGERS, RATIONALS, localized_integers,
-                            ring_contains)
+from mixtrace.rings import (INTEGERS, RATIONALS, divide_by_mix,
+                            localized_integers, ring_contains)
 from mixtrace.serialize import dumps, trace_result_to_json
-from mixtrace.traces import StaircaseWitness, defined, free_mixed_trace
+from mixtrace.traces import (StaircaseWitness, defined, free_mixed_trace,
+                             induced_mixed_trace)
 from mixtrace.zigzag import diagram_commutes
 
 from trace_reference import emitted_diagram, free_trace_by_orderings, is_unit
@@ -141,6 +144,72 @@ def test_free_trace_m0_closed_form(want_witness):
     assert outcomes == [
         ("undefined", None), ("ambiguous", None),
         ("defined", (0, 1, 2, 4, 3)), ("defined", (0, 1, 2, 3, 4))] * 2
+
+
+def rank_at_most_one_loop(rng, model, k):
+    """A loop of ``model`` with k hidden objects of rank 0 or 1 and
+    endpoints of rank 0 to 2, its entries multiples of m^k, m^(k-1) or a
+    random power of m up to m^k, so that some loops are undefined."""
+    hidden = tuple(rng.choices((0, 1), weights=(1, 8), k=k))
+    a, b = (rng.choice((0, 1, 1, 2)) for _ in range(2))
+    h = prod(hidden)
+    shortfall = rng.choice((0, 1, 1, None))
+
+    def entry():
+        if rng.random() < 0.2:
+            return 0
+        power = rng.randint(0, k) if shortfall is None else k - shortfall
+        return _coefficient(rng, model) * model.mix ** max(0, power)
+
+    rows = [[entry() for _ in range(a * h)] for _ in range(b * h)]
+    return Loop(model, a, b, hidden, mor(model, a * h, b * h, rows))
+
+
+def _contracted_then_divided(p):
+    """The induced trace's value the long way: contract every hidden index,
+    then divide by m^k; None when a quotient leaves the ring."""
+    rows = divide_by_mix(
+        contract_hidden(p.carrier, p.dom, p.cod, p.hidden).entries,
+        p.model.mix ** p.k, p.model.ring)
+    return None if rows is None else Mor(p.model, p.dom, p.cod,
+                                         tuple(map(tuple, rows)))
+
+
+def test_rank_at_most_one_parts_trace_as_the_enumerator_and_induced():
+    # every model, m = 0, Fraction mixes and Z[1/M] included, at k = 0..6
+    # with rank-0 objects: the free trace agrees with the k! enumerator and
+    # with itself asked for a witness, whose bytes are the enumerator's,
+    # and at m != 0 it is the induced
+    # trace in the identity ordering, which is contract-then-divide
+    rng = random.Random(1733)
+    statuses = set()
+    rank_zero = 0
+    tally = {"defined": 0, "undefined": 0}
+    for model in MODELS:
+        for k in range(7):
+            for _ in range(3):
+                p = rank_at_most_one_loop(rng, model, k)
+                rank_zero += 0 in p.hidden
+                got = free_mixed_trace(p)
+                ref = free_trace_by_orderings(p, want_witness=True)
+                wit = free_mixed_trace(p, want_witness=True)
+                statuses.add(got.status)
+                for other in (ref, wit):
+                    assert (other.status, other.alpha, other.value) \
+                        == (got.status, got.alpha, got.value), p
+                assert dumps(trace_result_to_json(wit, p)) \
+                    == dumps(trace_result_to_json(ref, p)), p
+                if model.mix == 0:
+                    continue
+                ind = induced_mixed_trace(p)
+                assert ind.value == _contracted_then_divided(p), p
+                assert (ind.status, ind.value) == (got.status, got.value), p
+                if got.is_defined:
+                    assert got.alpha.images == tuple(range(k)), p
+                tally[got.status] += 1
+    assert statuses == {"defined", "undefined", "ambiguous"}, statuses
+    assert rank_zero >= 150 and tally["defined"] >= 500 \
+        and tally["undefined"] >= 40, (rank_zero, tally)
 
 
 def _nudged(f, rng):
