@@ -308,16 +308,19 @@ class Monomial(Value):
     is None is 0.  Whiskered structure maps such as m*Id and coev (x) Id
     are of this form, and ``serialize.dumps`` writes them from it without
     building a row.  It has no arithmetic; its shape is checked, its
-    scalar trusted."""
+    scalar trusted.  Its rows, ``cod``, are the length of ``cols``."""
 
-    __slots__ = ("scalar", "dom", "cod", "cols")
+    __slots__ = ("scalar", "dom", "cols")
 
     def __init__(self, scalar: Number, dom: int, cols: Iterable):
         object.__setattr__(self, "scalar", scalar)
         object.__setattr__(self, "dom", dom)
         object.__setattr__(self, "cols", tuple(cols))
-        object.__setattr__(self, "cod", len(self.cols))
         self.__post_init__()
+
+    @property
+    def cod(self) -> int:
+        return len(self.cols)
 
     def __post_init__(self):
         w = self.dom
@@ -404,7 +407,7 @@ def contract_hidden(f: Mor, a: int, b: int, hidden: Sequence[int]) -> Mor:
 
 def random_mor(model: Model, rng: random.Random, dom: int, cod: int,
                bound: int = 3) -> Mor:
-    rows = tuple(tuple(rng.randint(-bound, bound) for _ in range(dom))
+    rows = tuple(tuple(rng.randrange(-bound, bound + 1) for _ in range(dom))
                  for _ in range(cod))
     return Mor(model, dom, cod, rows)
 

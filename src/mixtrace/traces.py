@@ -18,12 +18,20 @@ objects of rank <= 1 carry no data, so the search takes those of equal
 rank in their given order: contracting any of them gives the same matrix,
 and any other order sorts later.  With n0, n1 and n2 hidden objects of rank
 0, 1 and >= 2 it visits at most 2^n2*(n0+1)*(n1+1) prefix sets, where 2^n2
-is at most the product of those n2 ranks.  This search is the only
-staircase here: the matrices it divides along the found ordering are the
-fillers of the trace's witness, and ``staircase_layout`` lays that witness
-out as a diagram for ``serialize`` to write and ``zigzag`` to check.  Its
-mix and coevaluation edges are ``Monomial``s, a scalar and an index map
-each, never dense matrices.
+is at most the product of those n2 ranks.  A node tests once that m
+divides its matrix; with m and every entry ints, its children contract
+first and divide only the sums, d^2 times fewer entries at rank d.  A
+witness replays the found ordering once: the matrices it divides are the
+fillers, and ``staircase_layout`` lays it out as a diagram for
+``serialize`` to write and ``zigzag`` to check, its mix and coevaluation
+edges ``Monomial``s, a scalar and an index map each.
+
+At m != 0 a hidden part whose ranks multiply to at most 1 needs no
+search.  A rank-1 contraction moves no entry, so C_S is C, and C/m^k in
+the ring puts every C/m^j with j <= k there, as m lies in the ring: every
+ordering solves iff C/m^k lies in the ring, and the identity sorts first.
+A rank-0 object leaves the value zero.  Such a free trace is the induced
+trace in the identity ordering, and at k = 0 both are the carrier.
 
 The induced trace instead contracts everything first and divides once by
 m^k, so it is defined at least as often as the free one, and strictly
@@ -116,57 +124,63 @@ def pairing_form(p: Loop) -> Mor:
 
 
 def _contract_pair(rows: Sequence[Sequence[Number]], d: int, outer: int,
-                   inner: int) -> List[List[Number]]:
+                   inner: int, divisor: Optional[int] = None
+                   ) -> List[List[Number]]:
     """The second half of a stage: contract one evaluation pair of rank d,
     whose d*d columns sit between ``outer`` blocks of leading pair columns
-    and ``inner`` trailing ones."""
-    block = d * d * inner
-    step = (d + 1) * inner
-    return [[sum(row[o * block + u * step + t] for u in range(d))
-             for o in range(outer) for t in range(inner)]
+    and ``inner`` trailing ones; each sum is divided by ``divisor``, an
+    int dividing every entry of int ``rows``, if one is given."""
+    step, span, block = (d + 1) * inner, d * (d + 1) * inner, d * d * inner
+    starts = [o * block + t for o in range(outer) for t in range(inner)]
+    if divisor is None:
+        return [[sum(row[s:s + span:step]) for s in starts] for row in rows]
+    return [[sum(row[s:s + span:step]) // divisor for s in starts]
             for row in rows]
 
 
 def _first_solvable_order(pf_rows: Sequence[Sequence[Number]],
                           dims: Sequence[int], m: Number, ring
                           ) -> Optional[Tuple[Tuple[int, ...],
-                                              List[List[Number]],
-                                              Tuple[List[List[Number]], ...]]]:
+                                              List[List[Number]]]]:
     """Depth-first search over prefix sets of hidden indices for the
     lexicographically first solvable ordering (m nonzero).
 
     A node is a set S, given as a bitmask, and carries C_S/m^|S| over the
-    remaining pairs in index order.  It divides by m once and contracts the
-    remaining indices in ascending order, of rank 0 and of rank 1 only the
-    first (see the module docstring).  Nodes wait on an explicit stack with
-    the contraction that builds their matrix and the divided matrices of
-    their path; a set popped a second time had no solvable completion and
-    is skipped.  Returns the ordering, the final one-column matrix C_all/m^k
-    and the divided matrix of each stage, its columns the pairs not yet
-    contracted in ascending index order.
+    remaining pairs in index order.  It tests once that m divides it, and
+    its children contract the remaining indices in ascending order, of rank
+    0 and of rank 1 only the first (see the module docstring).  When m and
+    every entry are ints a child divides its contracted sums by m; else the
+    node divides through ``divide_by_mix`` and the child contracts that.
+    Nodes wait on an explicit stack with the contraction that builds their
+    matrix; a set popped a second time had no solvable completion and is
+    skipped.  Returns the ordering and the final column C_all/m^k.
     """
     k = len(dims)
     seen = set()
-    stack = [(0, (), lambda: pf_rows, ())]
+    stack = [(0, (), lambda: pf_rows)]
     while stack:
-        mask, order, contract, path = stack.pop()
+        mask, order, build = stack.pop()
         if mask in seen:
             continue
         seen.add(mask)
-        rows = contract()
+        rows = build()
         if len(order) == k:
-            return order, rows, path
-        divided = divide_by_mix(rows, m, ring)
-        if divided is None:
-            continue
+            return order, rows
+        if type(m) is int and all(type(v) is int and not v % m
+                                  for row in rows for v in row):
+            contract = partial(_contract_pair, rows, divisor=m)
+        else:
+            divided = divide_by_mix(rows, m, ring)
+            if divided is None:
+                continue
+            contract = partial(_contract_pair, divided)
         rest = [i for i in range(k) if not mask >> i & 1]
         sizes = [dims[i] * dims[i] for i in rest]
         for pos in reversed(_distinct_choices(dims, rest)):
             i = rest[pos]
             stack.append((mask | 1 << i, order + (i,),
-                          partial(_contract_pair, divided, dims[i],
-                                  prod(sizes[:pos]), prod(sizes[pos + 1:])),
-                          path + (divided,)))
+                          partial(contract, dims[i], prod(sizes[:pos]),
+                                  prod(sizes[pos + 1:]))))
     return None
 
 
@@ -178,13 +192,15 @@ def free_mixed_trace(p: Loop, want_witness: bool = False) -> TraceResult:
     proper prefix sets S (see the module docstring), so the search walks
     subsets of the hidden indices rather than orderings, and takes hidden
     objects of equal rank <= 1 in their given order; no bound on k is
-    needed.  Every solvable ordering gives the same value C_all/m^k.  With
-    m = 0 the outcome is read off directly: a nonzero pairing form is
-    undefined; a zero one is defined (and zero) in the identity ordering
-    when an endpoint has rank 0, else in the first ordering that ends in a
-    rank-0 hidden object, else ambiguous, and there is no witness.  With
-    ``want_witness`` the stage matrices the search divided become the
-    fillers of the staircase in the found ordering: filler i has its pairs
+    needed.  Every solvable ordering gives the same value C_all/m^k.  At
+    m != 0 hidden ranks that multiply to at most 1 need no search, unless
+    a witness is asked for (see the module docstring).  With m = 0 the
+    outcome is read off directly: a nonzero pairing form is undefined; a
+    zero one is defined (and zero) in the identity ordering when an
+    endpoint has rank 0, else in the first ordering that ends in a rank-0
+    hidden object, else ambiguous, and there is no witness.  With
+    ``want_witness`` the found ordering is replayed once, and the matrix
+    each stage divides becomes its filler: filler i has its pairs
     regrouped into the order alpha[i:], and psi is the final column.  The
     witness's diagram has h^4 entries in its widest edge, mix-0, for h the
     product of the hidden ranks: built as a ``Monomial`` of h^2 rows, it
@@ -195,6 +211,10 @@ def free_mixed_trace(p: Loop, want_witness: bool = False) -> TraceResult:
     model = p.model
     m = model.mix
     dims = p.hidden
+    if m != 0 and p.hidden_size <= 1 and not want_witness:
+        r = induced_mixed_trace(p)
+        return defined(r.value, Permutation(range(p.k))) \
+            if r.is_defined else r
     pf = pairing_form(p)
     if p.k and m == 0:
         if any(v for row in pf.entries for v in row):
@@ -211,7 +231,7 @@ def free_mixed_trace(p: Loop, want_witness: bool = False) -> TraceResult:
     found = _first_solvable_order(pf.entries, dims, m, model.ring)
     if found is None:
         return undefined()
-    order, column, path = found
+    order, column = found
     a, ba = p.dom, p.cod * p.dom
     value = Mor(model, p.dom, p.cod, tuple(
         tuple(v for (v,) in column[b * a:b * a + a])
@@ -222,15 +242,19 @@ def free_mixed_trace(p: Loop, want_witness: bool = False) -> TraceResult:
         check_entry_count(h, 4, f"a staircase witness at hidden size {h}")
         psi = Mor(model, 1, ba, tuple(map(tuple, column)))
         fillers = []
-        rest = list(range(p.k))
-        for i, divided in enumerate(path):
+        rows, rest = pf.entries, list(range(p.k))
+        for n, i in enumerate(order):
+            divided = divide_by_mix(rows, m, None)  # the search divided it
             sizes = [dims[j] * dims[j] for j in rest]
             slot = {j: 1 + pos for pos, j in enumerate(rest)}
             stage = Mor(model, prod(sizes), ba,
                         tuple(map(tuple, divided)))
             fillers.append(regroup(stage, [ba], sizes, [0],
-                                   [slot[j] for j in order[i:]]))
-            rest.remove(order[i])
+                                   [slot[j] for j in order[n:]]))
+            pos = rest.index(i)
+            rows = _contract_pair(divided, dims[i], prod(sizes[:pos]),
+                                  prod(sizes[pos + 1:]))
+            rest.remove(i)
         witness = StaircaseWitness(psi, tuple(fillers))
     return defined(value, Permutation(order), witness)
 
@@ -270,13 +294,16 @@ def staircase_layout(p: Loop, witness: StaircaseWitness
 def induced_mixed_trace(p: Loop) -> TraceResult:
     """The trace induced by localizing the mix scalar: contract the hidden
     indices and divide by m^k through ``divide_by_mix``, which stops at
-    the first quotient outside the base ring; Undefined if there is one."""
+    the first quotient outside the base ring; Undefined if there is one.
+    At k = 0 it is the carrier, and a hidden size of 1 has no contraction."""
     if p.model.mix == 0:
         raise ModelNotCompactifiableError(
             "the induced trace needs a nonzero mix scalar")
-    rows = divide_by_mix(
-        contract_hidden(p.carrier, p.dom, p.cod, p.hidden).entries,
-        p.model.mix ** p.k, p.model.ring)
+    if not p.k:
+        return defined(p.carrier)
+    rows = p.carrier.entries if p.hidden_size == 1 else contract_hidden(
+        p.carrier, p.dom, p.cod, p.hidden).entries
+    rows = divide_by_mix(rows, p.model.mix ** p.k, p.model.ring)
     if rows is None:
         return undefined()
     return defined(Mor(p.model, p.dom, p.cod, tuple(map(tuple, rows))))

@@ -240,6 +240,19 @@ def test_contract_hidden():
     assert contract_hidden(g, 2, 2, []) == g
 
 
+@pytest.mark.parametrize("seed", [0, 1, 7, 2016])
+@pytest.mark.parametrize("bound", [0, 1, 3, 4, 50])
+def test_random_mor_draws_what_randint_draws(seed, bound):
+    # the axiom suite, zig-zag search and compactify samplers are seeded:
+    # their matrices, and every draw after them, are the randint stream
+    rng, ref = random.Random(seed), random.Random(seed)
+    for dom, cod in ((3, 2), (0, 2), (2, 0), (1, 1), (4, 5)):
+        got = random_mor(Z2, rng, dom, cod, bound).entries
+        assert got == tuple(tuple(ref.randint(-bound, bound)
+                                  for _ in range(dom)) for _ in range(cod))
+    assert rng.random() == ref.random()
+
+
 def test_zero_rank_matrices():
     e = zero_mor(Z2, 0, 3)
     f = zero_mor(Z2, 3, 0)

@@ -141,6 +141,30 @@ def test_cli_bounded_mode_reads_a_loops_list(tmp_path, capsys, generators):
         f'input error: {g}: expected {{"loops": [...]}}\n')
 
 
+def _rank_one_loop(k, carrier):
+    return loop_to_json(Loop(Z2, r1, r1, (r1,) * k,
+                             mor(Z2, r1, r1, [[carrier]])))
+
+
+def test_cli_answers_400_rank_one_hidden_objects(tmp_path, capsys):
+    # each bounded move traces a tail of rank-1 objects; such a tail is
+    # divided by a power of m, not searched, so k = 400 stays cheap
+    left = write(tmp_path, "l.json", _rank_one_loop(400, 2 ** 400))
+    short = write(tmp_path, "s.json", _rank_one_loop(400, 2 ** 399))
+    right = write(tmp_path, "r.json", _rank_one_loop(0, 1))
+    assert cli.main(["congruent", "--mode", "bounded:1", "--left", left,
+                     "--right", right]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "congruent": True, "mode": "bounded:1"}
+    assert cli.main(["trace", "--mode", "free", "--loop", left]) == 0
+    reply = json.loads(capsys.readouterr().out)
+    assert reply["status"] == "defined"
+    assert reply["value"]["entries"] == [["1"]]
+    assert reply["alpha"] == list(range(400))
+    assert cli.main(["trace", "--mode", "free", "--loop", short]) == 0
+    assert json.loads(capsys.readouterr().out) == {"status": "undefined"}
+
+
 @pytest.mark.parametrize("name", ["", "missing.json"])
 def test_cli_refuses_an_absent_generators_file(tmp_path, capsys, monkeypatch,
                                                name):

@@ -1,10 +1,8 @@
-"""The behaviour of 16 value types, pinned independently of how they are
+"""The behaviour of 17 value types, pinned independently of how they are
 declared: field-wise equality and hashing, the ``Name(field=...)`` repr,
 immutability, the validation messages and positional and keyword
-construction of 12 frozen types, and the fields and fresh containers of
-the four mutable report types.  The thirteenth frozen type, ``Monomial``,
-is left out: its ``cod`` is derived, so its fields are not its
-constructor's arguments."""
+construction of 13 frozen types, and the fields and fresh containers of
+the four mutable report types."""
 
 import re
 from fractions import Fraction
@@ -12,8 +10,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from mixtrace.category import (CheckResult, Model, Mor, ValidationReport,
-                               identity, zero_mor)
+from mixtrace.category import (CheckResult, Model, Monomial, Mor,
+                               ValidationReport, identity, zero_mor)
 from mixtrace.errors import InputError
 from mixtrace.loops import Loop, Permutation
 from mixtrace.rings import INTEGERS, RingTag
@@ -43,6 +41,7 @@ FROZEN = [
     (RingTag, dict(kind="Zloc", m=6)),
     (Model, dict(ring=INTEGERS, mix=2)),
     (Mor, dict(model=Z2, dom=r1, cod=r2, entries=((1,), (2,)))),
+    (Monomial, dict(scalar=2, dom=3, cols=(0, None, 2))),
     (Permutation, dict(images=(1, 0))),
     (Loop, dict(model=Z2, dom=r1, cod=r1, hidden=(r1,), carrier=ONE)),
     (Diagram, dict(model=Z2, objects=(r1, r1), edges=((0, 1, "f", ONE),))),
@@ -84,7 +83,8 @@ def test_another_type_with_the_same_fields_is_unequal(cls, fields):
 # One field changed per frozen type, to a value that keeps it well-formed.
 CHANGED = {
     RingTag: dict(m=5), Model: dict(mix=3),
-    Mor: dict(entries=((1,), (3,))), Permutation: dict(images=(0, 1)),
+    Mor: dict(entries=((1,), (3,))), Monomial: dict(cols=(0, None, 1)),
+    Permutation: dict(images=(0, 1)),
     Loop: dict(carrier=zero_mor(Z2, r1, r1)),
     Diagram: dict(edges=()), CounterPath: dict(path_b=(2,)),
     ZigZagInstance: dict(right_fillers=(ONE, zero_mor(Z2, r1, r1))),
@@ -113,6 +113,9 @@ def test_repr_text():
     assert repr(identity(Z2, r1)) == (
         "Mor(model=Model(ring=RingTag(kind='Z', m=None), mix=2), "
         "dom=1, cod=1, entries=((1,),))")
+    assert repr(Monomial(2, 3, [0, None, 2])) == (
+        "Monomial(scalar=2, dom=3, cols=(0, None, 2))")
+    assert Monomial(2, 3, [0, None, 2]).cod == 3
     assert repr(TraceResult("undefined")) == (
         "TraceResult(status='undefined', value=None, alpha=None, "
         "witness=None)")
