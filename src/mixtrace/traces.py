@@ -244,17 +244,17 @@ def free_mixed_trace(p: Loop, want_witness: bool = False) -> TraceResult:
         fillers = []
         rows, rest = pf.entries, list(range(p.k))
         for n, i in enumerate(order):
-            divided = divide_by_mix(rows, m, None)  # the search divided it
+            divided = divide_by_mix(rows, m, None)  # the search found it
             sizes = [dims[j] * dims[j] for j in rest]
             slot = {j: 1 + pos for pos, j in enumerate(rest)}
             stage = Mor(model, prod(sizes), ba,
                         tuple(map(tuple, divided)))
             fillers.append(regroup(stage, [ba], sizes, [0],
                                    [slot[j] for j in order[n:]]))
-            pos = rest.index(i)
+            pos = slot[i] - 1
             rows = _contract_pair(divided, dims[i], prod(sizes[:pos]),
                                   prod(sizes[pos + 1:]))
-            rest.remove(i)
+            del rest[pos]
         witness = StaircaseWitness(psi, tuple(fillers))
     return defined(value, Permutation(order), witness)
 
