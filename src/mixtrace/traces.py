@@ -244,7 +244,7 @@ def free_mixed_trace(p: Loop, want_witness: bool = False) -> TraceResult:
         fillers = []
         rows, rest = pf.entries, list(range(p.k))
         for n, i in enumerate(order):
-            divided = divide_by_mix(rows, m, None)  # the search found it
+            divided = divide_by_mix(rows, m, None)  # m divides rows, as found
             sizes = [dims[j] * dims[j] for j in rest]
             slot = {j: 1 + pos for pos, j in enumerate(rest)}
             stage = Mor(model, prod(sizes), ba,
