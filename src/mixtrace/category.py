@@ -393,10 +393,13 @@ def uncurry(g: Mor, a: int, b: int, c: int) -> Mor:
 
 def contract_hidden(f: Mor, a: int, b: int, hidden: Sequence[int]) -> Mor:
     """Sum the diagonal hidden indices of f: A(x)U1(x)...(x)Uk ->
-    B par U1 par ... par Uk, giving a morphism A -> B in the same ring."""
+    B par U1 par ... par Uk, giving a morphism A -> B in the same ring;
+    a hidden size of 1 has nothing to sum, and f is returned."""
     h = prod(hidden)
     if f.dom != a * h or f.cod != b * h:
         raise InputError("contract_hidden: shape mismatch")
+    if h == 1:
+        return f
     ent = f.entries
     rows = tuple(
         tuple(sum(ent[y * h + t][x * h + t] for t in range(h))

@@ -18,13 +18,12 @@ objects of rank <= 1 carry no data, so the search takes those of equal
 rank in their given order: contracting any of them gives the same matrix,
 and any other order sorts later.  With n0, n1 and n2 hidden objects of rank
 0, 1 and >= 2 it visits at most 2^n2*(n0+1)*(n1+1) prefix sets, where 2^n2
-is at most the product of those n2 ranks.  A node tests once that m
-divides its matrix; with m and every entry ints, its children contract
-first and divide only the sums, d^2 times fewer entries at rank d.  A
-witness replays the found ordering once: the matrices it divides are the
-fillers, and ``staircase_layout`` lays it out as a diagram for
-``serialize`` to write and ``zigzag`` to check, its mix and coevaluation
-edges ``Monomial``s, a scalar and an index map each.
+is at most the product of those n2 ranks.  A node divides its matrix by
+m once, and its children contract that quotient.  A witness replays the
+found ordering once: the matrices it divides are the fillers, and
+``staircase_layout`` lays it out as a diagram for ``serialize`` to write
+and ``zigzag`` to check, its mix and coevaluation edges ``Monomial``s, a
+scalar and an index map each.
 
 At m != 0 a hidden part whose ranks multiply to at most 1 needs no
 search.  A rank-1 contraction moves no entry, so C_S is C, and C/m^k in
@@ -124,18 +123,13 @@ def pairing_form(p: Loop) -> Mor:
 
 
 def _contract_pair(rows: Sequence[Sequence[Number]], d: int, outer: int,
-                   inner: int, divisor: Optional[int] = None
-                   ) -> List[List[Number]]:
+                   inner: int) -> List[List[Number]]:
     """The second half of a stage: contract one evaluation pair of rank d,
     whose d*d columns sit between ``outer`` blocks of leading pair columns
-    and ``inner`` trailing ones; each sum is divided by ``divisor``, an
-    int dividing every entry of int ``rows``, if one is given."""
+    and ``inner`` trailing ones."""
     step, span, block = (d + 1) * inner, d * (d + 1) * inner, d * d * inner
     starts = [o * block + t for o in range(outer) for t in range(inner)]
-    if divisor is None:
-        return [[sum(row[s:s + span:step]) for s in starts] for row in rows]
-    return [[sum(row[s:s + span:step]) // divisor for s in starts]
-            for row in rows]
+    return [[sum(row[s:s + span:step]) for s in starts] for row in rows]
 
 
 def _first_solvable_order(pf_rows: Sequence[Sequence[Number]],
@@ -146,12 +140,10 @@ def _first_solvable_order(pf_rows: Sequence[Sequence[Number]],
     lexicographically first solvable ordering (m nonzero).
 
     A node is a set S, given as a bitmask, and carries C_S/m^|S| over the
-    remaining pairs in index order.  It tests once that m divides it, and
-    its children contract the remaining indices in ascending order, of rank
-    0 and of rank 1 only the first (see the module docstring).  When m and
-    every entry are ints a child divides its contracted sums by m; else the
-    node divides through ``divide_by_mix`` and the child contracts that.
-    Nodes wait on an explicit stack with the contraction that builds their
+    remaining pairs in index order.  It divides by m once, and its children
+    contract the remaining indices of that quotient in ascending order, of
+    rank 0 and of rank 1 only the first (see the module docstring).  Nodes
+    wait on an explicit stack with the contraction that builds their
     matrix; a set popped a second time had no solvable completion and is
     skipped.  Returns the ordering and the final column C_all/m^k.
     """
@@ -166,21 +158,16 @@ def _first_solvable_order(pf_rows: Sequence[Sequence[Number]],
         rows = build()
         if len(order) == k:
             return order, rows
-        if type(m) is int and all(type(v) is int and not v % m
-                                  for row in rows for v in row):
-            contract = partial(_contract_pair, rows, divisor=m)
-        else:
-            divided = divide_by_mix(rows, m, ring)
-            if divided is None:
-                continue
-            contract = partial(_contract_pair, divided)
+        divided = divide_by_mix(rows, m, ring)
+        if divided is None:
+            continue
         rest = [i for i in range(k) if not mask >> i & 1]
         sizes = [dims[i] * dims[i] for i in rest]
         for pos in reversed(_distinct_choices(dims, rest)):
             i = rest[pos]
             stack.append((mask | 1 << i, order + (i,),
-                          partial(contract, dims[i], prod(sizes[:pos]),
-                                  prod(sizes[pos + 1:]))))
+                          partial(_contract_pair, divided, dims[i],
+                                  prod(sizes[:pos]), prod(sizes[pos + 1:]))))
     return None
 
 
@@ -295,15 +282,13 @@ def induced_mixed_trace(p: Loop) -> TraceResult:
     """The trace induced by localizing the mix scalar: contract the hidden
     indices and divide by m^k through ``divide_by_mix``, which stops at
     the first quotient outside the base ring; Undefined if there is one.
-    At k = 0 it is the carrier, and a hidden size of 1 has no contraction."""
+    At k = 0 it is the carrier."""
     if p.model.mix == 0:
         raise ModelNotCompactifiableError(
             "the induced trace needs a nonzero mix scalar")
-    if not p.k:
-        return defined(p.carrier)
-    rows = p.carrier.entries if p.hidden_size == 1 else contract_hidden(
-        p.carrier, p.dom, p.cod, p.hidden).entries
-    rows = divide_by_mix(rows, p.model.mix ** p.k, p.model.ring)
+    rows = divide_by_mix(
+        contract_hidden(p.carrier, p.dom, p.cod, p.hidden).entries,
+        p.model.mix ** p.k, p.model.ring)
     if rows is None:
         return undefined()
     return defined(Mor(p.model, p.dom, p.cod, tuple(map(tuple, rows))))
