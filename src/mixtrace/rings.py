@@ -165,11 +165,13 @@ def _exact_div(v: Number, m: Number, ring) -> Optional[Number]:
 
 
 def divide_by_mix(rows: Sequence[Sequence[Number]], m: Number,
-                  ring) -> Optional[List[List[Number]]]:
+                  ring) -> Optional[Sequence[Sequence[Number]]]:
     """Every entry divided exactly by m, a power of the mix scalar, or None
     as soon as a quotient leaves the ring; a staircase stage's first half.
     With ring None the caller knows every quotient lies in its ring, and
-    none is tested."""
+    none is tested.  An m of 1, such as m^0, returns ``rows`` itself."""
+    if m == 1:
+        return rows
     divided: List[List[Number]] = []
     for row in rows:
         if type(m) is int and all(type(v) is int and not v % m for v in row):
