@@ -9,10 +9,11 @@ decided by exact divisibility, so approximate arithmetic would be wrong,
 not merely imprecise.
 
 Every division by a mix power, in ``traces`` and ``compactify``, is
-``divide_by_mix``: a row of ints that an int divisor divides goes in one
-pass, everything else entry by entry, since over Q and Z[1/M] a quotient
-that is not an int may still lie in the ring; it stops at the first
-quotient outside the ring.  No other module branches on a ring's kind.
+``divide_by_mix``: a divisor of 1 returns the rows, a row of ints that
+an int divisor divides goes in one pass, everything else entry by entry,
+since over Q and Z[1/M] a quotient that is not an int may still lie in the
+ring; it stops at the first quotient outside the ring.  No other module
+branches on a ring's kind.
 """
 
 from __future__ import annotations
